@@ -1,7 +1,10 @@
 #include "engine/session.hpp"
 
 #include <algorithm>
+#include <exception>
+#include <numeric>
 #include <set>
+#include <string_view>
 
 #include "config/dialect.hpp"
 #include "io/dataset_io.hpp"
@@ -21,23 +24,62 @@ std::uint64_t mix(std::uint64_t z) {
   return z ^ (z >> 31);
 }
 
-/// Mirror a per-session CacheStats increment into the obs registry.
-void bump(const char* counter) {
-  if (obs::enabled()) obs::Registry::global().counter(counter).add(1);
+/// How a stage request was served; StageRun::source holds its name.
+enum class StageSource : std::uint8_t { kMemo, kStore, kComputed };
+
+const char* source_name(StageSource source) {
+  static constexpr const char* kNames[] = {"memo", "store", "computed"};
+  return kNames[static_cast<int>(source)];
 }
 
-/// The wall-time histogram for one pipeline stage, or null when obs is
-/// disabled (which makes the ScopedTimer inert — no clock reads).
-obs::Histogram* stage_seconds(const char* stage) {
-  if (!obs::enabled()) return nullptr;
-  return &obs::Registry::global().histogram(std::string("mpa_stage_seconds_") + stage);
+/// What one (stage, source) record counts as: a CacheStats field, named
+/// `key` in the manifest's cache map, and its mpa_session_* counter. A
+/// null stage matches every stage; a record with no row (a computed
+/// dependence) counts nowhere.
+struct StageCount {
+  const char* stage;
+  StageSource source;
+  const char* key;
+  std::size_t AnalysisSession::CacheStats::*field;
+  const char* counter;
+};
+
+using Stats = AnalysisSession::CacheStats;
+constexpr StageCount kStageCounts[] = {
+    {nullptr, StageSource::kMemo, "hits", &Stats::hits, "mpa_session_memo_hits_total"},
+    {"case_table", StageSource::kComputed, "table_builds", &Stats::table_builds,
+     "mpa_session_table_builds_total"},
+    {"case_table", StageSource::kStore, "table_loads", &Stats::table_loads,
+     "mpa_session_table_loads_total"},
+    {"lint", StageSource::kComputed, "lint_runs", &Stats::lint_runs,
+     "mpa_session_lint_runs_total"},
+    {"lint", StageSource::kStore, "lint_loads", &Stats::lint_loads,
+     "mpa_session_lint_loads_total"},
+    {"causal", StageSource::kComputed, "causal_runs", &Stats::causal_runs,
+     "mpa_session_causal_runs_total"},
+    {"cv", StageSource::kComputed, "cv_runs", &Stats::cv_runs, "mpa_session_cv_runs_total"},
+    {"online", StageSource::kComputed, "online_runs", &Stats::online_runs,
+     "mpa_session_online_runs_total"},
+    {"append", StageSource::kComputed, "appends", &Stats::appends, "mpa_session_appends_total"},
+};
+
+const StageCount* count_of(std::string_view stage, std::string_view source) {
+  for (const StageCount& c : kStageCounts)
+    if ((c.stage == nullptr || c.stage == stage) && source_name(c.source) == source) return &c;
+  return nullptr;
 }
 
-/// Manifest stage timing. Two steady-clock reads per stage request —
-/// negligible against stage cost, and independent of obs::enabled()
-/// because provenance is recorded whether or not metrics are on.
-double elapsed_seconds(std::uint64_t t0_ns) {
-  return static_cast<double>(obs::now_ns() - t0_ns) * 1e-9;
+/// CacheStats projected from the stage record.
+Stats count_stages(const std::vector<StageRun>& runs) {
+  Stats s;
+  for (const StageRun& run : runs)
+    if (const StageCount* c = count_of(run.stage, run.source)) ++(s.*c->field);
+  return s;
+}
+
+/// The wall-time histogram a computed stage observes.
+std::string stage_histogram(std::string_view stage) {
+  return stage == "append" ? "mpa_ingest_seconds" : "mpa_stage_seconds_" + std::string(stage);
 }
 
 /// Pre-register the engine's full metric schema so every export
@@ -45,28 +87,76 @@ double elapsed_seconds(std::uint64_t t0_ns) {
 /// (the CI schema check, dashboards) never see a shifting key set.
 void register_engine_metrics() {
   auto& reg = obs::Registry::global();
+  for (const StageCount& c : kStageCounts) reg.counter(c.counter);
   for (const char* name :
-       {"mpa_session_memo_hits_total", "mpa_session_table_builds_total",
-        "mpa_session_table_loads_total", "mpa_session_lint_runs_total",
-        "mpa_session_lint_loads_total", "mpa_session_causal_runs_total",
-        "mpa_session_cv_runs_total", "mpa_session_online_runs_total",
-        "mpa_session_invalidations_total", "mpa_session_appends_total",
-        "mpa_session_cmi_pairs_total", "mpa_artifact_store_hits_total",
-        "mpa_artifact_store_misses_total", "mpa_artifact_store_saves_total",
-        "mpa_pool_jobs_total", "mpa_pool_tasks_total", "mpa_pool_inline_jobs_total",
-        "mpa_pool_worker_joins_total", "mpa_pool_queue_wait_ns_total"}) {
+       {"mpa_session_invalidations_total", "mpa_session_cmi_pairs_total",
+        "mpa_artifact_store_hits_total", "mpa_artifact_store_misses_total",
+        "mpa_artifact_store_saves_total", "mpa_pool_jobs_total", "mpa_pool_tasks_total",
+        "mpa_pool_inline_jobs_total", "mpa_pool_worker_joins_total",
+        "mpa_pool_queue_wait_ns_total", "mpa_dataset_load_bytes_total"}) {
     reg.counter(name);
   }
-  for (const char* stage : {"case_table", "lint", "dependence", "causal", "cv", "online"}) {
-    reg.histogram(std::string("mpa_stage_seconds_") + stage);
-  }
+  for (const char* stage : {"case_table", "lint", "dependence", "causal", "cv", "online", "append"})
+    reg.histogram(stage_histogram(stage));
   reg.histogram("mpa_dependence_pair_seconds");
-  reg.histogram("mpa_ingest_seconds");
-  reg.counter("mpa_dataset_load_bytes_total");
   reg.histogram("mpa_dataset_load_seconds");
 }
 
 }  // namespace
+
+/// Opened once per stage request; on close it writes every record of
+/// that request: the StageRun, the "stage" log event, and the (stage,
+/// source) counter. A computed scope also owns the stage span and reads
+/// the clock once at open and once at close — that one interval is both
+/// the stage histogram sample and StageRun::seconds. A store scope is
+/// timed the same way without span or histogram; a memo scope reads no
+/// clock. A scope unwound by an exception records nothing but its span.
+class AnalysisSession::StageScope {
+ public:
+  StageScope(AnalysisSession& session, const char* stage, StageSource source)
+      : session_(session), stage_(stage), source_(source) {
+    if (source == StageSource::kComputed) span_.emplace(stage);
+    if (source != StageSource::kMemo) t0_ns_ = obs::now_ns();
+  }
+  StageScope(const StageScope&) = delete;
+  StageScope& operator=(const StageScope&) = delete;
+
+  /// A store probe that missed: the computed scope that follows holds
+  /// the request's record.
+  void dismiss() { dismissed_ = true; }
+
+  /// noexcept(false): a record that fails to allocate reaches the
+  /// stage's caller. It cannot throw during unwinding — that returns
+  /// first.
+  ~StageScope() noexcept(false) {
+    if (dismissed_ || std::uncaught_exceptions() > uncaught_) return;
+    const double seconds =
+        source_ == StageSource::kMemo ? 0 : static_cast<double>(obs::now_ns() - t0_ns_) * 1e-9;
+    const char* source = source_name(source_);
+    if (obs::enabled()) {
+      auto& reg = obs::Registry::global();
+      if (source_ == StageSource::kComputed)
+        reg.histogram(stage_histogram(stage_)).observe(seconds);
+      if (const StageCount* c = count_of(stage_, source)) reg.counter(c->counter).add(1);
+    }
+    {
+      MutexLock lk(session_.stats_mu_);
+      session_.stage_runs_.push_back(StageRun{stage_, source, seconds});
+    }
+    // Structural fields only: the event stream stays bit-identical across
+    // thread counts and machines, so seconds live in the manifest alone.
+    obs::LogEvent(obs::LogLevel::kInfo, "stage").str("stage", stage_).str("source", source);
+  }
+
+ private:
+  AnalysisSession& session_;
+  const char* stage_;
+  StageSource source_;
+  std::optional<obs::Span> span_;  ///< Destroyed after the records: the span covers them.
+  std::uint64_t t0_ns_ = 0;
+  int uncaught_ = std::uncaught_exceptions();
+  bool dismissed_ = false;
+};
 
 AnalysisSession::AnalysisSession(Inventory inventory, SnapshotStore snapshots, TicketLog tickets,
                                  SessionOptions opts)
@@ -100,7 +190,6 @@ AnalysisSession::AnalysisSession(AnalysisSession&& other) noexcept
       dependence_(std::move(other.dependence_)),
       causal_(std::move(other.causal_)),
       cv_(std::move(other.cv_)),
-      stats_(other.stats_),
       stage_runs_(std::move(other.stage_runs_)),
       fingerprint_(other.fingerprint_) {}
 
@@ -150,7 +239,8 @@ AnalysisSession AnalysisSession::from_directory(const std::string& dir, SessionO
   if (obs::enabled()) {
     auto& reg = obs::Registry::global();
     reg.counter("mpa_dataset_load_bytes_total").add(bytes_read);
-    reg.histogram("mpa_dataset_load_seconds").observe(elapsed_seconds(t0));
+    reg.histogram("mpa_dataset_load_seconds")
+        .observe(static_cast<double>(obs::now_ns() - t0) * 1e-9);
   }
   // Observation window implied by the data: the last month touched by
   // any ticket or snapshot.
@@ -170,57 +260,54 @@ Rng AnalysisSession::stream_for(std::uint64_t tag) const {
 
 const CaseTable& AnalysisSession::case_table() {
   if (table_.has_value()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("case_table", "memo", 0);
+    StageScope memo(*this, "case_table", StageSource::kMemo);
     return *table_;
   }
   if (!opts_.artifact_key.empty()) {
-    const std::uint64_t t0 = obs::now_ns();
+    StageScope store(*this, "case_table", StageSource::kStore);
     if (auto cached = store_.load_case_table(opts_.artifact_key)) {
-      bump_stats([](CacheStats& s) { ++s.table_loads; });
-      bump("mpa_session_table_loads_total");
       table_ = std::move(*cached);
-      record_stage("case_table", "store", elapsed_seconds(t0));
       return *table_;
     }
+    store.dismiss();
   }
-  obs::Span span("case_table");
-  obs::ScopedTimer timer(stage_seconds("case_table"));
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope computed(*this, "case_table", StageSource::kComputed);
   InferenceOptions iopts = opts_.inference;
   iopts.pool = pool_.get();
   table_ = infer_case_table(inventory_, snapshots_, tickets_, iopts);
-  bump_stats([](CacheStats& s) { ++s.table_builds; });
-  bump("mpa_session_table_builds_total");
-  record_stage("case_table", "computed", elapsed_seconds(t0));
   if (!opts_.artifact_key.empty()) store_.save_case_table(opts_.artifact_key, *table_);
   return *table_;
 }
 
 const LintReport& AnalysisSession::lint() {
   if (lint_.has_value()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("lint", "memo", 0);
+    StageScope memo(*this, "lint", StageSource::kMemo);
     return *lint_;
   }
   if (!opts_.artifact_key.empty()) {
-    const std::uint64_t t0 = obs::now_ns();
+    StageScope store(*this, "lint", StageSource::kStore);
     if (auto cached = store_.load_lint_report(opts_.artifact_key)) {
-      bump_stats([](CacheStats& s) { ++s.lint_loads; });
-      bump("mpa_session_lint_loads_total");
       lint_ = std::move(*cached);
-      record_stage("lint", "store", elapsed_seconds(t0));
       return *lint_;
     }
+    store.dismiss();
   }
-  obs::Span span("lint");
-  obs::ScopedTimer timer(stage_seconds("lint"));
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope computed(*this, "lint", StageSource::kComputed);
+  LintReport report;
+  report.networks.resize(inventory_.networks().size());
+  std::vector<std::size_t> every(report.networks.size());
+  std::iota(every.begin(), every.end(), std::size_t{0});
+  lint_networks(report, every);
+  lint_ = std::move(report);
+  if (!opts_.artifact_key.empty()) store_.save_lint_report(opts_.artifact_key, *lint_);
+  return *lint_;
+}
+
+void AnalysisSession::lint_networks(LintReport& report, const std::vector<std::size_t>& indices) {
   // Per-task spans run on pool workers, whose thread-local span stack
-  // is empty; adopt this stage's path explicitly so the fan-out nests
-  // under it with deterministic names and counts at any thread count.
+  // is empty; adopt the calling stage's path explicitly so the fan-out
+  // nests under it with deterministic names and counts at any thread
+  // count.
   const std::string task_path =
       obs::enabled() ? obs::Tracer::current_path() + "/network" : std::string();
   // Pool workers have no installed request context either; adopt a
@@ -228,16 +315,14 @@ const LintReport& AnalysisSession::lint() {
   // req_id/tenant (collection stays with the owning worker thread).
   const obs::RequestContext* req_ctx = obs::current_request_context();
   obs::RequestContext task_ctx = req_ctx != nullptr ? req_ctx->tag_only() : obs::RequestContext{};
-  const auto& networks = inventory_.networks();
-  LintReport report;
-  report.networks.resize(networks.size());
-  parallel_for(pool_.get(), networks.size(), [&](std::size_t n) {
+  parallel_for(pool_.get(), indices.size(), [&](std::size_t i) {
     obs::ScopedRequestContext adopt(req_ctx != nullptr ? &task_ctx : nullptr);
     obs::Span task = obs::Span::with_path(task_path);
-    NetworkLint& out = report.networks[n];
-    out.network_id = networks[n].network_id;
+    const NetworkRecord& net = inventory_.networks()[indices[i]];
+    NetworkLint& out = report.networks[indices[i]];
+    out.network_id = net.network_id;
     std::vector<DeviceText> texts;
-    for (const auto* d : inventory_.devices_in(networks[n].network_id)) {
+    for (const auto* d : inventory_.devices_in(net.network_id)) {
       const auto& snaps = snapshots_.for_device(d->device_id);
       if (snaps.empty()) continue;
       texts.push_back(DeviceText{d->device_id, snaps.back().text, dialect_of(d->vendor)});
@@ -248,33 +333,22 @@ const LintReport& AnalysisSession::lint() {
         .str("network", out.network_id)
         .u64("findings", out.diagnostics.size());
   });
-  bump_stats([](CacheStats& s) { ++s.lint_runs; });
-  bump("mpa_session_lint_runs_total");
-  record_stage("lint", "computed", elapsed_seconds(t0));
-  lint_ = std::move(report);
-  if (!opts_.artifact_key.empty()) store_.save_lint_report(opts_.artifact_key, *lint_);
-  return *lint_;
 }
 
 const DependenceAnalysis& AnalysisSession::dependence() {
   if (dependence_.has_value()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("dependence", "memo", 0);
+    StageScope memo(*this, "dependence", StageSource::kMemo);
     return *dependence_;
   }
   // The case table is a prerequisite, not part of this stage's cost:
-  // materialize it before the span opens so a cold dependence() call
+  // materialize it before the scope opens so a cold dependence() call
   // reports dependence time, with any table build as a sibling span.
   const CaseTable& table = case_table();
-  obs::Span span("dependence");
-  obs::ScopedTimer timer(stage_seconds("dependence"));
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope computed(*this, "dependence", StageSource::kComputed);
   DependenceOptions dopts = opts_.dependence;
   dopts.pool = pool_.get();
   dopts.record_pair_times = obs::enabled();
   dependence_.emplace(table, dopts);
-  record_stage("dependence", "computed", elapsed_seconds(t0));
   if (obs::enabled()) {
     auto& reg = obs::Registry::global();
     reg.counter("mpa_session_cmi_pairs_total")
@@ -286,69 +360,43 @@ const DependenceAnalysis& AnalysisSession::dependence() {
 }
 
 const CausalResult& AnalysisSession::causal(Practice treatment) {
-  const auto it = causal_.find(treatment);
-  if (it != causal_.end()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("causal", "memo", 0);
+  if (const auto it = causal_.find(treatment); it != causal_.end()) {
+    StageScope memo(*this, "causal", StageSource::kMemo);
     return it->second;
   }
   const CaseTable& table = case_table();
-  obs::Span span("causal");
-  obs::ScopedTimer timer(stage_seconds("causal"));
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope computed(*this, "causal", StageSource::kComputed);
   CausalOptions copts = opts_.causal;
   copts.pool = pool_.get();
-  bump_stats([](CacheStats& s) { ++s.causal_runs; });
-  bump("mpa_session_causal_runs_total");
-  const CausalResult& res =
-      causal_.emplace(treatment, causal_analysis(table, treatment, copts)).first->second;
-  record_stage("causal", "computed", elapsed_seconds(t0));
-  return res;
+  return causal_.emplace(treatment, causal_analysis(table, treatment, copts)).first->second;
 }
 
 const EvalResult& AnalysisSession::evaluate_cv(int num_classes, ModelKind kind) {
   const auto key = std::make_pair(static_cast<int>(kind), num_classes);
-  const auto it = cv_.find(key);
-  if (it != cv_.end()) {
-    bump_stats([](CacheStats& s) { ++s.hits; });
-    bump("mpa_session_memo_hits_total");
-    record_stage("cv", "memo", 0);
+  if (const auto it = cv_.find(key); it != cv_.end()) {
+    StageScope memo(*this, "cv", StageSource::kMemo);
     return it->second;
   }
   const CaseTable& table = case_table();
-  obs::Span span("cv");
-  obs::ScopedTimer timer(stage_seconds("cv"));
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope computed(*this, "cv", StageSource::kComputed);
   ModelingOptions mopts = opts_.modeling;
   mopts.pool = pool_.get();
   Rng rng = stream_for(0x5cf00ULL + static_cast<std::uint64_t>(kind) * 64 +
                        static_cast<std::uint64_t>(num_classes));
-  bump_stats([](CacheStats& s) { ++s.cv_runs; });
-  bump("mpa_session_cv_runs_total");
-  const EvalResult& res =
-      cv_.emplace(key, evaluate_model_cv(table, num_classes, kind, rng, mopts)).first->second;
-  record_stage("cv", "computed", elapsed_seconds(t0));
-  return res;
+  return cv_.emplace(key, evaluate_model_cv(table, num_classes, kind, rng, mopts)).first->second;
 }
 
 double AnalysisSession::online_accuracy(int num_classes, int history_m, ModelKind kind,
                                         int first_t, int last_t) {
   const CaseTable& table = case_table();
-  obs::Span span("online");
-  obs::ScopedTimer timer(stage_seconds("online"));
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope computed(*this, "online", StageSource::kComputed);
   ModelingOptions mopts = opts_.modeling;
   mopts.pool = pool_.get();
   Rng rng = stream_for(0x0911eULL + static_cast<std::uint64_t>(kind) * 4096 +
                        static_cast<std::uint64_t>(num_classes) * 128 +
                        static_cast<std::uint64_t>(history_m));
-  bump_stats([](CacheStats& s) { ++s.online_runs; });
-  bump("mpa_session_online_runs_total");
-  const double acc = online_prediction_accuracy(table, num_classes, history_m, kind, rng, first_t,
-                                                last_t, mopts);
-  record_stage("online", "computed", elapsed_seconds(t0));
-  return acc;
+  return online_prediction_accuracy(table, num_classes, history_m, kind, rng, first_t, last_t,
+                                    mopts);
 }
 
 AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& delta) {
@@ -381,10 +429,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
                      " is outside month " + std::to_string(m) + " for ticket " + t.ticket_id);
   }
 
-  obs::Span span("append");
-  obs::ScopedTimer timer(
-      obs::enabled() ? &obs::Registry::global().histogram("mpa_ingest_seconds") : nullptr);
-  const std::uint64_t t0 = obs::now_ns();
+  StageScope computed(*this, "append", StageSource::kComputed);
 
   // ---- Ingest the raw records and advance the observation window. ----
   for (const auto& s : delta.snapshots) snapshots_.add(s);
@@ -449,30 +494,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
       for (std::size_t n = 0; n < networks.size(); ++n)
         if (touched_networks.count(networks[n].network_id) != 0) affected.push_back(n);
     }
-    const std::string task_path =
-        obs::enabled() ? obs::Tracer::current_path() + "/network" : std::string();
-    const obs::RequestContext* req_ctx = obs::current_request_context();
-    obs::RequestContext task_ctx =
-        req_ctx != nullptr ? req_ctx->tag_only() : obs::RequestContext{};
-    parallel_for(pool_.get(), affected.size(), [&](std::size_t i) {
-      obs::ScopedRequestContext adopt(req_ctx != nullptr ? &task_ctx : nullptr);
-      obs::Span task = obs::Span::with_path(task_path);
-      const std::size_t n = affected[i];
-      const NetworkRecord& net = inventory_.networks()[n];
-      NetworkLint& out = lint_->networks[n];
-      out.network_id = net.network_id;
-      std::vector<DeviceText> texts;
-      for (const auto* d : inventory_.devices_in(net.network_id)) {
-        const auto& snaps = snapshots_.for_device(d->device_id);
-        if (snaps.empty()) continue;
-        texts.push_back(DeviceText{d->device_id, snaps.back().text, dialect_of(d->vendor)});
-      }
-      out.num_devices = texts.size();
-      out.diagnostics = lint_network_text(texts, opts_.inference.lint);
-      obs::LogEvent(obs::LogLevel::kDebug, "lint_network")
-          .str("network", out.network_id)
-          .u64("findings", out.diagnostics.size());
-    });
+    lint_networks(*lint_, affected);
     result.lint_incremental = true;
     if (keyed) store_.save_lint_report(opts_.artifact_key, *lint_);
   }
@@ -493,9 +515,6 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
   causal_.clear();
   cv_.clear();
 
-  bump_stats([](CacheStats& s) { ++s.appends; });
-  bump("mpa_session_appends_total");
-  record_stage("append", "computed", elapsed_seconds(t0));
   obs::LogEvent(obs::LogLevel::kInfo, "session_append")
       .i64("month", m)
       .u64("snapshots", result.snapshots)
@@ -509,7 +528,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
 
 AnalysisSession::CacheStats AnalysisSession::stats() const {
   MutexLock lk(stats_mu_);
-  return stats_;
+  return count_stages(stage_runs_);
 }
 
 RunManifest AnalysisSession::manifest() const {
@@ -529,16 +548,9 @@ RunManifest AnalysisSession::manifest() const {
   {
     MutexLock lk(stats_mu_);
     m.stages = stage_runs_;
-    m.cache = {{"hits", stats_.hits},
-               {"table_builds", stats_.table_builds},
-               {"table_loads", stats_.table_loads},
-               {"lint_runs", stats_.lint_runs},
-               {"lint_loads", stats_.lint_loads},
-               {"causal_runs", stats_.causal_runs},
-               {"cv_runs", stats_.cv_runs},
-               {"online_runs", stats_.online_runs},
-               {"appends", stats_.appends}};
   }
+  const CacheStats counts = count_stages(m.stages);
+  for (const StageCount& c : kStageCounts) m.cache[c.key] = counts.*c.field;
   if (obs::enabled()) m.counters = obs::Registry::global().counters_snapshot();
   return m;
 }
@@ -552,23 +564,13 @@ std::uint64_t AnalysisSession::fingerprint() const {
   return *fingerprint_;
 }
 
-void AnalysisSession::record_stage(const char* stage, const char* source, double seconds) {
-  {
-    MutexLock lk(stats_mu_);
-    stage_runs_.push_back(StageRun{stage, source, seconds});
-  }
-  // Structural fields only: the event stream stays bit-identical across
-  // thread counts and machines, so seconds live in the manifest alone.
-  obs::LogEvent(obs::LogLevel::kInfo, "stage").str("stage", stage).str("source", source);
-}
-
 void AnalysisSession::invalidate() {
   table_.reset();
   lint_.reset();
   dependence_.reset();
   causal_.clear();
   cv_.clear();
-  bump("mpa_session_invalidations_total");
+  if (obs::enabled()) obs::Registry::global().counter("mpa_session_invalidations_total").add(1);
   obs::LogEvent(obs::LogLevel::kInfo, "session_invalidate")
       .str("artifact_key", opts_.artifact_key);
   if (!opts_.artifact_key.empty()) store_.remove(opts_.artifact_key);

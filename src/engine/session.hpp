@@ -185,10 +185,11 @@ class AnalysisSession {
   /// identical data keeps the cache warm and counts no invalidation.
   void replace_data(Inventory inventory, SnapshotStore snapshots, TicketLog tickets);
 
-  /// Cache observability (tests + tooling). These per-session counts
-  /// are mirrored into the process-wide obs registry (src/obs/) as
-  /// mpa_session_* counters whenever obs::enabled(); the registry adds
-  /// stage wall-time histograms and trace spans on top (DESIGN.md §8).
+  /// Cache observability (tests + tooling): counts over the manifest's
+  /// stage records by (stage, source). Each record also bumps its
+  /// mpa_session_* counter in the process-wide obs registry whenever
+  /// obs::enabled(); the registry adds stage wall-time histograms and
+  /// trace spans on top (DESIGN.md §8).
   struct CacheStats {
     std::size_t hits = 0;          ///< Requests served from memory.
     std::size_t table_builds = 0;  ///< infer_case_table executions.
@@ -208,29 +209,25 @@ class AnalysisSession {
   /// The run's provenance manifest so far: dataset fingerprint (FNV-1a
   /// over all three data sources, computed once per data generation),
   /// seed, thread count, every stage request with wall time and cache
-  /// disposition, cache stats, and — when obs::enabled() — the current
-  /// obs counter snapshot. Keyed sessions persist this JSON beside
-  /// their artifacts on destruction (engine/run_manifest.hpp).
+  /// disposition, cache stats (the same projection stats() returns),
+  /// and — when obs::enabled() — the current obs counter snapshot.
+  /// Keyed sessions persist this JSON beside their artifacts on
+  /// destruction (engine/run_manifest.hpp).
   RunManifest manifest() const EXCLUDES(stats_mu_);
 
  private:
+  /// The single writer of stage records: one RAII scope per stage
+  /// request appends its StageRun, emits its "stage" log event, bumps
+  /// its counter, and — for computed stages — owns the stage span and
+  /// histogram sample (session.cpp).
+  class StageScope;
+
   /// Private RNG stream for one artifact identity.
   Rng stream_for(std::uint64_t tag) const;
 
-  /// Apply `fn` to the stats record under the stats mutex. `fn` sees
-  /// the record through its parameter, so the capability analysis
-  /// stays on this function, not the lambda bodies.
-  template <typename Fn>
-  void bump_stats(Fn&& fn) EXCLUDES(stats_mu_) {
-    MutexLock lk(stats_mu_);
-    fn(stats_);
-  }
-
-  /// Append one stage execution to the manifest record and emit the
-  /// matching "stage" log event (structural fields only — timing stays
-  /// out of the event stream to keep it deterministic).
-  void record_stage(const char* stage, const char* source, double seconds)
-      EXCLUDES(stats_mu_);
+  /// Re-lint the networks at `indices` (inventory order) into `report`
+  /// on the session pool, one `<stage>/network` span each.
+  void lint_networks(LintReport& report, const std::vector<std::size_t>& indices);
 
   /// The cached dataset fingerprint, computed on first use.
   std::uint64_t fingerprint() const EXCLUDES(stats_mu_);
@@ -247,13 +244,12 @@ class AnalysisSession {
   std::optional<DependenceAnalysis> dependence_;
   std::map<Practice, CausalResult> causal_;
   std::map<std::pair<int, int>, EvalResult> cv_;  ///< (kind, classes).
-  /// Guards stats_, stage_runs_, and fingerprint_ so stats() /
-  /// manifest() are safe under concurrent readers while a stage runs.
-  /// Taken a handful of times per stage request — never on a kernel
-  /// hot path.
+  /// Guards stage_runs_ and fingerprint_ so stats() / manifest() are
+  /// safe under concurrent readers while a stage runs. Taken a handful
+  /// of times per stage request — never on a kernel hot path.
   mutable Mutex stats_mu_;
-  CacheStats stats_ GUARDED_BY(stats_mu_);
-  /// Manifest stage record, request order.
+  /// Every stage request in request order — the one record stats(),
+  /// the manifest's stages and cache map all read.
   std::vector<StageRun> stage_runs_ GUARDED_BY(stats_mu_);
   /// Lazy; reset with the data.
   mutable std::optional<std::uint64_t> fingerprint_ GUARDED_BY(stats_mu_);

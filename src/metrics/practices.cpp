@@ -1,5 +1,9 @@
 #include "metrics/practices.hpp"
 
+#include <string>
+
+#include "util/error.hpp"
+
 namespace mpa {
 
 std::string_view practice_name(Practice p) {
@@ -41,6 +45,14 @@ std::string_view practice_name(Practice p) {
     case Practice::kLintDensity: return "Lint issues per device";
   }
   return "unknown";
+}
+
+Practice practice_from_name(std::string_view name) {
+  for (Practice p : all_practices())
+    if (practice_name(p) == name) return p;
+  std::string known;
+  for (Practice p : all_practices()) known += "\n  " + std::string(practice_name(p));
+  throw DataError("unknown practice '" + std::string(name) + "'; known practices:" + known);
 }
 
 PracticeCategory practice_category(Practice p) {

@@ -62,6 +62,10 @@ enum class PracticeCategory : std::uint8_t { kDesign, kOperational, kHygiene };
 /// Human-readable name matching the paper's tables ("No. of devices").
 std::string_view practice_name(Practice p);
 
+/// Inverse of practice_name() over all_practices(). Throws DataError
+/// naming the unknown input and listing every accepted name.
+Practice practice_from_name(std::string_view name);
+
 /// D / O / H classification (the parenthetical annotations in Tables
 /// 3-4, extended with the lint-derived hygiene metrics).
 PracticeCategory practice_category(Practice p);

@@ -24,12 +24,6 @@
 namespace mpa::serve {
 namespace {
 
-Practice practice_from_name(const std::string& name) {
-  for (Practice p : all_practices())
-    if (practice_name(p) == name) return p;
-  throw DataError("causal request: unknown practice '" + name + "'");
-}
-
 std::string render_case_table(AnalysisSession& session, const Request& req) {
   const CaseTable& full = session.case_table();
   const int first = req.month_from < 0 ? 0 : req.month_from;

@@ -30,14 +30,17 @@ struct ServerOptions {
 };
 
 /// Render one request against a session: dispatch on kind, run the
-/// memoized stage, format the result as text/CSV. The body is a pure
+/// memoized stage, format the result as text/CSV. The one renderer of
+/// analysis output: the daemon answers with it, and `mpa_cli rank`,
+/// `causal`, `predict` and `ingest` print its body. The body is a pure
 /// function of (dataset, session options, seed, request), so replaying
 /// a fixed trace yields byte-identical bodies at any worker count —
 /// an ingest request advances the dataset (append_month over the named
 /// delta directory), so the identity holds per dataset state, and a
 /// trace mixing ingest with reads stays deterministic only single-
 /// worker (the session lock serializes, but order is the contract).
-/// Throws DataError on bad parameters (unknown practice, bad severity).
+/// Throws DataError on bad parameters (unknown practice — the
+/// practice_from_name() message — or bad severity).
 std::string render_request(AnalysisSession& session, const Request& req);
 
 class AnalysisServer {

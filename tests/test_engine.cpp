@@ -7,6 +7,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 
@@ -659,6 +660,82 @@ TEST(Session, ReplaceDataWithIdenticalFingerprintIsNoOp) {
   EXPECT_EQ(invalidations.value(), before + 1);
   session.case_table();
   EXPECT_EQ(session.stats().table_builds, 2u);
+  obs::set_enabled(false);
+  obs::Registry::global().reset_values();
+}
+
+TEST(Session, OneStageRecordFeedsEveryView) {
+  obs::set_enabled(true);
+  const SplitDataset split = split_osp(kMonths - 1);
+  SessionOptions opts;
+  opts.threads = 2;
+  opts.inference.num_months = kMonths - 1;
+  opts.artifact_dir = testing::TempDir();
+  opts.artifact_key = "mpa_engine_test_views";
+  ArtifactStore(opts.artifact_dir).remove(opts.artifact_key);
+  {
+    AnalysisSession warm(split.base.inventory, split.base.snapshots, split.base.tickets, opts);
+    warm.case_table();
+    warm.lint();
+  }  // Persisted: the next session loads both from the store.
+  obs::Registry::global().reset_values();
+
+  AnalysisSession session(split.base.inventory, split.base.snapshots, split.base.tickets, opts);
+  session.case_table();  // store
+  session.lint();        // store
+  session.dependence();
+  session.causal(Practice::kNumChangeEvents);
+  session.causal(Practice::kNumChangeEvents);  // memo
+  session.evaluate_cv(2, ModelKind::kDecisionTree);
+  session.online_accuracy(2, 1, ModelKind::kDecisionTree, 1, kMonths - 2);
+  session.append_month(split.deltas.front());
+  session.invalidate();
+  session.case_table();  // computed
+  session.lint();        // computed
+
+  // The spec of each view, as counts over the one stage record.
+  const std::map<std::pair<std::string, std::string>, std::string> kinds = {
+      {{"case_table", "computed"}, "table_builds"}, {{"case_table", "store"}, "table_loads"},
+      {{"lint", "computed"}, "lint_runs"},          {{"lint", "store"}, "lint_loads"},
+      {{"causal", "computed"}, "causal_runs"},      {{"cv", "computed"}, "cv_runs"},
+      {{"online", "computed"}, "online_runs"},      {{"append", "computed"}, "appends"}};
+  std::map<std::string, std::uint64_t> want;
+  for (const auto& [pair, key] : kinds) want[key] = 0;
+  want["hits"] = 0;
+  std::map<std::string, std::uint64_t> computed_by_stage;
+  const RunManifest m = session.manifest();
+  for (const StageRun& run : m.stages) {
+    if (run.source == "memo") {
+      ++want["hits"];
+      EXPECT_EQ(run.seconds, 0.0) << run.stage;
+      continue;
+    }
+    const auto it = kinds.find({run.stage, run.source});
+    if (it != kinds.end()) ++want[it->second];
+    if (run.source == "computed") ++computed_by_stage[run.stage];
+  }
+  for (const auto& [key, count] : want) EXPECT_GE(count, 1u) << key;
+
+  const AnalysisSession::CacheStats s = session.stats();
+  const std::map<std::string, std::uint64_t> stats = {
+      {"hits", s.hits},         {"table_builds", s.table_builds}, {"table_loads", s.table_loads},
+      {"lint_runs", s.lint_runs}, {"lint_loads", s.lint_loads},   {"causal_runs", s.causal_runs},
+      {"cv_runs", s.cv_runs},   {"online_runs", s.online_runs},   {"appends", s.appends}};
+  EXPECT_EQ(stats, want);
+  EXPECT_EQ(m.cache, want);
+  auto& reg = obs::Registry::global();
+  for (const auto& [key, count] : want) {
+    const std::string counter =
+        "mpa_session_" + (key == "hits" ? std::string("memo_hits") : key) + "_total";
+    EXPECT_EQ(reg.counter(counter).value(), count) << counter;
+  }
+  // One histogram sample per computed stage request.
+  for (const auto& [stage, count] : computed_by_stage) {
+    const std::string hist =
+        stage == "append" ? "mpa_ingest_seconds" : "mpa_stage_seconds_" + stage;
+    EXPECT_EQ(reg.histogram(hist).count(), count) << hist;
+  }
+  EXPECT_EQ(computed_by_stage.at("dependence"), 1u);
   obs::set_enabled(false);
   obs::Registry::global().reset_values();
 }

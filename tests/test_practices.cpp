@@ -18,6 +18,11 @@ TEST(Practices, CatalogueComplete) {
   }
 }
 
+TEST(Practices, NameLookupRoundTripsAndRejectsUnknown) {
+  for (Practice p : all_practices()) EXPECT_EQ(practice_from_name(practice_name(p)), p);
+  EXPECT_THROW(practice_from_name("no. of devices"), DataError);  // exact match only
+}
+
 TEST(Practices, CategorySplit) {
   EXPECT_EQ(practice_category(Practice::kNumDevices), PracticeCategory::kDesign);
   EXPECT_EQ(practice_category(Practice::kHardwareEntropy), PracticeCategory::kDesign);

@@ -929,6 +929,26 @@ TEST(Server, UnknownSessionKeyAnswersWithError) {
   EXPECT_NE(resp.body.find("unknown session"), std::string::npos);
 }
 
+TEST(Server, UnknownPracticeAnswersErrorWithTheSharedLookupMessage) {
+  std::string want;
+  try {
+    practice_from_name("No. of ponies");
+  } catch (const DataError& e) {
+    want = e.what();
+  }
+  EXPECT_NE(want.find("'No. of ponies'"), std::string::npos) << want;
+  EXPECT_NE(want.find("No. of change events"), std::string::npos) << want;
+
+  AnalysisServer server(two_session_opts(1));
+  server.sessions().open("main", small_session());
+  Request req;
+  req.kind = RequestKind::kCausal;
+  req.practice = "No. of ponies";
+  const Response resp = server.submit_and_wait(std::move(req));
+  EXPECT_EQ(resp.status, RequestStatus::kError);
+  EXPECT_EQ(resp.body, want);
+}
+
 TEST(Server, AssignsIdsAndRecordsEveryResponse) {
   AnalysisServer server(two_session_opts(2));
   server.sessions().open("main", small_session());

@@ -27,7 +27,7 @@
 //       Open a session over the dataset, warm the case table / lint /
 //       dependence artifacts, then append each month-delta directory
 //       in order through AnalysisSession::append_month — the O(delta)
-//       incremental path. Prints one maintenance summary per month;
+//       incremental path. Prints the serve `ingest` body per month;
 //       --out dumps the final case table CSV and --rank-out the final
 //       dependence rankings (both bit-identical to a from-scratch run
 //       over the merged data).
@@ -65,6 +65,9 @@
 //       request JSONL on stdout, renders matching responses read from
 //       stdin to stderr — wire it to `mpa_cli serve` with a fifo.
 //
+// rank, causal, predict and ingest print exactly the response body
+// `serve` answers for the equivalent request (serve::render_request).
+//
 // Common flags: --threads N (engine pool size; default MPA_THREADS or
 // the hardware concurrency). Observability (any subcommand):
 //   --metrics-out FILE  write the metrics registry after the command
@@ -100,7 +103,6 @@
 #include "engine/session.hpp"
 #include "io/columnar.hpp"
 #include "io/dataset_io.hpp"
-#include "mpa/mpa.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -314,22 +316,28 @@ int usage() {
   return 2;
 }
 
-Practice practice_by_name(const std::string& name) {
-  for (Practice p : all_practices())
-    if (practice_name(p) == name) return p;
-  std::string known;
-  for (Practice p : analysis_practices()) known += "  " + std::string(practice_name(p)) + "\n";
-  throw DataError("unknown practice '" + name + "'; known practices:\n" + known);
-}
-
-/// Open the engine session over the dataset directory, applying the
-/// command-line overrides shared by the analysis commands.
-AnalysisSession session_from_dir(const Args& args) {
+/// The session overrides shared by every command that opens a dataset,
+/// `serve` and `replay` included (check_flags admits --threshold only
+/// where it applies).
+SessionOptions session_options(const Args& args) {
   SessionOptions opts;
   opts.inference.event_window = args.get_int_min("delta", 5, 0);
-  opts.causal.p_threshold = args.get_double("threshold", 1e-3);
+  opts.causal.p_threshold = args.get_double("threshold", opts.causal.p_threshold);
   opts.threads = args.get_int_min("threads", 0, 0);
-  return AnalysisSession::from_directory(args.dir, std::move(opts));
+  return opts;
+}
+
+/// Open the engine session over the dataset directory.
+AnalysisSession session_from_dir(const Args& args) {
+  return AnalysisSession::from_directory(args.dir, session_options(args));
+}
+
+/// Print the body `mpa serve` answers for `req` over the dataset: CLI
+/// and daemon analysis output are the same bytes by construction.
+int print_response(const Args& args, const serve::Request& req) {
+  AnalysisSession session = session_from_dir(args);
+  std::cout << serve::render_request(session, req);
+  return 0;
 }
 
 /// OspSink adapter: the glue between the simulation-layer streaming
@@ -455,66 +463,26 @@ int cmd_infer(const Args& args) {
 }
 
 int cmd_rank(const Args& args) {
-  AnalysisSession session = session_from_dir(args);
-  const DependenceAnalysis& dep = session.dependence();
-  const auto k = static_cast<std::size_t>(args.get_int_min("top", 10, 1));
-
-  std::cout << "-- practices by avg monthly MI with health --\n";
-  TextTable mi({"rank", "practice", "cat", "MI"});
-  int rank = 0;
-  for (const auto& pm : dep.top_practices(k))
-    mi.row().add(++rank).add(std::string(practice_name(pm.practice)))
-        .add(std::string(category_tag(pm.practice))).add(pm.avg_monthly_mi, 3);
-  mi.print(std::cout);
-
-  std::cout << "\n-- practice pairs by CMI given health --\n";
-  TextTable cmi({"rank", "practice A", "practice B", "CMI"});
-  rank = 0;
-  for (const auto& pair : dep.top_pairs(k))
-    cmi.row().add(++rank).add(std::string(practice_name(pair.a)))
-        .add(std::string(practice_name(pair.b))).add(pair.avg_monthly_cmi, 3);
-  cmi.print(std::cout);
-  return 0;
+  serve::Request req;
+  req.kind = serve::RequestKind::kRank;
+  req.top_k = args.get_int_min("top", 10, 1);
+  return print_response(args, req);
 }
 
 int cmd_causal(const Args& args) {
-  const std::string name = args.get("practice");
-  if (name.empty()) throw UsageError{"causal: --practice NAME required"};
-  const Practice treatment = practice_by_name(name);
-  AnalysisSession session = session_from_dir(args);
-  const CausalResult& res = session.causal(treatment);
-
-  TextTable t({"comparison", "pairs", "+/0/-", "p-value", "balanced", "verdict"});
-  for (const auto& cmp : res.comparisons) {
-    t.row().add(cmp.label()).add(cmp.pairs)
-        .add(std::to_string(cmp.outcome.n_pos) + "/" + std::to_string(cmp.outcome.n_zero) + "/" +
-             std::to_string(cmp.outcome.n_neg))
-        .add(format_sci(cmp.outcome.p_value)).add(cmp.balanced ? "yes" : "NO")
-        .add(cmp.causal
-                 ? (cmp.outcome.n_pos > cmp.outcome.n_neg ? "causes MORE tickets"
-                                                          : "causes FEWER tickets")
-                 : "no causal evidence");
-  }
-  t.print(std::cout);
-  return 0;
+  serve::Request req;
+  req.kind = serve::RequestKind::kCausal;
+  req.practice = args.get("practice");
+  if (req.practice.empty()) throw UsageError{"causal: --practice NAME required"};
+  return print_response(args, req);
 }
 
 int cmd_predict(const Args& args) {
-  AnalysisSession session = session_from_dir(args);
-  const int classes = args.get_int_min("classes", 2, 2);
-  const int history = args.get_int_min("history", 3, 1);
-  const int months = session.num_months();
-
-  const EvalResult& cv = session.evaluate_cv(classes, ModelKind::kDtBoostOversample);
-  std::cout << "-- " << classes << "-class model, 5-fold CV --\n"
-            << cv.to_string(health_class_names(classes));
-
-  const int first_t = std::min(months - 1, history);
-  const double online = session.online_accuracy(classes, history, ModelKind::kDtBoostOversample,
-                                                first_t, months - 1);
-  std::cout << "\nonline month-ahead accuracy (history " << history
-            << " months): " << format_double(online * 100, 1) << "%\n";
-  return 0;
+  serve::Request req;
+  req.kind = serve::RequestKind::kPredict;
+  req.classes = args.get_int_min("classes", 2, 2);
+  req.history = args.get_int_min("history", 3, 1);
+  return print_response(args, req);
 }
 
 int cmd_split(const Args& args) {
@@ -539,13 +507,11 @@ int cmd_ingest(const Args& args) {
   session.case_table();
   session.lint();
   session.dependence();
+  serve::Request req;
+  req.kind = serve::RequestKind::kIngest;
   for (const std::string& dir : split(deltas, ',')) {
-    const AnalysisSession::AppendResult res = session.append_month(load_month_delta(dir));
-    std::cout << "month " << res.month << ": +" << res.new_rows << " case rows ("
-              << res.snapshots << " snapshots, " << res.tickets << " tickets), incremental"
-              << " table=" << (res.table_incremental ? "yes" : "no")
-              << " lint=" << (res.lint_incremental ? "yes" : "no")
-              << " dependence=" << (res.dependence_incremental ? "yes" : "no") << "\n";
+    req.dir = dir;
+    std::cout << serve::render_request(session, req);
   }
   const std::string out = args.get("out");
   if (!out.empty()) {
@@ -555,7 +521,6 @@ int cmd_ingest(const Args& args) {
   }
   const std::string rank_out = args.get("rank-out");
   if (!rank_out.empty()) {
-    serve::Request req;
     req.kind = serve::RequestKind::kRank;
     std::ofstream f(rank_out);
     f << serve::render_request(session, req);
@@ -638,8 +603,7 @@ serve::ServerOptions server_options(const Args& args) {
   opts.scheduler.default_deadline_ms = args.get_double("deadline-ms", 0);
   if (opts.scheduler.default_deadline_ms < 0)
     throw UsageError{"--deadline-ms must be >= 0"};
-  opts.session.inference.event_window = args.get_int_min("delta", 5, 0);
-  opts.session.threads = args.get_int_min("threads", 0, 0);
+  opts.session = session_options(args);
   opts.slow_log_entries = static_cast<std::size_t>(args.get_int_min("slow-log", 16, 1));
   if (obs::enabled()) {
     // Shape the process-wide rolling window before the server exists;
@@ -936,30 +900,23 @@ int dispatch(const Args& args) {
 /// the run worth inspecting.
 void write_observability(const Args& args) {
   if (obs::enabled()) {
-    const std::string metrics_path = args.get("metrics-out");
-    if (!metrics_path.empty()) {
-      std::ofstream f(metrics_path);
-      const bool prometheus = metrics_path.size() >= 5 &&
-                              metrics_path.compare(metrics_path.size() - 5, 5, ".prom") == 0;
-      if (prometheus) {
-        // One scrape target: the rolling window gauges ride along with
-        // the cumulative registry in the same exposition.
-        f << obs::Registry::global().to_prometheus()
-          << obs::WindowRegistry::global().to_prometheus();
-      } else {
-        f << obs::Registry::global().to_json();
-      }
-    }
-    const std::string window_path = args.get("window-out");
-    if (!window_path.empty()) {
-      std::ofstream f(window_path);
-      const bool prometheus = window_path.size() >= 5 &&
-                              window_path.compare(window_path.size() - 5, 5, ".prom") == 0;
-      if (prometheus)
-        f << obs::WindowRegistry::global().to_prometheus();
-      else
-        f << obs::WindowRegistry::global().to_json() << "\n";
-    }
+    // A *.prom path gets Prometheus text, any other JSON.
+    const auto write_export = [&args](const char* flag, const auto& json, const auto& prom) {
+      const std::string path = args.get(flag);
+      if (path.empty()) return;
+      std::ofstream f(path);
+      f << (path.ends_with(".prom") ? prom() : json());
+    };
+    auto& registry = obs::Registry::global();
+    auto& window = obs::WindowRegistry::global();
+    // One scrape target: the rolling window gauges ride along with the
+    // cumulative registry in the same exposition.
+    write_export(
+        "metrics-out", [&] { return registry.to_json(); },
+        [&] { return registry.to_prometheus() + window.to_prometheus(); });
+    write_export(
+        "window-out", [&] { return window.to_json() + "\n"; },
+        [&] { return window.to_prometheus(); });
     const std::string window_canonical_path = args.get("window-canonical-out");
     if (!window_canonical_path.empty()) {
       std::ofstream f(window_canonical_path);
