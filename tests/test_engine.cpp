@@ -15,6 +15,7 @@
 #include "io/dataset_io.hpp"
 #include "obs/metrics.hpp"
 #include "simulation/osp_generator.hpp"
+#include "util/hash.hpp"
 #include "util/rng.hpp"
 
 namespace mpa {
@@ -185,6 +186,32 @@ TEST(Session, LintBitIdenticalAcrossThreadCounts) {
     AnalysisSession session = make_session(threads);
     EXPECT_EQ(session.lint().to_csv(), expected) << threads << " threads";
   }
+}
+
+std::uint64_t fnv_of(const std::string& s) {
+  Fnv h;
+  h.str(s);
+  return h.value();
+}
+
+// The thread-count and format identity tests compare a binary with
+// itself; this pins the case CSV and the lint CSV (every finding and
+// its span) to fixed values, so a refactor that shifts a practice
+// value or a span consistently still fails. The fixture is the CI
+// dataset shape: 8 networks x 4 months, seed 3, one thread.
+TEST(Session, PinnedCaseAndLintDigests) {
+  OspOptions gen;
+  gen.num_networks = 8;
+  gen.num_months = 4;
+  gen.seed = 3;
+  OspDataset data = generate_osp(gen);
+  SessionOptions opts;
+  opts.threads = 1;
+  opts.inference.num_months = gen.num_months;
+  AnalysisSession session(std::move(data.inventory), std::move(data.snapshots),
+                          std::move(data.tickets), std::move(opts));
+  EXPECT_EQ(fnv_of(session.case_table().to_csv()), 0x03423e45707bc37dULL);
+  EXPECT_EQ(fnv_of(session.lint().to_csv()), 0x25f02135979de222ULL);
 }
 
 TEST(Session, LintFindingsResolveSpans) {
