@@ -1,8 +1,12 @@
 #include "config/dialect.hpp"
 
+#include <algorithm>
 #include <array>
+#include <span>
 #include <sstream>
+#include <utility>
 
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -20,47 +24,22 @@ constexpr std::array<std::string_view, 5> kIosMultiwordKeys = {
     "spanning-tree vlan",
 };
 
-std::string_view match_prefix(std::string_view line,
-                              std::string_view candidate) {
-  // Returns candidate if `line` starts with it followed by end/space.
-  if (line.size() >= candidate.size() && line.substr(0, candidate.size()) == candidate &&
-      (line.size() == candidate.size() || line[candidate.size()] == ' ')) {
-    return candidate;
-  }
-  return {};
-}
-
-// Split one option line into (key, value) for the IOS-like dialect.
-Option parse_ios_option(std::string_view line) {
-  for (std::string_view key : kIosMultiwordKeys) {
-    if (!match_prefix(line, key).empty()) {
-      std::string_view rest = line.substr(key.size());
-      return Option{std::string(key), std::string(trim(rest))};
+/// Split a line into its leading word and the trimmed rest (empty when
+/// there is none): a stanza's type and name, or an option's key and
+/// value. The leading word is the first of `multiword` the line starts
+/// with as whole words, else everything up to the first space.
+void split_lead(std::string_view line, std::string& lead, std::string& rest,
+                std::span<const std::string_view> multiword = {}) {
+  std::size_t end = line.find(' ');
+  for (std::string_view w : multiword) {
+    if (starts_with(line, w) && (line.size() == w.size() || line[w.size()] == ' ')) {
+      end = w.size();
+      break;
     }
   }
-  const std::size_t sp = line.find(' ');
-  if (sp == std::string_view::npos) return Option{std::string(line), ""};
-  return Option{std::string(line.substr(0, sp)), std::string(trim(line.substr(sp + 1)))};
-}
-
-// Split a stanza header into (type, name) for the IOS-like dialect.
-Stanza parse_ios_header(std::string_view line) {
-  Stanza s;
-  for (std::string_view t : kIosMultiwordTypes) {
-    if (!match_prefix(line, t).empty()) {
-      s.type = std::string(t);
-      s.name = std::string(trim(line.substr(t.size())));
-      return s;
-    }
-  }
-  const std::size_t sp = line.find(' ');
-  if (sp == std::string_view::npos) {
-    s.type = std::string(line);
-  } else {
-    s.type = std::string(line.substr(0, sp));
-    s.name = std::string(trim(line.substr(sp + 1)));
-  }
-  return s;
+  end = std::min(end, line.size());
+  lead.assign(line.substr(0, end));
+  rest.assign(trim(line.substr(end)));
 }
 
 std::string render_ios(const DeviceConfig& c) {
@@ -80,31 +59,59 @@ std::string render_ios(const DeviceConfig& c) {
   return os.str();
 }
 
-DeviceConfig parse_ios(std::string_view text, std::string device_id) {
+/// Records stanza spans and comments into a SourceMap, when a caller
+/// asked for one, as a parser walks the text.
+struct SourceRecorder {
+  SourceMap* map;
+  std::vector<std::string> pending;  ///< Comments since the last header.
+
+  void comment(std::string_view text) {
+    const std::string_view body = trim(text);
+    if (map == nullptr || body.empty()) return;
+    map->all_comments.emplace_back(body);
+    pending.emplace_back(body);
+  }
+  void open(int line) {
+    if (map != nullptr) map->stanzas.push_back({line, line, std::exchange(pending, {})});
+  }
+  /// The open stanza, always the last recorded, extends to `line`.
+  void extend(int line) {
+    if (map != nullptr) map->stanzas.back().last_line = line;
+  }
+};
+
+DeviceConfig parse_ios(std::string_view text, std::string device_id, SourceMap* source) {
   DeviceConfig c(std::move(device_id));
-  Stanza cur;
+  SourceRecorder rec{source, {}};
   bool in_stanza = false;
-  for (const auto& raw : split(text, '\n')) {
-    std::string_view line = trim(raw);
+  int line_no = 0;
+  for (const std::string_view raw : split_views(text, '\n')) {
+    ++line_no;
+    const std::string_view line = trim(raw);
     if (line.empty()) continue;
-    if (line[0] == '!') {
-      if (in_stanza) {
-        c.stanzas().push_back(std::move(cur));
-        cur = Stanza{};
-        in_stanza = false;
-      }
-      continue;  // comment or terminator
+    if (line[0] == '!') {  // comment or terminator
+      if (in_stanza) rec.extend(line_no);
+      in_stanza = false;
+      rec.comment(line.substr(1));
+      continue;
     }
     if (indent_of(raw) == 0) {
-      if (in_stanza) c.stanzas().push_back(std::move(cur));
-      cur = parse_ios_header(line);
+      // A header without a "!" before it ends the open stanza on the
+      // line above, even when that line is blank.
+      if (in_stanza) rec.extend(line_no - 1);
+      Stanza& s = c.stanzas().emplace_back();
+      split_lead(line, s.type, s.name, kIosMultiwordTypes);
+      rec.open(line_no);
       in_stanza = true;
     } else {
-      require_data(in_stanza, "IOS parse: option line outside a stanza: " + std::string(line));
-      cur.options.push_back(parse_ios_option(line));
+      if (!in_stanza)
+        throw DataError("IOS parse: option line outside a stanza: " + std::string(line));
+      Option& o = c.stanzas().back().options.emplace_back();
+      split_lead(line, o.key, o.value, kIosMultiwordKeys);
+      rec.extend(line_no);
     }
   }
-  if (in_stanza) c.stanzas().push_back(std::move(cur));
+  if (in_stanza) rec.extend(line_no);
   return c;
 }
 
@@ -125,137 +132,43 @@ std::string render_junos(const DeviceConfig& c) {
   return os.str();
 }
 
-DeviceConfig parse_junos(std::string_view text, std::string device_id) {
+DeviceConfig parse_junos(std::string_view text, std::string device_id, SourceMap* source) {
   DeviceConfig c(std::move(device_id));
-  Stanza cur;
+  SourceRecorder rec{source, {}};
   bool in_stanza = false;
-  for (const auto& raw : split(text, '\n')) {
-    std::string_view line = trim(raw);
-    if (line.empty() || starts_with(line, "/*")) continue;
+  int line_no = 0;
+  for (const std::string_view raw : split_views(text, '\n')) {
+    ++line_no;
+    const std::string_view line = trim(raw);
+    if (line.empty()) continue;
+    if (starts_with(line, "/*")) {
+      std::string_view body = line.substr(2);
+      if (body.ends_with("*/")) body.remove_suffix(2);
+      rec.comment(body);
+      continue;
+    }
     if (line == "}") {
-      require_data(in_stanza, "JunOS parse: unbalanced '}'");
-      c.stanzas().push_back(std::move(cur));
-      cur = Stanza{};
+      if (!in_stanza) throw DataError("JunOS parse: unbalanced '}'");
+      rec.extend(line_no);
       in_stanza = false;
       continue;
     }
     if (line.back() == '{') {
-      require_data(!in_stanza, "JunOS parse: nested block in " + cur.type);
-      std::string_view header = trim(line.substr(0, line.size() - 1));
-      const std::size_t sp = header.find(' ');
-      cur = Stanza{};
-      if (sp == std::string_view::npos) {
-        cur.type = std::string(header);
-      } else {
-        cur.type = std::string(header.substr(0, sp));
-        cur.name = std::string(trim(header.substr(sp + 1)));
-      }
+      if (in_stanza) throw DataError("JunOS parse: nested block in " + c.stanzas().back().type);
+      Stanza& s = c.stanzas().emplace_back();
+      split_lead(trim(line.substr(0, line.size() - 1)), s.type, s.name);
+      rec.open(line_no);
       in_stanza = true;
       continue;
     }
-    require_data(in_stanza, "JunOS parse: statement outside block: " + std::string(line));
-    require_data(line.back() == ';', "JunOS parse: missing ';' on: " + std::string(line));
-    std::string_view stmt = trim(line.substr(0, line.size() - 1));
-    const std::size_t sp = stmt.find(' ');
-    if (sp == std::string_view::npos) {
-      cur.options.push_back(Option{std::string(stmt), ""});
-    } else {
-      cur.options.push_back(
-          Option{std::string(stmt.substr(0, sp)), std::string(trim(stmt.substr(sp + 1)))});
-    }
+    if (!in_stanza) throw DataError("JunOS parse: statement outside block: " + std::string(line));
+    if (line.back() != ';') throw DataError("JunOS parse: missing ';' on: " + std::string(line));
+    Option& o = c.stanzas().back().options.emplace_back();
+    split_lead(trim(line.substr(0, line.size() - 1)), o.key, o.value);
+    rec.extend(line_no);
   }
-  require_data(!in_stanza, "JunOS parse: unterminated block " + cur.type);
+  if (in_stanza) throw DataError("JunOS parse: unterminated block " + c.stanzas().back().type);
   return c;
-}
-
-SourceMap scan_ios(std::string_view text) {
-  SourceMap map;
-  std::vector<std::string> pending_comments;
-  int line_no = 0;
-  int open = -1;  // index into map.stanzas of the stanza being scanned
-  auto close = [&](int end_line) {
-    if (open >= 0) map.stanzas[static_cast<std::size_t>(open)].last_line = end_line;
-    open = -1;
-  };
-  for (const auto& raw : split(text, '\n')) {
-    ++line_no;
-    std::string_view line = trim(raw);
-    if (line.empty()) continue;
-    if (line[0] == '!') {
-      close(line_no);  // "!" terminates the current stanza
-      const std::string comment(trim(line.substr(1)));
-      if (!comment.empty()) {
-        map.all_comments.push_back(comment);
-        pending_comments.push_back(comment);
-      }
-      continue;
-    }
-    if (indent_of(raw) == 0) {
-      close(line_no - 1);
-      Stanza header = parse_ios_header(line);
-      SourceStanza src;
-      src.type = std::move(header.type);
-      src.name = std::move(header.name);
-      src.first_line = line_no;
-      src.last_line = line_no;
-      src.leading_comments = std::move(pending_comments);
-      pending_comments.clear();
-      open = static_cast<int>(map.stanzas.size());
-      map.stanzas.push_back(std::move(src));
-    } else if (open >= 0) {
-      map.stanzas[static_cast<std::size_t>(open)].last_line = line_no;
-    }
-  }
-  close(line_no);
-  return map;
-}
-
-SourceMap scan_junos(std::string_view text) {
-  SourceMap map;
-  std::vector<std::string> pending_comments;
-  int line_no = 0;
-  int open = -1;
-  for (const auto& raw : split(text, '\n')) {
-    ++line_no;
-    std::string_view line = trim(raw);
-    if (line.empty()) continue;
-    if (starts_with(line, "/*")) {
-      std::string_view body = line.substr(2);
-      if (body.size() >= 2 && body.substr(body.size() - 2) == "*/")
-        body = body.substr(0, body.size() - 2);
-      const std::string comment(trim(body));
-      if (!comment.empty()) {
-        map.all_comments.push_back(comment);
-        pending_comments.push_back(comment);
-      }
-      continue;
-    }
-    if (line == "}") {
-      if (open >= 0) map.stanzas[static_cast<std::size_t>(open)].last_line = line_no;
-      open = -1;
-      continue;
-    }
-    if (line.back() == '{') {
-      std::string_view header = trim(line.substr(0, line.size() - 1));
-      const std::size_t sp = header.find(' ');
-      SourceStanza src;
-      if (sp == std::string_view::npos) {
-        src.type = std::string(header);
-      } else {
-        src.type = std::string(header.substr(0, sp));
-        src.name = std::string(trim(header.substr(sp + 1)));
-      }
-      src.first_line = line_no;
-      src.last_line = line_no;
-      src.leading_comments = std::move(pending_comments);
-      pending_comments.clear();
-      open = static_cast<int>(map.stanzas.size());
-      map.stanzas.push_back(std::move(src));
-      continue;
-    }
-    if (open >= 0) map.stanzas[static_cast<std::size_t>(open)].last_line = line_no;
-  }
-  return map;
 }
 
 }  // namespace
@@ -279,12 +192,14 @@ std::string render(const DeviceConfig& config, Dialect d) {
 }
 
 DeviceConfig parse(std::string_view text, Dialect d, std::string device_id) {
-  return d == Dialect::kIosLike ? parse_ios(text, std::move(device_id))
-                                : parse_junos(text, std::move(device_id));
+  return d == Dialect::kIosLike ? parse_ios(text, std::move(device_id), nullptr)
+                                : parse_junos(text, std::move(device_id), nullptr);
 }
 
-SourceMap scan_source(std::string_view text, Dialect d) {
-  return d == Dialect::kIosLike ? scan_ios(text) : scan_junos(text);
+DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, SourceMap& source) {
+  source = SourceMap{};
+  return d == Dialect::kIosLike ? parse_ios(text, std::move(device_id), &source)
+                                : parse_junos(text, std::move(device_id), &source);
 }
 
 }  // namespace mpa

@@ -19,6 +19,7 @@
 
 #include <string>
 #include <string_view>
+#include <vector>
 
 #include "config/stanza.hpp"
 #include "model/inventory.hpp"
@@ -35,22 +36,19 @@ Dialect dialect_of(Vendor v);
 /// (everything the simulator generates does).
 std::string render(const DeviceConfig& config, Dialect d);
 
-/// Parse dialect text into a DeviceConfig. Unknown stanza types and
-/// option keys are preserved verbatim (first token = key). Throws
-/// DataError on structurally malformed text (e.g. unbalanced braces).
-DeviceConfig parse(std::string_view text, Dialect d, std::string device_id);
-
-/// Structural source map of dialect text: where each stanza lives and
-/// which comments precede it. This is what lets the lint engine point
-/// diagnostics at real lines of the rendered config and honor
-/// suppression pragmas, without re-teaching it either dialect's syntax.
+/// Where one parsed stanza sits in its text. SourceMap::stanzas runs
+/// parallel to DeviceConfig::stanzas(), which holds the type and name.
+/// This is what lets the lint engine point diagnostics at real lines of
+/// the rendered config and honor suppression pragmas.
 struct SourceStanza {
-  std::string type;  ///< Vendor-native stanza type (as parse() yields).
-  std::string name;
   int first_line = 0;  ///< 1-based line of the stanza header.
-  int last_line = 0;   ///< 1-based line of the last body/terminator line.
-  /// Comment lines immediately preceding the header, stripped of the
-  /// dialect's comment markers and trimmed.
+  /// 1-based line that ends the stanza: its "!" or "}" terminator; else
+  /// the line before the next header (blank or not); else, for a stanza
+  /// still open at the end of the text, the last line, counting the
+  /// empty line after a final newline.
+  int last_line = 0;
+  /// Comments since the previous header, stripped of the dialect's
+  /// comment markers and trimmed.
   std::vector<std::string> leading_comments;
 };
 
@@ -61,9 +59,13 @@ struct SourceMap {
   std::vector<std::string> all_comments;
 };
 
-/// Scan dialect text without building a DeviceConfig. Tolerant of the
-/// same inputs parse() accepts; stanza (type, name) pairs match what
-/// parse() would produce for them.
-SourceMap scan_source(std::string_view text, Dialect d);
+/// Parse dialect text into a DeviceConfig. Unknown stanza types and
+/// option keys are preserved verbatim (first token = key). Throws
+/// DataError on structurally malformed text (e.g. unbalanced braces).
+DeviceConfig parse(std::string_view text, Dialect d, std::string device_id);
+
+/// parse() that also fills `source` (replacing its contents) with the
+/// stanza spans and comments, in the same pass over the text.
+DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, SourceMap& source);
 
 }  // namespace mpa

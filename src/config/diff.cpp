@@ -35,24 +35,24 @@ std::string_view to_string(ChangeKind k) {
 }
 
 std::vector<StanzaChange> diff(const DeviceConfig& before, const DeviceConfig& after) {
+  const auto change = [](const Stanza& s, ChangeKind kind, int options_touched) {
+    return StanzaChange{s.type, std::string(normalize_type(s.type)), s.name, kind,
+                        options_touched};
+  };
   std::vector<StanzaChange> out;
   // Removed or updated stanzas.
   for (const auto& s : before.stanzas()) {
     const Stanza* other = after.find(s.type, s.name);
     if (other == nullptr) {
-      out.push_back(StanzaChange{s.type, normalize_type(s.type), s.name, ChangeKind::kRemoved,
-                                 static_cast<int>(s.options.size())});
+      out.push_back(change(s, ChangeKind::kRemoved, static_cast<int>(s.options.size())));
     } else if (!(s == *other)) {
-      out.push_back(StanzaChange{s.type, normalize_type(s.type), s.name, ChangeKind::kUpdated,
-                                 options_delta(s, *other)});
+      out.push_back(change(s, ChangeKind::kUpdated, options_delta(s, *other)));
     }
   }
   // Added stanzas.
   for (const auto& s : after.stanzas()) {
-    if (before.find(s.type, s.name) == nullptr) {
-      out.push_back(StanzaChange{s.type, normalize_type(s.type), s.name, ChangeKind::kAdded,
-                                 static_cast<int>(s.options.size())});
-    }
+    if (before.find(s.type, s.name) == nullptr)
+      out.push_back(change(s, ChangeKind::kAdded, static_cast<int>(s.options.size())));
   }
   return out;
 }

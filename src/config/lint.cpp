@@ -56,20 +56,27 @@ std::optional<LintSeverity> parse_severity(std::string_view s) {
 
 // ------------------------------------------------------- source resolution
 
-LintSource LintSource::scan(std::string_view text, Dialect d) {
-  LintSource out;
-  const SourceMap map = scan_source(text, d);
+LintSource::LintSource(const DeviceConfig& config, const SourceMap& map) {
+  require(map.stanzas.size() == config.stanzas().size(),
+          "LintSource: source map does not match the config");
   for (const auto& comment : map.all_comments)
     for (auto& id : pragma_ids(comment, "lint-disable-file"))
-      out.device_disabled_.insert(std::move(id));
-  for (const auto& s : map.stanzas) {
+      device_disabled_.insert(std::move(id));
+  for (std::size_t i = 0; i < map.stanzas.size(); ++i) {
+    const Stanza& s = config.stanzas()[i];
+    const SourceStanza& src = map.stanzas[i];
     Entry e;
-    e.span = SourceSpan{s.first_line, s.last_line};
-    for (const auto& comment : s.leading_comments)
+    e.span = SourceSpan{src.first_line, src.last_line};
+    for (const auto& comment : src.leading_comments)
       for (auto& id : pragma_ids(comment, "lint-disable")) e.disabled.insert(std::move(id));
-    out.stanzas_.emplace(std::make_pair(s.type, s.name), std::move(e));
+    stanzas_.emplace(std::make_pair(s.type, s.name), std::move(e));
   }
-  return out;
+}
+
+LintSource LintSource::scan(std::string_view text, Dialect d) {
+  SourceMap map;
+  const DeviceConfig config = parse(text, d, "", map);
+  return LintSource(config, map);
 }
 
 SourceSpan LintSource::span_of(std::string_view type, std::string_view name) const {
@@ -106,23 +113,6 @@ const LintRule* RuleRegistry::find(std::string_view id) const {
 
 // ----------------------------------------------------------------- views
 
-DeviceView::DeviceView(const DeviceConfig& config, const LintSource* source)
-    : config_(&config), source_(source) {}
-
-const std::set<std::string>& DeviceView::names_of(std::string_view agnostic) const {
-  const auto it = names_.find(agnostic);
-  if (it != names_.end()) return it->second;
-  std::set<std::string> names;
-  for (const auto& s : config_->stanzas())
-    if (normalize_type(s.type) == agnostic) names.insert(s.name);
-  return names_.emplace(std::string(agnostic), std::move(names)).first->second;
-}
-
-bool DeviceView::defines(std::string_view agnostic, std::string_view name) const {
-  const auto& names = names_of(agnostic);
-  return names.find(std::string(name)) != names.end();
-}
-
 NetworkView::NetworkView(const std::vector<LintInput>& inputs) {
   devices_.reserve(inputs.size());
   for (const auto& in : inputs) {
@@ -130,16 +120,8 @@ NetworkView::NetworkView(const std::vector<LintInput>& inputs) {
     devices_.emplace_back(*in.config, in.source);
   }
   for (std::size_t d = 0; d < devices_.size(); ++d) {
+    for (const auto& a : devices_[d].iface_addrs()) addr_owner_.emplace(a.prefix.addr, d);
     for (const auto& s : devices_[d].config().stanzas()) {
-      if (normalize_type(s.type) == "interface") {
-        for (const auto& o : s.options) {
-          if (o.key != "ip address" && o.key != "ip-address") continue;
-          const auto p = parse_prefix(o.value);
-          if (!p) continue;
-          iface_addrs_.push_back(IfaceAddr{d, &s, *p});
-          addr_owner_.emplace(p->addr, d);  // first owner wins
-        }
-      }
       if (constructs_of(s.type) == std::vector<std::string>{"bgp"}) {
         bgp_procs_.push_back(BgpProc{d, &s});
         bgp_devices_.insert(d);
@@ -231,18 +213,15 @@ std::vector<Diagnostic> lint_network(const std::vector<DeviceConfig>& network,
 
 std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network,
                                           const LintOptions& opts) {
-  std::vector<DeviceConfig> configs;
-  std::vector<LintSource> sources;
-  configs.reserve(network.size());
-  sources.reserve(network.size());
-  for (const auto& dev : network) {
-    configs.push_back(parse(dev.text, dev.dialect, dev.device_id));
-    sources.push_back(LintSource::scan(dev.text, dev.dialect));
-  }
+  std::vector<DeviceConfig> configs(network.size());
+  std::vector<LintSource> sources(network.size());
   std::vector<LintInput> inputs;
-  inputs.reserve(network.size());
-  for (std::size_t i = 0; i < network.size(); ++i)
+  SourceMap map;
+  for (std::size_t i = 0; i < network.size(); ++i) {
+    configs[i] = parse(network[i].text, network[i].dialect, network[i].device_id, map);
+    sources[i] = LintSource(configs[i], map);
     inputs.push_back(LintInput{&configs[i], &sources[i]});
+  }
   return run_lint(inputs, opts);
 }
 

@@ -37,7 +37,7 @@
 #include <string>
 #include <vector>
 
-#include "config/addr.hpp"
+#include "config/device_view.hpp"
 #include "config/dialect.hpp"
 #include "config/stanza.hpp"
 
@@ -87,11 +87,16 @@ struct Diagnostic {
 // ------------------------------------------------------- source resolution
 
 /// Per-device source info extracted from dialect text: stanza spans and
-/// suppression pragmas. Cheap line scan; build once per snapshot and
-/// reuse across lint runs.
+/// suppression pragmas. Build once per snapshot and reuse across lint
+/// runs.
 class LintSource {
  public:
   LintSource() = default;
+  /// Index the source map that parse() recorded while building `config`.
+  LintSource(const DeviceConfig& config, const SourceMap& map);
+  /// Parse `text` and keep only its source info. Throws DataError on
+  /// text that parse() rejects; prefer the constructor when the config
+  /// is wanted too, so the text is read once.
   static LintSource scan(std::string_view text, Dialect d);
 
   /// Span of the stanza with this native (type, name), if the text
@@ -120,7 +125,6 @@ struct RuleInfo {
   LintSeverity severity{};  ///< Default severity; overridable per run.
 };
 
-class DeviceView;
 class NetworkView;
 class LintSink;
 
@@ -199,46 +203,22 @@ struct DeviceText {
   Dialect dialect = Dialect::kIosLike;
 };
 
-/// Parse + scan each device's text, then run all checks with spans
-/// resolved and pragmas honored. Throws DataError on malformed text.
+/// Parse each device's text (one pass yields the config, spans and
+/// pragmas), then run all checks with spans resolved and pragmas
+/// honored. Throws DataError on malformed text.
 std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network,
                                           const LintOptions& opts = {});
 
 // ------------------------------------------------ rule execution contexts
 
-/// Device under analysis with the indexes device-scope rules share.
-class DeviceView {
- public:
-  DeviceView(const DeviceConfig& config, const LintSource* source);
-
-  const DeviceConfig& config() const { return *config_; }
-  const LintSource* source() const { return source_; }
-  const std::string& device_id() const { return config_->device_id(); }
-
-  /// Names of stanzas whose agnostic type matches.
-  const std::set<std::string>& names_of(std::string_view agnostic) const;
-  bool defines(std::string_view agnostic, std::string_view name) const;
-
- private:
-  const DeviceConfig* config_;
-  const LintSource* source_;
-  mutable std::map<std::string, std::set<std::string>, std::less<>> names_;
-};
-
 /// Whole network with cross-device indexes shared by network rules.
+/// Per-device facts (names, interface addresses) come from each
+/// DeviceView; this adds only the network-wide lookups.
 class NetworkView {
  public:
   explicit NetworkView(const std::vector<LintInput>& inputs);
 
   const std::vector<DeviceView>& devices() const { return devices_; }
-
-  struct IfaceAddr {
-    std::size_t device = 0;  ///< Index into devices().
-    const Stanza* stanza = nullptr;
-    Ipv4Prefix prefix;
-  };
-  /// Every interface address in the network, in device/stanza order.
-  const std::vector<IfaceAddr>& iface_addrs() const { return iface_addrs_; }
 
   /// Device index owning `ip` on an interface, or npos.
   std::size_t owner_of(std::uint32_t ip) const;
@@ -254,7 +234,6 @@ class NetworkView {
 
  private:
   std::vector<DeviceView> devices_;
-  std::vector<IfaceAddr> iface_addrs_;
   std::map<std::uint32_t, std::size_t> addr_owner_;
   std::vector<BgpProc> bgp_procs_;
   std::set<std::size_t> bgp_devices_;

@@ -2,10 +2,11 @@
 // registered in RuleRegistry::builtin(); the engine (lint.cpp) drives
 // them and handles severity overrides, suppression, and spans.
 //
-// Device-scope rules use the per-device name indexes in DeviceView;
-// network-scope rules use the shared address/BGP indexes in
-// NetworkView. Rules report against the vendor-agnostic model, so each
-// fires identically on IOS-like and JunOS-like configs.
+// Rules read names and interface addresses from each device's
+// DeviceView (config/device_view.hpp); network-scope rules add the
+// address-owner and BGP lookups of NetworkView. Rules report against
+// the vendor-agnostic model, so each fires identically on IOS-like and
+// JunOS-like configs.
 #include <map>
 #include <set>
 #include <string>
@@ -76,7 +77,7 @@ class DanglingVlanRefRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      const std::string agnostic = normalize_type(s.type);
+      const std::string_view agnostic = normalize_type(s.type);
       if (agnostic == "interface") {
         for (const auto& vlan : referenced_vlans(s))
           if (!dev.defines("vlan", vlan))
@@ -254,7 +255,7 @@ class UnusedInterfaceUpRule final : public LintRule {
     // Interfaces referenced by VLAN member lists or LAGs are in use.
     std::set<std::string> referenced;
     for (const auto& s : dev.config().stanzas()) {
-      const std::string agnostic = normalize_type(s.type);
+      const std::string_view agnostic = normalize_type(s.type);
       if (agnostic == "vlan")
         for (auto& n : s.get_all("interface")) referenced.insert(std::move(n));
       if (agnostic == "link-aggregation")
@@ -288,12 +289,13 @@ class DuplicateAddressRule final : public LintRule {
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
     std::map<std::uint32_t, std::string> owners;  // ip -> "device/iface"
-    for (const auto& ia : net.iface_addrs()) {
-      const DeviceView& dev = net.devices()[ia.device];
-      const std::string here = dev.device_id() + "/" + ia.stanza->name;
-      const auto [it, inserted] = owners.emplace(ia.prefix.addr, here);
-      if (!inserted)
-        sink.report(dev, ia.stanza, format_ipv4(ia.prefix.addr) + " also on " + it->second);
+    for (const DeviceView& dev : net.devices()) {
+      for (const auto& ia : dev.iface_addrs()) {
+        const std::string here = dev.device_id() + "/" + ia.stanza->name;
+        const auto [it, inserted] = owners.emplace(ia.prefix.addr, here);
+        if (!inserted)
+          sink.report(dev, ia.stanza, format_ipv4(ia.prefix.addr) + " also on " + it->second);
+      }
     }
   }
 };
@@ -306,8 +308,10 @@ class SubnetOverlapRule final : public LintRule {
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
     // Distinct subnets, keeping the first interface seen on each.
-    std::map<Ipv4Prefix, const NetworkView::IfaceAddr*> subnets;
-    for (const auto& ia : net.iface_addrs()) subnets.emplace(ia.prefix.subnet(), &ia);
+    std::map<Ipv4Prefix, std::pair<const DeviceView*, const Stanza*>> subnets;
+    for (const DeviceView& dev : net.devices())
+      for (const auto& ia : dev.iface_addrs())
+        subnets.emplace(ia.prefix.subnet(), std::make_pair(&dev, ia.stanza));
     for (auto a = subnets.begin(); a != subnets.end(); ++a) {
       for (auto b = std::next(a); b != subnets.end(); ++b) {
         const Ipv4Prefix& pa = a->first;
@@ -316,10 +320,8 @@ class SubnetOverlapRule final : public LintRule {
         const Ipv4Prefix& wide = pa.len < pb.len ? pa : pb;
         const Ipv4Prefix& narrow = pa.len < pb.len ? pb : pa;
         if (!wide.contains(narrow.network())) continue;
-        const auto* ia = narrow == pa ? a->second : b->second;
-        const DeviceView& dev = net.devices()[ia->device];
-        sink.report(dev, ia->stanza,
-                    format_prefix(narrow) + " overlaps " + format_prefix(wide));
+        const auto [dev, stanza] = narrow == pa ? a->second : b->second;
+        sink.report(*dev, stanza, format_prefix(narrow) + " overlaps " + format_prefix(wide));
       }
     }
   }
@@ -428,15 +430,17 @@ class MtuMismatchRule final : public LintRule {
     // Interfaces sharing a subnet form an inferred link; explicit MTU
     // values on them must agree (absent = platform default, unknown).
     struct End {
-      std::size_t device;
+      const DeviceView* device;
       const Stanza* stanza;
       std::string mtu;
     };
     std::map<Ipv4Prefix, std::vector<End>> links;
-    for (const auto& ia : net.iface_addrs()) {
-      const auto mtu = ia.stanza->get("mtu");
-      if (!mtu) continue;
-      links[ia.prefix.subnet()].push_back(End{ia.device, ia.stanza, *mtu});
+    for (const DeviceView& dev : net.devices()) {
+      for (const auto& ia : dev.iface_addrs()) {
+        const auto mtu = ia.stanza->get("mtu");
+        if (!mtu) continue;
+        links[ia.prefix.subnet()].push_back(End{&dev, ia.stanza, *mtu});
+      }
     }
     for (const auto& [subnet, ends] : links) {
       const std::string& first = ends.front().mtu;
@@ -445,7 +449,7 @@ class MtuMismatchRule final : public LintRule {
         if (e.mtu != first) mismatch = true;
       if (!mismatch) continue;
       for (const auto& e : ends) {
-        sink.report(net.devices()[e.device], e.stanza,
+        sink.report(*e.device, e.stanza,
                     e.stanza->name + " mtu " + e.mtu + " on link " + format_prefix(subnet) +
                         " (peers disagree)");
       }

@@ -1,6 +1,7 @@
 #include "config/refs.hpp"
 
-#include <set>
+#include <map>
+#include <string_view>
 
 #include "config/addr.hpp"
 #include "config/types.hpp"
@@ -8,28 +9,6 @@
 
 namespace mpa {
 namespace {
-
-// All interface addresses configured on a device (both dialects).
-std::vector<Ipv4Prefix> interface_addresses(const DeviceConfig& dev) {
-  std::vector<Ipv4Prefix> out;
-  for (const auto& s : dev.stanzas()) {
-    if (normalize_type(s.type) != "interface") continue;
-    for (const auto& o : s.options) {
-      if (o.key == "ip address" || o.key == "ip-address") {
-        if (const auto p = parse_prefix(o.value)) out.push_back(*p);
-      }
-    }
-  }
-  return out;
-}
-
-// Names of a device's stanzas of one agnostic type.
-std::set<std::string> names_of(const DeviceConfig& dev, std::string_view agnostic) {
-  std::set<std::string> out;
-  for (const auto& s : dev.stanzas())
-    if (normalize_type(s.type) == agnostic) out.insert(s.name);
-  return out;
-}
 
 // The "network <prefix> [area N]" statements of a routing stanza.
 std::vector<Ipv4Prefix> network_statements(const Stanza& s) {
@@ -44,18 +23,51 @@ std::vector<Ipv4Prefix> network_statements(const Stanza& s) {
   return out;
 }
 
-}  // namespace
+/// For each value of one kind of fact, the id of the one device that
+/// holds it, or null once two different ids do. A device other than X
+/// holds the value unless its entry names X.
+template <typename Key>
+class Holders {
+ public:
+  void add(const Key& key, const std::string& id) {
+    const auto [it, inserted] = ids_.try_emplace(key, &id);
+    if (!inserted && it->second != nullptr && *it->second != id) it->second = nullptr;
+  }
+  bool held_besides(const Key& key, const std::string& id) const {
+    const auto it = ids_.find(key);
+    return it != ids_.end() && (it->second == nullptr || *it->second != id);
+  }
 
-int count_intra_refs(const DeviceConfig& dev) {
-  const auto acls = names_of(dev, "acl");
-  const auto vlans = names_of(dev, "vlan");
-  const auto ifaces = names_of(dev, "interface");
-  const auto pools = names_of(dev, "pool");
-  const auto addrs = interface_addresses(dev);
+ private:
+  std::map<Key, const std::string*> ids_;
+};
+
+/// The network-wide facts inter-device references resolve against.
+struct PeerFacts {
+  Holders<std::uint32_t> addrs;
+  Holders<Ipv4Prefix> subnets;
+  Holders<std::string_view> vlans;
+
+  explicit PeerFacts(const std::vector<DeviceView>& network) {
+    for (const auto& p : network) {
+      for (const auto& a : p.iface_addrs()) {
+        addrs.add(a.prefix.addr, p.device_id());
+        subnets.add(a.prefix.subnet(), p.device_id());
+      }
+      for (const auto& v : p.names_of("vlan")) vlans.add(v, p.device_id());
+    }
+  }
+};
+
+int intra_refs(const DeviceView& dev) {
+  const auto& acls = dev.names_of("acl");
+  const auto& vlans = dev.names_of("vlan");
+  const auto& ifaces = dev.names_of("interface");
+  const auto& pools = dev.names_of("pool");
 
   int refs = 0;
-  for (const auto& s : dev.stanzas()) {
-    const std::string agnostic = normalize_type(s.type);
+  for (const auto& s : dev.config().stanzas()) {
+    const std::string_view agnostic = normalize_type(s.type);
     if (agnostic == "interface") {
       for (const auto& o : s.options) {
         // ACL attachment: IOS "ip access-group NAME", JunOS "filter NAME".
@@ -80,46 +92,43 @@ int count_intra_refs(const DeviceConfig& dev) {
       // A "network" statement covering a local interface subnet is an
       // intra-device reference from the control plane to that interface.
       for (const auto& p : network_statements(s))
-        for (const auto& a : addrs)
-          if (p.contains(a.addr)) ++refs;
+        for (const auto& a : dev.iface_addrs())
+          if (p.contains(a.prefix.addr)) ++refs;
     }
   }
   return refs;
 }
 
-int count_inter_refs(const DeviceConfig& dev, const std::vector<DeviceConfig>& peers) {
-  // Gather peer-side facts once.
-  std::set<std::uint32_t> peer_addrs;
-  std::set<std::string> peer_vlans;
-  std::set<Ipv4Prefix> peer_subnets;
-  for (const auto& p : peers) {
-    if (p.device_id() == dev.device_id()) continue;
-    for (const auto& a : interface_addresses(p)) {
-      peer_addrs.insert(a.addr);
-      peer_subnets.insert(a.subnet());
-    }
-    for (const auto& v : names_of(p, "vlan")) peer_vlans.insert(v);
-  }
-
+int inter_refs(const DeviceView& dev, const PeerFacts& peers) {
+  const std::string& self = dev.device_id();
   int refs = 0;
-  for (const auto& s : dev.stanzas()) {
-    const std::string agnostic = normalize_type(s.type);
+  for (const auto& s : dev.config().stanzas()) {
+    const std::string_view agnostic = normalize_type(s.type);
     if (agnostic == "router") {
       // BGP neighbor statements naming a peer device's address.
       for (const auto& v : s.get_all("neighbor")) {
         const auto tokens = split_ws(v);
         if (tokens.empty()) continue;
-        if (const auto ip = parse_ipv4(tokens[0]); ip && peer_addrs.count(*ip)) ++refs;
+        const auto ip = parse_ipv4(tokens[0]);
+        if (ip && peers.addrs.held_besides(*ip, self)) ++refs;
       }
       // OSPF/BGP network statements covering a subnet shared with a peer.
       for (const auto& p : network_statements(s))
-        if (peer_subnets.count(p.subnet())) ++refs;
+        if (peers.subnets.held_besides(p.subnet(), self)) ++refs;
     } else if (agnostic == "vlan") {
       // A VLAN spanning devices: defined here and on at least one peer.
-      if (peer_vlans.count(s.name)) ++refs;
+      if (peers.vlans.held_besides(s.name, self)) ++refs;
     }
   }
   return refs;
+}
+
+}  // namespace
+
+int count_intra_refs(const DeviceConfig& dev) { return intra_refs(DeviceView(dev)); }
+
+int count_inter_refs(const DeviceConfig& dev, const std::vector<DeviceConfig>& peers) {
+  return inter_refs(DeviceView(dev), PeerFacts(views_of(peers)));
 }
 
 RefCounts count_references(const DeviceConfig& dev, const std::vector<DeviceConfig>& network) {
@@ -127,12 +136,16 @@ RefCounts count_references(const DeviceConfig& dev, const std::vector<DeviceConf
 }
 
 NetworkComplexity referential_complexity(const std::vector<DeviceConfig>& network) {
+  return referential_complexity_of(views_of(network));
+}
+
+NetworkComplexity referential_complexity_of(const std::vector<DeviceView>& network) {
   if (network.empty()) return {};
+  const PeerFacts peers(network);
   double intra = 0, inter = 0;
   for (const auto& dev : network) {
-    const RefCounts rc = count_references(dev, network);
-    intra += rc.intra;
-    inter += rc.inter;
+    intra += intra_refs(dev);
+    inter += inter_refs(dev, peers);
   }
   const double n = static_cast<double>(network.size());
   return NetworkComplexity{intra / n, inter / n};

@@ -16,6 +16,7 @@
 
 #include <vector>
 
+#include "config/device_view.hpp"
 #include "config/stanza.hpp"
 
 namespace mpa {
@@ -46,5 +47,7 @@ struct NetworkComplexity {
 };
 
 NetworkComplexity referential_complexity(const std::vector<DeviceConfig>& network);
+/// referential_complexity() over prebuilt views, one per device.
+NetworkComplexity referential_complexity_of(const std::vector<DeviceView>& network);
 
 }  // namespace mpa

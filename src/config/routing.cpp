@@ -35,31 +35,21 @@ struct ProcFacts {
   RoutingProcess proc;
   std::set<std::uint32_t> neighbor_ips;  // BGP neighbor targets
   std::set<Ipv4Prefix> subnets;          // canonical subnets of network stmts
-  std::set<std::uint32_t> local_addrs;   // device interface addresses
+  const DeviceView* device = nullptr;    // owns the interface addresses
   std::string region;                    // MSTP region
 };
 
-std::vector<ProcFacts> gather_facts(const std::vector<DeviceConfig>& network) {
+std::vector<ProcFacts> gather_facts(const std::vector<DeviceView>& network) {
   std::vector<ProcFacts> out;
   for (const auto& dev : network) {
-    // Device interface addresses, shared by every process on the device.
-    std::set<std::uint32_t> addrs;
-    for (const auto& s : dev.stanzas()) {
-      if (normalize_type(s.type) != "interface") continue;
-      for (const auto& o : s.options) {
-        if (o.key == "ip address" || o.key == "ip-address") {
-          if (const auto p = parse_prefix(o.value)) addrs.insert(p->addr);
-        }
-      }
-    }
-    for (const auto& s : dev.stanzas()) {
-      const std::string agnostic = normalize_type(s.type);
+    for (const auto& s : dev.config().stanzas()) {
+      const std::string_view agnostic = normalize_type(s.type);
       if (agnostic == "router") {
         const auto constructs = constructs_of(s.type);
         if (constructs.empty()) continue;
         ProcFacts f;
         f.proc = RoutingProcess{dev.device_id(), constructs[0], s.name};
-        f.local_addrs = addrs;
+        f.device = &dev;
         for (const auto& v : s.get_all("neighbor")) {
           const auto tokens = split_ws(v);
           if (tokens.empty()) continue;
@@ -74,7 +64,7 @@ std::vector<ProcFacts> gather_facts(const std::vector<DeviceConfig>& network) {
       } else if (agnostic == "spanning-tree") {
         ProcFacts f;
         f.proc = RoutingProcess{dev.device_id(), "mstp", s.name};
-        f.local_addrs = addrs;
+        f.device = &dev;
         f.region = s.get("region").value_or(s.name);
         out.push_back(std::move(f));
       }
@@ -88,9 +78,9 @@ bool adjacent(const ProcFacts& a, const ProcFacts& b) {
   if (a.proc.device_id == b.proc.device_id) return false;
   if (a.proc.protocol == "bgp") {
     for (std::uint32_t ip : a.neighbor_ips)
-      if (b.local_addrs.count(ip)) return true;
+      if (b.device->owns(ip)) return true;
     for (std::uint32_t ip : b.neighbor_ips)
-      if (a.local_addrs.count(ip)) return true;
+      if (a.device->owns(ip)) return true;
     return false;
   }
   if (a.proc.protocol == "ospf") {
@@ -105,12 +95,17 @@ bool adjacent(const ProcFacts& a, const ProcFacts& b) {
 }  // namespace
 
 std::vector<RoutingProcess> extract_processes(const std::vector<DeviceConfig>& network) {
+  const auto views = views_of(network);
   std::vector<RoutingProcess> out;
-  for (auto& f : gather_facts(network)) out.push_back(std::move(f.proc));
+  for (auto& f : gather_facts(views)) out.push_back(std::move(f.proc));
   return out;
 }
 
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceConfig>& network) {
+  return routing_instances_of(views_of(network));
+}
+
+std::vector<RoutingInstance> routing_instances_of(const std::vector<DeviceView>& network) {
   const auto facts = gather_facts(network);
   UnionFind uf(facts.size());
   for (std::size_t i = 0; i < facts.size(); ++i)

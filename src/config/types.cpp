@@ -53,10 +53,10 @@ constexpr std::array<TypeMapping, 26> kTypeMap = {{
 
 }  // namespace
 
-std::string normalize_type(std::string_view native_type) {
+std::string_view normalize_type(std::string_view native_type) {
   for (const auto& m : kTypeMap)
-    if (m.native == native_type) return std::string(m.agnostic);
-  return std::string(native_type);
+    if (m.native == native_type) return m.agnostic;
+  return native_type;
 }
 
 bool is_middlebox_type(std::string_view agnostic_type) {
@@ -73,7 +73,7 @@ PlaneLayer layer_of(std::string_view construct) {
 }
 
 std::vector<std::string> constructs_of(std::string_view native_type) {
-  const std::string agnostic = normalize_type(native_type);
+  const std::string_view agnostic = normalize_type(native_type);
   if (agnostic == "router") {
     // The protocol is the routing-process flavour, recoverable from the
     // native type on both dialects.
@@ -81,7 +81,7 @@ std::vector<std::string> constructs_of(std::string_view native_type) {
     if (native_type.find("ospf") != std::string_view::npos) return {"ospf"};
     return {};
   }
-  if (layer_of(agnostic) != PlaneLayer::kNeither) return {agnostic};
+  if (layer_of(agnostic) != PlaneLayer::kNeither) return {std::string(agnostic)};
   return {};
 }
 

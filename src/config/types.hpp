@@ -16,7 +16,9 @@ namespace mpa {
 /// Map a vendor-native stanza type to the vendor-agnostic identifier
 /// ("interface", "vlan", "acl", "router", "pool", "user", ...). Unknown
 /// types map to themselves, so new constructs degrade gracefully.
-std::string normalize_type(std::string_view native_type);
+/// Known ids are static literals; for an unknown type the result
+/// aliases `native_type` and is valid only while that string lives.
+std::string_view normalize_type(std::string_view native_type);
 
 /// True if the agnostic type is a middlebox-specific construct
 /// (load-balancer pools and virtual servers, firewall ACL terms live on

@@ -624,14 +624,15 @@ bool is_columnar_dir(const std::string& dir) {
   return fs::exists(fs::path(dir) / kMpacManifestName);
 }
 
-void save_columnar(const DiskDataset& data, const std::string& dir, ColumnarWriteOptions opts) {
+MpacTotals save_columnar(const DiskDataset& data, const std::string& dir,
+                         ColumnarWriteOptions opts) {
   ColumnarWriter w(dir, opts);
   for (const auto& net : data.inventory.networks()) w.add_network(net);
   for (const auto& dev : data.inventory.devices()) w.add_device(dev);
   for (const auto& t : data.tickets.all()) w.add_ticket(t);
   for (const auto& device_id : data.snapshots.devices())
     for (const auto& snap : data.snapshots.for_device(device_id)) w.add_snapshot(snap);
-  w.finish();
+  return w.finish();
 }
 
 ColumnarDataset load_columnar(const std::string& dir) {

@@ -273,10 +273,10 @@ class ColumnarDataset {
 bool is_columnar_dir(const std::string& dir);
 
 /// Write `data` as an mpac dataset into `dir` (created if absent) in
-/// the same record order save_dataset uses. Throws DataError on I/O
-/// failure.
-void save_columnar(const DiskDataset& data, const std::string& dir,
-                   ColumnarWriteOptions opts = {});
+/// the same record order save_dataset uses, and return the writer's
+/// totals. Throws DataError on I/O failure.
+MpacTotals save_columnar(const DiskDataset& data, const std::string& dir,
+                         ColumnarWriteOptions opts = {});
 
 /// Map and validate an mpac dataset directory. Every shard's header,
 /// directory, and fingerprint are verified before this returns; throws

@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "config/device_view.hpp"
 #include "config/refs.hpp"
 #include "config/routing.hpp"
 #include "config/types.hpp"
@@ -88,7 +89,9 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kNumProtocols] = protos.total();
   out[Practice::kNumVlans] = count_vlans(configs);
 
-  const auto instances = extract_routing_instances(configs);
+  // One index per device serves routing instances and references.
+  const auto views = views_of(configs);
+  const auto instances = routing_instances_of(views);
   const InstanceStats bgp = instance_stats(instances, "bgp");
   const InstanceStats ospf = instance_stats(instances, "ospf");
   out[Practice::kNumBgpInstances] = bgp.count;
@@ -96,7 +99,7 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kAvgBgpInstanceSize] = bgp.mean_size;
   out[Practice::kAvgOspfInstanceSize] = ospf.mean_size;
 
-  const NetworkComplexity cx = referential_complexity(configs);
+  const NetworkComplexity cx = referential_complexity_of(views);
   out[Practice::kIntraDeviceComplexity] = cx.mean_intra;
   out[Practice::kInterDeviceComplexity] = cx.mean_inter;
 }

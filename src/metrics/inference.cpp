@@ -68,10 +68,11 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     DeviceTimeline tl;
     tl.times.reserve(snaps.size() - begin);
     tl.configs.reserve(snaps.size() - begin);
+    SourceMap map;
     for (std::size_t i = begin; i < snaps.size(); ++i) {
       tl.times.push_back(snaps[i].time);
-      tl.configs.push_back(parse(snaps[i].text, dialect, d->device_id));
-      tl.sources.push_back(LintSource::scan(snaps[i].text, dialect));
+      tl.configs.push_back(parse(snaps[i].text, dialect, d->device_id, map));
+      tl.sources.emplace_back(tl.configs.back(), map);
     }
     for (std::size_t i = 1; i < tl.configs.size(); ++i) {
       auto stanza_changes = diff(tl.configs[i - 1], tl.configs[i]);

@@ -403,14 +403,7 @@ int cmd_convert(const Args& args) {
               << data.tickets.size() << " tickets\n";
     return 0;
   }
-  const DiskDataset data = load_dataset(args.dir);
-  ColumnarWriter writer(out, shard_options(args));
-  for (const auto& net : data.inventory.networks()) writer.add_network(net);
-  for (const auto& dev : data.inventory.devices()) writer.add_device(dev);
-  for (const auto& t : data.tickets.all()) writer.add_ticket(t);
-  for (const auto& device_id : data.snapshots.devices())
-    for (const auto& snap : data.snapshots.for_device(device_id)) writer.add_snapshot(snap);
-  const MpacTotals totals = writer.finish();
+  const MpacTotals totals = save_columnar(load_dataset(args.dir), out, shard_options(args));
   std::cout << "converted csv -> mpac: " << out << ": " << totals.networks << " networks, "
             << totals.snapshots << " snapshots, " << totals.tickets << " tickets ("
             << totals.shards << " shards, " << totals.shard_bytes << " bytes)\n";
