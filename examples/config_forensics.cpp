@@ -72,16 +72,17 @@ int main() {
             << "  IOS 'ip access-list'     -> " << normalize_type("ip access-list") << "\n"
             << "  JunOS 'firewall-filter'  -> " << normalize_type("firewall-filter") << "\n";
 
+  // One view per device: the index every config analysis reads.
   const std::vector<DeviceConfig> network{after, peer};
+  const std::vector<DeviceView> views = views_of(network);
   std::cout << "\n-- referential complexity --\n";
-  for (const auto& dev : network) {
-    const RefCounts rc = count_references(dev, network);
-    std::cout << "  " << dev.device_id() << ": " << rc.intra << " intra-device, " << rc.inter
-              << " inter-device references\n";
+  for (const auto& dev : views) {
+    std::cout << "  " << dev.device_id() << ": " << count_intra_refs(dev) << " intra-device, "
+              << count_inter_refs(dev, views) << " inter-device references\n";
   }
 
   std::cout << "\n-- routing instances --\n";
-  for (const auto& inst : extract_routing_instances(network)) {
+  for (const auto& inst : extract_routing_instances(views)) {
     std::cout << "  " << inst.protocol << " instance with " << inst.size() << " member(s):";
     for (const auto& m : inst.member_devices) std::cout << ' ' << m;
     std::cout << "\n";

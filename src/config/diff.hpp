@@ -21,7 +21,7 @@ std::string_view to_string(ChangeKind k);
 /// One stanza-level difference between two snapshots of a device.
 struct StanzaChange {
   std::string native_type;    ///< Vendor-native stanza type.
-  std::string agnostic_type;  ///< normalize_type(native_type).
+  std::string agnostic_type;  ///< Vendor-agnostic type of native_type (types.hpp).
   std::string name;           ///< Stanza name.
   ChangeKind kind = ChangeKind::kUpdated;
   /// Number of option lines added+removed+modified (0 for pure

@@ -4,7 +4,6 @@
 
 #include <algorithm>
 
-#include "config/types.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -56,40 +55,32 @@ std::optional<LintSeverity> parse_severity(std::string_view s) {
 
 // ------------------------------------------------------- source resolution
 
-LintSource::LintSource(const DeviceConfig& config, const SourceMap& map) {
-  require(map.stanzas.size() == config.stanzas().size(),
-          "LintSource: source map does not match the config");
+LintSource::LintSource(const SourceMap& map) {
   for (const auto& comment : map.all_comments)
     for (auto& id : pragma_ids(comment, "lint-disable-file"))
       device_disabled_.insert(std::move(id));
-  for (std::size_t i = 0; i < map.stanzas.size(); ++i) {
-    const Stanza& s = config.stanzas()[i];
-    const SourceStanza& src = map.stanzas[i];
-    Entry e;
+  stanzas_.reserve(map.stanzas.size());
+  for (const SourceStanza& src : map.stanzas) {
+    Entry& e = stanzas_.emplace_back();
     e.span = SourceSpan{src.first_line, src.last_line};
     for (const auto& comment : src.leading_comments)
       for (auto& id : pragma_ids(comment, "lint-disable")) e.disabled.insert(std::move(id));
-    stanzas_.emplace(std::make_pair(s.type, s.name), std::move(e));
   }
 }
 
 LintSource LintSource::scan(std::string_view text, Dialect d) {
   SourceMap map;
-  const DeviceConfig config = parse(text, d, "", map);
-  return LintSource(config, map);
+  parse(text, d, "", map);
+  return LintSource(map);
 }
 
-SourceSpan LintSource::span_of(std::string_view type, std::string_view name) const {
-  const auto it = stanzas_.find(std::make_pair(std::string(type), std::string(name)));
-  return it == stanzas_.end() ? SourceSpan{} : it->second.span;
+SourceSpan LintSource::span_of(std::size_t stanza) const {
+  return stanza < stanzas_.size() ? stanzas_[stanza].span : SourceSpan{};
 }
 
-bool LintSource::suppresses(std::string_view rule_id, std::string_view type,
-                            std::string_view name) const {
-  if (disabled_in(device_disabled_, rule_id)) return true;
-  if (type.empty()) return false;
-  const auto it = stanzas_.find(std::make_pair(std::string(type), std::string(name)));
-  return it != stanzas_.end() && disabled_in(it->second.disabled, rule_id);
+bool LintSource::suppresses(std::string_view rule_id, std::size_t stanza) const {
+  return disabled_in(device_disabled_, rule_id) ||
+         (stanza < stanzas_.size() && disabled_in(stanzas_[stanza].disabled, rule_id));
 }
 
 // ------------------------------------------------------------------ rules
@@ -113,20 +104,11 @@ const LintRule* RuleRegistry::find(std::string_view id) const {
 
 // ----------------------------------------------------------------- views
 
-NetworkView::NetworkView(const std::vector<LintInput>& inputs) {
-  devices_.reserve(inputs.size());
-  for (const auto& in : inputs) {
-    require(in.config != nullptr, "NetworkView: null config");
-    devices_.emplace_back(*in.config, in.source);
-  }
-  for (std::size_t d = 0; d < devices_.size(); ++d) {
-    for (const auto& a : devices_[d].iface_addrs()) addr_owner_.emplace(a.prefix.addr, d);
-    for (const auto& s : devices_[d].config().stanzas()) {
-      if (constructs_of(s.type) == std::vector<std::string>{"bgp"}) {
-        bgp_procs_.push_back(BgpProc{d, &s});
-        bgp_devices_.insert(d);
-      }
-    }
+NetworkView::NetworkView(const std::vector<DeviceView>& devices) : devices_(&devices) {
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    for (const auto& a : devices[d].iface_addrs()) addr_owner_.emplace(a.prefix.addr, d);
+    for (const auto& s : devices[d].config().stanzas())
+      if (devices[d].construct_of(s) == "bgp") bgp_procs_.push_back(BgpProc{d, &s});
   }
 }
 
@@ -135,7 +117,10 @@ std::size_t NetworkView::owner_of(std::uint32_t ip) const {
   return it == addr_owner_.end() ? npos : it->second;
 }
 
-bool NetworkView::runs_bgp(std::size_t device) const { return bgp_devices_.count(device) > 0; }
+bool NetworkView::runs_bgp(std::size_t device) const {
+  return std::any_of(bgp_procs_.begin(), bgp_procs_.end(),
+                     [&](const BgpProc& p) { return p.device == device; });
+}
 
 // ------------------------------------------------------------------ sink
 
@@ -160,10 +145,10 @@ void LintSink::report(const DeviceView& dev, const Stanza* anchor, std::string m
     d.object = anchor->type + (anchor->name.empty() ? "" : " " + anchor->name);
   }
   d.message = std::move(message);
-  if (dev.source() != nullptr) {
-    if (anchor != nullptr) d.span = dev.source()->span_of(anchor->type, anchor->name);
-    d.suppressed = dev.source()->suppresses(d.rule_id, anchor != nullptr ? anchor->type : "",
-                                            anchor != nullptr ? anchor->name : "");
+  if (const LintSource* src = dev.source()) {
+    const std::size_t at = anchor != nullptr ? dev.index_of(*anchor) : LintSource::npos;
+    d.span = src->span_of(at);
+    d.suppressed = src->suppresses(d.rule_id, at);
   }
   if (d.suppressed && !opts_->keep_suppressed) return;
   out_->push_back(std::move(d));
@@ -183,7 +168,7 @@ bool rule_enabled(const LintOptions& opts, std::string_view id) {
 
 }  // namespace
 
-std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network, const LintOptions& opts) {
+std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
   const RuleRegistry& registry = opts.registry != nullptr ? *opts.registry
                                                           : RuleRegistry::builtin();
   const NetworkView net(network);
@@ -199,30 +184,29 @@ std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network, const Li
   return out;
 }
 
-std::vector<Diagnostic> lint_device(const DeviceConfig& config, const LintOptions& opts) {
-  return run_lint({LintInput{&config, nullptr}}, opts);
-}
-
-std::vector<Diagnostic> lint_network(const std::vector<DeviceConfig>& network,
-                                     const LintOptions& opts) {
-  std::vector<LintInput> inputs;
-  inputs.reserve(network.size());
-  for (const auto& c : network) inputs.push_back(LintInput{&c, nullptr});
-  return run_lint(inputs, opts);
+std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network, const LintOptions& opts) {
+  std::vector<DeviceView> views;
+  views.reserve(network.size());
+  for (const auto& in : network) {
+    require(in.config != nullptr, "run_lint: null config");
+    views.emplace_back(*in.config, in.source);
+  }
+  return run_lint(views, opts);
 }
 
 std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network,
                                           const LintOptions& opts) {
   std::vector<DeviceConfig> configs(network.size());
   std::vector<LintSource> sources(network.size());
-  std::vector<LintInput> inputs;
+  std::vector<DeviceView> views;
+  views.reserve(network.size());
   SourceMap map;
   for (std::size_t i = 0; i < network.size(); ++i) {
     configs[i] = parse(network[i].text, network[i].dialect, network[i].device_id, map);
-    sources[i] = LintSource(configs[i], map);
-    inputs.push_back(LintInput{&configs[i], &sources[i]});
+    sources[i] = LintSource(map);
+    views.emplace_back(configs[i], &sources[i]);
   }
-  return run_lint(inputs, opts);
+  return run_lint(views, opts);
 }
 
 }  // namespace mpa

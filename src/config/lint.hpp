@@ -87,32 +87,38 @@ struct Diagnostic {
 // ------------------------------------------------------- source resolution
 
 /// Per-device source info extracted from dialect text: stanza spans and
-/// suppression pragmas. Build once per snapshot and reuse across lint
-/// runs.
+/// suppression pragmas, in stanza order — parallel to the stanzas() of
+/// the config parsed from the same text, as SourceMap is. Build once
+/// per snapshot and reuse across lint runs.
 class LintSource {
  public:
   LintSource() = default;
-  /// Index the source map that parse() recorded while building `config`.
-  LintSource(const DeviceConfig& config, const SourceMap& map);
+  /// Index the source map that parse() recorded.
+  explicit LintSource(const SourceMap& map);
   /// Parse `text` and keep only its source info. Throws DataError on
   /// text that parse() rejects; prefer the constructor when the config
   /// is wanted too, so the text is read once.
   static LintSource scan(std::string_view text, Dialect d);
 
-  /// Span of the stanza with this native (type, name), if the text
-  /// contains it.
-  SourceSpan span_of(std::string_view type, std::string_view name) const;
+  /// Number of stanzas described.
+  std::size_t size() const { return stanzas_.size(); }
 
-  /// True if `rule_id` is suppressed for this stanza (stanza pragma or
-  /// device-wide pragma). An empty type/name asks about device scope.
-  bool suppresses(std::string_view rule_id, std::string_view type, std::string_view name) const;
+  /// Span of the stanza at this position of the parsed config; {} for a
+  /// position past the last stanza.
+  SourceSpan span_of(std::size_t stanza) const;
+
+  /// True if `rule_id` is suppressed device-wide, or by a pragma on the
+  /// stanza at this position. A position past the last stanza (npos by
+  /// default) asks about device scope only.
+  bool suppresses(std::string_view rule_id, std::size_t stanza = npos) const;
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
 
  private:
   struct Entry {
     SourceSpan span;
     std::set<std::string, std::less<>> disabled;
   };
-  std::map<std::pair<std::string, std::string>, Entry, std::less<>> stanzas_;
+  std::vector<Entry> stanzas_;
   std::set<std::string, std::less<>> device_disabled_;
 };
 
@@ -176,6 +182,13 @@ struct LintOptions {
   const RuleRegistry* registry = nullptr;
 };
 
+/// Run all applicable rules over one network, one view per device;
+/// pragmas are honored and spans resolved for views with a source.
+/// Diagnostics come out grouped by rule (registry order), then device,
+/// then stanza order — deterministic for identical inputs.
+std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network,
+                                 const LintOptions& opts = {});
+
 /// One device of a network under analysis: the parsed config plus its
 /// optional source info (spans + pragmas).
 struct LintInput {
@@ -183,18 +196,9 @@ struct LintInput {
   const LintSource* source = nullptr;  ///< May be null (no text available).
 };
 
-/// Run all applicable rules over one network. Diagnostics come out
-/// grouped by rule (registry order), then device, then stanza order —
-/// deterministic for identical inputs.
+/// run_lint() over a view of each input.
 std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network,
                                  const LintOptions& opts = {});
-
-/// Convenience: intra-device checks on one parsed config (no spans).
-std::vector<Diagnostic> lint_device(const DeviceConfig& config, const LintOptions& opts = {});
-
-/// Convenience: all checks over parsed configs (no spans).
-std::vector<Diagnostic> lint_network(const std::vector<DeviceConfig>& network,
-                                     const LintOptions& opts = {});
 
 /// Raw dialect text of one device, for span-resolving runs.
 struct DeviceText {
@@ -212,13 +216,16 @@ std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network
 // ------------------------------------------------ rule execution contexts
 
 /// Whole network with cross-device indexes shared by network rules.
-/// Per-device facts (names, interface addresses) come from each
-/// DeviceView; this adds only the network-wide lookups.
+/// Per-device facts (types, names, interface addresses) come from each
+/// DeviceView; this borrows the views and adds only the network-wide
+/// lookups.
 class NetworkView {
  public:
-  explicit NetworkView(const std::vector<LintInput>& inputs);
+  /// `devices` must outlive the view.
+  explicit NetworkView(const std::vector<DeviceView>& devices);
+  explicit NetworkView(std::vector<DeviceView>&&) = delete;
 
-  const std::vector<DeviceView>& devices() const { return devices_; }
+  const std::vector<DeviceView>& devices() const { return *devices_; }
 
   /// Device index owning `ip` on an interface, or npos.
   std::size_t owner_of(std::uint32_t ip) const;
@@ -233,10 +240,9 @@ class NetworkView {
   bool runs_bgp(std::size_t device) const;
 
  private:
-  std::vector<DeviceView> devices_;
+  const std::vector<DeviceView>* devices_;
   std::map<std::uint32_t, std::size_t> addr_owner_;
   std::vector<BgpProc> bgp_procs_;
-  std::set<std::size_t> bgp_devices_;
 };
 
 /// Where rules deposit findings. Handles severity overrides, pragma
@@ -246,7 +252,8 @@ class LintSink {
  public:
   LintSink(const LintOptions& opts, std::vector<Diagnostic>& out);
 
-  /// Anchor a finding to a stanza of `dev` (null = whole device).
+  /// Anchor a finding to a stanza of `dev` (null = whole device); the
+  /// span and stanza pragmas are those at the anchor's position.
   void report(const DeviceView& dev, const Stanza* anchor, std::string message);
 
   /// The rule currently executing (set by the engine).

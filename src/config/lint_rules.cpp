@@ -2,9 +2,9 @@
 // registered in RuleRegistry::builtin(); the engine (lint.cpp) drives
 // them and handles severity overrides, suppression, and spans.
 //
-// Rules read names and interface addresses from each device's
-// DeviceView (config/device_view.hpp); network-scope rules add the
-// address-owner and BGP lookups of NetworkView. Rules report against
+// Rules read stanza types, names and interface addresses from each
+// device's DeviceView (config/device_view.hpp); network-scope rules add
+// the address-owner and BGP lookups of NetworkView. Rules report against
 // the vendor-agnostic model, so each fires identically on IOS-like and
 // JunOS-like configs.
 #include <map>
@@ -13,7 +13,6 @@
 #include <vector>
 
 #include "config/lint.hpp"
-#include "config/types.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -61,7 +60,7 @@ class DanglingAclRefRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "interface") continue;
+      if (dev.type_of(s) != "interface") continue;
       for (const auto& acl : attached_acls(s))
         if (!dev.defines("acl", acl))
           sink.report(dev, &s, s.name + " -> acl '" + acl + "'");
@@ -77,7 +76,7 @@ class DanglingVlanRefRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      const std::string_view agnostic = normalize_type(s.type);
+      const std::string_view agnostic = dev.type_of(s);
       if (agnostic == "interface") {
         for (const auto& vlan : referenced_vlans(s))
           if (!dev.defines("vlan", vlan))
@@ -99,7 +98,7 @@ class DanglingPoolRefRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "virtual-server") continue;
+      if (dev.type_of(s) != "virtual-server") continue;
       for (const auto& name : s.get_all("pool"))
         if (!dev.defines("pool", name))
           sink.report(dev, &s, s.name + " -> pool '" + name + "'");
@@ -115,7 +114,7 @@ class DanglingLagMemberRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "link-aggregation") continue;
+      if (dev.type_of(s) != "link-aggregation") continue;
       for (const auto& name : s.get_all("member"))
         if (!dev.defines("interface", name))
           sink.report(dev, &s, s.name + " -> interface '" + name + "'");
@@ -133,7 +132,7 @@ class EmptyAclRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "acl") continue;
+      if (dev.type_of(s) != "acl") continue;
       bool has_term = false;
       for (const auto& o : s.options)
         if (is_acl_term(o)) has_term = true;
@@ -150,7 +149,7 @@ class ShadowedAclTermRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "acl") continue;
+      if (dev.type_of(s) != "acl") continue;
       std::set<std::pair<std::string, std::string>> seen;
       bool catch_all = false;
       for (const auto& o : s.options) {
@@ -174,7 +173,7 @@ class UnreachableAclTermRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "acl") continue;
+      if (dev.type_of(s) != "acl") continue;
       bool catch_all = false;
       for (const auto& o : s.options) {
         if (!is_acl_term(o)) continue;
@@ -200,10 +199,10 @@ class UnreferencedAclRule final : public LintRule {
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     std::set<std::string> used;
     for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "interface")
+      if (dev.type_of(s) == "interface")
         for (auto& acl : attached_acls(s)) used.insert(std::move(acl));
     for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "acl" && used.count(s.name) == 0)
+      if (dev.type_of(s) == "acl" && used.count(s.name) == 0)
         sink.report(dev, &s, "acl '" + s.name + "' is never attached");
   }
 };
@@ -217,10 +216,10 @@ class UnreferencedPoolRule final : public LintRule {
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     std::set<std::string> used;
     for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "virtual-server")
+      if (dev.type_of(s) == "virtual-server")
         for (auto& p : s.get_all("pool")) used.insert(std::move(p));
     for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "pool" && used.count(s.name) == 0)
+      if (dev.type_of(s) == "pool" && used.count(s.name) == 0)
         sink.report(dev, &s, "pool '" + s.name + "' is never used");
   }
 };
@@ -234,10 +233,10 @@ class UnreferencedVlanRule final : public LintRule {
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     std::set<std::string> used;
     for (const auto& s : dev.config().stanzas())
-      if (normalize_type(s.type) == "interface")
+      if (dev.type_of(s) == "interface")
         for (auto& v : referenced_vlans(s)) used.insert(std::move(v));
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "vlan") continue;
+      if (dev.type_of(s) != "vlan") continue;
       if (used.count(s.name) > 0) continue;
       if (!s.get_all("interface").empty()) continue;  // members listed inline
       sink.report(dev, &s, "vlan " + s.name + " has no members");
@@ -255,14 +254,14 @@ class UnusedInterfaceUpRule final : public LintRule {
     // Interfaces referenced by VLAN member lists or LAGs are in use.
     std::set<std::string> referenced;
     for (const auto& s : dev.config().stanzas()) {
-      const std::string_view agnostic = normalize_type(s.type);
+      const std::string_view agnostic = dev.type_of(s);
       if (agnostic == "vlan")
         for (auto& n : s.get_all("interface")) referenced.insert(std::move(n));
       if (agnostic == "link-aggregation")
         for (auto& n : s.get_all("member")) referenced.insert(std::move(n));
     }
     for (const auto& s : dev.config().stanzas()) {
-      if (normalize_type(s.type) != "interface") continue;
+      if (dev.type_of(s) != "interface") continue;
       if (referenced.count(s.name) > 0) continue;
       bool in_use = false;
       bool shut = false;
@@ -397,8 +396,9 @@ class OspfAreaMismatchRule final : public LintRule {
     };
     std::map<std::string, std::vector<Claim>> by_prefix;
     for (std::size_t d = 0; d < net.devices().size(); ++d) {
-      for (const auto& s : net.devices()[d].config().stanzas()) {
-        if (constructs_of(s.type) != std::vector<std::string>{"ospf"}) continue;
+      const DeviceView& dev = net.devices()[d];
+      for (const auto& s : dev.config().stanzas()) {
+        if (dev.construct_of(s) != "ospf") continue;
         for (const auto& v : s.get_all("network")) {
           // "network <prefix> area <id>"
           const auto tokens = split_ws(v);
@@ -472,7 +472,7 @@ class VlanSpanGapRule final : public LintRule {
     for (std::size_t d = 0; d < net.devices().size(); ++d) {
       const DeviceView& dev = net.devices()[d];
       for (const auto& s : dev.config().stanzas()) {
-        if (normalize_type(s.type) != "interface") continue;
+        if (dev.type_of(s) != "interface") continue;
         for (const auto& vlan : referenced_vlans(s)) {
           if (dev.defines("vlan", vlan)) continue;
           const auto it = defined_on.find(vlan);

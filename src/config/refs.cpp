@@ -4,7 +4,6 @@
 #include <string_view>
 
 #include "config/addr.hpp"
-#include "config/types.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -59,7 +58,33 @@ struct PeerFacts {
   }
 };
 
-int intra_refs(const DeviceView& dev) {
+int inter_refs(const DeviceView& dev, const PeerFacts& peers) {
+  const std::string& self = dev.device_id();
+  int refs = 0;
+  for (const auto& s : dev.config().stanzas()) {
+    const std::string_view agnostic = dev.type_of(s);
+    if (agnostic == "router") {
+      // BGP neighbor statements naming a peer device's address.
+      for (const auto& v : s.get_all("neighbor")) {
+        const auto tokens = split_ws(v);
+        if (tokens.empty()) continue;
+        const auto ip = parse_ipv4(tokens[0]);
+        if (ip && peers.addrs.held_besides(*ip, self)) ++refs;
+      }
+      // OSPF/BGP network statements covering a subnet shared with a peer.
+      for (const auto& p : network_statements(s))
+        if (peers.subnets.held_besides(p.subnet(), self)) ++refs;
+    } else if (agnostic == "vlan") {
+      // A VLAN spanning devices: defined here and on at least one peer.
+      if (peers.vlans.held_besides(s.name, self)) ++refs;
+    }
+  }
+  return refs;
+}
+
+}  // namespace
+
+int count_intra_refs(const DeviceView& dev) {
   const auto& acls = dev.names_of("acl");
   const auto& vlans = dev.names_of("vlan");
   const auto& ifaces = dev.names_of("interface");
@@ -67,7 +92,7 @@ int intra_refs(const DeviceView& dev) {
 
   int refs = 0;
   for (const auto& s : dev.config().stanzas()) {
-    const std::string_view agnostic = normalize_type(s.type);
+    const std::string_view agnostic = dev.type_of(s);
     if (agnostic == "interface") {
       for (const auto& o : s.options) {
         // ACL attachment: IOS "ip access-group NAME", JunOS "filter NAME".
@@ -99,52 +124,16 @@ int intra_refs(const DeviceView& dev) {
   return refs;
 }
 
-int inter_refs(const DeviceView& dev, const PeerFacts& peers) {
-  const std::string& self = dev.device_id();
-  int refs = 0;
-  for (const auto& s : dev.config().stanzas()) {
-    const std::string_view agnostic = normalize_type(s.type);
-    if (agnostic == "router") {
-      // BGP neighbor statements naming a peer device's address.
-      for (const auto& v : s.get_all("neighbor")) {
-        const auto tokens = split_ws(v);
-        if (tokens.empty()) continue;
-        const auto ip = parse_ipv4(tokens[0]);
-        if (ip && peers.addrs.held_besides(*ip, self)) ++refs;
-      }
-      // OSPF/BGP network statements covering a subnet shared with a peer.
-      for (const auto& p : network_statements(s))
-        if (peers.subnets.held_besides(p.subnet(), self)) ++refs;
-    } else if (agnostic == "vlan") {
-      // A VLAN spanning devices: defined here and on at least one peer.
-      if (peers.vlans.held_besides(s.name, self)) ++refs;
-    }
-  }
-  return refs;
+int count_inter_refs(const DeviceView& dev, const std::vector<DeviceView>& network) {
+  return inter_refs(dev, PeerFacts(network));
 }
 
-}  // namespace
-
-int count_intra_refs(const DeviceConfig& dev) { return intra_refs(DeviceView(dev)); }
-
-int count_inter_refs(const DeviceConfig& dev, const std::vector<DeviceConfig>& peers) {
-  return inter_refs(DeviceView(dev), PeerFacts(views_of(peers)));
-}
-
-RefCounts count_references(const DeviceConfig& dev, const std::vector<DeviceConfig>& network) {
-  return RefCounts{count_intra_refs(dev), count_inter_refs(dev, network)};
-}
-
-NetworkComplexity referential_complexity(const std::vector<DeviceConfig>& network) {
-  return referential_complexity_of(views_of(network));
-}
-
-NetworkComplexity referential_complexity_of(const std::vector<DeviceView>& network) {
+NetworkComplexity referential_complexity(const std::vector<DeviceView>& network) {
   if (network.empty()) return {};
   const PeerFacts peers(network);
   double intra = 0, inter = 0;
   for (const auto& dev : network) {
-    intra += intra_refs(dev);
+    intra += count_intra_refs(dev);
     inter += inter_refs(dev, peers);
   }
   const double n = static_cast<double>(network.size());

@@ -17,26 +17,16 @@
 #include <vector>
 
 #include "config/device_view.hpp"
-#include "config/stanza.hpp"
 
 namespace mpa {
 
-/// Reference counts for a single device (in the context of a network).
-struct RefCounts {
-  int intra = 0;
-  int inter = 0;
-};
-
-/// Count the intra-device references inside one device config.
-int count_intra_refs(const DeviceConfig& dev);
+/// Count the intra-device references inside one device.
+int count_intra_refs(const DeviceView& dev);
 
 /// Count references from `dev` to entities configured on the other
-/// devices of its network (`peers` excludes `dev` itself; including it
-/// is harmless — self is skipped by device id).
-int count_inter_refs(const DeviceConfig& dev, const std::vector<DeviceConfig>& peers);
-
-/// Per-device counts in network context.
-RefCounts count_references(const DeviceConfig& dev, const std::vector<DeviceConfig>& network);
+/// devices of its network (`network` may include `dev` itself — self is
+/// skipped by device id).
+int count_inter_refs(const DeviceView& dev, const std::vector<DeviceView>& network);
 
 /// Mean intra/inter reference counts over a network's devices —
 /// the D6 metrics ("we enumerate the *average* number of inter- and
@@ -46,8 +36,6 @@ struct NetworkComplexity {
   double mean_inter = 0;
 };
 
-NetworkComplexity referential_complexity(const std::vector<DeviceConfig>& network);
-/// referential_complexity() over prebuilt views, one per device.
-NetworkComplexity referential_complexity_of(const std::vector<DeviceView>& network);
+NetworkComplexity referential_complexity(const std::vector<DeviceView>& network);
 
 }  // namespace mpa

@@ -5,7 +5,6 @@
 #include <set>
 
 #include "config/addr.hpp"
-#include "config/types.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -43,12 +42,12 @@ std::vector<ProcFacts> gather_facts(const std::vector<DeviceView>& network) {
   std::vector<ProcFacts> out;
   for (const auto& dev : network) {
     for (const auto& s : dev.config().stanzas()) {
-      const std::string_view agnostic = normalize_type(s.type);
+      const std::string_view agnostic = dev.type_of(s);
       if (agnostic == "router") {
-        const auto constructs = constructs_of(s.type);
-        if (constructs.empty()) continue;
+        const std::string_view construct = dev.construct_of(s);
+        if (construct.empty()) continue;
         ProcFacts f;
-        f.proc = RoutingProcess{dev.device_id(), constructs[0], s.name};
+        f.proc = RoutingProcess{dev.device_id(), std::string(construct), s.name};
         f.device = &dev;
         for (const auto& v : s.get_all("neighbor")) {
           const auto tokens = split_ws(v);
@@ -94,18 +93,13 @@ bool adjacent(const ProcFacts& a, const ProcFacts& b) {
 
 }  // namespace
 
-std::vector<RoutingProcess> extract_processes(const std::vector<DeviceConfig>& network) {
-  const auto views = views_of(network);
+std::vector<RoutingProcess> extract_processes(const std::vector<DeviceView>& network) {
   std::vector<RoutingProcess> out;
-  for (auto& f : gather_facts(views)) out.push_back(std::move(f.proc));
+  for (auto& f : gather_facts(network)) out.push_back(std::move(f.proc));
   return out;
 }
 
-std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceConfig>& network) {
-  return routing_instances_of(views_of(network));
-}
-
-std::vector<RoutingInstance> routing_instances_of(const std::vector<DeviceView>& network) {
+std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceView>& network) {
   const auto facts = gather_facts(network);
   UnionFind uf(facts.size());
   for (std::size_t i = 0; i < facts.size(); ++i)

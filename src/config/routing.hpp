@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "config/device_view.hpp"
-#include "config/stanza.hpp"
 
 namespace mpa {
 
@@ -38,12 +37,10 @@ struct RoutingInstance {
 };
 
 /// Extract all routing processes configured in a network.
-std::vector<RoutingProcess> extract_processes(const std::vector<DeviceConfig>& network);
+std::vector<RoutingProcess> extract_processes(const std::vector<DeviceView>& network);
 
 /// Group processes into instances via union-find over adjacency.
-std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceConfig>& network);
-/// extract_routing_instances() over prebuilt views, one per device.
-std::vector<RoutingInstance> routing_instances_of(const std::vector<DeviceView>& network);
+std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceView>& network);
 
 /// Count and mean size of a protocol's instances (D5 metrics).
 struct InstanceStats {

@@ -29,8 +29,9 @@ struct Option {
 
 /// A configuration stanza: a typed, named block of options.
 /// `type` is the vendor-native type string (e.g. "ip access-list" on an
-/// IOS-like device, "firewall-filter" on a JunOS-like one); use
-/// normalize_type() (types.hpp) for the vendor-agnostic identifier.
+/// IOS-like device, "firewall-filter" on a JunOS-like one); types.hpp
+/// maps it to the vendor-agnostic identifier, and DeviceView resolves
+/// that once per stanza.
 struct Stanza {
   std::string type;
   std::string name;

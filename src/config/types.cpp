@@ -72,17 +72,16 @@ PlaneLayer layer_of(std::string_view construct) {
   return PlaneLayer::kNeither;
 }
 
-std::vector<std::string> constructs_of(std::string_view native_type) {
+std::string_view constructs_of(std::string_view native_type) {
   const std::string_view agnostic = normalize_type(native_type);
   if (agnostic == "router") {
     // The protocol is the routing-process flavour, recoverable from the
     // native type on both dialects.
-    if (native_type.find("bgp") != std::string_view::npos) return {"bgp"};
-    if (native_type.find("ospf") != std::string_view::npos) return {"ospf"};
+    if (native_type.find("bgp") != std::string_view::npos) return "bgp";
+    if (native_type.find("ospf") != std::string_view::npos) return "ospf";
     return {};
   }
-  if (layer_of(agnostic) != PlaneLayer::kNeither) return {std::string(agnostic)};
-  return {};
+  return layer_of(agnostic) != PlaneLayer::kNeither ? agnostic : std::string_view{};
 }
 
 }  // namespace mpa

@@ -7,9 +7,8 @@
 // convert these to a vendor-agnostic type identifier."
 #pragma once
 
-#include <string>
+#include <cstdint>
 #include <string_view>
-#include <vector>
 
 namespace mpa {
 
@@ -31,14 +30,16 @@ bool is_middlebox_type(std::string_view agnostic_type);
 enum class PlaneLayer : std::uint8_t { kL2, kL3, kNeither };
 
 /// Which plane layer a *protocol construct* belongs to, keyed by the
-/// construct identifier returned by constructs_in(). "bgp"/"ospf" are
+/// construct identifier returned by constructs_of(). "bgp"/"ospf" are
 /// L3; "vlan"/"spanning-tree"/"link-aggregation"/"udld"/"dhcp-relay"
-/// are L2; everything else is kNeither.
+/// are L2; everything else (including no construct) is kNeither.
 PlaneLayer layer_of(std::string_view construct);
 
-/// The protocol constructs instantiated by a stanza of the given native
-/// type (e.g. "router bgp" -> {"bgp"}, "vlan" -> {"vlan"}). Constructs
-/// are the unit of Figure 11(b)'s protocol counts.
-std::vector<std::string> constructs_of(std::string_view native_type);
+/// The protocol construct a stanza of the given native type
+/// instantiates (e.g. "router bgp" -> "bgp", "vlan" -> "vlan"), or an
+/// empty view when it instantiates none. A stanza instantiates at most
+/// one. Constructs are the unit of Figure 11(b)'s protocol counts. Like
+/// normalize_type(), the result may alias `native_type`.
+std::string_view constructs_of(std::string_view native_type);
 
 }  // namespace mpa

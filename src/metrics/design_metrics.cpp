@@ -4,7 +4,6 @@
 #include <map>
 #include <set>
 
-#include "config/device_view.hpp"
 #include "config/refs.hpp"
 #include "config/routing.hpp"
 #include "config/types.hpp"
@@ -37,33 +36,31 @@ double firmware_entropy(const std::vector<const DeviceRecord*>& devices) {
   return normalized_pair_entropy(devices, [](const DeviceRecord& d) { return d.firmware; });
 }
 
-ProtocolUsage count_protocols(const std::vector<DeviceConfig>& configs) {
-  std::set<std::string> l2, l3;
-  for (const auto& cfg : configs) {
-    for (const auto& s : cfg.stanzas()) {
-      for (const auto& construct : constructs_of(s.type)) {
-        switch (layer_of(construct)) {
-          case PlaneLayer::kL2: l2.insert(construct); break;
-          case PlaneLayer::kL3: l3.insert(construct); break;
-          case PlaneLayer::kNeither: break;
-        }
+ProtocolUsage count_protocols(const std::vector<DeviceView>& network) {
+  std::set<std::string_view> l2, l3;
+  for (const auto& dev : network) {
+    for (const auto& s : dev.config().stanzas()) {
+      const std::string_view construct = dev.construct_of(s);
+      switch (layer_of(construct)) {
+        case PlaneLayer::kL2: l2.insert(construct); break;
+        case PlaneLayer::kL3: l3.insert(construct); break;
+        case PlaneLayer::kNeither: break;
       }
     }
   }
   return ProtocolUsage{static_cast<int>(l2.size()), static_cast<int>(l3.size())};
 }
 
-int count_vlans(const std::vector<DeviceConfig>& configs) {
-  std::set<std::string> vlans;
-  for (const auto& cfg : configs)
-    for (const auto& s : cfg.stanzas())
-      if (normalize_type(s.type) == "vlan") vlans.insert(s.name);
+int count_vlans(const std::vector<DeviceView>& network) {
+  std::set<std::string_view> vlans;
+  for (const auto& dev : network)
+    for (const auto& name : dev.names_of("vlan")) vlans.insert(name);
   return static_cast<int>(vlans.size());
 }
 
 void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
-                            const std::vector<DeviceConfig>& configs, Case& out) {
+                            const std::vector<DeviceView>& network, Case& out) {
   out[Practice::kNumWorkloads] = static_cast<double>(net.workloads.size());
   out[Practice::kNumDevices] = static_cast<double>(devices.size());
 
@@ -83,15 +80,13 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kHardwareEntropy] = hardware_entropy(devices);
   out[Practice::kFirmwareEntropy] = firmware_entropy(devices);
 
-  const ProtocolUsage protos = count_protocols(configs);
+  const ProtocolUsage protos = count_protocols(network);
   out[Practice::kNumL2Protocols] = protos.l2;
   out[Practice::kNumL3Protocols] = protos.l3;
   out[Practice::kNumProtocols] = protos.total();
-  out[Practice::kNumVlans] = count_vlans(configs);
+  out[Practice::kNumVlans] = count_vlans(network);
 
-  // One index per device serves routing instances and references.
-  const auto views = views_of(configs);
-  const auto instances = routing_instances_of(views);
+  const auto instances = extract_routing_instances(network);
   const InstanceStats bgp = instance_stats(instances, "bgp");
   const InstanceStats ospf = instance_stats(instances, "ospf");
   out[Practice::kNumBgpInstances] = bgp.count;
@@ -99,9 +94,15 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kAvgBgpInstanceSize] = bgp.mean_size;
   out[Practice::kAvgOspfInstanceSize] = ospf.mean_size;
 
-  const NetworkComplexity cx = referential_complexity_of(views);
+  const NetworkComplexity cx = referential_complexity(network);
   out[Practice::kIntraDeviceComplexity] = cx.mean_intra;
   out[Practice::kInterDeviceComplexity] = cx.mean_inter;
+}
+
+void compute_design_metrics(const NetworkRecord& net,
+                            const std::vector<const DeviceRecord*>& devices,
+                            const std::vector<DeviceConfig>& configs, Case& out) {
+  compute_design_metrics(net, devices, views_of(configs), out);
 }
 
 }  // namespace mpa

@@ -1,13 +1,13 @@
 // Design-practice inference (Table 1, D1-D6).
 //
-// Inputs are the inventory records for one network plus the parsed
-// configuration state of its devices (at some point in time, typically
-// the end of an analysis month).
+// Inputs are the inventory records for one network plus a DeviceView
+// of each device's parsed configuration state (at some point in time,
+// typically the end of an analysis month).
 #pragma once
 
 #include <vector>
 
-#include "config/stanza.hpp"
+#include "config/device_view.hpp"
 #include "metrics/case_table.hpp"
 #include "model/inventory.hpp"
 
@@ -30,13 +30,18 @@ struct ProtocolUsage {
   int total() const { return l2 + l3; }
 };
 
-ProtocolUsage count_protocols(const std::vector<DeviceConfig>& configs);
+ProtocolUsage count_protocols(const std::vector<DeviceView>& network);
 
 /// Number of distinct VLANs configured network-wide (D4 instance count).
-int count_vlans(const std::vector<DeviceConfig>& configs);
+int count_vlans(const std::vector<DeviceView>& network);
 
 /// Fill the design-practice fields of `out` from inventory + configs.
 /// Operational fields and tickets are left untouched.
+void compute_design_metrics(const NetworkRecord& net,
+                            const std::vector<const DeviceRecord*>& devices,
+                            const std::vector<DeviceView>& network, Case& out);
+
+/// compute_design_metrics() over a view of each config.
 void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceConfig>& configs, Case& out);

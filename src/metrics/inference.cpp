@@ -72,7 +72,7 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     for (std::size_t i = begin; i < snaps.size(); ++i) {
       tl.times.push_back(snaps[i].time);
       tl.configs.push_back(parse(snaps[i].text, dialect, d->device_id, map));
-      tl.sources.emplace_back(tl.configs.back(), map);
+      tl.sources.emplace_back(map);
     }
     for (std::size_t i = 1; i < tl.configs.size(); ++i) {
       auto stanza_changes = diff(tl.configs[i - 1], tl.configs[i]);
@@ -107,23 +107,20 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     row.network_id = net.network_id;
     row.month = m;
 
-    // Design metrics from the configuration state at month end.
-    std::vector<DeviceConfig> state;
-    std::vector<LintInput> lint_inputs;
+    // The configuration state at month end: one view per device over
+    // its timeline's config and source, read by both the design
+    // metrics and the hygiene lint.
+    std::vector<DeviceView> state;
     state.reserve(timelines.size());
-    lint_inputs.reserve(timelines.size());
     for (const auto& [dev_id, tl] : timelines) {
       const int idx = tl.state_before(m_end);
       if (idx < 0) continue;
-      state.push_back(tl.configs[static_cast<std::size_t>(idx)]);
-      lint_inputs.push_back(LintInput{&tl.configs[static_cast<std::size_t>(idx)],
-                                      &tl.sources[static_cast<std::size_t>(idx)]});
+      const auto i = static_cast<std::size_t>(idx);
+      state.emplace_back(tl.configs[i], &tl.sources[i]);
     }
     compute_design_metrics(net, devices, state, row);
-
-    // Hygiene metrics from linting the same month-end state.
-    const auto diags = run_lint(lint_inputs, opts.lint);
-    apply_lint_metrics(LintSummary::of(diags, lint_inputs.size()), row);
+    const auto diags = run_lint(state, opts.lint);
+    apply_lint_metrics(LintSummary::of(diags, state.size()), row);
 
     // Operational metrics from this month's changes.
     std::vector<const ChangeRecord*> month_changes;

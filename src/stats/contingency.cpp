@@ -7,17 +7,6 @@
 
 namespace mpa {
 
-bool small_cardinality(std::span<const int> v, int limit, int* cardinality) {
-  int hi = -1;
-  for (int x : v) {
-    if (x < 0) return false;
-    hi = std::max(hi, x);
-  }
-  if (hi >= limit) return false;
-  *cardinality = hi + 1;
-  return true;
-}
-
 double PlogpCache::plogp(std::uint32_t c) {
   if (static_cast<std::size_t>(c) >= val_.size()) {
     val_.resize(c + 1, 0.0);

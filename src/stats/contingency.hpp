@@ -1,9 +1,9 @@
 // Dense, allocation-free contingency kernels for the info-theory hot
 // paths (§5.1). The public entropy / MI / CMI entry points in
-// stats/info.hpp delegate here whenever their inputs are
-// small-cardinality non-negative ints (binned data always is); the
-// original std::map-based implementations are retained in
-// mpa::reference as a test oracle.
+// stats/info.hpp count here, and require small-cardinality
+// non-negative ints (binned data always is); the original
+// std::map-based implementations are retained in mpa::reference as a
+// test oracle.
 //
 // Bit-compatibility contract: every entropy term is accumulated cell by
 // cell in ascending flat-index order, skipping empty cells, with the
@@ -21,16 +21,12 @@
 
 namespace mpa {
 
-/// Per-variable cardinality cap for the dense kernels; larger-alphabet
-/// inputs fall back to the map-based reference path.
+/// Per-variable cardinality cap for the dense kernels; the
+/// stats/info.hpp entry points reject larger alphabets.
 inline constexpr int kMaxDenseBins = 4096;
 
 /// Cap on total cells of any dense count table (joint tables included).
 inline constexpr std::size_t kMaxDenseCells = std::size_t{1} << 20;
-
-/// Scan for the dense-kernel precondition: all values non-negative and
-/// below `limit`. On success stores max+1 in `cardinality`.
-bool small_cardinality(std::span<const int> v, int limit, int* cardinality);
 
 /// Shared memo table for the per-cell entropy term p*log2(p) with
 /// p = c/n: within one kernel invocation every cell count c maps to the

@@ -1,9 +1,12 @@
 #include "stats/info.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <set>
-#include <tuple>
+#include <string>
+#include <string_view>
 
 #include "stats/contingency.hpp"
 #include "util/error.hpp"
@@ -24,9 +27,40 @@ CmiAccumulator& scratch_cmi() {
   return acc;
 }
 
-bool dense_pair(std::span<const int> x, std::span<const int> y, int* cx, int* cy) {
-  return small_cardinality(x, kMaxDenseBins, cx) && small_cardinality(y, kMaxDenseBins, cy) &&
-         static_cast<std::size_t>(*cx) * static_cast<std::size_t>(*cy) <= kMaxDenseCells;
+/// Cardinality (max + 1) of each variable of one call, checked against
+/// the dense kernels' precondition: no negative value, no alphabet over
+/// kMaxDenseBins, and no joint table over kMaxDenseCells. The variables
+/// must be non-empty.
+template <std::size_t N>
+std::array<int, N> dense_cardinalities(std::string_view fn,
+                                       const std::array<std::span<const int>, N>& vars) {
+  std::array<int, N> card{};
+  std::size_t cells = 1;
+  std::string_view broken;
+  for (std::size_t i = 0; i < N && broken.empty(); ++i) {
+    const auto [lo, hi] = std::minmax_element(vars[i].begin(), vars[i].end());
+    if (*lo < 0) {
+      broken = "a negative value";
+    } else if (*hi >= kMaxDenseBins) {
+      broken = "an alphabet over kMaxDenseBins";
+    } else {
+      card[i] = *hi + 1;
+      cells *= static_cast<std::size_t>(card[i]);
+    }
+  }
+  if (broken.empty() && cells > kMaxDenseCells) broken = "a table over kMaxDenseCells";
+  require(broken.empty(), std::string(fn) + ": input has " + std::string(broken));
+  return card;
+}
+
+/// The scratch table holding the joint counts of non-empty (x, y).
+ContingencyTable& joint_counts(std::string_view fn, std::span<const int> x,
+                               std::span<const int> y) {
+  const auto [cx, cy] = dense_cardinalities(fn, std::array{x, y});
+  ContingencyTable& t = scratch_table();
+  t.reset(cx, cy);
+  t.count(x, y);
+  return t;
 }
 
 }  // namespace
@@ -107,8 +141,7 @@ double conditional_mutual_information(std::span<const int> x1, std::span<const i
 
 double entropy(std::span<const int> x) {
   if (x.empty()) return 0;
-  int cx = 0;
-  if (!small_cardinality(x, kMaxDenseBins, &cx)) return reference::entropy(x);
+  const auto [cx] = dense_cardinalities("entropy", std::array{x});
   ContingencyTable& t = scratch_table();
   t.reset(cx, 1);
   t.count_values(x);
@@ -118,34 +151,19 @@ double entropy(std::span<const int> x) {
 double conditional_entropy(std::span<const int> y, std::span<const int> x) {
   require(x.size() == y.size(), "conditional_entropy: length mismatch");
   if (x.empty()) return 0;
-  int cx = 0, cy = 0;
-  if (!dense_pair(x, y, &cx, &cy)) return reference::conditional_entropy(y, x);
-  ContingencyTable& t = scratch_table();
-  t.reset(cx, cy);
-  t.count(x, y);
-  return t.conditional_entropy_y_given_x();
+  return joint_counts("conditional_entropy", x, y).conditional_entropy_y_given_x();
 }
 
 double mutual_information(std::span<const int> x, std::span<const int> y) {
   require(x.size() == y.size(), "mutual_information: length mismatch");
   require(!x.empty(), "mutual_information: empty input");
-  int cx = 0, cy = 0;
-  if (!dense_pair(x, y, &cx, &cy)) return reference::mutual_information(x, y);
-  ContingencyTable& t = scratch_table();
-  t.reset(cx, cy);
-  t.count(x, y);
-  return t.mutual_information();
+  return joint_counts("mutual_information", x, y).mutual_information();
 }
 
 double mutual_information_mm(std::span<const int> x, std::span<const int> y) {
   require(x.size() == y.size(), "mutual_information: length mismatch");
   require(!x.empty(), "mutual_information: empty input");
-  int cx = 0, cy = 0;
-  if (!dense_pair(x, y, &cx, &cy)) return reference::mutual_information_mm(x, y);
-  ContingencyTable& t = scratch_table();
-  t.reset(cx, cy);
-  t.count(x, y);
-  return t.mutual_information_mm();
+  return joint_counts("mutual_information_mm", x, y).mutual_information_mm();
 }
 
 double conditional_mutual_information(std::span<const int> x1, std::span<const int> x2,
@@ -153,15 +171,8 @@ double conditional_mutual_information(std::span<const int> x1, std::span<const i
   require(x1.size() == x2.size() && x1.size() == y.size(),
           "conditional_mutual_information: length mismatch");
   require(!x1.empty(), "conditional_mutual_information: empty input");
-  int c1 = 0, c2 = 0, cy = 0;
-  const bool dense =
-      small_cardinality(x1, kMaxDenseBins, &c1) && small_cardinality(x2, kMaxDenseBins, &c2) &&
-      small_cardinality(y, kMaxDenseBins, &cy) &&
-      static_cast<std::size_t>(c2) * static_cast<std::size_t>(cy) <= kMaxDenseCells &&
-      static_cast<std::size_t>(c2) * static_cast<std::size_t>(cy) *
-              static_cast<std::size_t>(c1) <=
-          kMaxDenseCells;
-  if (!dense) return reference::conditional_mutual_information(x1, x2, y);
+  const auto [c1, c2, cy] =
+      dense_cardinalities("conditional_mutual_information", std::array{x1, x2, y});
   CmiAccumulator& acc = scratch_cmi();
   acc.reset(c1, c2, cy);
   acc.count(x1, x2, y);

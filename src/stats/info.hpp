@@ -6,11 +6,12 @@
 // defined as H(X1|Y) - H(X1|X2, Y)."
 //
 // All quantities operate on discretized (binned) samples and are
-// measured in bits. Small-cardinality non-negative inputs (binned data
-// always qualifies) are computed on the dense, allocation-free
-// contingency kernels in stats/contingency.hpp; other inputs fall back
-// to the std::map-based reference implementations in mpa::reference,
-// which the dense kernels match bit for bit.
+// measured in bits, computed on the dense, allocation-free contingency
+// kernels in stats/contingency.hpp. Their precondition: every value is
+// a bin index in [0, kMaxDenseBins) and the joint table has at most
+// kMaxDenseCells cells (binned data always qualifies). Input outside it
+// — a negative value, an alphabet over kMaxDenseBins, or a table over
+// kMaxDenseCells — throws PreconditionError naming what broke.
 #pragma once
 
 #include <span>
@@ -48,8 +49,7 @@ double entropy_of_counts(std::span<const double> counts);
 /// The original std::map-based kernels, retained verbatim as the
 /// oracle for the dense contingency kernels: equivalence tests assert
 /// the two paths agree exactly, and the dense-vs-map benchmarks
-/// measure the speedup against them. Also the fallback for inputs the
-/// dense path cannot hold (negative values or huge alphabets).
+/// measure the speedup against them. They accept any int values.
 namespace reference {
 double entropy(std::span<const int> x);
 double conditional_entropy(std::span<const int> y, std::span<const int> x);

@@ -69,22 +69,22 @@ TEST(Protocols, CountsDistinctConstructs) {
                    {"router bgp", "65001"}},
                   "a");
   const DeviceConfig b = config_with({{"vlans", "100"}, {"protocols-ospf", "1"}}, "b");
-  const ProtocolUsage u = count_protocols({a, b});
+  const ProtocolUsage u = count_protocols(views_of({a, b}));
   EXPECT_EQ(u.l2, 2);  // vlan + spanning-tree (union across devices)
   EXPECT_EQ(u.l3, 2);  // bgp + ospf
   EXPECT_EQ(u.total(), 4);
 }
 
 TEST(Protocols, EmptyNetwork) {
-  const ProtocolUsage u = count_protocols({});
+  const ProtocolUsage u = count_protocols(views_of({}));
   EXPECT_EQ(u.total(), 0);
 }
 
 TEST(Vlans, DistinctAcrossDevicesAndDialects) {
   const DeviceConfig a = config_with({{"vlan", "100"}, {"vlan", "200"}}, "a");
   const DeviceConfig b = config_with({{"vlans", "200"}, {"vlans", "300"}}, "b");
-  EXPECT_EQ(count_vlans({a, b}), 3);
-  EXPECT_EQ(count_vlans({}), 0);
+  EXPECT_EQ(count_vlans(views_of({a, b})), 3);
+  EXPECT_EQ(count_vlans(views_of({})), 0);
 }
 
 TEST(DesignMetrics, FillsCaseFields) {

@@ -1,6 +1,7 @@
 // Tests for entropy / mutual information / conditional MI.
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "stats/contingency.hpp"
@@ -141,23 +142,56 @@ TEST(Info, DenseKernelsMatchReferenceExactly) {
   }
 }
 
-// Inputs the dense path cannot hold (negative values, huge alphabets)
-// must silently take the reference fallback and still agree with it.
-TEST(Info, FallbackPathsMatchReference) {
+/// The message of the PreconditionError `f` throws ("" if none).
+template <typename F>
+std::string precondition_message(F f) {
+  try {
+    f();
+  } catch (const PreconditionError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+// Input outside the dense kernels' domain fails a precondition that
+// names what broke: a negative value, an alphabet over kMaxDenseBins,
+// or a joint table over kMaxDenseCells. The reference oracle still
+// takes any ints.
+TEST(Info, OutOfRangeInputsFailPrecondition) {
   const std::vector<int> neg{-3, -1, -3, 0, 2, -1};
   const std::vector<int> pos{0, 1, 1, 0, 2, 2};
-  EXPECT_EQ(entropy(neg), reference::entropy(neg));
-  EXPECT_EQ(mutual_information(neg, pos), reference::mutual_information(neg, pos));
-  EXPECT_EQ(mutual_information(pos, neg), reference::mutual_information(pos, neg));
-  EXPECT_EQ(conditional_mutual_information(neg, pos, pos),
-            reference::conditional_mutual_information(neg, pos, pos));
+  const std::vector<int> huge{0, kMaxDenseBins + 5, 7, kMaxDenseBins + 5, 0, 7};
+  // Each alphabet fits, but 1500 x 1500 cells exceed kMaxDenseCells.
+  const std::vector<int> wide_a{0, 1499, 3, 1499, 0, 3};
+  const std::vector<int> wide_b{1499, 0, 1499, 5, 5, 0};
+  const auto has = [](const std::string& msg, const char* what) {
+    return msg.find(what) != std::string::npos;
+  };
+  const char* kNegative = "a negative value";
+  const char* kAlphabet = "an alphabet over kMaxDenseBins";
+  const char* kTable = "a table over kMaxDenseCells";
 
-  // Values past the dense cardinality cap force the map path.
-  std::vector<int> huge{0, kMaxDenseBins + 5, 7, kMaxDenseBins + 5, 0, 7};
-  EXPECT_EQ(entropy(huge), reference::entropy(huge));
-  EXPECT_EQ(mutual_information(huge, pos), reference::mutual_information(huge, pos));
-  EXPECT_EQ(conditional_mutual_information(pos, huge, pos),
-            reference::conditional_mutual_information(pos, huge, pos));
+  EXPECT_TRUE(has(precondition_message([&] { entropy(neg); }), kNegative));
+  EXPECT_TRUE(has(precondition_message([&] { conditional_entropy(pos, neg); }), kNegative));
+  EXPECT_TRUE(has(precondition_message([&] { mutual_information(neg, pos); }), kNegative));
+  EXPECT_TRUE(has(precondition_message([&] { mutual_information(pos, neg); }), kNegative));
+  EXPECT_TRUE(has(precondition_message([&] { mutual_information_mm(pos, neg); }), kNegative));
+  EXPECT_TRUE(has(precondition_message([&] { conditional_mutual_information(neg, pos, pos); }),
+                  kNegative));
+
+  EXPECT_TRUE(has(precondition_message([&] { entropy(huge); }), kAlphabet));
+  EXPECT_TRUE(has(precondition_message([&] { mutual_information(huge, pos); }), kAlphabet));
+  EXPECT_TRUE(has(precondition_message([&] { conditional_mutual_information(pos, huge, pos); }),
+                  kAlphabet));
+
+  EXPECT_TRUE(has(precondition_message([&] { mutual_information(wide_a, wide_b); }), kTable));
+  EXPECT_TRUE(has(precondition_message([&] { conditional_entropy(wide_b, wide_a); }), kTable));
+  EXPECT_TRUE(has(
+      precondition_message([&] { conditional_mutual_information(pos, wide_a, wide_b); }), kTable));
+
+  EXPECT_NO_THROW(reference::entropy(neg));
+  EXPECT_NO_THROW(reference::mutual_information(huge, pos));
+  EXPECT_NO_THROW(reference::mutual_information(wide_a, wide_b));
 }
 
 // Interleave dense calls with different (n, cardinality) shapes: the

@@ -448,8 +448,8 @@ TEST(LintSuppression, PragmasSurviveRenderParseRoundTrip) {
   const DeviceConfig parsed = parse(ios, Dialect::kIosLike, "dev");
   EXPECT_NE(parsed.find("ip access-list", "lonely"), nullptr);
   const LintSource src = LintSource::scan(ios, Dialect::kIosLike);
-  EXPECT_TRUE(src.suppresses("unreferenced-acl", "ip access-list", "lonely"));
-  EXPECT_FALSE(src.suppresses("empty-acl", "ip access-list", "lonely"));
+  EXPECT_TRUE(src.suppresses("unreferenced-acl", 0));
+  EXPECT_FALSE(src.suppresses("empty-acl", 0));
 }
 
 // ----------------------------------------------------------- source spans
@@ -474,8 +474,9 @@ TEST(LintSpans, DiagnosticsCarryRenderedLineRanges) {
   }
 }
 
-/// One stanza's expected source info: its span, and rule ids that must
-/// (and must not) be suppressed on it.
+/// One stanza's expected source info, in stanza order: its native type
+/// and name, its span, and rule ids that must (and must not) be
+/// suppressed on it.
 struct SpanRow {
   const char* type;
   const char* name;
@@ -574,21 +575,91 @@ TEST(LintSpans, SpanAndPragmaTable) {
          {"empty-acl", "unreferenced-vlan"}},
         {"udld", "", 18, 19, {"dangling-acl-ref"}, {}}},
        {"unused-interface-up"}},
+      {"ios repeated header keeps its own span and pragmas",
+       Dialect::kIosLike,
+       "! device dev\n"                             // 1
+       "! lint-disable unused-interface-up\n"       // 2
+       "interface Gi0/1\n"                          // 3
+       "  description first\n"                      // 4
+       "!\n"                                        // 5
+       "interface Gi0/1\n"                          // 6
+       "  description second\n"                     // 7
+       "!\n",                                       // 8
+       {{"interface", "Gi0/1", 3, 5, {"unused-interface-up"}, {}},
+        {"interface", "Gi0/1", 6, 8, {}, {"unused-interface-up"}}},
+       {}},
+      {"junos repeated block keeps its own span and pragmas",
+       Dialect::kJunosLike,
+       "/* device dev */\n"                          // 1
+       "/* lint-disable unused-interface-up */\n"    // 2
+       "interfaces xe-0/0/0 {\n"                     // 3
+       "    description first;\n"                    // 4
+       "}\n"                                         // 5
+       "interfaces xe-0/0/0 {\n"                     // 6
+       "    description second;\n"                   // 7
+       "}\n",                                        // 8
+       {{"interfaces", "xe-0/0/0", 3, 5, {"unused-interface-up"}, {}},
+        {"interfaces", "xe-0/0/0", 6, 8, {}, {"unused-interface-up"}}},
+       {}},
   };
   for (const auto& c : cases) {
     SCOPED_TRACE(c.label);
+    // Rows are in stanza order: row i describes the parsed config's
+    // stanza i, which is what the source is indexed by.
+    const DeviceConfig config = parse(c.text, c.dialect, "dev");
     const LintSource src = LintSource::scan(c.text, c.dialect);
-    for (const auto& row : c.stanzas) {
+    ASSERT_EQ(config.stanzas().size(), c.stanzas.size());
+    ASSERT_EQ(src.size(), c.stanzas.size());
+    for (std::size_t i = 0; i < c.stanzas.size(); ++i) {
+      const SpanRow& row = c.stanzas[i];
       SCOPED_TRACE(std::string(row.type) + " " + row.name);
-      EXPECT_EQ(src.span_of(row.type, row.name), (SourceSpan{row.first_line, row.last_line}));
-      for (const char* id : row.suppressed)
-        EXPECT_TRUE(src.suppresses(id, row.type, row.name)) << id;
-      for (const char* id : row.active)
-        EXPECT_FALSE(src.suppresses(id, row.type, row.name)) << id;
+      EXPECT_EQ(config.stanzas()[i].type, row.type);
+      EXPECT_EQ(config.stanzas()[i].name, row.name);
+      EXPECT_EQ(src.span_of(i), (SourceSpan{row.first_line, row.last_line}));
+      for (const char* id : row.suppressed) EXPECT_TRUE(src.suppresses(id, i)) << id;
+      for (const char* id : row.active) EXPECT_FALSE(src.suppresses(id, i)) << id;
     }
-    EXPECT_EQ(src.span_of("interface", "absent"), SourceSpan{});
-    for (const char* id : c.file_suppressed) EXPECT_TRUE(src.suppresses(id, "", "")) << id;
-    EXPECT_FALSE(src.suppresses("subnet-overlap", "", ""));
+    EXPECT_EQ(src.span_of(c.stanzas.size()), SourceSpan{});
+    for (const char* id : c.file_suppressed) EXPECT_TRUE(src.suppresses(id)) << id;
+    EXPECT_FALSE(src.suppresses("subnet-overlap"));
+  }
+}
+
+// A header that repeats in one text is two stanzas: each finding on the
+// second copy carries the second copy's lines, and a pragma on the
+// first copy does not suppress it.
+TEST(LintSpans, RepeatedHeaderKeepsItsOwnSpanAndPragmas) {
+  const std::string ios =
+      "! device dev\n"
+      "! lint-disable unused-interface-up\n"
+      "interface Gi0/1\n"
+      "  description first\n"
+      "!\n"
+      "interface Gi0/1\n"
+      "  description second\n"
+      "!\n";
+  const std::string junos =
+      "/* device dev */\n"
+      "/* lint-disable unused-interface-up */\n"
+      "interfaces xe-0/0/0 {\n"
+      "    description first;\n"
+      "}\n"
+      "interfaces xe-0/0/0 {\n"
+      "    description second;\n"
+      "}\n";
+  for (const auto& [text, d] : {std::pair{ios, Dialect::kIosLike},
+                                std::pair{junos, Dialect::kJunosLike}}) {
+    LintOptions opts;
+    opts.keep_suppressed = true;
+    std::vector<const Diagnostic*> found;
+    const auto diags = lint_network_text({DeviceText{"dev", text, d}}, opts);
+    for (const auto& diag : diags)
+      if (diag.rule_id == "unused-interface-up") found.push_back(&diag);
+    ASSERT_EQ(found.size(), 2u);
+    EXPECT_EQ(found[0]->span, (SourceSpan{3, 5}));
+    EXPECT_TRUE(found[0]->suppressed);
+    EXPECT_EQ(found[1]->span, (SourceSpan{6, 8}));
+    EXPECT_FALSE(found[1]->suppressed);
   }
 }
 
@@ -629,13 +700,13 @@ TEST(LintOptionsTest, PerRuleDisableAndGlobalDisable) {
 
   LintOptions off_one;
   off_one.enable["dangling-acl-ref"] = false;
-  EXPECT_EQ(count_rule(lint_device(c, off_one), "dangling-acl-ref"), 0);
-  EXPECT_GT(lint_device(c, off_one).size(), 0u);  // other rules still run
+  EXPECT_EQ(count_rule(run_lint(views_of({c}), off_one), "dangling-acl-ref"), 0);
+  EXPECT_GT(run_lint(views_of({c}), off_one).size(), 0u);  // other rules still run
 
   LintOptions only_one;
   only_one.enable["all"] = false;
   only_one.enable["dangling-acl-ref"] = true;
-  const auto diags = lint_device(c, only_one);
+  const auto diags = run_lint(views_of({c}), only_one);
   EXPECT_EQ(count_rule(diags, "dangling-acl-ref"), 1);
   EXPECT_EQ(diags.size(), 1u);
 }
@@ -645,7 +716,7 @@ TEST(LintOptionsTest, SeverityOverride) {
   c.add(make("ip access-list", "lonely", {{"permit", "tcp any any eq 443"}}));
   LintOptions opts;
   opts.severity["unreferenced-acl"] = LintSeverity::kError;
-  const auto diags = lint_device(c, opts);
+  const auto diags = run_lint(views_of({c}), opts);
   const Diagnostic* diag = find_rule(diags, "unreferenced-acl");
   ASSERT_NE(diag, nullptr);
   EXPECT_EQ(diag->severity, LintSeverity::kError);
@@ -667,7 +738,7 @@ TEST(LintOptionsTest, CustomRegistry) {
   LintOptions opts;
   opts.registry = &reg;
   DeviceConfig c("dev");
-  const auto diags = lint_device(c, opts);
+  const auto diags = run_lint(views_of({c}), opts);
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule_id, "every-device");
   EXPECT_TRUE(diags[0].object.empty());

@@ -35,12 +35,12 @@ TEST(Refs, IntraAclAttachment) {
   i.name = "Eth0";
   i.set("ip access-group", "edge");
   c.add(i);
-  EXPECT_EQ(count_intra_refs(c), 0);  // ACL not defined -> dangling, no ref
+  EXPECT_EQ(count_intra_refs(DeviceView(c)), 0);  // ACL not defined -> dangling, no ref
   Stanza a;
   a.type = "ip access-list";
   a.name = "edge";
   c.add(a);
-  EXPECT_EQ(count_intra_refs(c), 1);
+  EXPECT_EQ(count_intra_refs(DeviceView(c)), 1);
 }
 
 TEST(Refs, IntraVlanMembershipBothDialects) {
@@ -55,7 +55,7 @@ TEST(Refs, IntraVlanMembershipBothDialects) {
   v.type = "vlan";
   v.name = "100";
   ios.add(v);
-  EXPECT_EQ(count_intra_refs(ios), 1);
+  EXPECT_EQ(count_intra_refs(DeviceView(ios)), 1);
 
   // JunOS-like: membership under the vlan.
   DeviceConfig junos("d2");
@@ -68,13 +68,13 @@ TEST(Refs, IntraVlanMembershipBothDialects) {
   jv.name = "100";
   jv.set("interface", "xe-0/0/0");
   junos.add(jv);
-  EXPECT_EQ(count_intra_refs(junos), 1);
+  EXPECT_EQ(count_intra_refs(DeviceView(junos)), 1);
 }
 
 TEST(Refs, IntraRouterNetworkCoversInterface) {
   const DeviceConfig c = router_with_refs();
   // Refs: acl attach (1) + bgp network statement covering Eth0 (1).
-  EXPECT_EQ(count_intra_refs(c), 2);
+  EXPECT_EQ(count_intra_refs(DeviceView(c)), 2);
 }
 
 TEST(Refs, IntraVirtualServerPool) {
@@ -89,7 +89,7 @@ TEST(Refs, IntraVirtualServerPool) {
   vs.name = "vip";
   vs.set("pool", "web");
   c.add(vs);
-  EXPECT_EQ(count_intra_refs(c), 1);
+  EXPECT_EQ(count_intra_refs(DeviceView(c)), 1);
 }
 
 TEST(Refs, IntraLagMember) {
@@ -103,7 +103,7 @@ TEST(Refs, IntraLagMember) {
   lag.name = "ae0";
   lag.set("member", "Eth0");
   c.add(lag);
-  EXPECT_EQ(count_intra_refs(c), 1);
+  EXPECT_EQ(count_intra_refs(DeviceView(c)), 1);
 }
 
 TEST(Refs, InterBgpNeighbor) {
@@ -115,10 +115,11 @@ TEST(Refs, InterBgpNeighbor) {
   i.set("ip address", "10.0.0.2/24");
   b.add(i);
   const std::vector<DeviceConfig> net{a, b};
+  const auto views = views_of(net);
   // a's neighbor 10.0.0.2 is b's interface address (1), and a's network
   // statement covers the 10.0.0.0/24 subnet shared with b (1).
-  EXPECT_EQ(count_inter_refs(a, net), 2);
-  EXPECT_EQ(count_inter_refs(b, net), 0);  // b has no bgp/vlan stanzas
+  EXPECT_EQ(count_inter_refs(views[0], views), 2);
+  EXPECT_EQ(count_inter_refs(views[1], views), 0);  // b has no bgp/vlan stanzas
 }
 
 TEST(Refs, InterVlanSpanning) {
@@ -134,14 +135,16 @@ TEST(Refs, InterVlanSpanning) {
   v2.name = "200";
   c.add(v2);
   const std::vector<DeviceConfig> net{a, b, c};
-  EXPECT_EQ(count_inter_refs(a, net), 1);  // vlan 100 also on b
-  EXPECT_EQ(count_inter_refs(c, net), 0);  // vlan 200 unique
+  const auto views = views_of(net);
+  EXPECT_EQ(count_inter_refs(views[0], views), 1);  // vlan 100 also on b
+  EXPECT_EQ(count_inter_refs(views[2], views), 0);  // vlan 200 unique
 }
 
 TEST(Refs, SelfIsExcludedFromPeers) {
-  const DeviceConfig a = router_with_refs();
+  const std::vector<DeviceConfig> net{router_with_refs()};
+  const auto views = views_of(net);
   // Peer list containing only the device itself yields no inter refs.
-  EXPECT_EQ(count_inter_refs(a, {a}), 0);
+  EXPECT_EQ(count_inter_refs(views[0], views), 0);
 }
 
 TEST(Refs, NetworkComplexityAverages) {
@@ -152,7 +155,8 @@ TEST(Refs, NetworkComplexityAverages) {
   i.name = "Eth0";
   i.set("ip address", "10.0.0.2/24");
   b.add(i);
-  const NetworkComplexity cx = referential_complexity({a, b});
+  const std::vector<DeviceConfig> net{a, b};
+  const NetworkComplexity cx = referential_complexity(views_of(net));
   EXPECT_DOUBLE_EQ(cx.mean_intra, (2 + 0) / 2.0);
   EXPECT_DOUBLE_EQ(cx.mean_inter, (2 + 0) / 2.0);
 }

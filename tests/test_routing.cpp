@@ -33,8 +33,9 @@ DeviceConfig ospf_router(const std::string& id, const std::string& subnet, int p
 }
 
 TEST(Routing, ExtractProcesses) {
-  const auto procs = extract_processes({bgp_router("a", "10.0.0.1", "10.0.0.2", "65001"),
-                                        ospf_router("b", "10.1.0.0/24", 1)});
+  const auto procs =
+      extract_processes(views_of({bgp_router("a", "10.0.0.1", "10.0.0.2", "65001"),
+                                  ospf_router("b", "10.1.0.0/24", 1)}));
   ASSERT_EQ(procs.size(), 2u);
   EXPECT_EQ(procs[0].protocol, "bgp");
   EXPECT_EQ(procs[0].key, "65001");
@@ -49,7 +50,7 @@ TEST(Routing, BgpChainFormsOneInstance) {
       bgp_router("b", "10.0.0.2", "10.0.0.3", "65001"),
       bgp_router("c", "10.0.0.3", "", "65001"),
   };
-  const auto instances = extract_routing_instances(net);
+  const auto instances = extract_routing_instances(views_of(net));
   ASSERT_EQ(instances.size(), 1u);
   EXPECT_EQ(instances[0].protocol, "bgp");
   EXPECT_EQ(instances[0].size(), 3u);
@@ -61,7 +62,7 @@ TEST(Routing, DisjointBgpGroups) {
       bgp_router("b", "10.0.0.2", "", "65001"),
       bgp_router("c", "10.0.1.1", "192.0.2.1", "65002"),  // external peer
   };
-  const auto instances = extract_routing_instances(net);
+  const auto instances = extract_routing_instances(views_of(net));
   const InstanceStats st = instance_stats(instances, "bgp");
   EXPECT_EQ(st.count, 2);
   EXPECT_DOUBLE_EQ(st.mean_size, (2 + 1) / 2.0);
@@ -73,7 +74,7 @@ TEST(Routing, OspfSharedSubnetAdjacency) {
       ospf_router("b", "10.5.0.0/24", 1),
       ospf_router("c", "10.6.0.0/24", 1),
   };
-  const auto instances = extract_routing_instances(net);
+  const auto instances = extract_routing_instances(views_of(net));
   const InstanceStats st = instance_stats(instances, "ospf");
   EXPECT_EQ(st.count, 2);
 }
@@ -84,7 +85,7 @@ TEST(Routing, OspfNonCanonicalSubnetsStillMatch) {
       ospf_router("a", "10.5.0.1/24", 1),
       ospf_router("b", "10.5.0.200/24", 1),
   };
-  const auto instances = extract_routing_instances(net);
+  const auto instances = extract_routing_instances(views_of(net));
   EXPECT_EQ(instance_stats(instances, "ospf").count, 1);
 }
 
@@ -94,7 +95,7 @@ TEST(Routing, ProtocolsNeverMix) {
   DeviceConfig a = bgp_router("a", "10.0.0.1", "", "65001");
   a.find("router bgp", "65001")->set("network", "10.5.0.0/24");
   const std::vector<DeviceConfig> net{a, ospf_router("b", "10.5.0.0/24", 1)};
-  const auto instances = extract_routing_instances(net);
+  const auto instances = extract_routing_instances(views_of(net));
   EXPECT_EQ(instances.size(), 2u);
 }
 
@@ -110,7 +111,7 @@ TEST(Routing, MstpRegionsGroup) {
   };
   const std::vector<DeviceConfig> net{make_switch("a", "r1"), make_switch("b", "r1"),
                                       make_switch("c", "r2")};
-  const auto instances = extract_routing_instances(net);
+  const auto instances = extract_routing_instances(views_of(net));
   const InstanceStats st = instance_stats(instances, "mstp");
   EXPECT_EQ(st.count, 2);
   EXPECT_DOUBLE_EQ(st.mean_size, 1.5);
@@ -130,7 +131,7 @@ TEST(Routing, SameDeviceProcessesNotAdjacent) {
   o2.name = "2";
   o2.set("network", "10.5.0.0/24 area 1");
   a.add(o2);
-  const auto instances = extract_routing_instances({a});
+  const auto instances = extract_routing_instances(views_of({a}));
   EXPECT_EQ(instance_stats(instances, "ospf").count, 2);
 }
 

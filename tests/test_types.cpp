@@ -49,12 +49,13 @@ TEST(Types, LayerClassification) {
 }
 
 TEST(Types, ConstructsOfRoutingStanzas) {
-  EXPECT_EQ(constructs_of("router bgp"), std::vector<std::string>{"bgp"});
-  EXPECT_EQ(constructs_of("protocols-ospf"), std::vector<std::string>{"ospf"});
-  EXPECT_EQ(constructs_of("vlan"), std::vector<std::string>{"vlan"});
-  EXPECT_EQ(constructs_of("protocols-mstp"), std::vector<std::string>{"spanning-tree"});
+  EXPECT_EQ(constructs_of("router bgp"), "bgp");
+  EXPECT_EQ(constructs_of("protocols-ospf"), "ospf");
+  EXPECT_EQ(constructs_of("vlan"), "vlan");
+  EXPECT_EQ(constructs_of("protocols-mstp"), "spanning-tree");
   EXPECT_TRUE(constructs_of("username").empty());
   EXPECT_TRUE(constructs_of("pool").empty());
+  EXPECT_TRUE(constructs_of("frobnicator").empty());  // unknown types instantiate none
 }
 
 }  // namespace
