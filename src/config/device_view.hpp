@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <map>
+#include <ranges>
 #include <set>
 #include <string>
 #include <string_view>
@@ -18,20 +19,29 @@ namespace mpa {
 
 class LintSource;
 
-/// One device's parsed config with the indexes derived from it. The
-/// view points into `config` (and `source`), which must outlive it.
+/// One device's parsed stanzas with the indexes derived from them. The
+/// view points at the stanzas, the device id and `source`, which must
+/// outlive it.
 class DeviceView {
  public:
-  /// `source`, if any, must hold one span and pragma set per stanza of
-  /// `config` (PreconditionError otherwise).
+  /// A view of `stanzas`, in order, none listed twice; `source`, if
+  /// any, must hold one span and pragma set per stanza
+  /// (PreconditionError otherwise). A device timeline's handles
+  /// (StanzaInterner) are viewed as they are.
+  DeviceView(const std::string& device_id, std::vector<const Stanza*> stanzas,
+             const LintSource* source = nullptr);
+  /// A view of `config`'s stanzas.
   explicit DeviceView(const DeviceConfig& config, const LintSource* source = nullptr);
 
-  const DeviceConfig& config() const { return *config_; }
-  /// Spans + pragmas of the config's text; null when there is no text.
+  /// The stanzas, in order, each as a `const Stanza&`.
+  auto stanzas() const {
+    return std::views::transform(stanzas_, [](const Stanza* s) -> const Stanza& { return *s; });
+  }
+  /// Spans + pragmas of the stanzas' text; null when there is no text.
   const LintSource* source() const { return source_; }
-  const std::string& device_id() const { return config_->device_id(); }
+  const std::string& device_id() const { return *device_id_; }
 
-  /// Position of `s` in config().stanzas(); `s` must be one of them.
+  /// Position of `s` in stanzas(); `s` must be one of them.
   std::size_t index_of(const Stanza& s) const;
   /// The stanza's agnostic type (types.hpp), resolved once.
   std::string_view type_of(const Stanza& s) const { return typed_[index_of(s)].type; }
@@ -58,9 +68,11 @@ class DeviceView {
     std::string_view construct;
   };
 
-  const DeviceConfig* config_;
+  const std::string* device_id_;
+  std::vector<const Stanza*> stanzas_;
+  HandleIndex positions_;  ///< Where each of stanzas_ sits.
   const LintSource* source_;
-  std::vector<Typed> typed_;  ///< Parallel to config_->stanzas().
+  std::vector<Typed> typed_;  ///< Parallel to stanzas_.
   std::vector<IfaceAddr> iface_addrs_;
   mutable std::map<std::string, std::set<std::string>, std::less<>> names_;
 };

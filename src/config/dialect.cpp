@@ -80,9 +80,59 @@ struct SourceRecorder {
   }
 };
 
-DeviceConfig parse_ios(std::string_view text, std::string device_id, SourceMap* source) {
-  DeviceConfig c(std::move(device_id));
+/// One stanza block as a walker reads it: its header and option lines,
+/// trimmed and stripped of the dialect's punctuation.
+struct BlockLines {
+  std::string_view header;
+  std::vector<std::string_view> options;
+};
+
+/// The stanza a block describes.
+Stanza build_stanza(const BlockLines& b, Dialect d) {
+  using Words = std::span<const std::string_view>;
+  const bool ios = d == Dialect::kIosLike;
+  Stanza s;
+  split_lead(b.header, s.type, s.name, ios ? Words(kIosMultiwordTypes) : Words());
+  s.options.resize(b.options.size());
+  for (std::size_t i = 0; i < b.options.size(); ++i)
+    split_lead(b.options[i], s.options[i].key, s.options[i].value,
+               ios ? Words(kIosMultiwordKeys) : Words());
+  return s;
+}
+
+/// The block a walker has open. The next header, or the end of the
+/// text, closes it and hands it on with its bytes: from the start of
+/// its header line up to the start of the next header line.
+struct OpenBlock {
+  BlockLines lines;
+  const char* begin = nullptr;  ///< Header line start; null before any header.
+
+  template <typename OnBlock>
+  void close(const char* end, OnBlock& on_block) const {
+    if (begin != nullptr)
+      on_block(lines, std::string_view(begin, static_cast<std::size_t>(end - begin)));
+  }
+  template <typename OnBlock>
+  void reopen(std::string_view raw_line, std::string_view header, OnBlock& on_block) {
+    close(raw_line.data(), on_block);
+    begin = raw_line.data();
+    lines.header = header;
+    lines.options.clear();
+  }
+  /// Native type of the open block, for error messages.
+  std::string type() const { return std::string(lines.header.substr(0, lines.header.find(' '))); }
+};
+
+// The two line walkers. Each records spans and comments into `source`
+// (when not null), throws DataError on malformed text, and hands every
+// stanza block to `on_block(lines, bytes)` as it closes. A header line
+// resets the walker's state in both dialects, so the stanza of a block
+// depends on the block's bytes alone.
+
+template <typename OnBlock>
+void parse_ios(std::string_view text, SourceMap* source, OnBlock&& on_block) {
   SourceRecorder rec{source, {}};
+  OpenBlock block;
   bool in_stanza = false;
   int line_no = 0;
   for (const std::string_view raw : split_views(text, '\n')) {
@@ -99,20 +149,18 @@ DeviceConfig parse_ios(std::string_view text, std::string device_id, SourceMap* 
       // A header without a "!" before it ends the open stanza on the
       // line above, even when that line is blank.
       if (in_stanza) rec.extend(line_no - 1);
-      Stanza& s = c.stanzas().emplace_back();
-      split_lead(line, s.type, s.name, kIosMultiwordTypes);
+      block.reopen(raw, line, on_block);
       rec.open(line_no);
       in_stanza = true;
     } else {
       if (!in_stanza)
         throw DataError("IOS parse: option line outside a stanza: " + std::string(line));
-      Option& o = c.stanzas().back().options.emplace_back();
-      split_lead(line, o.key, o.value, kIosMultiwordKeys);
+      block.lines.options.push_back(line);
       rec.extend(line_no);
     }
   }
   if (in_stanza) rec.extend(line_no);
-  return c;
+  block.close(text.data() + text.size(), on_block);
 }
 
 std::string render_junos(const DeviceConfig& c) {
@@ -132,9 +180,10 @@ std::string render_junos(const DeviceConfig& c) {
   return os.str();
 }
 
-DeviceConfig parse_junos(std::string_view text, std::string device_id, SourceMap* source) {
-  DeviceConfig c(std::move(device_id));
+template <typename OnBlock>
+void parse_junos(std::string_view text, SourceMap* source, OnBlock&& on_block) {
   SourceRecorder rec{source, {}};
+  OpenBlock block;
   bool in_stanza = false;
   int line_no = 0;
   for (const std::string_view raw : split_views(text, '\n')) {
@@ -154,20 +203,35 @@ DeviceConfig parse_junos(std::string_view text, std::string device_id, SourceMap
       continue;
     }
     if (line.back() == '{') {
-      if (in_stanza) throw DataError("JunOS parse: nested block in " + c.stanzas().back().type);
-      Stanza& s = c.stanzas().emplace_back();
-      split_lead(trim(line.substr(0, line.size() - 1)), s.type, s.name);
+      if (in_stanza) throw DataError("JunOS parse: nested block in " + block.type());
+      block.reopen(raw, trim(line.substr(0, line.size() - 1)), on_block);
       rec.open(line_no);
       in_stanza = true;
       continue;
     }
     if (!in_stanza) throw DataError("JunOS parse: statement outside block: " + std::string(line));
     if (line.back() != ';') throw DataError("JunOS parse: missing ';' on: " + std::string(line));
-    Option& o = c.stanzas().back().options.emplace_back();
-    split_lead(trim(line.substr(0, line.size() - 1)), o.key, o.value);
+    block.lines.options.push_back(trim(line.substr(0, line.size() - 1)));
     rec.extend(line_no);
   }
-  if (in_stanza) throw DataError("JunOS parse: unterminated block " + c.stanzas().back().type);
+  if (in_stanza) throw DataError("JunOS parse: unterminated block " + block.type());
+  block.close(text.data() + text.size(), on_block);
+}
+
+template <typename OnBlock>
+void walk(std::string_view text, Dialect d, SourceMap* source, OnBlock&& on_block) {
+  if (d == Dialect::kIosLike)
+    parse_ios(text, source, on_block);
+  else
+    parse_junos(text, source, on_block);
+}
+
+DeviceConfig parse_config(std::string_view text, Dialect d, std::string device_id,
+                          SourceMap* source) {
+  DeviceConfig c(std::move(device_id));
+  walk(text, d, source, [&](const BlockLines& lines, std::string_view /*bytes*/) {
+    c.stanzas().push_back(build_stanza(lines, d));
+  });
   return c;
 }
 
@@ -192,14 +256,46 @@ std::string render(const DeviceConfig& config, Dialect d) {
 }
 
 DeviceConfig parse(std::string_view text, Dialect d, std::string device_id) {
-  return d == Dialect::kIosLike ? parse_ios(text, std::move(device_id), nullptr)
-                                : parse_junos(text, std::move(device_id), nullptr);
+  return parse_config(text, d, std::move(device_id), nullptr);
 }
 
 DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, SourceMap& source) {
   source = SourceMap{};
-  return d == Dialect::kIosLike ? parse_ios(text, std::move(device_id), &source)
-                                : parse_junos(text, std::move(device_id), &source);
+  return parse_config(text, d, std::move(device_id), &source);
+}
+
+std::vector<const Stanza*> StanzaInterner::parse(std::string_view text, SourceMap& source) {
+  source = SourceMap{};
+  std::vector<const Block*> current;
+  current.reserve(previous_.size());
+  std::vector<bool> taken(previous_.size(), false);
+  std::size_t next = 0;  // The previous block after the last one reused.
+  std::size_t reused = 0;
+  walk(text, dialect_, &source, [&](const BlockLines& lines, std::string_view bytes) {
+    // Blocks mostly keep their order, so try the one after the last
+    // reuse before scanning the rest. No block is reused twice within a
+    // snapshot: each copy of a repeated block keeps its own stanza.
+    const auto match = [&](std::size_t j) { return !taken[j] && previous_[j]->bytes == bytes; };
+    std::size_t j = next;
+    if (j >= previous_.size() || !match(j))
+      for (j = 0; j < previous_.size() && !match(j);) ++j;
+    if (j < previous_.size()) {
+      taken[j] = true;
+      next = j + 1;
+      ++reused;
+      current.push_back(previous_[j]);
+    } else {
+      blocks_.push_back(Block{build_stanza(lines, dialect_), std::string(bytes)});
+      current.push_back(&blocks_.back());
+    }
+  });
+  blocks_seen_ += current.size();
+  blocks_reused_ += reused;
+  std::vector<const Stanza*> stanzas;
+  stanzas.reserve(current.size());
+  for (const Block* b : current) stanzas.push_back(&b->stanza);
+  previous_ = std::move(current);
+  return stanzas;
 }
 
 }  // namespace mpa

@@ -17,6 +17,7 @@
 // vendor-typification limitation discussed in §2.2.
 #pragma once
 
+#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -50,6 +51,8 @@ struct SourceStanza {
   /// Comments since the previous header, stripped of the dialect's
   /// comment markers and trimmed.
   std::vector<std::string> leading_comments;
+
+  friend bool operator==(const SourceStanza&, const SourceStanza&) = default;
 };
 
 struct SourceMap {
@@ -57,6 +60,8 @@ struct SourceMap {
   /// Every comment in the file (stripped + trimmed), wherever it sits;
   /// file-scope lint pragmas are fished out of these.
   std::vector<std::string> all_comments;
+
+  friend bool operator==(const SourceMap&, const SourceMap&) = default;
 };
 
 /// Parse dialect text into a DeviceConfig. Unknown stanza types and
@@ -67,5 +72,49 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id);
 /// parse() that also fills `source` (replacing its contents) with the
 /// stanza spans and comments, in the same pass over the text.
 DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, SourceMap& source);
+
+/// Parses the successive snapshots of one device, each distinct stanza
+/// block once. A block is the text from a stanza header line up to the
+/// next header line (or the end). Consecutive snapshots share almost
+/// every block (§2.2: a snapshot is archived on every change), and a
+/// block byte-identical to one of the previous snapshot's reuses that
+/// block's parsed, immutable Stanza; the rest are parsed. Every line is
+/// still walked by the same walker parse() uses, so the SourceMap and
+/// every DataError are exactly what parse() gives.
+///
+/// Reuse is sound because a header line resets the walker's state in
+/// both dialects: the stanza a block yields depends on its bytes alone.
+class StanzaInterner {
+ public:
+  explicit StanzaInterner(Dialect d) : dialect_(d) {}
+  // Handles point into this interner's blocks; a copy would hand out
+  // handles into the original's.
+  StanzaInterner(const StanzaInterner&) = delete;
+  StanzaInterner& operator=(const StanzaInterner&) = delete;
+
+  /// The next snapshot's stanzas, in order, as handles that stay valid
+  /// for the interner's lifetime; no handle repeats within a snapshot.
+  /// Fills `source` as parse() does, and throws DataError where it
+  /// does; the next call then reuses blocks of the last snapshot that
+  /// parsed, and the counts below leave the failed one out.
+  std::vector<const Stanza*> parse(std::string_view text, SourceMap& source);
+
+  /// Stanza blocks in every snapshot parsed so far, and how many of
+  /// them reused an earlier block's stanza.
+  std::size_t blocks() const { return blocks_seen_; }
+  std::size_t reused() const { return blocks_reused_; }
+
+ private:
+  struct Block {
+    Stanza stanza;
+    std::string bytes;
+  };
+
+  Dialect dialect_;
+  std::deque<Block> blocks_;            ///< Each distinct block once, address-stable.
+  std::vector<const Block*> previous_;  ///< The last snapshot's blocks, in order.
+  std::size_t blocks_seen_ = 0;
+  std::size_t blocks_reused_ = 0;
+};
 
 }  // namespace mpa

@@ -7,6 +7,7 @@
 // type T occurred, where T is the stanza type."
 #pragma once
 
+#include <span>
 #include <string>
 #include <vector>
 
@@ -29,9 +30,19 @@ struct StanzaChange {
   int options_touched = 0;
 };
 
-/// Compute the stanza-level diff between `before` and `after`.
-/// Matching is by (native type, name); option-level comparison treats
-/// options as an ordered multiset keyed by `key`.
+/// Compute the stanza-level diff between `before` and `after`, given as
+/// stanza handles (neither list repeats one). Each stanza of `before` is
+/// matched to the first stanza of `after` with its (native type, name):
+/// none makes it removed, an unequal one updated. Then each stanza of
+/// `after` whose (type, name) `before` lacks is added. A handle in both
+/// lists is the same stanza, so it is its own match without a key
+/// lookup or a deep compare unless an earlier stanza of `after` repeats
+/// its key. Option-level comparison treats options as an ordered
+/// multiset keyed by `key`.
+std::vector<StanzaChange> diff(std::span<const Stanza* const> before,
+                               std::span<const Stanza* const> after);
+
+/// diff() over two configs' stanzas.
 std::vector<StanzaChange> diff(const DeviceConfig& before, const DeviceConfig& after);
 
 /// True if the two configs differ in at least one stanza — i.e. this

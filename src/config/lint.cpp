@@ -107,7 +107,7 @@ const LintRule* RuleRegistry::find(std::string_view id) const {
 NetworkView::NetworkView(const std::vector<DeviceView>& devices) : devices_(&devices) {
   for (std::size_t d = 0; d < devices.size(); ++d) {
     for (const auto& a : devices[d].iface_addrs()) addr_owner_.emplace(a.prefix.addr, d);
-    for (const auto& s : devices[d].config().stanzas())
+    for (const auto& s : devices[d].stanzas())
       if (devices[d].construct_of(s) == "bgp") bgp_procs_.push_back(BgpProc{d, &s});
   }
 }

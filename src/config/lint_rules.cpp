@@ -59,7 +59,7 @@ class DanglingAclRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "interface") continue;
       for (const auto& acl : attached_acls(s))
         if (!dev.defines("acl", acl))
@@ -75,7 +75,7 @@ class DanglingVlanRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       const std::string_view agnostic = dev.type_of(s);
       if (agnostic == "interface") {
         for (const auto& vlan : referenced_vlans(s))
@@ -97,7 +97,7 @@ class DanglingPoolRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "virtual-server") continue;
       for (const auto& name : s.get_all("pool"))
         if (!dev.defines("pool", name))
@@ -113,7 +113,7 @@ class DanglingLagMemberRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "link-aggregation") continue;
       for (const auto& name : s.get_all("member"))
         if (!dev.defines("interface", name))
@@ -131,7 +131,7 @@ class EmptyAclRule final : public LintRule {
             LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "acl") continue;
       bool has_term = false;
       for (const auto& o : s.options)
@@ -148,7 +148,7 @@ class ShadowedAclTermRule final : public LintRule {
             LintCategory::kFilter, LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "acl") continue;
       std::set<std::pair<std::string, std::string>> seen;
       bool catch_all = false;
@@ -172,7 +172,7 @@ class UnreachableAclTermRule final : public LintRule {
             LintCategory::kFilter, LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "acl") continue;
       bool catch_all = false;
       for (const auto& o : s.options) {
@@ -198,10 +198,10 @@ class UnreferencedAclRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     std::set<std::string> used;
-    for (const auto& s : dev.config().stanzas())
+    for (const auto& s : dev.stanzas())
       if (dev.type_of(s) == "interface")
         for (auto& acl : attached_acls(s)) used.insert(std::move(acl));
-    for (const auto& s : dev.config().stanzas())
+    for (const auto& s : dev.stanzas())
       if (dev.type_of(s) == "acl" && used.count(s.name) == 0)
         sink.report(dev, &s, "acl '" + s.name + "' is never attached");
   }
@@ -215,10 +215,10 @@ class UnreferencedPoolRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     std::set<std::string> used;
-    for (const auto& s : dev.config().stanzas())
+    for (const auto& s : dev.stanzas())
       if (dev.type_of(s) == "virtual-server")
         for (auto& p : s.get_all("pool")) used.insert(std::move(p));
-    for (const auto& s : dev.config().stanzas())
+    for (const auto& s : dev.stanzas())
       if (dev.type_of(s) == "pool" && used.count(s.name) == 0)
         sink.report(dev, &s, "pool '" + s.name + "' is never used");
   }
@@ -232,10 +232,10 @@ class UnreferencedVlanRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     std::set<std::string> used;
-    for (const auto& s : dev.config().stanzas())
+    for (const auto& s : dev.stanzas())
       if (dev.type_of(s) == "interface")
         for (auto& v : referenced_vlans(s)) used.insert(std::move(v));
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "vlan") continue;
       if (used.count(s.name) > 0) continue;
       if (!s.get_all("interface").empty()) continue;  // members listed inline
@@ -253,14 +253,14 @@ class UnusedInterfaceUpRule final : public LintRule {
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     // Interfaces referenced by VLAN member lists or LAGs are in use.
     std::set<std::string> referenced;
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       const std::string_view agnostic = dev.type_of(s);
       if (agnostic == "vlan")
         for (auto& n : s.get_all("interface")) referenced.insert(std::move(n));
       if (agnostic == "link-aggregation")
         for (auto& n : s.get_all("member")) referenced.insert(std::move(n));
     }
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       if (dev.type_of(s) != "interface") continue;
       if (referenced.count(s.name) > 0) continue;
       bool in_use = false;
@@ -397,7 +397,7 @@ class OspfAreaMismatchRule final : public LintRule {
     std::map<std::string, std::vector<Claim>> by_prefix;
     for (std::size_t d = 0; d < net.devices().size(); ++d) {
       const DeviceView& dev = net.devices()[d];
-      for (const auto& s : dev.config().stanzas()) {
+      for (const auto& s : dev.stanzas()) {
         if (dev.construct_of(s) != "ospf") continue;
         for (const auto& v : s.get_all("network")) {
           // "network <prefix> area <id>"
@@ -471,7 +471,7 @@ class VlanSpanGapRule final : public LintRule {
         defined_on[name].push_back(d);
     for (std::size_t d = 0; d < net.devices().size(); ++d) {
       const DeviceView& dev = net.devices()[d];
-      for (const auto& s : dev.config().stanzas()) {
+      for (const auto& s : dev.stanzas()) {
         if (dev.type_of(s) != "interface") continue;
         for (const auto& vlan : referenced_vlans(s)) {
           if (dev.defines("vlan", vlan)) continue;

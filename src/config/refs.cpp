@@ -61,7 +61,7 @@ struct PeerFacts {
 int inter_refs(const DeviceView& dev, const PeerFacts& peers) {
   const std::string& self = dev.device_id();
   int refs = 0;
-  for (const auto& s : dev.config().stanzas()) {
+  for (const auto& s : dev.stanzas()) {
     const std::string_view agnostic = dev.type_of(s);
     if (agnostic == "router") {
       // BGP neighbor statements naming a peer device's address.
@@ -91,7 +91,7 @@ int count_intra_refs(const DeviceView& dev) {
   const auto& pools = dev.names_of("pool");
 
   int refs = 0;
-  for (const auto& s : dev.config().stanzas()) {
+  for (const auto& s : dev.stanzas()) {
     const std::string_view agnostic = dev.type_of(s);
     if (agnostic == "interface") {
       for (const auto& o : s.options) {

@@ -41,7 +41,7 @@ struct ProcFacts {
 std::vector<ProcFacts> gather_facts(const std::vector<DeviceView>& network) {
   std::vector<ProcFacts> out;
   for (const auto& dev : network) {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       const std::string_view agnostic = dev.type_of(s);
       if (agnostic == "router") {
         const std::string_view construct = dev.construct_of(s);

@@ -58,7 +58,7 @@ std::vector<const Stanza*> DeviceConfig::all_of_type(std::string_view type) cons
 
 void DeviceConfig::add(Stanza s) {
   require(find(s.type, s.name) == nullptr,
-          "DeviceConfig::add: duplicate stanza " + s.type + " " + s.name);
+          [&] { return "DeviceConfig::add: duplicate stanza " + s.type + " " + s.name; });
   stanzas_.push_back(std::move(s));
 }
 
@@ -70,6 +70,29 @@ bool DeviceConfig::remove(std::string_view type, std::string_view name) {
     }
   }
   return false;
+}
+
+std::vector<const Stanza*> handles_of(const DeviceConfig& config) {
+  std::vector<const Stanza*> out;
+  out.reserve(config.stanzas().size());
+  for (const auto& s : config.stanzas()) out.push_back(&s);
+  return out;
+}
+
+HandleIndex::HandleIndex(std::span<const Stanza* const> stanzas) {
+  unsigned bits = 4;
+  while ((std::size_t{1} << bits) < 2 * stanzas.size()) ++bits;
+  slots_.resize(std::size_t{1} << bits);
+  mask_ = slots_.size() - 1;
+  shift_ = 64 - bits;
+  for (std::size_t p = 0; p < stanzas.size(); ++p) {
+    const Stanza* s = stanzas[p];
+    require(s != nullptr, "HandleIndex: null stanza handle");
+    std::size_t i = slot_of(s);
+    for (; slots_[i].handle != nullptr; i = (i + 1) & mask_)
+      require(slots_[i].handle != s, "HandleIndex: a stanza handle is listed twice");
+    slots_[i] = Slot{s, p};
+  }
 }
 
 }  // namespace mpa

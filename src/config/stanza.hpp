@@ -9,7 +9,9 @@
 // renders it to / parses it from vendor-flavoured text.
 #pragma once
 
+#include <cstdint>
 #include <optional>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -80,6 +82,44 @@ class DeviceConfig {
  private:
   std::string device_id_;
   std::vector<Stanza> stanzas_;
+};
+
+/// The stanzas of `config`, in order, as handles: the form the diff
+/// core and DeviceView take, which a device timeline hands them without
+/// building a DeviceConfig (dialect.hpp: StanzaInterner).
+std::vector<const Stanza*> handles_of(const DeviceConfig& config);
+
+/// Positions in a list of stanza handles, found by handle in O(1)
+/// expected: open addressing over a table at most half full.
+class HandleIndex {
+ public:
+  /// `stanzas` must hold no null and no repeated handle
+  /// (PreconditionError).
+  explicit HandleIndex(std::span<const Stanza* const> stanzas);
+
+  /// Position of `s` in the list, or npos.
+  std::size_t find(const Stanza* s) const {
+    for (std::size_t i = slot_of(s);; i = (i + 1) & mask_) {
+      if (slots_[i].handle == nullptr) return npos;
+      if (slots_[i].handle == s) return slots_[i].position;
+    }
+  }
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+ private:
+  struct Slot {
+    const Stanza* handle = nullptr;
+    std::size_t position = 0;
+  };
+  /// Fibonacci hashing of the address onto the table.
+  std::size_t slot_of(const Stanza* s) const {
+    return static_cast<std::size_t>(
+        (reinterpret_cast<std::uintptr_t>(s) * std::uint64_t{0x9E3779B97F4A7C15}) >> shift_);
+  }
+
+  std::vector<Slot> slots_;  ///< Power-of-two size.
+  std::size_t mask_ = 0;
+  unsigned shift_ = 64;
 };
 
 }  // namespace mpa

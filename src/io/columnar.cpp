@@ -545,9 +545,10 @@ ShardView::ShardView(std::span<const std::byte> bytes, std::string file,
                  shard_err(file_, "corrupt offsets in column " +
                                       std::to_string(static_cast<std::uint32_t>(tag))));
     for (std::size_t i = 1; i < begins.size(); ++i)
-      require_data(begins[i - 1] <= begins[i],
-                   shard_err(file_, "corrupt offsets in column " +
-                                        std::to_string(static_cast<std::uint32_t>(tag))));
+      require_data(begins[i - 1] <= begins[i], [&] {
+        return shard_err(file_, "corrupt offsets in column " +
+                                    std::to_string(static_cast<std::uint32_t>(tag)));
+      });
   };
   const auto check_begins_u64 = [&](ColumnTag tag, std::uint64_t target) {
     const auto begins = u64s(tag);
@@ -555,9 +556,10 @@ ShardView::ShardView(std::span<const std::byte> bytes, std::string file,
                  shard_err(file_, "corrupt offsets in column " +
                                       std::to_string(static_cast<std::uint32_t>(tag))));
     for (std::size_t i = 1; i < begins.size(); ++i)
-      require_data(begins[i - 1] <= begins[i],
-                   shard_err(file_, "corrupt offsets in column " +
-                                        std::to_string(static_cast<std::uint32_t>(tag))));
+      require_data(begins[i - 1] <= begins[i], [&] {
+        return shard_err(file_, "corrupt offsets in column " +
+                                    std::to_string(static_cast<std::uint32_t>(tag)));
+      });
   };
   check_begins_u64(ColumnTag::kDictOffsets, require_column(ColumnTag::kDictBlob).count);
   check_begins_u32(ColumnTag::kNetWorkloadBegin,
@@ -576,7 +578,7 @@ const ShardView::ColumnInfo* ShardView::column(ColumnTag tag) const {
 
 const ShardView::ColumnInfo& ShardView::require_column(ColumnTag tag) const {
   const ColumnInfo* c = column(tag);
-  require(c != nullptr, shard_err(file_, "column accessed before validation"));
+  require(c != nullptr, [&] { return shard_err(file_, "column accessed before validation"); });
   return *c;
 }
 
@@ -603,7 +605,7 @@ std::span<const std::uint8_t> ShardView::u8s(ColumnTag tag) const {
 std::string_view ShardView::dict(std::uint32_t code) const {
   const auto offsets = u64s(ColumnTag::kDictOffsets);
   require_data(static_cast<std::size_t>(code) + 1 < offsets.size(),
-               shard_err(file_, "dictionary index out of range"));
+               [&] { return shard_err(file_, "dictionary index out of range"); });
   const auto blob = u8s(ColumnTag::kDictBlob);
   return {reinterpret_cast<const char*>(blob.data()) + offsets[code],
           static_cast<std::size_t>(offsets[code + 1] - offsets[code])};
@@ -611,7 +613,7 @@ std::string_view ShardView::dict(std::uint32_t code) const {
 
 std::string_view ShardView::config_text(std::size_t i) const {
   const auto begins = u64s(ColumnTag::kSnapTextBegin);
-  require(i + 1 < begins.size(), shard_err(file_, "config_text row out of range"));
+  require(i + 1 < begins.size(), [&] { return shard_err(file_, "config_text row out of range"); });
   const auto blob = u8s(ColumnTag::kConfigBlob);
   return {reinterpret_cast<const char*>(blob.data()) + begins[i],
           static_cast<std::size_t>(begins[i + 1] - begins[i])};
@@ -702,8 +704,10 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
   const auto check_seq = [](const ShardView& v, std::span<const std::uint64_t> seqs,
                             std::uint64_t& expect, const char* what) {
     for (const std::uint64_t s : seqs) {
-      require_data(s == expect, shard_err(v.file(), std::string("out-of-order ") + what +
-                                                        " record " + std::to_string(s)));
+      require_data(s == expect, [&] {
+        return shard_err(v.file(),
+                         std::string("out-of-order ") + what + " record " + std::to_string(s));
+      });
       ++expect;
     }
   };
@@ -737,10 +741,12 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
     const auto roles = v.u8s(ColumnTag::kDevRole);
     const auto firmwares = v.u32s(ColumnTag::kDevFirmware);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      require_data(vendors[i] < kNumVendors,
-                   shard_err(v.file(), "bad vendor code " + std::to_string(vendors[i])));
-      require_data(roles[i] < kNumRoles,
-                   shard_err(v.file(), "bad role code " + std::to_string(roles[i])));
+      require_data(vendors[i] < kNumVendors, [&] {
+        return shard_err(v.file(), "bad vendor code " + std::to_string(vendors[i]));
+      });
+      require_data(roles[i] < kNumRoles, [&] {
+        return shard_err(v.file(), "bad role code " + std::to_string(roles[i]));
+      });
       DeviceRecord d;
       d.device_id = std::string(v.dict(ids[i]));
       d.network_id = std::string(v.dict(nets[i]));
@@ -764,13 +770,14 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
     const auto dev_begin = v.u32s(ColumnTag::kTktDeviceBegin);
     const auto dev_code = v.u32s(ColumnTag::kTktDeviceCode);
     for (std::size_t i = 0; i < ids.size(); ++i) {
-      require_data(origins[i] <= static_cast<std::uint8_t>(TicketOrigin::kMaintenance),
-                   shard_err(v.file(), "bad origin code " + std::to_string(origins[i])));
+      require_data(origins[i] <= static_cast<std::uint8_t>(TicketOrigin::kMaintenance), [&] {
+        return shard_err(v.file(), "bad origin code " + std::to_string(origins[i]));
+      });
       Ticket t;
       t.ticket_id = std::string(v.dict(ids[i]));
-      require_data(resolved[i] >= created[i],
-                   shard_err(v.file(), "resolved time precedes created time for ticket " +
-                                           t.ticket_id));
+      require_data(resolved[i] >= created[i], [&] {
+        return shard_err(v.file(), "resolved time precedes created time for ticket " + t.ticket_id);
+      });
       t.network_id = std::string(v.dict(nets[i]));
       t.created = created[i];
       t.resolved = resolved[i];
@@ -812,7 +819,8 @@ std::string verify_columnar(const std::string& dir) {
     const std::size_t dict_n = v.dict_size();
     const auto check_codes = [&](ColumnTag tag) {
       for (const std::uint32_t code : v.u32s(tag))
-        require_data(code < dict_n, shard_err(v.file(), "dictionary index out of range"));
+        require_data(code < dict_n,
+                     [&] { return shard_err(v.file(), "dictionary index out of range"); });
     };
     for (const ColumnTag t :
          {ColumnTag::kNetId, ColumnTag::kNetWorkloadCode, ColumnTag::kDevId,
@@ -821,23 +829,26 @@ std::string verify_columnar(const std::string& dir) {
           ColumnTag::kTktDeviceCode, ColumnTag::kSnapDevice, ColumnTag::kSnapLogin})
       check_codes(t);
     for (const std::uint64_t s : v.u64s(ColumnTag::kNetSeq))
-      require_data(s == net_seq++, shard_err(v.file(), "out-of-order network record"));
+      require_data(s == net_seq++,
+                   [&] { return shard_err(v.file(), "out-of-order network record"); });
     for (const std::uint64_t s : v.u64s(ColumnTag::kDevSeq))
-      require_data(s == dev_seq++, shard_err(v.file(), "out-of-order device record"));
+      require_data(s == dev_seq++,
+                   [&] { return shard_err(v.file(), "out-of-order device record"); });
     for (const std::uint64_t s : v.u64s(ColumnTag::kTktSeq))
-      require_data(s == tkt_seq++, shard_err(v.file(), "out-of-order ticket record"));
+      require_data(s == tkt_seq++,
+                   [&] { return shard_err(v.file(), "out-of-order ticket record"); });
     for (const std::uint8_t vendor : v.u8s(ColumnTag::kDevVendor))
-      require_data(vendor < kNumVendors, shard_err(v.file(), "bad vendor code"));
+      require_data(vendor < kNumVendors, [&] { return shard_err(v.file(), "bad vendor code"); });
     for (const std::uint8_t role : v.u8s(ColumnTag::kDevRole))
-      require_data(role < kNumRoles, shard_err(v.file(), "bad role code"));
+      require_data(role < kNumRoles, [&] { return shard_err(v.file(), "bad role code"); });
     for (const std::uint8_t origin : v.u8s(ColumnTag::kTktOrigin))
       require_data(origin <= static_cast<std::uint8_t>(TicketOrigin::kMaintenance),
-                   shard_err(v.file(), "bad origin code"));
+                   [&] { return shard_err(v.file(), "bad origin code"); });
     const auto created = v.i64s(ColumnTag::kTktCreated);
     const auto resolved = v.i64s(ColumnTag::kTktResolved);
     for (std::size_t i = 0; i < created.size(); ++i)
       require_data(resolved[i] >= created[i],
-                   shard_err(v.file(), "resolved time precedes created time"));
+                   [&] { return shard_err(v.file(), "resolved time precedes created time"); });
     const auto snap_devices = v.u32s(ColumnTag::kSnapDevice);
     const auto snap_times = v.i64s(ColumnTag::kSnapTime);
     for (std::size_t i = 0; i < snap_devices.size(); ++i) {
@@ -845,8 +856,10 @@ std::string verify_columnar(const std::string& dir) {
       const auto it = last_snap_time.find(device);
       if (it != last_snap_time.end()) {
         require_data(it->second <= snap_times[i],
-                     shard_err(v.file(), "out-of-order snapshot for device " +
-                                             std::string(device)));
+                     [&] {
+                       return shard_err(v.file(),
+                                        "out-of-order snapshot for device " + std::string(device));
+                     });
         it->second = snap_times[i];
       } else {
         last_snap_time.emplace(std::string(device), snap_times[i]);

@@ -40,8 +40,10 @@ void write_file(const fs::path& path, const std::string& content) {
 void check_field(const std::string& s, const char* what) {
   require_data(s.find(',') == std::string::npos && s.find('\n') == std::string::npos &&
                    s.find('\r') == std::string::npos,
-               std::string("dataset field contains ',', newline, or carriage return: ") + what +
-                   ": " + s);
+               [&] {
+                 return std::string("dataset field contains ',', newline, or carriage return: ") +
+                        what + ": " + s;
+               });
 }
 
 // from_chars keeps the hot parse loops allocation-free; error strings
@@ -68,15 +70,16 @@ void render_ticket_row(std::ostream& os, const Ticket& t) {
 
 Ticket parse_ticket_row(std::string_view line) {
   const auto cells = split_views(line, ',');
-  require_data(cells.size() == 7, "tickets.csv: bad row: " + std::string(line));
+  require_data(cells.size() == 7, [&] { return "tickets.csv: bad row: " + std::string(line); });
   Ticket t;
   t.ticket_id = std::string(cells[0]);
   t.network_id = std::string(cells[1]);
   t.created = parse_int(cells[2], "ticket created");
   t.resolved = parse_int(cells[3], "ticket resolved");
-  require_data(t.resolved >= t.created,
-               "tickets.csv: resolved time " + std::string(cells[3]) + " precedes created time " +
-                   std::string(cells[2]) + " for ticket " + t.ticket_id);
+  require_data(t.resolved >= t.created, [&] {
+    return "tickets.csv: resolved time " + std::string(cells[3]) + " precedes created time " +
+           std::string(cells[2]) + " for ticket " + t.ticket_id;
+  });
   t.origin = origin_from_string(cells[4]);
   t.symptom = std::string(cells[5]);
   if (!cells[6].empty()) t.devices = split(cells[6], ';');
@@ -101,12 +104,13 @@ std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
     const std::string_view header = view.substr(pos, eol - pos);
     const auto tokens = split_ws_views(header);
     require_data(tokens.size() == 5 && tokens[0] == "@snapshot",
-                 "snapshots.log: bad header: " + std::string(header));
+                 [&] { return "snapshots.log: bad header: " + std::string(header); });
     // A negative length cast straight to size_t would become a huge
     // offset and misreport as "truncated body"; reject it by name.
     const std::int64_t declared = parse_int(tokens[4], "snapshot length");
-    require_data(declared >= 0,
-                 "snapshots.log: negative snapshot length in header: " + std::string(header));
+    require_data(declared >= 0, [&] {
+      return "snapshots.log: negative snapshot length in header: " + std::string(header);
+    });
     const auto length = static_cast<std::size_t>(declared);
     require_data(eol + 1 + length <= view.size(), "snapshots.log: truncated body");
     ConfigSnapshot snap;
@@ -127,10 +131,11 @@ std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
 // whitespace would change the token count and corrupt every record
 // after it. Validate on save, like check_field does for the CSVs.
 void check_header_token(const std::string& s, const char* what) {
-  require_data(!s.empty(), std::string("snapshot header field is empty: ") + what);
+  require_data(!s.empty(), [&] { return std::string("snapshot header field is empty: ") + what; });
   for (const char c : s)
-    require_data(std::isspace(static_cast<unsigned char>(c)) == 0,
-                 std::string("snapshot header field contains whitespace: ") + what + ": " + s);
+    require_data(std::isspace(static_cast<unsigned char>(c)) == 0, [&] {
+      return std::string("snapshot header field contains whitespace: ") + what + ": " + s;
+    });
 }
 
 Vendor vendor_from_string(std::string_view s) {
@@ -238,7 +243,8 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
     for (std::size_t i = 1; i < lines.size(); ++i) {
       if (trim(lines[i]).empty()) continue;
       const auto cells = split_views(lines[i], ',');
-      require_data(cells.size() == 2, "networks.csv: bad row: " + std::string(lines[i]));
+      require_data(cells.size() == 2,
+                   [&] { return "networks.csv: bad row: " + std::string(lines[i]); });
       NetworkRecord net;
       net.network_id = std::string(cells[0]);
       if (!cells[1].empty()) {
@@ -261,7 +267,8 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
     for (std::size_t i = 1; i < lines.size(); ++i) {
       if (trim(lines[i]).empty()) continue;
       const auto cells = split_views(lines[i], ',');
-      require_data(cells.size() == 6, "devices.csv: bad row: " + std::string(lines[i]));
+      require_data(cells.size() == 6,
+                   [&] { return "devices.csv: bad row: " + std::string(lines[i]); });
       DeviceRecord d;
       d.device_id = std::string(cells[0]);
       d.network_id = std::string(cells[1]);

@@ -39,7 +39,7 @@ double firmware_entropy(const std::vector<const DeviceRecord*>& devices) {
 ProtocolUsage count_protocols(const std::vector<DeviceView>& network) {
   std::set<std::string_view> l2, l3;
   for (const auto& dev : network) {
-    for (const auto& s : dev.config().stanzas()) {
+    for (const auto& s : dev.stanzas()) {
       const std::string_view construct = dev.construct_of(s);
       switch (layer_of(construct)) {
         case PlaneLayer::kL2: l2.insert(construct); break;

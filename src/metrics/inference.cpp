@@ -6,15 +6,21 @@
 #include "config/dialect.hpp"
 #include "metrics/design_metrics.hpp"
 #include "metrics/lint_metrics.hpp"
+#include "obs/metrics.hpp"
 #include "util/parallel.hpp"
 
 namespace mpa {
 namespace {
 
-/// Parsed snapshot timeline of one device.
+/// Parsed snapshot timeline of one device: each distinct stanza block
+/// parsed once and owned by the interner, and per snapshot its time,
+/// stanza handles and source.
 struct DeviceTimeline {
+  explicit DeviceTimeline(Dialect d) : interner(d) {}
+
+  StanzaInterner interner;
   std::vector<Timestamp> times;
-  std::vector<DeviceConfig> configs;
+  std::vector<std::vector<const Stanza*>> stanzas;
   std::vector<LintSource> sources;  ///< Spans + pragmas, per snapshot.
 
   /// Index of the last snapshot strictly before `t`, or -1.
@@ -47,10 +53,12 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
   for (const auto* d : devices) device_roles[d->device_id] = d->role;
 
   // Parse each device's snapshot archive once (only the suffix that
-  // can influence the requested months); derive both the monthly
-  // config states and the change stream from it.
+  // can influence the requested months), each distinct stanza block of
+  // it once; derive both the monthly config states and the change
+  // stream from it.
   std::map<std::string, DeviceTimeline> timelines;
   std::vector<ChangeRecord> changes;
+  std::size_t blocks = 0, reused = 0;
   for (const auto* d : devices) {
     const auto& snaps = snapshots.for_device(d->device_id);
     if (snaps.empty()) continue;
@@ -65,17 +73,20 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
           snaps.begin());
       begin = before > 0 ? before - 1 : 0;
     }
-    DeviceTimeline tl;
+    DeviceTimeline& tl = timelines.try_emplace(d->device_id, dialect).first->second;
     tl.times.reserve(snaps.size() - begin);
-    tl.configs.reserve(snaps.size() - begin);
+    tl.stanzas.reserve(snaps.size() - begin);
+    tl.sources.reserve(snaps.size() - begin);
     SourceMap map;
     for (std::size_t i = begin; i < snaps.size(); ++i) {
       tl.times.push_back(snaps[i].time);
-      tl.configs.push_back(parse(snaps[i].text, dialect, d->device_id, map));
+      tl.stanzas.push_back(tl.interner.parse(snaps[i].text, map));
       tl.sources.emplace_back(map);
     }
-    for (std::size_t i = 1; i < tl.configs.size(); ++i) {
-      auto stanza_changes = diff(tl.configs[i - 1], tl.configs[i]);
+    blocks += tl.interner.blocks();
+    reused += tl.interner.reused();
+    for (std::size_t i = 1; i < tl.stanzas.size(); ++i) {
+      auto stanza_changes = diff(tl.stanzas[i - 1], tl.stanzas[i]);
       if (stanza_changes.empty()) continue;
       ChangeRecord cr;
       cr.device_id = d->device_id;
@@ -86,7 +97,11 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       cr.stanza_changes = std::move(stanza_changes);
       changes.push_back(std::move(cr));
     }
-    timelines.emplace(d->device_id, std::move(tl));
+  }
+  if (obs::enabled()) {
+    auto& registry = obs::Registry::global();
+    registry.counter("mpa_infer_stanza_blocks_total").add(blocks);
+    registry.counter("mpa_infer_stanza_blocks_reused_total").add(reused);
   }
   // stable_sort, not sort: records tied on (time, device_id) keep their
   // generation order, so sorting a per-device suffix of the change
@@ -108,15 +123,15 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     row.month = m;
 
     // The configuration state at month end: one view per device over
-    // its timeline's config and source, read by both the design
-    // metrics and the hygiene lint.
+    // its timeline's stanza handles and source, read by both the
+    // design metrics and the hygiene lint.
     std::vector<DeviceView> state;
     state.reserve(timelines.size());
     for (const auto& [dev_id, tl] : timelines) {
       const int idx = tl.state_before(m_end);
       if (idx < 0) continue;
       const auto i = static_cast<std::size_t>(idx);
-      state.emplace_back(tl.configs[i], &tl.sources[i]);
+      state.emplace_back(dev_id, tl.stanzas[i], &tl.sources[i]);
     }
     compute_design_metrics(net, devices, state, row);
     const auto diags = run_lint(state, opts.lint);

@@ -33,20 +33,23 @@ std::string_view to_string(Vendor v) {
 
 void Inventory::add_network(NetworkRecord net) {
   require(find_network(net.network_id) == nullptr,
-          "Inventory::add_network: duplicate network id " + net.network_id);
+          [&] { return "Inventory::add_network: duplicate network id " + net.network_id; });
   network_index_.emplace(net.network_id, networks_.size());
   networks_.push_back(std::move(net));
+  network_devices_.emplace_back();
 }
 
 void Inventory::add_device(DeviceRecord dev) {
   auto* net = const_cast<NetworkRecord*>(find_network(dev.network_id));
-  require(net != nullptr, "Inventory::add_device: unknown network " + dev.network_id);
+  require(net != nullptr,
+          [&] { return "Inventory::add_device: unknown network " + dev.network_id; });
   require(find_device(dev.device_id) == nullptr,
-          "Inventory::add_device: duplicate device id " + dev.device_id);
+          [&] { return "Inventory::add_device: duplicate device id " + dev.device_id; });
   if (std::find(net->device_ids.begin(), net->device_ids.end(), dev.device_id) ==
       net->device_ids.end()) {
     net->device_ids.push_back(dev.device_id);
   }
+  network_devices_[static_cast<std::size_t>(net - networks_.data())].push_back(devices_.size());
   device_index_.emplace(dev.device_id, devices_.size());
   devices_.push_back(std::move(dev));
 }
@@ -58,8 +61,11 @@ void Inventory::reserve(std::size_t networks, std::size_t devices) {
 
 std::vector<const DeviceRecord*> Inventory::devices_in(const std::string& network_id) const {
   std::vector<const DeviceRecord*> out;
-  for (const auto& d : devices_)
-    if (d.network_id == network_id) out.push_back(&d);
+  const auto it = network_index_.find(network_id);
+  if (it == network_index_.end()) return out;
+  const auto& positions = network_devices_[it->second];
+  out.reserve(positions.size());
+  for (const std::size_t i : positions) out.push_back(&devices_[i]);
   return out;
 }
 

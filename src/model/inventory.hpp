@@ -88,7 +88,7 @@ class Inventory {
   const std::vector<NetworkRecord>& networks() const { return networks_; }
   const std::vector<DeviceRecord>& devices() const { return devices_; }
 
-  /// Devices belonging to one network (linear scan; inventories are small).
+  /// Devices belonging to one network, in the order they were added.
   std::vector<const DeviceRecord*> devices_in(const std::string& network_id) const;
 
   const NetworkRecord* find_network(const std::string& network_id) const;
@@ -107,6 +107,9 @@ class Inventory {
   // 100k-network scale the columnar generator targets.
   std::map<std::string, std::size_t> network_index_;
   std::map<std::string, std::size_t> device_index_;
+  /// Per network (parallel to networks_), its devices' positions in
+  /// devices_, in insertion order.
+  std::vector<std::vector<std::size_t>> network_devices_;
 };
 
 }  // namespace mpa

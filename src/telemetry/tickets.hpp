@@ -7,6 +7,7 @@
 // problems").
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -46,11 +47,17 @@ class TicketLog {
   /// excluding maintenance tickets.
   int count_health_tickets(const std::string& network_id, int month) const;
 
-  /// All non-maintenance tickets of a network (any month).
+  /// All non-maintenance tickets of a network (any month), in the
+  /// order they were added.
   std::vector<const Ticket*> health_tickets(const std::string& network_id) const;
 
  private:
+  /// Positions in tickets_ of one network's tickets, in insertion order
+  /// (empty for a network with none).
+  const std::vector<std::size_t>& positions_of(const std::string& network_id) const;
+
   std::vector<Ticket> tickets_;
+  std::map<std::string, std::vector<std::size_t>, std::less<>> by_network_;
 };
 
 }  // namespace mpa

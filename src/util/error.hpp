@@ -6,6 +6,7 @@
 // data errors.
 #pragma once
 
+#include <concepts>
 #include <stdexcept>
 #include <string>
 
@@ -31,6 +32,28 @@ inline void require(bool cond, const std::string& msg) {
 /// Check a data-validity condition; throws DataError with `msg` on failure.
 inline void require_data(bool cond, const std::string& msg) {
   if (!cond) throw DataError(msg);
+}
+
+/// The same checks for a literal message, which then becomes a string
+/// only on failure (the `std::string` forms above would build one on
+/// every call).
+inline void require(bool cond, const char* msg) {
+  if (!cond) throw PreconditionError(msg);
+}
+inline void require_data(bool cond, const char* msg) {
+  if (!cond) throw DataError(msg);
+}
+
+/// The same checks with the message built by `make_msg()` only on
+/// failure, for per-record checks on loader hot paths where building a
+/// message that is thrown away costs more than the check itself.
+template <std::invocable MakeMsg>
+void require(bool cond, MakeMsg&& make_msg) {
+  if (!cond) throw PreconditionError(make_msg());
+}
+template <std::invocable MakeMsg>
+void require_data(bool cond, MakeMsg&& make_msg) {
+  if (!cond) throw DataError(make_msg());
 }
 
 }  // namespace mpa

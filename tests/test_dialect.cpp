@@ -1,14 +1,18 @@
-// Tests for the vendor dialect renderers/parsers, including round-trips
-// and a mutation test over generated snapshot text.
+// Tests for the vendor dialect renderers/parsers, including round-trips,
+// the interned timeline parse, and mutation tests over generated
+// snapshot text.
 #include <gtest/gtest.h>
 
+#include <optional>
 #include <string_view>
 #include <vector>
 
+#include "mutation.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 #include "config/dialect.hpp"
+#include "config/diff.hpp"
 #include "config/lint.hpp"
 #include "simulation/osp_generator.hpp"
 
@@ -166,41 +170,6 @@ INSTANTIATE_TEST_SUITE_P(Sizes, DialectRoundTrip,
 
 // ------------------------------------------------------------- mutation
 
-/// Bytes that carry structure in one dialect or the other.
-constexpr std::string_view kStructural = "\n \t!{};/*\r";
-
-/// One seeded mutation of `text`: a byte flip, a structural byte
-/// written over a random one, a truncation, or a splice of a slice of
-/// `donor` over a random range.
-std::string mutate(std::string text, const std::string& donor, Rng& rng) {
-  const auto pos = [&](std::size_t n) {
-    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n)));
-  };
-  if (text.empty()) return donor;
-  switch (rng.uniform_int(0, 3)) {
-    case 0:
-      for (std::int64_t k = rng.uniform_int(1, 4); k > 0; --k)
-        text[pos(text.size() - 1)] ^= static_cast<char>(rng.uniform_int(1, 255));
-      break;
-    case 1:
-      for (std::int64_t k = rng.uniform_int(1, 4); k > 0; --k)
-        text[pos(text.size() - 1)] = kStructural[pos(kStructural.size() - 1)];
-      break;
-    case 2:
-      text.resize(pos(text.size()));
-      break;
-    default: {
-      const std::size_t from = pos(donor.size());
-      const std::string_view slice =
-          std::string_view(donor).substr(from, pos(donor.size() - from));
-      const std::size_t at = pos(text.size());
-      text.replace(at, pos(text.size() - at), slice);
-      break;
-    }
-  }
-  return text;
-}
-
 // Every mutant of a real snapshot is either accepted or rejected with a
 // DataError by both parse() and LintSource::scan(); any other exception
 // fails the test, and the sanitizer builds catch memory errors and UB.
@@ -242,6 +211,142 @@ TEST(DialectMutation, AcceptsOrRejectsWithDataError) {
     }
     EXPECT_GT(accepted, 0);
     EXPECT_GT(rejected, 0);
+  }
+}
+
+// ------------------------------------------------------ interned timeline
+
+/// The pinned 8 x 4, seed-3 dataset: each device's snapshot texts, in
+/// archive order, with its dialect.
+struct Timeline {
+  Dialect dialect;
+  std::vector<std::string> texts;
+};
+
+std::vector<Timeline> pinned_timelines() {
+  OspOptions gen;
+  gen.num_networks = 8;
+  gen.num_months = 4;
+  gen.seed = 3;
+  const OspDataset data = generate_osp(gen);
+  std::vector<Timeline> out;
+  for (const auto& dev : data.inventory.devices()) {
+    Timeline& tl = out.emplace_back(Timeline{dialect_of(dev.vendor), {}});
+    for (const auto& snap : data.snapshots.for_device(dev.device_id)) tl.texts.push_back(snap.text);
+  }
+  return out;
+}
+
+std::string describe(const std::vector<StanzaChange>& changes) {
+  std::string out;
+  for (const auto& c : changes)
+    out += std::string(to_string(c.kind)) + " " + c.native_type + "|" + c.agnostic_type + "|" +
+           c.name + "|" + std::to_string(c.options_touched) + "\n";
+  return out;
+}
+
+/// What parse() makes of one snapshot: the config and source map, or
+/// the DataError message.
+struct Parsed {
+  std::optional<DeviceConfig> config;
+  SourceMap source;
+  std::string error;
+};
+
+Parsed parse_one(const std::string& text, Dialect d) {
+  Parsed p;
+  try {
+    p.config = parse(text, d, "dev", p.source);
+  } catch (const DataError& e) {
+    p.error = e.what();
+  }
+  return p;
+}
+
+/// Runs `texts` through one interner and checks each snapshot against
+/// parse(): the same stanzas by value (no handle repeated), the same
+/// source map, and the same diff from the last snapshot that parsed;
+/// or a DataError with the same message. Returns the snapshots parsed.
+std::size_t expect_interned_matches_parse(const Timeline& tl, StanzaInterner& interner) {
+  std::vector<const Stanza*> last_handles;
+  std::optional<DeviceConfig> last_config;
+  std::size_t parsed = 0;
+  for (std::size_t i = 0; i < tl.texts.size(); ++i) {
+    SCOPED_TRACE("snapshot " + std::to_string(i));
+    const Parsed want = parse_one(tl.texts[i], tl.dialect);
+    SourceMap source;
+    std::vector<const Stanza*> handles;
+    try {
+      handles = interner.parse(tl.texts[i], source);
+    } catch (const DataError& e) {
+      EXPECT_EQ(e.what(), want.error);
+      continue;
+    }
+    if (!want.config) {
+      ADD_FAILURE() << "parse() rejects what the interner accepts: " << want.error;
+      continue;
+    }
+    ++parsed;
+    const auto& stanzas = want.config->stanzas();
+    EXPECT_EQ(source, want.source);
+    EXPECT_NO_THROW(HandleIndex{handles});
+    if (handles.size() != stanzas.size()) {
+      ADD_FAILURE() << handles.size() << " handles for " << stanzas.size() << " stanzas";
+      continue;
+    }
+    for (std::size_t k = 0; k < stanzas.size(); ++k) EXPECT_EQ(*handles[k], stanzas[k]) << k;
+    if (last_config) {
+      EXPECT_EQ(describe(diff(last_handles, handles)), describe(diff(*last_config, *want.config)));
+    }
+    last_handles = std::move(handles);
+    last_config = want.config;
+  }
+  return parsed;
+}
+
+// Every device timeline of the pinned dataset, snapshot by snapshot: the
+// interned parse gives what parse() gives, and consecutive snapshots
+// share most stanza blocks.
+TEST(StanzaInterner, MatchesParseOnPinnedDataset) {
+  std::size_t snapshots = 0, stanzas = 0, blocks = 0, reused = 0;
+  for (const Timeline& tl : pinned_timelines()) {
+    StanzaInterner interner(tl.dialect);
+    snapshots += expect_interned_matches_parse(tl, interner);
+    for (const auto& text : tl.texts) stanzas += parse(text, tl.dialect, "dev").stanzas().size();
+    blocks += interner.blocks();
+    reused += interner.reused();
+  }
+  EXPECT_GT(snapshots, 100u);
+  EXPECT_EQ(blocks, stanzas);
+  EXPECT_GT(reused, blocks / 2);
+}
+
+// A mutant of one snapshot of a real timeline: the interned timeline
+// agrees with per-snapshot parse() at every snapshot, through the
+// mutant and after it, whether the mutant parses or not.
+TEST(DialectMutation, TimelineAgreesWithParse) {
+  constexpr int kMutantsPerDialect = 300;
+  const auto timelines = pinned_timelines();
+  Rng rng(16);
+  for (const Dialect d : {Dialect::kIosLike, Dialect::kJunosLike}) {
+    std::vector<const Timeline*> pool;
+    for (const auto& tl : timelines)
+      if (tl.dialect == d && tl.texts.size() >= 3) pool.push_back(&tl);
+    ASSERT_FALSE(pool.empty());
+    const auto pick = [&](std::size_t n) {
+      return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+    };
+    int rejected = 0;
+    for (int i = 0; i < kMutantsPerDialect; ++i) {
+      Timeline tl = *pool[pick(pool.size())];
+      const std::size_t at = pick(tl.texts.size());
+      tl.texts[at] = mutate(tl.texts[at], tl.texts[pick(tl.texts.size())], rng);
+      SCOPED_TRACE("mutant " + std::to_string(i) + " at snapshot " + std::to_string(at));
+      StanzaInterner interner(d);
+      if (expect_interned_matches_parse(tl, interner) < tl.texts.size()) ++rejected;
+    }
+    EXPECT_GT(rejected, 0);
+    EXPECT_LT(rejected, kMutantsPerDialect);
   }
 }
 

@@ -1,6 +1,9 @@
 // Tests for stanza-level config diffing.
 #include <gtest/gtest.h>
 
+#include <string>
+#include <vector>
+
 #include "config/diff.hpp"
 
 namespace mpa {
@@ -111,6 +114,83 @@ TEST(Diff, SameNameDifferentTypeIsAddPlusRemove) {
   b.add(s2);
   const auto changes = diff(a, b);
   EXPECT_EQ(changes.size(), 2u);
+}
+
+// ---------------------------------------------------------- handle core
+//
+// Each case diffs two stanza handle lists that share handles, as two
+// snapshots of one interned device timeline do, and the configs holding
+// the same stanzas by value. Both must give the output pinned here,
+// which is what diff() gave before it had a handle core.
+
+Stanza stanza(std::string type, std::string name, std::string description) {
+  Stanza s;
+  s.type = std::move(type);
+  s.name = std::move(name);
+  s.set("description", std::move(description));
+  return s;
+}
+
+/// A config holding copies of `stanzas`, repeats and all.
+DeviceConfig config_of(const std::vector<const Stanza*>& stanzas) {
+  DeviceConfig c("d");
+  for (const Stanza* s : stanzas) c.stanzas().push_back(*s);
+  return c;
+}
+
+std::string describe(const std::vector<StanzaChange>& changes) {
+  std::string out;
+  for (const auto& c : changes)
+    out += std::string(to_string(c.kind)) + " " + c.native_type + " " + c.name + " " +
+           std::to_string(c.options_touched) + ";";
+  return out;
+}
+
+void expect_diff(const std::vector<const Stanza*>& before, const std::vector<const Stanza*>& after,
+                 const std::string& want) {
+  EXPECT_EQ(describe(diff(before, after)), want);
+  EXPECT_EQ(describe(diff(config_of(before), config_of(after))), want);
+}
+
+// A repeated (type, name) whose copies differ: every copy is compared
+// with the first match, so the second copy reads as updated even when
+// both snapshots hold the very same stanzas.
+TEST(Diff, RepeatedKeyComparesEachCopyWithTheFirstMatch) {
+  const Stanza a = stanza("interface", "Eth0", "first");
+  const Stanza b = stanza("interface", "Eth0", "second");
+  const Stanza v = stanza("vlan", "10", "users");
+  expect_diff({&a, &b, &v}, {&a, &b, &v}, "updated interface Eth0 1;");
+  const Stanza a2 = stanza("interface", "Eth0", "changed");
+  expect_diff({&a, &b, &v}, {&a2, &b, &v}, "updated interface Eth0 1;updated interface Eth0 1;");
+  expect_diff({&a, &v}, {&a, &b, &v}, "");
+  expect_diff({&a, &b, &v}, {&b, &v}, "updated interface Eth0 1;");
+}
+
+// Stanzas reordered, one inserted in front and one updated: positions
+// shift, yet only the update and the addition are reported, removals
+// and updates in `before` order, then additions in `after` order.
+TEST(Diff, ReorderedStanzasReportOnlyRealChanges) {
+  const Stanza x = stanza("interface", "Eth0", "x");
+  const Stanza y = stanza("interface", "Eth1", "y");
+  const Stanza y2 = stanza("interface", "Eth1", "y2");
+  const Stanza z = stanza("ip access-list", "web", "z");
+  const Stanza w = stanza("vlan", "20", "w");
+  const Stanza u = stanza("vlan", "30", "u");
+  expect_diff({&x, &y, &z, &u}, {&w, &z, &x, &y2},
+              "updated interface Eth1 1;removed vlan 30 1;added vlan 20 1;");
+  expect_diff({&x, &y, &z}, {&z, &y, &x}, "");
+}
+
+// A handle present in both lists, but not the first stanza of `after`
+// with its key: it is compared with that first match, not skipped.
+TEST(Diff, SharedHandleThatIsNotTheFirstMatchIsCompared) {
+  const Stanza a = stanza("interface", "Eth0", "a");
+  const Stanza b = stanza("interface", "Eth0", "b");
+  const Stanza c = stanza("interface", "Eth0", "c");
+  expect_diff({&a, &b}, {&c, &b}, "updated interface Eth0 1;updated interface Eth0 1;");
+  // An equal-valued first match is no change.
+  const Stanza b_copy = b;
+  expect_diff({&b}, {&b_copy, &b}, "");
 }
 
 TEST(Diff, ChangeKindNames) {

@@ -3,6 +3,8 @@
 
 #include "config/dialect.hpp"
 #include "metrics/inference.hpp"
+#include "obs/metrics.hpp"
+#include "simulation/osp_generator.hpp"
 
 namespace mpa {
 namespace {
@@ -155,6 +157,43 @@ TEST(Inference, EventWindowAffectsEventCountOnly) {
   EXPECT_EQ(tn[1][Practice::kNumConfigChanges], tw[1][Practice::kNumConfigChanges]);
   EXPECT_DOUBLE_EQ(tw[1][Practice::kNumChangeEvents], 1);
   EXPECT_DOUBLE_EQ(tn[1][Practice::kNumChangeEvents], 2);
+}
+
+// With obs on, inference counts the stanza blocks it parsed and reused:
+// the total is the stanza count of every snapshot parsed, and the
+// timelines reuse blocks. With obs off, nothing is recorded.
+TEST(Inference, CountsStanzaBlocksParsedAndReused) {
+  OspOptions gen;
+  gen.num_networks = 8;
+  gen.num_months = 4;
+  gen.seed = 3;
+  const OspDataset data = generate_osp(gen);
+  std::uint64_t stanzas = 0;
+  for (const auto& dev : data.inventory.devices())
+    for (const auto& snap : data.snapshots.for_device(dev.device_id))
+      stanzas += parse(snap.text, dialect_of(dev.vendor), dev.device_id).stanzas().size();
+  InferenceOptions opts;
+  opts.num_months = gen.num_months;
+  const auto counters = [&] {
+    auto all = obs::Registry::global().counters_snapshot();
+    return std::pair{all["mpa_infer_stanza_blocks_total"],
+                     all["mpa_infer_stanza_blocks_reused_total"]};
+  };
+
+  obs::set_enabled(false);
+  obs::Registry::global().reset_values();
+  const CaseTable quiet = infer_case_table(data.inventory, data.snapshots, data.tickets, opts);
+  EXPECT_EQ(counters(), (std::pair<std::uint64_t, std::uint64_t>{0, 0}));
+
+  obs::set_enabled(true);
+  const CaseTable counted = infer_case_table(data.inventory, data.snapshots, data.tickets, opts);
+  const auto [blocks, reused] = counters();
+  obs::set_enabled(false);
+  obs::Registry::global().reset_values();
+  EXPECT_EQ(blocks, stanzas);
+  EXPECT_GT(reused, 0u);
+  EXPECT_LT(reused, blocks);
+  EXPECT_EQ(counted.to_csv(), quiet.to_csv());
 }
 
 }  // namespace

@@ -36,6 +36,34 @@ TEST(Inventory, DevicesInNetwork) {
   EXPECT_TRUE(inv.devices_in("ghost").empty());
 }
 
+// Devices of several networks arrive interleaved: devices_in gives each
+// network's devices in the order they were added.
+TEST(Inventory, DevicesInKeepInsertionOrderAcrossInterleavedNetworks) {
+  Inventory inv;
+  for (const char* net : {"net1", "net2", "net3"}) inv.add_network(NetworkRecord{net, {}, {}});
+  const std::vector<std::pair<std::string, std::string>> adds = {
+      {"b", "net2"}, {"z", "net1"}, {"a", "net2"}, {"y", "net1"}, {"c", "net2"}, {"x", "net1"}};
+  for (const auto& [id, net] : adds)
+    inv.add_device(DeviceRecord{id, net, Vendor::kCirrus, "m", Role::kSwitch, "f"});
+  const auto ids = [&](const std::string& net) {
+    std::string out;
+    for (const DeviceRecord* d : inv.devices_in(net)) {
+      EXPECT_EQ(d, inv.find_device(d->device_id));
+      out += d->device_id;
+    }
+    return out;
+  };
+  EXPECT_EQ(ids("net1"), "zyx");
+  EXPECT_EQ(ids("net2"), "bac");
+  EXPECT_EQ(ids("net3"), "");
+  EXPECT_EQ(ids("ghost"), "");
+  // A rejected device leaves every network's list as it was.
+  EXPECT_THROW(inv.add_device(DeviceRecord{"a", "net3", {}, "m", Role::kSwitch, "f"}),
+               PreconditionError);
+  EXPECT_EQ(ids("net3"), "");
+  EXPECT_EQ(ids("net2"), "bac");
+}
+
 TEST(Inventory, DeviceRegistrationUpdatesNetworkRecord) {
   const Inventory inv = make_small();
   const auto* net = inv.find_network("net1");

@@ -663,6 +663,56 @@ TEST(LintSpans, RepeatedHeaderKeepsItsOwnSpanAndPragmas) {
   }
 }
 
+// The same, in a month-end view over a device timeline: two
+// byte-identical blocks in one snapshot, after a snapshot with the same
+// blocks, each reuse a stanza of their own and keep their own span and
+// pragma set.
+TEST(LintSpans, RepeatedBlockInTimelineKeepsItsOwnSpanAndPragmas) {
+  const std::string ios =
+      "! device dev\n"
+      "! lint-disable unused-interface-up\n"
+      "interface Gi0/1\n"
+      "  description same\n"
+      "!\n"
+      "interface Gi0/1\n"
+      "  description same\n"
+      "!\n";
+  const std::string junos =
+      "/* device dev */\n"
+      "/* lint-disable unused-interface-up */\n"
+      "interfaces xe-0/0/0 {\n"
+      "    description same;\n"
+      "}\n"
+      "interfaces xe-0/0/0 {\n"
+      "    description same;\n"
+      "}\n";
+  const std::string dev = "dev";
+  for (const auto& [text, d] : {std::pair{ios, Dialect::kIosLike},
+                                std::pair{junos, Dialect::kJunosLike}}) {
+    StanzaInterner timeline(d);
+    SourceMap map;
+    timeline.parse(text, map);
+    const auto stanzas = timeline.parse(text, map);
+    ASSERT_EQ(stanzas.size(), 2u);
+    EXPECT_NE(stanzas[0], stanzas[1]);
+    EXPECT_EQ(*stanzas[0], *stanzas[1]);
+    EXPECT_EQ(timeline.reused(), 2u);
+    const LintSource source(map);
+    const std::vector<DeviceView> month_end = {DeviceView(dev, stanzas, &source)};
+    LintOptions opts;
+    opts.keep_suppressed = true;
+    std::vector<const Diagnostic*> found;
+    const auto diags = run_lint(month_end, opts);
+    for (const auto& diag : diags)
+      if (diag.rule_id == "unused-interface-up") found.push_back(&diag);
+    ASSERT_EQ(found.size(), 2u);
+    EXPECT_EQ(found[0]->span, (SourceSpan{3, 5}));
+    EXPECT_TRUE(found[0]->suppressed);
+    EXPECT_EQ(found[1]->span, (SourceSpan{6, 8}));
+    EXPECT_FALSE(found[1]->suppressed);
+  }
+}
+
 // -------------------------------------------------------------- registry
 
 TEST(LintRegistry, BuiltinHasUniqueIdsAndFullCoverage) {

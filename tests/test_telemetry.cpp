@@ -1,6 +1,7 @@
 // Tests for the snapshot store, ticket log, and time helpers.
 #include <gtest/gtest.h>
 
+#include "telemetry/health_metrics.hpp"
 #include "telemetry/snapshots.hpp"
 #include "telemetry/tickets.hpp"
 #include "util/error.hpp"
@@ -61,6 +62,42 @@ TEST(TicketLog, HealthTicketsFilter) {
   const TicketLog log = make_log();
   EXPECT_EQ(log.health_tickets("net1").size(), 2u);
   EXPECT_EQ(log.health_tickets("net2").size(), 1u);
+}
+
+// Tickets of several networks arrive interleaved: each network's
+// lookups see exactly its own tickets, in insertion order.
+TEST(TicketLog, InterleavedNetworksKeepTheirOwnTicketsInOrder) {
+  TicketLog log;
+  const std::vector<std::string> nets = {"net2", "net10", "net1", "net2", "net1", "net10", "net1"};
+  for (std::size_t i = 0; i < nets.size(); ++i) {
+    const auto origin = i % 3 == 2 ? TicketOrigin::kMaintenance : TicketOrigin::kMonitoringAlarm;
+    const Timestamp created = static_cast<Timestamp>(i % 2) * kMinutesPerMonth + 10;
+    log.add(Ticket{"t" + std::to_string(i), nets[i], created, created + 5, {"d" + nets[i]}, origin,
+                   "link-down"});
+  }
+  const auto ids = [&](const std::string& net) {
+    std::vector<std::string> out;
+    for (const Ticket* t : log.health_tickets(net)) out.push_back(t->ticket_id);
+    return out;
+  };
+  // t2 and t5 are maintenance tickets.
+  EXPECT_EQ(ids("net1"), (std::vector<std::string>{"t4", "t6"}));
+  EXPECT_EQ(ids("net2"), (std::vector<std::string>{"t0", "t3"}));
+  EXPECT_EQ(ids("net10"), (std::vector<std::string>{"t1"}));
+  EXPECT_TRUE(ids("net").empty());
+  for (const std::string& net : {"net1", "net2", "net10", "net"}) {
+    for (int m = 0; m < 2; ++m) {
+      int want = 0;
+      for (const auto& t : log.all())
+        if (t.network_id == net && t.origin != TicketOrigin::kMaintenance &&
+            month_of(t.created) == m)
+          ++want;
+      EXPECT_EQ(log.count_health_tickets(net, m), want) << net << " month " << m;
+      const HealthSummary h = summarize_health(log, net, m);
+      EXPECT_EQ(h.tickets, want) << net << " month " << m;
+      EXPECT_EQ(h.distinct_devices, want > 0 ? 1 : 0) << net << " month " << m;
+    }
+  }
 }
 
 TEST(TicketOriginNames, Stable) {

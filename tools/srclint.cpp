@@ -91,7 +91,9 @@ const std::map<std::string, std::set<std::string>>& allowed_layer_deps() {
       // and shard fingerprints use the shared FNV-1a (reviewed edge —
       // both live in the util layer, not a new DAG edge).
       {"io", {"model", "telemetry", "util"}},
-      {"metrics", {"config", "model", "stats", "telemetry", "util"}},
+      // metrics -> obs: inference adds its stanza-block counters when
+      // obs is enabled (obs itself depends on util only).
+      {"metrics", {"config", "model", "obs", "stats", "telemetry", "util"}},
       {"simulation", {"config", "metrics", "model", "telemetry", "util"}},
       {"learn", {"metrics", "stats", "util"}},
       {"mpa", {"learn", "metrics", "stats", "util"}},
