@@ -6,6 +6,7 @@
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -17,30 +18,6 @@ std::optional<LintCategory> parse_category(std::string_view s) {
     if (to_string(c) == s) return c;
   }
   return std::nullopt;
-}
-
-std::string json_escape(std::string_view s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      case '\r': out += "\\r"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          constexpr char kHex[] = "0123456789abcdef";
-          out += "\\u00";
-          out += kHex[(c >> 4) & 0xf];
-          out += kHex[c & 0xf];
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
 }
 
 /// SARIF result level for a severity.
@@ -105,11 +82,12 @@ std::string LintReport::to_csv() const {
   os << "record,network_id,device_id,rule_id,severity,category,first_line,last_line,"
         "suppressed,object,message\n";
   for (const auto& net : networks) {
-    os << "net," << net.network_id << "," << net.num_devices << "\n";
+    os << "net," << csv_field(net.network_id) << "," << net.num_devices << "\n";
     for (const auto& d : net.diagnostics) {
-      os << "diag," << d.device_id << "," << d.rule_id << "," << to_string(d.severity) << ","
-         << to_string(d.category) << "," << d.span.first_line << "," << d.span.last_line << ","
-         << (d.suppressed ? 1 : 0) << "," << d.object << "," << d.message << "\n";
+      os << "diag," << csv_field(d.device_id) << "," << csv_field(d.rule_id) << ","
+         << to_string(d.severity) << "," << to_string(d.category) << "," << d.span.first_line
+         << "," << d.span.last_line << "," << (d.suppressed ? 1 : 0) << ","
+         << csv_field(d.object) << "," << csv_field(d.message) << "\n";
     }
   }
   return os.str();
@@ -117,14 +95,10 @@ std::string LintReport::to_csv() const {
 
 LintReport LintReport::from_csv(std::string_view csv) {
   LintReport out;
-  bool header = true;
-  for (const auto& line : split(csv, '\n')) {
-    if (trim(line).empty()) continue;
-    if (header) {
-      header = false;
-      continue;
-    }
-    const auto cells = split(line, ',');
+  CsvReader reader(csv);
+  std::vector<std::string> cells;
+  reader.next(cells);  // header
+  while (reader.next(cells)) {
     if (cells[0] == "net") {
       require_data(cells.size() == 3, "lint report: bad network row");
       NetworkLint net;
@@ -133,7 +107,7 @@ LintReport LintReport::from_csv(std::string_view csv) {
       out.networks.push_back(std::move(net));
       continue;
     }
-    require_data(cells[0] == "diag" && cells.size() >= 10, "lint report: bad finding row");
+    require_data(cells[0] == "diag" && cells.size() == 10, "lint report: bad finding row");
     require_data(!out.networks.empty(), "lint report: finding before any network");
     Diagnostic d;
     d.device_id = cells[1];
@@ -148,8 +122,7 @@ LintReport LintReport::from_csv(std::string_view csv) {
     d.span.last_line = parse_int_cell(cells[6], "last_line");
     d.suppressed = parse_int_cell(cells[7], "suppressed flag") != 0;
     d.object = cells[8];
-    // The message is everything after the object column, commas intact.
-    d.message = join(std::vector<std::string>(cells.begin() + 9, cells.end()), ",");
+    d.message = cells[9];
     out.networks.back().diagnostics.push_back(std::move(d));
   }
   return out;

@@ -32,8 +32,8 @@ struct LintReport {
   /// Copy keeping only findings at or above `min` severity.
   LintReport at_least(LintSeverity min) const;
 
-  /// CSV round-trip for ArtifactStore persistence. The message is the
-  /// last column and is re-joined on load, so it may contain commas.
+  /// CSV round-trip for ArtifactStore persistence. String fields go
+  /// through csv_field(), so any byte in them survives the reload.
   std::string to_csv() const;
   /// Throws DataError on malformed input.
   static LintReport from_csv(std::string_view csv);

@@ -1,7 +1,6 @@
 #include "engine/run_manifest.hpp"
 
 #include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "util/error.hpp"
@@ -11,14 +10,6 @@
 
 namespace mpa {
 namespace {
-
-/// Shortest round-trippable double, always a valid JSON token.
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
-  return buf;
-}
 
 void append_map(std::ostringstream& os, const std::map<std::string, std::uint64_t>& m) {
   os << '{';
@@ -59,7 +50,7 @@ std::string RunManifest::to_json() const {
   for (std::size_t i = 0; i < stages.size(); ++i) {
     if (i != 0) os << ',';
     os << "\n    {\"stage\":\"" << json_escape(stages[i].stage) << "\",\"source\":\""
-       << json_escape(stages[i].source) << "\",\"seconds\":" << format_number(stages[i].seconds)
+       << json_escape(stages[i].source) << "\",\"seconds\":" << json_number(stages[i].seconds)
        << '}';
   }
   os << (stages.empty() ? "],\n" : "\n  ],\n") << "  \"cache\":";

@@ -48,7 +48,7 @@ std::string CaseTable::to_csv() const {
   }
   os << ",tickets\n";
   for (const auto& c : cases_) {
-    os << c.network_id << ',' << c.month;
+    os << csv_field(c.network_id) << ',' << c.month;
     for (Practice p : all_practices()) os << ',' << format_double(c[p], 6);
     os << ',' << format_double(c.tickets, 6) << '\n';
   }
@@ -57,16 +57,12 @@ std::string CaseTable::to_csv() const {
 
 CaseTable CaseTable::from_csv(std::string_view csv) {
   CaseTable out;
-  bool header = true;
-  for (const auto& line : split(csv, '\n')) {
-    if (trim(line).empty()) continue;
-    if (header) {
-      header = false;
-      continue;
-    }
-    const auto cells = split(line, ',');
-    require_data(cells.size() == 3 + kNumPractices,
-                 "CaseTable::from_csv: wrong column count in: " + line);
+  CsvReader reader(csv);
+  std::vector<std::string> cells;
+  reader.next(cells);  // header
+  while (reader.next(cells)) {
+    if (cells.size() != 3 + kNumPractices)
+      throw DataError("CaseTable::from_csv: wrong column count in: " + join(cells, ","));
     Case c;
     c.network_id = cells[0];
     try {
@@ -75,7 +71,7 @@ CaseTable CaseTable::from_csv(std::string_view csv) {
         c.practice[static_cast<std::size_t>(j)] = std::stod(cells[static_cast<std::size_t>(2 + j)]);
       c.tickets = std::stod(cells[cells.size() - 1]);
     } catch (const std::exception&) {
-      throw DataError("CaseTable::from_csv: non-numeric cell in: " + line);
+      throw DataError("CaseTable::from_csv: non-numeric cell in: " + join(cells, ","));
     }
     out.add(std::move(c));
   }

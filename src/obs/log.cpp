@@ -1,8 +1,6 @@
 #include "obs/log.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -20,14 +18,6 @@ constexpr int kGateOff = 4;
 
 std::atomic<int> g_gate{kGateOff};
 std::atomic<int> g_min_level{static_cast<int>(LogLevel::kDebug)};
-
-/// Shortest round-trippable double, always a valid JSON token.
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
-  return buf;
-}
 
 }  // namespace
 
@@ -72,7 +62,7 @@ std::string LogField::value_json() const {
     case Type::kString: return "\"" + json_escape(s) + "\"";
     case Type::kInt: return std::to_string(i);
     case Type::kUint: return std::to_string(u);
-    case Type::kDouble: return format_number(d);
+    case Type::kDouble: return json_number(d);
     case Type::kBool: return b ? "true" : "false";
   }
   return "null";

@@ -2,9 +2,10 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdio>
 #include <cstring>
 #include <sstream>
+
+#include "util/json.hpp"
 
 namespace mpa::obs {
 namespace {
@@ -29,32 +30,6 @@ void atomic_add_double(std::atomic<std::uint64_t>& bits, double delta) {
     const std::uint64_t next = double_to_bits(bits_to_double(old) + delta);
     if (bits.compare_exchange_weak(old, next, std::memory_order_relaxed)) return;
   }
-}
-
-/// Shortest round-trippable representation, always a valid JSON number.
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  // Normalize "inf"/"nan" (never produced by our instruments, but keep
-  // the output valid JSON regardless).
-  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace
@@ -144,6 +119,16 @@ const std::vector<double>& latency_buckets_seconds() {
   return buckets;
 }
 
+std::string prometheus_label_value(std::string_view raw) {
+  std::string out;
+  out.reserve(raw.size());
+  for (char c : raw) {
+    if (c == '\\' || c == '"' || c == '\n') out += '\\';
+    out += c == '\n' ? 'n' : c;
+  }
+  return out;
+}
+
 Registry& Registry::global() {
   static Registry registry;
   return registry;
@@ -192,7 +177,7 @@ std::string Registry::to_json() const {
   for (const auto& [name, g] : gauges_) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(name) << "\":" << format_number(g->value());
+    os << '"' << json_escape(name) << "\":" << json_number(g->value());
   }
   os << "},\"histograms\":{";
   first = true;
@@ -200,9 +185,9 @@ std::string Registry::to_json() const {
     if (!first) os << ',';
     first = false;
     os << '"' << json_escape(name) << "\":{\"count\":" << h->count()
-       << ",\"sum\":" << format_number(h->sum()) << ",\"p50\":" << format_number(h->quantile(0.5))
-       << ",\"p90\":" << format_number(h->quantile(0.9))
-       << ",\"p99\":" << format_number(h->quantile(0.99)) << ",\"buckets\":[";
+       << ",\"sum\":" << json_number(h->sum()) << ",\"p50\":" << json_number(h->quantile(0.5))
+       << ",\"p90\":" << json_number(h->quantile(0.9))
+       << ",\"p99\":" << json_number(h->quantile(0.99)) << ",\"buckets\":[";
     const auto counts = h->bucket_counts();
     std::uint64_t cumulative = 0;
     for (std::size_t i = 0; i < counts.size(); ++i) {
@@ -210,7 +195,7 @@ std::string Registry::to_json() const {
       if (i != 0) os << ',';
       os << "{\"le\":";
       if (i < h->bounds().size()) {
-        os << format_number(h->bounds()[i]);
+        os << json_number(h->bounds()[i]);
       } else {
         os << "\"+Inf\"";
       }
@@ -229,7 +214,7 @@ std::string Registry::to_prometheus() const {
     os << "# TYPE " << name << " counter\n" << name << ' ' << c->value() << '\n';
   }
   for (const auto& [name, g] : gauges_) {
-    os << "# TYPE " << name << " gauge\n" << name << ' ' << format_number(g->value()) << '\n';
+    os << "# TYPE " << name << " gauge\n" << name << ' ' << json_number(g->value()) << '\n';
   }
   for (const auto& [name, h] : histograms_) {
     os << "# TYPE " << name << " histogram\n";
@@ -239,13 +224,13 @@ std::string Registry::to_prometheus() const {
       cumulative += counts[i];
       os << name << "_bucket{le=\"";
       if (i < h->bounds().size()) {
-        os << format_number(h->bounds()[i]);
+        os << json_number(h->bounds()[i]);
       } else {
         os << "+Inf";
       }
       os << "\"} " << cumulative << '\n';
     }
-    os << name << "_sum " << format_number(h->sum()) << '\n'
+    os << name << "_sum " << json_number(h->sum()) << '\n'
        << name << "_count " << h->count() << '\n';
   }
   return os.str();
@@ -255,11 +240,11 @@ std::string Registry::to_text() const {
   MutexLock lk(mu_);
   std::ostringstream os;
   for (const auto& [name, c] : counters_) os << name << " = " << c->value() << '\n';
-  for (const auto& [name, g] : gauges_) os << name << " = " << format_number(g->value()) << '\n';
+  for (const auto& [name, g] : gauges_) os << name << " = " << json_number(g->value()) << '\n';
   for (const auto& [name, h] : histograms_) {
-    os << name << ": count=" << h->count() << " sum=" << format_number(h->sum())
-       << "s p50=" << format_number(h->quantile(0.5)) << "s p90=" << format_number(h->quantile(0.9))
-       << "s p99=" << format_number(h->quantile(0.99)) << "s\n";
+    os << name << ": count=" << h->count() << " sum=" << json_number(h->sum())
+       << "s p50=" << json_number(h->quantile(0.5)) << "s p90=" << json_number(h->quantile(0.9))
+       << "s p99=" << json_number(h->quantile(0.99)) << "s\n";
   }
   return os.str();
 }

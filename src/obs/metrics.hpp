@@ -19,6 +19,7 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/sync.hpp"
@@ -99,6 +100,12 @@ const std::vector<double>& latency_buckets_seconds();
 /// highest finite bound, and q is clamped to [0,1].
 double quantile_from_buckets(const std::vector<double>& bounds,
                              const std::vector<std::uint64_t>& counts, double q);
+
+/// A Prometheus label value, escaped for use between the quotes of
+/// `name="..."`: backslash, double quote and line feed, as the text
+/// exposition format requires; every other byte passes through. The
+/// one encoder for label values in every `.prom` export.
+std::string prometheus_label_value(std::string_view raw);
 
 /// Named instruments, created on first access and stable thereafter
 /// (references never invalidate). One process-wide instance.

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace mpa::obs {
 namespace {
@@ -18,22 +19,6 @@ std::string& thread_current_path() {
 RequestContext*& thread_request_context() {
   thread_local RequestContext* ctx = nullptr;
   return ctx;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
 }
 
 }  // namespace

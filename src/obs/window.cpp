@@ -1,36 +1,12 @@
 #include "obs/window.hpp"
 
-#include <cstdio>
-#include <cstring>
 #include <sstream>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace mpa::obs {
 namespace {
-
-std::string format_number(double v) {
-  char buf[32];
-  std::snprintf(buf, sizeof buf, "%.12g", v);
-  if (std::strchr(buf, 'i') != nullptr || std::strchr(buf, 'n') != nullptr) return "0";
-  return buf;
-}
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    if (c == '"' || c == '\\') {
-      out += '\\';
-      out += c;
-    } else if (c == '\n') {
-      out += "\\n";
-    } else {
-      out += c;
-    }
-  }
-  return out;
-}
 
 std::size_t status_slot(std::string_view status) {
   if (status == "ok") return 0;
@@ -163,7 +139,7 @@ WindowRegistry::Snapshot WindowRegistry::snapshot() const {
 std::string WindowRegistry::to_json() const {
   const Snapshot snap = snapshot();
   std::ostringstream os;
-  os << "{\"window_seconds\":" << format_number(snap.window_seconds) << ",\"series\":[";
+  os << "{\"window_seconds\":" << json_number(snap.window_seconds) << ",\"series\":[";
   bool first = true;
   for (const SeriesWindow& w : snap.series) {
     if (!first) os << ',';
@@ -171,17 +147,17 @@ std::string WindowRegistry::to_json() const {
     os << "{\"tenant\":\"" << json_escape(w.tenant) << "\",\"kind\":\"" << json_escape(w.kind)
        << "\",\"total\":" << w.total << ",\"ok\":" << w.ok << ",\"rejected\":" << w.rejected
        << ",\"deadline_exceeded\":" << w.deadline_exceeded << ",\"error\":" << w.error
-       << ",\"throughput_rps\":" << format_number(w.throughput_rps)
-       << ",\"ok_rate\":" << format_number(w.ok_rate)
-       << ",\"reject_rate\":" << format_number(w.reject_rate)
-       << ",\"deadline_rate\":" << format_number(w.deadline_rate)
-       << ",\"error_rate\":" << format_number(w.error_rate) << ",\"queue_ms\":{\"p50\":"
-       << format_number(w.queue_p50_ms) << ",\"p90\":" << format_number(w.queue_p90_ms)
-       << ",\"p99\":" << format_number(w.queue_p99_ms) << "},\"service_ms\":{\"p50\":"
-       << format_number(w.service_p50_ms) << ",\"p90\":" << format_number(w.service_p90_ms)
-       << ",\"p99\":" << format_number(w.service_p99_ms) << "},\"latency_ms\":{\"p50\":"
-       << format_number(w.latency_p50_ms) << ",\"p90\":" << format_number(w.latency_p90_ms)
-       << ",\"p99\":" << format_number(w.latency_p99_ms) << "}}";
+       << ",\"throughput_rps\":" << json_number(w.throughput_rps)
+       << ",\"ok_rate\":" << json_number(w.ok_rate)
+       << ",\"reject_rate\":" << json_number(w.reject_rate)
+       << ",\"deadline_rate\":" << json_number(w.deadline_rate)
+       << ",\"error_rate\":" << json_number(w.error_rate) << ",\"queue_ms\":{\"p50\":"
+       << json_number(w.queue_p50_ms) << ",\"p90\":" << json_number(w.queue_p90_ms)
+       << ",\"p99\":" << json_number(w.queue_p99_ms) << "},\"service_ms\":{\"p50\":"
+       << json_number(w.service_p50_ms) << ",\"p90\":" << json_number(w.service_p90_ms)
+       << ",\"p99\":" << json_number(w.service_p99_ms) << "},\"latency_ms\":{\"p50\":"
+       << json_number(w.latency_p50_ms) << ",\"p90\":" << json_number(w.latency_p90_ms)
+       << ",\"p99\":" << json_number(w.latency_p99_ms) << "}}";
   }
   os << "]}";
   return os.str();
@@ -190,34 +166,36 @@ std::string WindowRegistry::to_json() const {
 std::string WindowRegistry::to_prometheus() const {
   const Snapshot snap = snapshot();
   std::ostringstream os;
-  auto labels = [](const SeriesWindow& w) {
-    return "{tenant=\"" + w.tenant + "\",kind=\"" + w.kind + "\"}";
+  auto labels = [](const SeriesWindow& w, const std::string& extra = "") {
+    return "{tenant=\"" + prometheus_label_value(w.tenant) + "\",kind=\"" +
+           prometheus_label_value(w.kind) + "\"" + extra + "}";
   };
   os << "# TYPE mpa_window_requests_total gauge\n";
   static const char* const kStatusNames[] = {"ok", "rejected", "deadline_exceeded", "error"};
   for (const SeriesWindow& w : snap.series) {
     const std::uint64_t by_status[] = {w.ok, w.rejected, w.deadline_exceeded, w.error};
     for (std::size_t s = 0; s < 4; ++s) {
-      os << "mpa_window_requests_total{tenant=\"" << w.tenant << "\",kind=\"" << w.kind
-         << "\",status=\"" << kStatusNames[s] << "\"} " << by_status[s] << '\n';
+      os << "mpa_window_requests_total"
+         << labels(w, std::string(",status=\"") + kStatusNames[s] + "\"") << ' '
+         << by_status[s] << '\n';
     }
   }
   os << "# TYPE mpa_window_throughput_rps gauge\n";
   for (const SeriesWindow& w : snap.series) {
-    os << "mpa_window_throughput_rps" << labels(w) << ' ' << format_number(w.throughput_rps)
+    os << "mpa_window_throughput_rps" << labels(w) << ' ' << json_number(w.throughput_rps)
        << '\n';
   }
   os << "# TYPE mpa_window_error_rate gauge\n";
   for (const SeriesWindow& w : snap.series) {
-    os << "mpa_window_error_rate" << labels(w) << ' ' << format_number(w.error_rate) << '\n';
+    os << "mpa_window_error_rate" << labels(w) << ' ' << json_number(w.error_rate) << '\n';
   }
   os << "# TYPE mpa_window_reject_rate gauge\n";
   for (const SeriesWindow& w : snap.series) {
-    os << "mpa_window_reject_rate" << labels(w) << ' ' << format_number(w.reject_rate) << '\n';
+    os << "mpa_window_reject_rate" << labels(w) << ' ' << json_number(w.reject_rate) << '\n';
   }
   os << "# TYPE mpa_window_deadline_rate gauge\n";
   for (const SeriesWindow& w : snap.series) {
-    os << "mpa_window_deadline_rate" << labels(w) << ' ' << format_number(w.deadline_rate)
+    os << "mpa_window_deadline_rate" << labels(w) << ' ' << json_number(w.deadline_rate)
        << '\n';
   }
   static const char* const kQuantiles[] = {"0.5", "0.9", "0.99"};
@@ -226,8 +204,8 @@ std::string WindowRegistry::to_prometheus() const {
     for (const SeriesWindow& w : snap.series) {
       const double qs[] = {w.*member_p50, w.*member_p90, w.*member_p99};
       for (std::size_t i = 0; i < 3; ++i) {
-        os << name << "{tenant=\"" << w.tenant << "\",kind=\"" << w.kind << "\",quantile=\""
-           << kQuantiles[i] << "\"} " << format_number(qs[i]) << '\n';
+        os << name << labels(w, std::string(",quantile=\"") + kQuantiles[i] + "\"") << ' '
+           << json_number(qs[i]) << '\n';
       }
     }
   };

@@ -162,15 +162,16 @@ std::string SloReport::to_text() const {
 
 std::string SloReport::to_json() const {
   std::ostringstream os;
-  os << "{\"slo_ms\":" << slo_ms << ",\"offered_rps\":" << offered_rps
-     << ",\"achieved_rps\":" << achieved_rps << ",\"saturated\":"
+  os << "{\"slo_ms\":" << json_number(slo_ms)
+     << ",\"offered_rps\":" << json_number(offered_rps)
+     << ",\"achieved_rps\":" << json_number(achieved_rps) << ",\"saturated\":"
      << (saturated ? "true" : "false") << ",\"tenants\":[";
   bool first = true;
   for (const TenantSlo& t : tenants) {
     if (!first) os << ',';
     first = false;
     os << "{\"tenant\":\"" << json_escape(t.tenant) << "\",\"total\":" << t.total
-       << ",\"within\":" << t.within << ",\"attainment\":" << t.attainment << '}';
+       << ",\"within\":" << t.within << ",\"attainment\":" << json_number(t.attainment) << '}';
   }
   os << "]}";
   return os.str();
@@ -197,8 +198,10 @@ std::string LoadReport::to_json() const {
   std::ostringstream os;
   os << "{\"total\":" << total << ",\"ok\":" << ok << ",\"rejected\":" << rejected
      << ",\"deadline_exceeded\":" << deadline_misses << ",\"error\":" << errors
-     << ",\"wall_seconds\":" << wall_seconds << ",\"throughput_rps\":" << throughput_rps
-     << ",\"p50_ms\":" << p50_ms << ",\"p90_ms\":" << p90_ms << ",\"p99_ms\":" << p99_ms << "}";
+     << ",\"wall_seconds\":" << json_number(wall_seconds)
+     << ",\"throughput_rps\":" << json_number(throughput_rps)
+     << ",\"p50_ms\":" << json_number(p50_ms) << ",\"p90_ms\":" << json_number(p90_ms)
+     << ",\"p99_ms\":" << json_number(p99_ms) << "}";
   return os.str();
 }
 

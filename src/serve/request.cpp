@@ -10,14 +10,6 @@
 namespace mpa::serve {
 namespace {
 
-/// Doubles in the wire format: millisecond values with enough digits
-/// to round-trip the values the CLI accepts.
-std::string number(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 int int_field(const JsonValue& v, const std::string& key, int fallback) {
   const JsonValue* f = v.find(key);
   return f == nullptr ? fallback : static_cast<int>(f->as_number());
@@ -98,7 +90,7 @@ std::string Request::to_json() const {
   }
   // != 0, not > 0: a negative deadline (expired at submit) must
   // round-trip through traces to reproduce synchronous rejection.
-  if (deadline_ms != 0) os << ",\"deadline_ms\":" << number(deadline_ms);
+  if (deadline_ms != 0) os << ",\"deadline_ms\":" << json_number(deadline_ms);
   os << "}";
   return os.str();
 }
@@ -137,8 +129,9 @@ std::string Response::to_json(bool with_timing) const {
      << to_string(status) << "\",\"body\":\"" << json_escape(body) << "\"";
   if (with_timing) {
     os << ",\"tenant\":\"" << json_escape(tenant) << "\",\"session\":\"" << json_escape(session)
-       << "\",\"queue_ms\":" << number(queue_ms) << ",\"service_ms\":" << number(service_ms)
-       << ",\"total_ms\":" << number(total_ms);
+       << "\",\"queue_ms\":" << json_number(queue_ms)
+       << ",\"service_ms\":" << json_number(service_ms)
+       << ",\"total_ms\":" << json_number(total_ms);
   }
   os << "}";
   return os.str();

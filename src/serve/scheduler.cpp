@@ -1,5 +1,7 @@
 #include "serve/scheduler.hpp"
 
+#include <utility>
+
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -18,6 +20,18 @@ void observe_seconds(const char* name, double seconds) {
 
 double ms_between(std::uint64_t t0_ns, std::uint64_t t1_ns) {
   return t1_ns > t0_ns ? static_cast<double>(t1_ns - t0_ns) * 1e-6 : 0.0;
+}
+
+/// The response envelope every terminal path fills from its request.
+Response answer(const Request& req, RequestStatus status, std::string body) {
+  Response resp;
+  resp.id = req.id;
+  resp.tenant = req.tenant;
+  resp.session = req.session;
+  resp.kind = req.kind;
+  resp.status = status;
+  resp.body = std::move(body);
+  return resp;
 }
 
 /// Structural per-request completion event: id/tenant/kind/status only
@@ -75,46 +89,21 @@ Scheduler::~Scheduler() {
 
 bool Scheduler::submit(Request req) {
   const std::uint64_t now = obs::now_ns();
-  if (introspector_ &&
-      (req.kind == RequestKind::kStats || req.kind == RequestKind::kHealth)) {
-    // Out-of-band introspection: answered synchronously on the
-    // submitting thread, never enqueued, never occupying queue depth —
-    // the expired-at-submit path's shape — so a saturated daemon still
-    // answers "what is going on".
-    {
-      MutexLock lk(mu_);
-      ++stats_.submitted;
-      ++stats_.completed;
-      ++stats_.introspected;
-    }
-    count("mpa_serve_submitted_total");
-    introspect(req);
-    return false;
-  }
-  if (req.deadline_ms < 0) {
-    // Already expired at submit. Historically this was detected only
-    // at dequeue, so a dead-on-arrival request occupied queue depth
-    // (and could trigger queue_full rejections of live work) before
-    // completing. Answer synchronously, never enqueue.
-    {
-      MutexLock lk(mu_);
-      ++stats_.submitted;
-      ++stats_.completed;
-      ++stats_.deadline_misses;
-    }
-    count("mpa_serve_submitted_total");
-    expire(req);
-    return false;
-  }
+  const bool introspection =
+      introspector_ && (req.kind == RequestKind::kStats || req.kind == RequestKind::kHealth);
+  count("mpa_serve_submitted_total");
+  if (introspection) count("mpa_serve_introspected_total");
   const char* reject_reason = nullptr;
   {
     MutexLock lk(mu_);
     ++stats_.submitted;
-    if (ready_ >= opts_.max_queue_depth) {
-      ++stats_.rejected;
+    if (introspection) {
+      ++stats_.introspected;
+    } else if (req.deadline_ms < 0) {
+      // Already expired at submit: answered below, never enqueued.
+    } else if (ready_ >= opts_.max_queue_depth) {
       reject_reason = "queue_full";  // Sink invoked outside the lock, below.
     } else if (active_ >= opts_.max_active_reqs) {
-      ++stats_.rejected;
       reject_reason = "max_active_reqs";
     } else {
       Item item;
@@ -135,81 +124,71 @@ bool Scheduler::submit(Request req) {
       ++ready_;
       ++active_;
       ++stats_.admitted;
-      count("mpa_serve_submitted_total");
       count("mpa_serve_admitted_total");
       work_cv_.notify_one();
       return true;
     }
   }
-  // Rejected: answer immediately and explicitly.
-  count("mpa_serve_submitted_total");
-  reject(req, reject_reason);
+  if (introspection) {
+    // Out-of-band introspection: answered synchronously on the
+    // submitting thread, never enqueued, never occupying queue depth —
+    // so a saturated daemon still answers "what is going on".
+    Response resp = answer(req, RequestStatus::kOk, "");
+    try {
+      Response answered = introspector_(req);
+      resp.status = answered.status;
+      resp.body = std::move(answered.body);
+    } catch (const std::exception& e) {
+      resp.status = RequestStatus::kError;
+      resp.body = e.what();
+    }
+    finish(resp, Origin::kIntrospection);
+  } else if (reject_reason == nullptr) {
+    // Expired at submit: answered here, never enqueued, so a
+    // dead-on-arrival request cannot occupy queue depth or trigger
+    // queue_full rejections of live work.
+    finish(answer(req, RequestStatus::kDeadlineExceeded, "deadline exceeded at submit"),
+           Origin::kSubmit);
+  } else {
+    // Rejected: answer immediately and explicitly.
+    obs::LogEvent(obs::LogLevel::kInfo, "request_rejected")
+        .u64("id", req.id)
+        .str("tenant", req.tenant)
+        .str("kind", to_string(req.kind))
+        .str("reason", reject_reason);
+    finish(answer(req, RequestStatus::kRejected, std::string("rejected: ") + reject_reason),
+           Origin::kSubmit);
+  }
   return false;
 }
 
-void Scheduler::expire(const Request& req) {
-  count("mpa_serve_deadline_miss_total");
-  count("mpa_serve_completed_total");
-  Response resp;
-  resp.id = req.id;
-  resp.tenant = req.tenant;
-  resp.session = req.session;
-  resp.kind = req.kind;
-  resp.status = RequestStatus::kDeadlineExceeded;
-  resp.body = "deadline exceeded at submit";
-  record_window(resp);
-  log_done(resp);
-  if (sink_) sink_(resp);
-}
-
-void Scheduler::introspect(const Request& req) {
-  count("mpa_serve_introspected_total");
-  count("mpa_serve_completed_total");
-  Response resp;
-  resp.id = req.id;
-  resp.tenant = req.tenant;
-  resp.session = req.session;
-  resp.kind = req.kind;
-  try {
-    Response answered = introspector_(req);
-    resp.status = answered.status;
-    resp.body = std::move(answered.body);
-  } catch (const std::exception& e) {
-    resp.status = RequestStatus::kError;
-    resp.body = e.what();
-  }
+void Scheduler::finish(const Response& resp, Origin origin) {
   // Introspection is observability about the window, not workload in
   // it — deliberately not recorded into the windowed registry.
+  if (window_ != nullptr && origin != Origin::kIntrospection)
+    window_->record(resp.tenant, to_string(resp.kind), to_string(resp.status), resp.queue_ms,
+                    resp.service_ms, resp.total_ms);
   log_done(resp);
   if (sink_) sink_(resp);
+
+  // The Stats field and obs counter each status bumps, in
+  // RequestStatus order; every status but a rejection also completes.
+  static constexpr std::pair<std::uint64_t Stats::*, const char*> kByStatus[] = {
+      {&Stats::ok, "mpa_serve_ok_total"},
+      {&Stats::rejected, "mpa_serve_rejected_total"},
+      {&Stats::deadline_misses, "mpa_serve_deadline_miss_total"},
+      {&Stats::errors, "mpa_serve_error_total"}};
+  const auto& [field, counter] = kByStatus[static_cast<std::size_t>(resp.status)];
+  const bool completed = resp.status != RequestStatus::kRejected;
+  count(counter);
+  if (completed) count("mpa_serve_completed_total");
   MutexLock lk(mu_);
-  if (resp.status == RequestStatus::kOk) ++stats_.ok;
-  if (resp.status == RequestStatus::kError) ++stats_.errors;
-}
-
-void Scheduler::record_window(const Response& resp) {
-  if (window_ == nullptr) return;
-  window_->record(resp.tenant, to_string(resp.kind), to_string(resp.status), resp.queue_ms,
-                  resp.service_ms, resp.total_ms);
-}
-
-void Scheduler::reject(const Request& req, const std::string& reason) {
-  count("mpa_serve_rejected_total");
-  obs::LogEvent(obs::LogLevel::kInfo, "request_rejected")
-      .u64("id", req.id)
-      .str("tenant", req.tenant)
-      .str("kind", to_string(req.kind))
-      .str("reason", reason);
-  Response resp;
-  resp.id = req.id;
-  resp.tenant = req.tenant;
-  resp.session = req.session;
-  resp.kind = req.kind;
-  resp.status = RequestStatus::kRejected;
-  resp.body = "rejected: " + reason;
-  record_window(resp);
-  log_done(resp);
-  if (sink_) sink_(resp);
+  ++(stats_.*field);
+  if (completed) ++stats_.completed;
+  if (origin == Origin::kWorker) {
+    --active_;
+    if (active_ == 0) drain_cv_.notify_all();
+  }
 }
 
 bool Scheduler::pop_next(Item* out) {
@@ -254,18 +233,13 @@ void Scheduler::worker_loop() {
     ctx.collect = true;
     obs::ScopedRequestContext scoped(&ctx);
 
-    Response resp;
-    resp.id = item.req.id;
-    resp.tenant = item.req.tenant;
-    resp.session = item.req.session;
-    resp.kind = item.req.kind;
+    Response resp = answer(item.req, RequestStatus::kOk, "");
     resp.queue_ms = queue_ms;
     if (item.deadline_ns != 0 && dequeue_ns >= item.deadline_ns) {
       // Expired before dispatch: complete explicitly, never execute,
       // never drop.
       resp.status = RequestStatus::kDeadlineExceeded;
       resp.body = "deadline exceeded before dispatch";
-      count("mpa_serve_deadline_miss_total");
     } else {
       try {
         Response executed = executor_(item.req);
@@ -277,24 +251,12 @@ void Scheduler::worker_loop() {
       }
       resp.service_ms = ms_between(dequeue_ns, obs::now_ns());
       observe_seconds("mpa_serve_service_seconds", resp.service_ms * 1e-3);
-      if (resp.status == RequestStatus::kError) count("mpa_serve_error_total");
     }
     ctx.finish_ns = obs::now_ns();
     resp.total_ms = ms_between(item.enqueue_ns, ctx.finish_ns);
     observe_seconds("mpa_serve_latency_seconds", resp.total_ms * 1e-3);
-    count("mpa_serve_completed_total");
-    if (resp.status == RequestStatus::kOk) count("mpa_serve_ok_total");
-    record_window(resp);
-    log_done(resp);
-    if (sink_) sink_(resp);
-
+    finish(resp, Origin::kWorker);
     lk.lock();
-    ++stats_.completed;
-    if (resp.status == RequestStatus::kOk) ++stats_.ok;
-    if (resp.status == RequestStatus::kDeadlineExceeded) ++stats_.deadline_misses;
-    if (resp.status == RequestStatus::kError) ++stats_.errors;
-    --active_;
-    if (active_ == 0) drain_cv_.notify_all();
   }
 }
 

@@ -105,7 +105,8 @@ class Scheduler {
   /// terminal response — admitted requests' outcomes (including
   /// dispatch-time deadline misses and executor errors) plus
   /// synchronous expired-at-submit and introspection answers — nothing
-  /// is dropped.
+  /// is dropped. Each field is bumped together with its
+  /// `mpa_serve_*_total` counter, so the two always agree.
   struct Stats {
     std::uint64_t submitted = 0;
     std::uint64_t admitted = 0;
@@ -133,21 +134,19 @@ class Scheduler {
   /// Pop the next item round-robin across tenants (FIFO within a
   /// tenant). Returns false when nothing is ready.
   bool pop_next(Item* out) REQUIRES(mu_);
-  /// Reject `req` with `reason` (sink + metrics). Called with mu_
-  /// released: the sink may run arbitrary user code (lock ordering,
-  /// DESIGN.md §12 — no scheduler lock is ever held across executor_
-  /// or sink_).
-  void reject(const Request& req, const std::string& reason) EXCLUDES(mu_);
-  /// Answer a request whose deadline expired at submit with a
-  /// synchronous kDeadlineExceeded response (sink + metrics). Same
-  /// lock discipline as reject().
-  void expire(const Request& req) EXCLUDES(mu_);
-  /// Answer an introspection request synchronously via introspector_
-  /// (sink + metrics). Same lock discipline as reject().
-  void introspect(const Request& req) EXCLUDES(mu_);
-  /// Record a terminal response into the windowed registry (no-op when
-  /// none is configured).
-  void record_window(const Response& resp);
+  /// Where a terminal response was produced.
+  enum class Origin : std::uint8_t {
+    kIntrospection,  ///< Answered at submit by introspector_; not windowed.
+    kSubmit,         ///< Expired or rejected at submit; never admitted.
+    kWorker,         ///< Dequeued by a worker; frees its admission slot.
+  };
+  /// The one terminal path, for every response: window record (not for
+  /// introspection), completion event, sink, then the Stats field and
+  /// obs counter its status names — so the two never disagree. Called
+  /// with mu_ released: the sink may run arbitrary user code (lock
+  /// ordering, DESIGN.md §12 — no scheduler lock is ever held across
+  /// executor_ or sink_).
+  void finish(const Response& resp, Origin origin) EXCLUDES(mu_);
 
   const SchedulerOptions opts_;
   const Executor executor_;

@@ -8,12 +8,6 @@
 namespace mpa::serve {
 namespace {
 
-std::string number(double v) {
-  std::ostringstream os;
-  os << v;
-  return os.str();
-}
-
 bool worse(const SlowLog::Entry& a, const SlowLog::Entry& b) {
   if (a.total_ms != b.total_ms) return a.total_ms > b.total_ms;
   return a.id < b.id;
@@ -45,13 +39,14 @@ std::string SlowLog::to_json() const {
     first = false;
     os << "{\"id\":" << e.id << ",\"tenant\":\"" << json_escape(e.tenant) << "\",\"kind\":\""
        << json_escape(e.kind) << "\",\"status\":\"" << json_escape(e.status)
-       << "\",\"queue_ms\":" << number(e.queue_ms) << ",\"service_ms\":" << number(e.service_ms)
-       << ",\"total_ms\":" << number(e.total_ms) << ",\"stages\":[";
+       << "\",\"queue_ms\":" << json_number(e.queue_ms)
+       << ",\"service_ms\":" << json_number(e.service_ms)
+       << ",\"total_ms\":" << json_number(e.total_ms) << ",\"stages\":[";
     bool first_stage = true;
     for (const auto& [path, ms] : e.stages) {
       if (!first_stage) os << ',';
       first_stage = false;
-      os << "{\"path\":\"" << json_escape(path) << "\",\"ms\":" << number(ms) << '}';
+      os << "{\"path\":\"" << json_escape(path) << "\",\"ms\":" << json_number(ms) << '}';
     }
     os << "]}";
   }

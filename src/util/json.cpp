@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 
@@ -290,6 +291,13 @@ std::string json_escape(std::string_view s) {
     }
   }
   return out;
+}
+
+std::string json_number(double v) {
+  if (!std::isfinite(v)) return "0";
+  char buf[32];
+  std::snprintf(buf, sizeof buf, "%.12g", v);
+  return buf;
 }
 
 }  // namespace mpa

@@ -5,8 +5,10 @@
 //
 // Scope is deliberately small: parse a complete UTF-8 document into an
 // immutable DOM (objects are key-ordered maps, duplicate keys keep the
-// last value). Serialization stays with each producer — exports are
-// hand-written streams so their field order is part of the contract.
+// last value). Document layout stays with each producer — exports are
+// hand-written streams so their field order is part of the contract —
+// but every JSON export encodes its strings with json_escape() and its
+// doubles with json_number(), so all of them agree on outside input.
 #pragma once
 
 #include <cstdint>
@@ -65,5 +67,10 @@ JsonValue parse_json(std::string_view text);
 /// Escape `s` for embedding inside a JSON string literal (quotes,
 /// backslashes, and control characters).
 std::string json_escape(std::string_view s);
+
+/// A double as a JSON number token: `%.12g`, with a non-finite value
+/// written as `0` so the output always parses. The Prometheus writers
+/// use it for sample values too.
+std::string json_number(double v);
 
 }  // namespace mpa

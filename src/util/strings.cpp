@@ -4,6 +4,9 @@
 #include <cctype>
 #include <cstdio>
 #include <cstring>
+#include <ostream>
+
+#include "util/error.hpp"
 
 namespace mpa {
 
@@ -117,6 +120,53 @@ std::string format_sci(double v, int digits) {
   char buf[64];
   std::snprintf(buf, sizeof(buf), "%.*e", digits, v);
   return std::string(buf);
+}
+
+std::ostream& operator<<(std::ostream& os, CsvField field) {
+  if (std::none_of(field.text.begin(), field.text.end(),
+                   [](char c) { return c == ',' || c == '"' || c == '\r' || c == '\n'; }))
+    return os << field.text;
+  os << '"';
+  for (char c : field.text) {
+    if (c == '"') os << '"';
+    os << c;
+  }
+  return os << '"';
+}
+
+bool CsvReader::next(std::vector<std::string>& row) {
+  while (pos_ < text_.size()) {
+    std::size_t eol = std::min(text_.find('\n', pos_), text_.size());
+    std::size_t n = 0;
+    while (true) {
+      if (n == row.size()) row.emplace_back();
+      std::string& field = row[n++];
+      field.clear();
+      if (pos_ < text_.size() && text_[pos_] == '"') {
+        // Quoted: runs to the closing quote; "" inside is one quote.
+        while (true) {
+          const std::size_t close = text_.find('"', ++pos_);
+          require_data(close != std::string_view::npos, "csv: unterminated quoted field");
+          field.append(text_.substr(pos_, close - pos_));
+          pos_ = close + 1;
+          if (pos_ >= text_.size() || text_[pos_] != '"') break;
+          field += '"';
+        }
+        if (pos_ > eol) eol = std::min(text_.find('\n', pos_), text_.size());
+      }
+      // Unquoted text up to the separator (after a closing quote there
+      // is normally none); a CR ending the record is not data.
+      const std::size_t end = std::min(text_.find(',', pos_), eol);
+      std::string_view rest = text_.substr(pos_, end - pos_);
+      if (end == eol && rest.ends_with('\r')) rest.remove_suffix(1);
+      field.append(rest);
+      pos_ = end + 1;
+      if (end == eol) break;
+    }
+    row.resize(n);
+    if (n > 1 || !trim(row.front()).empty()) return true;
+  }
+  return false;
 }
 
 }  // namespace mpa

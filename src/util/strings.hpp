@@ -1,6 +1,7 @@
 // Small string utilities used by the config parsers and report printers.
 #pragma once
 
+#include <iosfwd>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -44,5 +45,32 @@ std::string format_double(double v, int digits = 4);
 
 /// Scientific notation like the paper's tables: "6.80e-13".
 std::string format_sci(double v, int digits = 2);
+
+/// `text` streamed as one RFC 4180 CSV field: unchanged, or in double
+/// quotes with inner quotes doubled when it holds ',', '"', CR or LF.
+/// Used like std::quoted: `os << csv_field(name) << ','`.
+struct CsvField {
+  std::string_view text;
+};
+inline CsvField csv_field(std::string_view text) { return {text}; }
+std::ostream& operator<<(std::ostream& os, CsvField field);
+
+/// Reads RFC 4180 CSV records one at a time. A quoted field may hold
+/// commas, doubled quotes and line breaks. A record ends at LF, a CR
+/// before it is dropped, and blank records are skipped. `text` must
+/// outlive the reader.
+class CsvReader {
+ public:
+  explicit CsvReader(std::string_view text) : text_(text) {}
+
+  /// Replace `row` with the next record's fields, reusing its strings;
+  /// false at end of input. Throws DataError on an unterminated quoted
+  /// field.
+  bool next(std::vector<std::string>& row);
+
+ private:
+  std::string_view text_;
+  std::size_t pos_ = 0;
+};
 
 }  // namespace mpa

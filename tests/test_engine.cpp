@@ -270,6 +270,51 @@ TEST(ArtifactStore, LintReportRoundTripAndCorruptionMiss) {
   EXPECT_FALSE(store.load_lint_report(key).has_value());
 }
 
+TEST(ArtifactStore, CsvArtifactsKeepSeparatorsInFields) {
+  // Stanza names, messages and ids are outside text: a comma, quote or
+  // line break in them must survive the store's reload unchanged.
+  const std::string dir = testing::TempDir();
+  const ArtifactStore store(dir);
+  const std::string key = "mpa_engine_test_csv_fields";
+  store.remove(key);
+
+  Diagnostic d;
+  d.rule_id = "unused-interface";
+  d.severity = LintSeverity::kWarning;
+  d.category = LintCategory::kHygiene;
+  d.device_id = "dev\n1";
+  d.object = "interface Gi0/1,\"x\"";
+  d.message = "x,enabled but unused";
+  d.span.first_line = 3;
+  d.span.last_line = 5;
+  LintReport report;
+  report.networks.push_back(NetworkLint{"net7", 1, {d}});
+  ASSERT_TRUE(store.save_lint_report(key, report));
+  const auto lint = store.load_lint_report(key);
+  ASSERT_TRUE(lint.has_value());
+  ASSERT_EQ(lint->total_findings(), 1u);
+  const Diagnostic& back = lint->networks[0].diagnostics[0];
+  EXPECT_EQ(back.device_id, d.device_id);
+  EXPECT_EQ(back.object, d.object);
+  EXPECT_EQ(back.message, d.message);
+  EXPECT_EQ(back.span.last_line, 5);
+  EXPECT_EQ(lint->to_csv(), report.to_csv());
+
+  Case c;
+  c.network_id = "net,1";
+  c.month = 2;
+  c.practice.fill(0.5);
+  c.tickets = 3;
+  const CaseTable table({c});
+  ASSERT_TRUE(store.save_case_table(key, table));
+  const auto loaded = store.load_case_table(key);
+  ASSERT_TRUE(loaded.has_value());
+  ASSERT_EQ(loaded->size(), 1u);
+  EXPECT_EQ((*loaded)[0].network_id, "net,1");
+  EXPECT_EQ(loaded->to_csv(), table.to_csv());
+  store.remove(key);
+}
+
 TEST(ArtifactStore, DisabledStoreMissesAndIgnoresSaves) {
   const ArtifactStore store;
   EXPECT_FALSE(store.enabled());

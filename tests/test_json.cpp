@@ -1,9 +1,10 @@
 // Tests for the minimal JSON DOM (src/util/json.hpp): parsing every
 // value kind, escape handling, number source-text preservation (so
 // 64-bit seeds and timestamps survive exactly), error reporting, and
-// json_escape.
+// json_escape and json_number.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 
 #include "util/error.hpp"
@@ -73,6 +74,17 @@ TEST(Json, EscapeProducesValidTokens) {
   EXPECT_EQ(json_escape(std::string(1, '\x01')), "\\u0001");
   // Escaped output parses back to the original.
   EXPECT_EQ(parse_json("\"" + json_escape("a\"b\\c\n\x01") + "\"").as_string(), "a\"b\\c\n\x01");
+}
+
+TEST(Json, NumberIsTwelveSignificantDigitsAndAlwaysParses) {
+  EXPECT_EQ(json_number(1234.5678), "1234.5678");
+  EXPECT_EQ(json_number(0.5), "0.5");
+  EXPECT_EQ(json_number(2e-6), "2e-06");
+  EXPECT_EQ(json_number(1.0 / 3), "0.333333333333");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(json_number(-std::numeric_limits<double>::infinity()), "0");
+  EXPECT_EQ(json_number(std::numeric_limits<double>::quiet_NaN()), "0");
+  EXPECT_DOUBLE_EQ(parse_json(json_number(-7.25e300)).as_number(), -7.25e300);
 }
 
 }  // namespace

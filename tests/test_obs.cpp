@@ -671,6 +671,11 @@ TEST_F(ObsTest, WindowPrometheusShape) {
             std::string::npos);
   EXPECT_NE(text.find("mpa_window_latency_ms{tenant=\"a\",kind=\"rank\",quantile=\"0.99\"}"),
             std::string::npos);
+  // Label values escape backslash, quote and LF, and keep other bytes.
+  w.registry.record("x\"y\\z\n\t", "rank", "ok", 1.0, 2.0, 3.0);
+  EXPECT_NE(w.registry.to_prometheus().find(
+                "mpa_window_throughput_rps{tenant=\"x\\\"y\\\\z\\n\t\",kind=\"rank\"}"),
+            std::string::npos);
 }
 
 TEST_F(ObsTest, WindowConfigureDropsSeries) {

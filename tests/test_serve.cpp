@@ -8,6 +8,7 @@
 // stream are identical at 1, 2, and 8 workers.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -23,6 +24,7 @@
 #include "engine/session_manager.hpp"
 #include "io/dataset_io.hpp"
 #include "metrics/practices.hpp"
+#include "obs/chrome_trace.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
@@ -35,6 +37,7 @@
 #include "simulation/osp_generator.hpp"
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/strings.hpp"
 
 namespace mpa::serve {
 namespace {
@@ -463,6 +466,66 @@ TEST(Scheduler, TerminalResponsesLandInTheInjectedWindow) {
             "\"rejected\":0,\"deadline_exceeded\":1,\"error\":0}]}");
 }
 
+TEST(Scheduler, ServeCountersEqualStatsOnEveryTerminalPath) {
+  obs::set_enabled(true);
+  obs::Registry::global().reset_values();
+  Gate gate;
+  Collector out;
+  obs::WindowRegistry window;
+  SchedulerOptions opts;
+  opts.workers = 1;
+  opts.max_queue_depth = 1;
+  opts.window = &window;
+  {
+    Scheduler sched(
+        opts,
+        [&](const Request& req) {
+          if (req.id == 1) gate.wait();
+          if (req.id == 2) throw DataError("executor broke");
+          return Response{};
+        },
+        out.sink(),
+        [](const Request&) {
+          Response resp;
+          resp.body = "introspection";
+          return resp;
+        });
+    ASSERT_TRUE(sched.submit(req_for(1)));  // ok, once the gate opens
+    wait_until_picked_up(sched);
+    ASSERT_TRUE(sched.submit(req_for(2)));   // error
+    EXPECT_FALSE(sched.submit(req_for(3)));  // rejected: queue full
+    Request dead = req_for(4);
+    dead.deadline_ms = -1;
+    EXPECT_FALSE(sched.submit(std::move(dead)));  // expired at submit
+    for (std::uint64_t id : {5, 6}) {
+      Request introspect = req_for(id);
+      introspect.kind = id == 5 ? RequestKind::kStats : RequestKind::kHealth;
+      EXPECT_FALSE(sched.submit(std::move(introspect)));
+    }
+    gate.release();
+    sched.drain();
+
+    const Scheduler::Stats stats = sched.stats();
+    EXPECT_EQ(stats.ok, 3u);  // id 1 and both introspection answers
+    auto counters = obs::Registry::global().counters_snapshot();
+    const std::pair<const char*, std::uint64_t> expected[] = {
+        {"mpa_serve_submitted_total", stats.submitted},
+        {"mpa_serve_admitted_total", stats.admitted},
+        {"mpa_serve_rejected_total", stats.rejected},
+        {"mpa_serve_completed_total", stats.completed},
+        {"mpa_serve_ok_total", stats.ok},
+        {"mpa_serve_deadline_miss_total", stats.deadline_misses},
+        {"mpa_serve_error_total", stats.errors},
+        {"mpa_serve_introspected_total", stats.introspected}};
+    for (const auto& [name, value] : expected) {
+      EXPECT_GT(value, 0u) << name;
+      EXPECT_EQ(counters[name], value) << name;
+    }
+  }
+  obs::set_enabled(false);
+  obs::Registry::global().reset_values();
+}
+
 // ---------------------------------------------------------------------------
 // Slow-request exemplar log.
 
@@ -508,21 +571,27 @@ TEST(SlowLog, KeepsWorstByTotalAndCanonicalSortsById) {
 // Wire format.
 
 TEST(RequestWire, RoundTripsThroughJson) {
-  Request req;
-  req.id = 42;
-  req.tenant = "team-x";
-  req.session = "prod";
-  req.kind = RequestKind::kCausal;
-  req.practice = "No. of devices";
-  req.deadline_ms = 250;
+  for (double deadline_ms : {250.0, 1234.5678}) {
+    Request req;
+    req.id = 42;
+    req.tenant = "team-x";
+    req.session = "prod";
+    req.kind = RequestKind::kCausal;
+    req.practice = "No. of devices";
+    req.deadline_ms = deadline_ms;
 
-  const std::string json = req.to_json();
-  const Request back = Request::from_json(parse_json(json));
-  EXPECT_EQ(back.to_json(), json);
-  EXPECT_EQ(back.id, 42u);
-  EXPECT_EQ(back.kind, RequestKind::kCausal);
-  EXPECT_EQ(back.practice, "No. of devices");
-  EXPECT_DOUBLE_EQ(back.deadline_ms, 250);
+    const std::string json = req.to_json();
+    const Request back = Request::from_json(parse_json(json));
+    EXPECT_EQ(back.to_json(), json);
+    EXPECT_EQ(back.id, 42u);
+    EXPECT_EQ(back.kind, RequestKind::kCausal);
+    EXPECT_EQ(back.practice, "No. of devices");
+    EXPECT_DOUBLE_EQ(back.deadline_ms, deadline_ms);
+    // A saved trace replays the deadline it was given, not a rounding.
+    const std::vector<Request> replayed = trace_from_jsonl(trace_to_jsonl({req}));
+    ASSERT_EQ(replayed.size(), 1u);
+    EXPECT_EQ(replayed[0].deadline_ms, deadline_ms);
+  }
 }
 
 TEST(RequestWire, IngestKindAndNegativeDeadlineRoundTrip) {
@@ -915,6 +984,110 @@ TEST(Server, SlowLogCapturesStageBreakdownWhenTracingEnabled) {
   }
   obs::set_enabled(false);
   obs::Tracer::global().clear();
+  obs::Registry::global().reset_values();
+}
+
+/// The records of a JSON or JSONL export as a strict reader sees them:
+/// split at the LF ending each record, with no other raw byte below
+/// 0x20 (a strict reader rejects one inside a string), each parsed.
+std::vector<JsonValue> strict_records(const std::string& what, const std::string& text) {
+  std::vector<JsonValue> out;
+  for (const std::string& line : split(text, '\n')) {
+    if (line.empty()) continue;
+    EXPECT_EQ(std::count_if(line.begin(), line.end(),
+                            [](char c) { return static_cast<unsigned char>(c) < 0x20; }),
+              0)
+        << what << ": " << line;
+    out.push_back(parse_json(line));
+  }
+  EXPECT_FALSE(out.empty()) << what;
+  return out;
+}
+
+TEST(Server, HostileTenantSurvivesEveryExport) {
+  // The tenant is outside bytes copied into every export: a quote, a
+  // backslash and two control characters.
+  const std::string tenant = "a\"b\\c\td\x01";
+  obs::set_enabled(true);
+  obs::set_log_enabled(true);
+  obs::Tracer::global().clear();
+  obs::Logger::global().clear();
+  obs::Registry::global().reset_values();
+  {
+    obs::WindowOptions wopts;
+    wopts.buckets = 1;
+    wopts.clock = [] { return std::uint64_t{0}; };  // logical clock: one epoch
+    obs::WindowRegistry window(std::move(wopts));
+    ServerOptions opts = two_session_opts(1);
+    opts.scheduler.window = &window;
+    AnalysisServer server(opts);
+    server.sessions().open("s1", small_session());
+    Request work;
+    work.session = "s1";
+    work.tenant = tenant;
+    work.kind = RequestKind::kRank;
+    const Response done = server.submit_and_wait(work);
+    ASSERT_EQ(done.status, RequestStatus::kOk) << done.body;
+    server.drain();
+    Request stats_req;
+    stats_req.tenant = tenant;
+    stats_req.kind = RequestKind::kStats;
+    const Response stats = server.submit_and_wait(stats_req);
+    ASSERT_EQ(stats.status, RequestStatus::kOk) << stats.body;
+
+    strict_records("registry", obs::Registry::global().to_json());
+    // Every export that carries the tenant, and where it sits.
+    std::vector<std::pair<std::string, std::string>> tenants;
+    auto collect = [&tenants](const std::string& what, const JsonValue* v) {
+      if (v != nullptr) tenants.emplace_back(what, v->as_string());
+    };
+    const JsonValue spans = strict_records("tracer", obs::Tracer::global().to_json()).front();
+    for (const JsonValue& span : spans.at("spans").as_array())
+      collect("tracer", span.find("tenant"));
+    const JsonValue chrome =
+        strict_records("chrome", obs::chrome_trace_json(obs::Tracer::global().snapshot()))
+            .front();
+    for (const JsonValue& e : chrome.at("traceEvents").as_array())
+      collect("chrome", e.at("args").find("tenant"));
+    collect("window", &strict_records("window", window.to_json())
+                           .front().at("series").as_array().at(0).at("tenant"));
+    collect("window canonical", &strict_records("window canonical", window.canonical_json())
+                                     .front().at("series").as_array().at(0).at("tenant"));
+    for (const std::string& log : {obs::Logger::global().to_jsonl(),
+                                  obs::Logger::global().canonical_jsonl()})
+      for (const JsonValue& rec : strict_records("event log", log)) {
+        collect("event log context", rec.find("tenant"));
+        collect("event log field", rec.at("fields").find("tenant"));
+      }
+    for (const Response* resp : {&done, &stats})
+      collect("response", &strict_records("response", resp->to_json(true)).front().at("tenant"));
+    collect("slow log", &strict_records("slow log", server.slow_log().to_json())
+                             .front().as_array().at(0).at("tenant"));
+    collect("slow log canonical", &strict_records("slow log canonical",
+                                                  server.slow_log().canonical_json())
+                                       .front().as_array().at(0).at("tenant"));
+    const JsonValue body = strict_records("stats body", stats.body).front();
+    collect("stats body slow", &body.at("slow").as_array().at(0).at("tenant"));
+    collect("stats body window",
+            &body.at("window").at("series").as_array().at(0).at("tenant"));
+    const std::string slo = compute_slo(server.responses(), 1e9, 0, 0).to_json();
+    collect("slo", &strict_records("slo", slo).front().at("tenants").as_array().at(0).at("tenant"));
+
+    std::set<std::string> seen;
+    for (const auto& [what, value] : tenants) {
+      EXPECT_EQ(value, tenant) << what;
+      seen.insert(what);
+    }
+    EXPECT_EQ(seen.size(), 12u);
+
+    // Prometheus label values escape only backslash, quote and LF.
+    EXPECT_NE(window.to_prometheus().find("tenant=\"a\\\"b\\\\c\td\x01\""), std::string::npos)
+        << window.to_prometheus();
+  }
+  obs::set_enabled(false);
+  obs::set_log_enabled(false);
+  obs::Tracer::global().clear();
+  obs::Logger::global().clear();
   obs::Registry::global().reset_values();
 }
 

@@ -1,6 +1,9 @@
 // Tests for string utilities.
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -57,6 +60,48 @@ TEST(FormatDouble, TrimsZeros) {
 TEST(FormatSci, PaperStyle) {
   EXPECT_EQ(format_sci(6.8e-13, 2), "6.80e-13");
   EXPECT_EQ(format_sci(3.34e-2, 2), "3.34e-02");
+}
+
+std::string csv(std::string_view text) {
+  std::ostringstream os;
+  os << csv_field(text);
+  return os.str();
+}
+
+TEST(CsvField, QuotesOnlyWhenNeeded) {
+  EXPECT_EQ(csv("plain text"), "plain text");
+  EXPECT_EQ(csv(""), "");
+  EXPECT_EQ(csv("a,b"), "\"a,b\"");
+  EXPECT_EQ(csv("say \"hi\""), "\"say \"\"hi\"\"\"");
+  EXPECT_EQ(csv("two\nlines"), "\"two\nlines\"");
+  EXPECT_EQ(csv("cr\r"), "\"cr\r\"");
+}
+
+std::vector<std::vector<std::string>> read_all(std::string_view text) {
+  CsvReader reader(text);
+  std::vector<std::vector<std::string>> rows;
+  std::vector<std::string> row;
+  while (reader.next(row)) rows.push_back(row);
+  return rows;
+}
+
+TEST(CsvReader, RoundTripsEveryWrittenField) {
+  const std::vector<std::string> fields = {"a,b", "q\"uote", "line\nbreak", "", "crlf\r\n", "x"};
+  std::string text;
+  for (std::size_t i = 0; i < fields.size(); ++i)
+    text += (i == 0 ? "" : ",") + csv(fields[i]);
+  text += "\nlast,row\n";
+  const auto rows = read_all(text);
+  ASSERT_EQ(rows.size(), 2u);
+  EXPECT_EQ(rows[0], fields);
+  EXPECT_EQ(rows[1], (std::vector<std::string>{"last", "row"}));
+}
+
+TEST(CsvReader, CrlfBlankRecordsAndEmptyFields) {
+  EXPECT_EQ(read_all("a,b\r\n\r\n\n  \nc,\r\n,d"),
+            (std::vector<std::vector<std::string>>{{"a", "b"}, {"c", ""}, {"", "d"}}));
+  EXPECT_TRUE(read_all("").empty());
+  EXPECT_THROW(read_all("a,\"never closed\n"), DataError);
 }
 
 }  // namespace

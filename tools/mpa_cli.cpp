@@ -786,7 +786,7 @@ int cmd_replay(const Args& args) {
       loads.push_back(rps);
     }
     std::ostringstream sweep;
-    sweep << "{\"slo_ms\":" << slo_ms << ",\"loads\":[";
+    sweep << "{\"slo_ms\":" << json_number(slo_ms) << ",\"loads\":[";
     double saturation_rps = 0;
     for (std::size_t i = 0; i < loads.size(); ++i) {
       serve::ClientOptions load_opts = copts;
@@ -802,7 +802,7 @@ int cmd_replay(const Args& args) {
       sweep << slo.to_json();
       if (slo.saturated && saturation_rps == 0) saturation_rps = loads[i];
     }
-    sweep << "],\"saturation_rps\":" << saturation_rps << '}';
+    sweep << "],\"saturation_rps\":" << json_number(saturation_rps) << '}';
     if (saturation_rps > 0)
       std::cout << "saturation at " << format_double(saturation_rps, 1) << " req/s offered\n";
     else
