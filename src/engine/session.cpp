@@ -408,22 +408,15 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
                    std::to_string(opts_.inference.num_months) + ")");
   const Timestamp m_start = month_start(m);
   const Timestamp m_end = month_start(m + 1);
+  RecordChecker check(inventory_, "append_month", &snapshots_);
   for (const auto& s : delta.snapshots) {
-    check_header_token(s.device_id, "snapshot device_id");
-    check_header_token(s.login, "snapshot login");
-    require_data(inventory_.find_device(s.device_id) != nullptr,
-                 "append_month: snapshot for unknown device: " + s.device_id);
+    check.check_snapshot(s.device_id, s.time, s.login);
     require_data(s.time >= m_start && s.time < m_end,
                  "append_month: snapshot time " + std::to_string(s.time) +
                      " is outside month " + std::to_string(m) + " for device " + s.device_id);
   }
   for (const auto& t : delta.tickets) {
-    require_data(inventory_.find_network(t.network_id) != nullptr,
-                 "append_month: ticket for unknown network: " + t.network_id);
-    require_data(t.resolved >= t.created,
-                 "append_month: resolved time " + std::to_string(t.resolved) +
-                     " precedes created time " + std::to_string(t.created) + " for ticket " +
-                     t.ticket_id);
+    check.check_ticket(t);
     require_data(t.created >= m_start && t.created < m_end,
                  "append_month: ticket created time " + std::to_string(t.created) +
                      " is outside month " + std::to_string(m) + " for ticket " + t.ticket_id);

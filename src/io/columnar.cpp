@@ -8,6 +8,7 @@
 #include <fstream>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/hash.hpp"
@@ -63,54 +64,26 @@ std::uint64_t read_u64(std::span<const std::byte> b, std::size_t off) {
   return v;
 }
 
-std::uint32_t expected_elem_size(ColumnTag tag) {
-  switch (tag) {
-    case ColumnTag::kDictOffsets:
-    case ColumnTag::kNetSeq:
-    case ColumnTag::kDevSeq:
-    case ColumnTag::kTktSeq:
-    case ColumnTag::kTktCreated:
-    case ColumnTag::kTktResolved:
-    case ColumnTag::kSnapTime:
-    case ColumnTag::kSnapTextBegin:
-      return 8;
-    case ColumnTag::kNetId:
-    case ColumnTag::kNetWorkloadBegin:
-    case ColumnTag::kNetWorkloadCode:
-    case ColumnTag::kDevId:
-    case ColumnTag::kDevNetwork:
-    case ColumnTag::kDevModel:
-    case ColumnTag::kDevFirmware:
-    case ColumnTag::kTktId:
-    case ColumnTag::kTktNetwork:
-    case ColumnTag::kTktSymptom:
-    case ColumnTag::kTktDeviceBegin:
-    case ColumnTag::kTktDeviceCode:
-    case ColumnTag::kSnapDevice:
-    case ColumnTag::kSnapLogin:
-      return 4;
-    case ColumnTag::kDictBlob:
-    case ColumnTag::kDevVendor:
-    case ColumnTag::kDevRole:
-    case ColumnTag::kTktOrigin:
-    case ColumnTag::kConfigBlob:
-      return 1;
-  }
+// Every column a shard holds, with its element size in bytes.
+constexpr std::pair<ColumnTag, std::uint32_t> kColumns[] = {
+    {ColumnTag::kDictOffsets, 8},    {ColumnTag::kDictBlob, 1},      {ColumnTag::kNetSeq, 8},
+    {ColumnTag::kNetId, 4},          {ColumnTag::kNetWorkloadBegin, 4},
+    {ColumnTag::kNetWorkloadCode, 4}, {ColumnTag::kDevSeq, 8},       {ColumnTag::kDevId, 4},
+    {ColumnTag::kDevNetwork, 4},     {ColumnTag::kDevVendor, 1},     {ColumnTag::kDevModel, 4},
+    {ColumnTag::kDevRole, 1},        {ColumnTag::kDevFirmware, 4},   {ColumnTag::kTktSeq, 8},
+    {ColumnTag::kTktId, 4},          {ColumnTag::kTktNetwork, 4},    {ColumnTag::kTktCreated, 8},
+    {ColumnTag::kTktResolved, 8},    {ColumnTag::kTktOrigin, 1},     {ColumnTag::kTktSymptom, 4},
+    {ColumnTag::kTktDeviceBegin, 4}, {ColumnTag::kTktDeviceCode, 4}, {ColumnTag::kSnapDevice, 4},
+    {ColumnTag::kSnapTime, 8},       {ColumnTag::kSnapLogin, 4},     {ColumnTag::kSnapTextBegin, 8},
+    {ColumnTag::kConfigBlob, 1},
+};
+
+/// The element size of column `tag`, or 0 for an unknown tag.
+std::uint32_t expected_elem_size(std::uint32_t tag) {
+  for (const auto& [t, size] : kColumns)
+    if (static_cast<std::uint32_t>(t) == tag) return size;
   return 0;
 }
-
-constexpr ColumnTag kAllTags[] = {
-    ColumnTag::kDictOffsets,      ColumnTag::kDictBlob,      ColumnTag::kNetSeq,
-    ColumnTag::kNetId,            ColumnTag::kNetWorkloadBegin,
-    ColumnTag::kNetWorkloadCode,  ColumnTag::kDevSeq,        ColumnTag::kDevId,
-    ColumnTag::kDevNetwork,       ColumnTag::kDevVendor,     ColumnTag::kDevModel,
-    ColumnTag::kDevRole,          ColumnTag::kDevFirmware,   ColumnTag::kTktSeq,
-    ColumnTag::kTktId,            ColumnTag::kTktNetwork,    ColumnTag::kTktCreated,
-    ColumnTag::kTktResolved,      ColumnTag::kTktOrigin,     ColumnTag::kTktSymptom,
-    ColumnTag::kTktDeviceBegin,   ColumnTag::kTktDeviceCode, ColumnTag::kSnapDevice,
-    ColumnTag::kSnapTime,         ColumnTag::kSnapLogin,     ColumnTag::kSnapTextBegin,
-    ColumnTag::kConfigBlob,
-};
 
 void write_binary_file(const fs::path& path, const std::string& content) {
   std::ofstream out(path, std::ios::binary);
@@ -493,7 +466,7 @@ ShardView::ShardView(std::span<const std::byte> bytes, std::string file,
     info.elem_size = read_u32(bytes_, at + 4);
     info.offset = read_u64(bytes_, at + 8);
     info.count = read_u64(bytes_, at + 16);
-    const std::uint32_t want = expected_elem_size(static_cast<ColumnTag>(info.tag));
+    const std::uint32_t want = expected_elem_size(info.tag);
     require_data(want != 0, shard_err(file_, "unknown column tag " + std::to_string(info.tag)));
     require_data(info.elem_size == want,
                  shard_err(file_, "wrong element size for column " + std::to_string(info.tag)));
@@ -507,7 +480,7 @@ ShardView::ShardView(std::span<const std::byte> bytes, std::string file,
   for (std::size_t i = 1; i < columns_.size(); ++i)
     require_data(columns_[i - 1].tag != columns_[i].tag,
                  shard_err(file_, "duplicate column tag " + std::to_string(columns_[i].tag)));
-  for (const ColumnTag tag : kAllTags)
+  for (const auto& [tag, size] : kColumns)
     require_data(column(tag) != nullptr,
                  shard_err(file_, "missing column " +
                                       std::to_string(static_cast<std::uint32_t>(tag))));
@@ -696,14 +669,24 @@ ColumnarDataset load_columnar(const std::string& dir) {
   return out;
 }
 
-DiskDataset ColumnarDataset::to_disk_dataset() const {
-  DiskDataset out;
-  out.inventory.reserve(totals_.networks, totals_.devices);
-  out.tickets.reserve(totals_.tickets);
+namespace {
 
-  const auto check_seq = [](const ShardView& v, std::span<const std::uint64_t> seqs,
-                            std::uint64_t& expect, const char* what) {
-    for (const std::uint64_t s : seqs) {
+// Decodes every record of `views` in container order: sequence numbers,
+// dictionary and enum codes, then the RecordChecker. The inventory is
+// always filled, because the checker reads it; tickets and snapshots
+// are stored only when `keep_telemetry` is set, so verify_columnar
+// keeps no snapshot text.
+DiskDataset decode(const std::vector<ShardView>& views, const MpacTotals& totals,
+                   bool keep_telemetry) {
+  DiskDataset out;
+  out.inventory.reserve(totals.networks, totals.devices);
+  if (keep_telemetry) out.tickets.reserve(totals.tickets);
+  RecordChecker check(out.inventory, "mpac");
+
+  const auto begin_shard = [&](const ShardView& v, ColumnTag seq_tag, std::uint64_t& expect,
+                               const char* what) {
+    check.set_source("mpac: " + v.file());
+    for (const std::uint64_t s : v.u64s(seq_tag)) {
       require_data(s == expect, [&] {
         return shard_err(v.file(),
                          std::string("out-of-order ") + what + " record " + std::to_string(s));
@@ -713,8 +696,8 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
   };
 
   std::uint64_t seq = 0;
-  for (const ShardView& v : views_) {
-    check_seq(v, v.u64s(ColumnTag::kNetSeq), seq, "network");
+  for (const ShardView& v : views) {
+    begin_shard(v, ColumnTag::kNetSeq, seq, "network");
     const auto ids = v.u32s(ColumnTag::kNetId);
     const auto wl_begin = v.u32s(ColumnTag::kNetWorkloadBegin);
     const auto wl_code = v.u32s(ColumnTag::kNetWorkloadCode);
@@ -727,13 +710,14 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
         wl.name = std::string(v.dict(wl_code[w]));
         net.workloads.push_back(std::move(wl));
       }
+      check.check_network(net);
       out.inventory.add_network(std::move(net));
     }
   }
 
   seq = 0;
-  for (const ShardView& v : views_) {
-    check_seq(v, v.u64s(ColumnTag::kDevSeq), seq, "device");
+  for (const ShardView& v : views) {
+    begin_shard(v, ColumnTag::kDevSeq, seq, "device");
     const auto ids = v.u32s(ColumnTag::kDevId);
     const auto nets = v.u32s(ColumnTag::kDevNetwork);
     const auto vendors = v.u8s(ColumnTag::kDevVendor);
@@ -754,13 +738,14 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
       d.model = std::string(v.dict(models[i]));
       d.role = static_cast<Role>(roles[i]);
       d.firmware = std::string(v.dict(firmwares[i]));
+      check.check_device(d);
       out.inventory.add_device(std::move(d));
     }
   }
 
   seq = 0;
-  for (const ShardView& v : views_) {
-    check_seq(v, v.u64s(ColumnTag::kTktSeq), seq, "ticket");
+  for (const ShardView& v : views) {
+    begin_shard(v, ColumnTag::kTktSeq, seq, "ticket");
     const auto ids = v.u32s(ColumnTag::kTktId);
     const auto nets = v.u32s(ColumnTag::kTktNetwork);
     const auto created = v.i64s(ColumnTag::kTktCreated);
@@ -775,9 +760,6 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
       });
       Ticket t;
       t.ticket_id = std::string(v.dict(ids[i]));
-      require_data(resolved[i] >= created[i], [&] {
-        return shard_err(v.file(), "resolved time precedes created time for ticket " + t.ticket_id);
-      });
       t.network_id = std::string(v.dict(nets[i]));
       t.created = created[i];
       t.resolved = resolved[i];
@@ -786,86 +768,35 @@ DiskDataset ColumnarDataset::to_disk_dataset() const {
       t.devices.reserve(dev_begin[i + 1] - dev_begin[i]);
       for (std::uint32_t d = dev_begin[i]; d < dev_begin[i + 1]; ++d)
         t.devices.emplace_back(v.dict(dev_code[d]));
-      out.tickets.add(std::move(t));
+      check.check_ticket(t);
+      if (keep_telemetry) out.tickets.add(std::move(t));
     }
   }
 
-  for (const ShardView& v : views_) {
+  for (const ShardView& v : views) {
+    check.set_source("mpac: " + v.file());
     const auto devices = v.u32s(ColumnTag::kSnapDevice);
     const auto times = v.i64s(ColumnTag::kSnapTime);
     const auto logins = v.u32s(ColumnTag::kSnapLogin);
     for (std::size_t i = 0; i < devices.size(); ++i) {
-      ConfigSnapshot snap;
-      snap.device_id = std::string(v.dict(devices[i]));
-      snap.time = times[i];
-      snap.login = std::string(v.dict(logins[i]));
-      snap.text = std::string(v.config_text(i));
-      out.snapshots.add(std::move(snap));
+      const std::string_view device = v.dict(devices[i]);
+      const std::string_view login = v.dict(logins[i]);
+      check.check_snapshot(device, times[i], login);
+      if (keep_telemetry)
+        out.snapshots.add(ConfigSnapshot{std::string(device), times[i], std::string(login),
+                                         std::string(v.config_text(i))});
     }
   }
-
   return out;
 }
 
+}  // namespace
+
+DiskDataset ColumnarDataset::to_disk_dataset() const { return decode(views_, totals_, true); }
+
 std::string verify_columnar(const std::string& dir) {
   const ColumnarDataset data = load_columnar(dir);
-
-  // Deep scan beyond the structural checks: every dictionary code in
-  // range, sequence numbers contiguous across shards, enum and time
-  // fields sane, per-device snapshot order non-decreasing.
-  std::uint64_t net_seq = 0, dev_seq = 0, tkt_seq = 0;
-  std::map<std::string, std::int64_t, std::less<>> last_snap_time;
-  for (const ShardView& v : data.shards()) {
-    const std::size_t dict_n = v.dict_size();
-    const auto check_codes = [&](ColumnTag tag) {
-      for (const std::uint32_t code : v.u32s(tag))
-        require_data(code < dict_n,
-                     [&] { return shard_err(v.file(), "dictionary index out of range"); });
-    };
-    for (const ColumnTag t :
-         {ColumnTag::kNetId, ColumnTag::kNetWorkloadCode, ColumnTag::kDevId,
-          ColumnTag::kDevNetwork, ColumnTag::kDevModel, ColumnTag::kDevFirmware,
-          ColumnTag::kTktId, ColumnTag::kTktNetwork, ColumnTag::kTktSymptom,
-          ColumnTag::kTktDeviceCode, ColumnTag::kSnapDevice, ColumnTag::kSnapLogin})
-      check_codes(t);
-    for (const std::uint64_t s : v.u64s(ColumnTag::kNetSeq))
-      require_data(s == net_seq++,
-                   [&] { return shard_err(v.file(), "out-of-order network record"); });
-    for (const std::uint64_t s : v.u64s(ColumnTag::kDevSeq))
-      require_data(s == dev_seq++,
-                   [&] { return shard_err(v.file(), "out-of-order device record"); });
-    for (const std::uint64_t s : v.u64s(ColumnTag::kTktSeq))
-      require_data(s == tkt_seq++,
-                   [&] { return shard_err(v.file(), "out-of-order ticket record"); });
-    for (const std::uint8_t vendor : v.u8s(ColumnTag::kDevVendor))
-      require_data(vendor < kNumVendors, [&] { return shard_err(v.file(), "bad vendor code"); });
-    for (const std::uint8_t role : v.u8s(ColumnTag::kDevRole))
-      require_data(role < kNumRoles, [&] { return shard_err(v.file(), "bad role code"); });
-    for (const std::uint8_t origin : v.u8s(ColumnTag::kTktOrigin))
-      require_data(origin <= static_cast<std::uint8_t>(TicketOrigin::kMaintenance),
-                   [&] { return shard_err(v.file(), "bad origin code"); });
-    const auto created = v.i64s(ColumnTag::kTktCreated);
-    const auto resolved = v.i64s(ColumnTag::kTktResolved);
-    for (std::size_t i = 0; i < created.size(); ++i)
-      require_data(resolved[i] >= created[i],
-                   [&] { return shard_err(v.file(), "resolved time precedes created time"); });
-    const auto snap_devices = v.u32s(ColumnTag::kSnapDevice);
-    const auto snap_times = v.i64s(ColumnTag::kSnapTime);
-    for (std::size_t i = 0; i < snap_devices.size(); ++i) {
-      const std::string_view device = v.dict(snap_devices[i]);
-      const auto it = last_snap_time.find(device);
-      if (it != last_snap_time.end()) {
-        require_data(it->second <= snap_times[i],
-                     [&] {
-                       return shard_err(v.file(),
-                                        "out-of-order snapshot for device " + std::string(device));
-                     });
-        it->second = snap_times[i];
-      } else {
-        last_snap_time.emplace(std::string(device), snap_times[i]);
-      }
-    }
-  }
+  decode(data.shards(), data.totals(), false);
 
   const MpacTotals& t = data.totals();
   std::ostringstream os;

@@ -193,8 +193,7 @@ class MappedFile {
 /// A validated view over one shard's bytes. Construction checks the
 /// header, directory, fingerprint, column bounds/alignment, and offset
 /// arrays; accessors after that are zero-copy spans straight into the
-/// mapping. Dictionary codes are range-checked at use (and exhaustively
-/// by verify_columnar).
+/// mapping. Dictionary codes are range-checked at use.
 class ShardView {
  public:
   struct ColumnInfo {
@@ -213,7 +212,6 @@ class ShardView {
   std::size_t num_devices() const { return u64s(ColumnTag::kDevSeq).size(); }
   std::size_t num_tickets() const { return u64s(ColumnTag::kTktSeq).size(); }
   std::size_t num_snapshots() const { return u32s(ColumnTag::kSnapDevice).size(); }
-  std::size_t dict_size() const { return u64s(ColumnTag::kDictOffsets).size() - 1; }
 
   /// Typed column spans (aliases of the underlying mapping).
   std::span<const std::uint64_t> u64s(ColumnTag tag) const;
@@ -254,9 +252,9 @@ class ColumnarDataset {
   std::uint64_t total_bytes() const { return bytes_read_; }
 
   /// Compatibility path: materialize the classic in-memory containers.
-  /// Validates sequence order, enum codes, and ticket time sanity with
-  /// "mpac:"-prefixed errors; per-device snapshot order is enforced by
-  /// SnapshotStore exactly as on the CSV path.
+  /// Validates sequence order, dictionary and enum codes with
+  /// "mpac:"-prefixed errors, then every record with the RecordChecker
+  /// (dataset_io.hpp), as the CSV loader does.
   DiskDataset to_disk_dataset() const;
 
  private:
@@ -284,10 +282,10 @@ MpacTotals save_columnar(const DiskDataset& data, const std::string& dir,
 /// version", "truncated shard", "fingerprint mismatch").
 ColumnarDataset load_columnar(const std::string& dir);
 
-/// Deep-verify an mpac dataset: everything load_columnar checks plus an
-/// exhaustive scan of dictionary codes, sequence numbers, enum values,
-/// ticket time ordering, and per-device snapshot ordering. Returns a
-/// human-readable report; throws DataError on any defect.
+/// Deep-verify an mpac dataset: load_columnar, then the record walk of
+/// to_disk_dataset without storing tickets or snapshot text, so verify
+/// rejects exactly what load_dataset rejects. Returns a human-readable
+/// report; throws DataError on any defect.
 std::string verify_columnar(const std::string& dir);
 
 }  // namespace mpa

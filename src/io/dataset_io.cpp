@@ -46,6 +46,27 @@ void check_field(const std::string& s, const char* what) {
                });
 }
 
+// Workload names and ticket device ids are saved ';'-joined, so one
+// containing ';' would reload as two elements.
+std::string join_list(const std::vector<std::string>& elements, const char* what) {
+  for (const auto& e : elements) {
+    check_field(e, what);
+    require_data(e.find(';') == std::string::npos, [&] {
+      return std::string("dataset list element contains ';': ") + what + ": " + e;
+    });
+  }
+  return join(elements, ";");
+}
+
+// The data rows of a CSV file: every line after the header that is not
+// blank, as views into `text`.
+std::vector<std::string_view> csv_rows(std::string_view text) {
+  std::vector<std::string_view> rows = split_line_views(text);
+  if (!rows.empty()) rows.erase(rows.begin());
+  std::erase_if(rows, [](std::string_view row) { return trim(row).empty(); });
+  return rows;
+}
+
 // from_chars keeps the hot parse loops allocation-free; error strings
 // are pinned by tests and must not change.
 std::int64_t parse_int(std::string_view s, const char* what) {
@@ -61,11 +82,40 @@ std::int64_t parse_int(std::string_view s, const char* what) {
 // Shared row/record codecs so the full-dataset and month-delta paths
 // stay byte-compatible (and fail with identical error strings).
 
-void render_ticket_row(std::ostream& os, const Ticket& t) {
-  check_field(t.ticket_id, "ticket_id");
-  check_field(t.symptom, "symptom");
-  os << t.ticket_id << ',' << t.network_id << ',' << t.created << ',' << t.resolved << ','
-     << to_string(t.origin) << ',' << t.symptom << ',' << join(t.devices, ";") << '\n';
+void write_tickets(const fs::path& path, const std::vector<Ticket>& tickets) {
+  std::ostringstream os;
+  os << "ticket_id,network_id,created,resolved,origin,symptom,devices\n";
+  for (const Ticket& t : tickets) {
+    check_field(t.ticket_id, "ticket_id");
+    check_field(t.symptom, "symptom");
+    os << t.ticket_id << ',' << t.network_id << ',' << t.created << ',' << t.resolved << ','
+       << to_string(t.origin) << ',' << t.symptom << ',' << join_list(t.devices, "ticket device")
+       << '\n';
+  }
+  write_file(path, os.str());
+}
+
+NetworkRecord parse_network_row(std::string_view line) {
+  const auto cells = split_views(line, ',');
+  require_data(cells.size() == 2, [&] { return "networks.csv: bad row: " + std::string(line); });
+  NetworkRecord net;
+  net.network_id = std::string(cells[0]);
+  if (!cells[1].empty())
+    for (const auto name : split_views(cells[1], ';')) net.workloads.push_back({std::string(name)});
+  return net;
+}
+
+DeviceRecord parse_device_row(std::string_view line) {
+  const auto cells = split_views(line, ',');
+  require_data(cells.size() == 6, [&] { return "devices.csv: bad row: " + std::string(line); });
+  DeviceRecord d;
+  d.device_id = std::string(cells[0]);
+  d.network_id = std::string(cells[1]);
+  d.vendor = vendor_from_string(cells[2]);
+  d.model = std::string(cells[3]);
+  d.role = role_from_string(cells[4]);
+  d.firmware = std::string(cells[5]);
+  return d;
 }
 
 Ticket parse_ticket_row(std::string_view line) {
@@ -76,10 +126,6 @@ Ticket parse_ticket_row(std::string_view line) {
   t.network_id = std::string(cells[1]);
   t.created = parse_int(cells[2], "ticket created");
   t.resolved = parse_int(cells[3], "ticket resolved");
-  require_data(t.resolved >= t.created, [&] {
-    return "tickets.csv: resolved time " + std::string(cells[3]) + " precedes created time " +
-           std::string(cells[2]) + " for ticket " + t.ticket_id;
-  });
   t.origin = origin_from_string(cells[4]);
   t.symptom = std::string(cells[5]);
   if (!cells[6].empty()) t.devices = split(cells[6], ';');
@@ -94,8 +140,18 @@ void render_snapshot_record(std::ostream& os, const ConfigSnapshot& snap) {
      << snap.text;
 }
 
-std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
-  std::vector<ConfigSnapshot> out;
+// Why `s` cannot be a snapshots.log header token, or null if it can.
+const char* header_token_defect(std::string_view s) {
+  if (s.empty()) return "snapshot header field is empty";
+  for (const char c : s)
+    if (std::isspace(static_cast<unsigned char>(c)) != 0)
+      return "snapshot header field contains whitespace";
+  return nullptr;
+}
+
+// Hands each record of a snapshots.log to `add`, in file order.
+template <class Add>
+void parse_snapshot_log(const std::string& log, Add&& add) {
   const std::string_view view(log);
   std::size_t pos = 0;
   while (pos < view.size()) {
@@ -118,10 +174,9 @@ std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
     snap.time = parse_int(tokens[2], "snapshot time");
     snap.login = std::string(tokens[3]);
     snap.text = log.substr(eol + 1, length);
-    out.push_back(std::move(snap));
+    add(std::move(snap));
     pos = eol + 1 + length;
   }
-  return out;
 }
 
 }  // namespace
@@ -130,12 +185,64 @@ std::vector<ConfigSnapshot> parse_snapshot_log(const std::string& log) {
 // <time> <login> <length>"), so a device_id or login containing
 // whitespace would change the token count and corrupt every record
 // after it. Validate on save, like check_field does for the CSVs.
-void check_header_token(const std::string& s, const char* what) {
-  require_data(!s.empty(), [&] { return std::string("snapshot header field is empty: ") + what; });
-  for (const char c : s)
-    require_data(std::isspace(static_cast<unsigned char>(c)) == 0, [&] {
-      return std::string("snapshot header field contains whitespace: ") + what + ": " + s;
-    });
+void check_header_token(std::string_view s, const char* what) {
+  if (const char* defect = header_token_defect(s))
+    throw DataError(std::string(defect) + ": " + what + (s.empty() ? "" : ": " + std::string(s)));
+}
+
+RecordChecker::RecordChecker(const Inventory& inventory, std::string source,
+                             const SnapshotStore* history)
+    : inventory_(inventory), history_(history), source_(std::move(source)) {}
+
+void RecordChecker::fail(const std::string& what) const { throw DataError(source_ + ": " + what); }
+
+void RecordChecker::check_network(const NetworkRecord& net) const {
+  if (inventory_.find_network(net.network_id) != nullptr)
+    fail("duplicate network id " + net.network_id);
+}
+
+void RecordChecker::check_device(const DeviceRecord& dev) const {
+  if (inventory_.find_device(dev.device_id) != nullptr)
+    fail("duplicate device id " + dev.device_id);
+  if (inventory_.find_network(dev.network_id) == nullptr)
+    fail("device " + dev.device_id + " in unknown network " + dev.network_id);
+}
+
+void RecordChecker::check_ticket_times(const Ticket& t, std::string_view source) {
+  require_data(t.resolved >= t.created, [&] {
+    return std::string(source) + ": resolved time " + std::to_string(t.resolved) +
+           " precedes created time " + std::to_string(t.created) + " for ticket " + t.ticket_id;
+  });
+}
+
+void RecordChecker::check_ticket(const Ticket& t) const {
+  check_ticket_times(t, source_);
+  if (inventory_.find_network(t.network_id) == nullptr)
+    fail("ticket " + t.ticket_id + " for unknown network " + t.network_id);
+}
+
+void RecordChecker::check_snapshot(std::string_view device_id, Timestamp time,
+                                   std::string_view login) {
+  const auto reject = [&](const std::string& why) {
+    fail("snapshot of device " + std::string(device_id) + " at time " + std::to_string(time) +
+         ": " + why);
+  };
+  if (run_ == last_time_.end() || run_->first != device_id) {
+    run_ = last_time_.find(device_id);
+    if (run_ == last_time_.end()) {  // The device rules hold for its later snapshots.
+      const std::string id(device_id);
+      if (inventory_.find_device(id) == nullptr) reject("unknown device");
+      if (const char* defect = header_token_defect(id))
+        reject(defect + std::string(" (device_id)"));
+      const auto* prior = history_ != nullptr ? &history_->for_device(id) : nullptr;
+      const bool seen = prior != nullptr && !prior->empty();
+      run_ = last_time_.emplace(id, seen ? prior->back().time : time).first;
+    }
+  }
+  if (time < run_->second) reject("out-of-order after time " + std::to_string(run_->second));
+  if (const char* defect = header_token_defect(login))
+    reject(defect + (" (login '" + std::string(login) + "')"));
+  run_->second = time;
 }
 
 Vendor vendor_from_string(std::string_view s) {
@@ -169,11 +276,8 @@ void save_dataset(const DiskDataset& data, const std::string& dir) {
     for (const auto& net : data.inventory.networks()) {
       check_field(net.network_id, "network_id");
       std::vector<std::string> wl;
-      for (const auto& w : net.workloads) {
-        check_field(w.name, "workload");
-        wl.push_back(w.name);
-      }
-      os << net.network_id << ',' << join(wl, ";") << '\n';
+      for (const auto& w : net.workloads) wl.push_back(w.name);
+      os << net.network_id << ',' << join_list(wl, "workload") << '\n';
     }
     write_file(base / "networks.csv", os.str());
   }
@@ -192,13 +296,7 @@ void save_dataset(const DiskDataset& data, const std::string& dir) {
     write_file(base / "devices.csv", os.str());
   }
 
-  // tickets.csv
-  {
-    std::ostringstream os;
-    os << "ticket_id,network_id,created,resolved,origin,symptom,devices\n";
-    for (const auto& t : data.tickets.all()) render_ticket_row(os, t);
-    write_file(base / "tickets.csv", os.str());
-  }
+  write_tickets(base / "tickets.csv", data.tickets.all());
 
   // snapshots.log — length-prefixed records so config text needs no
   // escaping.
@@ -231,73 +329,37 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read) {
                  "load_dataset: missing " + std::string(name) + " in dataset directory " + dir);
 
   DiskDataset data;
+  RecordChecker check(data.inventory, "networks.csv");
   std::uint64_t bytes = 0;
-
-  // networks.csv — fields are parsed as string_view slices of the file
-  // buffer (one copy per stored string, none per intermediate field).
-  {
-    const std::string text = read_file(base / "networks.csv");
+  const auto read_source = [&](const char* name) {
+    check.set_source(name);
+    std::string text = read_file(base / name);
     bytes += text.size();
-    const auto lines = split_line_views(text);
-    data.inventory.reserve(lines.size() > 1 ? lines.size() - 1 : 0, 0);
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      if (trim(lines[i]).empty()) continue;
-      const auto cells = split_views(lines[i], ',');
-      require_data(cells.size() == 2,
-                   [&] { return "networks.csv: bad row: " + std::string(lines[i]); });
-      NetworkRecord net;
-      net.network_id = std::string(cells[0]);
-      if (!cells[1].empty()) {
-        for (const auto name : split_views(cells[1], ';')) {
-          Workload w;
-          w.name = std::string(name);
-          net.workloads.push_back(std::move(w));
-        }
-      }
-      data.inventory.add_network(std::move(net));
-    }
-  }
+    return text;
+  };
+  // Fields are parsed as string_view slices of each file buffer (one
+  // copy per stored string, none per intermediate field).
+  const auto load_rows = [&](const char* name, auto parse_row, auto store) {
+    const std::string text = read_source(name);
+    for (const std::string_view row : csv_rows(text)) store(parse_row(row));
+  };
 
-  // devices.csv
-  {
-    const std::string text = read_file(base / "devices.csv");
-    bytes += text.size();
-    const auto lines = split_line_views(text);
-    data.inventory.reserve(0, lines.size() > 1 ? lines.size() - 1 : 0);
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      if (trim(lines[i]).empty()) continue;
-      const auto cells = split_views(lines[i], ',');
-      require_data(cells.size() == 6,
-                   [&] { return "devices.csv: bad row: " + std::string(lines[i]); });
-      DeviceRecord d;
-      d.device_id = std::string(cells[0]);
-      d.network_id = std::string(cells[1]);
-      d.vendor = vendor_from_string(cells[2]);
-      d.model = std::string(cells[3]);
-      d.role = role_from_string(cells[4]);
-      d.firmware = std::string(cells[5]);
-      data.inventory.add_device(std::move(d));
-    }
-  }
-
-  // tickets.csv
-  {
-    const std::string text = read_file(base / "tickets.csv");
-    bytes += text.size();
-    const auto lines = split_line_views(text);
-    data.tickets.reserve(lines.size() > 1 ? lines.size() - 1 : 0);
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      if (trim(lines[i]).empty()) continue;
-      data.tickets.add(parse_ticket_row(lines[i]));
-    }
-  }
-
-  // snapshots.log
-  {
-    const std::string text = read_file(base / "snapshots.log");
-    bytes += text.size();
-    for (auto& snap : parse_snapshot_log(text)) data.snapshots.add(std::move(snap));
-  }
+  load_rows("networks.csv", parse_network_row, [&](NetworkRecord net) {
+    check.check_network(net);
+    data.inventory.add_network(std::move(net));
+  });
+  load_rows("devices.csv", parse_device_row, [&](DeviceRecord dev) {
+    check.check_device(dev);
+    data.inventory.add_device(std::move(dev));
+  });
+  load_rows("tickets.csv", parse_ticket_row, [&](Ticket t) {
+    check.check_ticket(t);
+    data.tickets.add(std::move(t));
+  });
+  parse_snapshot_log(read_source("snapshots.log"), [&](ConfigSnapshot snap) {
+    check.check_snapshot(snap.device_id, snap.time, snap.login);
+    data.snapshots.add(std::move(snap));
+  });
 
   if (bytes_read != nullptr) *bytes_read = bytes;
   return data;
@@ -309,13 +371,7 @@ void save_month_delta(const MonthDelta& delta, const std::string& dir) {
 
   write_file(base / "month.txt", std::to_string(delta.month) + "\n");
 
-  {
-    std::ostringstream os;
-    os << "ticket_id,network_id,created,resolved,origin,symptom,devices\n";
-    for (const auto& t : delta.tickets) render_ticket_row(os, t);
-    write_file(base / "tickets.csv", os.str());
-  }
-
+  write_tickets(base / "tickets.csv", delta.tickets);
   {
     std::ostringstream os;
     for (const auto& snap : delta.snapshots) render_snapshot_record(os, snap);
@@ -334,15 +390,14 @@ MonthDelta load_month_delta(const std::string& dir) {
     delta.month = static_cast<int>(month);
   }
 
-  {
-    const auto lines = split_lines(read_file(base / "tickets.csv"));
-    for (std::size_t i = 1; i < lines.size(); ++i) {
-      if (trim(lines[i]).empty()) continue;
-      delta.tickets.push_back(parse_ticket_row(lines[i]));
-    }
+  // Whether each record fits the session is append_month's to check.
+  const std::string tickets = read_file(base / "tickets.csv");
+  for (const std::string_view row : csv_rows(tickets)) {
+    delta.tickets.push_back(parse_ticket_row(row));
+    RecordChecker::check_ticket_times(delta.tickets.back(), "tickets.csv");
   }
-
-  delta.snapshots = parse_snapshot_log(read_file(base / "snapshots.log"));
+  parse_snapshot_log(read_file(base / "snapshots.log"),
+                     [&](ConfigSnapshot snap) { delta.snapshots.push_back(std::move(snap)); });
   return delta;
 }
 

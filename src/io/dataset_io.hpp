@@ -16,7 +16,9 @@
 #pragma once
 
 #include <cstdint>
+#include <map>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "model/inventory.hpp"
@@ -64,10 +66,10 @@ struct MonthDelta {
 void save_month_delta(const MonthDelta& delta, const std::string& dir);
 
 /// Load a delta directory written by save_month_delta. Throws
-/// DataError on malformed content, with the same validation (and the
-/// same error strings) as load_dataset: resolved < created tickets,
-/// negative snapshot lengths, and malformed headers are rejected by
-/// name; CRLF line endings are accepted.
+/// DataError on malformed content, with the format checks and error
+/// strings of load_dataset, and rejects resolved < created tickets;
+/// the record rules that need a session are append_month's. CRLF line
+/// endings are accepted.
 MonthDelta load_month_delta(const std::string& dir);
 
 /// A dataset cut at a month boundary: `base` holds every record whose
@@ -98,6 +100,50 @@ TicketOrigin origin_from_string(std::string_view s);
 /// tests: snapshots.log header tokens are whitespace-delimited, so a
 /// device_id or login that is empty or contains whitespace is rejected
 /// by name before it can corrupt the record stream.
-void check_header_token(const std::string& s, const char* what);
+void check_header_token(std::string_view s, const char* what);
+
+/// The rules a dataset record must meet, each stated once. The CSV
+/// loader, the mpac loader (and verify_columnar, which walks the same
+/// code) and AnalysisSession::append_month check every record here
+/// before they store anything:
+///
+///   network   id unique
+///   device    id unique; network known
+///   ticket    resolved >= created; network known
+///   snapshot  device known; device_id and login pass check_header_token;
+///             time >= the device's last accepted snapshot
+///
+/// A failure throws a DataError that starts with the source (a file, an
+/// mpac shard, or "append_month") and names the record. The caller
+/// keeps `inventory` current by storing each network and device the
+/// checker accepts; `history` holds the snapshots stored before it.
+class RecordChecker {
+ public:
+  RecordChecker(const Inventory& inventory, std::string source,
+                const SnapshotStore* history = nullptr);
+  RecordChecker(const RecordChecker&) = delete;
+
+  void set_source(std::string source) { source_ = std::move(source); }
+
+  void check_network(const NetworkRecord& net) const;
+  void check_device(const DeviceRecord& dev) const;
+  void check_ticket(const Ticket& t) const;
+  void check_snapshot(std::string_view device_id, Timestamp time, std::string_view login);
+
+  /// The part of the ticket rule that needs no inventory.
+  static void check_ticket_times(const Ticket& t, std::string_view source);
+
+ private:
+  [[noreturn]] void fail(const std::string& what) const;
+
+  const Inventory& inventory_;
+  const SnapshotStore* history_;
+  std::string source_;
+  /// Each device's last accepted snapshot time; `run_` is the previous
+  /// snapshot's entry, so a run of one device's snapshots (both formats
+  /// store them together) costs one lookup.
+  std::map<std::string, Timestamp, std::less<>> last_time_;
+  std::map<std::string, Timestamp, std::less<>>::iterator run_ = last_time_.end();
+};
 
 }  // namespace mpa

@@ -72,32 +72,6 @@ EvalResult evaluate(const Dataset& test, const Predictor& model) {
   return from_confusion(std::move(confusion));
 }
 
-EvalResult cross_validate(const Dataset& data, int k, const Trainer& trainer, Rng& rng,
-                          const std::function<Dataset(const Dataset&)>& transform_train) {
-  require(k >= 2, "cross_validate: need k >= 2");
-  require(data.size() >= static_cast<std::size_t>(k), "cross_validate: too few samples");
-
-  const std::vector<int> fold_of = assign_folds(data, k, rng);
-
-  std::vector<std::vector<int>> confusion(
-      static_cast<std::size_t>(data.num_classes),
-      std::vector<int>(static_cast<std::size_t>(data.num_classes), 0));
-  for (int f = 0; f < k; ++f) {
-    std::vector<std::size_t> train_idx, test_idx;
-    for (std::size_t i = 0; i < data.size(); ++i)
-      (fold_of[i] == f ? test_idx : train_idx).push_back(i);
-    if (test_idx.empty() || train_idx.empty()) continue;
-    Dataset train = data.subset(train_idx);
-    if (transform_train) train = transform_train(train);
-    const Dataset test = data.subset(test_idx);
-    const Predictor model = trainer(train);
-    for (std::size_t i = 0; i < test.size(); ++i)
-      confusion[static_cast<std::size_t>(test.y[i])]
-               [static_cast<std::size_t>(model(test.x[i]))]++;
-  }
-  return from_confusion(std::move(confusion));
-}
-
 EvalResult cross_validate(const Dataset& data, int k, const TrainerFactory& factory, Rng& rng,
                           const std::function<Dataset(const Dataset&)>& transform_train,
                           ThreadPool* pool) {

@@ -45,15 +45,12 @@ EvalResult evaluate(const Dataset& test, const Predictor& model);
 /// matrix. `transform_train` (optional) is applied to each training
 /// fold only — this is where oversampling belongs, so duplicated
 /// minority samples never leak into a test fold.
-EvalResult cross_validate(const Dataset& data, int k, const Trainer& trainer, Rng& rng,
-                          const std::function<Dataset(const Dataset&)>& transform_train = {});
-
-/// Fork-join cross-validation: fold assignment and the per-fold RNG
-/// streams are derived from `rng` on the calling thread (in fold
-/// order), then the k train+test passes fan out on `pool` (null =
-/// run inline). Per-fold confusion matrices merge in fold order, so
-/// the result is bit-identical at any thread count — including to
-/// this function's own 1-thread run.
+///
+/// Fold assignment and the per-fold RNG streams are derived from `rng`
+/// on the calling thread (in fold order), then the k train+test passes
+/// fan out on `pool` (null = run inline). Per-fold confusion matrices
+/// merge in fold order, so the result is bit-identical at any thread
+/// count.
 EvalResult cross_validate(const Dataset& data, int k, const TrainerFactory& factory, Rng& rng,
                           const std::function<Dataset(const Dataset&)>& transform_train = {},
                           ThreadPool* pool = nullptr);

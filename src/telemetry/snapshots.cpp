@@ -7,7 +7,7 @@ namespace mpa {
 void SnapshotStore::add(ConfigSnapshot snap) {
   auto& vec = by_device_[snap.device_id];
   require(vec.empty() || vec.back().time <= snap.time,
-          "SnapshotStore::add: out-of-order snapshot for " + snap.device_id);
+          [&] { return "SnapshotStore::add: out-of-order snapshot for " + snap.device_id; });
   bytes_ += snap.text.size();
   ++total_;
   vec.push_back(std::move(snap));

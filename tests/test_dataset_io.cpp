@@ -193,6 +193,29 @@ TEST_F(DatasetIoTest, CarriageReturnInsideFieldRejectedOnSave) {
   EXPECT_THROW(save_dataset(data, dir_.string()), DataError);
 }
 
+TEST_F(DatasetIoTest, ListSeparatorInsideListElementRejectedOnSave) {
+  // Workload names and ticket device ids are saved ';'-joined, so an
+  // element holding a ';' would reload from CSV as two elements.
+  DiskDataset with_workload = small_dataset();
+  with_workload.inventory.add_network(NetworkRecord{"net-semi", {Workload{"web;db"}}, {}});
+  DiskDataset with_device = small_dataset();
+  Ticket t = with_device.tickets.all().front();
+  t.ticket_id = "tkt-semi";
+  t.devices = {"dev0;x"};
+  with_device.tickets.add(std::move(t));
+
+  for (const auto& [data, field] : {std::pair{&with_workload, "workload: web;db"},
+                                    std::pair{&with_device, "ticket device: dev0;x"}}) {
+    fs::remove_all(dir_);
+    try {
+      save_dataset(*data, dir_.string());
+      FAIL() << field << " saved";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST_F(DatasetIoTest, NegativeSnapshotLengthRejectedByName) {
   save_dataset(small_dataset(), dir_.string());
   {

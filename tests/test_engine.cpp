@@ -5,6 +5,7 @@
 // threads.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -636,6 +637,18 @@ TEST(SessionAppend, RejectsInvalidDeltasAndLeavesSessionUnchanged) {
   ASSERT_FALSE(badticket.tickets.empty());
   badticket.tickets.front().resolved = badticket.tickets.front().created - 1;
   EXPECT_THROW(session.append_month(badticket), DataError);
+
+  // The first two snapshots of one device, swapped: the first is in
+  // order, the second is not, and neither may be applied.
+  MonthDelta swapped = good;
+  const auto pair = std::adjacent_find(
+      swapped.snapshots.begin(), swapped.snapshots.end(),
+      [](const ConfigSnapshot& a, const ConfigSnapshot& b) {
+        return a.device_id == b.device_id && a.time < b.time;
+      });
+  ASSERT_NE(pair, swapped.snapshots.end());
+  std::iter_swap(pair, pair + 1);
+  EXPECT_THROW(session.append_month(swapped), DataError);
 
   // Validate-then-mutate: every rejection left the session untouched,
   // so the real delta still applies cleanly afterwards.

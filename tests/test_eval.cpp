@@ -62,7 +62,10 @@ TEST(CrossValidate, StratifiedFoldsCoverEverySample) {
   const Dataset d = labeled(labels);
   Rng rng(1);
   const EvalResult r = cross_validate(
-      d, 5, [](const Dataset&) -> Predictor { return [](std::span<const int>) { return 0; }; },
+      d, 5,
+      [](Rng&) -> Trainer {
+        return [](const Dataset&) -> Predictor { return [](std::span<const int>) { return 0; }; };
+      },
       rng);
   int total = 0;
   for (const auto& row : r.confusion)
@@ -81,9 +84,11 @@ TEST(CrossValidate, TransformAppliedToTrainOnly) {
   std::size_t seen_train_sizes = 0;
   const EvalResult r = cross_validate(
       d, 4,
-      [&](const Dataset& train) -> Predictor {
-        seen_train_sizes = std::max(seen_train_sizes, train.size());
-        return [](std::span<const int>) { return 0; };
+      [&](Rng&) -> Trainer {
+        return [&](const Dataset& train) -> Predictor {
+          seen_train_sizes = std::max(seen_train_sizes, train.size());
+          return [](std::span<const int>) { return 0; };
+        };
       },
       rng, [](const Dataset& train) {
         Dataset out = train;
@@ -113,8 +118,10 @@ TEST(CrossValidate, LearnsWhenModelIsReal) {
   Rng rng(3);
   const EvalResult r = cross_validate(
       d, 5,
-      [](const Dataset&) -> Predictor {
-        return [](std::span<const int> x) { return x[0]; };
+      [](Rng&) -> Trainer {
+        return [](const Dataset&) -> Predictor {
+          return [](std::span<const int> x) { return x[0]; };
+        };
       },
       rng);
   EXPECT_DOUBLE_EQ(r.accuracy, 1.0);
@@ -123,8 +130,8 @@ TEST(CrossValidate, LearnsWhenModelIsReal) {
 TEST(CrossValidate, Rejects) {
   const Dataset d = labeled({0, 1});
   Rng rng(1);
-  const Trainer t = [](const Dataset&) -> Predictor {
-    return [](std::span<const int>) { return 0; };
+  const TrainerFactory t = [](Rng&) -> Trainer {
+    return [](const Dataset&) -> Predictor { return [](std::span<const int>) { return 0; }; };
   };
   EXPECT_THROW(cross_validate(d, 1, t, rng), PreconditionError);
   EXPECT_THROW(cross_validate(d, 3, t, rng), PreconditionError);  // too few samples
