@@ -577,10 +577,10 @@ const std::string& io_bench_dir(int networks, bool mpac) {
   return it->second;
 }
 
-// arg0 = networks; arg1 = 0 CSV text parse, 1 mpac map+verify (the
-// zero-copy columnar load: mmap + fingerprint + shard validation),
-// 2 mpac materialized to DiskDataset (the compatibility path the
-// engine session open uses today).
+// arg0 = networks; arg1 = 0 CSV text parse, 1 mpac map+verify (mmap +
+// fingerprint + shard validation), 2 mpac decoded to DiskDataset with
+// every record checked and each snapshot text aliasing its mapping
+// (what a session open runs).
 void BM_DatasetLoad(benchmark::State& state) {
   const int networks = static_cast<int>(state.range(0));
   const int mode = static_cast<int>(state.range(1));

@@ -40,6 +40,7 @@
 #include "config/device_view.hpp"
 #include "config/dialect.hpp"
 #include "config/stanza.hpp"
+#include "util/shared_text.hpp"
 
 namespace mpa {
 
@@ -203,7 +204,7 @@ std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network,
 /// Raw dialect text of one device, for span-resolving runs.
 struct DeviceText {
   std::string device_id;
-  std::string text;
+  SharedText text;
   Dialect dialect = Dialect::kIosLike;
 };
 

@@ -85,12 +85,23 @@ std::uint32_t expected_elem_size(std::uint32_t tag) {
   return 0;
 }
 
+// Writes `content` to a temporary file beside `path`, then renames it
+// over `path`. A file is replaced, never rewritten in place: a session
+// that maps the old shard keeps reading the old file, whose bytes it
+// verified, and never sees a truncated or half-written one.
 void write_binary_file(const fs::path& path, const std::string& content) {
-  std::ofstream out(path, std::ios::binary);
-  require_data(static_cast<bool>(out), "mpac: cannot open " + path.string() + " for writing");
+  fs::path tmp = path;
+  tmp += ".tmp";
+  std::ofstream out(tmp, std::ios::binary);
+  require_data(static_cast<bool>(out), "mpac: cannot open " + tmp.string() + " for writing");
   out.write(content.data(), static_cast<std::streamsize>(content.size()));
-  out.flush();
-  require_data(static_cast<bool>(out), "mpac: write failed for " + path.string());
+  out.close();
+  std::error_code ec;
+  if (out) fs::rename(tmp, path, ec);
+  if (!out || ec) {
+    fs::remove(tmp, ec);
+    throw DataError("mpac: write failed for " + path.string());
+  }
 }
 
 std::string read_text_file(const fs::path& path) {
@@ -142,43 +153,11 @@ MappedFile::MappedFile(const std::string& path) {
   mapped_ = false;
 }
 
-void MappedFile::reset() noexcept {
+MappedFile::~MappedFile() {
 #ifdef MPA_HAVE_MMAP
   if (mapped_ && data_ != nullptr)
     ::munmap(const_cast<void*>(static_cast<const void*>(data_)), size_);
 #endif
-  data_ = nullptr;
-  size_ = 0;
-  mapped_ = false;
-  fallback_.clear();
-}
-
-MappedFile::~MappedFile() { reset(); }
-
-MappedFile::MappedFile(MappedFile&& other) noexcept
-    : data_(other.data_),
-      size_(other.size_),
-      mapped_(other.mapped_),
-      fallback_(std::move(other.fallback_)) {
-  if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
-  other.data_ = nullptr;
-  other.size_ = 0;
-  other.mapped_ = false;
-}
-
-MappedFile& MappedFile::operator=(MappedFile&& other) noexcept {
-  if (this != &other) {
-    reset();
-    data_ = other.data_;
-    size_ = other.size_;
-    mapped_ = other.mapped_;
-    fallback_ = std::move(other.fallback_);
-    if (!mapped_ && data_ != nullptr) data_ = fallback_.data();
-    other.data_ = nullptr;
-    other.size_ = 0;
-    other.mapped_ = false;
-  }
-  return *this;
 }
 
 // ---------------------------------------------------------------------------
@@ -448,9 +427,10 @@ ShardView::ShardView(std::span<const std::byte> bytes, std::string file,
   const std::uint64_t dir_offset = read_u64(bytes_, 8);
   const std::uint32_t dir_count = read_u32(bytes_, 16);
   const std::uint64_t payload_end = bytes_.size() - kTrailerBytes;
-  require_data(dir_offset >= kHeaderBytes && dir_offset % 8 == 0 &&
-                   dir_offset + static_cast<std::uint64_t>(dir_count) * kDirEntryBytes <=
-                       payload_end,
+  // Bounds are compared as counts, never as summed offsets, so a huge
+  // offset or count cannot wrap past them.
+  require_data(dir_offset >= kHeaderBytes && dir_offset % 8 == 0 && dir_offset <= payload_end &&
+                   dir_count <= (payload_end - dir_offset) / kDirEntryBytes,
                shard_err(file_, "truncated shard"));
 
   fingerprint_ = read_u64(bytes_, payload_end);
@@ -471,7 +451,8 @@ ShardView::ShardView(std::span<const std::byte> bytes, std::string file,
     require_data(info.elem_size == want,
                  shard_err(file_, "wrong element size for column " + std::to_string(info.tag)));
     require_data(info.offset >= kHeaderBytes && info.offset % info.elem_size == 0 &&
-                     info.offset + info.count * info.elem_size <= dir_offset,
+                     info.offset <= dir_offset &&
+                     info.count <= (dir_offset - info.offset) / info.elem_size,
                  shard_err(file_, "truncated column " + std::to_string(info.tag)));
     columns_.push_back(info);
   }
@@ -639,12 +620,12 @@ ColumnarDataset load_columnar(const std::string& dir) {
     info.tickets = s.at("tickets").as_u64();
     info.snapshots = s.at("snapshots").as_u64();
 
-    MappedFile map((base / info.file).string());
-    require_data(map.bytes().size() == info.bytes,
+    auto map = std::make_shared<const MappedFile>((base / info.file).string());
+    require_data(map->bytes().size() == info.bytes,
                  shard_err(info.file, "truncated shard (expected " + std::to_string(info.bytes) +
                                           " bytes, found " +
-                                          std::to_string(map.bytes().size()) + ")"));
-    ShardView view(map.bytes(), info.file, info.fingerprint);
+                                          std::to_string(map->bytes().size()) + ")"));
+    ShardView view(map->bytes(), info.file, info.fingerprint);
     require_data(view.num_networks() == info.networks && view.num_devices() == info.devices &&
                      view.num_tickets() == info.tickets && view.num_snapshots() == info.snapshots,
                  shard_err(info.file, "record counts disagree with manifest"));
@@ -669,18 +650,13 @@ ColumnarDataset load_columnar(const std::string& dir) {
   return out;
 }
 
-namespace {
-
-// Decodes every record of `views` in container order: sequence numbers,
-// dictionary and enum codes, then the RecordChecker. The inventory is
-// always filled, because the checker reads it; tickets and snapshots
-// are stored only when `keep_telemetry` is set, so verify_columnar
-// keeps no snapshot text.
-DiskDataset decode(const std::vector<ShardView>& views, const MpacTotals& totals,
-                   bool keep_telemetry) {
+// Decodes every record in container order: sequence numbers, dictionary
+// and enum codes, then the RecordChecker. Snapshot text is not copied:
+// each text aliases its shard's mapping and shares ownership of it.
+DiskDataset ColumnarDataset::to_disk_dataset() const {
   DiskDataset out;
-  out.inventory.reserve(totals.networks, totals.devices);
-  if (keep_telemetry) out.tickets.reserve(totals.tickets);
+  out.inventory.reserve(totals_.networks, totals_.devices);
+  out.tickets.reserve(totals_.tickets);
   RecordChecker check(out.inventory, "mpac");
 
   const auto begin_shard = [&](const ShardView& v, ColumnTag seq_tag, std::uint64_t& expect,
@@ -696,7 +672,7 @@ DiskDataset decode(const std::vector<ShardView>& views, const MpacTotals& totals
   };
 
   std::uint64_t seq = 0;
-  for (const ShardView& v : views) {
+  for (const ShardView& v : views_) {
     begin_shard(v, ColumnTag::kNetSeq, seq, "network");
     const auto ids = v.u32s(ColumnTag::kNetId);
     const auto wl_begin = v.u32s(ColumnTag::kNetWorkloadBegin);
@@ -716,7 +692,7 @@ DiskDataset decode(const std::vector<ShardView>& views, const MpacTotals& totals
   }
 
   seq = 0;
-  for (const ShardView& v : views) {
+  for (const ShardView& v : views_) {
     begin_shard(v, ColumnTag::kDevSeq, seq, "device");
     const auto ids = v.u32s(ColumnTag::kDevId);
     const auto nets = v.u32s(ColumnTag::kDevNetwork);
@@ -744,7 +720,7 @@ DiskDataset decode(const std::vector<ShardView>& views, const MpacTotals& totals
   }
 
   seq = 0;
-  for (const ShardView& v : views) {
+  for (const ShardView& v : views_) {
     begin_shard(v, ColumnTag::kTktSeq, seq, "ticket");
     const auto ids = v.u32s(ColumnTag::kTktId);
     const auto nets = v.u32s(ColumnTag::kTktNetwork);
@@ -769,11 +745,12 @@ DiskDataset decode(const std::vector<ShardView>& views, const MpacTotals& totals
       for (std::uint32_t d = dev_begin[i]; d < dev_begin[i + 1]; ++d)
         t.devices.emplace_back(v.dict(dev_code[d]));
       check.check_ticket(t);
-      if (keep_telemetry) out.tickets.add(std::move(t));
+      out.tickets.add(std::move(t));
     }
   }
 
-  for (const ShardView& v : views) {
+  for (std::size_t k = 0; k < views_.size(); ++k) {
+    const ShardView& v = views_[k];
     check.set_source("mpac: " + v.file());
     const auto devices = v.u32s(ColumnTag::kSnapDevice);
     const auto times = v.i64s(ColumnTag::kSnapTime);
@@ -782,21 +759,16 @@ DiskDataset decode(const std::vector<ShardView>& views, const MpacTotals& totals
       const std::string_view device = v.dict(devices[i]);
       const std::string_view login = v.dict(logins[i]);
       check.check_snapshot(device, times[i], login);
-      if (keep_telemetry)
-        out.snapshots.add(ConfigSnapshot{std::string(device), times[i], std::string(login),
-                                         std::string(v.config_text(i))});
+      out.snapshots.add(ConfigSnapshot{std::string(device), times[i], std::string(login),
+                                       SharedText::alias(maps_[k], v.config_text(i))});
     }
   }
   return out;
 }
 
-}  // namespace
-
-DiskDataset ColumnarDataset::to_disk_dataset() const { return decode(views_, totals_, true); }
-
 std::string verify_columnar(const std::string& dir) {
   const ColumnarDataset data = load_columnar(dir);
-  decode(data.shards(), data.totals(), false);
+  data.to_disk_dataset();  // Every record check; the containers are dropped.
 
   const MpacTotals& t = data.totals();
   std::ostringstream os;

@@ -167,14 +167,14 @@ class ColumnarWriter {
 };
 
 /// Read-only byte range backed by mmap when the platform provides it,
-/// falling back to a heap read otherwise. Move-only RAII.
+/// falling back to a heap read otherwise. Neither copyable nor movable:
+/// a loaded dataset holds each one under shared ownership, and every
+/// snapshot text that points into it shares that ownership.
 class MappedFile {
  public:
   explicit MappedFile(const std::string& path);
   ~MappedFile();
 
-  MappedFile(MappedFile&& other) noexcept;
-  MappedFile& operator=(MappedFile&& other) noexcept;
   MappedFile(const MappedFile&) = delete;
   MappedFile& operator=(const MappedFile&) = delete;
 
@@ -182,8 +182,6 @@ class MappedFile {
   bool is_mapped() const { return mapped_; }
 
  private:
-  void reset() noexcept;
-
   const std::byte* data_ = nullptr;
   std::size_t size_ = 0;
   bool mapped_ = false;
@@ -241,7 +239,9 @@ class ShardView {
 };
 
 /// A loaded mpac dataset: the mapped shards plus manifest totals.
-/// Shard views stay valid for the lifetime of this object.
+/// Shard views stay valid for the lifetime of this object; a mapping
+/// outlives it while any snapshot text from to_disk_dataset() points
+/// into it.
 class ColumnarDataset {
  public:
   const std::vector<ShardView>& shards() const { return views_; }
@@ -251,16 +251,17 @@ class ColumnarDataset {
   /// Manifest + shard bytes actually read (for load observability).
   std::uint64_t total_bytes() const { return bytes_read_; }
 
-  /// Compatibility path: materialize the classic in-memory containers.
-  /// Validates sequence order, dictionary and enum codes with
-  /// "mpac:"-prefixed errors, then every record with the RecordChecker
-  /// (dataset_io.hpp), as the CSV loader does.
+  /// The in-memory containers. Validates sequence order, dictionary
+  /// and enum codes with "mpac:"-prefixed errors, then every record
+  /// with the RecordChecker (dataset_io.hpp), as the CSV loader does.
+  /// Snapshot text is not copied: each text aliases the verified
+  /// mapping of its shard and keeps it mapped.
   DiskDataset to_disk_dataset() const;
 
  private:
   friend ColumnarDataset load_columnar(const std::string& dir);
 
-  std::vector<MappedFile> maps_;
+  std::vector<std::shared_ptr<const MappedFile>> maps_;  ///< Parallel to views_.
   std::vector<ShardView> views_;
   std::vector<MpacShardInfo> infos_;
   MpacTotals totals_;
@@ -272,7 +273,9 @@ bool is_columnar_dir(const std::string& dir);
 
 /// Write `data` as an mpac dataset into `dir` (created if absent) in
 /// the same record order save_dataset uses, and return the writer's
-/// totals. Throws DataError on I/O failure.
+/// totals. Each shard and the manifest replace their file by rename,
+/// so a session open on the old dataset keeps its bytes. Throws
+/// DataError on I/O failure.
 MpacTotals save_columnar(const DiskDataset& data, const std::string& dir,
                          ColumnarWriteOptions opts = {});
 
@@ -282,10 +285,9 @@ MpacTotals save_columnar(const DiskDataset& data, const std::string& dir,
 /// version", "truncated shard", "fingerprint mismatch").
 ColumnarDataset load_columnar(const std::string& dir);
 
-/// Deep-verify an mpac dataset: load_columnar, then the record walk of
-/// to_disk_dataset without storing tickets or snapshot text, so verify
-/// rejects exactly what load_dataset rejects. Returns a human-readable
-/// report; throws DataError on any defect.
+/// Deep-verify an mpac dataset: load_columnar, then to_disk_dataset, so
+/// verify rejects exactly what load_dataset rejects. Returns a
+/// human-readable report; throws DataError on any defect.
 std::string verify_columnar(const std::string& dir);
 
 }  // namespace mpa

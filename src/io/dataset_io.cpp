@@ -5,6 +5,7 @@
 #include <charconv>
 #include <filesystem>
 #include <fstream>
+#include <memory>
 #include <sstream>
 
 #include "io/columnar.hpp"
@@ -149,10 +150,19 @@ const char* header_token_defect(std::string_view s) {
   return nullptr;
 }
 
-// Hands each record of a snapshots.log to `add`, in file order.
+// The time rule every snapshot and ticket time meets.
+bool in_time_range(Timestamp t) { return t >= 0 && t < month_start(kMaxMonths); }
+
+std::string time_range_defect(Timestamp t) {
+  return std::to_string(t) + " is outside [0, " + std::to_string(month_start(kMaxMonths)) + ")";
+}
+
+// Hands each record of a snapshots.log to `add`, in file order. Each
+// snapshot's text points into `log`, which it keeps alive.
 template <class Add>
-void parse_snapshot_log(const std::string& log, Add&& add) {
-  const std::string_view view(log);
+void parse_snapshot_log(std::string log_text, Add&& add) {
+  const auto log = std::make_shared<const std::string>(std::move(log_text));
+  const std::string_view view(*log);
   std::size_t pos = 0;
   while (pos < view.size()) {
     const std::size_t eol = view.find('\n', pos);
@@ -173,7 +183,7 @@ void parse_snapshot_log(const std::string& log, Add&& add) {
     snap.device_id = std::string(tokens[1]);
     snap.time = parse_int(tokens[2], "snapshot time");
     snap.login = std::string(tokens[3]);
-    snap.text = log.substr(eol + 1, length);
+    snap.text = SharedText::alias(log, view.substr(eol + 1, length));
     add(std::move(snap));
     pos = eol + 1 + length;
   }
@@ -209,6 +219,14 @@ void RecordChecker::check_device(const DeviceRecord& dev) const {
 }
 
 void RecordChecker::check_ticket_times(const Ticket& t, std::string_view source) {
+  const auto check_range = [&](const char* what, Timestamp time) {
+    require_data(in_time_range(time), [&] {
+      return std::string(source) + ": ticket " + t.ticket_id + " " + what + " time " +
+             time_range_defect(time);
+    });
+  };
+  check_range("created", t.created);
+  check_range("resolved", t.resolved);
   require_data(t.resolved >= t.created, [&] {
     return std::string(source) + ": resolved time " + std::to_string(t.resolved) +
            " precedes created time " + std::to_string(t.created) + " for ticket " + t.ticket_id;
@@ -239,6 +257,7 @@ void RecordChecker::check_snapshot(std::string_view device_id, Timestamp time,
       run_ = last_time_.emplace(id, seen ? prior->back().time : time).first;
     }
   }
+  if (!in_time_range(time)) reject("time " + time_range_defect(time));
   if (time < run_->second) reject("out-of-order after time " + std::to_string(run_->second));
   if (const char* defect = header_token_defect(login))
     reject(defect + (" (login '" + std::string(login) + "')"));

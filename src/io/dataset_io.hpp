@@ -67,9 +67,9 @@ void save_month_delta(const MonthDelta& delta, const std::string& dir);
 
 /// Load a delta directory written by save_month_delta. Throws
 /// DataError on malformed content, with the format checks and error
-/// strings of load_dataset, and rejects resolved < created tickets;
-/// the record rules that need a session are append_month's. CRLF line
-/// endings are accepted.
+/// strings of load_dataset, and rejects a ticket that breaks
+/// RecordChecker::check_ticket_times; the record rules that need a
+/// session are append_month's. CRLF line endings are accepted.
 MonthDelta load_month_delta(const std::string& dir);
 
 /// A dataset cut at a month boundary: `base` holds every record whose
@@ -109,9 +109,11 @@ void check_header_token(std::string_view s, const char* what);
 ///
 ///   network   id unique
 ///   device    id unique; network known
-///   ticket    resolved >= created; network known
+///   ticket    created and resolved in [0, month_start(kMaxMonths));
+///             resolved >= created; network known
 ///   snapshot  device known; device_id and login pass check_header_token;
-///             time >= the device's last accepted snapshot
+///             time in [0, month_start(kMaxMonths)) and >= the device's
+///             last accepted snapshot
 ///
 /// A failure throws a DataError that starts with the source (a file, an
 /// mpac shard, or "append_month") and names the record. The caller
@@ -130,7 +132,8 @@ class RecordChecker {
   void check_ticket(const Ticket& t) const;
   void check_snapshot(std::string_view device_id, Timestamp time, std::string_view login);
 
-  /// The part of the ticket rule that needs no inventory.
+  /// The part of the ticket rule that needs no inventory: both times
+  /// in range, resolved >= created.
   static void check_ticket_times(const Ticket& t, std::string_view source);
 
  private:

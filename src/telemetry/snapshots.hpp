@@ -9,7 +9,9 @@
 //
 // Snapshots hold rendered *text*, not parsed configs — the metrics
 // layer must parse them through the dialect layer, exactly as the
-// paper's pipeline runs Batfish over archived RANCID output.
+// paper's pipeline runs Batfish over archived RANCID output. The text
+// is a SharedText: a loaded snapshot points into the buffer its loader
+// read or mapped, and copying a snapshot shares its bytes.
 #pragma once
 
 #include <map>
@@ -17,6 +19,7 @@
 #include <vector>
 
 #include "telemetry/time.hpp"
+#include "util/shared_text.hpp"
 
 namespace mpa {
 
@@ -25,7 +28,7 @@ struct ConfigSnapshot {
   std::string device_id;
   Timestamp time = 0;   ///< When the triggering change occurred.
   std::string login;    ///< Account that made the change (user or script).
-  std::string text;     ///< Full rendered configuration.
+  SharedText text;      ///< Full rendered configuration.
 };
 
 /// Append-only archive of snapshots, ordered per device by time.

@@ -18,6 +18,12 @@ inline constexpr Timestamp kMinutesPerHour = 60;
 inline constexpr Timestamp kMinutesPerDay = 24 * kMinutesPerHour;
 inline constexpr Timestamp kMinutesPerMonth = 30 * kMinutesPerDay;
 
+/// Months a dataset may span: a loader rejects any snapshot or ticket
+/// time outside [0, month_start(kMaxMonths)), a century of 30-day
+/// months, so month indices and counts derived from loaded data stay
+/// small ints.
+inline constexpr int kMaxMonths = 1200;
+
 /// Month index (0-based) containing `t`. Negative times map to month 0.
 inline int month_of(Timestamp t) {
   return t < 0 ? 0 : static_cast<int>(t / kMinutesPerMonth);

@@ -21,7 +21,7 @@
 
 #include <cstdint>
 #include <cstring>
-#include <string>
+#include <string_view>
 
 namespace mpa {
 
@@ -39,7 +39,7 @@ class Fnv {
     }
   }
   /// Length-prefixed so {"ab","c"} and {"a","bc"} hash differently.
-  void str(const std::string& s) {
+  void str(std::string_view s) {
     u64(s.size());
     bytes(s.data(), s.size());
   }

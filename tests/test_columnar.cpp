@@ -278,6 +278,83 @@ TEST_F(ColumnarTest, DictionaryIndexOutOfRangeRejectedByName) {
   EXPECT_THROW(verify_columnar(sub("mpac")), DataError);
 }
 
+TEST_F(ColumnarTest, WrappingColumnBoundsRejectedAsTruncated) {
+  save_columnar(small_dataset(), sub("mpac"));
+  const fs::path shard_path = dir_ / "mpac" / "shard-00000.mpac";
+  const std::string pristine = slurp(shard_path);
+  const std::string manifest = slurp(dir_ / "mpac" / kMpacManifestName);
+  std::uint64_t dir_offset = 0;
+  std::uint32_t dir_count = 0;
+  std::memcpy(&dir_offset, pristine.data() + 8, 8);
+  std::memcpy(&dir_count, pristine.data() + 16, 4);
+  ASSERT_EQ(dir_count, 27u);
+  const auto rejection = [&](const std::string& bytes) {
+    spit(shard_path, bytes);
+    spit(dir_ / "mpac" / kMpacManifestName, manifest);
+    reseal_shard(dir_ / "mpac", "shard-00000.mpac");
+    try {
+      load_dataset(sub("mpac"));
+      return std::string("loaded");
+    } catch (const DataError& e) {
+      return std::string(e.what());
+    }
+  };
+
+  // A count whose byte length wraps u64 and so ends back inside the
+  // shard: four- and eight-byte columns end where they did, one-byte
+  // columns at byte 0.
+  for (std::uint32_t k = 0; k < dir_count; ++k) {
+    const std::size_t entry = dir_offset + 24 * std::size_t{k};
+    std::uint32_t tag = 0, elem = 0;
+    std::uint64_t offset = 0, count = 0;
+    std::memcpy(&tag, pristine.data() + entry, 4);
+    std::memcpy(&elem, pristine.data() + entry + 4, 4);
+    std::memcpy(&offset, pristine.data() + entry + 8, 8);
+    std::memcpy(&count, pristine.data() + entry + 16, 8);
+    const std::uint64_t wrapped = elem == 1 ? 0 - offset : count + (~std::uint64_t{0} / elem + 1);
+    std::string bytes = pristine;
+    std::memcpy(bytes.data() + entry + 16, &wrapped, 8);
+    EXPECT_EQ(rejection(bytes), "mpac: shard-00000.mpac: truncated column " + std::to_string(tag));
+  }
+
+  // The same for the directory: an offset whose entries end at byte 0.
+  std::string bytes = pristine;
+  const std::uint64_t wrapped = 0 - std::uint64_t{24} * dir_count;
+  std::memcpy(bytes.data() + 8, &wrapped, 8);
+  EXPECT_EQ(rejection(bytes), "mpac: shard-00000.mpac: truncated shard");
+}
+
+TEST_F(ColumnarTest, OpenSessionKeepsItsDatasetWhenTheDirectoryIsRewritten) {
+  const auto dataset = [](std::uint64_t seed) {
+    OspOptions opts;
+    opts.num_networks = 8;
+    opts.num_months = 4;
+    opts.seed = seed;
+    OspDataset gen = generate_osp(opts);
+    return DiskDataset{std::move(gen.inventory), std::move(gen.snapshots),
+                       std::move(gen.tickets)};
+  };
+  save_columnar(dataset(3), sub("live"));
+  save_columnar(dataset(3), sub("copy"));
+  SessionOptions opts;
+  opts.threads = 2;
+  AnalysisSession open = AnalysisSession::from_directory(sub("live"), opts);
+
+  // Every shard and the manifest of the open dataset are replaced while
+  // the session still maps them and has parsed no text.
+  const DiskDataset second = dataset(4);
+  save_columnar(second, sub("live"));
+
+  AnalysisSession untouched = AnalysisSession::from_directory(sub("copy"), opts);
+  EXPECT_EQ(open.case_table().to_csv(), untouched.case_table().to_csv());
+  EXPECT_EQ(open.lint().to_csv(), untouched.lint().to_csv());
+
+  const DiskDataset fresh = load_dataset(sub("live"));
+  const DiskDataset want = disk_normalized(second);
+  EXPECT_EQ(dataset_fingerprint(fresh.inventory, fresh.snapshots, fresh.tickets),
+            dataset_fingerprint(want.inventory, want.snapshots, want.tickets));
+}
+
 TEST_F(ColumnarTest, SessionManagerUntouchedWhenOpenThrows) {
   save_dataset(small_dataset(), sub("csv"));
   save_columnar(small_dataset(), sub("mpac"));

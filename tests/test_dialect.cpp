@@ -183,7 +183,7 @@ TEST(DialectMutation, AcceptsOrRejectsWithDataError) {
   std::vector<std::string> seeds[2];
   for (const auto& dev : data.inventory.devices())
     for (const auto& snap : data.snapshots.for_device(dev.device_id))
-      seeds[dialect_of(dev.vendor) == Dialect::kIosLike ? 0 : 1].push_back(snap.text);
+      seeds[dialect_of(dev.vendor) == Dialect::kIosLike ? 0 : 1].emplace_back(snap.text);
 
   Rng rng(14);
   for (const Dialect d : {Dialect::kIosLike, Dialect::kJunosLike}) {
@@ -232,7 +232,8 @@ std::vector<Timeline> pinned_timelines() {
   std::vector<Timeline> out;
   for (const auto& dev : data.inventory.devices()) {
     Timeline& tl = out.emplace_back(Timeline{dialect_of(dev.vendor), {}});
-    for (const auto& snap : data.snapshots.for_device(dev.device_id)) tl.texts.push_back(snap.text);
+    for (const auto& snap : data.snapshots.for_device(dev.device_id))
+      tl.texts.emplace_back(snap.text);
   }
   return out;
 }

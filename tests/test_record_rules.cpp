@@ -7,7 +7,10 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <climits>
 #include <cstdint>
+#include <cstring>
 #include <filesystem>
 #include <fstream>
 #include <functional>
@@ -21,7 +24,9 @@
 #include "io/dataset_io.hpp"
 #include "mutation.hpp"
 #include "simulation/osp_generator.hpp"
+#include "telemetry/time.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -119,14 +124,14 @@ class RecordRules : public ::testing::Test {
 /// One defective record, appended to the records of its kind. `inject`
 /// returns the id the rejection must name.
 struct Defect {
-  const char* name;
+  std::string name;
   const char* csv_file;  ///< The CSV file the record lives in.
   bool in_delta;         ///< Can occur in a month delta.
   std::function<std::string(Records&)> inject;
 };
 
 std::vector<Defect> defects() {
-  return {
+  std::vector<Defect> out = {
       {"duplicate network", "networks.csv", false,
        [](Records& r) {
          r.networks.push_back(r.networks.back());
@@ -183,6 +188,30 @@ std::vector<Defect> defects() {
          return s.device_id;
        }},
   };
+  // Times outside [0, month_start(kMaxMonths)). The snapshot keeps its
+  // device's time order, so only the range rule can reject it; the
+  // last time overflowed month_of(t) + 1 when a session opened it.
+  for (const Timestamp bad :
+       {Timestamp{-1}, month_start(kMaxMonths), kMinutesPerMonth * Timestamp{INT32_MAX}}) {
+    const auto snapshot = [bad](Records& r) {
+      ConfigSnapshot s = bad < 0 ? r.snapshots.front() : r.snapshots.back();
+      s.time = bad;
+      r.snapshots.insert(bad < 0 ? r.snapshots.begin() : r.snapshots.end(), s);
+      return s.device_id;
+    };
+    const auto ticket = [bad](Records& r) {
+      Ticket t = r.tickets.back();
+      t.ticket_id = "tkt-defect";
+      t.created = std::min(t.created, bad);
+      t.resolved = std::max(t.resolved, bad);
+      r.tickets.push_back(t);
+      return t.ticket_id;
+    };
+    const std::string at = " at time " + std::to_string(bad);
+    out.push_back({"snapshot" + at, "snapshots.log", true, snapshot});
+    out.push_back({"ticket" + at, "tickets.csv", true, ticket});
+  }
+  return out;
 }
 
 TEST_F(RecordRules, CsvLoadRejectsEachDefectNamingRecordAndFile) {
@@ -245,7 +274,8 @@ DiskDataset fuzz_base() {
   SnapshotStore shortened;
   for (const auto& device_id : data.snapshots.devices())
     for (ConfigSnapshot snap : data.snapshots.for_device(device_id)) {
-      snap.text = snap.text.substr(0, snap.text.find('\n') + 1);
+      const std::string_view text = snap.text;
+      snap.text = std::string(text.substr(0, text.find('\n') + 1));
       shortened.add(std::move(snap));
     }
   data.snapshots = std::move(shortened);
@@ -309,6 +339,118 @@ void mutate_records(Records& r, Rng& rng) {
     case 5: r.tickets[pick(r.tickets.size())].network_id = "net-missing"; break;
     default: r.snapshots[pick(r.snapshots.size())].device_id = "dev-missing"; break;
   }
+}
+
+std::string slurp(const fs::path& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), {}};
+}
+
+std::uint64_t read_u64(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  std::memcpy(&v, bytes.data() + at, sizeof v);
+  return v;
+}
+
+/// A value a mutated structure field is likely to get wrong: a bound, a
+/// near miss of the original, or noise.
+std::uint64_t edge_value(std::uint64_t original, Rng& rng) {
+  switch (rng.uniform_int(0, 5)) {
+    case 0: return 0;
+    case 1: return original + static_cast<std::uint64_t>(rng.uniform_int(-9, 9));
+    case 2: return std::uint64_t{1} << rng.uniform_int(0, 63);
+    case 3: return ~std::uint64_t{0} - static_cast<std::uint64_t>(rng.uniform_int(0, 64));
+    case 4: return 0 - original;
+    default: return rng.next();
+  }
+}
+
+TEST_F(RecordRules, FuzzMpacShardStructureBytesLoadOrRaiseDataError) {
+  write_mpac(records_of(fuzz_base()), dir_);
+  const fs::path shard_path = dir_ / "shard-00000.mpac";
+  const fs::path manifest_path = dir_ / kMpacManifestName;
+  const std::string shard = slurp(shard_path);
+  const std::string manifest = slurp(manifest_path);
+  const std::string sealed_fp = std::to_string(read_u64(shard, shard.size() - 8));
+
+  // The bytes the structure checks read: the header, the directory and
+  // the four offset columns. `sorted` is an offset column's element
+  // size, 0 elsewhere.
+  struct Region {
+    std::size_t begin, end, sorted;
+  };
+  const std::uint64_t dir_offset = read_u64(shard, 8);
+  const std::uint64_t dir_count = read_u64(shard, 16) & 0xffffffffu;
+  std::vector<Region> regions = {{0, 24, 0}, {dir_offset, dir_offset + 24 * dir_count, 0}};
+  {
+    const ColumnarDataset data = load_columnar(dir_.string());
+    for (const ColumnTag tag : {ColumnTag::kDictOffsets, ColumnTag::kNetWorkloadBegin,
+                                ColumnTag::kTktDeviceBegin, ColumnTag::kSnapTextBegin}) {
+      const ShardView::ColumnInfo* c = data.shards().front().column(tag);
+      regions.push_back({c->offset, c->offset + c->count * c->elem_size, c->elem_size});
+    }
+  }
+
+  Rng rng(0xb17e);
+  const auto pick = [&](std::size_t lo, std::size_t hi) {  // in [lo, hi]
+    return static_cast<std::size_t>(
+        rng.uniform_int(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
+  };
+  int accepted = 0, rejected = 0;
+  for (int i = 0; i < 1200; ++i) {
+    std::string bytes = shard;
+    const Region& r = regions[pick(0, regions.size() - 1)];
+    const auto field = [&](std::size_t width) {  // an aligned element of the region
+      return r.begin + pick(0, (r.end - r.begin) / width - 1) * width;
+    };
+    const auto get = [&](std::size_t at, std::size_t width) {
+      std::uint64_t v = 0;
+      std::memcpy(&v, bytes.data() + at, width);
+      return v;
+    };
+    const auto put = [&](std::size_t at, std::size_t width, std::uint64_t v) {
+      std::memcpy(bytes.data() + at, &v, width);
+    };
+    const std::int64_t kind = rng.uniform_int(0, 2);
+    if (kind == 0) {
+      bytes[pick(r.begin, r.end - 1)] ^= static_cast<char>(rng.uniform_int(1, 255));
+    } else if (kind == 1 || r.sorted == 0 || r.end - r.begin < 3 * r.sorted) {
+      const std::size_t width = r.end - r.begin >= 8 && rng.bernoulli(0.5) ? 8 : 4;
+      const std::size_t at = field(width);
+      put(at, width, edge_value(get(at, width), rng));
+    } else {  // An interior offset moved between its neighbours stays sorted.
+      const std::size_t w = r.sorted;
+      const std::size_t at = r.begin + pick(1, (r.end - r.begin) / w - 2) * w;
+      const std::uint64_t lo = get(at - w, w), hi = get(at + w, w);
+      put(at, w, lo + pick(0, hi - lo));
+    }
+    const std::uint64_t fp = fnv1a_words(bytes.data(), bytes.size() - 8);
+    put(bytes.size() - 8, 8, fp);
+    std::ofstream(shard_path, std::ios::binary) << bytes;
+    std::string sealed = manifest;
+    sealed.replace(sealed.find(sealed_fp), sealed_fp.size(), std::to_string(fp));
+    std::ofstream(manifest_path, std::ios::binary) << sealed;
+
+    const std::string what = "shard mutant " + std::to_string(i);
+    const std::string load = outcome([&] { load_dataset(dir_.string()); }, what);
+    EXPECT_EQ(outcome([&] { verify_columnar(dir_.string()); }, what), load) << what;
+    if (!load.empty()) {
+      ++rejected;
+      continue;
+    }
+    ++accepted;
+    const ColumnarDataset data = load_columnar(dir_.string());
+    const DiskDataset loaded = data.to_disk_dataset();
+    const auto lo = reinterpret_cast<std::uintptr_t>(data.shards().front().bytes().data());
+    const std::uintptr_t hi = lo + data.shards().front().bytes().size();
+    for (const auto& device_id : loaded.snapshots.devices())
+      for (const auto& snap : loaded.snapshots.for_device(device_id)) {
+        const auto p = reinterpret_cast<std::uintptr_t>(snap.text.data());
+        EXPECT_TRUE(lo <= p && p + snap.text.size() <= hi) << what << ": " << device_id;
+      }
+  }
+  EXPECT_GT(accepted, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST_F(RecordRules, FuzzMpacRecordMutantsVerifyExactlyWhenLoadAccepts) {
