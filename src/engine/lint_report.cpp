@@ -1,7 +1,9 @@
 #include "engine/lint_report.hpp"
 
 #include <array>
+#include <climits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 
@@ -43,15 +45,22 @@ struct Counts {
   }
 };
 
-int parse_int_cell(std::string_view cell, std::string_view what) {
+/// The header to_csv writes.
+constexpr std::string_view kCsvHeader =
+    "record,network_id,device_id,rule_id,severity,category,first_line,last_line,suppressed,"
+    "object,message";
+
+/// A cell of decimal digits as an int; nullopt when empty, when it
+/// holds anything else, or when its value exceeds INT_MAX.
+std::optional<int> parse_int_cell(std::string_view cell) {
+  if (cell.empty()) return std::nullopt;
   int v = 0;
-  bool any = false;
   for (char c : cell) {
-    require_data(c >= '0' && c <= '9', "lint report: bad " + std::string(what));
-    v = v * 10 + (c - '0');
-    any = true;
+    if (c < '0' || c > '9') return std::nullopt;
+    const int digit = c - '0';
+    if (v > (INT_MAX - digit) / 10) return std::nullopt;  // checked before multiplying
+    v = v * 10 + digit;
   }
-  require_data(any, "lint report: empty " + std::string(what));
   return v;
 }
 
@@ -79,8 +88,7 @@ LintReport LintReport::at_least(LintSeverity min) const {
 
 std::string LintReport::to_csv() const {
   std::ostringstream os;
-  os << "record,network_id,device_id,rule_id,severity,category,first_line,last_line,"
-        "suppressed,object,message\n";
+  os << kCsvHeader << '\n';
   for (const auto& net : networks) {
     os << "net," << csv_field(net.network_id) << "," << net.num_devices << "\n";
     for (const auto& d : net.diagnostics) {
@@ -97,30 +105,42 @@ LintReport LintReport::from_csv(std::string_view csv) {
   LintReport out;
   CsvReader reader(csv);
   std::vector<std::string> cells;
-  reader.next(cells);  // header
+  if (!reader.next(cells)) return out;
+  const bool header_ok = cells == split(kCsvHeader, ',');
+  std::size_t row = 1;  // the header
   while (reader.next(cells)) {
+    ++row;
+    const auto fail = [&](const std::string& what) {
+      return DataError("lint report: row " + std::to_string(row) + ": " + what);
+    };
+    const auto int_cell = [&](std::size_t col, const char* column) {
+      const auto v = parse_int_cell(cells[col]);
+      if (!v) throw fail(std::string(column) + ": not an integer in [0, INT_MAX]: " + cells[col]);
+      return *v;
+    };
+    if (!header_ok) throw DataError("lint report: header is not the one to_csv writes");
     if (cells[0] == "net") {
-      require_data(cells.size() == 3, "lint report: bad network row");
+      if (cells.size() != 3) throw fail("bad network row");
       NetworkLint net;
       net.network_id = cells[1];
-      net.num_devices = static_cast<std::size_t>(parse_int_cell(cells[2], "device count"));
+      net.num_devices = static_cast<std::size_t>(int_cell(2, "device count"));
       out.networks.push_back(std::move(net));
       continue;
     }
-    require_data(cells[0] == "diag" && cells.size() == 10, "lint report: bad finding row");
-    require_data(!out.networks.empty(), "lint report: finding before any network");
+    if (cells[0] != "diag" || cells.size() != 10) throw fail("bad finding row");
+    if (out.networks.empty()) throw fail("finding before any network");
     Diagnostic d;
     d.device_id = cells[1];
     d.rule_id = cells[2];
     const auto sev = parse_severity(cells[3]);
-    require_data(sev.has_value(), "lint report: bad severity " + cells[3]);
+    if (!sev) throw fail("bad severity '" + cells[3] + "'");
     d.severity = *sev;
     const auto cat = parse_category(cells[4]);
-    require_data(cat.has_value(), "lint report: bad category " + cells[4]);
+    if (!cat) throw fail("bad category '" + cells[4] + "'");
     d.category = *cat;
-    d.span.first_line = parse_int_cell(cells[5], "first_line");
-    d.span.last_line = parse_int_cell(cells[6], "last_line");
-    d.suppressed = parse_int_cell(cells[7], "suppressed flag") != 0;
+    d.span.first_line = int_cell(5, "first_line");
+    d.span.last_line = int_cell(6, "last_line");
+    d.suppressed = int_cell(7, "suppressed") != 0;
     d.object = cells[8];
     d.message = cells[9];
     out.networks.back().diagnostics.push_back(std::move(d));

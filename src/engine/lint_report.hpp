@@ -35,7 +35,10 @@ struct LintReport {
   /// CSV round-trip for ArtifactStore persistence. String fields go
   /// through csv_field(), so any byte in them survives the reload.
   std::string to_csv() const;
-  /// Throws DataError on malformed input.
+  /// Throws DataError naming the row on malformed input: a wrong
+  /// header (once there are rows), an unknown record kind, severity or
+  /// category, or an integer cell that is not decimal digits within
+  /// INT_MAX.
   static LintReport from_csv(std::string_view csv);
 
   /// Human-readable listing: one line per finding plus per-network and

@@ -586,8 +586,24 @@ MpacTotals save_columnar(const DiskDataset& data, const std::string& dir,
   for (const auto& net : data.inventory.networks()) w.add_network(net);
   for (const auto& dev : data.inventory.devices()) w.add_device(dev);
   for (const auto& t : data.tickets.all()) w.add_ticket(t);
-  for (const auto& device_id : data.snapshots.devices())
-    for (const auto& snap : data.snapshots.for_device(device_id)) w.add_snapshot(snap);
+  // Snapshots go network by network in inventory order, each network's
+  // devices in id order: the only order a streaming writer, which sees
+  // one network at a time, can produce. So a streamed dataset and its
+  // batch conversion are the same bytes.
+  std::uint64_t written = 0;
+  for (const auto& net : data.inventory.networks()) {
+    std::vector<const DeviceRecord*> devices = data.inventory.devices_in(net.network_id);
+    std::sort(devices.begin(), devices.end(), [](const DeviceRecord* a, const DeviceRecord* b) {
+      return a->device_id < b->device_id;
+    });
+    for (const DeviceRecord* dev : devices)
+      for (const auto& snap : data.snapshots.for_device(dev->device_id)) {
+        w.add_snapshot(snap);
+        ++written;
+      }
+  }
+  require(written == data.snapshots.total_snapshots(),
+          "save_columnar: a snapshot's device is not in the inventory");
   return w.finish();
 }
 

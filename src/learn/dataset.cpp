@@ -23,13 +23,9 @@ std::vector<std::string> health_class_names(int num_classes) {
 }
 
 void FeatureMatrix::push_back(std::span<const int> row) {
-  if (rows_ == 0 && cols_.empty()) {
-    width_ = row.size();
-    cols_.resize(width_);
-  }
+  if (rows_ == 0) width_ = row.size();
   require(row.size() == width_, "FeatureMatrix: inconsistent row width");
   row_major_.insert(row_major_.end(), row.begin(), row.end());
-  for (std::size_t f = 0; f < width_; ++f) cols_[f].push_back(row[f]);
   ++rows_;
 }
 

@@ -22,11 +22,9 @@ namespace mpa {
 /// Number of bins per practice feature in learned models.
 inline constexpr int kFeatureBins = 5;
 
-/// Dual-layout feature matrix: rows are stored contiguously (so a
-/// sample still hands models a zero-copy `span<const int>`, preserving
-/// the Predictor API) and every feature column is stored contiguously
-/// as well (so split search streams one cache-friendly column instead
-/// of striding across rows). All rows must share one width, fixed by
+/// Row-major feature matrix: each sample is one contiguous row, handed
+/// to models as a zero-copy `span<const int>`, and split search reads
+/// a node's rows in one pass. All rows must share one width, fixed by
 /// the first push_back.
 class FeatureMatrix {
  public:
@@ -46,17 +44,12 @@ class FeatureMatrix {
   std::span<const int> operator[](std::size_t i) const {
     return {row_major_.data() + i * width_, width_};
   }
-  /// Feature column f, one value per row, contiguous.
-  std::span<const int> col(std::size_t f) const { return cols_[f]; }
 
   std::size_t size() const { return rows_; }
   bool empty() const { return rows_ == 0; }
   /// Features per row (0 until the first push_back).
   std::size_t width() const { return width_; }
-  void reserve(std::size_t rows) {
-    row_major_.reserve(rows * width_);
-    for (auto& c : cols_) c.reserve(rows);
-  }
+  void reserve(std::size_t rows) { row_major_.reserve(rows * width_); }
 
   bool operator==(const FeatureMatrix& o) const {
     return rows_ == o.rows_ && width_ == o.width_ && row_major_ == o.row_major_;
@@ -84,8 +77,7 @@ class FeatureMatrix {
  private:
   std::size_t rows_ = 0;
   std::size_t width_ = 0;
-  std::vector<int> row_major_;          ///< rows_ x width_, row-major.
-  std::vector<std::vector<int>> cols_;  ///< width_ columns, each rows_ long.
+  std::vector<int> row_major_;  ///< rows_ x width_, row-major.
 };
 
 /// 2-class health label: 0 = healthy (<=1 ticket), 1 = unhealthy.

@@ -22,6 +22,18 @@ double entropy_from_weights(std::span<const double> class_w, double total) {
 
 }  // namespace
 
+/// Buffers one fit reuses at every node. The split-search histograms
+/// are live only while a node picks its split and the scatter buffer
+/// only while it partitions its rows, so nothing here is held across
+/// the recursion.
+struct DecisionTree::Scratch {
+  std::vector<double> class_w;         ///< Node weight per class.
+  std::vector<std::size_t> features;   ///< Unused features, ascending.
+  std::vector<double> bin_w;           ///< [feature slot][bin] weight.
+  std::vector<double> bin_class_w;     ///< [feature slot][bin][class] weight.
+  std::vector<std::size_t> scattered;  ///< Partition output.
+};
+
 DecisionTree DecisionTree::fit(const Dataset& data, const TreeOptions& opts) {
   require(!data.x.empty(), "DecisionTree::fit: empty dataset");
   require(data.x.size() == data.y.size() && data.x.size() == data.w.size(),
@@ -30,15 +42,19 @@ DecisionTree DecisionTree::fit(const Dataset& data, const TreeOptions& opts) {
   std::vector<std::size_t> rows(data.size());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   std::vector<bool> used(data.num_features(), false);
-  tree.root_ = tree.build(data, rows, used, data.total_weight(), opts, 0);
+  Scratch scratch;
+  tree.root_ = tree.build(data, rows, used, data.total_weight(), opts, 0, scratch);
   return tree;
 }
 
-int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& rows,
-                        std::vector<bool>& used, double total_weight, const TreeOptions& opts,
-                        int depth) {
+int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::vector<bool>& used,
+                        double total_weight, const TreeOptions& opts, int depth, Scratch& scratch) {
+  const auto bins = static_cast<std::size_t>(data.feature_bins);
+  const auto classes = static_cast<std::size_t>(data.num_classes);
+
   // Class distribution at this node.
-  std::vector<double> class_w(static_cast<std::size_t>(data.num_classes), 0.0);
+  std::vector<double>& class_w = scratch.class_w;
+  class_w.assign(classes, 0.0);
   double node_weight = 0;
   for (std::size_t i : rows) {
     class_w[static_cast<std::size_t>(data.y[i])] += data.w[i];
@@ -53,43 +69,45 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& rows,
   const bool pure = class_w[static_cast<std::size_t>(majority)] >= node_weight - 1e-12;
   const bool too_small = node_weight < opts.min_weight_frac * total_weight;
   const bool too_deep = opts.max_depth > 0 && depth >= opts.max_depth;
-  bool any_feature_left = false;
-  for (bool u : used)
-    if (!u) {
-      any_feature_left = true;
-      break;
+  std::vector<std::size_t>& features = scratch.features;
+  features.clear();
+  for (std::size_t f = 0; f < used.size(); ++f)
+    if (!used[f]) features.push_back(f);
+
+  if (!pure && !too_small && !too_deep && !features.empty() && rows.size() >= 2) {
+    // Pick the best split by (gain ratio | information gain). One
+    // row-major pass fills every unused feature's histogram; each cell
+    // still adds its rows' weights in row order.
+    const double parent_h = entropy_from_weights(class_w, node_weight);
+    const std::size_t slots = features.size();
+    std::vector<double>& bin_w = scratch.bin_w;
+    std::vector<double>& bin_class_w = scratch.bin_class_w;
+    bin_w.assign(slots * bins, 0.0);
+    bin_class_w.assign(slots * bins * classes, 0.0);
+    for (std::size_t i : rows) {
+      const std::span<const int> x = data.x[i];
+      const double wi = data.w[i];
+      const auto yi = static_cast<std::size_t>(data.y[i]);
+      for (std::size_t s = 0; s < slots; ++s) {
+        const std::size_t cell = s * bins + static_cast<std::size_t>(x[features[s]]);
+        bin_w[cell] += wi;
+        bin_class_w[cell * classes + yi] += wi;
+      }
     }
 
-  if (!pure && !too_small && !too_deep && any_feature_left && rows.size() >= 2) {
-    // Pick the best split by (gain ratio | information gain).
-    const double parent_h = entropy_from_weights(class_w, node_weight);
     int best_feature = -1;
     double best_score = 1e-12;  // require strictly positive gain
-    const int bins = data.feature_bins;
-    std::vector<double> bin_w(static_cast<std::size_t>(bins));
-    std::vector<std::vector<double>> bin_class_w(
-        static_cast<std::size_t>(bins),
-        std::vector<double>(static_cast<std::size_t>(data.num_classes)));
-
-    for (std::size_t f = 0; f < data.num_features(); ++f) {
-      if (used[f]) continue;
-      for (auto& v : bin_w) v = 0;
-      for (auto& vec : bin_class_w) std::fill(vec.begin(), vec.end(), 0.0);
-      // Stream the contiguous feature column instead of striding rows.
-      const std::span<const int> column = data.x.col(f);
-      for (std::size_t i : rows) {
-        const auto b = static_cast<std::size_t>(column[i]);
-        bin_w[b] += data.w[i];
-        bin_class_w[b][static_cast<std::size_t>(data.y[i])] += data.w[i];
-      }
+    for (std::size_t s = 0; s < slots; ++s) {  // ascending feature order
       double cond_h = 0, split_info = 0;
       int populated = 0;
-      for (int b = 0; b < bins; ++b) {
-        const double wb = bin_w[static_cast<std::size_t>(b)];
+      for (std::size_t b = 0; b < bins; ++b) {
+        const std::size_t cell = s * bins + b;
+        const double wb = bin_w[cell];
         if (wb <= 0) continue;
         ++populated;
         const double p = wb / node_weight;
-        cond_h += p * entropy_from_weights(bin_class_w[static_cast<std::size_t>(b)], wb);
+        const std::span<const double> cell_class_w(bin_class_w.data() + cell * classes, classes);
+        cond_h += p * entropy_from_weights(cell_class_w, wb);
         split_info -= p * std::log2(p);
       }
       if (populated < 2) continue;  // feature is constant here
@@ -97,7 +115,7 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& rows,
       const double score = opts.use_gain_ratio ? (split_info > 1e-9 ? gain / split_info : 0) : gain;
       if (score > best_score) {
         best_score = score;
-        best_feature = static_cast<int>(f);
+        best_feature = static_cast<int>(features[s]);
       }
     }
 
@@ -106,26 +124,33 @@ int DecisionTree::build(const Dataset& data, std::vector<std::size_t>& rows,
       const int node_index = static_cast<int>(nodes_.size());
       nodes_.push_back(node);  // placeholder; children filled below
 
-      // Partition rows by bin value of the chosen feature.
-      std::vector<std::vector<std::size_t>> parts(static_cast<std::size_t>(data.feature_bins));
-      const std::span<const int> best_column =
-          data.x.col(static_cast<std::size_t>(best_feature));
-      for (std::size_t i : rows)
-        parts[static_cast<std::size_t>(best_column[i])].push_back(i);
+      // Partition rows by bin value of the chosen feature: a stable
+      // counting sort, so each child sees its rows in this node's
+      // order. After the scatter, bin b's rows end at bounds[b].
+      const auto bin_of = [&](std::size_t i) {
+        return static_cast<std::size_t>(data.x[i][static_cast<std::size_t>(best_feature)]);
+      };
+      std::vector<std::size_t> bounds(bins + 1, 0);
+      for (std::size_t i : rows) ++bounds[bin_of(i) + 1];
+      for (std::size_t b = 0; b < bins; ++b) bounds[b + 1] += bounds[b];
+      std::vector<std::size_t>& scattered = scratch.scattered;
+      scattered.resize(rows.size());
+      for (std::size_t i : rows) scattered[bounds[bin_of(i)]++] = i;
+      std::copy(scattered.begin(), scattered.end(), rows.begin());
 
       used[static_cast<std::size_t>(best_feature)] = true;
-      std::vector<int> children(static_cast<std::size_t>(data.feature_bins), -1);
-      for (int b = 0; b < data.feature_bins; ++b) {
-        auto& part = parts[static_cast<std::size_t>(b)];
-        if (part.empty()) {
+      std::vector<int> children(bins, -1);
+      for (std::size_t b = 0; b < bins; ++b) {
+        const std::size_t begin = b == 0 ? 0 : bounds[b - 1];
+        if (begin == bounds[b]) {
           // Empty branch: leaf with the parent's majority class.
           Node leaf;
           leaf.label = majority;
-          children[static_cast<std::size_t>(b)] = static_cast<int>(nodes_.size());
+          children[b] = static_cast<int>(nodes_.size());
           nodes_.push_back(leaf);
         } else {
-          children[static_cast<std::size_t>(b)] =
-              build(data, part, used, total_weight, opts, depth + 1);
+          children[b] = build(data, rows.subspan(begin, bounds[b] - begin), used, total_weight,
+                              opts, depth + 1, scratch);
         }
       }
       used[static_cast<std::size_t>(best_feature)] = false;

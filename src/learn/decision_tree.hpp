@@ -79,8 +79,12 @@ class DecisionTree {
     std::vector<int> children;  ///< Child node index per bin value.
   };
 
-  int build(const Dataset& data, std::vector<std::size_t>& rows, std::vector<bool>& used,
-            double total_weight, const TreeOptions& opts, int depth);
+  struct Scratch;
+
+  /// Grow the subtree over `rows`, which it reorders in place so that
+  /// each child's rows are contiguous.
+  int build(const Dataset& data, std::span<std::size_t> rows, std::vector<bool>& used,
+            double total_weight, const TreeOptions& opts, int depth, Scratch& scratch);
 
   std::vector<Node> nodes_;  ///< nodes_[0] is the root.
   int root_ = -1;

@@ -1,12 +1,44 @@
 #include "metrics/case_table.hpp"
 
+#include <charconv>
+#include <cmath>
+#include <optional>
 #include <set>
 #include <sstream>
 
+#include "telemetry/time.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
+namespace {
+
+/// The header to_csv writes: network, month, each practice name with
+/// spaces and commas as '_', tickets.
+std::vector<std::string> csv_header() {
+  std::vector<std::string> out{"network", "month"};
+  for (Practice p : all_practices()) {
+    std::string name(practice_name(p));
+    for (auto& ch : name)
+      if (ch == ' ' || ch == ',') ch = '_';
+    out.push_back(std::move(name));
+  }
+  out.emplace_back("tickets");
+  return out;
+}
+
+/// `cell` parsed whole as a T, or nullopt (junk, trailing bytes, out
+/// of range).
+template <typename T>
+std::optional<T> parse_whole(std::string_view cell) {
+  T v{};
+  const char* end = cell.data() + cell.size();
+  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
+  if (ec != std::errc() || ptr != end) return std::nullopt;
+  return v;
+}
+
+}  // namespace
 
 std::vector<double> CaseTable::column(Practice p) const {
   std::vector<double> out;
@@ -39,14 +71,7 @@ std::vector<std::string> CaseTable::network_ids() const {
 
 std::string CaseTable::to_csv() const {
   std::ostringstream os;
-  os << "network,month";
-  for (Practice p : all_practices()) {
-    std::string name(practice_name(p));
-    for (auto& ch : name)
-      if (ch == ' ' || ch == ',') ch = '_';
-    os << ',' << name;
-  }
-  os << ",tickets\n";
+  os << join(csv_header(), ",") << '\n';
   for (const auto& c : cases_) {
     os << csv_field(c.network_id) << ',' << c.month;
     for (Practice p : all_practices()) os << ',' << format_double(c[p], 6);
@@ -59,19 +84,38 @@ CaseTable CaseTable::from_csv(std::string_view csv) {
   CaseTable out;
   CsvReader reader(csv);
   std::vector<std::string> cells;
-  reader.next(cells);  // header
+  if (!reader.next(cells)) return out;
+  const std::vector<std::string> header = csv_header();
+  const bool header_ok = cells == header;
+  std::size_t row = 1;  // the header
   while (reader.next(cells)) {
-    if (cells.size() != 3 + kNumPractices)
-      throw DataError("CaseTable::from_csv: wrong column count in: " + join(cells, ","));
+    ++row;
+    const auto fail = [&](std::size_t col, std::string_view what) {
+      std::string msg = "case table: row " + std::to_string(row) + ", column " + header[col];
+      msg += ": " + std::string(what) + ": '" + cells[col] + "'";
+      return DataError(msg);
+    };
+    // A table with rows must name its columns as to_csv does, or its
+    // values would be read into the wrong practices.
+    if (!header_ok) throw DataError("case table: header is not the one to_csv writes");
+    if (cells.size() != header.size()) {
+      std::string msg = "case table: row " + std::to_string(row) + " has ";
+      msg += std::to_string(cells.size()) + " columns, expected " + std::to_string(header.size());
+      throw DataError(msg);
+    }
     Case c;
     c.network_id = cells[0];
-    try {
-      c.month = std::stoi(cells[1]);
-      for (int j = 0; j < kNumPractices; ++j)
-        c.practice[static_cast<std::size_t>(j)] = std::stod(cells[static_cast<std::size_t>(2 + j)]);
-      c.tickets = std::stod(cells[cells.size() - 1]);
-    } catch (const std::exception&) {
-      throw DataError("CaseTable::from_csv: non-numeric cell in: " + join(cells, ","));
+    const auto month = parse_whole<int>(cells[1]);
+    if (!month || *month < 0 || *month >= kMaxMonths)
+      throw fail(1, "not a month in [0, " + std::to_string(kMaxMonths) + ")");
+    c.month = *month;
+    for (std::size_t col = 2; col < cells.size(); ++col) {
+      const auto v = parse_whole<double>(cells[col]);
+      if (!v || !std::isfinite(*v)) throw fail(col, "not a finite number");
+      if (col + 1 == cells.size())
+        c.tickets = *v;
+      else
+        c.practice[col - 2] = *v;
     }
     out.add(std::move(c));
   }

@@ -55,8 +55,11 @@ class CaseTable {
   /// bench-side dataset cache.
   std::string to_csv() const;
 
-  /// Parse a table previously produced by to_csv(). Throws DataError on
-  /// malformed input (wrong column count or non-numeric cells).
+  /// Parse a table previously produced by to_csv(). Each numeric cell
+  /// must parse whole: practices and tickets as finite doubles, the
+  /// month as an integer in [0, kMaxMonths). A table with rows must
+  /// carry to_csv()'s header. Throws DataError naming the row and
+  /// column of the first cell that breaks a rule.
   static CaseTable from_csv(std::string_view csv);
 
  private:

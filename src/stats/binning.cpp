@@ -1,5 +1,6 @@
 #include "stats/binning.hpp"
 
+#include <algorithm>
 #include <cmath>
 
 #include "stats/descriptive.hpp"
@@ -11,8 +12,10 @@ Binner Binner::fit(std::span<const double> values, int num_bins, double lo_pct, 
   require(num_bins >= 1, "Binner::fit: need at least one bin");
   require(lo_pct <= hi_pct, "Binner::fit: lo_pct > hi_pct");
   if (values.empty()) return Binner(0, 0, 1);
-  const double lo = percentile(values, lo_pct);
-  const double hi = percentile(values, hi_pct);
+  std::vector<double> sorted(values.begin(), values.end());
+  std::sort(sorted.begin(), sorted.end());
+  const double lo = percentile_sorted(sorted, lo_pct);
+  const double hi = percentile_sorted(sorted, hi_pct);
   if (!(hi > lo)) return Binner(lo, lo, 1);  // degenerate: single bin
   return Binner(lo, hi, num_bins);
 }

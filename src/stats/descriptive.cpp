@@ -26,9 +26,14 @@ double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
 
 double percentile(std::span<const double> v, double p) {
   require(!v.empty(), "percentile: empty input");
-  require(p >= 0 && p <= 100, "percentile: p out of range");
   std::vector<double> sorted(v.begin(), v.end());
   std::sort(sorted.begin(), sorted.end());
+  return percentile_sorted(sorted, p);
+}
+
+double percentile_sorted(std::span<const double> sorted, double p) {
+  require(!sorted.empty(), "percentile: empty input");
+  require(p >= 0 && p <= 100, "percentile: p out of range");
   if (sorted.size() == 1) return sorted[0];
   const double rank = p / 100.0 * static_cast<double>(sorted.size() - 1);
   const auto lo = static_cast<std::size_t>(rank);
@@ -56,10 +61,12 @@ double pearson(std::span<const double> x, std::span<const double> y) {
 
 BoxStats box_stats(std::span<const double> v, double whisker_iqr) {
   require(!v.empty(), "box_stats: empty input");
+  std::vector<double> sorted(v.begin(), v.end());
+  std::sort(sorted.begin(), sorted.end());
   BoxStats b;
-  b.q25 = percentile(v, 25);
-  b.q50 = percentile(v, 50);
-  b.q75 = percentile(v, 75);
+  b.q25 = percentile_sorted(sorted, 25);
+  b.q50 = percentile_sorted(sorted, 50);
+  b.q75 = percentile_sorted(sorted, 75);
   b.mean = mean(v);
   const double iqr = b.q75 - b.q25;
   const double lo_limit = b.q25 - whisker_iqr * iqr;

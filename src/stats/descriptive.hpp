@@ -18,6 +18,10 @@ double stddev(std::span<const double> v);
 /// Linear-interpolated percentile, p in [0, 100]. Requires non-empty v.
 double percentile(std::span<const double> v, double p);
 
+/// percentile() of data already sorted ascending, without the copy and
+/// sort: callers reading several percentiles sort once.
+double percentile_sorted(std::span<const double> sorted, double p);
+
 /// Median (50th percentile). Requires non-empty v.
 double median(std::span<const double> v);
 

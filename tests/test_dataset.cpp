@@ -97,7 +97,7 @@ TEST(Dataset, Subset) {
   EXPECT_THROW(d.subset(std::vector<std::size_t>{99}), PreconditionError);
 }
 
-TEST(FeatureMatrix, RowAndColumnViewsAgree) {
+TEST(FeatureMatrix, RowViewsAgree) {
   FeatureMatrix m;
   m.push_back({1, 2, 3});
   m.push_back({4, 5, 6});
@@ -106,8 +106,8 @@ TEST(FeatureMatrix, RowAndColumnViewsAgree) {
   EXPECT_EQ(m.width(), 3u);
   EXPECT_FALSE(m.empty());
   for (std::size_t i = 0; i < m.size(); ++i)
-    for (std::size_t f = 0; f < m.width(); ++f) EXPECT_EQ(m[i][f], m.col(f)[i]);
-  EXPECT_EQ(m.col(1)[2], 8);
+    for (std::size_t f = 0; f < m.width(); ++f)
+      EXPECT_EQ(m[i][f], static_cast<int>(i * m.width() + f + 1));
   // Row iteration yields the same spans as operator[].
   std::size_t i = 0;
   for (const auto& row : m) {
