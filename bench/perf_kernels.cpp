@@ -313,11 +313,12 @@ void BM_LintNetworks(benchmark::State& state) {
 BENCHMARK(BM_LintNetworks)->Arg(0)->Arg(1)->Unit(benchmark::kMillisecond);
 
 // Appending one month of telemetry to a warm session. arg = months of
-// history already resident before the append; the incremental paths do
-// work proportional to the delta, so timings should stay ~flat as the
-// base grows (compare against BM_InferCaseTable, which pays for the
-// whole history every time). Session construction and artifact warm-up
-// run outside the timed region; iterations are pinned because each one
+// history already resident before the append. The generator's monthly
+// volume grows with the month, so bytes/sec (the delta's config-text
+// bytes per append) is the figure that should stay flat as the base
+// grows; compare against BM_InferCaseTable, which pays for the whole
+// history every time. Session construction and artifact warm-up run
+// outside the timed region; iterations are pinned because each one
 // rebuilds a session from scratch (seconds of untimed setup).
 void BM_IncrementalAppend(benchmark::State& state) {
   const int base_months = static_cast<int>(state.range(0));
@@ -331,6 +332,8 @@ void BM_IncrementalAppend(benchmark::State& state) {
                                      std::move(data.tickets)},
                          base_months);
   }();
+  std::size_t delta_bytes = 0;
+  for (const ConfigSnapshot& s : split.deltas.front().snapshots) delta_bytes += s.text.size();
   for (auto _ : state) {
     state.PauseTiming();
     SessionOptions opts;
@@ -347,6 +350,7 @@ void BM_IncrementalAppend(benchmark::State& state) {
   }
   state.SetLabel(std::to_string(base_months) + " base months + 1 appended");
   state.SetItemsProcessed(state.iterations() * 60);  // networks touched by the delta
+  state.SetBytesProcessed(static_cast<long>(state.iterations()) * static_cast<long>(delta_bytes));
 }
 BENCHMARK(BM_IncrementalAppend)
     ->Arg(2)

@@ -492,19 +492,11 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
     if (keyed) store_.save_lint_report(opts_.artifact_key, *lint_);
   }
 
-  // ---- Dependence: fold the new month block into the running MI/CMI
-  // totals; a moved bin bound re-bins history, so fall back to a lazy
-  // full rebuild (which is bit-identical anyway — the analysis is a
-  // pure function of the merged table). ----
-  if (dependence_.has_value()) {
-    if (table_.has_value() && dependence_->append_month(*table_, m)) {
-      result.dependence_incremental = true;
-    } else {
-      dependence_.reset();
-    }
-  }
-
-  // Month-sensitive artifacts with no sound additive form.
+  // ---- Dependence, causal and CV: dropped for a lazy rebuild. Each
+  // depends on every row (the dependence bins are percentiles of the
+  // whole table, §5.1.1, so a new month moves them), and has no sound
+  // additive form. ----
+  dependence_.reset();
   causal_.clear();
   cv_.clear();
 
@@ -514,8 +506,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
       .u64("tickets", result.tickets)
       .u64("new_rows", result.new_rows)
       .boolean("table_incremental", result.table_incremental)
-      .boolean("lint_incremental", result.lint_incremental)
-      .boolean("dependence_incremental", result.dependence_incremental);
+      .boolean("lint_incremental", result.lint_incremental);
   return result;
 }
 

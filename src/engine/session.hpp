@@ -143,10 +143,6 @@ class AnalysisSession {
     bool table_incremental = false;
     /// The lint report was patched for the networks the delta touched.
     bool lint_incremental = false;
-    /// The dependence rankings absorbed the month additively (false
-    /// when the new month moved a fitted bin bound, which forces a
-    /// lazy full rebuild, or when no analysis was resident).
-    bool dependence_incremental = false;
   };
 
   /// Append one month of telemetry to the live dataset and maintain
@@ -156,11 +152,10 @@ class AnalysisSession {
   ///     each device's snapshot suffix (infer_case_table_tail);
   ///   - the lint report is re-linted only for networks whose devices
   ///     produced new snapshots (latest-snapshot semantics);
-  ///   - the dependence rankings fold in the new month block additively
-  ///     and fall back to a lazy full rebuild only when the month moves
-  ///     a fitted bin bound (DependenceAnalysis::append_month);
-  ///   - causal and CV artifacts are month-sensitive with no sound
-  ///     additive form, so they are dropped for lazy recomputation.
+  ///   - the dependence rankings, causal and CV artifacts depend on
+  ///     every row with no sound additive form (the dependence bin
+  ///     bounds are percentiles of the whole table, which almost every
+  ///     month moves), so they are dropped for lazy recomputation.
   ///
   /// Every maintained artifact is bit-identical to what a from-scratch
   /// session over the merged data would compute. Throws DataError when

@@ -6,8 +6,7 @@
 
 namespace mpa {
 
-BinnedCaseView::BinnedCaseView(const CaseTable& table, int bins, double lo_pct, double hi_pct)
-    : bins_(bins), lo_pct_(lo_pct), hi_pct_(hi_pct) {
+BinnedCaseView::BinnedCaseView(const CaseTable& table, int bins, double lo_pct, double hi_pct) {
   require(!table.empty(), "BinnedCaseView: empty case table");
   n_ = table.size();
 
@@ -42,50 +41,6 @@ BinnedCaseView::BinnedCaseView(const CaseTable& table, int bins, double lo_pct, 
     col.resize(n_);
     for (std::size_t r = 0; r < n_; ++r) col[r] = binned[perm[r]];
   }
-}
-
-bool BinnedCaseView::try_append_month(const CaseTable& table, int month) {
-  require(!month_ids_.empty() && month > month_ids_.back(),
-          "BinnedCaseView::try_append_month: out-of-order month");
-
-  // Refit every binner on the merged columns. Bin bounds are fitted
-  // percentiles of the whole column, so a new month can move them; any
-  // bitwise drift in a bound or bin count re-bins history, which makes
-  // additive maintenance unsound — leave the view untouched and let
-  // the caller rebuild.
-  const auto same = [](const Binner& a, const Binner& b) {
-    return a.lo() == b.lo() && a.hi() == b.hi() && a.num_bins() == b.num_bins();
-  };
-  std::vector<Binner> refit;
-  refit.reserve(kNumPractices);
-  for (Practice p : all_practices()) {
-    refit.push_back(Binner::fit(table.column(p), bins_, lo_pct_, hi_pct_));
-    if (!same(refit.back(), practice_binners_[refit.size() - 1])) return false;
-  }
-  if (!same(Binner::fit(table.tickets(), bins_, lo_pct_, hi_pct_), health_binner_)) return false;
-
-  // Gather the new month's rows in table order — the same stable
-  // within-month order the month-major permutation would give them.
-  std::vector<std::size_t> rows;
-  for (std::size_t i = 0; i < table.size(); ++i)
-    if (table[i].month == month) rows.push_back(i);
-  if (rows.empty()) return true;  // An empty month adds no block.
-
-  for (int j = 0; j <= kNumPractices; ++j) {
-    auto& col = cols_[static_cast<std::size_t>(j)];
-    col.reserve(n_ + rows.size());
-    for (const std::size_t r : rows) {
-      const Case& c = table[r];
-      col.push_back(j == kNumPractices
-                        ? health_binner_.bin(c.tickets)
-                        : practice_binners_[static_cast<std::size_t>(j)].bin(
-                              c[static_cast<Practice>(j)]));
-    }
-  }
-  n_ += rows.size();
-  month_ids_.push_back(month);
-  month_begin_.push_back(n_);
-  return true;
 }
 
 }  // namespace mpa

@@ -28,18 +28,6 @@ class BinnedCaseView {
   /// must be non-empty.
   BinnedCaseView(const CaseTable& table, int bins, double lo_pct, double hi_pct);
 
-  /// Try to extend the view with the rows of month `month` from the
-  /// merged table (the view's original rows plus the new month's,
-  /// which must be the table's last month — out-of-order months are
-  /// rejected by name). Binners are refitted on the merged columns; if
-  /// every bound and bin count is bitwise-unchanged the new rows are
-  /// binned with the existing binners and appended as one month block
-  /// (bit-identical to constructing a fresh view over the merged
-  /// table), and true is returned. If any column's range drifted,
-  /// incremental binning is unsound: the view is left untouched and
-  /// false is returned so the caller can rebuild from scratch.
-  bool try_append_month(const CaseTable& table, int month);
-
   /// Total cases.
   std::size_t rows() const { return n_; }
 
@@ -61,13 +49,6 @@ class BinnedCaseView {
     return column_month(kNumPractices, mi);
   }
 
-  /// Whole binned practice column in month-major row order.
-  std::span<const int> practice_column(Practice p) const {
-    return column(static_cast<std::size_t>(p));
-  }
-  /// Whole binned health column in month-major row order.
-  std::span<const int> health_column() const { return column(kNumPractices); }
-
   /// Bin counts (dense-kernel cardinalities).
   int practice_cardinality(Practice p) const {
     return practice_binners_[static_cast<std::size_t>(p)].num_bins();
@@ -80,21 +61,16 @@ class BinnedCaseView {
   const Binner& health_binner() const { return health_binner_; }
 
  private:
-  std::span<const int> column(std::size_t c) const { return {cols_[c].data(), n_}; }
   std::span<const int> column_month(std::size_t c, std::size_t mi) const {
     return {cols_[c].data() + month_begin_[mi], month_size(mi)};
   }
 
   std::vector<Binner> practice_binners_;
   Binner health_binner_{0, 0, 1};
-  int bins_ = 1;
-  double lo_pct_ = 0;
-  double hi_pct_ = 100;
   std::size_t n_ = 0;
   /// kNumPractices + 1 binned columns (the last is health), each n_
-  /// rows permuted month-major. Per-column vectors rather than one
-  /// flat buffer so appending a month block is a plain suffix push
-  /// into each column.
+  /// rows permuted month-major, so one column's month block is one
+  /// contiguous span.
   std::vector<std::vector<int>> cols_;
   std::vector<int> month_ids_;             ///< Ascending distinct months.
   std::vector<std::size_t> month_begin_;   ///< num_months + 1 offsets.

@@ -29,104 +29,63 @@ double month_cmi(const BinnedCaseView& view, Practice a, Practice b, std::size_t
   return scratch.value();
 }
 
-// The ~P^2/2 practice pairs in (ai, bi) enumeration order — the fixed
-// order the cmi running totals are indexed by.
-std::vector<std::pair<Practice, Practice>> analysis_pairs() {
+// The ~P^2/2 practice pairs in (ai, bi) enumeration order, each CMI
+// still 0 — the fixed order every pair's slot is written in.
+std::vector<PairCmi> analysis_pairs() {
   const auto analysis_set = analysis_practices();
-  std::vector<std::pair<Practice, Practice>> pairs;
+  std::vector<PairCmi> pairs;
   pairs.reserve(analysis_set.size() * (analysis_set.size() - 1) / 2);
   for (std::size_t ai = 0; ai < analysis_set.size(); ++ai)
     for (std::size_t bi = ai + 1; bi < analysis_set.size(); ++bi)
-      pairs.emplace_back(analysis_set[ai], analysis_set[bi]);
+      pairs.push_back(PairCmi{analysis_set[ai], analysis_set[bi], 0.0});
   return pairs;
+}
+
+// Average of `term(mi)` over the month blocks with at least 2 cases,
+// summed in month order from 0.0 (0 when no month qualifies).
+template <typename Term>
+double avg_monthly(const BinnedCaseView& view, Term term) {
+  double total = 0;
+  int months = 0;
+  for (std::size_t mi = 0; mi < view.num_months(); ++mi) {
+    if (view.month_size(mi) < 2) continue;
+    total += term(mi);
+    ++months;
+  }
+  return months == 0 ? 0 : total / months;
 }
 
 }  // namespace
 
 DependenceAnalysis::DependenceAnalysis(const CaseTable& table, const DependenceOptions& opts)
-    : opts_(opts),
-      view_((require(!table.empty(), "DependenceAnalysis: empty case table"), table), opts.bins,
+    : view_((require(!table.empty(), "DependenceAnalysis: empty case table"), table), opts.bins,
             opts.lo_pct, opts.hi_pct) {
   // Average monthly MI per practice (analysis set only; the excluded
-  // identity metrics would just duplicate their parents). Months with
-  // fewer than 2 cases contribute nothing to the fold.
-  const auto analysis_set = analysis_practices();
+  // identity metrics would just duplicate their parents).
   ContingencyTable mi_scratch;
-  mi_totals_.resize(analysis_set.size());
-  for (std::size_t i = 0; i < analysis_set.size(); ++i) {
-    for (std::size_t mi = 0; mi < view_.num_months(); ++mi) {
-      if (view_.month_size(mi) < 2) continue;
-      mi_totals_[i].total += month_mi(view_, analysis_set[i], mi, mi_scratch);
-      ++mi_totals_[i].months;
-    }
-  }
-
-  // Average monthly CMI per practice pair, given health. Pairs are
-  // enumerated in (ai, bi) order, each task writes only its own slot,
-  // and the ranking sort sees the same sequence at any thread count.
-  const auto pairs = analysis_pairs();
-  cmi_totals_.resize(pairs.size());
-  if (opts.record_pair_times) pair_seconds_.assign(pairs.size(), 0.0);
-  parallel_for(opts.pool, pairs.size(), [&](std::size_t pi) {
-    const auto start = opts.record_pair_times ? std::chrono::steady_clock::now()
-                                              : std::chrono::steady_clock::time_point{};
-    thread_local CmiAccumulator scratch;
-    const auto [a, b] = pairs[pi];
-    for (std::size_t mi = 0; mi < view_.num_months(); ++mi) {
-      if (view_.month_size(mi) < 2) continue;
-      cmi_totals_[pi].total += month_cmi(view_, a, b, mi, scratch);
-      ++cmi_totals_[pi].months;
-    }
-    if (opts.record_pair_times)
-      pair_seconds_[pi] =
-          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
-  });
-
-  rebuild_rankings();
-}
-
-bool DependenceAnalysis::append_month(const CaseTable& table, int month) {
-  const std::size_t months_before = view_.num_months();
-  if (!view_.try_append_month(table, month)) return false;
-  if (view_.num_months() == months_before) return true;  // Empty month: nothing to fold.
-
-  const std::size_t mi_block = view_.num_months() - 1;
-  if (view_.month_size(mi_block) < 2) return true;  // Below the fold's month threshold.
-
-  const auto analysis_set = analysis_practices();
-  ContingencyTable mi_scratch;
-  for (std::size_t i = 0; i < analysis_set.size(); ++i) {
-    mi_totals_[i].total += month_mi(view_, analysis_set[i], mi_block, mi_scratch);
-    ++mi_totals_[i].months;
-  }
-
-  const auto pairs = analysis_pairs();
-  parallel_for(opts_.pool, pairs.size(), [&](std::size_t pi) {
-    thread_local CmiAccumulator scratch;
-    const auto [a, b] = pairs[pi];
-    cmi_totals_[pi].total += month_cmi(view_, a, b, mi_block, scratch);
-    ++cmi_totals_[pi].months;
-  });
-
-  rebuild_rankings();
-  return true;
-}
-
-void DependenceAnalysis::rebuild_rankings() {
-  const auto analysis_set = analysis_practices();
-  mi_.clear();
-  mi_.reserve(analysis_set.size());
-  for (std::size_t i = 0; i < analysis_set.size(); ++i)
-    mi_.push_back(PracticeMi{analysis_set[i], mi_totals_[i].avg()});
+  for (Practice p : analysis_practices())
+    mi_.push_back(PracticeMi{
+        p, avg_monthly(view_, [&](std::size_t mi) { return month_mi(view_, p, mi, mi_scratch); })});
   std::sort(mi_.begin(), mi_.end(), [](const PracticeMi& a, const PracticeMi& b) {
     return a.avg_monthly_mi > b.avg_monthly_mi;
   });
 
-  const auto pairs = analysis_pairs();
-  cmi_.clear();
-  cmi_.reserve(pairs.size());
-  for (std::size_t pi = 0; pi < pairs.size(); ++pi)
-    cmi_.push_back(PairCmi{pairs[pi].first, pairs[pi].second, cmi_totals_[pi].avg()});
+  // Average monthly CMI per practice pair, given health. Each task
+  // writes only its own pair's slot, so the ranking sort sees the same
+  // sequence at any thread count.
+  cmi_ = analysis_pairs();
+  if (opts.record_pair_times) pair_seconds_.assign(cmi_.size(), 0.0);
+  parallel_for(opts.pool, cmi_.size(), [&](std::size_t pi) {
+    const auto start = opts.record_pair_times ? std::chrono::steady_clock::now()
+                                              : std::chrono::steady_clock::time_point{};
+    thread_local CmiAccumulator scratch;
+    PairCmi& pair = cmi_[pi];
+    pair.avg_monthly_cmi = avg_monthly(
+        view_, [&](std::size_t mi) { return month_cmi(view_, pair.a, pair.b, mi, scratch); });
+    if (opts.record_pair_times)
+      pair_seconds_[pi] =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() - start).count();
+  });
   std::sort(cmi_.begin(), cmi_.end(), [](const PairCmi& a, const PairCmi& b) {
     return a.avg_monthly_cmi > b.avg_monthly_cmi;
   });
@@ -142,11 +101,8 @@ std::pair<double, double> DependenceAnalysis::mi_confidence_interval(Practice p,
   std::vector<double> replicates;
   replicates.reserve(static_cast<std::size_t>(rounds));
   for (int r = 0; r < rounds; ++r) {
-    double total = 0;
-    int months = 0;
-    for (std::size_t mi = 0; mi < view_.num_months(); ++mi) {
+    replicates.push_back(avg_monthly(view_, [&](std::size_t mi) {
       const std::size_t len = view_.month_size(mi);
-      if (len < 2) continue;
       const std::span<const int> xs = view_.practice_month(p, mi);
       const std::span<const int> ys = view_.health_month(mi);
       // Resample with replacement straight into the contingency table —
@@ -157,10 +113,8 @@ std::pair<double, double> DependenceAnalysis::mi_confidence_interval(Practice p,
             rng.uniform_int(0, static_cast<std::int64_t>(len) - 1));
         scratch.add(xs[pick], ys[pick]);
       }
-      total += scratch.mutual_information();
-      ++months;
-    }
-    replicates.push_back(months == 0 ? 0 : total / months);
+      return scratch.mutual_information();
+    }));
   }
   return {percentile(replicates, lo_pct), percentile(replicates, hi_pct)};
 }

@@ -53,18 +53,6 @@ class DependenceAnalysis {
   /// computes per-month MI/CMI and averages across months.
   explicit DependenceAnalysis(const CaseTable& table, const DependenceOptions& opts = {});
 
-  /// Incrementally absorb month `month` from the merged table (the
-  /// rows this analysis was built over plus the new month's). The
-  /// per-month MI/CMI folds are additive — each practice and pair
-  /// keeps an unsorted running {total, months} in enumeration order —
-  /// so only the new month block is counted and the rankings are
-  /// re-derived from the updated totals, bit-identical to a fresh
-  /// analysis over the merged table. Returns false (analysis
-  /// untouched) when the new month moves any column's fitted bin
-  /// bounds: re-binned history invalidates every count, so the caller
-  /// must rebuild from scratch.
-  bool append_month(const CaseTable& table, int month);
-
   /// All practices, sorted by MI with health, descending.
   const std::vector<PracticeMi>& mi_ranking() const { return mi_; }
 
@@ -100,22 +88,7 @@ class DependenceAnalysis {
   const std::vector<double>& pair_compute_seconds() const { return pair_seconds_; }
 
  private:
-  /// Left-fold state of one avg-monthly series: appending a month adds
-  /// its term to `total` exactly where a from-scratch fold would, so
-  /// the running average stays bit-identical to a full recompute.
-  struct RunningAvg {
-    double total = 0;
-    int months = 0;
-    double avg() const { return months == 0 ? 0 : total / months; }
-  };
-
-  /// Re-derive the sorted mi_/cmi_ rankings from the running totals.
-  void rebuild_rankings();
-
-  DependenceOptions opts_;
   BinnedCaseView view_;
-  std::vector<RunningAvg> mi_totals_;   ///< analysis_practices() order.
-  std::vector<RunningAvg> cmi_totals_;  ///< (ai, bi) pair-index order.
   std::vector<PracticeMi> mi_;
   std::vector<PairCmi> cmi_;
   std::vector<double> pair_seconds_;

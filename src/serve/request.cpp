@@ -1,5 +1,7 @@
 #include "serve/request.hpp"
 
+#include <cmath>
+#include <limits>
 #include <set>
 #include <sstream>
 
@@ -10,9 +12,20 @@
 namespace mpa::serve {
 namespace {
 
+/// An integer field, `fallback` when absent. Anything but an integral
+/// number within int is a DataError naming the field: a cast of a
+/// fraction truncates silently, and of an out-of-range value is
+/// undefined.
 int int_field(const JsonValue& v, const std::string& key, int fallback) {
   const JsonValue* f = v.find(key);
-  return f == nullptr ? fallback : static_cast<int>(f->as_number());
+  if (f == nullptr) return fallback;
+  if (f->is_number()) {
+    const double d = f->as_number();
+    if (d == std::trunc(d) && d >= std::numeric_limits<int>::min() &&
+        d <= std::numeric_limits<int>::max())
+      return static_cast<int>(d);
+  }
+  throw DataError("request: " + key + " must be an integer within int");
 }
 
 std::string str_field(const JsonValue& v, const std::string& key, const std::string& fallback) {

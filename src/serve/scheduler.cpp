@@ -1,5 +1,6 @@
 #include "serve/scheduler.hpp"
 
+#include <limits>
 #include <utility>
 
 #include "obs/log.hpp"
@@ -20,6 +21,17 @@ void observe_seconds(const char* name, double seconds) {
 
 double ms_between(std::uint64_t t0_ns, std::uint64_t t1_ns) {
   return t1_ns > t0_ns ? static_cast<double>(t1_ns - t0_ns) * 1e-6 : 0.0;
+}
+
+/// The clock reading `ms` (> 0) milliseconds after `now_ns`. A deadline
+/// too far out to represent saturates at the clock's maximum, which no
+/// dequeue reaches; casting it unchecked would be undefined.
+std::uint64_t deadline_after(std::uint64_t now_ns, double ms) {
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const double ns = ms * 1e6;
+  if (!(ns < 0x1p64)) return kMax;  // Also catches inf.
+  const auto offset = static_cast<std::uint64_t>(ns);
+  return offset > kMax - now_ns ? kMax : now_ns + offset;
 }
 
 /// The response envelope every terminal path fills from its request.
@@ -110,8 +122,7 @@ bool Scheduler::submit(Request req) {
       item.enqueue_ns = now;
       const double deadline_ms =
           req.deadline_ms > 0 ? req.deadline_ms : opts_.default_deadline_ms;
-      if (deadline_ms > 0)
-        item.deadline_ns = now + static_cast<std::uint64_t>(deadline_ms * 1e6);
+      if (deadline_ms > 0) item.deadline_ns = deadline_after(now, deadline_ms);
       auto [it, inserted] = queues_.try_emplace(req.tenant);
       if (inserted) rr_tenants_.push_back(req.tenant);
       obs::LogEvent(obs::LogLevel::kDebug, "request_enqueued")

@@ -118,8 +118,7 @@ std::string render_ingest(AnalysisSession& session, const Request& req) {
   os << "appended month " << res.month << ": " << res.snapshots << " snapshots, " << res.tickets
      << " tickets, " << res.new_rows << " case rows"
      << "\nincremental: table=" << (res.table_incremental ? "yes" : "no")
-     << " lint=" << (res.lint_incremental ? "yes" : "no")
-     << " dependence=" << (res.dependence_incremental ? "yes" : "no") << "\n";
+     << " lint=" << (res.lint_incremental ? "yes" : "no") << "\n";
   return os.str();
 }
 

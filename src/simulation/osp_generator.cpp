@@ -17,6 +17,40 @@ int live_vlan_count(const GeneratedNetwork& net) {
   return static_cast<int>(vlans.size());
 }
 
+/// Generates network `n` into `out`, its records and its ground truth:
+/// the one per-network sequence both generators run, with the same
+/// forks of `master`, the same draws and the shared `ticket_counter`.
+void generate_network(int n, const OspOptions& opts, const HealthModel& health, Rng& master,
+                      int& ticket_counter, OspDataset& out) {
+  Rng net_rng = master.fork();
+  NetworkDesign design = sample_network_design(n, net_rng, opts.design);
+  bool treated = false;
+  if (opts.treated_fraction > 0) {
+    treated = net_rng.bernoulli(opts.treated_fraction);
+    if (treated) design.change_events_per_month *= opts.treatment_rate_multiplier;
+  }
+  out.experiment_treated.push_back(treated);
+
+  out.inventory.add_network(design.net);
+  for (const auto& dev : design.devices) out.inventory.add_device(dev);
+
+  GeneratedNetwork gen = generate_configs(std::move(design), net_rng);
+  ChangeProcess process(&gen, net_rng.fork());
+  process.emit_initial_snapshots(out.snapshots);
+
+  std::vector<MonthlyOps> months;
+  months.reserve(static_cast<std::size_t>(opts.num_months));
+  Rng health_rng = net_rng.fork();
+  for (int m = 0; m < opts.num_months; ++m) {
+    MonthlyOps ops = process.simulate_month(m, out.snapshots);
+    health.generate_tickets(gen.design, ops, live_vlan_count(gen), m, health_rng, out.tickets,
+                            ticket_counter);
+    months.push_back(std::move(ops));
+  }
+  out.true_ops.push_back(std::move(months));
+  out.designs.push_back(std::move(gen.design));
+}
+
 }  // namespace
 
 OspDataset generate_osp(const OspOptions& opts) {
@@ -25,36 +59,8 @@ OspDataset generate_osp(const OspOptions& opts) {
   data.num_months = opts.num_months;
   const HealthModel health(opts.health);
   int ticket_counter = 0;
-
-  for (int n = 0; n < opts.num_networks; ++n) {
-    Rng net_rng = master.fork();
-    NetworkDesign design = sample_network_design(n, net_rng, opts.design);
-    bool treated = false;
-    if (opts.treated_fraction > 0) {
-      treated = net_rng.bernoulli(opts.treated_fraction);
-      if (treated) design.change_events_per_month *= opts.treatment_rate_multiplier;
-    }
-    data.experiment_treated.push_back(treated);
-
-    data.inventory.add_network(design.net);
-    for (const auto& dev : design.devices) data.inventory.add_device(dev);
-
-    GeneratedNetwork gen = generate_configs(std::move(design), net_rng);
-    ChangeProcess process(&gen, net_rng.fork());
-    process.emit_initial_snapshots(data.snapshots);
-
-    std::vector<MonthlyOps> months;
-    months.reserve(static_cast<std::size_t>(opts.num_months));
-    Rng health_rng = net_rng.fork();
-    for (int m = 0; m < opts.num_months; ++m) {
-      MonthlyOps ops = process.simulate_month(m, data.snapshots);
-      health.generate_tickets(gen.design, ops, live_vlan_count(gen), m, health_rng,
-                              data.tickets, ticket_counter);
-      months.push_back(std::move(ops));
-    }
-    data.true_ops.push_back(std::move(months));
-    data.designs.push_back(std::move(gen.design));
-  }
+  for (int n = 0; n < opts.num_networks; ++n)
+    generate_network(n, opts, health, master, ticket_counter, data);
   return data;
 }
 
@@ -63,49 +69,24 @@ OspStreamTotals generate_osp_stream(const OspOptions& opts, OspSink& sink) {
   const HealthModel health(opts.health);
   int ticket_counter = 0;
   OspStreamTotals totals;
-
-  // Mirrors generate_osp exactly — same fork sequence, same per-network
-  // draws, same shared ticket counter — but every per-network container
-  // is local and dropped after forwarding, so memory is bounded by the
-  // largest single network regardless of num_networks.
+  // Each network is generated into a dataset of its own, forwarded and
+  // dropped, so memory is bounded by the largest single network
+  // regardless of num_networks.
   for (int n = 0; n < opts.num_networks; ++n) {
-    Rng net_rng = master.fork();
-    NetworkDesign design = sample_network_design(n, net_rng, opts.design);
-    if (opts.treated_fraction > 0) {
-      const bool treated = net_rng.bernoulli(opts.treated_fraction);
-      if (treated) design.change_events_per_month *= opts.treatment_rate_multiplier;
-    }
-
-    sink.on_network(design.net);
-    ++totals.networks;
-    for (const auto& dev : design.devices) {
-      sink.on_device(dev);
-      ++totals.devices;
-    }
-
-    SnapshotStore snapshots;
-    TicketLog tickets;
-    GeneratedNetwork gen = generate_configs(std::move(design), net_rng);
-    ChangeProcess process(&gen, net_rng.fork());
-    process.emit_initial_snapshots(snapshots);
-    Rng health_rng = net_rng.fork();
-    for (int m = 0; m < opts.num_months; ++m) {
-      const MonthlyOps ops = process.simulate_month(m, snapshots);
-      health.generate_tickets(gen.design, ops, live_vlan_count(gen), m, health_rng, tickets,
-                              ticket_counter);
-    }
-    // The per-device canonical order of SnapshotStore makes the forward
-    // order identical to what the batch path's shared store would hold
-    // for these devices.
-    for (const auto& device_id : snapshots.devices())
-      for (const auto& snap : snapshots.for_device(device_id)) {
-        sink.on_snapshot(snap);
-        ++totals.snapshots;
-      }
-    for (const auto& t : tickets.all()) {
-      sink.on_ticket(t);
-      ++totals.tickets;
-    }
+    OspDataset net;
+    generate_network(n, opts, health, master, ticket_counter, net);
+    for (const auto& rec : net.inventory.networks()) sink.on_network(rec);
+    for (const auto& dev : net.inventory.devices()) sink.on_device(dev);
+    // A SnapshotStore orders each device's snapshots by time under a
+    // map keyed by device id, so forwarding device by device gives a
+    // receiver what generate_osp's shared store holds for them.
+    for (const auto& device_id : net.snapshots.devices())
+      for (const auto& snap : net.snapshots.for_device(device_id)) sink.on_snapshot(snap);
+    for (const auto& t : net.tickets.all()) sink.on_ticket(t);
+    totals.networks += net.inventory.num_networks();
+    totals.devices += net.inventory.num_devices();
+    totals.snapshots += net.snapshots.total_snapshots();
+    totals.tickets += net.tickets.all().size();
   }
   return totals;
 }

@@ -1,6 +1,7 @@
 #include "util/json.hpp"
 
 #include <cctype>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
@@ -41,11 +42,14 @@ double JsonValue::as_number() const {
 
 std::uint64_t JsonValue::as_u64() const {
   expect_type(*this, Type::kNumber);
-  char* end = nullptr;
-  const unsigned long long v = std::strtoull(text_.c_str(), &end, 10);
-  if (end == text_.c_str() || *end != '\0')
-    throw DataError("json: number '" + text_ + "' is not an unsigned integer");
-  return static_cast<std::uint64_t>(v);
+  // Unlike strtoull, from_chars takes no sign for an unsigned type and
+  // reports overflow instead of clamping.
+  std::uint64_t v = 0;
+  const char* end = text_.data() + text_.size();
+  const auto [stop, ec] = std::from_chars(text_.data(), end, v);
+  if (ec != std::errc() || stop != end)
+    throw DataError("json: number '" + text_ + "' is not an unsigned 64-bit integer");
+  return v;
 }
 
 const std::string& JsonValue::as_string() const {
@@ -118,8 +122,13 @@ class JsonParser {
   JsonValue parse_value() {
     skip_ws();
     const char c = peek();
-    if (c == '{') return parse_object();
-    if (c == '[') return parse_array();
+    if (c == '{' || c == '[') {
+      if (++depth_ > kMaxJsonDepth)
+        fail("nesting deeper than " + std::to_string(kMaxJsonDepth) + " levels");
+      JsonValue v = c == '{' ? parse_object() : parse_array();
+      --depth_;
+      return v;
+    }
     if (c == '"') return parse_string_value();
     if (try_consume("true")) {
       JsonValue v;
@@ -266,6 +275,7 @@ class JsonParser {
 
   std::string_view text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;  ///< Open arrays/objects around the current value.
 };
 
 JsonValue parse_json(std::string_view text) { return JsonParser(text).parse_document(); }

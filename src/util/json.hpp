@@ -38,7 +38,9 @@ class JsonValue {
   bool as_bool() const;
   double as_number() const;
   /// The number's source text parsed as u64 — exact for integer fields
-  /// (seeds, nanosecond timestamps) that a double would round.
+  /// (seeds, nanosecond timestamps) that a double would round. Only
+  /// plain digits within uint64_t are accepted: a sign, fraction,
+  /// exponent or out-of-range value throws DataError.
   std::uint64_t as_u64() const;
   const std::string& as_string() const;
   const std::vector<JsonValue>& as_array() const;
@@ -60,8 +62,15 @@ class JsonValue {
   std::map<std::string, JsonValue> object_;
 };
 
+/// Deepest array/object nesting parse_json accepts. The parser
+/// recurses once per level, so an unbounded depth would let outside
+/// input overflow the stack; the repo's own documents nest fewer than
+/// 6 levels.
+inline constexpr int kMaxJsonDepth = 256;
+
 /// Parse one complete JSON document; throws DataError with a byte
-/// offset on malformed input or trailing garbage.
+/// offset on malformed input, trailing garbage, or nesting deeper than
+/// kMaxJsonDepth.
 JsonValue parse_json(std::string_view text);
 
 /// Escape `s` for embedding inside a JSON string literal (quotes,

@@ -28,6 +28,7 @@
 #include <cstdlib>
 #include <exception>
 #include <functional>
+#include <limits>
 #include <thread>
 #include <vector>
 
@@ -37,14 +38,16 @@ namespace mpa {
 
 class ThreadPool {
  public:
-  /// MPA_THREADS if set to a positive integer, else the hardware
-  /// concurrency (else 1).
+  /// MPA_THREADS if set to a positive integer within int, else the
+  /// hardware concurrency (else 1). A value outside int counts as
+  /// unset rather than wrapping.
   static int default_thread_count() {
     // NOLINTNEXTLINE(concurrency-mt-unsafe): read once per pool, before its workers exist
     if (const char* env = std::getenv("MPA_THREADS")) {
       char* end = nullptr;
       const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1) return static_cast<int>(v);
+      if (end != env && *end == '\0' && v >= 1 && v <= std::numeric_limits<int>::max())
+        return static_cast<int>(v);
     }
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);

@@ -781,7 +781,6 @@ TEST(SessionAppend, EverySplitPointConvergesToTheSameArtifacts) {
       // only ingests the records and the artifacts build lazily.
       const AnalysisSession::AppendResult res = cold.append_month(delta);
       EXPECT_FALSE(res.table_incremental);
-      EXPECT_FALSE(res.dependence_incremental);
     }
     EXPECT_EQ(warm.case_table().to_csv(), want_table) << "cut " << cut;
     EXPECT_EQ(warm.lint().to_csv(), want_lint) << "cut " << cut;

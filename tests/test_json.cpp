@@ -38,6 +38,34 @@ TEST(Json, PreservesU64Exactly) {
   EXPECT_EQ(doc.at("u").as_u64(), 18446744073709551615ULL);
 }
 
+TEST(Json, U64AcceptsOnlyDigitsWithinRange) {
+  // Regression: strtoull read "-1" as 2^64 - 1 and clamped 2^64 to it.
+  for (const char* bad : {"-1", "-0", "18446744073709551616", "99999999999999999999999", "1.5",
+                          "1e3"}) {
+    const JsonValue doc = parse_json(std::string("{\"u\":") + bad + "}");
+    EXPECT_THROW(doc.at("u").as_u64(), DataError) << bad;
+  }
+  EXPECT_EQ(parse_json("0").as_u64(), 0u);
+}
+
+TEST(Json, RejectsNestingDeeperThanTheBound) {
+  const auto nested = [](int depth, const std::string& open, const std::string& close) {
+    std::string text;
+    for (int i = 0; i < depth; ++i) text += open;
+    text += "1";
+    for (int i = 0; i < depth; ++i) text += close;
+    return text;
+  };
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth, "[", "]")));
+  EXPECT_NO_THROW(parse_json(nested(kMaxJsonDepth, "{\"a\":", "}")));
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1, "[", "]")), DataError);
+  EXPECT_THROW(parse_json(nested(kMaxJsonDepth + 1, "{\"a\":", "}")), DataError);
+  // Regression: one recursion per level with no bound overflowed the
+  // stack (SIGSEGV) long before the input ran out.
+  EXPECT_THROW(parse_json(std::string(200000, '[')), DataError);
+  EXPECT_THROW(parse_json(nested(200000, "[", "]")), DataError);
+}
+
 TEST(Json, DecodesEscapes) {
   const JsonValue doc = parse_json(R"("line\n\ttab \"q\" back\\slash Aé")");
   EXPECT_EQ(doc.as_string(), "line\n\ttab \"q\" back\\slash A\xc3\xa9");

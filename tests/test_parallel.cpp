@@ -22,6 +22,20 @@ TEST(ThreadPool, DefaultThreadCountRespectsEnv) {
   EXPECT_GE(ThreadPool::default_thread_count(), 1);
 }
 
+TEST(ThreadPool, DefaultThreadCountTreatsMpaThreadsOutsideIntAsUnset) {
+  // Regression: the parsed long was cast straight to int, so 2^32 + 1
+  // ran one thread and 2^31 a negative count.
+  unsetenv("MPA_THREADS");
+  const int unset = ThreadPool::default_thread_count();
+  for (const char* v : {"4294967297", "2147483648", "99999999999999999999"}) {
+    setenv("MPA_THREADS", v, 1);
+    EXPECT_EQ(ThreadPool::default_thread_count(), unset) << "MPA_THREADS=" << v;
+  }
+  setenv("MPA_THREADS", "2147483647", 1);  // INT_MAX itself is a valid count.
+  EXPECT_EQ(ThreadPool::default_thread_count(), 2147483647);
+  unsetenv("MPA_THREADS");
+}
+
 TEST(ThreadPool, CoversEveryIndexExactlyOnce) {
   for (int threads : {1, 2, 8}) {
     ThreadPool pool(threads);

@@ -13,6 +13,7 @@
 #include <chrono>
 #include <condition_variable>
 #include <filesystem>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -24,6 +25,7 @@
 #include "engine/session_manager.hpp"
 #include "io/dataset_io.hpp"
 #include "metrics/practices.hpp"
+#include "mutation.hpp"
 #include "obs/chrome_trace.hpp"
 #include "obs/log.hpp"
 #include "obs/metrics.hpp"
@@ -235,6 +237,29 @@ TEST(Scheduler, ExpiredAtSubmitAnsweredSynchronously) {
   EXPECT_EQ(stats.rejected, 0u);
   EXPECT_EQ(stats.completed, 1u);
   EXPECT_EQ(stats.deadline_misses, 1u);
+}
+
+TEST(Scheduler, DeadlineTooFarToRepresentSaturates) {
+  // Regression: the ms -> ns conversion cast 1e300 ms straight to
+  // uint64_t (undefined behaviour; the request came out expired at
+  // dispatch), and 1.8e13 ms wrapped the clock into the past. A deadline
+  // past the clock's range now never expires, per request or as the
+  // scheduler default.
+  for (const double far : {1.8e13, 1e300, std::numeric_limits<double>::infinity()}) {
+    for (const bool as_default : {false, true}) {
+      Collector out;
+      SchedulerOptions opts;
+      opts.workers = 1;
+      if (as_default) opts.default_deadline_ms = far;
+      Scheduler sched(opts, [](const Request&) { return Response{}; }, out.sink());
+      Request req = req_for(1);
+      if (!as_default) req.deadline_ms = far;
+      ASSERT_TRUE(sched.submit(std::move(req)));
+      sched.drain();
+      EXPECT_EQ(out.by_id(1).status, RequestStatus::kOk)
+          << far << " ms" << (as_default ? " (default)" : "");
+    }
+  }
 }
 
 TEST(Scheduler, ExpiredAtSubmitDoesNotOccupyQueueDepth) {
@@ -632,6 +657,81 @@ TEST(RequestWire, RejectsUnknownFieldsAndKinds) {
   EXPECT_THROW(Request::from_json(parse_json(R"({"kind":"rank","bogus":1})")), DataError);
   EXPECT_THROW(Request::from_json(parse_json(R"({"kind":"frobnicate"})")), DataError);
   EXPECT_THROW(Request::from_json(parse_json(R"([1,2])")), DataError);
+}
+
+TEST(RequestWire, IntegerFieldsMustBeIntegralAndWithinInt) {
+  // Regression: the double was cast straight to int, so 1e300 was
+  // undefined behaviour and 2.7 silently became 2.
+  for (const char* bad : {"1e300", "2.7", "-2147483649", "2147483648", "\"3\"", "null"}) {
+    const std::string line = std::string(R"({"kind":"rank","top_k":)") + bad + "}";
+    try {
+      Request::from_json(parse_json(line));
+      ADD_FAILURE() << line << " parsed";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("top_k"), std::string::npos) << e.what();
+    }
+  }
+  EXPECT_EQ(Request::from_json(parse_json(R"({"kind":"rank","top_k":2147483647})")).top_k,
+            2147483647);
+  EXPECT_EQ(Request::from_json(parse_json(R"({"kind":"rank","top_k":-2147483648})")).top_k,
+            -2147483647 - 1);
+  EXPECT_EQ(Request::from_json(parse_json(R"({"kind":"predict","classes":5.0})")).classes, 5);
+}
+
+TEST(RequestWire, IdMustBeAnUnsigned64BitInteger) {
+  // Regression: id -1 was read as 18446744073709551615.
+  for (const char* bad : {"-1", "18446744073709551616", "1.5"})
+    EXPECT_THROW(
+        Request::from_json(parse_json(std::string(R"({"kind":"stats","id":)") + bad + "}")),
+        DataError)
+        << bad;
+  EXPECT_EQ(Request::from_json(parse_json(R"({"kind":"stats","id":18446744073709551615})")).id,
+            18446744073709551615ULL);
+}
+
+TEST(RequestWire, FuzzMutantsParseOrRaiseDataError) {
+  // Seeded mutants of one request line per kind, spliced with donors
+  // that hold the values that used to crash the daemon or wrap: a huge
+  // number, a negative id, a fraction, an int overflow, and a run of
+  // '[' far deeper than kMaxJsonDepth.
+  std::vector<std::string> lines;
+  for (RequestKind kind : {RequestKind::kCaseTable, RequestKind::kRank, RequestKind::kCausal,
+                           RequestKind::kLint, RequestKind::kPredict, RequestKind::kIngest,
+                           RequestKind::kStats, RequestKind::kHealth}) {
+    Request req;
+    req.id = 7;
+    req.kind = kind;
+    req.month_from = 0;
+    req.practice = "No. of devices";
+    req.min_severity = "warning";
+    req.dir = "/data/delta-3";
+    req.deadline_ms = 250;
+    lines.push_back(req.to_json());
+  }
+  const std::vector<std::string> donors = {
+      R"({"id":1,"kind":"rank","top_k":1e300,"deadline_ms":1e300})",
+      R"({"id":-1,"kind":"predict","classes":2.7,"history":99999999999})",
+      std::string(100000, '['),
+  };
+  Rng rng(24);
+  const auto pick = [&](const std::vector<std::string>& from) -> const std::string& {
+    return from[static_cast<std::size_t>(
+        rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
+  };
+  int parsed = 0;
+  int rejected = 0;
+  for (int i = 0; i < 1000; ++i) {
+    const std::string& line = pick(lines);
+    const std::string mutant = mutate(line, pick(donors), rng);
+    try {
+      Request::from_json(parse_json(mutant));
+      ++parsed;
+    } catch (const DataError&) {
+      ++rejected;
+    }
+  }
+  EXPECT_GT(parsed, 0);
+  EXPECT_GT(rejected, 0);
 }
 
 TEST(RequestWire, TraceParseReportsLineNumbers) {

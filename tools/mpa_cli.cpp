@@ -26,11 +26,12 @@
 //              [--rank-out FILE]
 //       Open a session over the dataset, warm the case table / lint /
 //       dependence artifacts, then append each month-delta directory
-//       in order through AnalysisSession::append_month — the O(delta)
-//       incremental path. Prints the serve `ingest` body per month;
-//       --out dumps the final case table CSV and --rank-out the final
-//       dependence rankings (both bit-identical to a from-scratch run
-//       over the merged data).
+//       in order through AnalysisSession::append_month, which extends
+//       the case table and lint in place and drops the dependence
+//       rankings for a lazy rebuild. Prints the serve `ingest` body
+//       per month; --out dumps the final case table CSV and --rank-out
+//       the final dependence rankings (both bit-identical to a
+//       from-scratch run over the merged data).
 //   mpa_cli lint <dir> [--format text|json|sarif] [--out FILE]
 //              [--min-severity SEV] [--fail-on SEV]
 //       Rule-engine lint of each network's latest configs. SARIF output
@@ -86,7 +87,9 @@
 //
 // Export files are written on every exit path — a run that failed with
 // exit 1/2/3 still leaves its metrics, trace, log, and manifest behind.
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
@@ -95,6 +98,7 @@
 #include <sstream>
 #include <string>
 #include <thread>
+#include <type_traits>
 #include <vector>
 
 #include "config/dialect.hpp"
@@ -127,19 +131,35 @@ struct UsageError {
   std::string message;
 };
 
+/// `text` parsed whole into `*out`: within T's range, a sign only on a
+/// signed type, and for a double a finite value.
+template <typename T>
+bool parse_whole(const std::string& text, T* out) {
+  const char* end = text.data() + text.size();
+  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
+  if (ec != std::errc() || stop != end) return false;
+  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
+  return true;
+}
+
 struct Args {
   std::string command;
   std::string dir;
   std::map<std::string, std::string> flags;
 
-  int get_int(const std::string& key, int fallback) const {
+  /// The flag's value parsed whole as T (parse_whole), `fallback` when
+  /// the flag is absent; any other value is a UsageError naming it.
+  template <typename T>
+  T get_number(const std::string& key, T fallback, const char* expects) const {
     const auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    char* end = nullptr;
-    const long v = std::strtol(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-      throw UsageError{"--" + key + " expects an integer, got '" + it->second + "'"};
-    return static_cast<int>(v);
+    T v{};
+    if (!parse_whole(it->second, &v))
+      throw UsageError{"--" + key + " expects " + expects + ", got '" + it->second + "'"};
+    return v;
+  }
+  int get_int(const std::string& key, int fallback) const {
+    return get_number(key, fallback, "an integer within int");
   }
   int get_int_min(const std::string& key, int fallback, int min_v) const {
     const int v = get_int(key, fallback);
@@ -149,22 +169,10 @@ struct Args {
     return v;
   }
   std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    const auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    char* end = nullptr;
-    const unsigned long long v = std::strtoull(it->second.c_str(), &end, 10);
-    if (end == it->second.c_str() || *end != '\0')
-      throw UsageError{"--" + key + " expects an unsigned integer, got '" + it->second + "'"};
-    return static_cast<std::uint64_t>(v);
+    return get_number(key, fallback, "an unsigned 64-bit integer");
   }
   double get_double(const std::string& key, double fallback) const {
-    const auto it = flags.find(key);
-    if (it == flags.end()) return fallback;
-    char* end = nullptr;
-    const double v = std::strtod(it->second.c_str(), &end);
-    if (end == it->second.c_str() || *end != '\0')
-      throw UsageError{"--" + key + " expects a number, got '" + it->second + "'"};
-    return v;
+    return get_number(key, fallback, "a finite number");
   }
   std::string get(const std::string& key, const std::string& fallback = "") const {
     const auto it = flags.find(key);
@@ -779,9 +787,8 @@ int cmd_replay(const Args& args) {
     if (slo_ms <= 0) throw UsageError{"replay: --loads requires --slo-ms"};
     std::vector<double> loads;
     for (const std::string& tok : split(loads_flag, ',')) {
-      char* end = nullptr;
-      const double rps = std::strtod(tok.c_str(), &end);
-      if (end == tok.c_str() || *end != '\0' || rps <= 0)
+      double rps = 0;
+      if (!parse_whole(tok, &rps) || rps <= 0)
         throw UsageError{"--loads expects positive req/s values, got '" + tok + "'"};
       loads.push_back(rps);
     }
