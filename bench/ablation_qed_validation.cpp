@@ -9,12 +9,14 @@
 // experimental estimate; the QED then runs on a separate observational
 // dataset and must agree in direction and significance.
 #include <iostream>
+#include <string_view>
 
 #include "common.hpp"
 #include "metrics/inference.hpp"
 #include "mpa/causal.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/signtest.hpp"
+#include "util/number.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 
@@ -39,7 +41,8 @@ int main() {
   std::vector<double> treated_tickets, control_tickets;
   for (const auto& c : exp_table.cases()) {
     // Map network id back to its assignment.
-    const std::size_t idx = std::stoul(c.network_id.substr(3));  // "netN"
+    const std::size_t idx =
+        parse_whole<std::size_t>(std::string_view(c.network_id).substr(3)).value();  // "netN"
     (exp.experiment_treated[idx] ? treated_tickets : control_tickets).push_back(c.tickets);
   }
   const double lift = mean(treated_tickets) - mean(control_tickets);

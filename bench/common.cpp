@@ -7,14 +7,10 @@
 
 #include "obs/metrics.hpp"
 #include "obs/trace.hpp"
+#include "util/number.hpp"
 
 namespace mpa::bench {
 namespace {
-
-int env_int(const char* name, int fallback) {
-  const char* v = std::getenv(name);
-  return v == nullptr ? fallback : std::atoi(v);
-}
 
 /// When MPA_BENCH_METRICS_OUT is set, every bench records obs metrics
 /// and spans and dumps them as one JSON object at exit — the hook for
@@ -45,22 +41,15 @@ void maybe_enable_observability() {
   (void)once;
 }
 
-std::uint64_t env_u64(const char* name, std::uint64_t fallback) {
-  const char* v = std::getenv(name);
-  if (v == nullptr) return fallback;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(v, &end, 10);
-  return end == v || *end != '\0' ? fallback : static_cast<std::uint64_t>(parsed);
-}
-
 }  // namespace
 
 BenchConfig config_from_env() {
   maybe_enable_observability();
   BenchConfig cfg;
-  cfg.networks = env_int("MPA_BENCH_NETWORKS", cfg.networks);
-  cfg.months = env_int("MPA_BENCH_MONTHS", cfg.months);
-  cfg.seed = env_u64("MPA_BENCH_SEED", cfg.seed);
+  cfg.networks = env_count("MPA_BENCH_NETWORKS").value_or(cfg.networks);
+  cfg.months = env_count("MPA_BENCH_MONTHS").value_or(cfg.months);
+  if (const char* seed = std::getenv("MPA_BENCH_SEED"))
+    cfg.seed = parse_whole<std::uint64_t>(seed).value_or(cfg.seed);
   if (const char* dir = std::getenv("MPA_BENCH_CACHE_DIR")) cfg.cache_dir = dir;
   return cfg;
 }

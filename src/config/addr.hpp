@@ -7,7 +7,7 @@
 #include <string>
 #include <string_view>
 
-#include "util/strings.hpp"
+#include "util/number.hpp"
 
 namespace mpa {
 
@@ -32,38 +32,30 @@ struct Ipv4Prefix {
 };
 
 /// Parse "a.b.c.d" into host-order bits; nullopt on malformed input.
+/// Each octet is 1-3 digits within 255, under the number rule.
 inline std::optional<std::uint32_t> parse_ipv4(std::string_view s) {
   std::uint32_t out = 0;
-  int octets = 0;
-  for (const auto& part : split(s, '.')) {
-    if (part.empty() || part.size() > 3 || octets == 4) return std::nullopt;
-    int v = 0;
-    for (char c : part) {
-      if (c < '0' || c > '9') return std::nullopt;
-      v = v * 10 + (c - '0');
-    }
-    if (v > 255) return std::nullopt;
-    out = (out << 8) | static_cast<std::uint32_t>(v);
-    ++octets;
+  for (int octet = 0; octet < 4; ++octet) {
+    const std::size_t dot = octet < 3 ? s.find('.') : s.size();
+    if (dot == std::string_view::npos || dot > 3) return std::nullopt;
+    const std::optional<std::uint8_t> v = parse_whole<std::uint8_t>(s.substr(0, dot));
+    if (!v) return std::nullopt;
+    out = (out << 8) | *v;
+    s.remove_prefix(octet < 3 ? dot + 1 : dot);
   }
-  return octets == 4 ? std::optional<std::uint32_t>(out) : std::nullopt;
+  return out;
 }
 
-/// Parse "a.b.c.d/len"; nullopt on malformed input.
+/// Parse "a.b.c.d/len"; nullopt on malformed input. The length is 1-2
+/// digits within 32.
 inline std::optional<Ipv4Prefix> parse_prefix(std::string_view s) {
   const std::size_t slash = s.find('/');
   if (slash == std::string_view::npos) return std::nullopt;
   const auto ip = parse_ipv4(s.substr(0, slash));
-  if (!ip) return std::nullopt;
-  int len = 0;
   const std::string_view ls = s.substr(slash + 1);
-  if (ls.empty() || ls.size() > 2) return std::nullopt;
-  for (char c : ls) {
-    if (c < '0' || c > '9') return std::nullopt;
-    len = len * 10 + (c - '0');
-  }
-  if (len > 32) return std::nullopt;
-  return Ipv4Prefix{*ip, len};
+  const auto len = ls.size() <= 2 ? parse_whole<std::uint8_t>(ls) : std::nullopt;
+  if (!ip || !len || *len > 32) return std::nullopt;
+  return Ipv4Prefix{*ip, *len};
 }
 
 /// Format host-order bits as dotted quad.

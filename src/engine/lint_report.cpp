@@ -9,6 +9,7 @@
 
 #include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -49,20 +50,6 @@ struct Counts {
 constexpr std::string_view kCsvHeader =
     "record,network_id,device_id,rule_id,severity,category,first_line,last_line,suppressed,"
     "object,message";
-
-/// A cell of decimal digits as an int; nullopt when empty, when it
-/// holds anything else, or when its value exceeds INT_MAX.
-std::optional<int> parse_int_cell(std::string_view cell) {
-  if (cell.empty()) return std::nullopt;
-  int v = 0;
-  for (char c : cell) {
-    if (c < '0' || c > '9') return std::nullopt;
-    const int digit = c - '0';
-    if (v > (INT_MAX - digit) / 10) return std::nullopt;  // checked before multiplying
-    v = v * 10 + digit;
-  }
-  return v;
-}
 
 }  // namespace
 
@@ -113,10 +100,12 @@ LintReport LintReport::from_csv(std::string_view csv) {
     const auto fail = [&](const std::string& what) {
       return DataError("lint report: row " + std::to_string(row) + ": " + what);
     };
+    // Digits only: read as unsigned, so a sign ("-0") is refused too.
     const auto int_cell = [&](std::size_t col, const char* column) {
-      const auto v = parse_int_cell(cells[col]);
-      if (!v) throw fail(std::string(column) + ": not an integer in [0, INT_MAX]: " + cells[col]);
-      return *v;
+      const auto v = parse_whole<unsigned>(cells[col]);
+      if (!v || *v > INT_MAX)
+        throw fail(std::string(column) + ": not an integer in [0, INT_MAX]: " + cells[col]);
+      return static_cast<int>(*v);
     };
     if (!header_ok) throw DataError("lint report: header is not the one to_csv writes");
     if (cells[0] == "net") {

@@ -96,22 +96,28 @@ std::string RunManifest::to_text() const {
 
 RunManifest RunManifest::from_json(const std::string& json) {
   const JsonValue doc = parse_json(json);
+  const JsonFields f(doc, "run manifest");
+  const auto count = [&f](const std::string& key) {  // a pool size or a month count
+    const int v = f.get<int>(key);
+    return v >= 0 ? v : throw DataError("run manifest: " + key + ": negative count");
+  };
   RunManifest m;
-  m.dataset_fingerprint = doc.at("dataset_fingerprint").as_string();
-  m.seed = doc.at("seed").as_u64();
-  m.threads = static_cast<int>(doc.at("threads").as_u64());
-  m.months = static_cast<int>(doc.at("months").as_u64());
-  m.networks = doc.at("networks").as_u64();
-  m.devices = doc.at("devices").as_u64();
-  m.snapshots = doc.at("snapshots").as_u64();
-  m.tickets = doc.at("tickets").as_u64();
-  m.artifact_dir = doc.at("artifact_dir").as_string();
-  m.artifact_key = doc.at("artifact_key").as_string();
+  m.dataset_fingerprint = f.get<std::string>("dataset_fingerprint");
+  m.seed = f.get<std::uint64_t>("seed");
+  m.threads = count("threads");
+  m.months = count("months");
+  m.networks = f.get<std::uint64_t>("networks");
+  m.devices = f.get<std::uint64_t>("devices");
+  m.snapshots = f.get<std::uint64_t>("snapshots");
+  m.tickets = f.get<std::uint64_t>("tickets");
+  m.artifact_dir = f.get<std::string>("artifact_dir");
+  m.artifact_key = f.get<std::string>("artifact_key");
   for (const JsonValue& s : doc.at("stages").as_array()) {
+    const JsonFields stage(s, "run manifest stage");
     StageRun run;
-    run.stage = s.at("stage").as_string();
-    run.source = s.at("source").as_string();
-    run.seconds = s.at("seconds").as_number();
+    run.stage = stage.get<std::string>("stage");
+    run.source = stage.get<std::string>("source");
+    run.seconds = stage.get<double>("seconds");
     m.stages.push_back(std::move(run));
   }
   m.cache = parse_map(doc.at("cache"));

@@ -612,29 +612,31 @@ ColumnarDataset load_columnar(const std::string& dir) {
   const fs::path manifest_path = base / kMpacManifestName;
   const std::string manifest_text = read_text_file(manifest_path);
   const JsonValue doc = parse_json(manifest_text);
+  const JsonFields f(doc, "mpac: manifest");
 
-  require_data(doc.at("format").as_string() == "mpac", "mpac: manifest format is not mpac");
-  const std::uint64_t version = doc.at("version").as_u64();
+  require_data(f.get<std::string>("format") == "mpac", "mpac: manifest format is not mpac");
+  const auto version = f.get<std::uint64_t>("version");
   require_data(version == kMpacVersion,
                "mpac: unsupported version " + std::to_string(version) + " in manifest");
 
   ColumnarDataset out;
-  out.totals_.networks = doc.at("networks").as_u64();
-  out.totals_.devices = doc.at("devices").as_u64();
-  out.totals_.tickets = doc.at("tickets").as_u64();
-  out.totals_.snapshots = doc.at("snapshots").as_u64();
-  out.totals_.config_bytes = doc.at("config_bytes").as_u64();
+  out.totals_.networks = f.get<std::uint64_t>("networks");
+  out.totals_.devices = f.get<std::uint64_t>("devices");
+  out.totals_.tickets = f.get<std::uint64_t>("tickets");
+  out.totals_.snapshots = f.get<std::uint64_t>("snapshots");
+  out.totals_.config_bytes = f.get<std::uint64_t>("config_bytes");
   out.bytes_read_ = manifest_text.size();
 
   for (const JsonValue& s : doc.at("shards").as_array()) {
+    const JsonFields shard(s, "mpac: manifest shard");
     MpacShardInfo info;
-    info.file = s.at("file").as_string();
-    info.bytes = s.at("bytes").as_u64();
-    info.fingerprint = s.at("fingerprint").as_u64();
-    info.networks = s.at("networks").as_u64();
-    info.devices = s.at("devices").as_u64();
-    info.tickets = s.at("tickets").as_u64();
-    info.snapshots = s.at("snapshots").as_u64();
+    info.file = shard.get<std::string>("file");
+    info.bytes = shard.get<std::uint64_t>("bytes");
+    info.fingerprint = shard.get<std::uint64_t>("fingerprint");
+    info.networks = shard.get<std::uint64_t>("networks");
+    info.devices = shard.get<std::uint64_t>("devices");
+    info.tickets = shard.get<std::uint64_t>("tickets");
+    info.snapshots = shard.get<std::uint64_t>("snapshots");
 
     auto map = std::make_shared<const MappedFile>((base / info.file).string());
     require_data(map->bytes().size() == info.bytes,

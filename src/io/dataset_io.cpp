@@ -2,15 +2,16 @@
 
 #include <algorithm>
 #include <cctype>
-#include <charconv>
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <optional>
 #include <sstream>
 
 #include "io/columnar.hpp"
 #include "telemetry/time.hpp"
 #include "util/error.hpp"
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -68,16 +69,13 @@ std::vector<std::string_view> csv_rows(std::string_view text) {
   return rows;
 }
 
-// from_chars keeps the hot parse loops allocation-free; error strings
-// are pinned by tests and must not change.
+// The number rule without allocating on the hot parse loops; error
+// strings are pinned by tests and must not change.
 std::int64_t parse_int(std::string_view s, const char* what) {
-  std::int64_t v = 0;
-  const auto [ptr, ec] = std::from_chars(s.data(), s.data() + s.size(), v);
-  if (ec == std::errc() && ptr != s.data() + s.size())
-    throw DataError(std::string("trailing junk in ") + what + ": " + std::string(s));
-  if (ec != std::errc())
-    throw DataError(std::string("bad integer for ") + what + ": " + std::string(s));
-  return v;
+  bool trailing = false;
+  if (const std::optional<std::int64_t> v = parse_whole<std::int64_t>(s, &trailing)) return *v;
+  const char* kind = trailing ? "trailing junk in " : "bad integer for ";
+  throw DataError(std::string(kind) + what + ": " + std::string(s));
 }
 
 // Shared row/record codecs so the full-dataset and month-delta paths
@@ -404,9 +402,10 @@ MonthDelta load_month_delta(const std::string& dir) {
 
   {
     const std::string text(trim(read_file(base / "month.txt")));
-    const std::int64_t month = parse_int(text, "delta month");
-    require_data(month >= 0, "month.txt: delta month is negative: " + text);
-    delta.month = static_cast<int>(month);
+    const std::optional<int> month = parse_whole<int>(text);
+    require_data(month.has_value(), "month.txt: delta month is not an integer within int: " + text);
+    require_data(*month >= 0, "month.txt: delta month is negative: " + text);
+    delta.month = *month;
   }
 
   // Whether each record fits the session is append_month's to check.

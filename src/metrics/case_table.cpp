@@ -1,13 +1,12 @@
 #include "metrics/case_table.hpp"
 
-#include <charconv>
-#include <cmath>
 #include <optional>
 #include <set>
 #include <sstream>
 
 #include "telemetry/time.hpp"
 #include "util/error.hpp"
+#include "util/number.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -25,17 +24,6 @@ std::vector<std::string> csv_header() {
   }
   out.emplace_back("tickets");
   return out;
-}
-
-/// `cell` parsed whole as a T, or nullopt (junk, trailing bytes, out
-/// of range).
-template <typename T>
-std::optional<T> parse_whole(std::string_view cell) {
-  T v{};
-  const char* end = cell.data() + cell.size();
-  const auto [ptr, ec] = std::from_chars(cell.data(), end, v);
-  if (ec != std::errc() || ptr != end) return std::nullopt;
-  return v;
 }
 
 }  // namespace
@@ -111,7 +99,7 @@ CaseTable CaseTable::from_csv(std::string_view csv) {
     c.month = *month;
     for (std::size_t col = 2; col < cells.size(); ++col) {
       const auto v = parse_whole<double>(cells[col]);
-      if (!v || !std::isfinite(*v)) throw fail(col, "not a finite number");
+      if (!v) throw fail(col, "not a finite number");
       if (col + 1 == cells.size())
         c.tickets = *v;
       else

@@ -1,9 +1,8 @@
 #include "mpa/causal.hpp"
 
 #include <cmath>
-#include <span>
-
 #include <optional>
+#include <span>
 
 #include "stats/binning.hpp"
 #include "util/error.hpp"
@@ -15,15 +14,13 @@ std::string ComparisonResult::label() const {
   return std::to_string(untreated_bin + 1) + ":" + std::to_string(untreated_bin + 2);
 }
 
-ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin,
-                               const CausalOptions& opts) {
-  require(!table.empty(), "comparison_data: empty case table");
-  const auto treat_col = table.column(treatment);
-  const Binner binner = Binner::fit(treat_col, opts.treatment_bins, opts.lo_pct, opts.hi_pct);
-  require(untreated_bin >= 0 && untreated_bin + 1 < binner.num_bins(),
-          "comparison_data: comparison point out of range");
-  const auto treat_bins = binner.bin_all(treat_col);
+namespace {
 
+/// One comparison point's rows: bin `untreated_bin` of the treatment
+/// against the bin above it, with `outcome[i]` as row i's outcome.
+ComparisonData comparison_rows(const CaseTable& table, Practice treatment,
+                               std::span<const int> treat_bins, int untreated_bin,
+                               std::span<const double> outcome, const CausalOptions& opts) {
   ComparisonData data;
   // Confounders: every other analysis practice (§5.2.3: "we include all
   // of the practice metrics we infer, minus the treatment practice, as
@@ -44,13 +41,26 @@ ComparisonData comparison_data(const CaseTable& table, Practice treatment, int u
   for (std::size_t i = 0; i < table.size(); ++i) {
     if (treat_bins[i] == untreated_bin) {
       data.untreated.push_back(confounder_row(i));
-      data.untreated_tickets.push_back(table[i].tickets);
+      data.untreated_tickets.push_back(outcome[i]);
     } else if (treat_bins[i] == untreated_bin + 1) {
       data.treated.push_back(confounder_row(i));
-      data.treated_tickets.push_back(table[i].tickets);
+      data.treated_tickets.push_back(outcome[i]);
     }
   }
   return data;
+}
+
+}  // namespace
+
+ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin,
+                               const CausalOptions& opts) {
+  require(!table.empty(), "comparison_data: empty case table");
+  const auto treat_col = table.column(treatment);
+  const Binner binner = Binner::fit(treat_col, opts.treatment_bins, opts.lo_pct, opts.hi_pct);
+  require(untreated_bin >= 0 && untreated_bin + 1 < binner.num_bins(),
+          "comparison_data: comparison point out of range");
+  return comparison_rows(table, treatment, binner.bin_all(treat_col), untreated_bin,
+                         table.tickets(), opts);
 }
 
 CausalResult causal_analysis(const CaseTable& table, Practice treatment,
@@ -68,11 +78,8 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
   result.treatment = treatment;
 
   const auto treat_col = table.column(treatment);
-  const Binner binner =
-      Binner::fit(treat_col, opts.treatment_bins, opts.lo_pct, opts.hi_pct);
-
-  const auto treat_col2 = table.column(treatment);
-  const auto treat_bins = binner.bin_all(treat_col2);
+  const Binner binner = Binner::fit(treat_col, opts.treatment_bins, opts.lo_pct, opts.hi_pct);
+  const auto treat_bins = binner.bin_all(treat_col);
 
   // Each comparison point is independent (matching has no shared
   // state and uses no RNG), so fan them out; slots keep bin order.
@@ -81,18 +88,8 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
   std::vector<std::optional<ComparisonResult>> points(num_points);
   parallel_for(opts.pool, num_points, [&](std::size_t point) {
     const int b = static_cast<int>(point);
-    ComparisonData data = comparison_data(table, treatment, b, opts);
+    const ComparisonData data = comparison_rows(table, treatment, treat_bins, b, outcome, opts);
     if (data.untreated.empty() || data.treated.empty()) return;
-    // Swap in the requested outcome (comparison_data fills tickets).
-    data.treated_tickets.clear();
-    data.untreated_tickets.clear();
-    for (std::size_t i = 0; i < table.size(); ++i) {
-      if (treat_bins[i] == b) {
-        data.untreated_tickets.push_back(outcome[i]);
-      } else if (treat_bins[i] == b + 1) {
-        data.treated_tickets.push_back(outcome[i]);
-      }
-    }
 
     ComparisonResult cmp;
     cmp.untreated_bin = b;

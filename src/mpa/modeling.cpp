@@ -18,7 +18,6 @@ std::string_view to_string(ModelKind kind) {
     case ModelKind::kDtBoost: return "DT+AB";
     case ModelKind::kDtOversample: return "DT+OS";
     case ModelKind::kDtBoostOversample: return "DT+AB+OS";
-    case ModelKind::kBoostEnsemble: return "AB-ensemble";
     case ModelKind::kForestPlain: return "RF";
     case ModelKind::kForestBalanced: return "RF-balanced";
     case ModelKind::kForestWeighted: return "RF-weighted";
@@ -30,7 +29,7 @@ bool uses_oversampling(ModelKind kind) {
   return kind == ModelKind::kDtOversample || kind == ModelKind::kDtBoostOversample;
 }
 
-Trainer make_trainer(ModelKind kind, int num_classes, Rng& rng, const ModelingOptions& opts) {
+Trainer make_trainer(ModelKind kind, Rng& rng, const ModelingOptions& opts) {
   switch (kind) {
     case ModelKind::kMajority:
       return [](const Dataset& train) -> Predictor {
@@ -53,8 +52,7 @@ Trainer make_trainer(ModelKind kind, int num_classes, Rng& rng, const ModelingOp
       };
     }
     case ModelKind::kDtBoost:
-    case ModelKind::kDtBoostOversample:
-    case ModelKind::kBoostEnsemble: {
+    case ModelKind::kDtBoostOversample: {
       const BoostOptions boost_opts = opts.boost;
       return [boost_opts](const Dataset& train) -> Predictor {
         auto model = std::make_shared<AdaBoostClassifier>(
@@ -78,7 +76,6 @@ Trainer make_trainer(ModelKind kind, int num_classes, Rng& rng, const ModelingOp
     }
   }
   require(false, "make_trainer: unknown model kind");
-  (void)num_classes;
   return {};
 }
 
@@ -88,7 +85,7 @@ EvalResult evaluate_model_cv(const CaseTable& table, int num_classes, ModelKind 
   // One trainer per fold, built from that fold's private RNG stream
   // (randomized trainers stay independent across concurrent folds).
   const TrainerFactory factory = [&](Rng& fold_rng) {
-    return make_trainer(kind, num_classes, fold_rng, opts);
+    return make_trainer(kind, fold_rng, opts);
   };
   std::function<Dataset(const Dataset&)> transform;
   if (uses_oversampling(kind)) {
@@ -102,7 +99,6 @@ DecisionTree fit_final_tree(const CaseTable& table, int num_classes,
                             const ModelingOptions& opts) {
   Dataset data = make_dataset(table, num_classes);
   data = oversample(data, paper_oversampling_recipe(num_classes));
-  (void)opts;
   return DecisionTree::fit(data, opts.tree);
 }
 
@@ -135,7 +131,7 @@ double online_prediction_accuracy(const CaseTable& table, int num_classes, int h
     if (uses_oversampling(kind)) train = oversample(train, paper_oversampling_recipe(num_classes));
     const Dataset test = make_dataset(test_cases, num_classes, &space);
 
-    const Trainer trainer = make_trainer(kind, num_classes, month_rngs[ti], opts);
+    const Trainer trainer = make_trainer(kind, month_rngs[ti], opts);
     const Predictor model = trainer(train);
     const EvalResult ev = evaluate(test, model);
     acc[ti] = ev.accuracy;

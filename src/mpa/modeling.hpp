@@ -19,8 +19,7 @@ enum class ModelKind : std::uint8_t {
   kDtBoost,             // DT+AB  (SAMME ensemble)
   kDtOversample,        // DT+OS
   kDtBoostOversample,   // DT+AB+OS
-  kBoostEnsemble,       // alias of DT+AB without oversampling
-  kForestPlain,         // footnote-2 comparisons
+  kForestPlain = 7,     // footnote-2 comparisons; session RNG streams derive from these values
   kForestBalanced,
   kForestWeighted,
 };
@@ -43,8 +42,7 @@ struct ModelingOptions {
 bool uses_oversampling(ModelKind kind);
 
 /// Build a Trainer for `kind`. Randomized trainers fork `rng`.
-Trainer make_trainer(ModelKind kind, int num_classes, Rng& rng,
-                     const ModelingOptions& opts = {});
+Trainer make_trainer(ModelKind kind, Rng& rng, const ModelingOptions& opts = {});
 
 /// Cross-validated evaluation of one model kind on a case table
 /// (fits the feature space on the full table, as the paper does).

@@ -1,6 +1,5 @@
 #include "obs/chrome_trace.hpp"
 
-#include <cmath>
 #include <cstdio>
 #include <sstream>
 
@@ -23,10 +22,6 @@ std::string_view leaf_of(const std::string& path) {
   const std::size_t slash = path.rfind('/');
   return slash == std::string::npos ? std::string_view(path)
                                     : std::string_view(path).substr(slash + 1);
-}
-
-std::uint64_t us_to_ns(double us) {
-  return us <= 0 ? 0 : static_cast<std::uint64_t>(std::llround(us * 1000.0));
 }
 
 }  // namespace
@@ -55,35 +50,36 @@ std::vector<SpanRecord> parse_trace_json(const std::string& json) {
   std::vector<SpanRecord> out;
   if (const JsonValue* spans = doc.find("spans")) {
     for (const JsonValue& s : spans->as_array()) {
+      const JsonFields f(s, "trace span");
       SpanRecord rec;
-      rec.path = s.at("path").as_string();
-      rec.start_ns = s.at("start_ns").as_u64();
-      rec.dur_ns = s.at("dur_ns").as_u64();
-      if (const JsonValue* tid = s.find("tid"))
-        rec.tid = static_cast<std::uint32_t>(tid->as_u64());
-      if (const JsonValue* req = s.find("req_id")) rec.req_id = req->as_u64();
-      if (const JsonValue* tenant = s.find("tenant")) rec.tenant = tenant->as_string();
+      rec.path = f.get<std::string>("path");
+      rec.start_ns = f.get<std::uint64_t>("start_ns");
+      rec.dur_ns = f.get<std::uint64_t>("dur_ns");
+      rec.tid = f.get("tid", rec.tid);
+      rec.req_id = f.get("req_id", rec.req_id);
+      rec.tenant = f.get("tenant", rec.tenant);
       out.push_back(std::move(rec));
     }
     return out;
   }
   if (const JsonValue* events = doc.find("traceEvents")) {
     for (const JsonValue& e : events->as_array()) {
+      const JsonFields f(e, "chrome trace event");
       // Tolerate foreign phases (metadata, counters) in hand-edited
       // traces; only complete events carry a duration to aggregate.
-      if (const JsonValue* ph = e.find("ph"); ph != nullptr && ph->as_string() != "X") continue;
+      if (f.get<std::string>("ph", "X") != "X") continue;
       SpanRecord rec;
-      const JsonValue* path = e.find("args");
-      const JsonValue* path_arg = path != nullptr ? path->find("path") : nullptr;
-      rec.path = path_arg != nullptr ? path_arg->as_string() : e.at("name").as_string();
-      rec.start_ns = us_to_ns(e.at("ts").as_number());
-      rec.dur_ns = us_to_ns(e.at("dur").as_number());
-      if (const JsonValue* tid = e.find("tid"))
-        rec.tid = static_cast<std::uint32_t>(tid->as_number());
-      if (path != nullptr) {
-        if (const JsonValue* req = path->find("req_id")) rec.req_id = req->as_u64();
-        if (const JsonValue* tenant = path->find("tenant")) rec.tenant = tenant->as_string();
+      const JsonValue* args = e.find("args");
+      if (args != nullptr) {
+        const JsonFields a(*args, "chrome trace event args");
+        rec.path = a.get("path", rec.path);
+        rec.req_id = a.get("req_id", rec.req_id);
+        rec.tenant = a.get("tenant", rec.tenant);
       }
+      if (args == nullptr || args->find("path") == nullptr) rec.path = f.get<std::string>("name");
+      rec.start_ns = f.scaled<std::uint64_t>("ts", 1000.0);  // µs -> ns
+      rec.dur_ns = f.scaled<std::uint64_t>("dur", 1000.0);
+      rec.tid = f.get("tid", rec.tid);
       out.push_back(std::move(rec));
     }
     return out;

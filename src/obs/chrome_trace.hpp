@@ -28,7 +28,8 @@ std::string chrome_trace_json(const std::vector<SpanRecord>& spans);
 /// Parse a trace file back into span records. Accepts Tracer span
 /// JSON ({"spans":[...]}) and Chrome trace JSON ({"traceEvents":[...]},
 /// X events; args.path preferred over name). Throws DataError on
-/// malformed input or an unrecognized shape.
+/// malformed input or an unrecognized shape, and one naming the field
+/// for a time, duration or tid outside its type (util/number.hpp).
 std::vector<SpanRecord> parse_trace_json(const std::string& json);
 
 }  // namespace mpa::obs

@@ -2,12 +2,15 @@
 
 #include <chrono>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <thread>
 
 #include "metrics/practices.hpp"
 #include "obs/metrics.hpp"
+#include "util/error.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/rng.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
@@ -77,14 +80,16 @@ LoadReport SyntheticClient::replay(AnalysisServer& server,
       latency.observe(resp.total_ms * 1e-3);
     }
   } else {
-    const auto interval = std::chrono::duration<double, std::milli>(opts_.request_interval_ms);
+    const std::optional<std::int64_t> interval_ns =
+        scaled<std::int64_t>(opts_.request_interval_ms, 1e6);
+    require(interval_ns.has_value(),
+            "SyntheticClient::replay: request_interval_ms is too long for the clock");
     std::vector<std::uint64_t> ids;
     ids.reserve(trace.size());
     for (std::size_t i = 0; i < trace.size(); ++i) {
       ids.push_back(server.submit(trace[i]));
       if (i + 1 < trace.size())
-        std::this_thread::sleep_for(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(interval));
+        std::this_thread::sleep_for(std::chrono::nanoseconds(*interval_ns));
     }
     server.drain();
     std::map<std::uint64_t, Response> by_id;

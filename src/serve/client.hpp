@@ -101,7 +101,9 @@ class SyntheticClient {
 
   /// Replay `trace` against `server`: closed-loop when
   /// request_interval_ms == 0, open-loop (paced submits, drain at the
-  /// end) otherwise. Every request's response is accounted for.
+  /// end) otherwise. Every request's response is accounted for. An
+  /// interval whose nanoseconds do not fit the clock's 64-bit count is
+  /// a PreconditionError.
   LoadReport replay(AnalysisServer& server, const std::vector<Request>& trace) const;
 
   /// synthesize_trace(options()) + replay().

@@ -1,7 +1,5 @@
 #include "serve/request.hpp"
 
-#include <cmath>
-#include <limits>
 #include <set>
 #include <sstream>
 
@@ -10,30 +8,6 @@
 #include "util/strings.hpp"
 
 namespace mpa::serve {
-namespace {
-
-/// An integer field, `fallback` when absent. Anything but an integral
-/// number within int is a DataError naming the field: a cast of a
-/// fraction truncates silently, and of an out-of-range value is
-/// undefined.
-int int_field(const JsonValue& v, const std::string& key, int fallback) {
-  const JsonValue* f = v.find(key);
-  if (f == nullptr) return fallback;
-  if (f->is_number()) {
-    const double d = f->as_number();
-    if (d == std::trunc(d) && d >= std::numeric_limits<int>::min() &&
-        d <= std::numeric_limits<int>::max())
-      return static_cast<int>(d);
-  }
-  throw DataError("request: " + key + " must be an integer within int");
-}
-
-std::string str_field(const JsonValue& v, const std::string& key, const std::string& fallback) {
-  const JsonValue* f = v.find(key);
-  return f == nullptr ? fallback : f->as_string();
-}
-
-}  // namespace
 
 std::string_view to_string(RequestKind kind) {
   switch (kind) {
@@ -116,23 +90,24 @@ Request Request::from_json(const JsonValue& v) {
   for (const auto& [key, value] : v.as_object())
     if (known.count(key) == 0) throw DataError("request: unknown field '" + key + "'");
 
+  const JsonFields f(v, "request");
   Request req;
-  if (const JsonValue* f = v.find("id")) req.id = f->as_u64();
-  req.tenant = str_field(v, "tenant", req.tenant);
-  req.session = str_field(v, "session", req.session);
-  const std::string kind = str_field(v, "kind", "");
+  req.id = f.get("id", req.id);
+  req.tenant = f.get("tenant", req.tenant);
+  req.session = f.get("session", req.session);
+  const std::string kind = f.get<std::string>("kind", "");
   if (!parse_request_kind(kind, &req.kind))
     throw DataError("request: unknown kind '" + kind + "'");
-  req.month_from = int_field(v, "month_from", req.month_from);
-  req.month_to = int_field(v, "month_to", req.month_to);
-  req.network = str_field(v, "network", req.network);
-  req.top_k = int_field(v, "top_k", req.top_k);
-  req.practice = str_field(v, "practice", req.practice);
-  req.min_severity = str_field(v, "min_severity", req.min_severity);
-  req.classes = int_field(v, "classes", req.classes);
-  req.history = int_field(v, "history", req.history);
-  req.dir = str_field(v, "dir", req.dir);
-  if (const JsonValue* f = v.find("deadline_ms")) req.deadline_ms = f->as_number();
+  req.month_from = f.get("month_from", req.month_from);
+  req.month_to = f.get("month_to", req.month_to);
+  req.network = f.get("network", req.network);
+  req.top_k = f.get("top_k", req.top_k);
+  req.practice = f.get("practice", req.practice);
+  req.min_severity = f.get("min_severity", req.min_severity);
+  req.classes = f.get("classes", req.classes);
+  req.history = f.get("history", req.history);
+  req.dir = f.get("dir", req.dir);
+  req.deadline_ms = f.get("deadline_ms", req.deadline_ms);
   return req;
 }
 

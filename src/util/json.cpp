@@ -1,12 +1,11 @@
 #include "util/json.hpp"
 
 #include <cctype>
-#include <charconv>
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-
-#include "util/error.hpp"
+#include <limits>
+#include <optional>
 
 namespace mpa {
 namespace {
@@ -40,17 +39,20 @@ double JsonValue::as_number() const {
   return num_;
 }
 
-std::uint64_t JsonValue::as_u64() const {
+template <std::integral T>
+T JsonValue::as_integer() const {
   expect_type(*this, Type::kNumber);
-  // Unlike strtoull, from_chars takes no sign for an unsigned type and
-  // reports overflow instead of clamping.
-  std::uint64_t v = 0;
-  const char* end = text_.data() + text_.size();
-  const auto [stop, ec] = std::from_chars(text_.data(), end, v);
-  if (ec != std::errc() || stop != end)
-    throw DataError("json: number '" + text_ + "' is not an unsigned 64-bit integer");
-  return v;
+  if constexpr (std::numeric_limits<T>::digits > std::numeric_limits<double>::digits) {
+    if (const std::optional<T> v = parse_whole<T>(text_)) return *v;
+  } else if (std::trunc(num_) == num_) {
+    if (const std::optional<T> v = scaled<T>(num_, 1.0)) return *v;
+  }
+  throw DataError("json: number " + text_ + " is not an integer in " + range_text<T>());
 }
+
+template int JsonValue::as_integer<int>() const;
+template std::uint32_t JsonValue::as_integer<std::uint32_t>() const;
+template std::uint64_t JsonValue::as_integer<std::uint64_t>() const;
 
 const std::string& JsonValue::as_string() const {
   expect_type(*this, Type::kString);

@@ -25,30 +25,24 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <cstdlib>
 #include <exception>
 #include <functional>
-#include <limits>
+#include <optional>
 #include <thread>
 #include <vector>
 
+#include "util/number.hpp"
 #include "util/sync.hpp"
 
 namespace mpa {
 
 class ThreadPool {
  public:
-  /// MPA_THREADS if set to a positive integer within int, else the
-  /// hardware concurrency (else 1). A value outside int counts as
-  /// unset rather than wrapping.
+  /// MPA_THREADS if it is a positive count under the number rule
+  /// (util/number.hpp), else the hardware concurrency (else 1). Any
+  /// other value (" 3", "+3", one outside int) counts as unset.
   static int default_thread_count() {
-    // NOLINTNEXTLINE(concurrency-mt-unsafe): read once per pool, before its workers exist
-    if (const char* env = std::getenv("MPA_THREADS")) {
-      char* end = nullptr;
-      const long v = std::strtol(env, &end, 10);
-      if (end != env && *end == '\0' && v >= 1 && v <= std::numeric_limits<int>::max())
-        return static_cast<int>(v);
-    }
+    if (const std::optional<int> n = env_count("MPA_THREADS")) return *n;
     const unsigned hw = std::thread::hardware_concurrency();
     return hw == 0 ? 1 : static_cast<int>(hw);
   }

@@ -483,6 +483,23 @@ TEST_F(DatasetIoTest, NegativeDeltaMonthRejectedByName) {
   }
 }
 
+TEST_F(DatasetIoTest, DeltaMonthOutsideIntRejectedByName) {
+  // Regression: month.txt 4294967299 was cast to int and appended as
+  // month 3.
+  const SplitDataset split = split_dataset(small_dataset(), 2);
+  save_month_delta(split.deltas.front(), dir_.string());
+  for (const char* bad : {"4294967299", "2147483648", "2.0", "0x2"}) {
+    spit(dir_ / "month.txt", std::string(bad) + "\n");
+    try {
+      load_month_delta(dir_.string());
+      ADD_FAILURE() << "month " << bad << " accepted";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("month.txt: delta month"), std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 TEST(CheckHeaderToken, RejectsEmptyAndWhitespaceByName) {
   EXPECT_NO_THROW(check_header_token("dev1", "device_id"));
   try {

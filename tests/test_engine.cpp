@@ -642,6 +642,30 @@ TEST(RunManifest, JsonRoundTrip) {
   EXPECT_EQ(back.to_json(), m.to_json());
 }
 
+TEST(RunManifest, CountsOutsideIntAreRejectedByName) {
+  // Regression: threads 4294967297 and months 4294967300 were cast to
+  // int, so `report` printed threads 1 and months 4.
+  const std::string json = RunManifest{}.to_json();
+  for (const std::string field : {"threads", "months"}) {
+    for (const char* bad : {"4294967297", "4294967300", "-1", "2.5"}) {
+      std::string edited = json;
+      const std::string from = "\"" + field + "\":0";
+      edited.replace(edited.find(from), from.size(), "\"" + field + "\":" + bad);
+      try {
+        RunManifest::from_json(edited);
+        ADD_FAILURE() << field << " " << bad << " accepted";
+      } catch (const DataError& e) {
+        EXPECT_NE(std::string(e.what()).find("run manifest: " + field + ":"), std::string::npos)
+            << e.what();
+      }
+    }
+  }
+  // A whole number is read by value, like a request's integer fields.
+  std::string whole = json;
+  whole.replace(whole.find("\"threads\":0"), 11, "\"threads\":4.0");
+  EXPECT_EQ(RunManifest::from_json(whole).threads, 4);
+}
+
 TEST(RunManifest, KeyedSessionPersistsManifestBesideArtifacts) {
   SessionOptions opts;
   opts.artifact_dir = testing::TempDir();

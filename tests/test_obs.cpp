@@ -547,6 +547,67 @@ TEST_F(ObsTest, ParseTraceJsonAcceptsTracerFormat) {
   EXPECT_THROW(obs::parse_trace_json("{\"neither\":1}"), DataError);
 }
 
+/// parse_trace_json's DataError for `json`, or "" when it parses.
+std::string trace_error(const std::string& json) {
+  try {
+    obs::parse_trace_json(json);
+    return "";
+  } catch (const DataError& e) {
+    return e.what();
+  }
+}
+
+std::string chrome_event(const std::string& fields) {
+  return R"({"traceEvents":[{"name":"x","ph":"X","pid":1,)" + fields + "}]}";
+}
+
+std::string span(const std::string& fields) {
+  return R"({"spans":[{"path":"x",)" + fields + "}]}";
+}
+
+TEST(TraceReader, ChromeDurationTooLongForNanosecondsIsRejectedByName) {
+  // Regression: us_to_ns rounded 1e300 µs out of range, and `trace
+  // summarize` printed total=9.22337e+09s.
+  const std::string err = trace_error(chrome_event(R"("ts":1,"dur":1e300,"tid":1)"));
+  EXPECT_NE(err.find("chrome trace event: dur:"), std::string::npos) << err;
+}
+
+TEST(TraceReader, ChromeTidMustBeAWholeUint32) {
+  // Regression: the double was cast straight to uint32_t, undefined for
+  // 1e300 (float-cast-overflow).
+  for (const char* tid : {"1e300", "-1", "4294967296", "2.5"}) {
+    const std::string err =
+        trace_error(chrome_event(R"("ts":1,"dur":2,"tid":)" + std::string(tid)));
+    EXPECT_NE(err.find("chrome trace event: tid:"), std::string::npos) << tid << ": " << err;
+  }
+  EXPECT_EQ(obs::parse_trace_json(chrome_event(R"("ts":1,"dur":2,"tid":4294967295)"))[0].tid,
+            4294967295u);
+}
+
+TEST(TraceReader, BothShapesRejectANegativeDurationByName) {
+  // Regression: a Chrome "dur":-5 read as 0 s, while the span shape's
+  // "dur_ns":-5 was refused without naming the field.
+  std::string err = trace_error(chrome_event(R"("ts":1,"dur":-5,"tid":1)"));
+  EXPECT_NE(err.find("chrome trace event: dur:"), std::string::npos) << err;
+  err = trace_error(span(R"("start_ns":1,"dur_ns":-5)"));
+  EXPECT_NE(err.find("trace span: dur_ns:"), std::string::npos) << err;
+}
+
+TEST(TraceReader, SpanTidAndChromeStartOutsideTheirTypeAreRejectedByName) {
+  // Regression: a span "tid":4294967297 read as tid 1, and a Chrome
+  // "ts":1e300 as start_ns 9223372036854775808.
+  std::string err = trace_error(span(R"("start_ns":1,"dur_ns":5,"tid":4294967297)"));
+  EXPECT_NE(err.find("trace span: tid:"), std::string::npos) << err;
+  err = trace_error(chrome_event(R"("ts":1e300,"dur":2,"tid":1)"));
+  EXPECT_NE(err.find("chrome trace event: ts:"), std::string::npos) << err;
+}
+
+TEST(TraceReader, BothShapesReadAWholeTidByValue) {
+  // The one loosening: a span tid, like a Chrome tid, reads 7.0 as 7.
+  EXPECT_EQ(obs::parse_trace_json(span(R"("start_ns":1,"dur_ns":5,"tid":7.0)"))[0].tid, 7u);
+  EXPECT_EQ(obs::parse_trace_json(chrome_event(R"("ts":1,"dur":2,"tid":7.0)"))[0].tid, 7u);
+}
+
 TEST_F(ObsTest, SummarizeSpansMatchesTracerSummary) {
   { obs::Span a("alpha"); }
   {

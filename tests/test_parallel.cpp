@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cstdlib>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "util/parallel.hpp"
@@ -33,6 +34,22 @@ TEST(ThreadPool, DefaultThreadCountTreatsMpaThreadsOutsideIntAsUnset) {
   }
   setenv("MPA_THREADS", "2147483647", 1);  // INT_MAX itself is a valid count.
   EXPECT_EQ(ThreadPool::default_thread_count(), 2147483647);
+  unsetenv("MPA_THREADS");
+}
+
+TEST(ThreadPool, DefaultThreadCountTreatsSignsAndSpacesAsUnset) {
+  // Regression: strtol skipped leading whitespace and took a '+', so
+  // " 3" and "+3" ran 3 threads while --threads refused both. Counts
+  // one above the unset value, so a match cannot be a coincidence.
+  unsetenv("MPA_THREADS");
+  const int unset = ThreadPool::default_thread_count();
+  const std::string n = std::to_string(unset + 1);
+  for (const std::string& v : {" " + n, "+" + n, n + " ", n + "\n", "0x" + n}) {
+    setenv("MPA_THREADS", v.c_str(), 1);
+    EXPECT_EQ(ThreadPool::default_thread_count(), unset) << "MPA_THREADS='" << v << "'";
+  }
+  setenv("MPA_THREADS", n.c_str(), 1);
+  EXPECT_EQ(ThreadPool::default_thread_count(), unset + 1);
   unsetenv("MPA_THREADS");
 }
 

@@ -678,6 +678,23 @@ TEST(RequestWire, IntegerFieldsMustBeIntegralAndWithinInt) {
   EXPECT_EQ(Request::from_json(parse_json(R"({"kind":"predict","classes":5.0})")).classes, 5);
 }
 
+TEST(RequestWire, StringFieldsNameThemselves) {
+  // Regression: a mistyped string field was logged as the bare "json:
+  // expected string, got number", naming no field.
+  for (const auto& [line, field] :
+       std::vector<std::pair<std::string, std::string>>{
+           {R"({"id":1,"kind":"rank","tenant":5})", "request: tenant:"},
+           {R"({"id":3,"kind":7})", "request: kind:"},
+           {R"({"id":4,"kind":"causal","practice":["x"]})", "request: practice:"}}) {
+    try {
+      Request::from_json(parse_json(line));
+      ADD_FAILURE() << line << " parsed";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find(field), std::string::npos) << e.what();
+    }
+  }
+}
+
 TEST(RequestWire, IdMustBeAnUnsigned64BitInteger) {
   // Regression: id -1 was read as 18446744073709551615.
   for (const char* bad : {"-1", "18446744073709551616", "1.5"})
@@ -1358,6 +1375,15 @@ TEST(Client, ClosedLoopReplayAccountsForEveryRequest) {
   EXPECT_GE(report.p99_ms, report.p50_ms);
   EXPECT_NE(report.to_json().find("\"total\":6"), std::string::npos);
   EXPECT_NE(report.to_text().find("throughput"), std::string::npos);
+}
+
+TEST(Client, ReplayRefusesAnIntervalTheClockCannotHold) {
+  // The pacing interval becomes a nanosecond count; one that does not
+  // fit is a PreconditionError rather than an undefined cast.
+  AnalysisServer server(two_session_opts(1));
+  ClientOptions opts;
+  opts.request_interval_ms = 1e300;
+  EXPECT_THROW(SyntheticClient(opts).replay(server, {}), PreconditionError);
 }
 
 TEST(Client, StatsOnlyWeightsSynthesizeIntrospectionRequests) {

@@ -210,6 +210,39 @@ TEST(Srclint, MutexMembersMustBackAnnotations) {
   EXPECT_EQ(run_srclint(clean.root()).exit_code, 0);
 }
 
+TEST(Srclint, NumberParsingLivesInUtilOnly) {
+  Fixture fx("srclint_numbers");
+  const std::string calls =
+      "#include <charconv>\n"
+      "#include <cstdlib>\n"
+      "#include <string>\n"
+      "int f(const std::string& s) {\n"
+      "  int v = 0;\n"
+      "  std::from_chars(s.data(), s.data() + s.size(), v);\n"
+      "  v += atoi(s.c_str()) + std::stoi(s);\n"
+      "  v += static_cast<int>(std::strtoull(s.c_str(), nullptr, 10));\n"
+      "  return v + static_cast<int>(strtod(s.c_str(), nullptr) + std::stod(s));\n"
+      "}\n";
+  fx.put("src/io/bad.cpp", calls);
+  fx.put("tools/bad_tool.cpp", calls);
+  fx.put("bench/bad_bench.cpp", calls);
+  const LintResult res = run_srclint(fx.root());
+  EXPECT_EQ(res.exit_code, 1);
+  EXPECT_EQ(count_rule(res.out, "number-parse"), 12) << res.out;  // 4 lines x 3 files
+
+  // src/util/ owns the rule; mentions in comments and strings, and
+  // names that merely contain a banned one, are not calls.
+  Fixture clean("srclint_numbers_clean");
+  clean.put("src/util/number.hpp", calls);
+  clean.put("src/io/ok.cpp",
+            "// from_chars is not called here; neither is atoi(x).\n"
+            "const char* kWhy = \"strtod(x)\";\n"
+            "int parse_whole_atoi(int x) { return x; }\n"
+            "int g() { return parse_whole_atoi(1); }\n");
+  EXPECT_EQ(run_srclint(clean.root()).exit_code, 0);
+  EXPECT_NE(run_srclint("--list-rules").out.find("number-parse"), std::string::npos);
+}
+
 TEST(Srclint, PragmasSuppressSameOrPrecedingLineAndWholeFile) {
   Fixture fx("srclint_pragma");
   fx.put("src/stats/ok.cpp",

@@ -24,11 +24,11 @@
 //       reproduces the original dataset bit-exactly).
 //   mpa_cli ingest <dir> --deltas D1[,D2,...] [--out cases.csv]
 //              [--rank-out FILE]
-//       Open a session over the dataset, warm the case table / lint /
-//       dependence artifacts, then append each month-delta directory
-//       in order through AnalysisSession::append_month, which extends
-//       the case table and lint in place and drops the dependence
-//       rankings for a lazy rebuild. Prints the serve `ingest` body
+//       Open a session over the dataset, warm the case table and lint,
+//       then append each month-delta directory in order through
+//       AnalysisSession::append_month, which extends both in place
+//       (the dependence rankings, if any, rebuild lazily on the next
+//       request). Prints the serve `ingest` body
 //       per month; --out dumps the final case table CSV and --rank-out
 //       the final dependence rankings (both bit-identical to a
 //       from-scratch run over the merged data).
@@ -87,18 +87,16 @@
 //
 // Export files are written on every exit path — a run that failed with
 // exit 1/2/3 still leaves its metrics, trace, log, and manifest behind.
-#include <charconv>
 #include <chrono>
-#include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
+#include <optional>
 #include <set>
 #include <sstream>
 #include <string>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 #include "config/dialect.hpp"
@@ -116,6 +114,7 @@
 #include "serve/server.hpp"
 #include "simulation/osp_generator.hpp"
 #include "util/json.hpp"
+#include "util/number.hpp"
 #include "util/strings.hpp"
 #include "util/sync.hpp"
 #include "util/table.hpp"
@@ -124,55 +123,44 @@ namespace {
 
 using namespace mpa;
 
-/// A malformed invocation (unknown flag value etc.): print the
-/// message + usage and exit 2, instead of dying on an uncaught
-/// std::invalid_argument out of std::stoi.
+/// A malformed invocation (an unknown flag, a value that breaks the
+/// number rule): print the message + usage and exit 2.
 struct UsageError {
   std::string message;
 };
-
-/// `text` parsed whole into `*out`: within T's range, a sign only on a
-/// signed type, and for a double a finite value.
-template <typename T>
-bool parse_whole(const std::string& text, T* out) {
-  const char* end = text.data() + text.size();
-  const auto [stop, ec] = std::from_chars(text.data(), end, *out);
-  if (ec != std::errc() || stop != end) return false;
-  if constexpr (std::is_floating_point_v<T>) return std::isfinite(*out);
-  return true;
-}
 
 struct Args {
   std::string command;
   std::string dir;
   std::map<std::string, std::string> flags;
 
-  /// The flag's value parsed whole as T (parse_whole), `fallback` when
-  /// the flag is absent; any other value is a UsageError naming it.
+  /// The flag's value under the number rule (util/number.hpp) and at
+  /// least `min_v`, `fallback` when the flag is absent; any other value
+  /// is a UsageError naming the flag.
   template <typename T>
-  T get_number(const std::string& key, T fallback, const char* expects) const {
+  T get_number(const std::string& key, T fallback,
+               T min_v = std::numeric_limits<T>::lowest()) const {
     const auto it = flags.find(key);
     if (it == flags.end()) return fallback;
-    T v{};
-    if (!parse_whole(it->second, &v))
+    const std::optional<T> v = parse_whole<T>(it->second);
+    if (!v) {
+      std::string expects = std::integral<T> ? "an integer in " : "a finite number";
+      if constexpr (std::integral<T>) expects += range_text<T>();
       throw UsageError{"--" + key + " expects " + expects + ", got '" + it->second + "'"};
-    return v;
+    }
+    if (*v < min_v)
+      throw UsageError{"--" + key + " must be at least " + json_number(min_v) + ", got " +
+                       it->second};
+    return *v;
   }
-  int get_int(const std::string& key, int fallback) const {
-    return get_number(key, fallback, "an integer within int");
-  }
-  int get_int_min(const std::string& key, int fallback, int min_v) const {
-    const int v = get_int(key, fallback);
-    if (v < min_v)
-      throw UsageError{"--" + key + " must be at least " + std::to_string(min_v) + ", got " +
-                       std::to_string(v)};
-    return v;
-  }
-  std::uint64_t get_u64(const std::string& key, std::uint64_t fallback) const {
-    return get_number(key, fallback, "an unsigned 64-bit integer");
-  }
-  double get_double(const std::string& key, double fallback) const {
-    return get_number(key, fallback, "a finite number");
+  /// A pause in ms (--interval-ms): at least 0, and short enough that
+  /// its nanoseconds fit the clock's 64-bit count.
+  double get_interval_ms(const std::string& key, double fallback) const {
+    const double ms = get_number(key, fallback, 0.0);
+    if (!scaled<std::int64_t>(ms, 1e6))
+      throw UsageError{"--" + key + " expects milliseconds in [0, 9223372036854], got '" +
+                       get(key) + "'"};
+    return ms;
   }
   std::string get(const std::string& key, const std::string& fallback = "") const {
     const auto it = flags.find(key);
@@ -329,9 +317,9 @@ int usage() {
 /// where it applies).
 SessionOptions session_options(const Args& args) {
   SessionOptions opts;
-  opts.inference.event_window = args.get_int_min("delta", 5, 0);
-  opts.causal.p_threshold = args.get_double("threshold", opts.causal.p_threshold);
-  opts.threads = args.get_int_min("threads", 0, 0);
+  opts.inference.event_window = args.get_number("delta", 5, 0);
+  opts.causal.p_threshold = args.get_number("threshold", opts.causal.p_threshold);
+  opts.threads = args.get_number("threads", 0, 0);
   return opts;
 }
 
@@ -365,18 +353,18 @@ class ColumnarSink final : public OspSink {
 
 ColumnarWriteOptions shard_options(const Args& args) {
   ColumnarWriteOptions opts;
-  opts.max_shard_bytes = static_cast<std::size_t>(args.get_int_min("shard-mb", 64, 1)) << 20;
+  opts.max_shard_bytes = static_cast<std::size_t>(args.get_number("shard-mb", 64, 1)) << 20;
   return opts;
 }
 
 int cmd_generate(const Args& args) {
   OspOptions opts;
-  opts.num_networks = args.get_int_min("networks", 50, 1);
-  opts.num_months = args.get_int_min("months", 12, 1);
-  opts.seed = args.get_u64("seed", 1);
-  opts.design.min_devices = args.get_int_min("min-devices", opts.design.min_devices, 1);
+  opts.num_networks = args.get_number("networks", 50, 1);
+  opts.num_months = args.get_number("months", 12, 1);
+  opts.seed = args.get_number("seed", std::uint64_t{1});
+  opts.design.min_devices = args.get_number("min-devices", opts.design.min_devices, 1);
   opts.design.max_devices =
-      args.get_int_min("max-devices", opts.design.max_devices, opts.design.min_devices);
+      args.get_number("max-devices", opts.design.max_devices, opts.design.min_devices);
   const std::string format = args.get("format", "csv");
   if (format == "mpac") {
     // Streaming path: records flow network-by-network through the
@@ -466,7 +454,7 @@ int cmd_infer(const Args& args) {
 int cmd_rank(const Args& args) {
   serve::Request req;
   req.kind = serve::RequestKind::kRank;
-  req.top_k = args.get_int_min("top", 10, 1);
+  req.top_k = args.get_number("top", 10, 1);
   return print_response(args, req);
 }
 
@@ -481,13 +469,13 @@ int cmd_causal(const Args& args) {
 int cmd_predict(const Args& args) {
   serve::Request req;
   req.kind = serve::RequestKind::kPredict;
-  req.classes = args.get_int_min("classes", 2, 2);
-  req.history = args.get_int_min("history", 3, 1);
+  req.classes = args.get_number("classes", 2, 2);
+  req.history = args.get_number("history", 3, 1);
   return print_response(args, req);
 }
 
 int cmd_split(const Args& args) {
-  const int first = args.get_int_min("first-month", 1, 1);
+  const int first = args.get_number("first-month", 1, 1);
   const std::string out = args.get("out");
   if (out.empty()) throw UsageError{"split: --out DIR required"};
   const SplitDataset split = split_dataset(load_dataset(args.dir), first);
@@ -503,11 +491,10 @@ int cmd_ingest(const Args& args) {
   const std::string deltas = args.get("deltas");
   if (deltas.empty()) throw UsageError{"ingest: --deltas D1[,D2,...] required"};
   AnalysisSession session = session_from_dir(args);
-  // Warm the maintained artifacts so the appends exercise the
-  // incremental paths rather than leaving everything to lazy rebuild.
+  // Warm the artifacts an append extends in place, so the appends
+  // exercise the incremental paths rather than a lazy rebuild.
   session.case_table();
   session.lint();
-  session.dependence();
   serve::Request req;
   req.kind = serve::RequestKind::kIngest;
   for (const std::string& dir : split(deltas, ',')) {
@@ -596,25 +583,24 @@ int cmd_trace_summarize(const Args& args) {
 /// Scheduler + session options shared by `serve` and `replay`.
 serve::ServerOptions server_options(const Args& args) {
   serve::ServerOptions opts;
-  opts.scheduler.workers = args.get_int_min("workers", 2, 1);
+  opts.scheduler.workers = args.get_number("workers", 2, 1);
   opts.scheduler.max_active_reqs =
-      static_cast<std::size_t>(args.get_int_min("max-active", 64, 1));
+      static_cast<std::size_t>(args.get_number("max-active", 64, 1));
   opts.scheduler.max_queue_depth =
-      static_cast<std::size_t>(args.get_int_min("queue-depth", 256, 1));
-  opts.scheduler.default_deadline_ms = args.get_double("deadline-ms", 0);
-  if (opts.scheduler.default_deadline_ms < 0)
-    throw UsageError{"--deadline-ms must be >= 0"};
+      static_cast<std::size_t>(args.get_number("queue-depth", 256, 1));
+  opts.scheduler.default_deadline_ms = args.get_number("deadline-ms", 0.0, 0.0);
   opts.session = session_options(args);
-  opts.slow_log_entries = static_cast<std::size_t>(args.get_int_min("slow-log", 16, 1));
+  opts.slow_log_entries = static_cast<std::size_t>(args.get_number("slow-log", 16, 1));
   if (obs::enabled()) {
     // Shape the process-wide rolling window before the server exists;
     // the scheduler resolves to this instance, and write_observability
     // exports it on every exit path alongside the cumulative registry.
     obs::WindowOptions wopts;
-    wopts.buckets = static_cast<std::size_t>(args.get_int_min("window-buckets", 60, 1));
-    const std::uint64_t width_ms = args.get_u64("window-bucket-ms", 1000);
-    if (width_ms == 0) throw UsageError{"--window-bucket-ms must be >= 1"};
-    wopts.bucket_width_ns = width_ms * 1'000'000;
+    wopts.buckets = static_cast<std::size_t>(args.get_number("window-buckets", 60, 1));
+    const auto width_ms = args.get_number("window-bucket-ms", std::uint64_t{1000}, {1});
+    const std::optional<std::uint64_t> width_ns = scaled<std::uint64_t>(width_ms, 1'000'000);
+    if (!width_ns) throw UsageError{"--window-bucket-ms must be at most 18446744073709 ms"};
+    wopts.bucket_width_ns = *width_ns;
     obs::WindowRegistry::global().configure(std::move(wopts));
   }
   return opts;
@@ -710,9 +696,8 @@ std::string render_top(const std::string& body, std::uint64_t frame) {
 /// Because introspection is answered at submit, the daemon responds
 /// even when its queue is saturated.
 int cmd_top(const Args& args) {
-  const double interval_ms = args.get_double("interval-ms", 1000);
-  if (interval_ms < 0) throw UsageError{"--interval-ms must be >= 0"};
-  const int iterations = args.get_int_min("iterations", 0, 0);
+  const double interval_ms = args.get_interval_ms("interval-ms", 1000);
+  const int iterations = args.get_number("iterations", 0, 0);
 
   std::uint64_t rendered = 0;
   std::string line;
@@ -748,12 +733,11 @@ int cmd_replay(const Args& args) {
   const serve::ServerOptions opts = server_options(args);
 
   serve::ClientOptions copts;
-  copts.request_total_cnt = args.get_int_min("requests", 32, 1);
-  copts.request_interval_ms = args.get_double("interval-ms", 0);
-  if (copts.request_interval_ms < 0) throw UsageError{"--interval-ms must be >= 0"};
-  copts.seed = args.get_u64("seed", 1);
+  copts.request_total_cnt = args.get_number("requests", 32, 1);
+  copts.request_interval_ms = args.get_interval_ms("interval-ms", 0);
+  copts.seed = args.get_number("seed", std::uint64_t{1});
   copts.deadline_ms = opts.scheduler.default_deadline_ms;
-  const int tenants = args.get_int_min("tenants", 1, 1);
+  const int tenants = args.get_number("tenants", 1, 1);
   copts.tenants.clear();
   for (int i = 0; i < tenants; ++i) copts.tenants.push_back("tenant" + std::to_string(i));
 
@@ -774,8 +758,7 @@ int cmd_replay(const Args& args) {
     f << serve::trace_to_jsonl(trace);
   }
 
-  const double slo_ms = args.get_double("slo-ms", 0);
-  if (slo_ms < 0) throw UsageError{"--slo-ms must be >= 0"};
+  const double slo_ms = args.get_number("slo-ms", 0.0, 0.0);
   const std::string slo_report_path = args.get("slo-report");
   const std::string loads_flag = args.get("loads");
 
@@ -787,10 +770,12 @@ int cmd_replay(const Args& args) {
     if (slo_ms <= 0) throw UsageError{"replay: --loads requires --slo-ms"};
     std::vector<double> loads;
     for (const std::string& tok : split(loads_flag, ',')) {
-      double rps = 0;
-      if (!parse_whole(tok, &rps) || rps <= 0)
-        throw UsageError{"--loads expects positive req/s values, got '" + tok + "'"};
-      loads.push_back(rps);
+      // Each load becomes a pause of 1000/rps ms, which must fit the
+      // clock like --interval-ms.
+      const std::optional<double> rps = parse_whole<double>(tok);
+      if (!rps || *rps <= 0 || !scaled<std::int64_t>(1000.0 / *rps, 1e6))
+        throw UsageError{"--loads expects req/s values of at least 1.1e-10, got '" + tok + "'"};
+      loads.push_back(*rps);
     }
     std::ostringstream sweep;
     sweep << "{\"slo_ms\":" << json_number(slo_ms) << ",\"loads\":[";

@@ -35,6 +35,13 @@
 //                         least one capability annotation
 //                         (GUARDED_BY / REQUIRES / ACQUIRE / ...) in
 //                         the same file.
+//   number-parse          one module reads numbers from outside
+//                         bytes: outside src/util/, code under src/,
+//                         tools/ and bench/ never calls from_chars,
+//                         the C strto*/ato* parsers or std::sto*;
+//                         it goes through util/number.hpp (and
+//                         util/json's accessors), which state the
+//                         number rule once.
 //   bad-pragma            a srclint-disable pragma that names no rule
 //                         or gives no reason is itself a finding —
 //                         suppressions are documented decisions.
@@ -112,6 +119,7 @@ const std::vector<std::pair<std::string, std::string>>& rule_catalog() {
       {"layering", "src/ layer includes must follow the allowed DAG"},
       {"raw-output", "no std::cout/printf/puts in src/ libraries"},
       {"mutex-annotation", "mutexes are annotated mpa::Mutex capabilities, never raw"},
+      {"number-parse", "numbers from outside bytes are read only through src/util/"},
       {"bad-pragma", "srclint-disable pragmas must name a rule and a reason"},
   };
   return rules;
@@ -219,6 +227,7 @@ class FileScan {
     scan_layering(layer);
     scan_raw_output(in_src);
     scan_mutex_annotation(in_src);
+    scan_number_parse(layer);
     return std::move(findings_);
   }
 
@@ -389,6 +398,22 @@ class FileScan {
                "Mutex '" + name +
                    "' backs no capability annotation in this file; add GUARDED_BY/REQUIRES/"
                    "EXCLUDES (or a pragma explaining why none applies)");
+    }
+  }
+
+  void scan_number_parse(const std::string& layer) {
+    const bool scoped =
+        under_dir(path_, "src") || under_dir(path_, "tools") || under_dir(path_, "bench");
+    if (!scoped || layer == "util") return;
+    static const std::regex call(
+        R"(\b(?:std\s*::\s*)?(?:from_chars|strto(?:l|ll|ul|ull|f|d|ld)|ato(?:i|l|ll|f)|)"
+        R"(sto(?:i|l|ll|ul|ull|f|d|ld))\s*\()");
+    for (std::size_t i = 0; i < lines_.size(); ++i) {
+      if (std::regex_search(strip_noise(lines_[i]), call))
+        report(i + 1, "number-parse",
+               "numbers from outside bytes are read through util/number.hpp (parse_whole, "
+               "scaled, env_count) or util/json (as_integer, JsonFields), which state the "
+               "number rule once");
     }
   }
 
