@@ -123,8 +123,4 @@ std::vector<StanzaChange> diff(const DeviceConfig& before, const DeviceConfig& a
   return diff(handles_of(before), handles_of(after));
 }
 
-bool is_change(const DeviceConfig& before, const DeviceConfig& after) {
-  return !diff(before, after).empty();
-}
-
 }  // namespace mpa

@@ -45,8 +45,4 @@ std::vector<StanzaChange> diff(std::span<const Stanza* const> before,
 /// diff() over two configs' stanzas.
 std::vector<StanzaChange> diff(const DeviceConfig& before, const DeviceConfig& after);
 
-/// True if the two configs differ in at least one stanza — i.e. this
-/// snapshot pair counts as "a configuration change" (O1).
-bool is_change(const DeviceConfig& before, const DeviceConfig& after);
-
 }  // namespace mpa

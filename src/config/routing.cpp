@@ -29,9 +29,11 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-// Facts about one process that adjacency rules consult.
+// Facts about one routing process (a protocol stanza on one device)
+// that adjacency rules consult.
 struct ProcFacts {
-  RoutingProcess proc;
+  std::string device_id;
+  std::string protocol;                  // "bgp", "ospf", or "mstp"
   std::set<std::uint32_t> neighbor_ips;  // BGP neighbor targets
   std::set<Ipv4Prefix> subnets;          // canonical subnets of network stmts
   const DeviceView* device = nullptr;    // owns the interface addresses
@@ -47,7 +49,8 @@ std::vector<ProcFacts> gather_facts(const std::vector<DeviceView>& network) {
         const std::string_view construct = dev.construct_of(s);
         if (construct.empty()) continue;
         ProcFacts f;
-        f.proc = RoutingProcess{dev.device_id(), std::string(construct), s.name};
+        f.device_id = dev.device_id();
+        f.protocol = construct;
         f.device = &dev;
         for (const auto& v : s.get_all("neighbor")) {
           const auto tokens = split_ws(v);
@@ -62,7 +65,8 @@ std::vector<ProcFacts> gather_facts(const std::vector<DeviceView>& network) {
         out.push_back(std::move(f));
       } else if (agnostic == "spanning-tree") {
         ProcFacts f;
-        f.proc = RoutingProcess{dev.device_id(), "mstp", s.name};
+        f.device_id = dev.device_id();
+        f.protocol = "mstp";
         f.device = &dev;
         f.region = s.get("region").value_or(s.name);
         out.push_back(std::move(f));
@@ -73,31 +77,25 @@ std::vector<ProcFacts> gather_facts(const std::vector<DeviceView>& network) {
 }
 
 bool adjacent(const ProcFacts& a, const ProcFacts& b) {
-  if (a.proc.protocol != b.proc.protocol) return false;
-  if (a.proc.device_id == b.proc.device_id) return false;
-  if (a.proc.protocol == "bgp") {
+  if (a.protocol != b.protocol) return false;
+  if (a.device_id == b.device_id) return false;
+  if (a.protocol == "bgp") {
     for (std::uint32_t ip : a.neighbor_ips)
       if (b.device->owns(ip)) return true;
     for (std::uint32_t ip : b.neighbor_ips)
       if (a.device->owns(ip)) return true;
     return false;
   }
-  if (a.proc.protocol == "ospf") {
+  if (a.protocol == "ospf") {
     for (const auto& s : a.subnets)
       if (b.subnets.count(s)) return true;
     return false;
   }
-  if (a.proc.protocol == "mstp") return a.region == b.region && !a.region.empty();
+  if (a.protocol == "mstp") return a.region == b.region && !a.region.empty();
   return false;
 }
 
 }  // namespace
-
-std::vector<RoutingProcess> extract_processes(const std::vector<DeviceView>& network) {
-  std::vector<RoutingProcess> out;
-  for (auto& f : gather_facts(network)) out.push_back(std::move(f.proc));
-  return out;
-}
 
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceView>& network) {
   const auto facts = gather_facts(network);
@@ -110,8 +108,8 @@ std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceV
   for (std::size_t i = 0; i < facts.size(); ++i) {
     const std::size_t root = uf.find(i);
     auto& inst = groups[root];
-    inst.protocol = facts[i].proc.protocol;
-    inst.member_devices.push_back(facts[i].proc.device_id);
+    inst.protocol = facts[i].protocol;
+    inst.member_devices.push_back(facts[i].device_id);
   }
   std::vector<RoutingInstance> out;
   out.reserve(groups.size());

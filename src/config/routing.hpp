@@ -21,13 +21,6 @@
 
 namespace mpa {
 
-/// One routing process: a protocol stanza on one device.
-struct RoutingProcess {
-  std::string device_id;
-  std::string protocol;  ///< "bgp", "ospf", or "mstp".
-  std::string key;       ///< AS number / process id / region name.
-};
-
 /// One routing instance: the transitive closure of adjacent processes.
 struct RoutingInstance {
   std::string protocol;
@@ -35,9 +28,6 @@ struct RoutingInstance {
 
   std::size_t size() const { return member_devices.size(); }
 };
-
-/// Extract all routing processes configured in a network.
-std::vector<RoutingProcess> extract_processes(const std::vector<DeviceView>& network);
 
 /// Group processes into instances via union-find over adjacency.
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceView>& network);

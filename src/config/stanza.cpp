@@ -1,7 +1,5 @@
 #include "config/stanza.hpp"
 
-#include <algorithm>
-
 namespace mpa {
 
 std::optional<std::string> Stanza::get(std::string_view key) const {
@@ -29,14 +27,6 @@ void Stanza::replace(std::string_view key, std::string value) {
     }
   }
   set(std::string(key), std::move(value));
-}
-
-std::size_t Stanza::erase(std::string_view key) {
-  const auto it = std::remove_if(options.begin(), options.end(),
-                                 [&](const Option& o) { return o.key == key; });
-  const auto n = static_cast<std::size_t>(options.end() - it);
-  options.erase(it, options.end());
-  return n;
 }
 
 const Stanza* DeviceConfig::find(std::string_view type, std::string_view name) const {

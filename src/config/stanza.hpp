@@ -47,8 +47,6 @@ struct Stanza {
   void set(std::string key, std::string value);
   /// Replace the first option with `key` (appends if absent).
   void replace(std::string_view key, std::string value);
-  /// Remove all options with `key`; returns how many were removed.
-  std::size_t erase(std::string_view key);
 
   friend bool operator==(const Stanza&, const Stanza&) = default;
 };

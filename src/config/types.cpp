@@ -59,10 +59,6 @@ std::string_view normalize_type(std::string_view native_type) {
   return native_type;
 }
 
-bool is_middlebox_type(std::string_view agnostic_type) {
-  return agnostic_type == "pool" || agnostic_type == "virtual-server";
-}
-
 PlaneLayer layer_of(std::string_view construct) {
   if (construct == "vlan" || construct == "spanning-tree" || construct == "link-aggregation" ||
       construct == "udld" || construct == "dhcp-relay") {

@@ -19,11 +19,6 @@ namespace mpa {
 /// aliases `native_type` and is valid only while that string lives.
 std::string_view normalize_type(std::string_view native_type);
 
-/// True if the agnostic type is a middlebox-specific construct
-/// (load-balancer pools and virtual servers, firewall ACL terms live on
-/// firewalls too but are not middlebox-exclusive).
-bool is_middlebox_type(std::string_view agnostic_type);
-
 /// Data/control-plane construct classification used for the D4/D5
 /// protocol-count metrics. L2 constructs: vlan, spanning-tree,
 /// link-aggregation, udld, dhcp-relay. L3 constructs: bgp, ospf.

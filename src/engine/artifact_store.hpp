@@ -61,8 +61,8 @@ class ArtifactStore {
   /// false when the store is disabled or the write fails.
   bool save_manifest_json(const std::string& key, const std::string& json) const;
 
-  /// Delete the artifacts for `key` (used by explicit invalidation),
-  /// including its manifest.
+  /// Delete the artifacts for `key`, including its manifest (the stale
+  /// sweep of AnalysisSession::append_month).
   void remove(const std::string& key) const;
 
  private:

@@ -89,7 +89,7 @@ void register_engine_metrics() {
   auto& reg = obs::Registry::global();
   for (const StageCount& c : kStageCounts) reg.counter(c.counter);
   for (const char* name :
-       {"mpa_session_invalidations_total", "mpa_session_cmi_pairs_total",
+       {"mpa_session_cmi_pairs_total",
         "mpa_artifact_store_hits_total", "mpa_artifact_store_misses_total",
         "mpa_artifact_store_saves_total", "mpa_pool_jobs_total", "mpa_pool_tasks_total",
         "mpa_pool_inline_jobs_total", "mpa_pool_worker_joins_total",
@@ -546,38 +546,6 @@ std::uint64_t AnalysisSession::fingerprint() const {
   MutexLock lk(stats_mu_);
   if (!fingerprint_) fingerprint_ = dataset_fingerprint(inventory_, snapshots_, tickets_);
   return *fingerprint_;
-}
-
-void AnalysisSession::invalidate() {
-  table_.reset();
-  lint_.reset();
-  dependence_.reset();
-  causal_.clear();
-  cv_.clear();
-  if (obs::enabled()) obs::Registry::global().counter("mpa_session_invalidations_total").add(1);
-  obs::LogEvent(obs::LogLevel::kInfo, "session_invalidate")
-      .str("artifact_key", opts_.artifact_key);
-  if (!opts_.artifact_key.empty()) store_.remove(opts_.artifact_key);
-}
-
-void AnalysisSession::replace_data(Inventory inventory, SnapshotStore snapshots,
-                                   TicketLog tickets) {
-  // A byte-identical replacement is a no-op: every artifact is a pure
-  // function of (data, options, seed), so matching fingerprints mean
-  // the warm cache is still exactly right — don't invalidate it.
-  if (dataset_fingerprint(inventory, snapshots, tickets) == fingerprint()) {
-    obs::LogEvent(obs::LogLevel::kDebug, "session_replace_noop")
-        .str("artifact_key", opts_.artifact_key);
-    return;
-  }
-  inventory_ = std::move(inventory);
-  snapshots_ = std::move(snapshots);
-  tickets_ = std::move(tickets);
-  {
-    MutexLock lk(stats_mu_);
-    fingerprint_.reset();
-  }
-  invalidate();
 }
 
 }  // namespace mpa

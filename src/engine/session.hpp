@@ -2,7 +2,7 @@
 //
 // A session wraps the three raw data sources (inventory, snapshot
 // archive, ticket log) and serves every derived artifact behind a
-// memoizing cache with explicit invalidation:
+// memoizing cache (append_month maintains or drops each one):
 //
 //   case_table()    the inferred (network, month) case table (§2),
 //                   optionally persisted through an ArtifactStore
@@ -168,17 +168,6 @@ class AnalysisSession {
   /// is unchanged. Stage calls are single-owner like every other stage
   /// (the serving layer routes ingest through SessionManager).
   AppendResult append_month(const MonthDelta& delta) EXCLUDES(stats_mu_);
-
-  /// Drop every derived artifact, including the persisted case table,
-  /// lint report, and manifest sidecars when the session is keyed. The
-  /// next request recomputes.
-  void invalidate();
-
-  /// Swap in new data sources; implies invalidate(). A replacement
-  /// whose dataset fingerprint matches the current data is a no-op:
-  /// every artifact is a pure function of (data, options, seed), so
-  /// identical data keeps the cache warm and counts no invalidation.
-  void replace_data(Inventory inventory, SnapshotStore snapshots, TicketLog tickets);
 
   /// Cache observability (tests + tooling): counts over the manifest's
   /// stage records by (stage, source). Each record also bumps its

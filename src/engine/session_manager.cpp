@@ -5,18 +5,6 @@
 #include "util/error.hpp"
 
 namespace mpa {
-namespace {
-
-void count(const char* name) {
-  if (obs::enabled()) obs::Registry::global().counter(name).add(1);
-}
-
-void set_resident(std::size_t n) {
-  if (obs::enabled())
-    obs::Registry::global().gauge("mpa_sessions_resident").set(static_cast<double>(n));
-}
-
-}  // namespace
 
 void SessionManager::open(const std::string& key, AnalysisSession session) {
   if (key.empty()) throw DataError("SessionManager::open: empty session key");
@@ -25,49 +13,20 @@ void SessionManager::open(const std::string& key, AnalysisSession session) {
     MutexLock lk(mu_);
     if (sessions_.count(key) != 0)
       throw DataError("SessionManager::open: session '" + key + "' already open");
-    sessions_.emplace(key, std::make_shared<Entry>(std::move(session)));
-    ++stats_.opened;
+    sessions_.emplace(key, std::make_unique<Entry>(std::move(session)));
     resident = sessions_.size();
   }
-  count("mpa_session_manager_opens_total");
-  set_resident(resident);
+  if (obs::enabled()) {
+    auto& reg = obs::Registry::global();
+    reg.counter("mpa_session_manager_opens_total").add(1);
+    reg.gauge("mpa_sessions_resident").set(static_cast<double>(resident));
+  }
   obs::LogEvent(obs::LogLevel::kInfo, "session_register").str("key", key);
 }
 
 void SessionManager::open_directory(const std::string& key, const std::string& dir,
                                     SessionOptions opts) {
   open(key, AnalysisSession::from_directory(dir, std::move(opts)));
-}
-
-bool SessionManager::close(const std::string& key) {
-  std::shared_ptr<Entry> entry;  // destroyed outside the registry lock
-  std::size_t resident = 0;
-  {
-    MutexLock lk(mu_);
-    const auto it = sessions_.find(key);
-    if (it == sessions_.end()) return false;
-    entry = std::move(it->second);
-    sessions_.erase(it);
-    ++stats_.closed;
-    resident = sessions_.size();
-  }
-  count("mpa_session_manager_closes_total");
-  set_resident(resident);
-  obs::LogEvent(obs::LogLevel::kInfo, "session_unregister").str("key", key);
-  // If a request is mid-flight, its with_session() shared_ptr keeps the
-  // entry alive; dropping ours here destroys the session either now or
-  // when that request finishes — never mid-stage.
-  return true;
-}
-
-bool SessionManager::contains(const std::string& key) const {
-  MutexLock lk(mu_);
-  return sessions_.count(key) != 0;
-}
-
-std::size_t SessionManager::size() const {
-  MutexLock lk(mu_);
-  return sessions_.size();
 }
 
 std::vector<std::string> SessionManager::keys() const {
@@ -78,16 +37,11 @@ std::vector<std::string> SessionManager::keys() const {
   return out;
 }
 
-SessionManager::Stats SessionManager::stats() const {
-  MutexLock lk(mu_);
-  return stats_;
-}
-
-std::shared_ptr<SessionManager::Entry> SessionManager::entry_for(const std::string& key) const {
+SessionManager::Entry& SessionManager::entry_for(const std::string& key) const {
   MutexLock lk(mu_);
   const auto it = sessions_.find(key);
   if (it == sessions_.end()) throw DataError("unknown session '" + key + "'");
-  return it->second;
+  return *it->second;
 }
 
 }  // namespace mpa

@@ -10,10 +10,8 @@
 // parallel. Mutating stage calls ride the same lock: the serving
 // layer's ingest requests run AnalysisSession::append_month inside
 // with_session(), so an append is atomic with respect to concurrent
-// reads of the same session. close() unregisters a key immediately; if a request is
-// mid-flight on that session, the entry (shared_ptr) stays alive until
-// the request finishes, then destructs on that thread — a session is
-// never destroyed under a running stage.
+// reads of the same session. A registered session stays until the
+// manager is destroyed, so an entry never dies under a running stage.
 #pragma once
 
 #include <map>
@@ -42,12 +40,6 @@ class SessionManager {
   /// DataError on a duplicate key or unreadable dataset.
   void open_directory(const std::string& key, const std::string& dir, SessionOptions opts = {});
 
-  /// Unregister `key`; returns false when unknown. The session object
-  /// is destroyed once the last in-flight request on it completes.
-  bool close(const std::string& key);
-
-  bool contains(const std::string& key) const EXCLUDES(mu_);
-  std::size_t size() const EXCLUDES(mu_);
   /// Registered keys in lexicographic order.
   std::vector<std::string> keys() const EXCLUDES(mu_);
 
@@ -56,17 +48,10 @@ class SessionManager {
   /// Blocks while another thread holds the same session.
   template <typename Fn>
   auto with_session(const std::string& key, Fn&& fn) EXCLUDES(mu_) {
-    const std::shared_ptr<Entry> entry = entry_for(key);
-    MutexLock lk(entry->mu);
-    return fn(entry->session);
+    Entry& entry = entry_for(key);
+    MutexLock lk(entry.mu);
+    return fn(entry.session);
   }
-
-  /// Lifetime registry counters (snapshot under the registry mutex).
-  struct Stats {
-    std::uint64_t opened = 0;
-    std::uint64_t closed = 0;
-  };
-  Stats stats() const EXCLUDES(mu_);
 
  private:
   struct Entry {
@@ -75,14 +60,13 @@ class SessionManager {
     AnalysisSession session GUARDED_BY(mu);
   };
 
-  /// Look up the live entry for `key`; throws DataError when unknown.
+  /// Look up the entry for `key`; throws DataError when unknown.
   /// Lock order: the registry mutex is released before the caller
   /// acquires the entry mutex — the two are never held together.
-  std::shared_ptr<Entry> entry_for(const std::string& key) const EXCLUDES(mu_);
+  Entry& entry_for(const std::string& key) const EXCLUDES(mu_);
 
-  mutable Mutex mu_;  ///< Guards sessions_ and stats_.
-  std::map<std::string, std::shared_ptr<Entry>> sessions_ GUARDED_BY(mu_);
-  Stats stats_ GUARDED_BY(mu_);
+  mutable Mutex mu_;  ///< Guards sessions_.
+  std::map<std::string, std::unique_ptr<Entry>> sessions_ GUARDED_BY(mu_);
 };
 
 }  // namespace mpa

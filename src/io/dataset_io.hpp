@@ -51,8 +51,8 @@ DiskDataset load_dataset(const std::string& dir, std::uint64_t* bytes_read = nul
 
 /// One month of new telemetry for a live dataset: the snapshots and
 /// tickets whose timestamps fall inside month `month`. The inventory is
-/// fixed across a delta — adding devices or networks goes through
-/// AnalysisSession::replace_data, which is a full rebuild by design.
+/// fixed across a delta — adding devices or networks means opening a
+/// new session over the full dataset.
 struct MonthDelta {
   int month = 0;
   std::vector<ConfigSnapshot> snapshots;

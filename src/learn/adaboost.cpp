@@ -74,15 +74,4 @@ int AdaBoostClassifier::predict(std::span<const int> x) const {
   return static_cast<int>(std::max_element(votes.begin(), votes.end()) - votes.begin());
 }
 
-DecisionTree fit_reweighted_tree(const Dataset& data, const BoostOptions& opts) {
-  require(!data.x.empty(), "fit_reweighted_tree: empty dataset");
-  Dataset working = data;
-  for (int t = 0; t < opts.iterations; ++t) {
-    DecisionTree tree;
-    double alpha = 0;
-    if (!samme_round(working, opts.tree, &tree, &alpha)) break;
-  }
-  return DecisionTree::fit(working, opts.tree);
-}
-
 }  // namespace mpa

@@ -53,16 +53,11 @@ void set_log_min_level(LogLevel level) {
   if (log_enabled()) g_gate.store(static_cast<int>(level), std::memory_order_relaxed);
 }
 
-LogLevel log_min_level() {
-  return static_cast<LogLevel>(g_min_level.load(std::memory_order_relaxed));
-}
-
 std::string LogField::value_json() const {
   switch (type) {
     case Type::kString: return "\"" + json_escape(s) + "\"";
     case Type::kInt: return std::to_string(i);
     case Type::kUint: return std::to_string(u);
-    case Type::kDouble: return json_number(d);
     case Type::kBool: return b ? "true" : "false";
   }
   return "null";
@@ -94,10 +89,6 @@ Logger& Logger::global() {
 
 void Logger::set_ring_capacity(std::size_t n) {
   ring_capacity_.store(n, std::memory_order_relaxed);
-}
-
-std::size_t Logger::ring_capacity() const {
-  return ring_capacity_.load(std::memory_order_relaxed);
 }
 
 std::uint64_t Logger::dropped() const { return dropped_.load(std::memory_order_relaxed); }
@@ -223,16 +214,6 @@ LogEvent& LogEvent::u64(std::string_view key, std::uint64_t value) {
   f.key = std::string(key);
   f.type = LogField::Type::kUint;
   f.u = value;
-  rec_.fields.push_back(std::move(f));
-  return *this;
-}
-
-LogEvent& LogEvent::f64(std::string_view key, double value) {
-  if (!active_) return *this;
-  LogField f;
-  f.key = std::string(key);
-  f.type = LogField::Type::kDouble;
-  f.d = value;
   rec_.fields.push_back(std::move(f));
   return *this;
 }

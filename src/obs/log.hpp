@@ -49,18 +49,16 @@ void set_log_enabled(bool on);
 /// Events below `level` are dropped at the gate (same single atomic
 /// load as the on/off check). Default: kDebug (record everything).
 void set_log_min_level(LogLevel level);
-LogLevel log_min_level();
 
 /// One typed key/value field.
 struct LogField {
-  enum class Type : std::uint8_t { kString, kInt, kUint, kDouble, kBool };
+  enum class Type : std::uint8_t { kString, kInt, kUint, kBool };
 
   std::string key;
   Type type = Type::kString;
   std::string s;       ///< kString payload.
   std::int64_t i = 0;  ///< kInt payload.
   std::uint64_t u = 0; ///< kUint payload.
-  double d = 0;        ///< kDouble payload.
   bool b = false;      ///< kBool payload.
 
   /// The field's value serialized as a JSON token.
@@ -98,7 +96,6 @@ class Logger {
   /// default). Takes effect for subsequent commits; shrinking does not
   /// retroactively evict.
   void set_ring_capacity(std::size_t n);
-  std::size_t ring_capacity() const;
   /// Events evicted by the ring since the last clear().
   std::uint64_t dropped() const;
 
@@ -149,7 +146,6 @@ class LogEvent {
   LogEvent& str(std::string_view key, std::string_view value);
   LogEvent& i64(std::string_view key, std::int64_t value);
   LogEvent& u64(std::string_view key, std::uint64_t value);
-  LogEvent& f64(std::string_view key, double value);
   LogEvent& boolean(std::string_view key, bool value);
 
   /// True when the event passed the gate and will commit.

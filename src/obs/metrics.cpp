@@ -47,8 +47,6 @@ std::uint64_t now_ns() {
 
 void Gauge::set(double v) { bits_.store(double_to_bits(v), std::memory_order_relaxed); }
 
-void Gauge::add(double v) { atomic_add_double(bits_, v); }
-
 double Gauge::value() const { return bits_to_double(bits_.load(std::memory_order_relaxed)); }
 
 void Gauge::reset() { bits_.store(0, std::memory_order_relaxed); }

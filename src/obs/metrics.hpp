@@ -52,7 +52,6 @@ class Counter {
 class Gauge {
  public:
   void set(double v);
-  void add(double v);
   double value() const;
   void reset();
 

@@ -234,9 +234,4 @@ std::string WindowRegistry::canonical_json() const {
   return os.str();
 }
 
-void WindowRegistry::clear() {
-  MutexLock lk(mu_);
-  series_.clear();
-}
-
 }  // namespace mpa::obs

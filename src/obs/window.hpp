@@ -100,9 +100,6 @@ class WindowRegistry {
   /// whenever the window covers the whole run.
   std::string canonical_json() const;
 
-  /// Drop all series (tests; configure() implies it).
-  void clear() EXCLUDES(mu_);
-
  private:
   static constexpr std::size_t kStatuses = 4;  ///< ok/rejected/deadline/error.
   static constexpr std::size_t kHistSlots = 13;  ///< window_ms_bounds().size() + 1.

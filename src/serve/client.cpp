@@ -119,10 +119,6 @@ LoadReport SyntheticClient::replay(AnalysisServer& server,
   return report;
 }
 
-LoadReport SyntheticClient::run(AnalysisServer& server) const {
-  return replay(server, synthesize_trace(opts_));
-}
-
 SloReport compute_slo(const std::vector<Response>& responses, double slo_ms, double offered_rps,
                       double achieved_rps) {
   SloReport report;

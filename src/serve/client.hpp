@@ -106,11 +106,6 @@ class SyntheticClient {
   /// a PreconditionError.
   LoadReport replay(AnalysisServer& server, const std::vector<Request>& trace) const;
 
-  /// synthesize_trace(options()) + replay().
-  LoadReport run(AnalysisServer& server) const;
-
-  const ClientOptions& options() const { return opts_; }
-
  private:
   ClientOptions opts_;
 };

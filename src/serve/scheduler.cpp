@@ -64,7 +64,7 @@ void register_serve_metrics() {
        {"mpa_serve_submitted_total", "mpa_serve_admitted_total", "mpa_serve_rejected_total",
         "mpa_serve_completed_total", "mpa_serve_ok_total", "mpa_serve_deadline_miss_total",
         "mpa_serve_error_total", "mpa_serve_introspected_total",
-        "mpa_session_manager_opens_total", "mpa_session_manager_closes_total"}) {
+        "mpa_session_manager_opens_total"}) {
     reg.counter(name);
   }
   reg.gauge("mpa_sessions_resident");

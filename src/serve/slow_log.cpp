@@ -71,9 +71,4 @@ std::string SlowLog::canonical_json() const {
   return os.str();
 }
 
-void SlowLog::clear() {
-  MutexLock lk(mu_);
-  entries_.clear();
-}
-
 }  // namespace mpa::serve

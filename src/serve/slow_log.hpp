@@ -50,7 +50,6 @@ class SlowLog {
   std::string canonical_json() const;
 
   std::size_t capacity() const { return cap_; }
-  void clear() EXCLUDES(mu_);
 
  private:
   const std::size_t cap_;

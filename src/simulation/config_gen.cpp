@@ -50,12 +50,6 @@ std::string DialectVocab::iface_name(int k) const {
 
 DialectVocab vocab_for(Vendor v) { return DialectVocab{dialect_of(v)}; }
 
-const DeviceConfig& GeneratedNetwork::config(const std::string& device_id) const {
-  const auto it = configs.find(device_id);
-  require(it != configs.end(), "GeneratedNetwork::config: unknown device " + device_id);
-  return it->second;
-}
-
 DeviceConfig& GeneratedNetwork::config(const std::string& device_id) {
   const auto it = configs.find(device_id);
   require(it != configs.end(), "GeneratedNetwork::config: unknown device " + device_id);

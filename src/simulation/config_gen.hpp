@@ -51,7 +51,6 @@ struct GeneratedNetwork {
   std::map<std::string, DeviceConfig> configs;  ///< device id -> config.
   std::map<std::string, Vendor> vendor_of;      ///< device id -> vendor.
 
-  const DeviceConfig& config(const std::string& device_id) const;
   DeviceConfig& config(const std::string& device_id);
 };
 

@@ -61,12 +61,6 @@ bool SurveyResult::has_majority_consensus() const {
   return false;
 }
 
-std::vector<std::string> surveyed_practices() {
-  std::vector<std::string> out;
-  for (const auto& q : kProfiles) out.emplace_back(q.practice);
-  return out;
-}
-
 std::vector<SurveyResult> simulate_survey(int num_operators, Rng& rng) {
   require(num_operators >= 1, "simulate_survey: need at least one operator");
   std::vector<SurveyResult> out;

@@ -36,10 +36,8 @@ struct SurveyResult {
   bool has_majority_consensus() const;
 };
 
-/// The eleven practices shown in Figure 2, in figure order.
-std::vector<std::string> surveyed_practices();
-
-/// Draw `num_operators` responses per practice (paper: 51).
+/// Draw `num_operators` responses per practice (paper: 51), one
+/// result per practice shown in Figure 2, in figure order.
 std::vector<SurveyResult> simulate_survey(int num_operators, Rng& rng);
 
 }  // namespace mpa

@@ -48,12 +48,6 @@ void ContingencyTable::count(std::span<const int> x, std::span<const int> y) {
   n_ += x.size();
 }
 
-void ContingencyTable::count_values(std::span<const int> x) {
-  std::uint32_t* mx = mx_.data();
-  for (int xi : x) ++mx[static_cast<std::size_t>(xi)];
-  n_ += x.size();
-}
-
 double ContingencyTable::marginal_entropy(const std::vector<std::uint32_t>& marginal) {
   if (n_ == 0) return 0;
   plogp_.begin(n_);

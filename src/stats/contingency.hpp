@@ -1,5 +1,5 @@
 // Dense, allocation-free contingency kernels for the info-theory hot
-// paths (§5.1). The public entropy / MI / CMI entry points in
+// paths (§5.1). The public MI / CMI entry points in
 // stats/info.hpp count here, and require small-cardinality
 // non-negative ints (binned data always is); the original
 // std::map-based implementations are retained in mpa::reference as a
@@ -76,10 +76,6 @@ class ContingencyTable {
 
   /// Bulk one-pass joint count (equal-length spans).
   void count(std::span<const int> x, std::span<const int> y);
-
-  /// One-pass 1-D count: only the x marginal is filled, for plain
-  /// entropy. Requires reset(cx, 1).
-  void count_values(std::span<const int> x);
 
   std::size_t samples() const { return n_; }
 

@@ -87,17 +87,4 @@ BoxStats box_stats(std::span<const double> v, double whisker_iqr) {
   return b;
 }
 
-std::vector<std::pair<double, double>> ecdf(std::span<const double> v) {
-  std::vector<double> sorted(v.begin(), v.end());
-  std::sort(sorted.begin(), sorted.end());
-  std::vector<std::pair<double, double>> out;
-  const double n = static_cast<double>(sorted.size());
-  for (std::size_t i = 0; i < sorted.size(); ++i) {
-    // Collapse runs of equal values to the final (highest) CDF point.
-    if (i + 1 < sorted.size() && sorted[i + 1] == sorted[i]) continue;
-    out.emplace_back(sorted[i], static_cast<double>(i + 1) / n);
-  }
-  return out;
-}
-
 }  // namespace mpa

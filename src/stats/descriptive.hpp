@@ -40,7 +40,4 @@ struct BoxStats {
 
 BoxStats box_stats(std::span<const double> v, double whisker_iqr = 2.0);
 
-/// Empirical CDF sampled at each distinct value: (value, P[X <= value]).
-std::vector<std::pair<double, double>> ecdf(std::span<const double> v);
-
 }  // namespace mpa

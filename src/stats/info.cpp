@@ -139,21 +139,6 @@ double conditional_mutual_information(std::span<const int> x1, std::span<const i
 
 }  // namespace reference
 
-double entropy(std::span<const int> x) {
-  if (x.empty()) return 0;
-  const auto [cx] = dense_cardinalities("entropy", std::array{x});
-  ContingencyTable& t = scratch_table();
-  t.reset(cx, 1);
-  t.count_values(x);
-  return t.entropy_x();
-}
-
-double conditional_entropy(std::span<const int> y, std::span<const int> x) {
-  require(x.size() == y.size(), "conditional_entropy: length mismatch");
-  if (x.empty()) return 0;
-  return joint_counts("conditional_entropy", x, y).conditional_entropy_y_given_x();
-}
-
 double mutual_information(std::span<const int> x, std::span<const int> y) {
   require(x.size() == y.size(), "mutual_information: length mismatch");
   require(!x.empty(), "mutual_information: empty input");

@@ -19,12 +19,6 @@
 
 namespace mpa {
 
-/// Shannon entropy H(X) of a discrete sample, in bits.
-double entropy(std::span<const int> x);
-
-/// Conditional entropy H(Y | X).
-double conditional_entropy(std::span<const int> y, std::span<const int> x);
-
 /// Mutual information I(X; Y) = H(Y) - H(Y | X). Symmetric, >= 0
 /// (up to floating-point noise). Requires equal non-zero lengths.
 double mutual_information(std::span<const int> x, std::span<const int> y);
@@ -51,7 +45,9 @@ double entropy_of_counts(std::span<const double> counts);
 /// the two paths agree exactly, and the dense-vs-map benchmarks
 /// measure the speedup against them. They accept any int values.
 namespace reference {
+/// Shannon entropy H(X) of a discrete sample, in bits.
 double entropy(std::span<const int> x);
+/// Conditional entropy H(Y | X).
 double conditional_entropy(std::span<const int> y, std::span<const int> x);
 double mutual_information(std::span<const int> x, std::span<const int> y);
 double conditional_mutual_information(std::span<const int> x1, std::span<const int> x2,

@@ -35,9 +35,9 @@ constexpr std::size_t kPairsPerTile = kTileCols / 2;
 // chains overlap.
 constexpr std::size_t kEtaRows = 4;
 
-/// Solve the n x n row-major system `a` x = `b` by Gaussian elimination
-/// with partial pivoting, overwriting `a` and `b`.
-bool solve_in_place(std::span<double> a, std::span<double> b, std::span<double> x) {
+}  // namespace
+
+bool solve_linear_system(std::span<double> a, std::span<double> b, std::span<double> x) {
   const std::size_t n = b.size();
   const auto at = [&](std::size_t r, std::size_t c) -> double& { return a[r * n + c]; };
   for (std::size_t col = 0; col < n; ++col) {
@@ -64,6 +64,8 @@ bool solve_in_place(std::span<double> a, std::span<double> b, std::span<double> 
   }
   return true;
 }
+
+namespace {
 
 /// Upper triangle (k >= j) of the weighted Gram matrix
 /// sum_i (wgt_i * z_ij) * z_ik into the dim x dim row-major `hess`.
@@ -99,19 +101,6 @@ void weighted_gram_upper(std::span<const double> z, std::size_t stride, std::siz
 }
 
 }  // namespace
-
-bool solve_linear_system(Matrix a, std::vector<double> b, std::vector<double>& x) {
-  const std::size_t n = b.size();
-  require(a.size() == n, "solve_linear_system: shape mismatch");
-  std::vector<double> flat;
-  flat.reserve(n * n);
-  for (const auto& row : a) {
-    require(row.size() == n, "solve_linear_system: shape mismatch");
-    flat.insert(flat.end(), row.begin(), row.end());
-  }
-  x.assign(n, 0);
-  return solve_in_place(flat, b, x);
-}
 
 LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<const int> labels,
                                            LogitOptions opts) {
@@ -185,7 +174,7 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
     for (std::size_t j = 0; j < dim; ++j)
       for (std::size_t k = 0; k < j; ++k) hess[j * dim + k] = hess[k * dim + j];
 
-    if (!solve_in_place(hess, grad, step)) break;  // keep current w
+    if (!solve_linear_system(hess, grad, step)) break;  // keep current w
     double max_delta = 0;
     for (std::size_t j = 0; j < dim; ++j) {
       w[j] -= step[j];

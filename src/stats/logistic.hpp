@@ -43,9 +43,10 @@ class LogisticRegression {
   std::vector<double> feat_sd_;
 };
 
-/// Solve the symmetric positive-definite system A x = b in place by
-/// Gaussian elimination with partial pivoting. Exposed for tests.
-/// Returns false if A is singular to working precision.
-bool solve_linear_system(Matrix a, std::vector<double> b, std::vector<double>& x);
+/// Solve the n x n row-major system `a` x = `b` (n = b.size(),
+/// x.size() == n) by Gaussian elimination with partial pivoting,
+/// overwriting `a` and `b`: the Newton step of LogisticRegression::fit.
+/// Returns false if `a` is singular to working precision.
+bool solve_linear_system(std::span<double> a, std::span<double> b, std::span<double> x);
 
 }  // namespace mpa

@@ -31,14 +31,6 @@ BalanceStat balance_stat(std::span<const double> treated_values,
   return b;
 }
 
-bool MatchResult::balanced(double mean_thresh, double var_lo, double var_hi) const {
-  if (pairs.empty()) return false;
-  if (!propensity_balance.ok(mean_thresh, var_lo, var_hi)) return false;
-  for (const auto& b : confounder_balance)
-    if (!b.ok(mean_thresh, var_lo, var_hi)) return false;
-  return true;
-}
-
 double MatchResult::worst_abs_std_diff() const {
   double worst = 0;
   for (const auto& b : confounder_balance)

@@ -80,10 +80,6 @@ struct MatchResult {
   BalanceStat propensity_balance;        ///< Over matched scores.
   std::vector<BalanceStat> confounder_balance;  ///< Per confounder column.
 
-  /// True if the propensity scores and every confounder pass Stuart's
-  /// thresholds — i.e. the matching is usable for causal conclusions.
-  bool balanced(double mean_thresh = 0.25, double var_lo = 0.5, double var_hi = 2.0) const;
-
   /// Largest |standardized difference of means| across confounders
   /// (infinity when any is degenerate-imbalanced; 0 when no pairs).
   double worst_abs_std_diff() const;

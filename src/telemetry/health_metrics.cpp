@@ -26,11 +26,4 @@ HealthSummary summarize_health(const TicketLog& log, const std::string& network_
   return out;
 }
 
-std::map<std::string, int> symptom_histogram(const TicketLog& log,
-                                             const std::string& network_id) {
-  std::map<std::string, int> out;
-  for (const auto* t : log.health_tickets(network_id)) out[t->symptom]++;
-  return out;
-}
-
 }  // namespace mpa

@@ -8,7 +8,6 @@
 // fed to causal_analysis() as alternative outcomes.
 #pragma once
 
-#include <map>
 #include <string>
 
 #include "telemetry/tickets.hpp"
@@ -29,10 +28,5 @@ bool is_high_impact_symptom(const std::string& symptom);
 
 /// Summarize one network-month.
 HealthSummary summarize_health(const TicketLog& log, const std::string& network_id, int month);
-
-/// Symptom histogram over a network's non-maintenance tickets (all
-/// months) — NetSieve-style "what actually breaks here".
-std::map<std::string, int> symptom_histogram(const TicketLog& log,
-                                             const std::string& network_id);
 
 }  // namespace mpa

@@ -3,7 +3,6 @@
 #include <cctype>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <limits>
 #include <optional>
 
@@ -269,9 +268,11 @@ class JsonParser {
     JsonValue v;
     v.type_ = JsonValue::Type::kNumber;
     v.text_ = std::string(text_.substr(start, pos_ - start));
-    char* end = nullptr;
-    v.num_ = std::strtod(v.text_.c_str(), &end);
-    if (end != v.text_.c_str() + v.text_.size()) fail("malformed number");
+    // The number rule: a token that is not a finite double (1e999,
+    // -1e999, the underflow 1e-400) is refused, not read as inf or 0.
+    const std::optional<double> num = parse_whole<double>(v.text_);
+    if (!num) fail("number " + v.text_ + " is not a finite double");
+    v.num_ = *num;
     return v;
   }
 

@@ -53,13 +53,6 @@ std::string TextTable::str() const {
   return os.str();
 }
 
-std::string TextTable::csv() const {
-  std::ostringstream os;
-  os << join(headers_, ",") << '\n';
-  for (const auto& r : rows_) os << join(r, ",") << '\n';
-  return os.str();
-}
-
 void TextTable::print(std::ostream& os) const { os << str(); }
 
 }  // namespace mpa

@@ -24,8 +24,6 @@ class TextTable {
 
   /// Render with single-space-padded columns and a dashed header rule.
   std::string str() const;
-  /// Render as CSV (no quoting; callers must avoid commas in cells).
-  std::string csv() const;
 
   void print(std::ostream& os) const;
 

@@ -4,6 +4,8 @@
 // a named DataError, and nothing trips a sanitizer.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <cstdint>
 #include <string>
 #include <string_view>
@@ -11,6 +13,22 @@
 #include "util/rng.hpp"
 
 namespace mpa {
+
+/// The seed of one fuzz loop. Without --gtest_shuffle it is `base`, so
+/// tier-1 draws the same mutants every run. With it, gtest's random
+/// seed is mixed in, so each --gtest_repeat iteration draws new ones,
+/// and a failure replays with the --gtest_random_seed gtest printed.
+/// (gtest seeds random_seed() from the clock even without shuffle,
+/// hence the flag check; gtest before 1.12 has no GTEST_FLAG_GET.)
+inline std::uint64_t fuzz_seed(std::uint64_t base) {
+#ifdef GTEST_FLAG_GET
+  if (!GTEST_FLAG_GET(shuffle)) return base;
+#else
+  if (!::testing::GTEST_FLAG(shuffle)) return base;
+#endif
+  const auto seed = static_cast<std::uint64_t>(testing::UnitTest::GetInstance()->random_seed());
+  return base ^ (seed * 0x9e3779b97f4a7c15ULL);
+}
 
 /// Bytes that carry structure in one dialect or the other.
 inline constexpr std::string_view kStructural = "\n \t!{};/*\r";

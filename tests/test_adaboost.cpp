@@ -109,21 +109,8 @@ TEST(AdaBoost, SingleClassFallsBackGracefully) {
   EXPECT_GE(model.rounds(), 1u);
 }
 
-TEST(ReweightedTree, StillPredictsReasonably) {
-  Rng rng(3);
-  const Dataset d = majority_vote_data(400, rng);
-  BoostOptions bo;
-  bo.iterations = 5;
-  bo.tree.min_weight_frac = 0;
-  const DecisionTree tree = fit_reweighted_tree(d, bo);
-  const double acc =
-      train_accuracy(d, [&](std::span<const int> x) { return tree.predict(x); });
-  EXPECT_GT(acc, 0.9);  // deep tree solves majority-vote exactly anyway
-}
-
 TEST(AdaBoost, RejectsEmpty) {
   EXPECT_THROW(AdaBoostClassifier::fit(Dataset{}), PreconditionError);
-  EXPECT_THROW(fit_reweighted_tree(Dataset{}), PreconditionError);
 }
 
 }  // namespace

@@ -65,16 +65,5 @@ TEST(Descriptive, BoxStats) {
   EXPECT_GT(b.mean, b.q50);  // outlier pulls the mean
 }
 
-TEST(Descriptive, Ecdf) {
-  const auto cdf = ecdf(std::vector<double>{3, 1, 2, 2});
-  ASSERT_EQ(cdf.size(), 3u);
-  EXPECT_DOUBLE_EQ(cdf[0].first, 1);
-  EXPECT_DOUBLE_EQ(cdf[0].second, 0.25);
-  EXPECT_DOUBLE_EQ(cdf[1].first, 2);
-  EXPECT_DOUBLE_EQ(cdf[1].second, 0.75);  // duplicates collapse to top
-  EXPECT_DOUBLE_EQ(cdf[2].first, 3);
-  EXPECT_DOUBLE_EQ(cdf[2].second, 1.0);
-}
-
 }  // namespace
 }  // namespace mpa

@@ -185,7 +185,7 @@ TEST(DialectMutation, AcceptsOrRejectsWithDataError) {
     for (const auto& snap : data.snapshots.for_device(dev.device_id))
       seeds[dialect_of(dev.vendor) == Dialect::kIosLike ? 0 : 1].emplace_back(snap.text);
 
-  Rng rng(14);
+  Rng rng(fuzz_seed(14));
   for (const Dialect d : {Dialect::kIosLike, Dialect::kJunosLike}) {
     const auto& texts = seeds[d == Dialect::kIosLike ? 0 : 1];
     ASSERT_FALSE(texts.empty());
@@ -328,7 +328,7 @@ TEST(StanzaInterner, MatchesParseOnPinnedDataset) {
 TEST(DialectMutation, TimelineAgreesWithParse) {
   constexpr int kMutantsPerDialect = 300;
   const auto timelines = pinned_timelines();
-  Rng rng(16);
+  Rng rng(fuzz_seed(16));
   for (const Dialect d : {Dialect::kIosLike, Dialect::kJunosLike}) {
     std::vector<const Timeline*> pool;
     for (const auto& tl : timelines)

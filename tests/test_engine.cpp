@@ -1,5 +1,5 @@
 // Tests for the engine layer: AnalysisSession memoization and
-// invalidation, the persistent ArtifactStore, and the determinism
+// incremental appends, the persistent ArtifactStore, and the determinism
 // contract — same seed + dataset must yield bit-identical case
 // tables, causal results, and CV evaluations across 1, 2, and 8
 // threads.
@@ -61,9 +61,10 @@ TEST(Session, MemoizesAndInvalidates) {
   EXPECT_EQ(cv, &session.evaluate_cv(2, ModelKind::kDecisionTree));
   EXPECT_EQ(session.stats().cv_runs, 1u);
 
-  session.invalidate();
-  session.case_table();
-  EXPECT_EQ(session.stats().table_builds, 2u);
+  // The memo is per session: a fresh one over the same data rebuilds.
+  AnalysisSession fresh = make_session(2);
+  EXPECT_EQ(fresh.case_table().to_csv(), first->to_csv());
+  EXPECT_EQ(fresh.stats().table_builds, 1u);
 }
 
 TEST(Session, CaseTableBitIdenticalAcrossThreadCounts) {
@@ -179,9 +180,10 @@ TEST(Session, LintMemoizedAndInvalidated) {
   EXPECT_GT(first->total_findings(), 0u);  // hygiene findings exist by design
   for (const auto& net : first->networks) EXPECT_GT(net.num_devices, 0u);
 
-  session.invalidate();
-  session.lint();
-  EXPECT_EQ(session.stats().lint_runs, 2u);
+  // The memo is per session: a fresh one over the same data re-lints.
+  AnalysisSession fresh = make_session(2);
+  EXPECT_EQ(fresh.lint().to_csv(), first->to_csv());
+  EXPECT_EQ(fresh.stats().lint_runs, 1u);
 }
 
 TEST(Session, LintBitIdenticalAcrossThreadCounts) {
@@ -300,9 +302,7 @@ TEST(Session, PersistsLintReportThroughArtifactStore) {
   EXPECT_EQ(second.lint().to_csv(), csv);
   EXPECT_EQ(second.stats().lint_runs, 0u);
   EXPECT_EQ(second.stats().lint_loads, 1u);
-
-  second.invalidate();
-  EXPECT_FALSE(ArtifactStore(opts.artifact_dir).load_lint_report(opts.artifact_key).has_value());
+  ArtifactStore(opts.artifact_dir).remove(opts.artifact_key);
 }
 
 TEST(ArtifactStore, LintReportRoundTripAndCorruptionMiss) {
@@ -501,7 +501,7 @@ TEST(StoredCsv, FuzzMutantsLoadOrRaiseDataError) {
   AnalysisSession session = small_session();
   const std::string table_csv = session.case_table().to_csv();
   const std::string lint_csv = session.lint().to_csv();
-  Rng rng(21);
+  Rng rng(fuzz_seed(21));
   std::size_t loaded = 0, rejected = 0;
   for (int i = 0; i < 1000; ++i) {
     try {
@@ -571,10 +571,7 @@ TEST(Session, PersistsCaseTableThroughArtifactStore) {
   EXPECT_EQ(second.case_table().to_csv(), csv);
   EXPECT_EQ(second.stats().table_builds, 0u);
   EXPECT_EQ(second.stats().table_loads, 1u);
-
-  // Explicit invalidation also drops the persisted artifact.
-  second.invalidate();
-  EXPECT_FALSE(ArtifactStore(opts.artifact_dir).load_case_table(opts.artifact_key).has_value());
+  ArtifactStore(opts.artifact_dir).remove(opts.artifact_key);
 }
 
 // --- run manifests ----------------------------------------------------
@@ -664,6 +661,18 @@ TEST(RunManifest, CountsOutsideIntAreRejectedByName) {
   std::string whole = json;
   whole.replace(whole.find("\"threads\":0"), 11, "\"threads\":4.0");
   EXPECT_EQ(RunManifest::from_json(whole).threads, 4);
+}
+
+TEST(RunManifest, InfiniteStageSecondsAreADataError) {
+  // Regression: strtod read 1e999 as infinity, and `report` printed a
+  // stage that took "inf" seconds.
+  RunManifest m;
+  m.stages.push_back(StageRun{"case_table", "computed", 0.5});
+  std::string json = m.to_json();
+  const std::string from = "\"seconds\":0.5";
+  EXPECT_NO_THROW(RunManifest::from_json(json));
+  json.replace(json.find(from), from.size(), "\"seconds\":1e999");
+  EXPECT_THROW(RunManifest::from_json(json), DataError);
 }
 
 TEST(RunManifest, KeyedSessionPersistsManifestBesideArtifacts) {
@@ -923,15 +932,18 @@ TEST(SessionAppend, KeyedSessionMaintainsPersistedArtifacts) {
 
 // --- stale-state bugfix sweep -----------------------------------------
 
-TEST(Session, InvalidateRemovesManifestAndLintSidecars) {
+TEST(Session, AppendRemovesManifestAndLintSidecars) {
+  const SplitDataset split = split_osp(kMonths - 1);
   SessionOptions opts;
+  opts.threads = 2;
+  opts.inference.num_months = kMonths - 1;
   opts.artifact_dir = testing::TempDir();
   opts.artifact_key = "mpa_engine_test_sidecars";
   const ArtifactStore store(opts.artifact_dir);
   store.remove(opts.artifact_key);
 
   {
-    AnalysisSession session = make_session(2, opts);
+    AnalysisSession session(split.base.inventory, split.base.snapshots, split.base.tickets, opts);
     session.case_table();
     session.lint();
   }  // dtor persists <key>.manifest.json beside the artifacts
@@ -939,48 +951,24 @@ TEST(Session, InvalidateRemovesManifestAndLintSidecars) {
   ASSERT_TRUE(store.load_lint_report(opts.artifact_key).has_value());
   ASSERT_TRUE(store.load_manifest_json(opts.artifact_key).has_value());
 
-  AnalysisSession session = make_session(2, opts);
-  session.invalidate();
-  // Regression: invalidate() must drop every persisted sidecar, not
-  // just the case-table CSV — a stale lint report or manifest would
-  // otherwise be served to the next keyed session.
+  AnalysisSession session(split.base.inventory, split.base.snapshots, split.base.tickets, opts);
+  session.append_month(split.deltas.front());
+  // Regression: with nothing resident to refresh, the append must drop
+  // every persisted sidecar, not just the case-table CSV — a stale lint
+  // report or manifest would otherwise be served to the next keyed
+  // session.
   EXPECT_FALSE(store.load_case_table(opts.artifact_key).has_value());
   EXPECT_FALSE(store.load_lint_report(opts.artifact_key).has_value());
   EXPECT_FALSE(store.load_manifest_json(opts.artifact_key).has_value());
 }
 
-TEST(Session, ReplaceDataWithIdenticalFingerprintIsNoOp) {
-  obs::set_enabled(true);
-  obs::Registry::global().reset_values();
-  AnalysisSession session = make_session(2);
-  const CaseTable* table = &session.case_table();
-  ASSERT_EQ(session.stats().table_builds, 1u);
-  obs::Counter& invalidations =
-      obs::Registry::global().counter("mpa_session_invalidations_total");
-  const std::uint64_t before = invalidations.value();
-
-  // Identical replacement data: same fingerprint, so the warm cache
-  // must survive and no invalidation may be counted.
-  OspDataset same = test_osp();
-  session.replace_data(std::move(same.inventory), std::move(same.snapshots),
-                       std::move(same.tickets));
-  EXPECT_EQ(invalidations.value(), before);
-  EXPECT_EQ(&session.case_table(), table);  // memo intact, no rebuild
-  EXPECT_EQ(session.stats().table_builds, 1u);
-
-  // Different data still invalidates exactly once.
-  OspOptions other;
-  other.num_networks = kNetworks;
-  other.num_months = kMonths;
-  other.seed = 7;
-  OspDataset changed = generate_osp(other);
-  session.replace_data(std::move(changed.inventory), std::move(changed.snapshots),
-                       std::move(changed.tickets));
-  EXPECT_EQ(invalidations.value(), before + 1);
-  session.case_table();
-  EXPECT_EQ(session.stats().table_builds, 2u);
-  obs::set_enabled(false);
-  obs::Registry::global().reset_values();
+/// CacheStats keyed like the manifest's cache map.
+std::map<std::string, std::uint64_t> cache_map(const AnalysisSession::CacheStats& s) {
+  const std::map<std::string, std::uint64_t> stats = {
+      {"hits", s.hits},         {"table_builds", s.table_builds}, {"table_loads", s.table_loads},
+      {"lint_runs", s.lint_runs}, {"lint_loads", s.lint_loads},   {"causal_runs", s.causal_runs},
+      {"cv_runs", s.cv_runs},   {"online_runs", s.online_runs},   {"appends", s.appends}};
+  return stats;
 }
 
 TEST(Session, OneStageRecordFeedsEveryView) {
@@ -1008,42 +996,47 @@ TEST(Session, OneStageRecordFeedsEveryView) {
   session.evaluate_cv(2, ModelKind::kDecisionTree);
   session.online_accuracy(2, 1, ModelKind::kDecisionTree, 1, kMonths - 2);
   session.append_month(split.deltas.front());
-  session.invalidate();
-  session.case_table();  // computed
-  session.lint();        // computed
+  // A fresh unkeyed session over the same base computes what the first
+  // one loaded.
+  SessionOptions unkeyed = opts;
+  unkeyed.artifact_key.clear();
+  AnalysisSession fresh(split.base.inventory, split.base.snapshots, split.base.tickets, unkeyed);
+  fresh.case_table();  // computed
+  fresh.lint();        // computed
 
-  // The spec of each view, as counts over the one stage record.
+  // The spec of each view, as counts over one session's stage record;
+  // the process-wide registry sums both sessions.
   const std::map<std::pair<std::string, std::string>, std::string> kinds = {
       {{"case_table", "computed"}, "table_builds"}, {{"case_table", "store"}, "table_loads"},
       {{"lint", "computed"}, "lint_runs"},          {{"lint", "store"}, "lint_loads"},
       {{"causal", "computed"}, "causal_runs"},      {{"cv", "computed"}, "cv_runs"},
       {{"online", "computed"}, "online_runs"},      {{"append", "computed"}, "appends"}};
-  std::map<std::string, std::uint64_t> want;
-  for (const auto& [pair, key] : kinds) want[key] = 0;
-  want["hits"] = 0;
+  std::map<std::string, std::uint64_t> total;
+  for (const auto& [pair, key] : kinds) total[key] = 0;
+  total["hits"] = 0;
   std::map<std::string, std::uint64_t> computed_by_stage;
-  const RunManifest m = session.manifest();
-  for (const StageRun& run : m.stages) {
-    if (run.source == "memo") {
-      ++want["hits"];
-      EXPECT_EQ(run.seconds, 0.0) << run.stage;
-      continue;
+  for (const AnalysisSession* one : {&session, &fresh}) {
+    std::map<std::string, std::uint64_t> want;
+    for (const auto& [key, count] : total) want[key] = 0;
+    const RunManifest m = one->manifest();
+    for (const StageRun& run : m.stages) {
+      if (run.source == "memo") {
+        ++want["hits"];
+        EXPECT_EQ(run.seconds, 0.0) << run.stage;
+        continue;
+      }
+      const auto it = kinds.find({run.stage, run.source});
+      if (it != kinds.end()) ++want[it->second];
+      if (run.source == "computed") ++computed_by_stage[run.stage];
     }
-    const auto it = kinds.find({run.stage, run.source});
-    if (it != kinds.end()) ++want[it->second];
-    if (run.source == "computed") ++computed_by_stage[run.stage];
+    EXPECT_EQ(cache_map(one->stats()), want);
+    EXPECT_EQ(m.cache, want);
+    for (const auto& [key, count] : want) total[key] += count;
   }
-  for (const auto& [key, count] : want) EXPECT_GE(count, 1u) << key;
+  for (const auto& [key, count] : total) EXPECT_GE(count, 1u) << key;
 
-  const AnalysisSession::CacheStats s = session.stats();
-  const std::map<std::string, std::uint64_t> stats = {
-      {"hits", s.hits},         {"table_builds", s.table_builds}, {"table_loads", s.table_loads},
-      {"lint_runs", s.lint_runs}, {"lint_loads", s.lint_loads},   {"causal_runs", s.causal_runs},
-      {"cv_runs", s.cv_runs},   {"online_runs", s.online_runs},   {"appends", s.appends}};
-  EXPECT_EQ(stats, want);
-  EXPECT_EQ(m.cache, want);
   auto& reg = obs::Registry::global();
-  for (const auto& [key, count] : want) {
+  for (const auto& [key, count] : total) {
     const std::string counter =
         "mpa_session_" + (key == "hits" ? std::string("memo_hits") : key) + "_total";
     EXPECT_EQ(reg.counter(counter).value(), count) << counter;
@@ -1059,17 +1052,14 @@ TEST(Session, OneStageRecordFeedsEveryView) {
   obs::Registry::global().reset_values();
 }
 
-TEST(RunManifest, ReplaceDataMovesTheFingerprint) {
-  AnalysisSession session = make_session(1);
+TEST(RunManifest, AppendMovesTheFingerprint) {
+  const SplitDataset split = split_osp(kMonths - 1);
+  AnalysisSession session = session_over(split.base, kMonths - 1, 1);
   const std::string before = session.manifest().dataset_fingerprint;
-  OspOptions other;
-  other.num_networks = kNetworks;
-  other.num_months = kMonths;
-  other.seed = 7;
-  OspDataset data = generate_osp(other);
-  session.replace_data(std::move(data.inventory), std::move(data.snapshots),
-                       std::move(data.tickets));
-  EXPECT_NE(session.manifest().dataset_fingerprint, before);
+  session.append_month(split.deltas.front());
+  const std::string after = session.manifest().dataset_fingerprint;
+  EXPECT_NE(after, before);
+  EXPECT_EQ(after, session_over(replay_split(split), kMonths, 1).manifest().dataset_fingerprint);
 }
 
 }  // namespace

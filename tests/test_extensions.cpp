@@ -191,13 +191,6 @@ TEST(HealthMetrics, SummaryPerMonth) {
   EXPECT_EQ(summarize_health(log, "ghost", 0).tickets, 0);
 }
 
-TEST(HealthMetrics, SymptomHistogram) {
-  const auto hist = symptom_histogram(metric_log(), "n1");
-  EXPECT_EQ(hist.at("device-unreachable"), 1);
-  EXPECT_EQ(hist.at("high-latency"), 1);
-  EXPECT_EQ(hist.count("planned-maintenance"), 0u);  // maintenance excluded
-}
-
 TEST(HealthMetrics, HighImpactClassifier) {
   EXPECT_TRUE(is_high_impact_symptom("device-unreachable"));
   EXPECT_TRUE(is_high_impact_symptom("link-down"));

@@ -4,6 +4,10 @@
 // json_escape and json_number.
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cmath>
+#include <cstdint>
+#include <cstdio>
 #include <limits>
 #include <string>
 
@@ -86,6 +90,39 @@ TEST(Json, RejectsMalformedInput) {
   EXPECT_THROW(parse_json("\"unterminated"), DataError);
   EXPECT_THROW(parse_json("nul"), DataError);
   EXPECT_THROW(parse_json("1 2"), DataError);  // trailing content
+}
+
+TEST(Json, RejectsNumbersOutsideTheFiniteDoubles) {
+  // Regression: strtod read 1e999 as infinity and 1e-400 as 0, so a
+  // request deadline or a manifest's stage seconds could be infinite.
+  for (const std::string bad : {"1e999", "-1e999", "1e-400"}) {
+    try {
+      parse_json("{\"x\":" + bad + "}");
+      ADD_FAILURE() << bad << " parsed";
+    } catch (const DataError& e) {
+      EXPECT_NE(std::string(e.what()).find("number " + bad + " is not a finite double"),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
+TEST(Json, ExtremeFiniteNumbersParseBackBitForBit) {
+  // json_number writes 12 significant digits, so the bit-for-bit round
+  // trip reads full-precision tokens; json_number's own tokens for the
+  // same values parse back within those digits.
+  constexpr double kMax = std::numeric_limits<double>::max();
+  for (const double v : {kMax, -kMax, std::numeric_limits<double>::min(),
+                         std::numeric_limits<double>::denorm_min(), -0.0, 0.1}) {
+    char full[32];
+    std::snprintf(full, sizeof full, "%.17g", v);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(parse_json(full).as_number()),
+              std::bit_cast<std::uint64_t>(v))
+        << full;
+    const double rounded = parse_json(json_number(v)).as_number();
+    EXPECT_EQ(std::signbit(rounded), std::signbit(v)) << json_number(v);
+    EXPECT_LE(std::abs(rounded - v), std::abs(v) * 1e-11) << json_number(v);
+  }
 }
 
 TEST(Json, TypeMismatchThrows) {

@@ -11,23 +11,20 @@ namespace mpa {
 namespace {
 
 TEST(LinearSolver, SolvesKnownSystem) {
-  Matrix a{{2, 1}, {1, 3}};
-  std::vector<double> x;
-  ASSERT_TRUE(solve_linear_system(a, {5, 10}, x));
+  std::vector<double> a{2, 1, 1, 3}, b{5, 10}, x(2);
+  ASSERT_TRUE(solve_linear_system(a, b, x));
   EXPECT_NEAR(x[0], 1.0, 1e-9);
   EXPECT_NEAR(x[1], 3.0, 1e-9);
 }
 
 TEST(LinearSolver, DetectsSingular) {
-  Matrix a{{1, 2}, {2, 4}};
-  std::vector<double> x;
-  EXPECT_FALSE(solve_linear_system(a, {1, 2}, x));
+  std::vector<double> a{1, 2, 2, 4}, b{1, 2}, x(2);
+  EXPECT_FALSE(solve_linear_system(a, b, x));
 }
 
 TEST(LinearSolver, PivotsForStability) {
-  Matrix a{{0, 1}, {1, 0}};
-  std::vector<double> x;
-  ASSERT_TRUE(solve_linear_system(a, {3, 7}, x));
+  std::vector<double> a{0, 1, 1, 0}, b{3, 7}, x(2);
+  ASSERT_TRUE(solve_linear_system(a, b, x));
   EXPECT_NEAR(x[0], 7.0, 1e-9);
   EXPECT_NEAR(x[1], 3.0, 1e-9);
 }

@@ -56,7 +56,6 @@ TEST(Matching, PairsTreatedToNearbyScores) {
   EXPECT_TRUE(res.propensity_balance.ok());
   EXPECT_LT(res.worst_abs_std_diff(), 0.25);
   EXPECT_GE(res.variance_ratio_pass_fraction(), 0.99);
-  EXPECT_TRUE(res.balanced());
 }
 
 TEST(Matching, UnmatchedRawMeansDifferButMatchedDoNot) {

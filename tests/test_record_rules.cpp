@@ -298,7 +298,7 @@ TEST_F(RecordRules, FuzzCsvAndDeltaMutantsLoadOrRaiseDataError) {
       {dataset / "tickets.csv", &load},   {dataset / "snapshots.log", &load},
       {delta / "tickets.csv", &load_delta}, {delta / "snapshots.log", &load_delta},
   };
-  Rng rng(0x5eed);
+  Rng rng(fuzz_seed(0x5eed));
   int rejected = 0;
   for (const auto& [path, loader] : targets) {
     std::ifstream in(path, std::ios::binary);
@@ -391,7 +391,7 @@ TEST_F(RecordRules, FuzzMpacShardStructureBytesLoadOrRaiseDataError) {
     }
   }
 
-  Rng rng(0xb17e);
+  Rng rng(fuzz_seed(0xb17e));
   const auto pick = [&](std::size_t lo, std::size_t hi) {  // in [lo, hi]
     return static_cast<std::size_t>(
         rng.uniform_int(static_cast<std::int64_t>(lo), static_cast<std::int64_t>(hi)));
@@ -455,7 +455,7 @@ TEST_F(RecordRules, FuzzMpacShardStructureBytesLoadOrRaiseDataError) {
 
 TEST_F(RecordRules, FuzzMpacRecordMutantsVerifyExactlyWhenLoadAccepts) {
   const Records base = records_of(fuzz_base());
-  Rng rng(0xac5);
+  Rng rng(fuzz_seed(0xac5));
   int accepted = 0, rejected = 0;
   for (int i = 0; i < 200; ++i) {
     Records r = base;

@@ -33,13 +33,16 @@ DeviceConfig ospf_router(const std::string& id, const std::string& subnet, int p
 }
 
 TEST(Routing, ExtractProcesses) {
-  const auto procs =
-      extract_processes(views_of({bgp_router("a", "10.0.0.1", "10.0.0.2", "65001"),
-                                  ospf_router("b", "10.1.0.0/24", 1)}));
-  ASSERT_EQ(procs.size(), 2u);
-  EXPECT_EQ(procs[0].protocol, "bgp");
-  EXPECT_EQ(procs[0].key, "65001");
-  EXPECT_EQ(procs[1].protocol, "ospf");
+  // Each protocol stanza is one process; with no adjacency, each is
+  // its own instance, in device order.
+  const auto instances =
+      extract_routing_instances(views_of({bgp_router("a", "10.0.0.1", "10.0.0.2", "65001"),
+                                          ospf_router("b", "10.1.0.0/24", 1)}));
+  ASSERT_EQ(instances.size(), 2u);
+  EXPECT_EQ(instances[0].protocol, "bgp");
+  EXPECT_EQ(instances[0].member_devices, std::vector<std::string>{"a"});
+  EXPECT_EQ(instances[1].protocol, "ospf");
+  EXPECT_EQ(instances[1].member_devices, std::vector<std::string>{"b"});
 }
 
 TEST(Routing, BgpChainFormsOneInstance) {

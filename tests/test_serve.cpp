@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <atomic>
 #include <chrono>
 #include <condition_variable>
@@ -588,8 +589,6 @@ TEST(SlowLog, KeepsWorstByTotalAndCanonicalSortsById) {
   EXPECT_EQ(log.canonical_json(),
             "[{\"id\":1,\"tenant\":\"a\",\"kind\":\"rank\",\"status\":\"ok\"},"
             "{\"id\":2,\"tenant\":\"a\",\"kind\":\"rank\",\"status\":\"ok\"}]");
-  log.clear();
-  EXPECT_TRUE(log.worst().empty());
 }
 
 // ---------------------------------------------------------------------------
@@ -678,6 +677,17 @@ TEST(RequestWire, IntegerFieldsMustBeIntegralAndWithinInt) {
   EXPECT_EQ(Request::from_json(parse_json(R"({"kind":"predict","classes":5.0})")).classes, 5);
 }
 
+TEST(RequestWire, InfiniteDeadlineIsRefused) {
+  // Regression: strtod read 1e999 as infinity, so the daemon answered
+  // the request "ok" under a deadline that never came.
+  for (const char* bad : {"1e999", "-1e999"}) {
+    const std::string line = std::string(R"({"id":1,"kind":"rank","deadline_ms":)") + bad + "}";
+    EXPECT_THROW(Request::from_json(parse_json(line)), DataError) << bad;
+  }
+  const std::string far = R"({"id":1,"kind":"rank","deadline_ms":1e300})";
+  EXPECT_DOUBLE_EQ(Request::from_json(parse_json(far)).deadline_ms, 1e300);
+}
+
 TEST(RequestWire, StringFieldsNameThemselves) {
   // Regression: a mistyped string field was logged as the bare "json:
   // expected string, got number", naming no field.
@@ -730,7 +740,7 @@ TEST(RequestWire, FuzzMutantsParseOrRaiseDataError) {
       R"({"id":-1,"kind":"predict","classes":2.7,"history":99999999999})",
       std::string(100000, '['),
   };
-  Rng rng(24);
+  Rng rng(fuzz_seed(24));
   const auto pick = [&](const std::vector<std::string>& from) -> const std::string& {
     return from[static_cast<std::size_t>(
         rng.uniform_int(0, static_cast<std::int64_t>(from.size()) - 1))];
@@ -798,40 +808,18 @@ TEST(SessionManager, RegistryContract) {
   EXPECT_THROW(mgr.open("alpha", small_session()), DataError);
   EXPECT_THROW(mgr.open("", small_session()), DataError);
 
-  EXPECT_TRUE(mgr.contains("alpha"));
-  EXPECT_EQ(mgr.size(), 2u);
   EXPECT_EQ(mgr.keys(), (std::vector<std::string>{"alpha", "beta"}));
 
   const std::size_t cases =
       mgr.with_session("alpha", [](AnalysisSession& s) { return s.case_table().size(); });
   EXPECT_EQ(cases, static_cast<std::size_t>(kNetworks * kMonths));
   EXPECT_THROW(mgr.with_session("nope", [](AnalysisSession&) { return 0; }), DataError);
-
-  EXPECT_TRUE(mgr.close("beta"));
-  EXPECT_FALSE(mgr.close("beta"));
-  EXPECT_EQ(mgr.size(), 1u);
-  EXPECT_EQ(mgr.stats().opened, 2u);
-  EXPECT_EQ(mgr.stats().closed, 1u);
-}
-
-TEST(SessionManager, CloseWhileRequestInFlightKeepsSessionAlive) {
-  SessionManager mgr;
-  mgr.open("s", small_session());
-  Gate entered;
-  std::thread worker([&] {
-    mgr.with_session("s", [&](AnalysisSession& session) {
-      entered.release();
-      std::this_thread::sleep_for(std::chrono::milliseconds(20));
-      return session.case_table().size();  // session must still be alive
-    });
-  });
-  entered.wait();
-  EXPECT_TRUE(mgr.close("s"));  // unregisters immediately...
-  EXPECT_FALSE(mgr.contains("s"));
-  worker.join();  // ...but the entry survives until the request finishes.
 }
 
 TEST(SessionStats, SafeUnderConcurrentReaders) {
+  constexpr std::array kPractices{Practice::kNumDevices, Practice::kNumChangeEvents,
+                                  Practice::kNumVlans, Practice::kFracChangesAutomated,
+                                  Practice::kIntraDeviceComplexity, Practice::kLintIssues};
   AnalysisSession session = small_session(2);
   std::atomic<bool> done{false};
   std::atomic<std::uint64_t> reads{0};
@@ -840,22 +828,27 @@ TEST(SessionStats, SafeUnderConcurrentReaders) {
     readers.emplace_back([&] {
       while (!done.load(std::memory_order_relaxed)) {
         const AnalysisSession::CacheStats snap = session.stats();
-        EXPECT_LE(snap.table_builds, 12u);
-        EXPECT_LE(session.manifest().stages.size(), 64u);
+        EXPECT_LE(snap.table_builds, 1u);
+        EXPECT_LE(snap.causal_runs, kPractices.size());
+        EXPECT_LE(session.manifest().stages.size(), 3 * kPractices.size() + 2);
         reads.fetch_add(1, std::memory_order_relaxed);
       }
     });
 
-  constexpr int kRounds = 12;
-  for (int i = 0; i < kRounds; ++i) {
-    session.invalidate();
-    session.case_table();
-    session.dependence();
+  // Each practice's QED is one computed stage (after a case-table memo
+  // hit) and its repeat a memo hit, recorded while the readers snapshot
+  // the same record.
+  session.dependence();
+  for (const Practice p : kPractices) {
+    session.causal(p);
+    session.causal(p);
   }
   done = true;
   for (std::thread& r : readers) r.join();
 
-  EXPECT_EQ(session.stats().table_builds, static_cast<std::size_t>(kRounds));
+  EXPECT_EQ(session.stats().table_builds, 1u);
+  EXPECT_EQ(session.stats().causal_runs, kPractices.size());
+  EXPECT_EQ(session.manifest().stages.size(), 3 * kPractices.size() + 2);
   EXPECT_GT(reads.load(), 0u);
 }
 
@@ -1367,7 +1360,7 @@ TEST(Client, ClosedLoopReplayAccountsForEveryRequest) {
   opts.request_total_cnt = 6;
   opts.seed = 2;
   opts.kind_weights = {3, 2, 0, 2, 0};  // cheap kinds only
-  const LoadReport report = SyntheticClient(opts).run(server);
+  const LoadReport report = SyntheticClient(opts).replay(server, synthesize_trace(opts));
   EXPECT_EQ(report.total, 6u);
   EXPECT_EQ(report.ok, 6u);
   EXPECT_GT(report.wall_seconds, 0.0);

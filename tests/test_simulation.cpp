@@ -60,7 +60,7 @@ TEST(ConfigGen, EveryDeviceHasAConfigInItsDialect) {
   const GeneratedNetwork gen = generate_configs(std::move(design), rng);
   EXPECT_EQ(gen.configs.size(), gen.design.devices.size());
   for (const auto& dev : gen.design.devices) {
-    const DeviceConfig& cfg = gen.config(dev.device_id);
+    const DeviceConfig& cfg = gen.configs.at(dev.device_id);
     EXPECT_FALSE(cfg.stanzas().empty());
     // Rendered text parses back identically in the device's dialect.
     const Dialect dial = dialect_of(dev.vendor);

@@ -42,13 +42,6 @@ TEST(Stanza, ReplaceFirstOrAppend) {
   EXPECT_EQ(s.options.size(), 5u);
 }
 
-TEST(Stanza, EraseAllMatching) {
-  Stanza s = iface();
-  EXPECT_EQ(s.erase("neighbor"), 2u);
-  EXPECT_TRUE(s.get_all("neighbor").empty());
-  EXPECT_EQ(s.erase("neighbor"), 0u);
-}
-
 TEST(DeviceConfig, FindAddRemove) {
   DeviceConfig c("dev1");
   c.add(iface());

@@ -9,11 +9,12 @@ namespace mpa {
 namespace {
 
 TEST(Survey, ElevenPracticesInFigureOrder) {
-  const auto practices = surveyed_practices();
-  ASSERT_EQ(practices.size(), 11u);
-  EXPECT_EQ(practices.front(), "No. of devices");
-  EXPECT_EQ(practices[5], "No. of change events");
-  EXPECT_EQ(practices.back(), "Frac. events w/ ACL change");
+  Rng rng(1);
+  const auto results = simulate_survey(1, rng);
+  ASSERT_EQ(results.size(), 11u);
+  EXPECT_EQ(results.front().practice, "No. of devices");
+  EXPECT_EQ(results[5].practice, "No. of change events");
+  EXPECT_EQ(results.back().practice, "Frac. events w/ ACL change");
 }
 
 TEST(Survey, TotalsMatchOperatorCount) {

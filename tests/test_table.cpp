@@ -20,12 +20,6 @@ TEST(TextTable, AlignsColumns) {
   EXPECT_EQ(std::count(s.begin(), s.end(), '\n'), 4);
 }
 
-TEST(TextTable, CsvOutput) {
-  TextTable t({"a", "b"});
-  t.row().add("x").add(1.5, 2);
-  EXPECT_EQ(t.csv(), "a,b\nx,1.5\n");
-}
-
 TEST(TextTable, ShortRowsRenderBlank) {
   TextTable t({"a", "b", "c"});
   t.row().add("only");

@@ -29,13 +29,6 @@ TEST(Types, UnknownTypesPassThrough) {
   EXPECT_EQ(normalize_type("frobnicator"), "frobnicator");
 }
 
-TEST(Types, MiddleboxTypes) {
-  EXPECT_TRUE(is_middlebox_type("pool"));
-  EXPECT_TRUE(is_middlebox_type("virtual-server"));
-  EXPECT_FALSE(is_middlebox_type("acl"));
-  EXPECT_FALSE(is_middlebox_type("interface"));
-}
-
 TEST(Types, LayerClassification) {
   EXPECT_EQ(layer_of("vlan"), PlaneLayer::kL2);
   EXPECT_EQ(layer_of("spanning-tree"), PlaneLayer::kL2);

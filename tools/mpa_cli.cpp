@@ -591,18 +591,18 @@ serve::ServerOptions server_options(const Args& args) {
   opts.scheduler.default_deadline_ms = args.get_number("deadline-ms", 0.0, 0.0);
   opts.session = session_options(args);
   opts.slow_log_entries = static_cast<std::size_t>(args.get_number("slow-log", 16, 1));
-  if (obs::enabled()) {
-    // Shape the process-wide rolling window before the server exists;
-    // the scheduler resolves to this instance, and write_observability
-    // exports it on every exit path alongside the cumulative registry.
-    obs::WindowOptions wopts;
-    wopts.buckets = static_cast<std::size_t>(args.get_number("window-buckets", 60, 1));
-    const auto width_ms = args.get_number("window-bucket-ms", std::uint64_t{1000}, {1});
-    const std::optional<std::uint64_t> width_ns = scaled<std::uint64_t>(width_ms, 1'000'000);
-    if (!width_ns) throw UsageError{"--window-bucket-ms must be at most 18446744073709 ms"};
-    wopts.bucket_width_ns = *width_ns;
-    obs::WindowRegistry::global().configure(std::move(wopts));
-  }
+  // The window flags are checked whether or not obs is on, so a bad
+  // value is refused the same way with or without an export flag.
+  obs::WindowOptions wopts;
+  wopts.buckets = static_cast<std::size_t>(args.get_number("window-buckets", 60, 1));
+  const auto width_ms = args.get_number("window-bucket-ms", std::uint64_t{1000}, {1});
+  const std::optional<std::uint64_t> width_ns = scaled<std::uint64_t>(width_ms, 1'000'000);
+  if (!width_ns) throw UsageError{"--window-bucket-ms must be at most 18446744073709 ms"};
+  wopts.bucket_width_ns = *width_ns;
+  // Shape the process-wide rolling window before the server exists;
+  // the scheduler resolves to this instance, and write_observability
+  // exports it on every exit path alongside the cumulative registry.
+  if (obs::enabled()) obs::WindowRegistry::global().configure(std::move(wopts));
   return opts;
 }
 
