@@ -105,37 +105,88 @@ Stanza build_stanza(const BlockLines& b, Dialect d) {
 /// its header line up to the start of the next header line.
 struct OpenBlock {
   BlockLines lines;
-  const char* begin = nullptr;  ///< Header line start; null before any header.
+  const char* begin = nullptr;  ///< Header line start; null when no block is open.
 
-  template <typename OnBlock>
-  void close(const char* end, OnBlock& on_block) const {
+  template <typename Sink>
+  void close(const char* end, Sink& sink) {
     if (begin != nullptr)
-      on_block(lines, std::string_view(begin, static_cast<std::size_t>(end - begin)));
+      sink.block(lines, std::string_view(begin, static_cast<std::size_t>(end - begin)));
+    begin = nullptr;
   }
-  template <typename OnBlock>
-  void reopen(std::string_view raw_line, std::string_view header, OnBlock& on_block) {
-    close(raw_line.data(), on_block);
+  void open(std::string_view raw_line, std::string_view header) {
     begin = raw_line.data();
     lines.header = header;
     lines.options.clear();
   }
-  /// Native type of the open block, for error messages.
+  /// Native type of the last block opened, for error messages.
   std::string type() const { return std::string(lines.header.substr(0, lines.header.find(' '))); }
 };
 
+/// The line starting at `pos`, without its '\n'; moves `pos` past the
+/// newline. A walker reads lines while pos <= text.size(), so a text
+/// ending in '\n' ends with one empty line, as split_views() gives.
+std::string_view next_line(std::string_view text, std::size_t& pos) {
+  const std::size_t eol = std::min(text.find('\n', pos), text.size());
+  const std::string_view line = text.substr(pos, eol - pos);
+  pos = eol + 1;
+  return line;
+}
+
+/// Whether parse_ios() opens a stanza at this line.
+bool ios_header(std::string_view raw) {
+  const std::string_view line = trim(raw);
+  return !line.empty() && line[0] != '!' && indent_of(raw) == 0;
+}
+
+/// Whether parse_junos() opens a block at this line (it throws instead
+/// while a block is open).
+bool junos_header(std::string_view raw) {
+  const std::string_view line = trim(raw);
+  return !line.empty() && !starts_with(line, "/*") && line != "}" && line.back() == '{';
+}
+
+/// Called at a header line that starts at `header`, once the block
+/// before it is closed, when no source map is recorded. If the block
+/// `sink` knows next starts here, ends in a newline, and is followed
+/// by a header line or the end of the text, hands that block on, moves
+/// `pos` past it and returns true. Walking those bytes would give the
+/// same block: the header reset the walker's state, the lines after it
+/// are the ones that parsed under that state before (the newline keeps
+/// the last one from being a prefix of a longer line), and the header
+/// or end that follows closes the block where they end. The walker's
+/// line count falls behind, which only a source map would read.
+template <typename Sink, typename IsHeader>
+bool skip_known(std::string_view text, const char* header, std::size_t& pos, Sink& sink,
+                IsHeader is_header) {
+  const std::string_view known = sink.known();
+  const auto at = static_cast<std::size_t>(header - text.data());
+  if (known.empty() || known.back() != '\n' || text.substr(at, known.size()) != known)
+    return false;
+  std::size_t end = at + known.size();
+  if (end < text.size()) {
+    std::size_t after = end;
+    if (!is_header(next_line(text, after))) return false;
+  }
+  sink.reuse();
+  pos = end;
+  return true;
+}
+
 // The two line walkers. Each records spans and comments into `source`
 // (when not null), throws DataError on malformed text, and hands every
-// stanza block to `on_block(lines, bytes)` as it closes. A header line
-// resets the walker's state in both dialects, so the stanza of a block
-// depends on the block's bytes alone.
+// stanza block to `sink.block(lines, bytes)` as it closes. A header
+// line resets the walker's state in both dialects, so the stanza of a
+// block depends on the block's bytes alone. With no source to record,
+// a block the sink already knows is skipped whole (skip_known).
 
-template <typename OnBlock>
-void parse_ios(std::string_view text, SourceMap* source, OnBlock&& on_block) {
+template <typename Sink>
+void parse_ios(std::string_view text, SourceMap* source, Sink& sink) {
   SourceRecorder rec{source, {}};
   OpenBlock block;
   bool in_stanza = false;
   int line_no = 0;
-  for (const std::string_view raw : split_views(text, '\n')) {
+  for (std::size_t pos = 0; pos <= text.size();) {
+    const std::string_view raw = next_line(text, pos);
     ++line_no;
     const std::string_view line = trim(raw);
     if (line.empty()) continue;
@@ -149,7 +200,12 @@ void parse_ios(std::string_view text, SourceMap* source, OnBlock&& on_block) {
       // A header without a "!" before it ends the open stanza on the
       // line above, even when that line is blank.
       if (in_stanza) rec.extend(line_no - 1);
-      block.reopen(raw, line, on_block);
+      block.close(raw.data(), sink);
+      if (source == nullptr && skip_known(text, raw.data(), pos, sink, ios_header)) {
+        in_stanza = false;
+        continue;
+      }
+      block.open(raw, line);
       rec.open(line_no);
       in_stanza = true;
     } else {
@@ -160,7 +216,7 @@ void parse_ios(std::string_view text, SourceMap* source, OnBlock&& on_block) {
     }
   }
   if (in_stanza) rec.extend(line_no);
-  block.close(text.data() + text.size(), on_block);
+  block.close(text.data() + text.size(), sink);
 }
 
 std::string render_junos(const DeviceConfig& c) {
@@ -180,13 +236,14 @@ std::string render_junos(const DeviceConfig& c) {
   return os.str();
 }
 
-template <typename OnBlock>
-void parse_junos(std::string_view text, SourceMap* source, OnBlock&& on_block) {
+template <typename Sink>
+void parse_junos(std::string_view text, SourceMap* source, Sink& sink) {
   SourceRecorder rec{source, {}};
   OpenBlock block;
   bool in_stanza = false;
   int line_no = 0;
-  for (const std::string_view raw : split_views(text, '\n')) {
+  for (std::size_t pos = 0; pos <= text.size();) {
+    const std::string_view raw = next_line(text, pos);
     ++line_no;
     const std::string_view line = trim(raw);
     if (line.empty()) continue;
@@ -204,7 +261,9 @@ void parse_junos(std::string_view text, SourceMap* source, OnBlock&& on_block) {
     }
     if (line.back() == '{') {
       if (in_stanza) throw DataError("JunOS parse: nested block in " + block.type());
-      block.reopen(raw, trim(line.substr(0, line.size() - 1)), on_block);
+      block.close(raw.data(), sink);
+      if (source == nullptr && skip_known(text, raw.data(), pos, sink, junos_header)) continue;
+      block.open(raw, trim(line.substr(0, line.size() - 1)));
       rec.open(line_no);
       in_stanza = true;
       continue;
@@ -215,23 +274,32 @@ void parse_junos(std::string_view text, SourceMap* source, OnBlock&& on_block) {
     rec.extend(line_no);
   }
   if (in_stanza) throw DataError("JunOS parse: unterminated block " + block.type());
-  block.close(text.data() + text.size(), on_block);
+  block.close(text.data() + text.size(), sink);
 }
 
-template <typename OnBlock>
-void walk(std::string_view text, Dialect d, SourceMap* source, OnBlock&& on_block) {
+template <typename Sink>
+void walk(std::string_view text, Dialect d, SourceMap* source, Sink& sink) {
   if (d == Dialect::kIosLike)
-    parse_ios(text, source, on_block);
+    parse_ios(text, source, sink);
   else
-    parse_junos(text, source, on_block);
+    parse_junos(text, source, sink);
 }
 
 DeviceConfig parse_config(std::string_view text, Dialect d, std::string device_id,
                           SourceMap* source) {
+  // Builds every block; it knows none to skip.
+  struct Sink {
+    DeviceConfig& config;
+    Dialect dialect;
+    void block(const BlockLines& lines, std::string_view /*bytes*/) {
+      config.stanzas().push_back(build_stanza(lines, dialect));
+    }
+    static std::string_view known() { return {}; }
+    static void reuse() {}
+  };
   DeviceConfig c(std::move(device_id));
-  walk(text, d, source, [&](const BlockLines& lines, std::string_view /*bytes*/) {
-    c.stanzas().push_back(build_stanza(lines, d));
-  });
+  Sink sink{c, d};
+  walk(text, d, source, sink);
   return c;
 }
 
@@ -266,35 +334,55 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, Sour
 
 std::vector<const Stanza*> StanzaInterner::parse(std::string_view text, SourceMap& source) {
   source = SourceMap{};
-  std::vector<const Block*> current;
-  current.reserve(previous_.size());
-  std::vector<bool> taken(previous_.size(), false);
-  std::size_t next = 0;  // The previous block after the last one reused.
-  std::size_t reused = 0;
-  walk(text, dialect_, &source, [&](const BlockLines& lines, std::string_view bytes) {
-    // Blocks mostly keep their order, so try the one after the last
-    // reuse before scanning the rest. No block is reused twice within a
-    // snapshot: each copy of a repeated block keeps its own stanza.
-    const auto match = [&](std::size_t j) { return !taken[j] && previous_[j]->bytes == bytes; };
-    std::size_t j = next;
-    if (j >= previous_.size() || !match(j))
-      for (j = 0; j < previous_.size() && !match(j);) ++j;
-    if (j < previous_.size()) {
-      taken[j] = true;
+  return intern(text, &source);
+}
+
+std::vector<const Stanza*> StanzaInterner::parse(std::string_view text) {
+  return intern(text, nullptr);
+}
+
+std::vector<const Stanza*> StanzaInterner::intern(std::string_view text, SourceMap* source) {
+  // Blocks mostly keep their order, so the one after the last reuse is
+  // tried first (and is the one a walker may skip to), then the rest.
+  // No block is reused twice within a snapshot: each copy of a
+  // repeated block keeps its own stanza.
+  struct Sink {
+    StanzaInterner& self;
+    std::size_t next = 0;  ///< The previous block after the last one reused.
+    std::size_t reused = 0;
+
+    void take(std::size_t j) {
+      self.taken_[j] = true;
       next = j + 1;
       ++reused;
-      current.push_back(previous_[j]);
-    } else {
-      blocks_.push_back(Block{build_stanza(lines, dialect_), std::string(bytes)});
-      current.push_back(&blocks_.back());
+      self.current_.push_back(self.previous_[j]);
     }
-  });
-  blocks_seen_ += current.size();
-  blocks_reused_ += reused;
+    void block(const BlockLines& lines, std::string_view bytes) {
+      const auto& prev = self.previous_;
+      const auto match = [&](std::size_t j) { return !self.taken_[j] && prev[j]->bytes == bytes; };
+      std::size_t j = next;
+      if (j >= prev.size() || !match(j))
+        for (j = 0; j < prev.size() && !match(j);) ++j;
+      if (j < prev.size()) return take(j);
+      self.blocks_.push_back(Block{build_stanza(lines, self.dialect_), std::string(bytes)});
+      self.current_.push_back(&self.blocks_.back());
+    }
+    std::string_view known() const {
+      if (next >= self.previous_.size() || self.taken_[next]) return {};
+      return self.previous_[next]->bytes;
+    }
+    void reuse() { take(next); }
+  };
+  current_.clear();
+  taken_.assign(previous_.size(), false);
+  Sink sink{*this};
+  walk(text, dialect_, source, sink);
+  blocks_seen_ += current_.size();
+  blocks_reused_ += sink.reused;
   std::vector<const Stanza*> stanzas;
-  stanzas.reserve(current.size());
-  for (const Block* b : current) stanzas.push_back(&b->stanza);
-  previous_ = std::move(current);
+  stanzas.reserve(current_.size());
+  for (const Block* b : current_) stanzas.push_back(&b->stanza);
+  std::swap(previous_, current_);
   return stanzas;
 }
 

@@ -78,12 +78,17 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, Sour
 /// next header line (or the end). Consecutive snapshots share almost
 /// every block (§2.2: a snapshot is archived on every change), and a
 /// block byte-identical to one of the previous snapshot's reuses that
-/// block's parsed, immutable Stanza; the rest are parsed. Every line is
-/// still walked by the same walker parse() uses, so the SourceMap and
-/// every DataError are exactly what parse() gives.
+/// block's parsed, immutable Stanza; the rest are parsed.
 ///
 /// Reuse is sound because a header line resets the walker's state in
 /// both dialects: the stanza a block yields depends on its bytes alone.
+/// With a SourceMap asked for, every line is still walked by the walker
+/// parse() uses, so the map and every DataError are exactly parse()'s.
+/// Without one, the walker skips, unwalked, a block that starts at a
+/// header line when its bytes are the previous snapshot's next unreused
+/// block, end in a newline, and are followed by a header line or the
+/// end of the text: those lines parsed before under the same state, and
+/// line numbers, which the skip loses, feed only the source map.
 class StanzaInterner {
  public:
   explicit StanzaInterner(Dialect d) : dialect_(d) {}
@@ -98,6 +103,8 @@ class StanzaInterner {
   /// does; the next call then reuses blocks of the last snapshot that
   /// parsed, and the counts below leave the failed one out.
   std::vector<const Stanza*> parse(std::string_view text, SourceMap& source);
+  /// parse() without a source map, skipping known blocks (above).
+  std::vector<const Stanza*> parse(std::string_view text);
 
   /// Stanza blocks in every snapshot parsed so far, and how many of
   /// them reused an earlier block's stanza.
@@ -110,9 +117,14 @@ class StanzaInterner {
     std::string bytes;
   };
 
+  std::vector<const Stanza*> intern(std::string_view text, SourceMap* source);
+
   Dialect dialect_;
   std::deque<Block> blocks_;            ///< Each distinct block once, address-stable.
   std::vector<const Block*> previous_;  ///< The last snapshot's blocks, in order.
+  // Working storage of one parse, kept for its capacity.
+  std::vector<const Block*> current_;  ///< This snapshot's blocks so far.
+  std::vector<bool> taken_;            ///< Which of previous_ this snapshot reused.
   std::size_t blocks_seen_ = 0;
   std::size_t blocks_reused_ = 0;
 };

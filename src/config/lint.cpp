@@ -3,6 +3,7 @@
 #include "config/lint.hpp"
 
 #include <algorithm>
+#include <utility>
 
 #include "util/error.hpp"
 #include "util/strings.hpp"
@@ -127,31 +128,52 @@ bool NetworkView::runs_bgp(std::size_t device) const {
 LintSink::LintSink(const LintOptions& opts, std::vector<Diagnostic>& out)
     : opts_(&opts), out_(&out) {}
 
+LintSink::LintSink(const LintOptions& opts, LintSummary& counts) : opts_(&opts), counts_(&counts) {}
+
 void LintSink::set_active(const LintRule* rule) {
   active_ = rule;
   active_info_ = rule != nullptr ? rule->info() : RuleInfo{};
+  const auto sev = opts_->severity.find(std::string(active_info_.id));
+  if (sev != opts_->severity.end()) active_info_.severity = sev->second;
+  active_hit_ = false;
 }
 
-void LintSink::report(const DeviceView& dev, const Stanza* anchor, std::string message) {
+LintSink::Placement LintSink::place(const DeviceView& dev, const Stanza* anchor) const {
   require(active_ != nullptr, "LintSink::report outside a rule");
-  Diagnostic d;
+  Placement at;
+  if (const LintSource* src = dev.source()) {
+    const std::size_t i = anchor != nullptr ? dev.index_of(*anchor) : LintSource::npos;
+    at.span = src->span_of(i);
+    at.suppressed = src->suppresses(active_info_.id, i);
+  }
+  return at;
+}
+
+bool LintSink::keeps(const Placement& at) {
+  if (at.suppressed && !opts_->keep_suppressed) return false;
+  if (counts_ == nullptr) return true;
+  if (at.suppressed) {
+    ++counts_->suppressed;
+    return false;
+  }
+  ++counts_->total;
+  ++counts_->by_category[static_cast<std::size_t>(active_info_.category)];
+  ++counts_->by_severity[static_cast<std::size_t>(active_info_.severity)];
+  if (!std::exchange(active_hit_, true)) ++counts_->rules_hit;
+  return false;
+}
+
+void LintSink::add(const DeviceView& dev, const Stanza* anchor, const Placement& at,
+                   std::string message) {
+  Diagnostic& d = out_->emplace_back();
   d.rule_id = std::string(active_info_.id);
   d.category = active_info_.category;
   d.severity = active_info_.severity;
-  const auto sev = opts_->severity.find(d.rule_id);
-  if (sev != opts_->severity.end()) d.severity = sev->second;
   d.device_id = dev.device_id();
-  if (anchor != nullptr) {
-    d.object = anchor->type + (anchor->name.empty() ? "" : " " + anchor->name);
-  }
+  if (anchor != nullptr) d.object = anchor->type + (anchor->name.empty() ? "" : " " + anchor->name);
   d.message = std::move(message);
-  if (const LintSource* src = dev.source()) {
-    const std::size_t at = anchor != nullptr ? dev.index_of(*anchor) : LintSource::npos;
-    d.span = src->span_of(at);
-    d.suppressed = src->suppresses(d.rule_id, at);
-  }
-  if (d.suppressed && !opts_->keep_suppressed) return;
-  out_->push_back(std::move(d));
+  d.span = at.span;
+  d.suppressed = at.suppressed;
 }
 
 // ----------------------------------------------------------------- driver
@@ -166,14 +188,13 @@ bool rule_enabled(const LintOptions& opts, std::string_view id) {
   return true;
 }
 
-}  // namespace
-
-std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
+/// The one loop that runs the rules, for both sink modes: every
+/// enabled rule in registry order, each over every device, then the
+/// network.
+void drive(const std::vector<DeviceView>& network, const LintOptions& opts, LintSink& sink) {
   const RuleRegistry& registry = opts.registry != nullptr ? *opts.registry
                                                           : RuleRegistry::builtin();
   const NetworkView net(network);
-  std::vector<Diagnostic> out;
-  LintSink sink(opts, out);
   for (const auto& rule : registry.rules()) {
     if (!rule_enabled(opts, rule->info().id)) continue;
     sink.set_active(rule.get());
@@ -181,7 +202,45 @@ std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network, const L
     rule->check_network(net, sink);
   }
   sink.set_active(nullptr);
+}
+
+double per_device(int findings, std::size_t num_devices) {
+  return num_devices > 0 ? static_cast<double>(findings) / static_cast<double>(num_devices) : 0.0;
+}
+
+}  // namespace
+
+std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
+  std::vector<Diagnostic> out;
+  LintSink sink(opts, out);
+  drive(network, opts, sink);
   return out;
+}
+
+LintSummary count_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
+  LintSummary s;
+  LintSink sink(opts, s);
+  drive(network, opts, sink);
+  s.density = per_device(s.total, network.size());
+  return s;
+}
+
+LintSummary LintSummary::of(const std::vector<Diagnostic>& diags, std::size_t num_devices) {
+  LintSummary s;
+  std::set<std::string_view> rules;
+  for (const auto& d : diags) {
+    if (d.suppressed) {
+      ++s.suppressed;
+      continue;
+    }
+    ++s.total;
+    ++s.by_category[static_cast<std::size_t>(d.category)];
+    ++s.by_severity[static_cast<std::size_t>(d.severity)];
+    rules.insert(d.rule_id);
+  }
+  s.rules_hit = static_cast<int>(rules.size());
+  s.density = per_device(s.total, num_devices);
+  return s;
 }
 
 std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network, const LintOptions& opts) {

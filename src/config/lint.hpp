@@ -30,11 +30,14 @@
 // JSON, and SARIF form.
 #pragma once
 
+#include <array>
 #include <map>
 #include <memory>
 #include <optional>
 #include <set>
 #include <string>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "config/device_view.hpp"
@@ -83,6 +86,21 @@ struct Diagnostic {
   std::string message;  ///< Human-readable specifics.
   SourceSpan span;
   bool suppressed = false;  ///< Pragma-suppressed (kept only on request).
+};
+
+/// Counts over one network's diagnostics at one point in time: what the
+/// hygiene metrics read (metrics/lint_metrics.hpp).
+struct LintSummary {
+  int total = 0;  ///< Unsuppressed findings.
+  std::array<int, kNumLintCategories> by_category{};
+  std::array<int, kNumLintSeverities> by_severity{};
+  int suppressed = 0;  ///< Pragma-suppressed findings (when kept).
+  int rules_hit = 0;   ///< Distinct rule ids among unsuppressed findings.
+  double density = 0.0;  ///< total / num_devices (0 when no devices).
+
+  static LintSummary of(const std::vector<Diagnostic>& diags, std::size_t num_devices);
+
+  friend bool operator==(const LintSummary&, const LintSummary&) = default;
 };
 
 // ------------------------------------------------------- source resolution
@@ -190,6 +208,10 @@ struct LintOptions {
 std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network,
                                  const LintOptions& opts = {});
 
+/// LintSummary::of(run_lint(network, opts), network.size()), counted as
+/// the rules report, with no diagnostic built.
+LintSummary count_lint(const std::vector<DeviceView>& network, const LintOptions& opts = {});
+
 /// One device of a network under analysis: the parsed config plus its
 /// optional source info (spans + pragmas).
 struct LintInput {
@@ -248,23 +270,47 @@ class NetworkView {
 
 /// Where rules deposit findings. Handles severity overrides, pragma
 /// suppression, and span resolution so rules only say what is wrong
-/// and where.
+/// and where. It keeps each finding as a Diagnostic, or only counts it.
 class LintSink {
  public:
   LintSink(const LintOptions& opts, std::vector<Diagnostic>& out);
+  /// Counts into `counts` what LintSummary::of would count over the
+  /// diagnostics; density is left to the caller.
+  LintSink(const LintOptions& opts, LintSummary& counts);
 
   /// Anchor a finding to a stanza of `dev` (null = whole device); the
   /// span and stanza pragmas are those at the anchor's position.
-  void report(const DeviceView& dev, const Stanza* anchor, std::string message);
+  /// `message` is the text, or a callable returning it that is called
+  /// only when the finding is kept as a Diagnostic.
+  template <typename Message>
+  void report(const DeviceView& dev, const Stanza* anchor, Message&& message) {
+    const Placement at = place(dev, anchor);
+    if (!keeps(at)) return;
+    if constexpr (std::is_invocable_v<Message&>)
+      add(dev, anchor, at, std::string(message()));
+    else
+      add(dev, anchor, at, std::string(std::forward<Message>(message)));
+  }
 
   /// The rule currently executing (set by the engine).
   void set_active(const LintRule* rule);
 
  private:
+  struct Placement {
+    SourceSpan span;
+    bool suppressed = false;
+  };
+  Placement place(const DeviceView& dev, const Stanza* anchor) const;
+  /// Counts the finding when counting; true when it becomes a Diagnostic.
+  bool keeps(const Placement& at);
+  void add(const DeviceView& dev, const Stanza* anchor, const Placement& at, std::string message);
+
   const LintOptions* opts_;
-  std::vector<Diagnostic>* out_;
+  std::vector<Diagnostic>* out_ = nullptr;
+  LintSummary* counts_ = nullptr;
   const LintRule* active_ = nullptr;
-  RuleInfo active_info_{};
+  RuleInfo active_info_{};  ///< With the run's severity override applied.
+  bool active_hit_ = false;  ///< The active rule has an unsuppressed finding.
 };
 
 }  // namespace mpa

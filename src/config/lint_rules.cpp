@@ -63,7 +63,7 @@ class DanglingAclRefRule final : public LintRule {
       if (dev.type_of(s) != "interface") continue;
       for (const auto& acl : attached_acls(s))
         if (!dev.defines("acl", acl))
-          sink.report(dev, &s, s.name + " -> acl '" + acl + "'");
+          sink.report(dev, &s, [&] { return s.name + " -> acl '" + acl + "'"; });
     }
   }
 };
@@ -80,11 +80,12 @@ class DanglingVlanRefRule final : public LintRule {
       if (agnostic == "interface") {
         for (const auto& vlan : referenced_vlans(s))
           if (!dev.defines("vlan", vlan))
-            sink.report(dev, &s, s.name + " -> vlan '" + vlan + "'");
+            sink.report(dev, &s, [&] { return s.name + " -> vlan '" + vlan + "'"; });
       } else if (agnostic == "vlan") {
         for (const auto& name : s.get_all("interface"))
           if (!dev.defines("interface", name))
-            sink.report(dev, &s, "vlan " + s.name + " -> interface '" + name + "'");
+            sink.report(dev, &s,
+                      [&] { return "vlan " + s.name + " -> interface '" + name + "'"; });
       }
     }
   }
@@ -101,7 +102,7 @@ class DanglingPoolRefRule final : public LintRule {
       if (dev.type_of(s) != "virtual-server") continue;
       for (const auto& name : s.get_all("pool"))
         if (!dev.defines("pool", name))
-          sink.report(dev, &s, s.name + " -> pool '" + name + "'");
+          sink.report(dev, &s, [&] { return s.name + " -> pool '" + name + "'"; });
     }
   }
 };
@@ -117,7 +118,7 @@ class DanglingLagMemberRule final : public LintRule {
       if (dev.type_of(s) != "link-aggregation") continue;
       for (const auto& name : s.get_all("member"))
         if (!dev.defines("interface", name))
-          sink.report(dev, &s, s.name + " -> interface '" + name + "'");
+          sink.report(dev, &s, [&] { return s.name + " -> interface '" + name + "'"; });
     }
   }
 };
@@ -136,7 +137,7 @@ class EmptyAclRule final : public LintRule {
       bool has_term = false;
       for (const auto& o : s.options)
         if (is_acl_term(o)) has_term = true;
-      if (!has_term) sink.report(dev, &s, "acl '" + s.name + "' has no terms");
+      if (!has_term) sink.report(dev, &s, [&] { return "acl '" + s.name + "' has no terms"; });
     }
   }
 };
@@ -156,8 +157,9 @@ class ShadowedAclTermRule final : public LintRule {
         if (!is_acl_term(o)) continue;
         // Terms after a catch-all belong to acl-unreachable-term.
         if (!catch_all && !seen.insert({o.key, o.value}).second) {
-          sink.report(dev, &s,
-                      "acl '" + s.name + "': duplicate term '" + o.key + " " + o.value + "'");
+          sink.report(dev, &s, [&] {
+            return "acl '" + s.name + "': duplicate term '" + o.key + " " + o.value + "'";
+          });
         }
         if (is_catch_all(o.value)) catch_all = true;
       }
@@ -178,9 +180,10 @@ class UnreachableAclTermRule final : public LintRule {
       for (const auto& o : s.options) {
         if (!is_acl_term(o)) continue;
         if (catch_all) {
-          sink.report(dev, &s,
-                      "acl '" + s.name + "': term '" + o.key + " " + o.value +
-                          "' is unreachable after a catch-all");
+          sink.report(dev, &s, [&] {
+            return "acl '" + s.name + "': term '" + o.key + " " + o.value +
+                   "' is unreachable after a catch-all";
+          });
         }
         if (is_catch_all(o.value)) catch_all = true;
       }
@@ -203,7 +206,7 @@ class UnreferencedAclRule final : public LintRule {
         for (auto& acl : attached_acls(s)) used.insert(std::move(acl));
     for (const auto& s : dev.stanzas())
       if (dev.type_of(s) == "acl" && used.count(s.name) == 0)
-        sink.report(dev, &s, "acl '" + s.name + "' is never attached");
+        sink.report(dev, &s, [&] { return "acl '" + s.name + "' is never attached"; });
   }
 };
 
@@ -220,7 +223,7 @@ class UnreferencedPoolRule final : public LintRule {
         for (auto& p : s.get_all("pool")) used.insert(std::move(p));
     for (const auto& s : dev.stanzas())
       if (dev.type_of(s) == "pool" && used.count(s.name) == 0)
-        sink.report(dev, &s, "pool '" + s.name + "' is never used");
+        sink.report(dev, &s, [&] { return "pool '" + s.name + "' is never used"; });
   }
 };
 
@@ -239,7 +242,7 @@ class UnreferencedVlanRule final : public LintRule {
       if (dev.type_of(s) != "vlan") continue;
       if (used.count(s.name) > 0) continue;
       if (!s.get_all("interface").empty()) continue;  // members listed inline
-      sink.report(dev, &s, "vlan " + s.name + " has no members");
+      sink.report(dev, &s, [&] { return "vlan " + s.name + " has no members"; });
     }
   }
 };
@@ -273,7 +276,7 @@ class UnusedInterfaceUpRule final : public LintRule {
         if (o.key == "shutdown" || o.key == "disable") shut = true;
       }
       if (!in_use && !shut)
-        sink.report(dev, &s, s.name + " carries no config; add 'shutdown'");
+        sink.report(dev, &s, [&] { return s.name + " carries no config; add 'shutdown'"; });
     }
   }
 };
@@ -287,13 +290,17 @@ class DuplicateAddressRule final : public LintRule {
             LintCategory::kAddressing, LintSeverity::kError};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    std::map<std::uint32_t, std::string> owners;  // ip -> "device/iface"
+    // ip -> the first device and interface stanza configuring it
+    std::map<std::uint32_t, std::pair<const DeviceView*, const Stanza*>> owners;
     for (const DeviceView& dev : net.devices()) {
       for (const auto& ia : dev.iface_addrs()) {
-        const std::string here = dev.device_id() + "/" + ia.stanza->name;
-        const auto [it, inserted] = owners.emplace(ia.prefix.addr, here);
-        if (!inserted)
-          sink.report(dev, ia.stanza, format_ipv4(ia.prefix.addr) + " also on " + it->second);
+        const auto [it, inserted] = owners.emplace(ia.prefix.addr, std::make_pair(&dev, ia.stanza));
+        if (inserted) continue;
+        const DeviceView* owner = it->second.first;
+        const Stanza* iface = it->second.second;
+        sink.report(dev, ia.stanza, [&] {
+          return format_ipv4(ia.prefix.addr) + " also on " + owner->device_id() + "/" + iface->name;
+        });
       }
     }
   }
@@ -320,7 +327,8 @@ class SubnetOverlapRule final : public LintRule {
         const Ipv4Prefix& narrow = pa.len < pb.len ? pb : pa;
         if (!wide.contains(narrow.network())) continue;
         const auto [dev, stanza] = narrow == pa ? a->second : b->second;
-        sink.report(*dev, stanza, format_prefix(narrow) + " overlaps " + format_prefix(wide));
+        sink.report(*dev, stanza,
+                    [&] { return format_prefix(narrow) + " overlaps " + format_prefix(wide); });
       }
     }
   }
@@ -344,9 +352,10 @@ class OneSidedBgpRule final : public LintRule {
         if (!ip) continue;
         const std::size_t owner = net.owner_of(*ip);
         if (owner == NetworkView::npos || net.runs_bgp(owner)) continue;
-        sink.report(dev, proc.stanza,
-                    "neighbor " + tokens[0] + " (" + net.devices()[owner].device_id() +
-                        " runs no BGP process)");
+        sink.report(dev, proc.stanza, [&] {
+          return "neighbor " + tokens[0] + " (" + net.devices()[owner].device_id() +
+                 " runs no BGP process)";
+        });
       }
     }
   }
@@ -374,9 +383,10 @@ class BgpAsMismatchRule final : public LintRule {
         if (owner == NetworkView::npos) continue;
         const auto peer_as = as_of.find(owner);
         if (peer_as == as_of.end() || peer_as->second == tokens[2]) continue;
-        sink.report(dev, proc.stanza,
-                    "neighbor " + tokens[0] + " remote-as " + tokens[2] + " but " +
-                        net.devices()[owner].device_id() + " runs AS " + peer_as->second);
+        sink.report(dev, proc.stanza, [&] {
+          return "neighbor " + tokens[0] + " remote-as " + tokens[2] + " but " +
+                 net.devices()[owner].device_id() + " runs AS " + peer_as->second;
+        });
       }
     }
   }
@@ -407,14 +417,16 @@ class OspfAreaMismatchRule final : public LintRule {
         }
       }
     }
-    for (const auto& [prefix, claims] : by_prefix) {
+    for (const auto& entry : by_prefix) {
+      const std::string& prefix = entry.first;
       std::set<std::string> areas;
-      for (const auto& c : claims) areas.insert(c.area);
+      for (const auto& c : entry.second) areas.insert(c.area);
       if (areas.size() <= 1) continue;
-      for (const auto& c : claims) {
-        sink.report(net.devices()[c.device], c.stanza,
-                    prefix + " claimed in area " + c.area + " (network also uses " +
-                        join(std::vector<std::string>(areas.begin(), areas.end()), ", ") + ")");
+      for (const auto& c : entry.second) {
+        sink.report(net.devices()[c.device], c.stanza, [&] {
+          return prefix + " claimed in area " + c.area + " (network also uses " +
+                 join(std::vector<std::string>(areas.begin(), areas.end()), ", ") + ")";
+        });
       }
     }
   }
@@ -442,16 +454,19 @@ class MtuMismatchRule final : public LintRule {
         links[ia.prefix.subnet()].push_back(End{&dev, ia.stanza, *mtu});
       }
     }
-    for (const auto& [subnet, ends] : links) {
+    for (const auto& link : links) {
+      const Ipv4Prefix& subnet = link.first;
+      const std::vector<End>& ends = link.second;
       const std::string& first = ends.front().mtu;
       bool mismatch = false;
       for (const auto& e : ends)
         if (e.mtu != first) mismatch = true;
       if (!mismatch) continue;
       for (const auto& e : ends) {
-        sink.report(*e.device, e.stanza,
-                    e.stanza->name + " mtu " + e.mtu + " on link " + format_prefix(subnet) +
-                        " (peers disagree)");
+        sink.report(*e.device, e.stanza, [&] {
+          return e.stanza->name + " mtu " + e.mtu + " on link " + format_prefix(subnet) +
+                 " (peers disagree)";
+        });
       }
     }
   }
@@ -477,9 +492,10 @@ class VlanSpanGapRule final : public LintRule {
           if (dev.defines("vlan", vlan)) continue;
           const auto it = defined_on.find(vlan);
           if (it == defined_on.end() || it->second.empty()) continue;  // dangling-vlan-ref's case
-          sink.report(dev, &s,
-                      s.name + " uses vlan " + vlan + " defined on " +
-                          net.devices()[it->second.front()].device_id() + " but not here");
+          sink.report(dev, &s, [&] {
+            return s.name + " uses vlan " + vlan + " defined on " +
+                   net.devices()[it->second.front()].device_id() + " but not here";
+          });
         }
       }
     }

@@ -96,6 +96,7 @@ void register_engine_metrics() {
         "mpa_pool_queue_wait_ns_total", "mpa_dataset_load_bytes_total"}) {
     reg.counter(name);
   }
+  for (const char* name : kInferLayerCounters) reg.counter(name);
   for (const char* stage : {"case_table", "lint", "dependence", "causal", "cv", "online", "append"})
     reg.histogram(stage_histogram(stage));
   reg.histogram("mpa_dependence_pair_seconds");

@@ -1,6 +1,7 @@
 #include "metrics/inference.hpp"
 
 #include <algorithm>
+#include <array>
 #include <map>
 
 #include "config/dialect.hpp"
@@ -13,21 +14,50 @@ namespace mpa {
 namespace {
 
 /// Parsed snapshot timeline of one device: each distinct stanza block
-/// parsed once and owned by the interner, and per snapshot its time,
-/// stanza handles and source.
+/// parsed once and owned by the interner, and per snapshot its time and
+/// stanza handles. Only a snapshot that some month of the window ends on
+/// is read with its source, so only those carry one.
 struct DeviceTimeline {
   explicit DeviceTimeline(Dialect d) : interner(d) {}
 
   StanzaInterner interner;
   std::vector<Timestamp> times;
   std::vector<std::vector<const Stanza*>> stanzas;
-  std::vector<LintSource> sources;  ///< Spans + pragmas, per snapshot.
+  /// Per month of the window, the last snapshot before its end, or -1.
+  std::vector<int> month_end;
+  std::vector<LintSource> sources;  ///< Spans + pragmas; empty where no month ends.
 
   /// Index of the last snapshot strictly before `t`, or -1.
   int state_before(Timestamp t) const {
     const auto it = std::lower_bound(times.begin(), times.end(), t);
     return static_cast<int>(it - times.begin()) - 1;
   }
+};
+
+/// Wall time of one network's inference per layer, summed in locals and
+/// added to the layer counters once. With obs off it reads no clock.
+class LayerClock {
+ public:
+  enum Layer : std::uint8_t { kIntern, kDiff, kState, kDesign, kLint, kOps };
+
+  LayerClock() : on_(obs::enabled()), last_(on_ ? obs::now_ns() : 0) {}
+  bool on() const { return on_; }
+  /// Charges the time since the previous lap (or construction) to `layer`.
+  void lap(Layer layer) {
+    if (!on_) return;
+    const std::uint64_t now = obs::now_ns();
+    ns_[layer] += now - last_;
+    last_ = now;
+  }
+  void publish(obs::Registry& registry) const {
+    for (std::size_t l = 0; l < ns_.size(); ++l)
+      registry.counter(kInferLayerCounters[l]).add(ns_[l]);
+  }
+
+ private:
+  bool on_;
+  std::uint64_t last_;
+  std::array<std::uint64_t, kInferLayerCounters.size()> ns_{};
 };
 
 /// Rows of one network for months [first_month, opts.num_months), in
@@ -46,6 +76,7 @@ struct DeviceTimeline {
 std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory& inventory,
                                       const SnapshotStore& snapshots, const TicketLog& tickets,
                                       const InferenceOptions& opts, int first_month) {
+  LayerClock clock;
   const auto devices = inventory.devices_in(net.network_id);
   const Timestamp window_start = month_start(first_month);
 
@@ -74,17 +105,28 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       begin = before > 0 ? before - 1 : 0;
     }
     DeviceTimeline& tl = timelines.try_emplace(d->device_id, dialect).first->second;
-    tl.times.reserve(snaps.size() - begin);
-    tl.stanzas.reserve(snaps.size() - begin);
-    tl.sources.reserve(snaps.size() - begin);
+    for (std::size_t i = begin; i < snaps.size(); ++i) tl.times.push_back(snaps[i].time);
+    std::vector<bool> ends_month(tl.times.size(), false);
+    for (int m = first_month; m < opts.num_months; ++m) {
+      const int i = tl.state_before(month_start(m + 1));
+      tl.month_end.push_back(i);
+      if (i >= 0) ends_month[static_cast<std::size_t>(i)] = true;
+    }
+    tl.stanzas.reserve(tl.times.size());
+    tl.sources.resize(tl.times.size());
     SourceMap map;
-    for (std::size_t i = begin; i < snaps.size(); ++i) {
-      tl.times.push_back(snaps[i].time);
-      tl.stanzas.push_back(tl.interner.parse(snaps[i].text, map));
-      tl.sources.emplace_back(map);
+    for (std::size_t i = 0; i < tl.times.size(); ++i) {
+      const std::string_view text = snaps[begin + i].text;
+      if (!ends_month[i]) {
+        tl.stanzas.push_back(tl.interner.parse(text));
+        continue;
+      }
+      tl.stanzas.push_back(tl.interner.parse(text, map));
+      tl.sources[i] = LintSource(map);
     }
     blocks += tl.interner.blocks();
     reused += tl.interner.reused();
+    clock.lap(LayerClock::kIntern);
     for (std::size_t i = 1; i < tl.stanzas.size(); ++i) {
       auto stanza_changes = diff(tl.stanzas[i - 1], tl.stanzas[i]);
       if (stanza_changes.empty()) continue;
@@ -97,11 +139,7 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       cr.stanza_changes = std::move(stanza_changes);
       changes.push_back(std::move(cr));
     }
-  }
-  if (obs::enabled()) {
-    auto& registry = obs::Registry::global();
-    registry.counter("mpa_infer_stanza_blocks_total").add(blocks);
-    registry.counter("mpa_infer_stanza_blocks_reused_total").add(reused);
+    clock.lap(LayerClock::kDiff);
   }
   // stable_sort, not sort: records tied on (time, device_id) keep their
   // generation order, so sorting a per-device suffix of the change
@@ -111,31 +149,49 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
                    [](const ChangeRecord& a, const ChangeRecord& b) {
                      return a.time != b.time ? a.time < b.time : a.device_id < b.device_id;
                    });
+  clock.lap(LayerClock::kDiff);
 
+  // The configuration state at month end: one view per device over its
+  // timeline's stanza handles and source, read by both the design
+  // metrics and the hygiene lint. A view, with the names it memoized,
+  // lasts while its device's month-end snapshot does. A device that has
+  // a month-end snapshot has one in every later month, so a change in
+  // how many do is a device joining, and then every view is rebuilt in
+  // device order.
+  std::vector<DeviceView> state;
+  std::vector<int> shown(timelines.size(), -1);  ///< Per timeline, the snapshot viewed.
   std::vector<Case> rows;
   rows.reserve(static_cast<std::size_t>(opts.num_months - first_month));
   for (int m = first_month; m < opts.num_months; ++m) {
     const Timestamp m_start = month_start(m);
     const Timestamp m_end = month_start(m + 1);
+    const auto w = static_cast<std::size_t>(m - first_month);
 
     Case row;
     row.network_id = net.network_id;
     row.month = m;
 
-    // The configuration state at month end: one view per device over
-    // its timeline's stanza handles and source, read by both the
-    // design metrics and the hygiene lint.
-    std::vector<DeviceView> state;
-    state.reserve(timelines.size());
+    std::size_t present = 0;
+    for (const auto& entry : timelines) present += entry.second.month_end[w] >= 0 ? 1 : 0;
+    if (present != state.size()) state.clear();
+    std::size_t t = 0, k = 0;
     for (const auto& [dev_id, tl] : timelines) {
-      const int idx = tl.state_before(m_end);
-      if (idx < 0) continue;
-      const auto i = static_cast<std::size_t>(idx);
-      state.emplace_back(dev_id, tl.stanzas[i], &tl.sources[i]);
+      const int i = tl.month_end[w];
+      if (i >= 0) {
+        const auto at = static_cast<std::size_t>(i);
+        if (k == state.size())
+          state.emplace_back(dev_id, tl.stanzas[at], &tl.sources[at]);
+        else if (i != shown[t])
+          state[k] = DeviceView(dev_id, tl.stanzas[at], &tl.sources[at]);
+        ++k;
+      }
+      shown[t++] = i;
     }
+    clock.lap(LayerClock::kState);
     compute_design_metrics(net, devices, state, row);
-    const auto diags = run_lint(state, opts.lint);
-    apply_lint_metrics(LintSummary::of(diags, state.size()), row);
+    clock.lap(LayerClock::kDesign);
+    apply_lint_metrics(count_lint(state, opts.lint), row);
+    clock.lap(LayerClock::kLint);
 
     // Operational metrics from this month's changes.
     std::vector<const ChangeRecord*> month_changes;
@@ -146,6 +202,13 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
 
     row.tickets = tickets.count_health_tickets(net.network_id, m);
     rows.push_back(std::move(row));
+    clock.lap(LayerClock::kOps);
+  }
+  if (clock.on()) {
+    auto& registry = obs::Registry::global();
+    registry.counter("mpa_infer_stanza_blocks_total").add(blocks);
+    registry.counter("mpa_infer_stanza_blocks_reused_total").add(reused);
+    clock.publish(registry);
   }
   return rows;
 }

@@ -7,6 +7,8 @@
 // non-maintenance ticket count.
 #pragma once
 
+#include <array>
+
 #include "config/lint.hpp"
 #include "metrics/case_table.hpp"
 #include "metrics/change_analysis.hpp"
@@ -17,6 +19,14 @@
 namespace mpa {
 
 class ThreadPool;
+
+/// With obs on, inference adds each network's wall nanoseconds per layer
+/// to these counters: stanza interning (parsing), diffing and sorting
+/// the changes, month-end views, design metrics, lint, and operational
+/// metrics (events, change metrics and tickets).
+inline constexpr std::array<const char*, 6> kInferLayerCounters = {
+    "mpa_infer_intern_ns_total", "mpa_infer_diff_ns_total", "mpa_infer_state_ns_total",
+    "mpa_infer_design_ns_total", "mpa_infer_lint_ns_total", "mpa_infer_ops_ns_total"};
 
 struct InferenceOptions {
   /// Change-event grouping window delta, in minutes (paper: 5; <= 0

@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <functional>
+#include <limits>
 #include <sstream>
 
 #include "util/json.hpp"
@@ -32,6 +34,18 @@ void atomic_add_double(std::atomic<std::uint64_t>& bits, double delta) {
   }
 }
 
+/// Moves the double in `bits` to `v` while `beyond(v, current)`: with
+/// std::less a running minimum, with std::greater a running maximum.
+template <typename Beyond>
+void atomic_extend_double(std::atomic<std::uint64_t>& bits, double v, Beyond beyond) {
+  std::uint64_t old = bits.load(std::memory_order_relaxed);
+  while (beyond(v, bits_to_double(old)) &&
+         !bits.compare_exchange_weak(old, double_to_bits(v), std::memory_order_relaxed)) {
+  }
+}
+
+constexpr double kInf = std::numeric_limits<double>::infinity();
+
 }  // namespace
 
 bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
@@ -53,11 +67,15 @@ void Gauge::reset() { bits_.store(0, std::memory_order_relaxed); }
 
 Histogram::Histogram(std::vector<double> bounds)
     : bounds_(std::move(bounds)),
-      buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]) {
+      buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]),
+      min_bits_(double_to_bits(kInf)),
+      max_bits_(double_to_bits(-kInf)) {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
 void Histogram::observe(double v) {
+  atomic_extend_double(min_bits_, v, std::less<>());
+  atomic_extend_double(max_bits_, v, std::greater<>());
   std::size_t b = 0;
   while (b < bounds_.size() && v > bounds_[b]) ++b;
   buckets_[b].fetch_add(1, std::memory_order_relaxed);
@@ -74,7 +92,16 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
 }
 
 double Histogram::quantile(double q) const {
-  return quantile_from_buckets(bounds_, bucket_counts(), q);
+  const double lo = bits_to_double(min_bits_.load(std::memory_order_relaxed));
+  const double hi = bits_to_double(max_bits_.load(std::memory_order_relaxed));
+  if (!(lo <= hi)) return quantile_from_buckets(bounds_, bucket_counts(), q);  // no sample yet
+  // The largest sample is the +Inf bucket's upper edge: a rank there
+  // interpolates toward it instead of stopping at the last bound.
+  std::vector<double> bounds = bounds_;
+  bounds.push_back(std::max(hi, bounds_.empty() ? hi : bounds_.back()));
+  std::vector<std::uint64_t> counts = bucket_counts();
+  counts.push_back(0);
+  return std::clamp(quantile_from_buckets(bounds, counts, q), lo, hi);
 }
 
 double quantile_from_buckets(const std::vector<double>& bounds,
@@ -109,6 +136,8 @@ void Histogram::reset() {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
   count_.store(0, std::memory_order_relaxed);
   sum_bits_.store(0, std::memory_order_relaxed);
+  min_bits_.store(double_to_bits(kInf), std::memory_order_relaxed);
+  max_bits_.store(double_to_bits(-kInf), std::memory_order_relaxed);
 }
 
 const std::vector<double>& latency_buckets_seconds() {

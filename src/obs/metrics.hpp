@@ -61,8 +61,9 @@ class Gauge {
 
 /// Fixed-bucket histogram (cumulative counts at export, Prometheus
 /// style). Bounds are upper edges; an implicit +Inf bucket catches the
-/// rest. observe() is two relaxed atomic adds plus a CAS loop for the
-/// sum — no locks.
+/// rest. It also keeps the smallest and largest sample. observe() is
+/// two relaxed atomic adds plus CAS loops for the sum and the extremes
+/// (a load each when the extremes stand) — no locks.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> bounds);
@@ -75,8 +76,9 @@ class Histogram {
   std::vector<std::uint64_t> bucket_counts() const;
   /// Estimated q-quantile (q in [0,1]) from the bucket boundaries:
   /// linear interpolation inside the bucket holding the target rank,
-  /// clamped to the highest finite bound for +Inf-bucket hits. 0 when
-  /// empty. Exports surface p50/p90/p99.
+  /// where the +Inf bucket ends at the largest sample, clamped to the
+  /// range of the samples seen. 0 when empty. Exports surface
+  /// p50/p90/p99.
   double quantile(double q) const;
   void reset();
 
@@ -85,6 +87,8 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_bits_{0};
+  std::atomic<std::uint64_t> min_bits_;  ///< +inf until a sample lands.
+  std::atomic<std::uint64_t> max_bits_;  ///< -inf until a sample lands.
 };
 
 /// Default bounds for wall-time histograms, in seconds.

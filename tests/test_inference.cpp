@@ -196,5 +196,35 @@ TEST(Inference, CountsStanzaBlocksParsedAndReused) {
   EXPECT_EQ(counted.to_csv(), quiet.to_csv());
 }
 
+// With obs on, inference adds each layer's wall time to its counter;
+// with obs off, every layer counter stays 0.
+TEST(Inference, TimesItsLayersOnlyWithObsOn) {
+  OspOptions gen;
+  gen.num_networks = 4;
+  gen.num_months = 3;
+  gen.seed = 3;
+  const OspDataset data = generate_osp(gen);
+  InferenceOptions opts;
+  opts.num_months = gen.num_months;
+  const auto layer_ns = [] {
+    auto all = obs::Registry::global().counters_snapshot();
+    std::vector<std::uint64_t> ns;
+    for (const char* name : kInferLayerCounters) ns.push_back(all[name]);
+    return ns;
+  };
+
+  obs::set_enabled(false);
+  obs::Registry::global().reset_values();
+  infer_case_table(data.inventory, data.snapshots, data.tickets, opts);
+  EXPECT_EQ(layer_ns(), std::vector<std::uint64_t>(kInferLayerCounters.size(), 0));
+
+  obs::set_enabled(true);
+  infer_case_table(data.inventory, data.snapshots, data.tickets, opts);
+  const auto timed = layer_ns();
+  obs::set_enabled(false);
+  obs::Registry::global().reset_values();
+  for (std::size_t l = 0; l < timed.size(); ++l) EXPECT_GT(timed[l], 0u) << kInferLayerCounters[l];
+}
+
 }  // namespace
 }  // namespace mpa

@@ -1,9 +1,11 @@
 // Rule-engine lint tests: every built-in rule with a positive and a
 // negative case in each dialect, suppression pragmas, source spans,
-// registry behavior, and the LintSummary / LintReport aggregation.
+// registry behavior, the counting sink, and the LintSummary / LintReport
+// aggregation.
 #include <gtest/gtest.h>
 
 #include <initializer_list>
+#include <memory>
 #include <set>
 #include <string>
 #include <utility>
@@ -12,6 +14,7 @@
 #include "config/lint.hpp"
 #include "engine/lint_report.hpp"
 #include "metrics/lint_metrics.hpp"
+#include "simulation/osp_generator.hpp"
 #include "util/error.hpp"
 #include "util/strings.hpp"
 
@@ -494,8 +497,10 @@ struct SpanCase {
   std::vector<const char*> file_suppressed;  ///< Device-scope pragma ids.
 };
 
-TEST(LintSpans, SpanAndPragmaTable) {
-  const std::vector<SpanCase> cases = {
+/// Texts with comments and pragmas in both dialects, each with the
+/// spans and suppressions its stanzas must get.
+std::vector<SpanCase> span_cases() {
+  return {
       {"ios stanza open at EOF ends on the line after the final newline",
        Dialect::kIosLike,
        "interface Eth0\n"
@@ -602,7 +607,10 @@ TEST(LintSpans, SpanAndPragmaTable) {
         {"interfaces", "xe-0/0/0", 6, 8, {}, {"unused-interface-up"}}},
        {}},
   };
-  for (const auto& c : cases) {
+}
+
+TEST(LintSpans, SpanAndPragmaTable) {
+  for (const auto& c : span_cases()) {
     SCOPED_TRACE(c.label);
     // Rows are in stanza order: row i describes the parsed config's
     // stanza i, which is what the source is indexed by.
@@ -792,6 +800,127 @@ TEST(LintOptionsTest, CustomRegistry) {
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule_id, "every-device");
   EXPECT_TRUE(diags[0].object.empty());
+}
+
+// --------------------------------------------------------------- counting
+
+/// One network's month-end state: each device's config and source.
+struct MonthEnd {
+  std::string label;
+  std::vector<DeviceConfig> configs;
+  std::vector<LintSource> sources;
+
+  void add(std::string_view text, Dialect d, std::string device_id) {
+    SourceMap map;
+    configs.push_back(parse(text, d, std::move(device_id), map));
+    sources.emplace_back(map);
+  }
+  std::vector<DeviceView> views() const {
+    std::vector<DeviceView> out;
+    for (std::size_t i = 0; i < configs.size(); ++i) out.emplace_back(configs[i], &sources[i]);
+    return out;
+  }
+};
+
+/// Every network-month of the pinned 8 x 4, seed-3 dataset; then each
+/// pragma text alone, and each dialect's pragma texts as one network.
+std::vector<MonthEnd> counting_networks() {
+  OspOptions gen;
+  gen.num_networks = 8;
+  gen.num_months = 4;
+  gen.seed = 3;
+  const OspDataset data = generate_osp(gen);
+  std::vector<MonthEnd> out;
+  for (const auto& net : data.inventory.networks()) {
+    for (int m = 0; m < gen.num_months; ++m) {
+      MonthEnd& me = out.emplace_back();
+      me.label = net.network_id + " month " + std::to_string(m);
+      for (const auto* dev : data.inventory.devices_in(net.network_id)) {
+        const ConfigSnapshot* last = nullptr;
+        for (const auto& snap : data.snapshots.for_device(dev->device_id))
+          if (snap.time < month_start(m + 1)) last = &snap;
+        if (last != nullptr) me.add(last->text, dialect_of(dev->vendor), dev->device_id);
+      }
+    }
+  }
+  for (const Dialect d : kBothDialects) {
+    MonthEnd all;
+    all.label = std::string(d == Dialect::kIosLike ? "ios" : "junos") + " pragma texts";
+    for (const auto& c : span_cases()) {
+      if (c.dialect != d) continue;
+      all.add(c.text, d, "dev" + std::to_string(all.configs.size()));
+      MonthEnd& one = out.emplace_back();
+      one.label = c.label;
+      one.add(c.text, d, "dev");
+    }
+    out.push_back(std::move(all));
+  }
+  return out;
+}
+
+// The counting sink that inference uses gives what the summary of the
+// full diagnostics gives, on every network-month of the pinned dataset
+// and on the pragma texts: under default options, with suppressed
+// findings kept, with a severity override, with a rule disabled, and
+// with a custom rule that reports plain strings.
+TEST(LintCounting, CountingSinkAgreesWithDiagnosticsSummary) {
+  // Borrows a built-in id, so the pragma texts suppress some of its
+  // findings.
+  class PlainMessageRule : public LintRule {
+   public:
+    RuleInfo info() const override {
+      return {"unused-interface-up", "plain-string findings", LintCategory::kFilter,
+              LintSeverity::kWarning};
+    }
+    void check_device(const DeviceView& dev, LintSink& sink) const override {
+      for (const auto& s : dev.stanzas()) sink.report(dev, &s, "seen");
+    }
+    void check_network(const NetworkView& net, LintSink& sink) const override {
+      const std::string message = "network";
+      for (const auto& dev : net.devices()) sink.report(dev, nullptr, message);
+    }
+  };
+  RuleRegistry custom;
+  custom.add(std::make_unique<PlainMessageRule>());
+
+  std::vector<std::pair<const char*, LintOptions>> setups(5);
+  setups[0].first = "default options";
+  setups[1].first = "keep suppressed";
+  setups[1].second.keep_suppressed = true;
+  setups[2].first = "severity override";
+  setups[2].second.severity["unused-interface-up"] = LintSeverity::kError;
+  setups[2].second.severity["unreferenced-vlan"] = LintSeverity::kWarning;
+  setups[3].first = "disabled rule";
+  setups[3].second.enable["unused-interface-up"] = false;
+  setups[4].first = "custom rule";
+  setups[4].second.registry = &custom;
+  setups[4].second.keep_suppressed = true;
+
+  std::vector<LintSummary> sums(setups.size());
+  for (const MonthEnd& network : counting_networks()) {
+    SCOPED_TRACE(network.label);
+    const std::vector<DeviceView> views = network.views();
+    for (std::size_t k = 0; k < setups.size(); ++k) {
+      SCOPED_TRACE(setups[k].first);
+      const LintSummary want = LintSummary::of(run_lint(views, setups[k].second), views.size());
+      const LintSummary got = count_lint(views, setups[k].second);
+      EXPECT_EQ(got, want);
+      sums[k].total += got.total;
+      sums[k].suppressed += got.suppressed;
+      for (std::size_t v = 0; v < got.by_severity.size(); ++v)
+        sums[k].by_severity[v] += got.by_severity[v];
+    }
+  }
+  // Each setup moved the counts the way it should.
+  EXPECT_GT(sums[0].total, 0);
+  EXPECT_EQ(sums[0].suppressed, 0);
+  EXPECT_GT(sums[1].suppressed, 0);
+  EXPECT_EQ(sums[1].total, sums[0].total);
+  EXPECT_GT(sums[2].by_severity[static_cast<std::size_t>(LintSeverity::kError)],
+            sums[0].by_severity[static_cast<std::size_t>(LintSeverity::kError)]);
+  EXPECT_LT(sums[3].total, sums[0].total);
+  EXPECT_GT(sums[4].total, 0);
+  EXPECT_GT(sums[4].suppressed, 0);
 }
 
 // ------------------------------------------------- summary + report forms

@@ -272,9 +272,10 @@ TEST_F(ObsTest, StageHistogramsRecordWallTime) {
 TEST_F(ObsTest, HistogramQuantileInterpolatesWithinBucket) {
   obs::Histogram& h = obs::Registry::global().histogram("obs_quant_hist", {10.0});
   h.observe(5.0);  // one sample in (0, 10]
-  // Linear interpolation inside the only occupied bucket.
+  // Linear interpolation inside the only occupied bucket, clamped to
+  // the samples seen: q=1 is the largest sample, not the bucket bound.
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 5.0);
-  EXPECT_DOUBLE_EQ(h.quantile(1.0), 10.0);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 5.0);
 }
 
 TEST_F(ObsTest, HistogramQuantileWalksBuckets) {
@@ -284,8 +285,22 @@ TEST_F(ObsTest, HistogramQuantileWalksBuckets) {
   h.observe(3.0);
   h.observe(100.0);  // +Inf bucket
   EXPECT_DOUBLE_EQ(h.quantile(0.5), 2.0);
-  // A rank inside the +Inf bucket clamps to the highest finite bound.
-  EXPECT_DOUBLE_EQ(h.quantile(0.99), 4.0);
+  // A rank inside the +Inf bucket interpolates from the highest finite
+  // bound toward the largest sample: 4 + (100 - 4) * 0.96.
+  EXPECT_DOUBLE_EQ(h.quantile(0.99), 96.16);
+  EXPECT_DOUBLE_EQ(h.quantile(1.0), 100.0);
+}
+
+TEST_F(ObsTest, HistogramQuantileOfOneSampleIsThatSample) {
+  // A single 2.83 s stage sample, in the (1, 5] bucket of the default
+  // bounds, and a sample past the last bound.
+  for (const double v : {2.83, 1e-7, 42.0}) {
+    obs::Histogram h(obs::latency_buckets_seconds());
+    h.observe(v);
+    for (const double q : {0.0, 0.01, 0.5, 0.9, 0.99, 1.0}) EXPECT_DOUBLE_EQ(h.quantile(q), v) << q;
+    h.reset();
+    EXPECT_DOUBLE_EQ(h.quantile(0.5), 0.0);
+  }
 }
 
 TEST_F(ObsTest, HistogramQuantileEmptyIsZero) {
