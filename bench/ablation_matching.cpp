@@ -41,7 +41,6 @@ int main() {
     variants.push_back({"+ max reuse 6", limited});
     MatchOptions covariates = limited;
     covariates.covariates_within_caliper = true;
-    covariates.max_candidates = 128;
     variants.push_back({"+ covariate distance (default)", covariates});
   }
 

@@ -14,17 +14,16 @@ namespace {
 
 void print_confounder(const mpa::CaseTable& table, mpa::Practice confounder) {
   using namespace mpa;
-  const CausalOptions opts;
   std::cout << "\n-- matched distributions of '" << practice_name(confounder)
             << "' (log1p scale) --\n";
   TextTable t({"comp. point", "side", "p10", "p25", "median", "p75", "p90"});
   for (int b = 0; b < 4; ++b) {
-    const ComparisonData data = comparison_data(table, Practice::kNumChangeEvents, b, opts);
+    const ComparisonData data = comparison_data(table, Practice::kNumChangeEvents, b);
     if (data.treated.empty() || data.untreated.empty()) continue;
     std::size_t col = 0;
     for (std::size_t j = 0; j < data.confounders.size(); ++j)
       if (data.confounders[j] == confounder) col = j;
-    const MatchResult m = propensity_match(data.treated, data.untreated, opts.match);
+    const MatchResult m = propensity_match(data.treated, data.untreated);
     if (m.pairs.empty()) continue;
     std::vector<double> vt, vu;
     for (const auto& pr : m.pairs) {

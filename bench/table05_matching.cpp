@@ -16,14 +16,13 @@ int main() {
                 "achieves); distinct untreated < pairs (replacement helps); "
                 "|std diff of means| of the score ~0 and variance ratio ~1");
   const CaseTable table = bench::load_case_table();
-  const CausalOptions opts;
 
   TextTable t({"comp. point", "untreated", "treated", "pairs", "untreated matched",
                "score |sdm|", "score var ratio", "exact-match pairs"});
   for (int b = 0; b < 4; ++b) {
-    const ComparisonData data = comparison_data(table, Practice::kNumChangeEvents, b, opts);
+    const ComparisonData data = comparison_data(table, Practice::kNumChangeEvents, b);
     if (data.treated.empty() || data.untreated.empty()) continue;
-    const MatchResult m = propensity_match(data.treated, data.untreated, opts.match);
+    const MatchResult m = propensity_match(data.treated, data.untreated);
     t.row()
         .add(std::to_string(b + 1) + ":" + std::to_string(b + 2))
         .add(data.untreated.size())

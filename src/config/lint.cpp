@@ -1,5 +1,5 @@
-// Lint engine core: rule registry plumbing, source resolution, and the
-// run driver. The rules themselves live in lint_rules.cpp.
+// Lint engine core: source resolution, the sink, and the run driver.
+// The rules themselves live in lint_rules.cpp.
 #include "config/lint.hpp"
 
 #include <algorithm>
@@ -89,20 +89,6 @@ bool LintSource::suppresses(std::string_view rule_id, std::size_t stanza) const 
 void LintRule::check_device(const DeviceView& /*dev*/, LintSink& /*sink*/) const {}
 void LintRule::check_network(const NetworkView& /*net*/, LintSink& /*sink*/) const {}
 
-void RuleRegistry::add(std::unique_ptr<LintRule> rule) {
-  require(rule != nullptr, "RuleRegistry::add: null rule");
-  const std::string_view id = rule->info().id;
-  require(!id.empty(), "RuleRegistry::add: rule with empty id");
-  require(find(id) == nullptr, "RuleRegistry::add: duplicate rule id '" + std::string(id) + "'");
-  rules_.push_back(std::move(rule));
-}
-
-const LintRule* RuleRegistry::find(std::string_view id) const {
-  for (const auto& r : rules_)
-    if (r->info().id == id) return r.get();
-  return nullptr;
-}
-
 // ----------------------------------------------------------------- views
 
 NetworkView::NetworkView(const std::vector<DeviceView>& devices) : devices_(&devices) {
@@ -133,8 +119,6 @@ LintSink::LintSink(const LintOptions& opts, LintSummary& counts) : opts_(&opts),
 void LintSink::set_active(const LintRule* rule) {
   active_ = rule;
   active_info_ = rule != nullptr ? rule->info() : RuleInfo{};
-  const auto sev = opts_->severity.find(std::string(active_info_.id));
-  if (sev != opts_->severity.end()) active_info_.severity = sev->second;
   active_hit_ = false;
 }
 
@@ -180,23 +164,11 @@ void LintSink::add(const DeviceView& dev, const Stanza* anchor, const Placement&
 
 namespace {
 
-bool rule_enabled(const LintOptions& opts, std::string_view id) {
-  const auto it = opts.enable.find(std::string(id));
-  if (it != opts.enable.end()) return it->second;
-  const auto all = opts.enable.find("all");
-  if (all != opts.enable.end()) return all->second;
-  return true;
-}
-
-/// The one loop that runs the rules, for both sink modes: every
-/// enabled rule in registry order, each over every device, then the
-/// network.
-void drive(const std::vector<DeviceView>& network, const LintOptions& opts, LintSink& sink) {
-  const RuleRegistry& registry = opts.registry != nullptr ? *opts.registry
-                                                          : RuleRegistry::builtin();
+/// The one loop that runs the rules, for both sink modes: every rule in
+/// run order, each over every device, then the network.
+void drive(const std::vector<DeviceView>& network, LintSink& sink) {
   const NetworkView net(network);
-  for (const auto& rule : registry.rules()) {
-    if (!rule_enabled(opts, rule->info().id)) continue;
+  for (const auto& rule : builtin_rules()) {
     sink.set_active(rule.get());
     for (const auto& dev : net.devices()) rule->check_device(dev, sink);
     rule->check_network(net, sink);
@@ -213,14 +185,14 @@ double per_device(int findings, std::size_t num_devices) {
 std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
   std::vector<Diagnostic> out;
   LintSink sink(opts, out);
-  drive(network, opts, sink);
+  drive(network, sink);
   return out;
 }
 
 LintSummary count_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
   LintSummary s;
   LintSink sink(opts, s);
-  drive(network, opts, sink);
+  drive(network, sink);
   s.density = per_device(s.total, network.size());
   return s;
 }

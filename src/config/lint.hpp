@@ -3,7 +3,7 @@
 //
 // The paper's motivation is that error-prone manual management
 // introduces config inconsistencies that degrade network health. This
-// module detects those inconsistencies with a registry of LintRule
+// module detects those inconsistencies with a fixed set of LintRule
 // objects — referential integrity (dangling ACL/VLAN/pool/LAG
 // references), addressing (duplicate addresses, overlapping subnets),
 // filter hygiene (empty ACLs, shadowed and unreachable terms),
@@ -36,8 +36,6 @@
 #include <optional>
 #include <set>
 #include <string>
-#include <type_traits>
-#include <utility>
 #include <vector>
 
 #include "config/device_view.hpp"
@@ -147,7 +145,7 @@ struct RuleInfo {
   std::string_view id;       ///< Stable kebab-case identifier.
   std::string_view summary;  ///< One-line description (SARIF rule help).
   LintCategory category{};
-  LintSeverity severity{};  ///< Default severity; overridable per run.
+  LintSeverity severity{};
 };
 
 class NetworkView;
@@ -164,47 +162,22 @@ class LintRule {
   virtual void check_network(const NetworkView& net, LintSink& sink) const;
 };
 
-/// Ordered, id-unique collection of rules. The built-in registry holds
-/// every rule in this module; custom registries can mix in their own.
-class RuleRegistry {
- public:
-  RuleRegistry() = default;
-  RuleRegistry(RuleRegistry&&) = default;
-  RuleRegistry& operator=(RuleRegistry&&) = default;
-
-  /// Add a rule; its id must not collide with a registered one.
-  void add(std::unique_ptr<LintRule> rule);
-
-  const std::vector<std::unique_ptr<LintRule>>& rules() const { return rules_; }
-  /// Look up by id; nullptr when absent.
-  const LintRule* find(std::string_view id) const;
-
-  /// The built-in rules, constructed once.
-  static const RuleRegistry& builtin();
-
- private:
-  std::vector<std::unique_ptr<LintRule>> rules_;
-};
+/// Every rule in this module, in run order, constructed once. Ids are
+/// unique.
+const std::vector<std::unique_ptr<LintRule>>& builtin_rules();
 
 // ------------------------------------------------------------ analysis API
 
 struct LintOptions {
-  /// Per-rule enablement; rules absent from the map run. {"all", false}
-  /// disables everything not explicitly re-enabled.
-  std::map<std::string, bool> enable;
-  /// Per-rule severity overrides.
-  std::map<std::string, LintSeverity> severity;
   /// Keep pragma-suppressed findings, marked suppressed=true, instead
   /// of dropping them.
   bool keep_suppressed = false;
-  /// Rule set to run (null = RuleRegistry::builtin()).
-  const RuleRegistry* registry = nullptr;
 };
 
-/// Run all applicable rules over one network, one view per device;
-/// pragmas are honored and spans resolved for views with a source.
-/// Diagnostics come out grouped by rule (registry order), then device,
-/// then stanza order — deterministic for identical inputs.
+/// Run every built-in rule, at its own severity, over one network, one
+/// view per device; pragmas are honored and spans resolved for views
+/// with a source. Diagnostics come out grouped by rule (run order),
+/// then device, then stanza order — deterministic for identical inputs.
 std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network,
                                  const LintOptions& opts = {});
 
@@ -268,9 +241,9 @@ class NetworkView {
   std::vector<BgpProc> bgp_procs_;
 };
 
-/// Where rules deposit findings. Handles severity overrides, pragma
-/// suppression, and span resolution so rules only say what is wrong
-/// and where. It keeps each finding as a Diagnostic, or only counts it.
+/// Where rules deposit findings. Handles pragma suppression and span
+/// resolution so rules only say what is wrong and where. It keeps each
+/// finding as a Diagnostic, or only counts it.
 class LintSink {
  public:
   LintSink(const LintOptions& opts, std::vector<Diagnostic>& out);
@@ -280,16 +253,12 @@ class LintSink {
 
   /// Anchor a finding to a stanza of `dev` (null = whole device); the
   /// span and stanza pragmas are those at the anchor's position.
-  /// `message` is the text, or a callable returning it that is called
-  /// only when the finding is kept as a Diagnostic.
+  /// `message` returns the text; it is called only when the finding is
+  /// kept as a Diagnostic.
   template <typename Message>
   void report(const DeviceView& dev, const Stanza* anchor, Message&& message) {
     const Placement at = place(dev, anchor);
-    if (!keeps(at)) return;
-    if constexpr (std::is_invocable_v<Message&>)
-      add(dev, anchor, at, std::string(message()));
-    else
-      add(dev, anchor, at, std::string(std::forward<Message>(message)));
+    if (keeps(at)) add(dev, anchor, at, std::string(message()));
   }
 
   /// The rule currently executing (set by the engine).
@@ -309,7 +278,7 @@ class LintSink {
   std::vector<Diagnostic>* out_ = nullptr;
   LintSummary* counts_ = nullptr;
   const LintRule* active_ = nullptr;
-  RuleInfo active_info_{};  ///< With the run's severity override applied.
+  RuleInfo active_info_{};
   bool active_hit_ = false;  ///< The active rule has an unsuppressed finding.
 };
 

@@ -1,6 +1,6 @@
 // The built-in lint rules. Each rule is a small LintRule subclass
-// registered in RuleRegistry::builtin(); the engine (lint.cpp) drives
-// them and handles severity overrides, suppression, and spans.
+// listed in builtin_rules(); the engine (lint.cpp) drives them and
+// handles suppression and spans.
 //
 // Rules read stanza types, names and interface addresses from each
 // device's DeviceView (config/device_view.hpp); network-scope rules add
@@ -504,30 +504,30 @@ class VlanSpanGapRule final : public LintRule {
 
 }  // namespace
 
-const RuleRegistry& RuleRegistry::builtin() {
-  static const RuleRegistry registry = [] {
-    RuleRegistry r;
-    r.add(std::make_unique<DanglingAclRefRule>());
-    r.add(std::make_unique<DanglingVlanRefRule>());
-    r.add(std::make_unique<DanglingPoolRefRule>());
-    r.add(std::make_unique<DanglingLagMemberRule>());
-    r.add(std::make_unique<EmptyAclRule>());
-    r.add(std::make_unique<ShadowedAclTermRule>());
-    r.add(std::make_unique<UnreachableAclTermRule>());
-    r.add(std::make_unique<UnreferencedAclRule>());
-    r.add(std::make_unique<UnreferencedPoolRule>());
-    r.add(std::make_unique<UnreferencedVlanRule>());
-    r.add(std::make_unique<UnusedInterfaceUpRule>());
-    r.add(std::make_unique<DuplicateAddressRule>());
-    r.add(std::make_unique<SubnetOverlapRule>());
-    r.add(std::make_unique<OneSidedBgpRule>());
-    r.add(std::make_unique<BgpAsMismatchRule>());
-    r.add(std::make_unique<OspfAreaMismatchRule>());
-    r.add(std::make_unique<MtuMismatchRule>());
-    r.add(std::make_unique<VlanSpanGapRule>());
+const std::vector<std::unique_ptr<LintRule>>& builtin_rules() {
+  static const std::vector<std::unique_ptr<LintRule>> rules = [] {
+    std::vector<std::unique_ptr<LintRule>> r;
+    r.push_back(std::make_unique<DanglingAclRefRule>());
+    r.push_back(std::make_unique<DanglingVlanRefRule>());
+    r.push_back(std::make_unique<DanglingPoolRefRule>());
+    r.push_back(std::make_unique<DanglingLagMemberRule>());
+    r.push_back(std::make_unique<EmptyAclRule>());
+    r.push_back(std::make_unique<ShadowedAclTermRule>());
+    r.push_back(std::make_unique<UnreachableAclTermRule>());
+    r.push_back(std::make_unique<UnreferencedAclRule>());
+    r.push_back(std::make_unique<UnreferencedPoolRule>());
+    r.push_back(std::make_unique<UnreferencedVlanRule>());
+    r.push_back(std::make_unique<UnusedInterfaceUpRule>());
+    r.push_back(std::make_unique<DuplicateAddressRule>());
+    r.push_back(std::make_unique<SubnetOverlapRule>());
+    r.push_back(std::make_unique<OneSidedBgpRule>());
+    r.push_back(std::make_unique<BgpAsMismatchRule>());
+    r.push_back(std::make_unique<OspfAreaMismatchRule>());
+    r.push_back(std::make_unique<MtuMismatchRule>());
+    r.push_back(std::make_unique<VlanSpanGapRule>());
     return r;
   }();
-  return registry;
+  return rules;
 }
 
 }  // namespace mpa

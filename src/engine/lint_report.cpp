@@ -202,8 +202,7 @@ std::string LintReport::to_json() const {
   return os.str();
 }
 
-std::string LintReport::to_sarif(const RuleRegistry* registry) const {
-  const RuleRegistry& reg = registry != nullptr ? *registry : RuleRegistry::builtin();
+std::string LintReport::to_sarif() const {
   // Rule index in the driver.rules array, for result.ruleIndex.
   std::map<std::string_view, std::size_t> rule_index;
   std::ostringstream os;
@@ -218,7 +217,7 @@ std::string LintReport::to_sarif(const RuleRegistry* registry) const {
      << "          \"informationUri\": \"https://example.invalid/mpa\",\n"
      << "          \"rules\": [";
   bool first = true;
-  for (const auto& rule : reg.rules()) {
+  for (const auto& rule : builtin_rules()) {
     const RuleInfo info = rule->info();
     rule_index.emplace(info.id, rule_index.size());
     os << (first ? "\n" : ",\n");

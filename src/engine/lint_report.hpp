@@ -48,9 +48,9 @@ struct LintReport {
   /// JSON object with per-network findings and an overall summary.
   std::string to_json() const;
 
-  /// SARIF 2.1.0 log. The tool.driver.rules array always lists the
-  /// whole registry (default: built-in), findings or not.
-  std::string to_sarif(const RuleRegistry* registry = nullptr) const;
+  /// SARIF 2.1.0 log. The tool.driver.rules array always lists every
+  /// built-in rule, findings or not.
+  std::string to_sarif() const;
 };
 
 }  // namespace mpa

@@ -346,7 +346,7 @@ const DependenceAnalysis& AnalysisSession::dependence() {
   // reports dependence time, with any table build as a sibling span.
   const CaseTable& table = case_table();
   StageScope computed(*this, "dependence", StageSource::kComputed);
-  DependenceOptions dopts = opts_.dependence;
+  DependenceOptions dopts;
   dopts.pool = pool_.get();
   dopts.record_pair_times = obs::enabled();
   dependence_.emplace(table, dopts);
@@ -380,7 +380,7 @@ const EvalResult& AnalysisSession::evaluate_cv(int num_classes, ModelKind kind) 
   }
   const CaseTable& table = case_table();
   StageScope computed(*this, "cv", StageSource::kComputed);
-  ModelingOptions mopts = opts_.modeling;
+  ModelingOptions mopts;
   mopts.pool = pool_.get();
   Rng rng = stream_for(0x5cf00ULL + static_cast<std::uint64_t>(kind) * 64 +
                        static_cast<std::uint64_t>(num_classes));
@@ -391,7 +391,7 @@ double AnalysisSession::online_accuracy(int num_classes, int history_m, ModelKin
                                         int first_t, int last_t) {
   const CaseTable& table = case_table();
   StageScope computed(*this, "online", StageSource::kComputed);
-  ModelingOptions mopts = opts_.modeling;
+  ModelingOptions mopts;
   mopts.pool = pool_.get();
   Rng rng = stream_for(0x0911eULL + static_cast<std::uint64_t>(kind) * 4096 +
                        static_cast<std::uint64_t>(num_classes) * 128 +

@@ -49,9 +49,7 @@ namespace mpa {
 
 struct SessionOptions {
   InferenceOptions inference = {};
-  DependenceOptions dependence = {};
   CausalOptions causal = {};
-  ModelingOptions modeling = {};
   /// Root of every model RNG stream: each derived artifact is a pure
   /// function of (data, options, seed).
   std::uint64_t seed = 42;

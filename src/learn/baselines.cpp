@@ -6,6 +6,12 @@
 #include "util/error.hpp"
 
 namespace mpa {
+namespace {
+
+constexpr double kLambda = 1e-3;  ///< Regularization.
+constexpr int kEpochs = 20;       ///< Passes over the data.
+
+}  // namespace
 
 MajorityClassifier MajorityClassifier::fit(const Dataset& data) {
   require(!data.x.empty(), "MajorityClassifier::fit: empty dataset");
@@ -16,7 +22,7 @@ MajorityClassifier MajorityClassifier::fit(const Dataset& data) {
 
 int MajorityClassifier::predict(std::span<const int>) const { return majority_; }
 
-LinearSvm LinearSvm::fit(const Dataset& data, Rng& rng, const SvmOptions& opts) {
+LinearSvm LinearSvm::fit(const Dataset& data, Rng& rng) {
   require(!data.x.empty(), "LinearSvm::fit: empty dataset");
   LinearSvm svm;
   svm.num_classes_ = data.num_classes;
@@ -29,18 +35,18 @@ LinearSvm LinearSvm::fit(const Dataset& data, Rng& rng, const SvmOptions& opts) 
     auto& w = svm.w_[static_cast<std::size_t>(cls)];
     auto& b = svm.b_[static_cast<std::size_t>(cls)];
     long t = 0;
-    for (int epoch = 0; epoch < opts.epochs; ++epoch) {
+    for (int epoch = 0; epoch < kEpochs; ++epoch) {
       std::vector<std::size_t> order(data.size());
       for (std::size_t i = 0; i < order.size(); ++i) order[i] = i;
       rng.shuffle(order);
       for (std::size_t i : order) {
         ++t;
-        const double eta = 1.0 / (opts.lambda * static_cast<double>(t));
+        const double eta = 1.0 / (kLambda * static_cast<double>(t));
         const double yi = data.y[i] == cls ? 1.0 : -1.0;
         double margin = b;
         for (std::size_t j = 0; j < d; ++j) margin += w[j] * data.x[i][j];
         margin *= yi;
-        for (std::size_t j = 0; j < d; ++j) w[j] *= (1.0 - eta * opts.lambda);
+        for (std::size_t j = 0; j < d; ++j) w[j] *= (1.0 - eta * kLambda);
         if (margin < 1.0) {
           for (std::size_t j = 0; j < d; ++j) w[j] += eta * yi * data.x[i][j];
           b += eta * yi;

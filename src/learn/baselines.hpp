@@ -27,16 +27,12 @@ class MajorityClassifier {
   int majority_ = 0;
 };
 
-struct SvmOptions {
-  double lambda = 1e-3;  ///< Regularization.
-  int epochs = 20;       ///< Passes over the data.
-};
-
-/// One-vs-rest linear SVM trained with Pegasos SGD. Bin indices are
-/// used directly as (scaled) feature values.
+/// One-vs-rest linear SVM trained with Pegasos SGD (lambda 1e-3, 20
+/// passes over the data). Bin indices are used directly as (scaled)
+/// feature values.
 class LinearSvm {
  public:
-  static LinearSvm fit(const Dataset& data, Rng& rng, const SvmOptions& opts = {});
+  static LinearSvm fit(const Dataset& data, Rng& rng);
   int predict(std::span<const int> x) const;
 
  private:

@@ -75,9 +75,9 @@ int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::v
     if (!used[f]) features.push_back(f);
 
   if (!pure && !too_small && !too_deep && !features.empty() && rows.size() >= 2) {
-    // Pick the best split by (gain ratio | information gain). One
-    // row-major pass fills every unused feature's histogram; each cell
-    // still adds its rows' weights in row order.
+    // Pick the best split by gain ratio. One row-major pass fills every
+    // unused feature's histogram; each cell still adds its rows' weights
+    // in row order.
     const double parent_h = entropy_from_weights(class_w, node_weight);
     const std::size_t slots = features.size();
     std::vector<double>& bin_w = scratch.bin_w;
@@ -112,7 +112,7 @@ int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::v
       }
       if (populated < 2) continue;  // feature is constant here
       const double gain = parent_h - cond_h;
-      const double score = opts.use_gain_ratio ? (split_info > 1e-9 ? gain / split_info : 0) : gain;
+      const double score = split_info > 1e-9 ? gain / split_info : 0;
       if (score > best_score) {
         best_score = score;
         best_feature = static_cast<int>(features[s]);

@@ -25,8 +25,6 @@ struct TreeOptions {
   double min_weight_frac = 0.01;
   /// Optional depth cap (weak learners for boosting); <=0 = unlimited.
   int max_depth = 0;
-  /// Gain ratio (C4.5) vs plain information gain (ID3-style).
-  bool use_gain_ratio = true;
 };
 
 class DecisionTree {

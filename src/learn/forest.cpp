@@ -8,6 +8,8 @@
 namespace mpa {
 namespace {
 
+constexpr int kNumTrees = 25;
+
 // Draw a bootstrap sample of row indices according to the variant.
 std::vector<std::size_t> bootstrap_rows(const Dataset& data, ForestVariant variant, Rng& rng) {
   const std::size_t n = data.size();
@@ -40,15 +42,12 @@ std::vector<std::size_t> bootstrap_rows(const Dataset& data, ForestVariant varia
 
 RandomForest RandomForest::fit(const Dataset& data, Rng& rng, const ForestOptions& opts) {
   require(!data.x.empty(), "RandomForest::fit: empty dataset");
-  require(opts.num_trees >= 1, "RandomForest::fit: need at least one tree");
   RandomForest forest;
   forest.num_classes_ = data.num_classes;
 
   const std::size_t d = data.num_features();
   const std::size_t subspace =
-      opts.features_per_tree > 0
-          ? std::min<std::size_t>(static_cast<std::size_t>(opts.features_per_tree), d)
-          : std::max<std::size_t>(1, static_cast<std::size_t>(std::sqrt(static_cast<double>(d))));
+      std::max<std::size_t>(1, static_cast<std::size_t>(std::sqrt(static_cast<double>(d))));
 
   // Class weights for the weighted variant: inverse frequency.
   std::vector<double> class_weight(static_cast<std::size_t>(data.num_classes), 1.0);
@@ -59,7 +58,7 @@ RandomForest RandomForest::fit(const Dataset& data, Rng& rng, const ForestOption
       class_weight[c] = cw[c] > 0 ? total / (static_cast<double>(cw.size()) * cw[c]) : 0.0;
   }
 
-  for (int t = 0; t < opts.num_trees; ++t) {
+  for (int t = 0; t < kNumTrees; ++t) {
     const auto rows = bootstrap_rows(data, opts.variant, rng);
     const auto features = rng.sample_indices(d, subspace);
 
@@ -78,7 +77,7 @@ RandomForest RandomForest::fit(const Dataset& data, Rng& rng, const ForestOption
       sub.y.push_back(data.y[i]);
       sub.w.push_back(data.w[i] * class_weight[static_cast<std::size_t>(data.y[i])]);
     }
-    forest.trees_.push_back(DecisionTree::fit(sub, opts.tree));
+    forest.trees_.push_back(DecisionTree::fit(sub));
     forest.feature_maps_.push_back(features);
   }
   return forest;

@@ -22,13 +22,11 @@ enum class ForestVariant : std::uint8_t {
 };
 
 struct ForestOptions {
-  int num_trees = 25;
   ForestVariant variant = ForestVariant::kPlain;
-  /// Features considered per tree (random subspace); <=0 means sqrt(d).
-  int features_per_tree = 0;
-  TreeOptions tree = {};
 };
 
+/// 25 trees, each on a bootstrap sample and a random subspace of
+/// sqrt(d) features.
 class RandomForest {
  public:
   static RandomForest fit(const Dataset& data, Rng& rng, const ForestOptions& opts = {});

@@ -5,15 +5,23 @@
 #include "util/error.hpp"
 
 namespace mpa {
+namespace {
 
-BinnedCaseView::BinnedCaseView(const CaseTable& table, int bins, double lo_pct, double hi_pct) {
+// §5.1.1: 10 equal-width bins, clamped at the 5th/95th percentiles.
+constexpr int kBins = 10;
+constexpr double kLoPct = 5.0;
+constexpr double kHiPct = 95.0;
+
+}  // namespace
+
+BinnedCaseView::BinnedCaseView(const CaseTable& table) {
   require(!table.empty(), "BinnedCaseView: empty case table");
   n_ = table.size();
 
   practice_binners_.reserve(kNumPractices);
   for (Practice p : all_practices())
-    practice_binners_.push_back(Binner::fit(table.column(p), bins, lo_pct, hi_pct));
-  health_binner_ = Binner::fit(table.tickets(), bins, lo_pct, hi_pct);
+    practice_binners_.push_back(Binner::fit(table.column(p), kBins, kLoPct, kHiPct));
+  health_binner_ = Binner::fit(table.tickets(), kBins, kLoPct, kHiPct);
 
   // Stable month-major permutation: months ascending, original order
   // preserved within each month.

@@ -24,9 +24,10 @@ namespace mpa {
 class BinnedCaseView {
  public:
   /// Fits one binner per practice plus one for health on the full
-  /// table, bins every column, and groups rows month-major. The table
-  /// must be non-empty.
-  BinnedCaseView(const CaseTable& table, int bins, double lo_pct, double hi_pct);
+  /// table (§5.1.1: 10 equal-width bins between the 5th and 95th
+  /// percentiles), bins every column, and groups rows month-major. The
+  /// table must be non-empty.
+  explicit BinnedCaseView(const CaseTable& table);
 
   /// Total cases.
   std::size_t rows() const { return n_; }

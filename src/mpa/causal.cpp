@@ -16,11 +16,27 @@ std::string ComparisonResult::label() const {
 
 namespace {
 
+/// §5.2: the treatment practice's 5 bins, clamped equal-width between
+/// its 5th and 95th percentiles as in §5.1.1.
+constexpr int kTreatmentBins = 5;
+constexpr double kLoPct = 5.0;
+constexpr double kHiPct = 95.0;
+
+/// Match quality criterion. Standardized mean differences are the
+/// primary diagnostic (Stuart 2010); variance ratios are secondary — a
+/// comparison is "balanced" when the propensity score passes the
+/// classic thresholds, no confounder's |std. diff of means| exceeds
+/// kMaxAbsStdDiff, and at least kMinVrPassFrac of confounders have
+/// variance ratios within [0.5, 2]. (Our synthetic covariates are
+/// heavier-tailed than the OSP's; see EXPERIMENTS.md.)
+constexpr double kMaxAbsStdDiff = 0.50;
+constexpr double kMinVrPassFrac = 0.70;
+
 /// One comparison point's rows: bin `untreated_bin` of the treatment
 /// against the bin above it, with `outcome[i]` as row i's outcome.
 ComparisonData comparison_rows(const CaseTable& table, Practice treatment,
                                std::span<const int> treat_bins, int untreated_bin,
-                               std::span<const double> outcome, const CausalOptions& opts) {
+                               std::span<const double> outcome) {
   ComparisonData data;
   // Confounders: every other analysis practice (§5.2.3: "we include all
   // of the practice metrics we infer, minus the treatment practice, as
@@ -28,13 +44,13 @@ ComparisonData comparison_rows(const CaseTable& table, Practice treatment,
   for (Practice p : analysis_practices())
     if (p != treatment) data.confounders.push_back(p);
 
+  // Confounders enter on the log1p scale: most practice metrics are
+  // heavy-tailed (Appendix A), and matching and assessing balance on
+  // the log scale is the standard treatment for skewed covariates.
   auto confounder_row = [&](std::size_t i) {
     std::vector<double> row;
     row.reserve(data.confounders.size());
-    for (Practice p : data.confounders) {
-      const double v = table[i][p];
-      row.push_back(opts.log_transform_confounders ? std::log1p(std::max(0.0, v)) : v);
-    }
+    for (Practice p : data.confounders) row.push_back(std::log1p(std::max(0.0, table[i][p])));
     return row;
   };
 
@@ -52,15 +68,14 @@ ComparisonData comparison_rows(const CaseTable& table, Practice treatment,
 
 }  // namespace
 
-ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin,
-                               const CausalOptions& opts) {
+ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin) {
   require(!table.empty(), "comparison_data: empty case table");
   const auto treat_col = table.column(treatment);
-  const Binner binner = Binner::fit(treat_col, opts.treatment_bins, opts.lo_pct, opts.hi_pct);
+  const Binner binner = Binner::fit(treat_col, kTreatmentBins, kLoPct, kHiPct);
   require(untreated_bin >= 0 && untreated_bin + 1 < binner.num_bins(),
           "comparison_data: comparison point out of range");
   return comparison_rows(table, treatment, binner.bin_all(treat_col), untreated_bin,
-                         table.tickets(), opts);
+                         table.tickets());
 }
 
 CausalResult causal_analysis(const CaseTable& table, Practice treatment,
@@ -78,7 +93,7 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
   result.treatment = treatment;
 
   const auto treat_col = table.column(treatment);
-  const Binner binner = Binner::fit(treat_col, opts.treatment_bins, opts.lo_pct, opts.hi_pct);
+  const Binner binner = Binner::fit(treat_col, kTreatmentBins, kLoPct, kHiPct);
   const auto treat_bins = binner.bin_all(treat_col);
 
   // Each comparison point is independent (matching has no shared
@@ -88,7 +103,7 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
   std::vector<std::optional<ComparisonResult>> points(num_points);
   parallel_for(opts.pool, num_points, [&](std::size_t point) {
     const int b = static_cast<int>(point);
-    const ComparisonData data = comparison_rows(table, treatment, treat_bins, b, outcome, opts);
+    const ComparisonData data = comparison_rows(table, treatment, treat_bins, b, outcome);
     if (data.untreated.empty() || data.treated.empty()) return;
 
     ComparisonResult cmp;
@@ -96,15 +111,15 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
     cmp.untreated_cases = data.untreated.size();
     cmp.treated_cases = data.treated.size();
 
-    const MatchResult match = propensity_match(data.treated, data.untreated, opts.match);
+    const MatchResult match = propensity_match(data.treated, data.untreated);
     cmp.pairs = match.pairs.size();
     cmp.untreated_matched = match.untreated_matched_distinct;
     cmp.propensity_balance = match.propensity_balance;
     cmp.worst_abs_std_diff = match.worst_abs_std_diff();
     cmp.vr_pass_fraction = match.variance_ratio_pass_fraction();
     cmp.balanced = !match.pairs.empty() && match.propensity_balance.ok() &&
-                   cmp.worst_abs_std_diff < opts.max_abs_std_diff &&
-                   cmp.vr_pass_fraction >= opts.min_vr_pass_frac;
+                   cmp.worst_abs_std_diff < kMaxAbsStdDiff &&
+                   cmp.vr_pass_fraction >= kMinVrPassFrac;
 
     std::vector<double> diffs;
     diffs.reserve(match.pairs.size());

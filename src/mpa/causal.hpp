@@ -3,8 +3,9 @@
 // For a treatment practice: bin its values into 5 bins (same clamped
 // equal-width strategy as §5.1.1), treat neighbouring bins (b, b+1) as
 // untreated/treated, match on propensity scores over all remaining
-// practices, verify balance, and sign-test the per-pair ticket
-// differences. Comparison points 1:2 .. 4:5 reproduce Tables 5-8.
+// practices (on the log1p scale), verify balance, and sign-test the
+// per-pair ticket differences. Comparison points 1:2 .. 4:5 reproduce
+// Tables 5-8.
 #pragma once
 
 #include <optional>
@@ -21,25 +22,7 @@ namespace mpa {
 class ThreadPool;
 
 struct CausalOptions {
-  int treatment_bins = 5;
-  double lo_pct = 5.0;
-  double hi_pct = 95.0;
   double p_threshold = 1e-3;  ///< "moderately conservative" §5.2.5.
-  /// Feed log1p(confounder) to the propensity model and balance
-  /// diagnostics. Most practice metrics are heavy-tailed (Appendix A);
-  /// matching and assessing balance on the log scale is the standard
-  /// treatment for skewed covariates.
-  bool log_transform_confounders = true;
-  /// Match quality criterion. Standardized mean differences are the
-  /// primary diagnostic (Stuart 2010); variance ratios are secondary —
-  /// a comparison is "balanced" when the propensity score passes the
-  /// classic thresholds, no confounder's |std. diff of means| exceeds
-  /// `max_abs_std_diff`, and at least `min_vr_pass_frac` of confounders
-  /// have variance ratios within [0.5, 2]. (Our synthetic covariates
-  /// are heavier-tailed than the OSP's; see EXPERIMENTS.md.)
-  double max_abs_std_diff = 0.50;
-  double min_vr_pass_frac = 0.70;
-  MatchOptions match = {};
   /// Fan the comparison points (1:2 .. 4:5) out on this pool (null =
   /// serial). Matching is deterministic, so results are bit-identical
   /// at any thread count.
@@ -89,8 +72,8 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
                                      std::span<const double> outcome,
                                      const CausalOptions& opts = {});
 
-/// The raw inputs of one comparison point — confounder matrices (after
-/// the configured log transform) and outcomes for the treated
+/// The raw inputs of one comparison point — confounder matrices (on
+/// the log1p scale) and outcomes for the treated
 /// (bin `untreated_bin`+1) and untreated (bin `untreated_bin`) cases.
 /// Exposed so benches can reproduce the matching internals shown in
 /// Table 5 and Figure 7.
@@ -102,7 +85,6 @@ struct ComparisonData {
   std::vector<Practice> confounders;  ///< Column order of the matrices.
 };
 
-ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin,
-                               const CausalOptions& opts = {});
+ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin);
 
 }  // namespace mpa

@@ -58,8 +58,7 @@ double avg_monthly(const BinnedCaseView& view, Term term) {
 }  // namespace
 
 DependenceAnalysis::DependenceAnalysis(const CaseTable& table, const DependenceOptions& opts)
-    : view_((require(!table.empty(), "DependenceAnalysis: empty case table"), table), opts.bins,
-            opts.lo_pct, opts.hi_pct) {
+    : view_((require(!table.empty(), "DependenceAnalysis: empty case table"), table)) {
   // Average monthly MI per practice (analysis set only; the excluded
   // identity metrics would just duplicate their parents).
   ContingencyTable mi_scratch;

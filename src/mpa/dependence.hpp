@@ -23,9 +23,6 @@ namespace mpa {
 class ThreadPool;
 
 struct DependenceOptions {
-  int bins = 10;        ///< §5.1.1: 10 equal-width bins.
-  double lo_pct = 5.0;  ///< Clamped percentile bounds.
-  double hi_pct = 95.0;
   /// Fan the CMI pairs out on this pool (null = serial). Results are
   /// bit-identical either way.
   ThreadPool* pool = nullptr;

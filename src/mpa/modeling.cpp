@@ -9,6 +9,12 @@
 #include "util/parallel.hpp"
 
 namespace mpa {
+namespace {
+
+/// §6.1: 5-fold cross-validation.
+constexpr int kFolds = 5;
+
+}  // namespace
 
 std::string_view to_string(ModelKind kind) {
   switch (kind) {
@@ -44,13 +50,11 @@ Trainer make_trainer(ModelKind kind, Rng& rng, const ModelingOptions& opts) {
       };
     }
     case ModelKind::kDecisionTree:
-    case ModelKind::kDtOversample: {
-      const TreeOptions tree_opts = opts.tree;
-      return [tree_opts](const Dataset& train) -> Predictor {
-        auto model = std::make_shared<DecisionTree>(DecisionTree::fit(train, tree_opts));
+    case ModelKind::kDtOversample:
+      return [](const Dataset& train) -> Predictor {
+        auto model = std::make_shared<DecisionTree>(DecisionTree::fit(train));
         return [model](std::span<const int> x) { return model->predict(x); };
       };
-    }
     case ModelKind::kDtBoost:
     case ModelKind::kDtBoostOversample: {
       const BoostOptions boost_opts = opts.boost;
@@ -64,7 +68,6 @@ Trainer make_trainer(ModelKind kind, Rng& rng, const ModelingOptions& opts) {
     case ModelKind::kForestBalanced:
     case ModelKind::kForestWeighted: {
       ForestOptions fopts;
-      fopts.tree = opts.tree;
       fopts.variant = kind == ModelKind::kForestBalanced  ? ForestVariant::kBalanced
                       : kind == ModelKind::kForestWeighted ? ForestVariant::kWeighted
                                                             : ForestVariant::kPlain;
@@ -92,14 +95,13 @@ EvalResult evaluate_model_cv(const CaseTable& table, int num_classes, ModelKind 
     const auto recipe = paper_oversampling_recipe(num_classes);
     transform = [recipe](const Dataset& train) { return oversample(train, recipe); };
   }
-  return cross_validate(data, opts.folds, factory, rng, transform, opts.pool);
+  return cross_validate(data, kFolds, factory, rng, transform, opts.pool);
 }
 
-DecisionTree fit_final_tree(const CaseTable& table, int num_classes,
-                            const ModelingOptions& opts) {
+DecisionTree fit_final_tree(const CaseTable& table, int num_classes) {
   Dataset data = make_dataset(table, num_classes);
   data = oversample(data, paper_oversampling_recipe(num_classes));
-  return DecisionTree::fit(data, opts.tree);
+  return DecisionTree::fit(data);
 }
 
 double online_prediction_accuracy(const CaseTable& table, int num_classes, int history_m,

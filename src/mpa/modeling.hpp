@@ -27,8 +27,6 @@ enum class ModelKind : std::uint8_t {
 std::string_view to_string(ModelKind kind);
 
 struct ModelingOptions {
-  int folds = 5;
-  TreeOptions tree = {};
   BoostOptions boost = {};
   /// Fan CV folds / online months out on this pool (null = serial).
   /// Every trainer consumes a private RNG stream forked on the calling
@@ -44,7 +42,7 @@ bool uses_oversampling(ModelKind kind);
 /// Build a Trainer for `kind`. Randomized trainers fork `rng`.
 Trainer make_trainer(ModelKind kind, Rng& rng, const ModelingOptions& opts = {});
 
-/// Cross-validated evaluation of one model kind on a case table
+/// 5-fold cross-validated evaluation of one model kind on a case table
 /// (fits the feature space on the full table, as the paper does).
 EvalResult evaluate_model_cv(const CaseTable& table, int num_classes, ModelKind kind, Rng& rng,
                              const ModelingOptions& opts = {});
@@ -54,8 +52,7 @@ EvalResult evaluate_model_cv(const CaseTable& table, int num_classes, ModelKind 
 /// single tree to show, and the paper's tree refitted on the last
 /// boosting weights measured 60-66% 5-class CV accuracy against the
 /// ensemble's 82-85% (DESIGN.md §6).
-DecisionTree fit_final_tree(const CaseTable& table, int num_classes,
-                            const ModelingOptions& opts = {});
+DecisionTree fit_final_tree(const CaseTable& table, int num_classes);
 
 /// Online prediction (Table 9): for each t in [first_t, last_t], train
 /// on months t-M..t-1 and predict month t; returns the mean per-month

@@ -65,17 +65,29 @@ double Gauge::value() const { return bits_to_double(bits_.load(std::memory_order
 
 void Gauge::reset() { bits_.store(0, std::memory_order_relaxed); }
 
+SampleRange::SampleRange() : lo_bits_(double_to_bits(kInf)), hi_bits_(double_to_bits(-kInf)) {}
+
+void SampleRange::observe(double v) {
+  atomic_extend_double(lo_bits_, v, std::less<>());
+  atomic_extend_double(hi_bits_, v, std::greater<>());
+}
+
+double SampleRange::lo() const { return bits_to_double(lo_bits_.load(std::memory_order_relaxed)); }
+
+double SampleRange::hi() const { return bits_to_double(hi_bits_.load(std::memory_order_relaxed)); }
+
+void SampleRange::reset() {
+  lo_bits_.store(double_to_bits(kInf), std::memory_order_relaxed);
+  hi_bits_.store(double_to_bits(-kInf), std::memory_order_relaxed);
+}
+
 Histogram::Histogram(std::vector<double> bounds)
-    : bounds_(std::move(bounds)),
-      buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]),
-      min_bits_(double_to_bits(kInf)),
-      max_bits_(double_to_bits(-kInf)) {
+    : bounds_(std::move(bounds)), buckets_(new std::atomic<std::uint64_t>[bounds_.size() + 1]) {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
 }
 
 void Histogram::observe(double v) {
-  atomic_extend_double(min_bits_, v, std::less<>());
-  atomic_extend_double(max_bits_, v, std::greater<>());
+  range_.observe(v);
   std::size_t b = 0;
   while (b < bounds_.size() && v > bounds_[b]) ++b;
   buckets_[b].fetch_add(1, std::memory_order_relaxed);
@@ -92,16 +104,20 @@ std::vector<std::uint64_t> Histogram::bucket_counts() const {
 }
 
 double Histogram::quantile(double q) const {
-  const double lo = bits_to_double(min_bits_.load(std::memory_order_relaxed));
-  const double hi = bits_to_double(max_bits_.load(std::memory_order_relaxed));
-  if (!(lo <= hi)) return quantile_from_buckets(bounds_, bucket_counts(), q);  // no sample yet
+  const double lo = range_.lo();
+  const double hi = range_.hi();
+  return bounded_quantile(bounds_, bucket_counts(), lo, hi, q);
+}
+
+double bounded_quantile(const std::vector<double>& bounds, std::vector<std::uint64_t> counts,
+                        double lo, double hi, double q) {
+  if (!(lo <= hi)) return quantile_from_buckets(bounds, counts, q);  // no sample yet
   // The largest sample is the +Inf bucket's upper edge: a rank there
   // interpolates toward it instead of stopping at the last bound.
-  std::vector<double> bounds = bounds_;
-  bounds.push_back(std::max(hi, bounds_.empty() ? hi : bounds_.back()));
-  std::vector<std::uint64_t> counts = bucket_counts();
+  std::vector<double> edges = bounds;
+  edges.push_back(std::max(hi, bounds.empty() ? hi : bounds.back()));
   counts.push_back(0);
-  return std::clamp(quantile_from_buckets(bounds, counts, q), lo, hi);
+  return std::clamp(quantile_from_buckets(edges, counts, q), lo, hi);
 }
 
 double quantile_from_buckets(const std::vector<double>& bounds,
@@ -136,8 +152,7 @@ void Histogram::reset() {
   for (std::size_t i = 0; i <= bounds_.size(); ++i) buckets_[i].store(0);
   count_.store(0, std::memory_order_relaxed);
   sum_bits_.store(0, std::memory_order_relaxed);
-  min_bits_.store(double_to_bits(kInf), std::memory_order_relaxed);
-  max_bits_.store(double_to_bits(-kInf), std::memory_order_relaxed);
+  range_.reset();
 }
 
 const std::vector<double>& latency_buckets_seconds() {

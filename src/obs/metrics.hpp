@@ -59,6 +59,21 @@ class Gauge {
   std::atomic<std::uint64_t> bits_{0};  ///< double stored as bit pattern.
 };
 
+/// The smallest and largest sample observed since the last reset, kept
+/// lock-free: a CAS loop each, only a load when the extreme stands.
+class SampleRange {
+ public:
+  SampleRange();
+  void observe(double v);
+  double lo() const;  ///< +inf before the first sample.
+  double hi() const;  ///< -inf before the first sample.
+  void reset();
+
+ private:
+  std::atomic<std::uint64_t> lo_bits_;
+  std::atomic<std::uint64_t> hi_bits_;
+};
+
 /// Fixed-bucket histogram (cumulative counts at export, Prometheus
 /// style). Bounds are upper edges; an implicit +Inf bucket catches the
 /// rest. It also keeps the smallest and largest sample. observe() is
@@ -74,10 +89,8 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts; size() == bounds().size() + 1.
   std::vector<std::uint64_t> bucket_counts() const;
-  /// Estimated q-quantile (q in [0,1]) from the bucket boundaries:
-  /// linear interpolation inside the bucket holding the target rank,
-  /// where the +Inf bucket ends at the largest sample, clamped to the
-  /// range of the samples seen. 0 when empty. Exports surface
+  /// Estimated q-quantile (q in [0,1]) by bounded_quantile over the
+  /// buckets and the samples' range. 0 when empty. Exports surface
   /// p50/p90/p99.
   double quantile(double q) const;
   void reset();
@@ -87,22 +100,30 @@ class Histogram {
   std::unique_ptr<std::atomic<std::uint64_t>[]> buckets_;
   std::atomic<std::uint64_t> count_{0};
   std::atomic<std::uint64_t> sum_bits_{0};
-  std::atomic<std::uint64_t> min_bits_;  ///< +inf until a sample lands.
-  std::atomic<std::uint64_t> max_bits_;  ///< -inf until a sample lands.
+  SampleRange range_;
 };
 
 /// Default bounds for wall-time histograms, in seconds.
 const std::vector<double>& latency_buckets_seconds();
 
-/// Bucket-walk quantile estimator shared by Histogram and the windowed
-/// registry. `bounds` are upper edges, `counts` has one extra slot for
-/// the implicit +Inf bucket (counts.size() == bounds.size() + 1; excess
-/// count slots are ignored). Well-defined at the edges: an empty
-/// histogram is 0, all mass in one bucket interpolates within it (so
-/// q=1 is exactly the bucket bound), +Inf-bucket hits clamp to the
-/// highest finite bound, and q is clamped to [0,1].
+/// Bucket-walk quantile estimator under bounded_quantile. `bounds` are
+/// upper edges, `counts` has one extra slot for the implicit +Inf
+/// bucket (counts.size() == bounds.size() + 1; excess count slots are
+/// ignored). Well-defined at the edges: an empty histogram is 0, all
+/// mass in one bucket interpolates within it (so q=1 is exactly the
+/// bucket bound), +Inf-bucket hits clamp to the highest finite bound,
+/// and q is clamped to [0,1].
 double quantile_from_buckets(const std::vector<double>& bounds,
                              const std::vector<std::uint64_t>& counts, double q);
+
+/// The quantile rule of Histogram and the windowed registry: linear
+/// interpolation inside the bucket holding the target rank (as
+/// quantile_from_buckets), where the +Inf bucket ends at the largest
+/// sample `hi`, clamped to the samples' range [lo, hi]. So no estimate
+/// lies outside the samples seen. With no sample seen (lo > hi) it is
+/// quantile_from_buckets(bounds, counts, q).
+double bounded_quantile(const std::vector<double>& bounds, std::vector<std::uint64_t> counts,
+                        double lo, double hi, double q);
 
 /// A Prometheus label value, escaped for use between the quotes of
 /// `name="..."`: backslash, double quote and line feed, as the text

@@ -1,5 +1,7 @@
 #include "obs/window.hpp"
 
+#include <algorithm>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -15,14 +17,20 @@ std::size_t status_slot(std::string_view status) {
   return 3;  // error and anything unknown
 }
 
-void observe_ms(std::array<std::atomic<std::uint64_t>, 13>& hist, double ms) {
+}  // namespace
+
+void WindowRegistry::Hist::observe(double ms) {
   const std::vector<double>& bounds = window_ms_bounds();
   std::size_t b = 0;
   while (b < bounds.size() && ms > bounds[b]) ++b;
-  hist[b].fetch_add(1, std::memory_order_relaxed);
+  counts[b].fetch_add(1, std::memory_order_relaxed);
+  range.observe(ms);
 }
 
-}  // namespace
+void WindowRegistry::Hist::reset() {
+  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
+  range.reset();
+}
 
 const std::vector<double>& window_ms_bounds() {
   static const std::vector<double> bounds = {0.1, 0.5, 1.0,   5.0,   10.0,  25.0,
@@ -58,9 +66,9 @@ WindowRegistry::Bucket& WindowRegistry::bucket_for(Series& s, std::uint64_t epoc
     MutexLock lk(s.rotate_mu);
     if (b.epoch.load(std::memory_order_relaxed) != epoch) {
       for (auto& c : b.by_status) c.store(0, std::memory_order_relaxed);
-      for (auto& c : b.queue) c.store(0, std::memory_order_relaxed);
-      for (auto& c : b.service) c.store(0, std::memory_order_relaxed);
-      for (auto& c : b.latency) c.store(0, std::memory_order_relaxed);
+      b.queue.reset();
+      b.service.reset();
+      b.latency.reset();
       b.epoch.store(epoch, std::memory_order_release);
     }
   }
@@ -80,9 +88,9 @@ void WindowRegistry::record(std::string_view tenant, std::string_view kind,
   }
   Bucket& b = bucket_for(*series, epoch);
   b.by_status[status_slot(status)].fetch_add(1, std::memory_order_relaxed);
-  observe_ms(b.queue, queue_ms);
-  observe_ms(b.service, service_ms);
-  observe_ms(b.latency, latency_ms);
+  b.queue.observe(queue_ms);
+  b.service.observe(service_ms);
+  b.latency.observe(latency_ms);
 }
 
 WindowRegistry::Snapshot WindowRegistry::snapshot() const {
@@ -97,9 +105,23 @@ WindowRegistry::Snapshot WindowRegistry::snapshot() const {
     SeriesWindow w;
     w.tenant = key.first;
     w.kind = key.second;
-    std::vector<std::uint64_t> queue(kHistSlots, 0);
-    std::vector<std::uint64_t> service(kHistSlots, 0);
-    std::vector<std::uint64_t> latency(kHistSlots, 0);
+    // One histogram combined over the live buckets.
+    struct Merged {
+      std::vector<std::uint64_t> counts = std::vector<std::uint64_t>(kHistSlots, 0);
+      double lo = std::numeric_limits<double>::infinity();
+      double hi = -std::numeric_limits<double>::infinity();
+
+      void add(const Hist& h) {
+        for (std::size_t i = 0; i < kHistSlots; ++i)
+          counts[i] += h.counts[i].load(std::memory_order_relaxed);
+        lo = std::min(lo, h.range.lo());
+        hi = std::max(hi, h.range.hi());
+      }
+      double quantile(double q) const {
+        return bounded_quantile(window_ms_bounds(), counts, lo, hi, q);
+      }
+    };
+    Merged queue, service, latency;
     for (const Bucket& b : series->ring) {
       const std::uint64_t epoch = b.epoch.load(std::memory_order_acquire);
       if (epoch == kIdleEpoch || epoch < min_epoch || epoch > current) continue;
@@ -107,11 +129,9 @@ WindowRegistry::Snapshot WindowRegistry::snapshot() const {
       w.rejected += b.by_status[1].load(std::memory_order_relaxed);
       w.deadline_exceeded += b.by_status[2].load(std::memory_order_relaxed);
       w.error += b.by_status[3].load(std::memory_order_relaxed);
-      for (std::size_t i = 0; i < kHistSlots; ++i) {
-        queue[i] += b.queue[i].load(std::memory_order_relaxed);
-        service[i] += b.service[i].load(std::memory_order_relaxed);
-        latency[i] += b.latency[i].load(std::memory_order_relaxed);
-      }
+      queue.add(b.queue);
+      service.add(b.service);
+      latency.add(b.latency);
     }
     w.total = w.ok + w.rejected + w.deadline_exceeded + w.error;
     if (w.total == 0) continue;  // expired on an idle gap
@@ -121,16 +141,15 @@ WindowRegistry::Snapshot WindowRegistry::snapshot() const {
     w.reject_rate = static_cast<double>(w.rejected) / total;
     w.deadline_rate = static_cast<double>(w.deadline_exceeded) / total;
     w.error_rate = static_cast<double>(w.error) / total;
-    const std::vector<double>& bounds = window_ms_bounds();
-    w.queue_p50_ms = quantile_from_buckets(bounds, queue, 0.5);
-    w.queue_p90_ms = quantile_from_buckets(bounds, queue, 0.9);
-    w.queue_p99_ms = quantile_from_buckets(bounds, queue, 0.99);
-    w.service_p50_ms = quantile_from_buckets(bounds, service, 0.5);
-    w.service_p90_ms = quantile_from_buckets(bounds, service, 0.9);
-    w.service_p99_ms = quantile_from_buckets(bounds, service, 0.99);
-    w.latency_p50_ms = quantile_from_buckets(bounds, latency, 0.5);
-    w.latency_p90_ms = quantile_from_buckets(bounds, latency, 0.9);
-    w.latency_p99_ms = quantile_from_buckets(bounds, latency, 0.99);
+    w.queue_p50_ms = queue.quantile(0.5);
+    w.queue_p90_ms = queue.quantile(0.9);
+    w.queue_p99_ms = queue.quantile(0.99);
+    w.service_p50_ms = service.quantile(0.5);
+    w.service_p90_ms = service.quantile(0.9);
+    w.service_p99_ms = service.quantile(0.99);
+    w.latency_p50_ms = latency.quantile(0.5);
+    w.latency_p90_ms = latency.quantile(0.9);
+    w.latency_p99_ms = latency.quantile(0.99);
     snap.series.push_back(std::move(w));
   }
   return snap;

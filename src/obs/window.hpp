@@ -28,6 +28,7 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.hpp"
 #include "util/sync.hpp"
 
 namespace mpa::obs {
@@ -104,14 +105,23 @@ class WindowRegistry {
   static constexpr std::size_t kStatuses = 4;  ///< ok/rejected/deadline/error.
   static constexpr std::size_t kHistSlots = 13;  ///< window_ms_bounds().size() + 1.
 
+  /// One bucket's histogram of a millisecond value over
+  /// window_ms_bounds(), with the smallest and largest sample.
+  struct Hist {
+    std::array<std::atomic<std::uint64_t>, kHistSlots> counts{};
+    SampleRange range;
+
+    void observe(double ms);
+    void reset();
+  };
   struct Bucket {
     /// Which bucket-width epoch this slot currently holds. kIdleEpoch
     /// marks a slot that has never been written.
     std::atomic<std::uint64_t> epoch{kIdleEpoch};
     std::array<std::atomic<std::uint64_t>, kStatuses> by_status{};
-    std::array<std::atomic<std::uint64_t>, kHistSlots> queue{};
-    std::array<std::atomic<std::uint64_t>, kHistSlots> service{};
-    std::array<std::atomic<std::uint64_t>, kHistSlots> latency{};
+    Hist queue;
+    Hist service;
+    Hist latency;
   };
   struct Series {
     explicit Series(std::size_t buckets) : ring(buckets) {}

@@ -19,8 +19,8 @@ namespace mpa::serve {
 
 std::vector<Request> synthesize_trace(const ClientOptions& opts) {
   Rng rng(opts.seed);
-  std::vector<double> weights = opts.kind_weights;
-  weights.resize(8, 0.0);  // one slot per RequestKind, through kHealth
+  // Weights of kCaseTable, kRank, kCausal, kLint and kPredict.
+  const std::vector<double> weights = {4, 3, 1, 3, 1};
   const std::vector<Practice> treatments = analysis_practices();
 
   std::vector<Request> trace;
@@ -31,8 +31,6 @@ std::vector<Request> synthesize_trace(const ClientOptions& opts) {
     if (!opts.tenants.empty())
       req.tenant = opts.tenants[static_cast<std::size_t>(
           rng.uniform_int(0, static_cast<std::int64_t>(opts.tenants.size()) - 1))];
-    if (!opts.sessions.empty())
-      req.session = opts.sessions[static_cast<std::size_t>(i) % opts.sessions.size()];
     req.kind = static_cast<RequestKind>(rng.weighted_index(weights));
     req.deadline_ms = opts.deadline_ms;
     switch (req.kind) {
@@ -54,12 +52,8 @@ std::vector<Request> synthesize_trace(const ClientOptions& opts) {
         req.classes = rng.bernoulli(0.5) ? 2 : 5;
         req.history = static_cast<int>(rng.uniform_int(2, 4));
         break;
-      case RequestKind::kIngest:
-        req.dir = opts.ingest_dir;
-        break;
-      case RequestKind::kStats:
-      case RequestKind::kHealth:
-        break;  // introspection kinds take no parameters
+      default:
+        break;  // the mix gives the other kinds no weight
     }
     trace.push_back(std::move(req));
   }
@@ -74,11 +68,12 @@ LoadReport SyntheticClient::replay(AnalysisServer& server,
   obs::Histogram latency(obs::latency_buckets_seconds());
   const std::uint64_t t0 = obs::now_ns();
 
+  // The responses to this replay's own submissions; the server may hold
+  // others from earlier traffic.
+  std::vector<Response> answered;
+  answered.reserve(trace.size());
   if (opts_.request_interval_ms <= 0) {
-    for (const Request& req : trace) {
-      const Response resp = server.submit_and_wait(req);
-      latency.observe(resp.total_ms * 1e-3);
-    }
+    for (const Request& req : trace) answered.push_back(server.submit_and_wait(req));
   } else {
     const std::optional<std::int64_t> interval_ns =
         scaled<std::int64_t>(opts_.request_interval_ms, 1e6);
@@ -96,13 +91,14 @@ LoadReport SyntheticClient::replay(AnalysisServer& server,
     for (const Response& resp : server.responses()) by_id[resp.id] = resp;
     for (std::uint64_t id : ids) {
       const auto it = by_id.find(id);
-      if (it != by_id.end()) latency.observe(it->second.total_ms * 1e-3);
+      if (it != by_id.end()) answered.push_back(it->second);
     }
   }
 
   LoadReport report;
   report.wall_seconds = static_cast<double>(obs::now_ns() - t0) * 1e-9;
-  for (const Response& resp : server.responses()) {
+  for (const Response& resp : answered) {
+    latency.observe(resp.total_ms * 1e-3);
     ++report.total;
     switch (resp.status) {
       case RequestStatus::kOk: ++report.ok; break;

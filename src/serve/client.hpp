@@ -26,25 +26,18 @@ struct ClientOptions {
   /// `request_interval`); 0 = closed-loop (wait for each response).
   double request_interval_ms = 0;
   std::uint64_t seed = 1;
-  /// Session keys to spread requests across (round-robin by id).
-  std::vector<std::string> sessions = {"main"};
   /// Tenant names drawn uniformly per request.
   std::vector<std::string> tenants = {"default"};
   /// Deadline attached to every synthesized request (0 = none).
   double deadline_ms = 0;
-  /// Request-kind mix weights, indexed by RequestKind. Case-table
-  /// slices and rankings dominate the default interactive mix; the
-  /// heavyweight kinds (causal, predict) are rare, and ingest is off
-  /// by default (missing tail weights are zero) — a trace that appends
-  /// the same delta twice would fail on the second try, so ingest mixes
-  /// only make sense with externally staged per-request directories.
-  std::vector<double> kind_weights = {4, 3, 1, 3, 1};
-  /// Month-delta directory attached to synthesized ingest requests
-  /// (only used when kind_weights gives kIngest mass).
-  std::string ingest_dir;
 };
 
-/// Deterministic trace from the options (ids 1..request_total_cnt).
+/// Deterministic trace from the options (ids 1..request_total_cnt), all
+/// against session "main". Kinds follow a fixed interactive mix:
+/// case-table slices, rankings and lint dominate, and the heavyweight
+/// causal and predict requests are rare. It never synthesizes ingest
+/// (a trace that appends the same delta twice fails on the second try)
+/// or introspection; those arrive through a saved trace or the daemon.
 std::vector<Request> synthesize_trace(const ClientOptions& opts);
 
 /// Per-tenant SLO attainment over one replay's responses.
@@ -101,9 +94,10 @@ class SyntheticClient {
 
   /// Replay `trace` against `server`: closed-loop when
   /// request_interval_ms == 0, open-loop (paced submits, drain at the
-  /// end) otherwise. Every request's response is accounted for. An
-  /// interval whose nanoseconds do not fit the clock's 64-bit count is
-  /// a PreconditionError.
+  /// end) otherwise. Every request's response is accounted for, and
+  /// only those: responses the server holds from other traffic are
+  /// not. An interval whose nanoseconds do not fit the clock's 64-bit
+  /// count is a PreconditionError.
   LoadReport replay(AnalysisServer& server, const std::vector<Request>& trace) const;
 
  private:

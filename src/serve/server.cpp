@@ -166,6 +166,8 @@ std::uint64_t AnalysisServer::submit(Request req) {
       req.id = next_id_++;
     else
       next_id_ = std::max(next_id_, req.id + 1);
+    // A reused id's earlier response must not answer this submission.
+    responses_.erase(req.id);
   }
   const std::uint64_t id = req.id;
   scheduler_.submit(std::move(req));

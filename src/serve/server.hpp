@@ -4,8 +4,8 @@
 // the executor resolves the request's session key, takes that
 // session's exclusive lock, renders the analysis (memoized stages fan
 // out on the session's own ThreadPool), and the internal sink stores
-// every Response for retrieval — nothing is dropped, including
-// rejections and deadline misses.
+// every Response for retrieval, rejections and deadline misses
+// included; a resubmitted id replaces its earlier response.
 #pragma once
 
 #include <cstdint>
@@ -62,7 +62,8 @@ class AnalysisServer {
 
   /// Submit a request; assigns the next id when req.id == 0. Returns
   /// the id, whether admitted or rejected (the rejection response is
-  /// recorded before this returns).
+  /// recorded before this returns). Drops any stored response under
+  /// that id, so only this submission's response is found under it.
   std::uint64_t submit(Request req) EXCLUDES(resp_mu_);
 
   /// Submit and block for this request's response (closed-loop client).
@@ -71,7 +72,7 @@ class AnalysisServer {
   /// Block until every admitted request has completed.
   void drain();
 
-  /// All recorded responses, ordered by id.
+  /// The latest recorded response per id, ordered by id.
   std::vector<Response> responses() const EXCLUDES(resp_mu_);
   /// Drop recorded responses (bench steady-state resets).
   void clear_responses() EXCLUDES(resp_mu_);

@@ -12,10 +12,18 @@ namespace {
 const char* kHumanLogins[] = {"alice", "bob", "carol", "dinesh", "erin", "felix"};
 const char* kAutomationLogins[] = {"svc-deploy", "svc-netops", "svc-lbsync"};
 
+/// Probability that a change's snapshot never reaches the archive
+/// ("some snapshots may be missing due to incomplete or inconsistent
+/// logging", §1). The *change* still happens — the next surviving
+/// snapshot absorbs it.
+constexpr double kSnapshotLoss = 0.12;
+/// Month-to-month lognormal jitter (sigma) on the network's event rate,
+/// event size, and type mix — operations drift over time.
+constexpr double kMonthlyJitter = 0.35;
+
 }  // namespace
 
-ChangeProcess::ChangeProcess(GeneratedNetwork* net, Rng rng, ChangeProcessOptions opts)
-    : net_(net), rng_(rng), opts_(opts) {}
+ChangeProcess::ChangeProcess(GeneratedNetwork* net, Rng rng) : net_(net), rng_(rng) {}
 
 void ChangeProcess::emit_initial_snapshots(SnapshotStore& store) {
   for (const auto& dev : net_->design.devices)
@@ -30,7 +38,7 @@ void ChangeProcess::snapshot(const std::string& device_id, Timestamp t,
   // Lossy archiving (never for the t=0 bootstrap snapshot): the change
   // is applied to the live config but not archived, so the next
   // surviving snapshot shows a merged diff.
-  if (t > 0 && rng_.bernoulli(opts_.snapshot_loss)) return;
+  if (t > 0 && rng_.bernoulli(kSnapshotLoss)) return;
   ConfigSnapshot snap;
   snap.device_id = device_id;
   snap.time = t;
@@ -175,10 +183,9 @@ MonthlyOps ChangeProcess::simulate_month(int m, SnapshotStore& store) {
 
   // Month-level drift: the event rate, event sizes, and type mix all
   // wobble around the network's temperament.
-  const double jitter = opts_.monthly_jitter;
-  const double month_rate = design.change_events_per_month * rng_.lognormal(0, jitter);
+  const double month_rate = design.change_events_per_month * rng_.lognormal(0, kMonthlyJitter);
   const double month_size_mean =
-      std::max(1.0, design.event_size_mean * rng_.lognormal(0, jitter));
+      std::max(1.0, design.event_size_mean * rng_.lognormal(0, kMonthlyJitter));
   const int n_events = rng_.poisson(month_rate);
   if (n_events == 0) return ops;
 
@@ -189,7 +196,7 @@ MonthlyOps ChangeProcess::simulate_month(int m, SnapshotStore& store) {
   std::vector<std::string> type_names;
   for (const auto& [type, w] : design.change_type_mix) {
     type_names.push_back(type);
-    type_weights.push_back(w * rng_.lognormal(0, jitter));
+    type_weights.push_back(w * rng_.lognormal(0, kMonthlyJitter));
   }
 
   struct EventMeta {

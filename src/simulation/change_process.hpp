@@ -42,22 +42,11 @@ struct MonthlyOps {
   }
 };
 
-struct ChangeProcessOptions {
-  /// Probability that a change's snapshot never reaches the archive
-  /// ("some snapshots may be missing due to incomplete or inconsistent
-  /// logging", §1). The *change* still happens — the next surviving
-  /// snapshot absorbs it.
-  double snapshot_loss = 0.12;
-  /// Month-to-month lognormal jitter (sigma) on the network's event
-  /// rate, event size, and type mix — operations drift over time.
-  double monthly_jitter = 0.35;
-};
-
 /// Drives one network's configuration churn over time.
 class ChangeProcess {
  public:
   /// `net` must outlive the process; its configs are mutated in place.
-  ChangeProcess(GeneratedNetwork* net, Rng rng, ChangeProcessOptions opts = {});
+  ChangeProcess(GeneratedNetwork* net, Rng rng);
 
   /// Archive every device's initial configuration at t=0 (the archive
   /// bootstrap a RANCID deployment performs).
@@ -89,7 +78,6 @@ class ChangeProcess {
 
   GeneratedNetwork* net_;
   Rng rng_;
-  ChangeProcessOptions opts_;
   int change_counter_ = 0;  ///< Uniquifier for generated names/values.
   std::map<std::string, Timestamp> last_snapshot_;  ///< Per-device monotonic clock.
 };

@@ -7,6 +7,16 @@
 namespace mpa {
 namespace {
 
+constexpr double kBaseRate = 0.065;   ///< Rate before any practice factor.
+constexpr double kNoiseSigma = 0.18;  ///< Lognormal month-to-month noise.
+/// Fraction of the rate drawn as Poisson noise; the rest accrues
+/// deterministically. Monthly ticket counts in production networks are
+/// far less dispersed than a Poisson process (recurring monitors,
+/// chronic issues): a pure-Poisson draw would cap 2-class prediction
+/// accuracy near 75%, far below the paper's observed 91.6%.
+constexpr double kPoissonFraction = 0.35;
+constexpr double kMaintenanceRate = 0.5;  ///< Maintenance tickets/month (excluded by MPA).
+
 // Coefficients of the latent rate. The rate is a *product* of
 // (1 + coeff * practice) factors, so effects compound: quiet small
 // networks sit far below one ticket/month while large, churn-heavy
@@ -32,14 +42,14 @@ const char* kSymptoms[] = {"packet-loss", "link-down", "high-latency", "bgp-flap
 }  // namespace
 
 double HealthModel::ticket_rate(const NetworkDesign& design, const MonthlyOps& ops,
-                                int current_vlans) const {
+                                int current_vlans) {
   std::set<std::string> models, roles;
   for (const auto& d : design.devices) {
     models.insert(d.model);
     roles.insert(std::string(to_string(d.role)));
   }
   const double f_iface = ops.frac_events(ops.events_with_interface);
-  double rate = opts_.base_rate;
+  double rate = kBaseRate;
   rate *= 1.0 + kDevices * static_cast<double>(design.devices.size());
   rate *= 1.0 + kEvents * ops.events;
   rate *= 1.0 + kTypes * static_cast<double>(ops.change_types.size());
@@ -55,19 +65,19 @@ double HealthModel::ticket_rate(const NetworkDesign& design, const MonthlyOps& o
   rate *= 1.0 + kIfaceFracPeak * std::pow(std::sin(M_PI * f_iface), 2.0);
   rate *= 1.0 + kMboxFrac * ops.frac_events(ops.events_with_mbox);
   rate *= 1.0 + kL2Protocols * std::max(0, ops.l2_protocols - 1);
-  return opts_.scale * rate;
+  return rate;
 }
 
 void HealthModel::generate_tickets(const NetworkDesign& design, const MonthlyOps& ops,
                                    int current_vlans, int month, Rng& rng, TicketLog& log,
-                                   int& ticket_counter) const {
+                                   int& ticket_counter) {
   const double lambda =
-      ticket_rate(design, ops, current_vlans) * rng.lognormal(0, opts_.noise_sigma);
-  // Deterministic accrual + Poisson remainder (see poisson_fraction).
-  const double det_part = lambda * (1.0 - opts_.poisson_fraction);
+      ticket_rate(design, ops, current_vlans) * rng.lognormal(0, kNoiseSigma);
+  // Deterministic accrual + Poisson remainder (see kPoissonFraction).
+  const double det_part = lambda * (1.0 - kPoissonFraction);
   int n = static_cast<int>(det_part);
   if (rng.bernoulli(det_part - static_cast<double>(n))) ++n;
-  n += rng.poisson(lambda * opts_.poisson_fraction);
+  n += rng.poisson(lambda * kPoissonFraction);
   const Timestamp m_start = month_start(month);
 
   auto emit = [&](TicketOrigin origin) {
@@ -96,7 +106,7 @@ void HealthModel::generate_tickets(const NetworkDesign& design, const MonthlyOps
 
   for (int i = 0; i < n; ++i)
     emit(rng.bernoulli(0.75) ? TicketOrigin::kMonitoringAlarm : TicketOrigin::kUserReport);
-  const int n_maint = rng.poisson(opts_.maintenance_rate);
+  const int n_maint = rng.poisson(kMaintenanceRate);
   for (int i = 0; i < n_maint; ++i) emit(TicketOrigin::kMaintenance);
 }
 

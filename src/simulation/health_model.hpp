@@ -23,41 +23,23 @@
 
 namespace mpa {
 
-struct HealthModelOptions {
-  double base_rate = 0.065;     ///< Rate before any practice factor.
-  double scale = 1.0;          ///< Global multiplier on the final rate.
-  double noise_sigma = 0.18;   ///< Lognormal month-to-month noise.
-  /// Fraction of the rate drawn as Poisson noise; the rest accrues
-  /// deterministically. Monthly ticket counts in production networks
-  /// are far less dispersed than a Poisson process (recurring monitors,
-  /// chronic issues): a pure-Poisson draw would cap 2-class prediction
-  /// accuracy near 75%, far below the paper's observed 91.6%.
-  double poisson_fraction = 0.35;
-  double maintenance_rate = 0.5;  ///< Maintenance tickets/month (excluded by MPA).
-};
-
 class HealthModel {
  public:
-  explicit HealthModel(HealthModelOptions opts = {}) : opts_(opts) {}
-
   /// Expected ticket count for one network-month, before noise.
   /// `current_vlans` is the live VLAN count (it grows as the change
   /// process adds VLANs).
-  double ticket_rate(const NetworkDesign& design, const MonthlyOps& ops,
-                     int current_vlans) const;
+  static double ticket_rate(const NetworkDesign& design, const MonthlyOps& ops, int current_vlans);
 
   /// Draw the month's tickets (health + maintenance) into `log`.
   /// `ticket_counter` uniquifies ids across networks.
-  void generate_tickets(const NetworkDesign& design, const MonthlyOps& ops, int current_vlans,
-                        int month, Rng& rng, TicketLog& log, int& ticket_counter) const;
+  static void generate_tickets(const NetworkDesign& design, const MonthlyOps& ops,
+                               int current_vlans, int month, Rng& rng, TicketLog& log,
+                               int& ticket_counter);
 
   /// The generator's causal truth: strictly positive entries are wired
   /// into ticket_rate; zero entries are not (validation tests assert
   /// the pipeline recovers this split).
   static std::map<Practice, double> ground_truth_effects();
-
- private:
-  HealthModelOptions opts_;
 };
 
 }  // namespace mpa

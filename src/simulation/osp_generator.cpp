@@ -20,8 +20,8 @@ int live_vlan_count(const GeneratedNetwork& net) {
 /// Generates network `n` into `out`, its records and its ground truth:
 /// the one per-network sequence both generators run, with the same
 /// forks of `master`, the same draws and the shared `ticket_counter`.
-void generate_network(int n, const OspOptions& opts, const HealthModel& health, Rng& master,
-                      int& ticket_counter, OspDataset& out) {
+void generate_network(int n, const OspOptions& opts, Rng& master, int& ticket_counter,
+                      OspDataset& out) {
   Rng net_rng = master.fork();
   NetworkDesign design = sample_network_design(n, net_rng, opts.design);
   bool treated = false;
@@ -43,8 +43,8 @@ void generate_network(int n, const OspOptions& opts, const HealthModel& health, 
   Rng health_rng = net_rng.fork();
   for (int m = 0; m < opts.num_months; ++m) {
     MonthlyOps ops = process.simulate_month(m, out.snapshots);
-    health.generate_tickets(gen.design, ops, live_vlan_count(gen), m, health_rng, out.tickets,
-                            ticket_counter);
+    HealthModel::generate_tickets(gen.design, ops, live_vlan_count(gen), m, health_rng, out.tickets,
+                                  ticket_counter);
     months.push_back(std::move(ops));
   }
   out.true_ops.push_back(std::move(months));
@@ -57,16 +57,14 @@ OspDataset generate_osp(const OspOptions& opts) {
   Rng master(opts.seed);
   OspDataset data;
   data.num_months = opts.num_months;
-  const HealthModel health(opts.health);
   int ticket_counter = 0;
   for (int n = 0; n < opts.num_networks; ++n)
-    generate_network(n, opts, health, master, ticket_counter, data);
+    generate_network(n, opts, master, ticket_counter, data);
   return data;
 }
 
 OspStreamTotals generate_osp_stream(const OspOptions& opts, OspSink& sink) {
   Rng master(opts.seed);
-  const HealthModel health(opts.health);
   int ticket_counter = 0;
   OspStreamTotals totals;
   // Each network is generated into a dataset of its own, forwarded and
@@ -74,7 +72,7 @@ OspStreamTotals generate_osp_stream(const OspOptions& opts, OspSink& sink) {
   // regardless of num_networks.
   for (int n = 0; n < opts.num_networks; ++n) {
     OspDataset net;
-    generate_network(n, opts, health, master, ticket_counter, net);
+    generate_network(n, opts, master, ticket_counter, net);
     for (const auto& rec : net.inventory.networks()) sink.on_network(rec);
     for (const auto& dev : net.inventory.devices()) sink.on_device(dev);
     // A SnapshotStore orders each device's snapshots by time under a

@@ -19,7 +19,6 @@ struct OspOptions {
   int num_months = 17;      ///< Aug 2013 - Dec 2014.
   std::uint64_t seed = 42;
   DesignOptions design = {};
-  HealthModelOptions health = {};
 
   /// True-randomized-experiment mode (§5.2: "Ideally, we would ...
   /// conduct a true randomized experiment"): each network is assigned

@@ -35,6 +35,10 @@ constexpr std::size_t kPairsPerTile = kTileCols / 2;
 // chains overlap.
 constexpr std::size_t kEtaRows = 4;
 
+constexpr int kMaxIters = 50;    ///< IRLS iterations.
+constexpr double kRidge = 1e-3;  ///< L2 penalty on (standardized) weights.
+constexpr double kTol = 1e-8;    ///< Convergence threshold on weight change.
+
 }  // namespace
 
 bool solve_linear_system(std::span<double> a, std::span<double> b, std::span<double> x) {
@@ -102,8 +106,7 @@ void weighted_gram_upper(std::span<const double> z, std::size_t stride, std::siz
 
 }  // namespace
 
-LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<const int> labels,
-                                           LogitOptions opts) {
+LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<const int> labels) {
   const std::size_t n = features.size();
   require(n == labels.size(), "LogisticRegression::fit: shape mismatch");
   require(n >= 2, "LogisticRegression::fit: need at least two samples");
@@ -149,7 +152,7 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
   }
 
   std::vector<double> w(dim, 0.0), grad(dim), hess(dim * dim), step(dim), wgt(n);
-  for (int iter = 0; iter < opts.max_iters; ++iter) {
+  for (int iter = 0; iter < kMaxIters; ++iter) {
     // Gradient and Hessian of the (penalized) negative log-likelihood.
     std::fill(grad.begin(), grad.end(), 0.0);
     for (std::size_t i0 = 0; i0 < n; i0 += kEtaRows) {
@@ -168,8 +171,8 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
     }
     weighted_gram_upper(z, stride, dim, wgt, hess);
     for (std::size_t j = 1; j < dim; ++j) {  // no penalty on the intercept
-      grad[j] += opts.ridge * w[j];
-      hess[j * dim + j] += opts.ridge;
+      grad[j] += kRidge * w[j];
+      hess[j * dim + j] += kRidge;
     }
     for (std::size_t j = 0; j < dim; ++j)
       for (std::size_t k = 0; k < j; ++k) hess[j * dim + k] = hess[k * dim + j];
@@ -180,7 +183,7 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
       w[j] -= step[j];
       max_delta = std::max(max_delta, std::abs(step[j]));
     }
-    if (max_delta < opts.tol) break;
+    if (max_delta < kTol) break;
   }
   model.w_ = std::move(w);
   return model;

@@ -15,18 +15,11 @@ namespace mpa {
 /// Dense row-major matrix of samples (n rows) x features (d columns).
 using Matrix = std::vector<std::vector<double>>;
 
-struct LogitOptions {
-  int max_iters = 50;  ///< IRLS iterations.
-  double ridge = 1e-3; ///< L2 penalty on (standardized) weights.
-  double tol = 1e-8;   ///< Convergence threshold on weight change.
-};
-
 class LogisticRegression {
  public:
   /// Fit P(y=1 | x). `labels` must be 0/1 and contain both classes.
   /// Rows of `features` must share one length d >= 1.
-  static LogisticRegression fit(const Matrix& features, std::span<const int> labels,
-                                LogitOptions opts = {});
+  static LogisticRegression fit(const Matrix& features, std::span<const int> labels);
 
   /// Predicted probability P(y=1 | x); x.size() must equal d.
   double predict_prob(std::span<const double> x) const;

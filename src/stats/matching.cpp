@@ -9,6 +9,12 @@
 #include "util/error.hpp"
 
 namespace mpa {
+namespace {
+
+/// Candidates scanned per treated case in covariate mode.
+constexpr int kMaxCandidates = 128;
+
+}  // namespace
 
 BalanceStat balance_stat(std::span<const double> treated_values,
                          std::span<const double> untreated_values) {
@@ -72,22 +78,17 @@ MatchResult propensity_match(const Matrix& treated, const Matrix& untreated,
     all.push_back(row);
     labels.push_back(0);
   }
-  const auto model = LogisticRegression::fit(all, labels, opts.logit);
+  const auto model = LogisticRegression::fit(all, labels);
   res.treated_scores = model.predict_all(treated);
   res.untreated_scores = model.predict_all(untreated);
 
-  // 2. Common-support trimming.
-  double t_lo = 0, t_hi = 1, u_lo = 0, u_hi = 1;
-  if (opts.trim_common_support) {
-    const auto [umin, umax] =
-        std::minmax_element(res.untreated_scores.begin(), res.untreated_scores.end());
-    const auto [tmin, tmax] =
-        std::minmax_element(res.treated_scores.begin(), res.treated_scores.end());
-    t_lo = *umin;  // treated must lie within untreated range
-    t_hi = *umax;
-    u_lo = *tmin;  // untreated must lie within treated range
-    u_hi = *tmax;
-  }
+  // 2. Common-support trimming: treated must lie within the untreated
+  // score range, and untreated within the treated one.
+  const auto [umin, umax] =
+      std::minmax_element(res.untreated_scores.begin(), res.untreated_scores.end());
+  const auto [tmin, tmax] =
+      std::minmax_element(res.treated_scores.begin(), res.treated_scores.end());
+  const double t_lo = *umin, t_hi = *umax, u_lo = *tmin, u_hi = *tmax;
 
   // 3. k=1 nearest-neighbour matching on score, with replacement, via a
   // sorted index over eligible untreated scores.
@@ -101,10 +102,7 @@ MatchResult propensity_match(const Matrix& treated, const Matrix& untreated,
 
   std::set<std::size_t> used_untreated;
   std::vector<int> uses(pool.size(), 0);
-  const int max_uses = opts.with_replacement
-                           ? (opts.max_reuse > 0 ? opts.max_reuse
-                                                 : std::numeric_limits<int>::max())
-                           : 1;
+  const int max_uses = opts.max_reuse > 0 ? opts.max_reuse : std::numeric_limits<int>::max();
 
   // Caliper in raw score units, from the pooled score sd.
   double caliper = std::numeric_limits<double>::infinity();
@@ -165,7 +163,7 @@ MatchResult propensity_match(const Matrix& treated, const Matrix& untreated,
           }
         }
         ++scanned;
-        return scanned < opts.max_candidates;
+        return scanned < kMaxCandidates;
       };
       for (std::ptrdiff_t k = at; consider_cov(k); ++k) {
       }
@@ -249,35 +247,47 @@ MatchResult mahalanobis_match(const Matrix& treated, const Matrix& untreated, in
   res.treated_total = treated.size();
   res.untreated_total = untreated.size();
 
+  // Confounders that vary over the pooled cases. A constant one has no
+  // variance to whiten by and separates no cases, so it is left out of
+  // the distance.
+  std::vector<std::size_t> cols;
+  for (const Matrix* m : {&treated, &untreated})
+    for (const auto& row : *m) require(row.size() == d, "mahalanobis_match: ragged matrix");
+  for (std::size_t j = 0; j < d; ++j) {
+    const auto differs = [&](const std::vector<double>& row) { return row[j] != treated[0][j]; };
+    if (std::any_of(treated.begin(), treated.end(), differs) ||
+        std::any_of(untreated.begin(), untreated.end(), differs))
+      cols.push_back(j);
+  }
+  const std::size_t k = cols.size();
+
   // Pooled covariance over all cases, ridge-regularized so collinear
   // confounders stay factorable.
   const std::size_t n = treated.size() + untreated.size();
-  std::vector<double> mu(d, 0.0);
+  std::vector<double> mu(k, 0.0);
   auto accumulate_mean = [&](const Matrix& m) {
-    for (const auto& row : m) {
-      require(row.size() == d, "mahalanobis_match: ragged matrix");
-      for (std::size_t j = 0; j < d; ++j) mu[j] += row[j];
-    }
+    for (const auto& row : m)
+      for (std::size_t a = 0; a < k; ++a) mu[a] += row[cols[a]];
   };
   accumulate_mean(treated);
   accumulate_mean(untreated);
   for (auto& v : mu) v /= static_cast<double>(n);
 
-  Matrix cov(d, std::vector<double>(d, 0.0));
+  Matrix cov(k, std::vector<double>(k, 0.0));
   auto accumulate_cov = [&](const Matrix& m) {
     for (const auto& row : m)
-      for (std::size_t j = 0; j < d; ++j)
-        for (std::size_t k = j; k < d; ++k)
-          cov[j][k] += (row[j] - mu[j]) * (row[k] - mu[k]);
+      for (std::size_t a = 0; a < k; ++a)
+        for (std::size_t b = a; b < k; ++b)
+          cov[a][b] += (row[cols[a]] - mu[a]) * (row[cols[b]] - mu[b]);
   };
   accumulate_cov(treated);
   accumulate_cov(untreated);
-  for (std::size_t j = 0; j < d; ++j) {
-    for (std::size_t k = j; k < d; ++k) {
-      cov[j][k] /= static_cast<double>(n);
-      cov[k][j] = cov[j][k];
+  for (std::size_t a = 0; a < k; ++a) {
+    for (std::size_t b = a; b < k; ++b) {
+      cov[a][b] /= static_cast<double>(n);
+      cov[b][a] = cov[a][b];
     }
-    cov[j][j] += 1e-6 * (cov[j][j] + 1e-6);  // ridge
+    cov[a][a] += 1e-6 * (cov[a][a] + 1e-6);  // ridge
   }
 
   Matrix l;
@@ -286,10 +296,10 @@ MatchResult mahalanobis_match(const Matrix& treated, const Matrix& untreated, in
   // Whiten: z = L^-1 x via forward substitution; Mahalanobis distance
   // becomes Euclidean distance in z-space.
   auto whiten = [&](const std::vector<double>& x) {
-    std::vector<double> z(d, 0.0);
-    for (std::size_t i = 0; i < d; ++i) {
-      double sum = x[i] - mu[i];
-      for (std::size_t k = 0; k < i; ++k) sum -= l[i][k] * z[k];
+    std::vector<double> z(k, 0.0);
+    for (std::size_t i = 0; i < k; ++i) {
+      double sum = x[cols[i]] - mu[i];
+      for (std::size_t c = 0; c < i; ++c) sum -= l[i][c] * z[c];
       z[i] = sum / l[i][i];
     }
     return z;
@@ -309,7 +319,7 @@ MatchResult mahalanobis_match(const Matrix& treated, const Matrix& untreated, in
     for (std::size_t ui = 0; ui < zu.size(); ++ui) {
       if (uses[ui] >= max_uses) continue;
       double dist = 0;
-      for (std::size_t j = 0; j < d; ++j) {
+      for (std::size_t j = 0; j < k; ++j) {
         const double delta = zt[ti][j] - zu[ui][j];
         dist += delta * delta;
         if (dist >= best_dist) break;

@@ -41,8 +41,6 @@ struct BalanceStat {
 };
 
 struct MatchOptions {
-  bool with_replacement = true;
-  bool trim_common_support = true;
   // Defaults below implement covariate matching within a wide
   // propensity caliper with limited replacement — the combination that
   // gave the best covariate balance on heavily-confounded practice
@@ -54,19 +52,17 @@ struct MatchOptions {
   /// dropped. <= 0 disables.
   double caliper_sd = 0.25;
   /// Matching with *limited* replacement: each untreated case may be
-  /// reused at most this many times (0 = unlimited). Reuse of a few
-  /// oddball untreated cases is the main way with-replacement matching
-  /// destroys covariate balance.
+  /// reused at most this many times (0 = unlimited, 1 = without
+  /// replacement). Reuse of a few oddball untreated cases is the main
+  /// way with-replacement matching destroys covariate balance.
   int max_reuse = 6;
   /// Covariate matching within the propensity caliper (Rubin & Thomas):
-  /// among untreated candidates whose score lies within the caliper,
-  /// pick the one minimizing standardized-Euclidean distance over the
-  /// confounders instead of raw score distance. Markedly improves
-  /// per-covariate balance when many cases share similar scores.
+  /// among untreated candidates whose score lies within the caliper
+  /// (the 128 nearest in score at most), pick the one minimizing
+  /// standardized-Euclidean distance over the confounders instead of
+  /// raw score distance. Markedly improves per-covariate balance when
+  /// many cases share similar scores.
   bool covariates_within_caliper = true;
-  /// Cap on candidates scanned per treated case in covariate mode.
-  int max_candidates = 128;
-  LogitOptions logit = {};
 };
 
 /// Full result of one matched design.
@@ -89,9 +85,9 @@ struct MatchResult {
 };
 
 /// Run the full pipeline: fit propensity model on treated-vs-untreated,
-/// trim to common support, k=1 nearest-neighbour match, and compute
-/// balance diagnostics. Requires at least one case on each side and
-/// rows of equal width (>= 1 confounder).
+/// trim to common support, k=1 nearest-neighbour match with
+/// replacement, and compute balance diagnostics. Requires at least one
+/// case on each side and rows of equal width (>= 1 confounder).
 MatchResult propensity_match(const Matrix& treated, const Matrix& untreated,
                              const MatchOptions& opts = {});
 
@@ -108,7 +104,9 @@ std::size_t exact_match_count(const Matrix& treated, const Matrix& untreated);
 /// raw confounders — the other classical alternative the paper
 /// mentions alongside exact matching (§5.2.3). Pooled covariance is
 /// Cholesky-factored and points are whitened once, so matching is
-/// O(T*U*d). `max_reuse` caps untreated reuse (0 = unlimited).
+/// O(T*U*d). A confounder constant over both groups separates no
+/// cases and is left out of the distance (its balance is still
+/// reported). `max_reuse` caps untreated reuse (0 = unlimited).
 /// The returned MatchResult carries balance diagnostics but no
 /// propensity scores (none exist for this method).
 MatchResult mahalanobis_match(const Matrix& treated, const Matrix& untreated, int max_reuse = 1);

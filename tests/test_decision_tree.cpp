@@ -129,17 +129,6 @@ TEST(DecisionTree, WeightsShiftMajority) {
   EXPECT_EQ(tree.predict(std::vector<int>{0}), 1);
 }
 
-TEST(DecisionTree, GainRatioVsPlainGain) {
-  // Both criteria must solve the separable problem; this exercises the
-  // ID3-style code path.
-  TreeOptions opts;
-  opts.use_gain_ratio = false;
-  opts.min_weight_frac = 0;
-  const Dataset d = single_feature(100, 5);
-  const DecisionTree tree = DecisionTree::fit(d, opts);
-  for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(tree.predict(d.x[i]), d.y[i]);
-}
-
 TEST(DecisionTree, DescribeRendersStructure) {
   const Dataset d = single_feature(100, 5);
   TreeOptions opts;

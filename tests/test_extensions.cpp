@@ -78,6 +78,30 @@ TEST(Mahalanobis, BalancesOverlappingGroups) {
   EXPECT_LT(res.worst_abs_std_diff(), 0.25);
 }
 
+TEST(Mahalanobis, ConstantConfounderIsLeftOut) {
+  // A confounder equal in every case leaves the covariance singular; it
+  // separates no cases, so the pairs are those of the input without it.
+  Rng rng(3);
+  Matrix treated, untreated;
+  for (int i = 0; i < 400; ++i) {
+    const double z = rng.uniform(0, 1);
+    std::vector<double> row{z, 2 * z + rng.normal(0, 0.2)};
+    (rng.bernoulli(0.2 + 0.6 * z) ? treated : untreated).push_back(std::move(row));
+  }
+  const MatchResult want = mahalanobis_match(treated, untreated, 3);
+  for (auto* m : {&treated, &untreated})
+    for (auto& row : *m) row.insert(row.begin() + 1, 0.0);
+  const MatchResult got = mahalanobis_match(treated, untreated, 3);
+  ASSERT_EQ(got.pairs.size(), want.pairs.size());
+  for (std::size_t k = 0; k < want.pairs.size(); ++k) {
+    EXPECT_EQ(got.pairs[k].treated_index, want.pairs[k].treated_index);
+    EXPECT_EQ(got.pairs[k].untreated_index, want.pairs[k].untreated_index);
+    EXPECT_EQ(got.pairs[k].score_diff, want.pairs[k].score_diff);
+  }
+  ASSERT_EQ(got.confounder_balance.size(), 3u);
+  EXPECT_EQ(got.confounder_balance[1].std_diff_of_means, 0.0);
+}
+
 TEST(Mahalanobis, Rejects) {
   EXPECT_THROW(mahalanobis_match({}, {{1.0}}), PreconditionError);
   EXPECT_THROW(mahalanobis_match({{1.0}}, {}), PreconditionError);

@@ -33,10 +33,8 @@ Dataset noisy_threshold(int n, Rng& rng, double minority_frac = 0.5) {
 TEST(Forest, BeatsChanceOnStructuredData) {
   Rng rng(1);
   const Dataset d = noisy_threshold(800, rng);
-  ForestOptions opts;
-  opts.num_trees = 30;
-  const RandomForest forest = RandomForest::fit(d, rng, opts);
-  EXPECT_EQ(forest.size(), 30u);
+  const RandomForest forest = RandomForest::fit(d, rng);
+  EXPECT_EQ(forest.size(), 25u);
   int correct = 0;
   for (std::size_t i = 0; i < d.size(); ++i)
     if (forest.predict(d.x[i]) == d.y[i]) ++correct;
@@ -55,9 +53,8 @@ TEST(Forest, DeterministicGivenSeed) {
 TEST(Forest, BalancedVariantImprovesMinorityRecall) {
   Rng rng(3);
   const Dataset d = noisy_threshold(2000, rng);
-  ForestOptions plain;
-  plain.num_trees = 25;
-  ForestOptions balanced = plain;
+  const ForestOptions plain;
+  ForestOptions balanced;
   balanced.variant = ForestVariant::kBalanced;
   Rng r1(5), r2(5);
   const RandomForest fp = RandomForest::fit(d, r1, plain);
@@ -79,30 +76,14 @@ TEST(Forest, WeightedVariantRuns) {
   const Dataset d = noisy_threshold(500, rng);
   ForestOptions opts;
   opts.variant = ForestVariant::kWeighted;
-  opts.num_trees = 10;
   const RandomForest f = RandomForest::fit(d, rng, opts);
   // Sanity: still classifies the strong minority region correctly.
   EXPECT_EQ(f.predict(std::vector<int>{4, 4, 0, 0, 0}), 1);
 }
 
-TEST(Forest, FeatureSubspaceRespected) {
-  Rng rng(5);
-  const Dataset d = noisy_threshold(300, rng);
-  ForestOptions opts;
-  opts.features_per_tree = 1;
-  opts.num_trees = 5;
-  const RandomForest f = RandomForest::fit(d, rng, opts);
-  EXPECT_EQ(f.size(), 5u);
-  EXPECT_NO_THROW(f.predict(std::vector<int>{0, 0, 0, 0, 0}));
-}
-
 TEST(Forest, Rejects) {
   Rng rng(1);
   EXPECT_THROW(RandomForest::fit(Dataset{}, rng), PreconditionError);
-  Dataset d = noisy_threshold(10, rng);
-  ForestOptions opts;
-  opts.num_trees = 0;
-  EXPECT_THROW(RandomForest::fit(d, rng, opts), PreconditionError);
 }
 
 }  // namespace

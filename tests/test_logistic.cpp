@@ -107,23 +107,5 @@ TEST(Logistic, RejectsBadInput) {
   EXPECT_THROW(model.predict_prob(std::vector<double>{1, 2}), PreconditionError);
 }
 
-TEST(Logistic, RidgeShrinksWeights) {
-  Matrix x;
-  std::vector<int> y;
-  Rng rng(4);
-  for (int i = 0; i < 200; ++i) {
-    const double v = rng.uniform(-1, 1);
-    x.push_back({v});
-    y.push_back(v > 0 ? 1 : 0);  // perfectly separable
-  }
-  LogitOptions weak;
-  weak.ridge = 1e-4;
-  LogitOptions strong;
-  strong.ridge = 10.0;
-  const auto mw = LogisticRegression::fit(x, y, weak);
-  const auto ms = LogisticRegression::fit(x, y, strong);
-  EXPECT_GT(std::abs(mw.weights()[1]), std::abs(ms.weights()[1]));
-}
-
 }  // namespace
 }  // namespace mpa

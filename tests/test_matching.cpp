@@ -74,16 +74,6 @@ TEST(Matching, UnmatchedRawMeansDifferButMatchedDoNot) {
   EXPECT_LT(std::abs(res.confounder_balance[0].std_diff_of_means), 0.25);
 }
 
-TEST(Matching, WithoutReplacementNoReuse) {
-  Rng rng(9);
-  Matrix treated, untreated;
-  make_confounded(rng, 2000, &treated, &untreated);
-  MatchOptions opts;
-  opts.with_replacement = false;
-  const MatchResult res = propensity_match(treated, untreated, opts);
-  EXPECT_EQ(res.untreated_matched_distinct, res.pairs.size());
-}
-
 TEST(Matching, MaxReuseHonored) {
   Rng rng(10);
   Matrix treated, untreated;
@@ -115,7 +105,6 @@ TEST(Matching, CaliperDropsDistantPairs) {
   make_confounded(rng, 1000, &treated, &untreated);
   MatchOptions loose;
   loose.caliper_sd = 0;  // off
-  loose.trim_common_support = false;
   MatchOptions tight = loose;
   tight.caliper_sd = 0.05;
   const auto nl = propensity_match(treated, untreated, loose).pairs.size();

@@ -676,6 +676,36 @@ TEST_F(ObsTest, WindowRecordAndSnapshot) {
   EXPECT_LE(rank.latency_p50_ms, rank.latency_p99_ms);
 }
 
+TEST_F(ObsTest, WindowQuantilesOfOneSampleAreThatSample) {
+  // Inside a bucket, above the last bound, and in the first bucket: every
+  // quantile is the one sample, as Histogram::quantile reports it.
+  for (const double ms : {3.0, 7000.0, 0.05}) {
+    LogicalWindow w(4, 1'000'000'000);
+    w.registry.record("a", "rank", "ok", ms, ms, ms);
+    const obs::WindowRegistry::Snapshot snap = w.registry.snapshot();
+    ASSERT_EQ(snap.series.size(), 1u);
+    const obs::WindowRegistry::SeriesWindow& s = snap.series[0];
+    for (const double q : {s.queue_p50_ms, s.service_p90_ms, s.latency_p50_ms, s.latency_p90_ms,
+                           s.latency_p99_ms})
+      EXPECT_DOUBLE_EQ(q, ms);
+    obs::Histogram h(obs::window_ms_bounds());
+    h.observe(ms);
+    EXPECT_DOUBLE_EQ(h.quantile(0.99), s.latency_p99_ms);
+  }
+}
+
+TEST_F(ObsTest, WindowQuantilesForgetRotatedOutSamples) {
+  // A bucket's range resets with its counts when the ring reuses it.
+  LogicalWindow w(2, 100);
+  w.registry.record("a", "rank", "ok", 7000, 7000, 7000);  // epoch 0
+  w.now_ns = 200;  // epoch 2 reuses epoch 0's slot
+  w.registry.record("a", "rank", "ok", 3, 3, 3);
+  const obs::WindowRegistry::Snapshot snap = w.registry.snapshot();
+  ASSERT_EQ(snap.series.size(), 1u);
+  EXPECT_EQ(snap.series[0].total, 1u);
+  EXPECT_DOUBLE_EQ(snap.series[0].latency_p99_ms, 3.0);
+}
+
 TEST_F(ObsTest, WindowRingWraparoundDropsOverwrittenEpochs) {
   LogicalWindow w(4, 100);
   w.registry.record("a", "rank", "ok", 0, 0, 0);  // epoch 0

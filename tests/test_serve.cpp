@@ -1340,27 +1340,21 @@ TEST(Client, SynthesizedTraceIsDeterministicPerSeed) {
   EXPECT_NE(trace_to_jsonl(a), trace_to_jsonl(synthesize_trace(opts)));
 }
 
-TEST(Client, IngestKindSynthesizesTheConfiguredDeltaDir) {
-  ClientOptions opts;
-  opts.request_total_cnt = 3;
-  opts.kind_weights = {0, 0, 0, 0, 0, 1};  // ingest only
-  opts.ingest_dir = "/data/delta-7";
-  const std::vector<Request> trace = synthesize_trace(opts);
-  ASSERT_EQ(trace.size(), 3u);
-  for (const Request& req : trace) {
-    EXPECT_EQ(req.kind, RequestKind::kIngest);
-    EXPECT_EQ(req.dir, "/data/delta-7");
+/// Six requests of one kind against session "main", ids first_id
+/// onward.
+std::vector<Request> trace_of(RequestKind kind, std::uint64_t first_id) {
+  std::vector<Request> trace(6);
+  for (std::size_t i = 0; i < trace.size(); ++i) {
+    trace[i].id = first_id + i;
+    trace[i].kind = kind;
   }
+  return trace;
 }
 
 TEST(Client, ClosedLoopReplayAccountsForEveryRequest) {
   AnalysisServer server(two_session_opts(2));
   server.sessions().open("main", small_session());
-  ClientOptions opts;
-  opts.request_total_cnt = 6;
-  opts.seed = 2;
-  opts.kind_weights = {3, 2, 0, 2, 0};  // cheap kinds only
-  const LoadReport report = SyntheticClient(opts).replay(server, synthesize_trace(opts));
+  const LoadReport report = SyntheticClient().replay(server, trace_of(RequestKind::kRank, 1));
   EXPECT_EQ(report.total, 6u);
   EXPECT_EQ(report.ok, 6u);
   EXPECT_GT(report.wall_seconds, 0.0);
@@ -1370,6 +1364,36 @@ TEST(Client, ClosedLoopReplayAccountsForEveryRequest) {
   EXPECT_NE(report.to_text().find("throughput"), std::string::npos);
 }
 
+TEST(Client, ReplayWaitsForAndCountsOnlyItsOwnResponses) {
+  AnalysisServer server(two_session_opts(1));
+  server.sessions().open("main", small_session());
+  const SyntheticClient client;
+  const std::vector<Request> predicts = trace_of(RequestKind::kPredict, 1);
+  EXPECT_EQ(client.replay(server, predicts).total, 6u);
+  // The same ids again: each wait ends on this replay's response, not on
+  // the one stored from the first. With one worker, every completion
+  // but the last is counted before the next request runs.
+  const LoadReport again = client.replay(server, predicts);
+  EXPECT_EQ(again.total, 6u);
+  EXPECT_EQ(again.ok, 6u);
+  EXPECT_GE(server.stats().completed, 11u);
+  // New ids: the report counts these six, not the twelve before them.
+  EXPECT_EQ(client.replay(server, trace_of(RequestKind::kRank, 7)).total, 6u);
+}
+
+TEST(Server, ReusedIdIsAnsweredByItsOwnRequest) {
+  AnalysisServer server(two_session_opts(1));
+  server.sessions().open("main", small_session());
+  const Request predict = trace_of(RequestKind::kPredict, 1)[0];
+  ASSERT_EQ(server.submit_and_wait(predict).kind, RequestKind::kPredict);
+  const Request rank = trace_of(RequestKind::kRank, 1)[0];
+  const Response resp = server.submit_and_wait(rank);
+  EXPECT_EQ(resp.kind, RequestKind::kRank);
+  const std::string want = server.sessions().with_session(
+      "main", [&](AnalysisSession& s) { return render_request(s, rank); });
+  EXPECT_EQ(resp.body, want);
+}
+
 TEST(Client, ReplayRefusesAnIntervalTheClockCannotHold) {
   // The pacing interval becomes a nanosecond count; one that does not
   // fit is a PreconditionError rather than an undefined cast.
@@ -1377,15 +1401,6 @@ TEST(Client, ReplayRefusesAnIntervalTheClockCannotHold) {
   ClientOptions opts;
   opts.request_interval_ms = 1e300;
   EXPECT_THROW(SyntheticClient(opts).replay(server, {}), PreconditionError);
-}
-
-TEST(Client, StatsOnlyWeightsSynthesizeIntrospectionRequests) {
-  ClientOptions opts;
-  opts.request_total_cnt = 4;
-  opts.kind_weights = {0, 0, 0, 0, 0, 0, 1};  // stats only
-  const std::vector<Request> trace = synthesize_trace(opts);
-  ASSERT_EQ(trace.size(), 4u);
-  for (const Request& req : trace) EXPECT_EQ(req.kind, RequestKind::kStats);
 }
 
 TEST(Client, ComputeSloFoldsPerTenantAttainment) {

@@ -122,9 +122,7 @@ TEST(ChangeProcess, MonthlyOpsConsistency) {
   NetworkDesign design = sample_network_design(1, rng);
   design.change_events_per_month = 20;  // ensure activity
   GeneratedNetwork gen = generate_configs(std::move(design), rng);
-  ChangeProcessOptions opts;
-  opts.snapshot_loss = 0;
-  ChangeProcess proc(&gen, rng.fork(), opts);
+  ChangeProcess proc(&gen, rng.fork());
   SnapshotStore store;
   proc.emit_initial_snapshots(store);
   const MonthlyOps ops = proc.simulate_month(0, store);
@@ -183,9 +181,7 @@ TEST(HealthModel, GroundTruthSplitsCausalFromNonCausal) {
 TEST(HealthModel, GeneratesMaintenanceAndHealthTickets) {
   Rng rng(10);
   const NetworkDesign design = sample_network_design(0, rng);
-  HealthModelOptions opts;
-  opts.maintenance_rate = 2.0;
-  const HealthModel model(opts);
+  const HealthModel model;
   MonthlyOps ops;
   ops.events = 30;
   ops.change_types = {"interface", "acl"};
