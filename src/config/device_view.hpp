@@ -1,13 +1,14 @@
-// The per-device index of config facts (§2.2): each stanza's agnostic
-// type and protocol construct, stanza names per agnostic type, and
-// interface addresses, derived once per device and read by every config
-// analysis: lint (lint.hpp), refs, routing and the design metrics.
+// The per-device index of config facts (§2.2): each stanza's facts
+// (stanza.hpp: StanzaFacts) by position, stanza names per agnostic type,
+// and interface addresses, read by every config analysis: lint
+// (lint.hpp), refs, routing and the design metrics.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <ranges>
-#include <set>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -19,41 +20,55 @@ namespace mpa {
 
 class LintSource;
 
-/// One device's parsed stanzas with the indexes derived from them. The
-/// view points at the stanzas, the device id and `source`, which must
-/// outlive it.
+/// One device's stanzas with their facts and the indexes derived from
+/// them, read by position. The view points at the stanzas, the device
+/// id and `source`, which must outlive it.
 class DeviceView {
  public:
-  /// A view of `stanzas`, in order, none listed twice; `source`, if
-  /// any, must hold one span and pragma set per stanza
-  /// (PreconditionError otherwise). A device timeline's handles
-  /// (StanzaInterner) are viewed as they are.
-  DeviceView(const std::string& device_id, std::vector<const Stanza*> stanzas,
+  /// A view of `stanzas`, in order, that builds each one's facts.
+  /// `source`, if any, must hold one span and pragma set per stanza
+  /// (PreconditionError otherwise).
+  DeviceView(const std::string& device_id, std::span<const Stanza* const> stanzas,
+             const LintSource* source = nullptr);
+  /// A view of facts built already, in order: a device timeline's
+  /// (StanzaInterner::read), viewed as they are. `facts` must outlive
+  /// the view.
+  DeviceView(const std::string& device_id, std::span<const StanzaFacts* const> facts,
              const LintSource* source = nullptr);
   /// A view of `config`'s stanzas.
   explicit DeviceView(const DeviceConfig& config, const LintSource* source = nullptr);
 
-  /// The stanzas, in order, each as a `const Stanza&`.
-  auto stanzas() const {
-    return std::views::transform(stanzas_, [](const Stanza* s) -> const Stanza& { return *s; });
+  /// Number of stanzas; positions run from 0 to size() - 1.
+  std::size_t size() const { return facts_.size(); }
+  /// The facts of the stanza at `position` (PreconditionError past the
+  /// last).
+  const StanzaFacts& facts(std::size_t position) const {
+    require(position < facts_.size(), [&] {
+      return "DeviceView: no stanza at position " + std::to_string(position) + " of " +
+             device_id();
+    });
+    return *facts_[position];
   }
+  /// The stanza at `position`.
+  const Stanza& stanza(std::size_t position) const { return *facts(position).stanza; }
   /// Spans + pragmas of the stanzas' text; null when there is no text.
   const LintSource* source() const { return source_; }
   const std::string& device_id() const { return *device_id_; }
 
-  /// Position of `s` in stanzas(); `s` must be one of them.
-  std::size_t index_of(const Stanza& s) const;
-  /// The stanza's agnostic type (types.hpp), resolved once.
-  std::string_view type_of(const Stanza& s) const { return typed_[index_of(s)].type; }
-  /// Its protocol construct, resolved once; empty if it has none.
-  std::string_view construct_of(const Stanza& s) const { return typed_[index_of(s)].construct; }
-
-  /// Names of stanzas whose agnostic type matches (memoized per type).
-  const std::set<std::string>& names_of(std::string_view agnostic) const;
-  bool defines(std::string_view agnostic, std::string_view name) const;
+  /// The distinct names of stanzas of agnostic type `agnostic`, sorted.
+  auto names_of(std::string_view agnostic) const {
+    const auto [lo, hi] = std::equal_range(names_.begin(), names_.end(), TypedName{agnostic, {}},
+                                           [](const TypedName& a, const TypedName& b) {
+                                             return a.type < b.type;
+                                           });
+    return std::ranges::subrange(lo, hi) | std::views::transform(&TypedName::name);
+  }
+  bool defines(std::string_view agnostic, std::string_view name) const {
+    return std::binary_search(names_.begin(), names_.end(), TypedName{agnostic, name});
+  }
 
   struct IfaceAddr {
-    const Stanza* stanza = nullptr;  ///< The owning interface stanza.
+    std::size_t stanza = 0;  ///< Position of the owning interface stanza.
     Ipv4Prefix prefix;
   };
   /// Every interface address ("ip address" / "ip-address"), in stanza
@@ -63,18 +78,26 @@ class DeviceView {
   bool owns(std::uint32_t ip) const;
 
  private:
-  struct Typed {
+  struct TypedName {
     std::string_view type;
-    std::string_view construct;
+    std::string_view name;
+    friend auto operator<=>(const TypedName&, const TypedName&) = default;
+  };
+  /// Facts this view built, shared by its copies.
+  struct Owned {
+    std::vector<StanzaFacts> facts;
+    std::vector<const StanzaFacts*> handles;
   };
 
+  /// Builds the names and addresses from facts_.
+  void index();
+
   const std::string* device_id_;
-  std::vector<const Stanza*> stanzas_;
-  HandleIndex positions_;  ///< Where each of stanzas_ sits.
+  std::shared_ptr<const Owned> owned_;
+  std::span<const StanzaFacts* const> facts_;
   const LintSource* source_;
-  std::vector<Typed> typed_;  ///< Parallel to stanzas_.
+  std::vector<TypedName> names_;  ///< Sorted, distinct.
   std::vector<IfaceAddr> iface_addrs_;
-  mutable std::map<std::string, std::set<std::string>, std::less<>> names_;
 };
 
 /// One view per config, in order, without source info.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <functional>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -332,16 +333,49 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, Sour
   return parse_config(text, d, std::move(device_id), &source);
 }
 
-std::vector<const Stanza*> StanzaInterner::parse(std::string_view text, SourceMap& source) {
+std::vector<const StanzaFacts*> StanzaInterner::read(std::string_view text, SourceMap& source) {
   source = SourceMap{};
   return intern(text, &source);
 }
 
-std::vector<const Stanza*> StanzaInterner::parse(std::string_view text) {
+std::vector<const StanzaFacts*> StanzaInterner::read(std::string_view text) {
   return intern(text, nullptr);
 }
 
-std::vector<const Stanza*> StanzaInterner::intern(std::string_view text, SourceMap* source) {
+namespace {
+
+std::vector<const Stanza*> stanzas_of(const std::vector<const StanzaFacts*>& facts) {
+  std::vector<const Stanza*> out;
+  out.reserve(facts.size());
+  for (const StanzaFacts* f : facts) out.push_back(f->stanza);
+  return out;
+}
+
+}  // namespace
+
+void StanzaInterner::retain(std::vector<const StanzaFacts*> keep) {
+  std::sort(keep.begin(), keep.end(), std::less<>());
+  std::vector<const Block*> last = previous_;
+  std::sort(last.begin(), last.end(), std::less<>());
+  std::erase_if(blocks_, [&](const std::unique_ptr<Block>& b) {
+    return !std::binary_search(last.begin(), last.end(), b.get(), std::less<>()) &&
+           !std::binary_search(keep.begin(), keep.end(), &b->facts, std::less<>());
+  });
+  // Only the last snapshot's blocks are matched against the next one.
+  for (const auto& b : blocks_)
+    if (!std::binary_search(last.begin(), last.end(), b.get(), std::less<>()))
+      b->bytes = std::string();
+}
+
+std::vector<const Stanza*> StanzaInterner::parse(std::string_view text, SourceMap& source) {
+  return stanzas_of(read(text, source));
+}
+
+std::vector<const Stanza*> StanzaInterner::parse(std::string_view text) {
+  return stanzas_of(read(text));
+}
+
+std::vector<const StanzaFacts*> StanzaInterner::intern(std::string_view text, SourceMap* source) {
   // Blocks mostly keep their order, so the one after the last reuse is
   // tried first (and is the one a walker may skip to), then the rest.
   // No block is reused twice within a snapshot: each copy of a
@@ -364,8 +398,10 @@ std::vector<const Stanza*> StanzaInterner::intern(std::string_view text, SourceM
       if (j >= prev.size() || !match(j))
         for (j = 0; j < prev.size() && !match(j);) ++j;
       if (j < prev.size()) return take(j);
-      self.blocks_.push_back(Block{build_stanza(lines, self.dialect_), std::string(bytes)});
-      self.current_.push_back(&self.blocks_.back());
+      Block& b = *self.blocks_.emplace_back(std::make_unique<Block>(
+          Block{build_stanza(lines, self.dialect_), {}, std::string(bytes)}));
+      b.facts = facts_of(b.stanza);
+      self.current_.push_back(&b);
     }
     std::string_view known() const {
       if (next >= self.previous_.size() || self.taken_[next]) return {};
@@ -379,11 +415,11 @@ std::vector<const Stanza*> StanzaInterner::intern(std::string_view text, SourceM
   walk(text, dialect_, source, sink);
   blocks_seen_ += current_.size();
   blocks_reused_ += sink.reused;
-  std::vector<const Stanza*> stanzas;
-  stanzas.reserve(current_.size());
-  for (const Block* b : current_) stanzas.push_back(&b->stanza);
+  std::vector<const StanzaFacts*> facts;
+  facts.reserve(current_.size());
+  for (const Block* b : current_) facts.push_back(&b->facts);
   std::swap(previous_, current_);
-  return stanzas;
+  return facts;
 }
 
 }  // namespace mpa

@@ -17,7 +17,7 @@
 // vendor-typification limitation discussed in §2.2.
 #pragma once
 
-#include <deque>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -78,7 +78,8 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, Sour
 /// next header line (or the end). Consecutive snapshots share almost
 /// every block (§2.2: a snapshot is archived on every change), and a
 /// block byte-identical to one of the previous snapshot's reuses that
-/// block's parsed, immutable Stanza; the rest are parsed.
+/// block's parsed, immutable Stanza and its facts (stanza.hpp:
+/// facts_of), both built once per distinct block; the rest are parsed.
 ///
 /// Reuse is sound because a header line resets the walker's state in
 /// both dialects: the stanza a block yields depends on its bytes alone.
@@ -97,14 +98,23 @@ class StanzaInterner {
   StanzaInterner(const StanzaInterner&) = delete;
   StanzaInterner& operator=(const StanzaInterner&) = delete;
 
-  /// The next snapshot's stanzas, in order, as handles that stay valid
-  /// for the interner's lifetime; no handle repeats within a snapshot.
-  /// Fills `source` as parse() does, and throws DataError where it
-  /// does; the next call then reuses blocks of the last snapshot that
-  /// parsed, and the counts below leave the failed one out.
+  /// The facts of the next snapshot's stanzas, in order, as handles that
+  /// stay valid for the interner's lifetime unless retain() frees their
+  /// block; no handle repeats within a snapshot. Fills `source` as parse() does, and throws DataError
+  /// where it does; the next call then reuses blocks of the last
+  /// snapshot that parsed, and the counts below leave the failed one out.
+  std::vector<const StanzaFacts*> read(std::string_view text, SourceMap& source);
+  /// read() without a source map, skipping known blocks (above).
+  std::vector<const StanzaFacts*> read(std::string_view text);
+  /// read(), as the stanzas' own handles.
   std::vector<const Stanza*> parse(std::string_view text, SourceMap& source);
-  /// parse() without a source map, skipping known blocks (above).
   std::vector<const Stanza*> parse(std::string_view text);
+
+  /// Frees every block that neither a handle in `keep` nor the last
+  /// snapshot read holds, and the bytes of the kept blocks that the next
+  /// read cannot match. The handles of every other snapshot read so far
+  /// become invalid; reads go on as before.
+  void retain(std::vector<const StanzaFacts*> keep);
 
   /// Stanza blocks in every snapshot parsed so far, and how many of
   /// them reused an earlier block's stanza.
@@ -114,13 +124,14 @@ class StanzaInterner {
  private:
   struct Block {
     Stanza stanza;
+    StanzaFacts facts;  ///< Of `stanza`, built once it sits in blocks_.
     std::string bytes;
   };
 
-  std::vector<const Stanza*> intern(std::string_view text, SourceMap* source);
+  std::vector<const StanzaFacts*> intern(std::string_view text, SourceMap* source);
 
   Dialect dialect_;
-  std::deque<Block> blocks_;            ///< Each distinct block once, address-stable.
+  std::vector<std::unique_ptr<Block>> blocks_;  ///< Each distinct block once.
   std::vector<const Block*> previous_;  ///< The last snapshot's blocks, in order.
   // Working storage of one parse, kept for its capacity.
   std::vector<const Block*> current_;  ///< This snapshot's blocks so far.

@@ -31,14 +31,20 @@ struct StanzaChange {
 };
 
 /// Compute the stanza-level diff between `before` and `after`, given as
-/// stanza handles (neither list repeats one). Each stanza of `before` is
-/// matched to the first stanza of `after` with its (native type, name):
-/// none makes it removed, an unequal one updated. Then each stanza of
-/// `after` whose (type, name) `before` lacks is added. A handle in both
-/// lists is the same stanza, so it is its own match without a key
-/// lookup or a deep compare unless an earlier stanza of `after` repeats
-/// its key. Option-level comparison treats options as an ordered
-/// multiset keyed by `key`.
+/// the facts of their stanzas (stanza.hpp). Each stanza of `before` is
+/// matched to the first stanza of `after` with its (native type, name),
+/// found by the cached key hash: none makes it removed, an unequal one
+/// updated. Then each stanza of `after` whose (type, name) `before`
+/// lacks is added. A handle in both lists is the same stanza, so it
+/// matches itself without a string compare and needs no deep compare
+/// unless an earlier stanza of `after` repeats its key. Option-level
+/// comparison treats options as a multiset of (key, value) pairs and
+/// merges the two sorted option lists.
+std::vector<StanzaChange> diff(std::span<const StanzaFacts* const> before,
+                               std::span<const StanzaFacts* const> after);
+
+/// diff() over stanza handles: the same core, which hashes each key once
+/// per call and builds facts only for an updated stanza.
 std::vector<StanzaChange> diff(std::span<const Stanza* const> before,
                                std::span<const Stanza* const> after);
 

@@ -93,20 +93,30 @@ void LintRule::check_network(const NetworkView& /*net*/, LintSink& /*sink*/) con
 
 NetworkView::NetworkView(const std::vector<DeviceView>& devices) : devices_(&devices) {
   for (std::size_t d = 0; d < devices.size(); ++d) {
-    for (const auto& a : devices[d].iface_addrs()) addr_owner_.emplace(a.prefix.addr, d);
-    for (const auto& s : devices[d].stanzas())
-      if (devices[d].construct_of(s) == "bgp") bgp_procs_.push_back(BgpProc{d, &s});
+    const DeviceView& dev = devices[d];
+    for (std::size_t k = 0; k < dev.iface_addrs().size(); ++k)
+      owners_.push_back(AddrOwner{dev.iface_addrs()[k].prefix.addr, d, k});
+    for (std::size_t i = 0; i < dev.size(); ++i)
+      if (dev.facts(i).construct == "bgp") bgp_procs_.push_back(BgpProc{d, i});
   }
+  // Stable: the first interface with each address stays first.
+  const auto by_addr = [](const AddrOwner& a, const AddrOwner& b) { return a.addr < b.addr; };
+  std::stable_sort(owners_.begin(), owners_.end(), by_addr);
+  owners_.erase(std::unique(owners_.begin(), owners_.end(),
+                            [](const AddrOwner& a, const AddrOwner& b) { return a.addr == b.addr; }),
+                owners_.end());
 }
 
-std::size_t NetworkView::owner_of(std::uint32_t ip) const {
-  const auto it = addr_owner_.find(ip);
-  return it == addr_owner_.end() ? npos : it->second;
+const NetworkView::AddrOwner* NetworkView::owner_of(std::uint32_t ip) const {
+  const auto it = std::lower_bound(owners_.begin(), owners_.end(), ip,
+                                   [](const AddrOwner& o, std::uint32_t v) { return o.addr < v; });
+  return it != owners_.end() && it->addr == ip ? &*it : nullptr;
 }
 
-bool NetworkView::runs_bgp(std::size_t device) const {
-  return std::any_of(bgp_procs_.begin(), bgp_procs_.end(),
-                     [&](const BgpProc& p) { return p.device == device; });
+const NetworkView::BgpProc* NetworkView::bgp_proc_of(std::size_t device) const {
+  const auto it = std::lower_bound(bgp_procs_.begin(), bgp_procs_.end(), device,
+                                   [](const BgpProc& p, std::size_t d) { return p.device < d; });
+  return it != bgp_procs_.end() && it->device == device ? &*it : nullptr;
 }
 
 // ------------------------------------------------------------------ sink
@@ -122,21 +132,20 @@ void LintSink::set_active(const LintRule* rule) {
   active_hit_ = false;
 }
 
-LintSink::Placement LintSink::place(const DeviceView& dev, const Stanza* anchor) const {
+LintSink::Placement LintSink::place(const DeviceView& dev, std::size_t at) const {
   require(active_ != nullptr, "LintSink::report outside a rule");
-  Placement at;
+  Placement placed;
   if (const LintSource* src = dev.source()) {
-    const std::size_t i = anchor != nullptr ? dev.index_of(*anchor) : LintSource::npos;
-    at.span = src->span_of(i);
-    at.suppressed = src->suppresses(active_info_.id, i);
+    placed.span = src->span_of(at);
+    placed.suppressed = src->suppresses(active_info_.id, at);
   }
-  return at;
+  return placed;
 }
 
-bool LintSink::keeps(const Placement& at) {
-  if (at.suppressed && !opts_->keep_suppressed) return false;
+bool LintSink::keeps(const Placement& placed) {
+  if (placed.suppressed && !opts_->keep_suppressed) return false;
   if (counts_ == nullptr) return true;
-  if (at.suppressed) {
+  if (placed.suppressed) {
     ++counts_->suppressed;
     return false;
   }
@@ -147,17 +156,20 @@ bool LintSink::keeps(const Placement& at) {
   return false;
 }
 
-void LintSink::add(const DeviceView& dev, const Stanza* anchor, const Placement& at,
+void LintSink::add(const DeviceView& dev, std::size_t at, const Placement& placed,
                    std::string message) {
   Diagnostic& d = out_->emplace_back();
   d.rule_id = std::string(active_info_.id);
   d.category = active_info_.category;
   d.severity = active_info_.severity;
   d.device_id = dev.device_id();
-  if (anchor != nullptr) d.object = anchor->type + (anchor->name.empty() ? "" : " " + anchor->name);
+  if (at != LintSource::npos) {
+    const Stanza& anchor = dev.stanza(at);
+    d.object = anchor.type + (anchor.name.empty() ? "" : " " + anchor.name);
+  }
   d.message = std::move(message);
-  d.span = at.span;
-  d.suppressed = at.suppressed;
+  d.span = placed.span;
+  d.suppressed = placed.suppressed;
 }
 
 // ----------------------------------------------------------------- driver

@@ -31,7 +31,6 @@
 #pragma once
 
 #include <array>
-#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -223,21 +222,29 @@ class NetworkView {
 
   const std::vector<DeviceView>& devices() const { return *devices_; }
 
-  /// Device index owning `ip` on an interface, or npos.
-  std::size_t owner_of(std::uint32_t ip) const;
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+  /// The first interface, in device order and then address order, that
+  /// carries an address.
+  struct AddrOwner {
+    std::uint32_t addr = 0;
+    std::size_t device = 0;
+    std::size_t index = 0;  ///< Position in that device's iface_addrs().
+  };
+  /// The owner of `ip`, or null when no interface carries it.
+  const AddrOwner* owner_of(std::uint32_t ip) const;
 
-  /// Devices running a BGP process, with the process stanza.
+  /// A BGP process: a device and the position of its process stanza.
   struct BgpProc {
     std::size_t device = 0;
-    const Stanza* stanza = nullptr;
+    std::size_t stanza = 0;
   };
+  /// Every BGP process, in device and then stanza order.
   const std::vector<BgpProc>& bgp_procs() const { return bgp_procs_; }
-  bool runs_bgp(std::size_t device) const;
+  /// The first BGP process of `device`, or null when it runs none.
+  const BgpProc* bgp_proc_of(std::size_t device) const;
 
  private:
   const std::vector<DeviceView>* devices_;
-  std::map<std::uint32_t, std::size_t> addr_owner_;
+  std::vector<AddrOwner> owners_;  ///< One per address, sorted by it.
   std::vector<BgpProc> bgp_procs_;
 };
 
@@ -251,14 +258,14 @@ class LintSink {
   /// diagnostics; density is left to the caller.
   LintSink(const LintOptions& opts, LintSummary& counts);
 
-  /// Anchor a finding to a stanza of `dev` (null = whole device); the
-  /// span and stanza pragmas are those at the anchor's position.
-  /// `message` returns the text; it is called only when the finding is
-  /// kept as a Diagnostic.
+  /// Anchor a finding to the stanza at position `at` of `dev`
+  /// (LintSource::npos = the whole device); the span and stanza pragmas
+  /// are those at that position. `message` returns the text; it is
+  /// called only when the finding is kept as a Diagnostic.
   template <typename Message>
-  void report(const DeviceView& dev, const Stanza* anchor, Message&& message) {
-    const Placement at = place(dev, anchor);
-    if (keeps(at)) add(dev, anchor, at, std::string(message()));
+  void report(const DeviceView& dev, std::size_t at, Message&& message) {
+    const Placement placed = place(dev, at);
+    if (keeps(placed)) add(dev, at, placed, std::string(message()));
   }
 
   /// The rule currently executing (set by the engine).
@@ -269,10 +276,10 @@ class LintSink {
     SourceSpan span;
     bool suppressed = false;
   };
-  Placement place(const DeviceView& dev, const Stanza* anchor) const;
+  Placement place(const DeviceView& dev, std::size_t at) const;
   /// Counts the finding when counting; true when it becomes a Diagnostic.
-  bool keeps(const Placement& at);
-  void add(const DeviceView& dev, const Stanza* anchor, const Placement& at, std::string message);
+  bool keeps(const Placement& placed);
+  void add(const DeviceView& dev, std::size_t at, const Placement& placed, std::string message);
 
   const LintOptions* opts_;
   std::vector<Diagnostic>* out_ = nullptr;

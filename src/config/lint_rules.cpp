@@ -2,12 +2,14 @@
 // listed in builtin_rules(); the engine (lint.cpp) drives them and
 // handles suppression and spans.
 //
-// Rules read stanza types, names and interface addresses from each
-// device's DeviceView (config/device_view.hpp); network-scope rules add
-// the address-owner and BGP lookups of NetworkView. Rules report against
+// Rules walk each device's DeviceView (config/device_view.hpp) by
+// position and read each stanza's facts (stanza.hpp: StanzaFacts),
+// derived once from its options; network-scope rules add the
+// address-owner and BGP lookups of NetworkView. Rules report against
 // the vendor-agnostic model, so each fires identically on IOS-like and
 // JunOS-like configs.
-#include <map>
+#include <algorithm>
+#include <ranges>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,36 +20,51 @@
 namespace mpa {
 namespace {
 
-/// ACL names attached by an interface stanza (via "ip access-group" /
-/// "filter"), in option order.
-std::vector<std::string> attached_acls(const Stanza& iface) {
-  std::vector<std::string> out;
-  for (const auto& o : iface.options) {
-    if (o.key != "ip access-group" && o.key != "filter") continue;
-    const auto tokens = split_ws(o.value);
-    if (!tokens.empty()) out.push_back(tokens[0]);
+/// Runs `visit(position, facts)` over each stanza of `dev` whose agnostic
+/// type is `type`, in order.
+template <typename Visit>
+void each_of(const DeviceView& dev, std::string_view type, Visit&& visit) {
+  for (std::size_t i = 0; i < dev.size(); ++i) {
+    const StanzaFacts& f = dev.facts(i);
+    if (f.type == type) visit(i, f);
   }
+}
+
+/// The distinct names `names_of(facts)` lists over the stanzas of `dev`
+/// of agnostic type `type`, sorted, for binary_search.
+template <typename NamesOf>
+std::vector<std::string_view> referenced(const DeviceView& dev, std::string_view type,
+                                         NamesOf&& names_of) {
+  std::vector<std::string_view> out;
+  each_of(dev, type, [&](std::size_t, const StanzaFacts& f) {
+    for (const std::string_view name : names_of(f)) out.push_back(name);
+  });
+  std::sort(out.begin(), out.end());
+  out.erase(std::unique(out.begin(), out.end()), out.end());
   return out;
 }
 
-/// VLAN ids referenced (not defined) by a stanza: access membership
-/// ("switchport access vlan" / "vlan-members"), and per-VLAN
-/// spanning-tree tuning on interfaces.
-std::vector<std::string> referenced_vlans(const Stanza& s) {
-  std::vector<std::string> out;
-  for (const auto& o : s.options)
-    if (o.key == "switchport access vlan" || o.key == "spanning-tree vlan" ||
-        o.key == "vlan-members") {
-      out.push_back(o.value);
-    }
-  return out;
+bool listed(const std::vector<std::string_view>& names, std::string_view name) {
+  return std::binary_search(names.begin(), names.end(), name);
 }
 
-bool is_acl_term(const Option& o) { return o.key == "permit" || o.key == "deny"; }
+/// "key value" of an option.
+std::string term_text(const OptionView& o) {
+  return std::string(o.key) + " " + std::string(o.value);
+}
 
-/// A term value that matches all traffic, making later terms dead.
-bool is_catch_all(std::string_view value) {
-  return value == "any" || value == "ip any any" || value == "any any";
+/// Stable-sorts `items` by `key_of` and calls `group(first, last)` for
+/// each run of equal keys, in key order; a run keeps insertion order.
+template <typename T, typename KeyOf, typename Group>
+void each_group(std::vector<T>& items, KeyOf key_of, Group&& group) {
+  std::stable_sort(items.begin(), items.end(),
+                   [&](const T& a, const T& b) { return key_of(a) < key_of(b); });
+  for (auto first = items.begin(); first != items.end();) {
+    const auto last = std::find_if(first, items.end(),
+                                   [&](const T& t) { return key_of(t) != key_of(*first); });
+    group(first, last);
+    first = last;
+  }
 }
 
 // ------------------------------------------------------------ referential
@@ -59,12 +76,11 @@ class DanglingAclRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "interface") continue;
-      for (const auto& acl : attached_acls(s))
+    each_of(dev, "interface", [&](std::size_t i, const StanzaFacts& f) {
+      for (const std::string_view acl : f.acls)
         if (!dev.defines("acl", acl))
-          sink.report(dev, &s, [&] { return s.name + " -> acl '" + acl + "'"; });
-    }
+          sink.report(dev, i, [&] { return f.stanza->name + " -> acl '" + std::string(acl) + "'"; });
+    });
   }
 };
 
@@ -75,17 +91,20 @@ class DanglingVlanRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.stanzas()) {
-      const std::string_view agnostic = dev.type_of(s);
-      if (agnostic == "interface") {
-        for (const auto& vlan : referenced_vlans(s))
-          if (!dev.defines("vlan", vlan))
-            sink.report(dev, &s, [&] { return s.name + " -> vlan '" + vlan + "'"; });
-      } else if (agnostic == "vlan") {
-        for (const auto& name : s.get_all("interface"))
+    for (std::size_t i = 0; i < dev.size(); ++i) {
+      const StanzaFacts& f = dev.facts(i);
+      if (f.type == "interface") {
+        for (const VlanRef& vlan : f.vlans)
+          if (!dev.defines("vlan", vlan.id))
+            sink.report(dev, i, [&] {
+              return f.stanza->name + " -> vlan '" + std::string(vlan.id) + "'";
+            });
+      } else if (f.type == "vlan") {
+        for (const std::string_view name : f.interfaces)
           if (!dev.defines("interface", name))
-            sink.report(dev, &s,
-                      [&] { return "vlan " + s.name + " -> interface '" + name + "'"; });
+            sink.report(dev, i, [&] {
+              return "vlan " + f.stanza->name + " -> interface '" + std::string(name) + "'";
+            });
       }
     }
   }
@@ -98,12 +117,12 @@ class DanglingPoolRefRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "virtual-server") continue;
-      for (const auto& name : s.get_all("pool"))
+    each_of(dev, "virtual-server", [&](std::size_t i, const StanzaFacts& f) {
+      for (const std::string_view name : f.pools)
         if (!dev.defines("pool", name))
-          sink.report(dev, &s, [&] { return s.name + " -> pool '" + name + "'"; });
-    }
+          sink.report(dev, i,
+                      [&] { return f.stanza->name + " -> pool '" + std::string(name) + "'"; });
+    });
   }
 };
 
@@ -114,12 +133,12 @@ class DanglingLagMemberRule final : public LintRule {
             LintCategory::kReferential, LintSeverity::kError};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "link-aggregation") continue;
-      for (const auto& name : s.get_all("member"))
+    each_of(dev, "link-aggregation", [&](std::size_t i, const StanzaFacts& f) {
+      for (const std::string_view name : f.members)
         if (!dev.defines("interface", name))
-          sink.report(dev, &s, [&] { return s.name + " -> interface '" + name + "'"; });
-    }
+          sink.report(dev, i,
+                      [&] { return f.stanza->name + " -> interface '" + std::string(name) + "'"; });
+    });
   }
 };
 
@@ -132,13 +151,10 @@ class EmptyAclRule final : public LintRule {
             LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "acl") continue;
-      bool has_term = false;
-      for (const auto& o : s.options)
-        if (is_acl_term(o)) has_term = true;
-      if (!has_term) sink.report(dev, &s, [&] { return "acl '" + s.name + "' has no terms"; });
-    }
+    each_of(dev, "acl", [&](std::size_t i, const StanzaFacts& f) {
+      if (f.terms.empty())
+        sink.report(dev, i, [&] { return "acl '" + f.stanza->name + "' has no terms"; });
+    });
   }
 };
 
@@ -149,21 +165,13 @@ class ShadowedAclTermRule final : public LintRule {
             LintCategory::kFilter, LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "acl") continue;
-      std::set<std::pair<std::string, std::string>> seen;
-      bool catch_all = false;
-      for (const auto& o : s.options) {
-        if (!is_acl_term(o)) continue;
-        // Terms after a catch-all belong to acl-unreachable-term.
-        if (!catch_all && !seen.insert({o.key, o.value}).second) {
-          sink.report(dev, &s, [&] {
-            return "acl '" + s.name + "': duplicate term '" + o.key + " " + o.value + "'";
-          });
-        }
-        if (is_catch_all(o.value)) catch_all = true;
-      }
-    }
+    // Terms after a catch-all belong to acl-unreachable-term.
+    each_of(dev, "acl", [&](std::size_t i, const StanzaFacts& f) {
+      for (const std::size_t t : f.shadowed)
+        sink.report(dev, i, [&] {
+          return "acl '" + f.stanza->name + "': duplicate term '" + term_text(f.terms[t]) + "'";
+        });
+    });
   }
 };
 
@@ -174,20 +182,13 @@ class UnreachableAclTermRule final : public LintRule {
             LintCategory::kFilter, LintSeverity::kWarning};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "acl") continue;
-      bool catch_all = false;
-      for (const auto& o : s.options) {
-        if (!is_acl_term(o)) continue;
-        if (catch_all) {
-          sink.report(dev, &s, [&] {
-            return "acl '" + s.name + "': term '" + o.key + " " + o.value +
-                   "' is unreachable after a catch-all";
-          });
-        }
-        if (is_catch_all(o.value)) catch_all = true;
-      }
-    }
+    each_of(dev, "acl", [&](std::size_t i, const StanzaFacts& f) {
+      for (std::size_t t = f.reachable; t < f.terms.size(); ++t)
+        sink.report(dev, i, [&] {
+          return "acl '" + f.stanza->name + "': term '" + term_text(f.terms[t]) +
+                 "' is unreachable after a catch-all";
+        });
+    });
   }
 };
 
@@ -200,13 +201,12 @@ class UnreferencedAclRule final : public LintRule {
             LintCategory::kHygiene, LintSeverity::kInfo};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    std::set<std::string> used;
-    for (const auto& s : dev.stanzas())
-      if (dev.type_of(s) == "interface")
-        for (auto& acl : attached_acls(s)) used.insert(std::move(acl));
-    for (const auto& s : dev.stanzas())
-      if (dev.type_of(s) == "acl" && used.count(s.name) == 0)
-        sink.report(dev, &s, [&] { return "acl '" + s.name + "' is never attached"; });
+    const auto used =
+        referenced(dev, "interface", [](const StanzaFacts& f) -> const auto& { return f.acls; });
+    each_of(dev, "acl", [&](std::size_t i, const StanzaFacts& f) {
+      if (!listed(used, f.stanza->name))
+        sink.report(dev, i, [&] { return "acl '" + f.stanza->name + "' is never attached"; });
+    });
   }
 };
 
@@ -217,13 +217,12 @@ class UnreferencedPoolRule final : public LintRule {
             LintCategory::kHygiene, LintSeverity::kInfo};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    std::set<std::string> used;
-    for (const auto& s : dev.stanzas())
-      if (dev.type_of(s) == "virtual-server")
-        for (auto& p : s.get_all("pool")) used.insert(std::move(p));
-    for (const auto& s : dev.stanzas())
-      if (dev.type_of(s) == "pool" && used.count(s.name) == 0)
-        sink.report(dev, &s, [&] { return "pool '" + s.name + "' is never used"; });
+    const auto used = referenced(dev, "virtual-server",
+                                 [](const StanzaFacts& f) -> const auto& { return f.pools; });
+    each_of(dev, "pool", [&](std::size_t i, const StanzaFacts& f) {
+      if (!listed(used, f.stanza->name))
+        sink.report(dev, i, [&] { return "pool '" + f.stanza->name + "' is never used"; });
+    });
   }
 };
 
@@ -234,16 +233,14 @@ class UnreferencedVlanRule final : public LintRule {
             LintCategory::kHygiene, LintSeverity::kInfo};
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
-    std::set<std::string> used;
-    for (const auto& s : dev.stanzas())
-      if (dev.type_of(s) == "interface")
-        for (auto& v : referenced_vlans(s)) used.insert(std::move(v));
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "vlan") continue;
-      if (used.count(s.name) > 0) continue;
-      if (!s.get_all("interface").empty()) continue;  // members listed inline
-      sink.report(dev, &s, [&] { return "vlan " + s.name + " has no members"; });
-    }
+    const auto used = referenced(dev, "interface", [](const StanzaFacts& f) {
+      return f.vlans | std::views::transform(&VlanRef::id);
+    });
+    each_of(dev, "vlan", [&](std::size_t i, const StanzaFacts& f) {
+      if (listed(used, f.stanza->name)) return;
+      if (!f.interfaces.empty()) return;  // members listed inline
+      sink.report(dev, i, [&] { return "vlan " + f.stanza->name + " has no members"; });
+    });
   }
 };
 
@@ -255,29 +252,16 @@ class UnusedInterfaceUpRule final : public LintRule {
   }
   void check_device(const DeviceView& dev, LintSink& sink) const override {
     // Interfaces referenced by VLAN member lists or LAGs are in use.
-    std::set<std::string> referenced;
-    for (const auto& s : dev.stanzas()) {
-      const std::string_view agnostic = dev.type_of(s);
-      if (agnostic == "vlan")
-        for (auto& n : s.get_all("interface")) referenced.insert(std::move(n));
-      if (agnostic == "link-aggregation")
-        for (auto& n : s.get_all("member")) referenced.insert(std::move(n));
-    }
-    for (const auto& s : dev.stanzas()) {
-      if (dev.type_of(s) != "interface") continue;
-      if (referenced.count(s.name) > 0) continue;
-      bool in_use = false;
-      bool shut = false;
-      for (const auto& o : s.options) {
-        if (o.key == "ip address" || o.key == "ip-address" || o.key == "ip access-group" ||
-            o.key == "filter" || o.key == "switchport access vlan" || o.key == "vlan-members") {
-          in_use = true;
-        }
-        if (o.key == "shutdown" || o.key == "disable") shut = true;
-      }
-      if (!in_use && !shut)
-        sink.report(dev, &s, [&] { return s.name + " carries no config; add 'shutdown'"; });
-    }
+    const auto vlan_members =
+        referenced(dev, "vlan", [](const StanzaFacts& f) -> const auto& { return f.interfaces; });
+    const auto lag_members = referenced(
+        dev, "link-aggregation", [](const StanzaFacts& f) -> const auto& { return f.members; });
+    each_of(dev, "interface", [&](std::size_t i, const StanzaFacts& f) {
+      if (f.in_use || f.shut) return;
+      if (listed(vlan_members, f.stanza->name) || listed(lag_members, f.stanza->name)) return;
+      sink.report(dev, i,
+                  [&] { return f.stanza->name + " carries no config; add 'shutdown'"; });
+    });
   }
 };
 
@@ -290,16 +274,17 @@ class DuplicateAddressRule final : public LintRule {
             LintCategory::kAddressing, LintSeverity::kError};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    // ip -> the first device and interface stanza configuring it
-    std::map<std::uint32_t, std::pair<const DeviceView*, const Stanza*>> owners;
-    for (const DeviceView& dev : net.devices()) {
-      for (const auto& ia : dev.iface_addrs()) {
-        const auto [it, inserted] = owners.emplace(ia.prefix.addr, std::make_pair(&dev, ia.stanza));
-        if (inserted) continue;
-        const DeviceView* owner = it->second.first;
-        const Stanza* iface = it->second.second;
+    for (std::size_t d = 0; d < net.devices().size(); ++d) {
+      const DeviceView& dev = net.devices()[d];
+      for (std::size_t k = 0; k < dev.iface_addrs().size(); ++k) {
+        const DeviceView::IfaceAddr& ia = dev.iface_addrs()[k];
+        const NetworkView::AddrOwner& first = *net.owner_of(ia.prefix.addr);
+        if (first.device == d && first.index == k) continue;
         sink.report(dev, ia.stanza, [&] {
-          return format_ipv4(ia.prefix.addr) + " also on " + owner->device_id() + "/" + iface->name;
+          const DeviceView& owner = net.devices()[first.device];
+          const std::size_t iface = owner.iface_addrs()[first.index].stanza;
+          return format_ipv4(ia.prefix.addr) + " also on " + owner.device_id() + "/" +
+                 owner.stanza(iface).name;
         });
       }
     }
@@ -313,21 +298,35 @@ class SubnetOverlapRule final : public LintRule {
             LintCategory::kAddressing, LintSeverity::kWarning};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    // Distinct subnets, keeping the first interface seen on each.
-    std::map<Ipv4Prefix, std::pair<const DeviceView*, const Stanza*>> subnets;
+    // Distinct subnets in order, keeping the first interface seen on each.
+    struct Subnet {
+      Ipv4Prefix prefix;
+      const DeviceView* device;
+      std::size_t stanza;
+    };
+    std::vector<Subnet> subnets;
     for (const DeviceView& dev : net.devices())
       for (const auto& ia : dev.iface_addrs())
-        subnets.emplace(ia.prefix.subnet(), std::make_pair(&dev, ia.stanza));
+        subnets.push_back(Subnet{ia.prefix.subnet(), &dev, ia.stanza});
+    const auto by_prefix = [](const Subnet& a, const Subnet& b) { return a.prefix < b.prefix; };
+    std::stable_sort(subnets.begin(), subnets.end(), by_prefix);
+    subnets.erase(std::unique(subnets.begin(), subnets.end(),
+                              [](const Subnet& a, const Subnet& b) { return a.prefix == b.prefix; }),
+                  subnets.end());
     for (auto a = subnets.begin(); a != subnets.end(); ++a) {
-      for (auto b = std::next(a); b != subnets.end(); ++b) {
-        const Ipv4Prefix& pa = a->first;
-        const Ipv4Prefix& pb = b->first;
+      const Ipv4Prefix& pa = a->prefix;
+      // Subnets sort by network address: once one starts past the end of
+      // `pa`, it and every later one neither hold nor sit in `pa`.
+      const std::uint32_t last =
+          pa.len == 32 ? pa.network() : pa.network() | (~std::uint32_t{0} >> pa.len);
+      for (auto b = std::next(a); b != subnets.end() && b->prefix.addr <= last; ++b) {
+        const Ipv4Prefix& pb = b->prefix;
         if (pa.len == pb.len) continue;  // identical handled above; equal-len disjoint or same
         const Ipv4Prefix& wide = pa.len < pb.len ? pa : pb;
         const Ipv4Prefix& narrow = pa.len < pb.len ? pb : pa;
         if (!wide.contains(narrow.network())) continue;
-        const auto [dev, stanza] = narrow == pa ? a->second : b->second;
-        sink.report(*dev, stanza,
+        const Subnet& owner = narrow == pa ? *a : *b;
+        sink.report(*owner.device, owner.stanza,
                     [&] { return format_prefix(narrow) + " overlaps " + format_prefix(wide); });
       }
     }
@@ -345,16 +344,13 @@ class OneSidedBgpRule final : public LintRule {
   void check_network(const NetworkView& net, LintSink& sink) const override {
     for (const auto& proc : net.bgp_procs()) {
       const DeviceView& dev = net.devices()[proc.device];
-      for (const auto& v : proc.stanza->get_all("neighbor")) {
-        const auto tokens = split_ws(v);
-        if (tokens.empty()) continue;
-        const auto ip = parse_ipv4(tokens[0]);
-        if (!ip) continue;
-        const std::size_t owner = net.owner_of(*ip);
-        if (owner == NetworkView::npos || net.runs_bgp(owner)) continue;
+      for (const BgpNeighbor& n : dev.facts(proc.stanza).neighbors) {
+        if (!n.ip) continue;
+        const NetworkView::AddrOwner* owner = net.owner_of(*n.ip);
+        if (owner == nullptr || net.bgp_proc_of(owner->device) != nullptr) continue;
         sink.report(dev, proc.stanza, [&] {
-          return "neighbor " + tokens[0] + " (" + net.devices()[owner].device_id() +
-                 " runs no BGP process)";
+          return "neighbor " + std::string(n.address) + " (" +
+                 net.devices()[owner->device].device_id() + " runs no BGP process)";
         });
       }
     }
@@ -368,24 +364,23 @@ class BgpAsMismatchRule final : public LintRule {
             LintCategory::kProtocol, LintSeverity::kError};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    // AS number of each BGP-speaking device: the process stanza's name.
-    std::map<std::size_t, std::string> as_of;
-    for (const auto& proc : net.bgp_procs()) as_of.emplace(proc.device, proc.stanza->name);
+    // The AS number of a BGP-speaking device is its first process
+    // stanza's name.
     for (const auto& proc : net.bgp_procs()) {
       const DeviceView& dev = net.devices()[proc.device];
-      for (const auto& v : proc.stanza->get_all("neighbor")) {
-        const auto tokens = split_ws(v);
+      for (const BgpNeighbor& n : dev.facts(proc.stanza).neighbors) {
         // "neighbor <ip> remote-as <asn>"
-        if (tokens.size() < 3 || tokens[1] != "remote-as") continue;
-        const auto ip = parse_ipv4(tokens[0]);
-        if (!ip) continue;
-        const std::size_t owner = net.owner_of(*ip);
-        if (owner == NetworkView::npos) continue;
-        const auto peer_as = as_of.find(owner);
-        if (peer_as == as_of.end() || peer_as->second == tokens[2]) continue;
+        if (n.remote_as.empty() || !n.ip) continue;
+        const NetworkView::AddrOwner* owner = net.owner_of(*n.ip);
+        if (owner == nullptr) continue;
+        const NetworkView::BgpProc* peer = net.bgp_proc_of(owner->device);
+        if (peer == nullptr) continue;
+        const DeviceView& peer_dev = net.devices()[owner->device];
+        const std::string& peer_as = peer_dev.stanza(peer->stanza).name;
+        if (peer_as == n.remote_as) continue;
         sink.report(dev, proc.stanza, [&] {
-          return "neighbor " + tokens[0] + " remote-as " + tokens[2] + " but " +
-                 net.devices()[owner].device_id() + " runs AS " + peer_as->second;
+          return "neighbor " + std::string(n.address) + " remote-as " + std::string(n.remote_as) +
+                 " but " + peer_dev.device_id() + " runs AS " + peer_as;
         });
       }
     }
@@ -400,35 +395,32 @@ class OspfAreaMismatchRule final : public LintRule {
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
     struct Claim {
-      std::size_t device;
-      const Stanza* stanza;
-      std::string area;
+      std::string_view prefix;
+      std::string_view area;
+      const DeviceView* device;
+      std::size_t stanza;
     };
-    std::map<std::string, std::vector<Claim>> by_prefix;
-    for (std::size_t d = 0; d < net.devices().size(); ++d) {
-      const DeviceView& dev = net.devices()[d];
-      for (const auto& s : dev.stanzas()) {
-        if (dev.construct_of(s) != "ospf") continue;
-        for (const auto& v : s.get_all("network")) {
-          // "network <prefix> area <id>"
-          const auto tokens = split_ws(v);
-          if (tokens.size() < 3 || tokens[1] != "area") continue;
-          by_prefix[tokens[0]].push_back(Claim{d, &s, tokens[2]});
-        }
+    std::vector<Claim> claims;
+    for (const DeviceView& dev : net.devices())
+      for (std::size_t i = 0; i < dev.size(); ++i) {
+        const StanzaFacts& f = dev.facts(i);
+        if (f.construct != "ospf") continue;
+        // "network <prefix> area <id>"
+        for (const NetworkStatement& n : f.networks)
+          if (!n.area.empty()) claims.push_back(Claim{n.prefix, n.area, &dev, i});
       }
-    }
-    for (const auto& entry : by_prefix) {
-      const std::string& prefix = entry.first;
-      std::set<std::string> areas;
-      for (const auto& c : entry.second) areas.insert(c.area);
-      if (areas.size() <= 1) continue;
-      for (const auto& c : entry.second) {
-        sink.report(net.devices()[c.device], c.stanza, [&] {
-          return prefix + " claimed in area " + c.area + " (network also uses " +
+    each_group(claims, [](const Claim& c) { return c.prefix; }, [&](auto first, auto last) {
+      if (std::all_of(first, last, [&](const Claim& c) { return c.area == first->area; })) return;
+      for (auto c = first; c != last; ++c) {
+        sink.report(*c->device, c->stanza, [&] {
+          std::set<std::string> areas;
+          for (auto o = first; o != last; ++o) areas.emplace(o->area);
+          return std::string(c->prefix) + " claimed in area " + std::string(c->area) +
+                 " (network also uses " +
                  join(std::vector<std::string>(areas.begin(), areas.end()), ", ") + ")";
         });
       }
-    }
+    });
   }
 };
 
@@ -442,33 +434,25 @@ class MtuMismatchRule final : public LintRule {
     // Interfaces sharing a subnet form an inferred link; explicit MTU
     // values on them must agree (absent = platform default, unknown).
     struct End {
+      Ipv4Prefix subnet;
       const DeviceView* device;
-      const Stanza* stanza;
-      std::string mtu;
+      std::size_t stanza;
+      std::string_view mtu;
     };
-    std::map<Ipv4Prefix, std::vector<End>> links;
-    for (const DeviceView& dev : net.devices()) {
-      for (const auto& ia : dev.iface_addrs()) {
-        const auto mtu = ia.stanza->get("mtu");
-        if (!mtu) continue;
-        links[ia.prefix.subnet()].push_back(End{&dev, ia.stanza, *mtu});
-      }
-    }
-    for (const auto& link : links) {
-      const Ipv4Prefix& subnet = link.first;
-      const std::vector<End>& ends = link.second;
-      const std::string& first = ends.front().mtu;
-      bool mismatch = false;
-      for (const auto& e : ends)
-        if (e.mtu != first) mismatch = true;
-      if (!mismatch) continue;
-      for (const auto& e : ends) {
-        sink.report(*e.device, e.stanza, [&] {
-          return e.stanza->name + " mtu " + e.mtu + " on link " + format_prefix(subnet) +
-                 " (peers disagree)";
+    std::vector<End> ends;
+    for (const DeviceView& dev : net.devices())
+      for (const auto& ia : dev.iface_addrs())
+        if (const auto& mtu = dev.facts(ia.stanza).mtu)
+          ends.push_back(End{ia.prefix.subnet(), &dev, ia.stanza, *mtu});
+    each_group(ends, [](const End& e) { return e.subnet; }, [&](auto first, auto last) {
+      if (std::all_of(first, last, [&](const End& e) { return e.mtu == first->mtu; })) return;
+      for (auto e = first; e != last; ++e) {
+        sink.report(*e->device, e->stanza, [&] {
+          return e->device->stanza(e->stanza).name + " mtu " + std::string(e->mtu) + " on link " +
+                 format_prefix(e->subnet) + " (peers disagree)";
         });
       }
-    }
+    });
   }
 };
 
@@ -479,25 +463,22 @@ class VlanSpanGapRule final : public LintRule {
             LintCategory::kProtocol, LintSeverity::kWarning};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    // Where each VLAN id is defined, network-wide.
-    std::map<std::string, std::vector<std::size_t>> defined_on;
-    for (std::size_t d = 0; d < net.devices().size(); ++d)
-      for (const auto& name : net.devices()[d].names_of("vlan"))
-        defined_on[name].push_back(d);
-    for (std::size_t d = 0; d < net.devices().size(); ++d) {
-      const DeviceView& dev = net.devices()[d];
-      for (const auto& s : dev.stanzas()) {
-        if (dev.type_of(s) != "interface") continue;
-        for (const auto& vlan : referenced_vlans(s)) {
-          if (dev.defines("vlan", vlan)) continue;
-          const auto it = defined_on.find(vlan);
-          if (it == defined_on.end() || it->second.empty()) continue;  // dangling-vlan-ref's case
-          sink.report(dev, &s, [&] {
-            return s.name + " uses vlan " + vlan + " defined on " +
-                   net.devices()[it->second.front()].device_id() + " but not here";
+    const auto& devices = net.devices();
+    for (const DeviceView& dev : devices) {
+      each_of(dev, "interface", [&](std::size_t i, const StanzaFacts& f) {
+        for (const VlanRef& vlan : f.vlans) {
+          if (dev.defines("vlan", vlan.id)) continue;
+          // The first device defining it; none is dangling-vlan-ref's case.
+          const auto home = std::find_if(devices.begin(), devices.end(), [&](const DeviceView& d) {
+            return d.defines("vlan", vlan.id);
+          });
+          if (home == devices.end()) continue;
+          sink.report(dev, i, [&] {
+            return f.stanza->name + " uses vlan " + std::string(vlan.id) + " defined on " +
+                   home->device_id() + " but not here";
           });
         }
-      }
+      });
     }
   }
 };

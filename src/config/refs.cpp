@@ -1,44 +1,47 @@
 #include "config/refs.hpp"
 
-#include <map>
+#include <algorithm>
 #include <string_view>
 
 #include "config/addr.hpp"
-#include "util/strings.hpp"
 
 namespace mpa {
 namespace {
 
-// The "network <prefix> [area N]" statements of a routing stanza.
-std::vector<Ipv4Prefix> network_statements(const Stanza& s) {
-  std::vector<Ipv4Prefix> out;
-  for (const auto& o : s.options) {
-    if (o.key != "network") continue;
-    const auto tokens = split_ws(o.value);
-    if (!tokens.empty()) {
-      if (const auto p = parse_prefix(tokens[0])) out.push_back(*p);
-    }
-  }
-  return out;
-}
-
 /// For each value of one kind of fact, the id of the one device that
 /// holds it, or null once two different ids do. A device other than X
-/// holds the value unless its entry names X.
+/// holds the value unless its entry names X. Add every entry, then
+/// seal() once before the first lookup.
 template <typename Key>
 class Holders {
  public:
-  void add(const Key& key, const std::string& id) {
-    const auto [it, inserted] = ids_.try_emplace(key, &id);
-    if (!inserted && it->second != nullptr && *it->second != id) it->second = nullptr;
+  void add(const Key& key, const std::string& id) { entries_.push_back(Entry{key, &id}); }
+  void seal() {
+    std::stable_sort(entries_.begin(), entries_.end(),
+                     [](const Entry& a, const Entry& b) { return a.key < b.key; });
+    auto out = entries_.begin();
+    for (auto e = entries_.begin(); e != entries_.end(); ++e) {
+      if (out != entries_.begin() && std::prev(out)->key == e->key) {
+        const std::string*& id = std::prev(out)->id;
+        if (id != nullptr && *id != *e->id) id = nullptr;
+      } else {
+        *out++ = *e;
+      }
+    }
+    entries_.erase(out, entries_.end());
   }
   bool held_besides(const Key& key, const std::string& id) const {
-    const auto it = ids_.find(key);
-    return it != ids_.end() && (it->second == nullptr || *it->second != id);
+    const auto it = std::lower_bound(entries_.begin(), entries_.end(), key,
+                                     [](const Entry& e, const Key& k) { return e.key < k; });
+    return it != entries_.end() && it->key == key && (it->id == nullptr || *it->id != id);
   }
 
  private:
-  std::map<Key, const std::string*> ids_;
+  struct Entry {
+    Key key;
+    const std::string* id;
+  };
+  std::vector<Entry> entries_;
 };
 
 /// The network-wide facts inter-device references resolve against.
@@ -53,72 +56,69 @@ struct PeerFacts {
         addrs.add(a.prefix.addr, p.device_id());
         subnets.add(a.prefix.subnet(), p.device_id());
       }
-      for (const auto& v : p.names_of("vlan")) vlans.add(v, p.device_id());
+      for (const std::string_view v : p.names_of("vlan")) vlans.add(v, p.device_id());
     }
+    addrs.seal();
+    subnets.seal();
+    vlans.seal();
   }
 };
 
 int inter_refs(const DeviceView& dev, const PeerFacts& peers) {
   const std::string& self = dev.device_id();
   int refs = 0;
-  for (const auto& s : dev.stanzas()) {
-    const std::string_view agnostic = dev.type_of(s);
-    if (agnostic == "router") {
+  for (std::size_t i = 0; i < dev.size(); ++i) {
+    const StanzaFacts& f = dev.facts(i);
+    if (f.type == "router") {
       // BGP neighbor statements naming a peer device's address.
-      for (const auto& v : s.get_all("neighbor")) {
-        const auto tokens = split_ws(v);
-        if (tokens.empty()) continue;
-        const auto ip = parse_ipv4(tokens[0]);
-        if (ip && peers.addrs.held_besides(*ip, self)) ++refs;
-      }
+      for (const BgpNeighbor& n : f.neighbors)
+        if (n.ip && peers.addrs.held_besides(*n.ip, self)) ++refs;
       // OSPF/BGP network statements covering a subnet shared with a peer.
-      for (const auto& p : network_statements(s))
-        if (peers.subnets.held_besides(p.subnet(), self)) ++refs;
-    } else if (agnostic == "vlan") {
+      for (const NetworkStatement& n : f.networks)
+        if (n.parsed && peers.subnets.held_besides(n.parsed->subnet(), self)) ++refs;
+    } else if (f.type == "vlan") {
       // A VLAN spanning devices: defined here and on at least one peer.
-      if (peers.vlans.held_besides(s.name, self)) ++refs;
+      if (peers.vlans.held_besides(f.stanza->name, self)) ++refs;
     }
   }
+  return refs;
+}
+
+/// How many of `names` `dev` defines as stanzas of agnostic type `type`.
+template <typename Names>
+int defined(const DeviceView& dev, std::string_view type, const Names& names) {
+  int refs = 0;
+  for (const std::string_view name : names)
+    if (dev.defines(type, name)) ++refs;
   return refs;
 }
 
 }  // namespace
 
 int count_intra_refs(const DeviceView& dev) {
-  const auto& acls = dev.names_of("acl");
-  const auto& vlans = dev.names_of("vlan");
-  const auto& ifaces = dev.names_of("interface");
-  const auto& pools = dev.names_of("pool");
-
   int refs = 0;
-  for (const auto& s : dev.stanzas()) {
-    const std::string_view agnostic = dev.type_of(s);
-    if (agnostic == "interface") {
-      for (const auto& o : s.options) {
-        // ACL attachment: IOS "ip access-group NAME", JunOS "filter NAME".
-        if (o.key == "ip access-group" || o.key == "filter") {
-          const auto tokens = split_ws(o.value);
-          if (!tokens.empty() && acls.count(tokens[0])) ++refs;
-        }
-        // VLAN membership on IOS-like devices.
-        if (o.key == "switchport access vlan" && vlans.count(o.value)) ++refs;
-      }
-    } else if (agnostic == "vlan") {
+  for (std::size_t i = 0; i < dev.size(); ++i) {
+    const StanzaFacts& f = dev.facts(i);
+    if (f.type == "interface") {
+      // ACL attachment: IOS "ip access-group NAME", JunOS "filter NAME".
+      refs += defined(dev, "acl", f.acls);
+      // VLAN membership on IOS-like devices.
+      for (const VlanRef& v : f.vlans)
+        if (v.access && dev.defines("vlan", v.id)) ++refs;
+    } else if (f.type == "vlan") {
       // VLAN membership on JunOS-like devices: "interface IFNAME".
-      for (const auto& name : s.get_all("interface"))
-        if (ifaces.count(name)) ++refs;
-    } else if (agnostic == "virtual-server") {
-      for (const auto& name : s.get_all("pool"))
-        if (pools.count(name)) ++refs;
-    } else if (agnostic == "link-aggregation") {
-      for (const auto& name : s.get_all("member"))
-        if (ifaces.count(name)) ++refs;
-    } else if (agnostic == "router") {
+      refs += defined(dev, "interface", f.interfaces);
+    } else if (f.type == "virtual-server") {
+      refs += defined(dev, "pool", f.pools);
+    } else if (f.type == "link-aggregation") {
+      refs += defined(dev, "interface", f.members);
+    } else if (f.type == "router") {
       // A "network" statement covering a local interface subnet is an
       // intra-device reference from the control plane to that interface.
-      for (const auto& p : network_statements(s))
-        for (const auto& a : dev.iface_addrs())
-          if (p.contains(a.prefix.addr)) ++refs;
+      for (const NetworkStatement& n : f.networks)
+        if (n.parsed)
+          for (const auto& a : dev.iface_addrs())
+            if (n.parsed->contains(a.prefix.addr)) ++refs;
     }
   }
   return refs;

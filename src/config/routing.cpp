@@ -1,11 +1,8 @@
 #include "config/routing.hpp"
 
+#include <algorithm>
 #include <map>
 #include <numeric>
-#include <set>
-
-#include "config/addr.hpp"
-#include "util/strings.hpp"
 
 namespace mpa {
 namespace {
@@ -29,66 +26,44 @@ class UnionFind {
   std::vector<std::size_t> parent_;
 };
 
-// Facts about one routing process (a protocol stanza on one device)
-// that adjacency rules consult.
-struct ProcFacts {
-  std::string device_id;
-  std::string protocol;                  // "bgp", "ospf", or "mstp"
-  std::set<std::uint32_t> neighbor_ips;  // BGP neighbor targets
-  std::set<Ipv4Prefix> subnets;          // canonical subnets of network stmts
-  const DeviceView* device = nullptr;    // owns the interface addresses
-  std::string region;                    // MSTP region
+// One routing process (a protocol stanza on one device): the facts
+// adjacency rules consult are its stanza's.
+struct Process {
+  const DeviceView* device;  // owns the interface addresses
+  const StanzaFacts* facts;
+  std::string_view protocol;  // "bgp", "ospf", or "mstp"
+  std::string_view region;    // MSTP region
 };
 
-std::vector<ProcFacts> gather_facts(const std::vector<DeviceView>& network) {
-  std::vector<ProcFacts> out;
+std::vector<Process> gather_processes(const std::vector<DeviceView>& network) {
+  std::vector<Process> out;
   for (const auto& dev : network) {
-    for (const auto& s : dev.stanzas()) {
-      const std::string_view agnostic = dev.type_of(s);
-      if (agnostic == "router") {
-        const std::string_view construct = dev.construct_of(s);
-        if (construct.empty()) continue;
-        ProcFacts f;
-        f.device_id = dev.device_id();
-        f.protocol = construct;
-        f.device = &dev;
-        for (const auto& v : s.get_all("neighbor")) {
-          const auto tokens = split_ws(v);
-          if (tokens.empty()) continue;
-          if (const auto ip = parse_ipv4(tokens[0])) f.neighbor_ips.insert(*ip);
-        }
-        for (const auto& v : s.get_all("network")) {
-          const auto tokens = split_ws(v);
-          if (tokens.empty()) continue;
-          if (const auto p = parse_prefix(tokens[0])) f.subnets.insert(p->subnet());
-        }
-        out.push_back(std::move(f));
-      } else if (agnostic == "spanning-tree") {
-        ProcFacts f;
-        f.device_id = dev.device_id();
-        f.protocol = "mstp";
-        f.device = &dev;
-        f.region = s.get("region").value_or(s.name);
-        out.push_back(std::move(f));
+    for (std::size_t i = 0; i < dev.size(); ++i) {
+      const StanzaFacts& f = dev.facts(i);
+      if (f.type == "router") {
+        if (!f.construct.empty()) out.push_back(Process{&dev, &f, f.construct, {}});
+      } else if (f.type == "spanning-tree") {
+        out.push_back(Process{&dev, &f, "mstp", f.region.value_or(f.stanza->name)});
       }
     }
   }
   return out;
 }
 
-bool adjacent(const ProcFacts& a, const ProcFacts& b) {
+/// True if one of `a`'s BGP neighbors is an address of `b`'s device.
+bool names_peer(const Process& a, const Process& b) {
+  return std::any_of(a.facts->neighbors.begin(), a.facts->neighbors.end(),
+                     [&](const BgpNeighbor& n) { return n.ip && b.device->owns(*n.ip); });
+}
+
+bool adjacent(const Process& a, const Process& b) {
   if (a.protocol != b.protocol) return false;
-  if (a.device_id == b.device_id) return false;
-  if (a.protocol == "bgp") {
-    for (std::uint32_t ip : a.neighbor_ips)
-      if (b.device->owns(ip)) return true;
-    for (std::uint32_t ip : b.neighbor_ips)
-      if (a.device->owns(ip)) return true;
-    return false;
-  }
+  if (a.device->device_id() == b.device->device_id()) return false;
+  if (a.protocol == "bgp") return names_peer(a, b) || names_peer(b, a);
   if (a.protocol == "ospf") {
-    for (const auto& s : a.subnets)
-      if (b.subnets.count(s)) return true;
+    for (const NetworkStatement& x : a.facts->networks)
+      for (const NetworkStatement& y : b.facts->networks)
+        if (x.parsed && y.parsed && x.parsed->subnet() == y.parsed->subnet()) return true;
     return false;
   }
   if (a.protocol == "mstp") return a.region == b.region && !a.region.empty();
@@ -98,18 +73,18 @@ bool adjacent(const ProcFacts& a, const ProcFacts& b) {
 }  // namespace
 
 std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceView>& network) {
-  const auto facts = gather_facts(network);
-  UnionFind uf(facts.size());
-  for (std::size_t i = 0; i < facts.size(); ++i)
-    for (std::size_t j = i + 1; j < facts.size(); ++j)
-      if (adjacent(facts[i], facts[j])) uf.unite(i, j);
+  const auto procs = gather_processes(network);
+  UnionFind uf(procs.size());
+  for (std::size_t i = 0; i < procs.size(); ++i)
+    for (std::size_t j = i + 1; j < procs.size(); ++j)
+      if (adjacent(procs[i], procs[j])) uf.unite(i, j);
 
   std::map<std::size_t, RoutingInstance> groups;
-  for (std::size_t i = 0; i < facts.size(); ++i) {
+  for (std::size_t i = 0; i < procs.size(); ++i) {
     const std::size_t root = uf.find(i);
     auto& inst = groups[root];
-    inst.protocol = facts[i].protocol;
-    inst.member_devices.push_back(facts[i].device_id);
+    inst.protocol = procs[i].protocol;
+    inst.member_devices.push_back(procs[i].device->device_id());
   }
   std::vector<RoutingInstance> out;
   out.reserve(groups.size());

@@ -1,19 +1,56 @@
 #include "config/stanza.hpp"
 
+#include <algorithm>
+#include <array>
+#include <cctype>
+#include <functional>
+#include <numeric>
+#include <tuple>
+
+#include "config/types.hpp"
+
 namespace mpa {
+namespace {
 
-std::optional<std::string> Stanza::get(std::string_view key) const {
-  for (const auto& o : options)
-    if (o.key == key) return o.value;
-  return std::nullopt;
-}
-
-std::vector<std::string> Stanza::get_all(std::string_view key) const {
-  std::vector<std::string> out;
-  for (const auto& o : options)
-    if (o.key == key) out.push_back(o.value);
+/// The first three whitespace-separated tokens of `value`, as
+/// split_ws() splits it; empty past the last token.
+std::array<std::string_view, 3> leading_tokens(std::string_view value) {
+  const auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
+  std::array<std::string_view, 3> out;
+  std::size_t i = 0;
+  for (auto& token : out) {
+    while (i < value.size() && space(value[i])) ++i;
+    const std::size_t start = i;
+    while (i < value.size() && !space(value[i])) ++i;
+    token = value.substr(start, i - start);
+  }
   return out;
 }
+
+bool is_catch_all(std::string_view term) {
+  return term == "any" || term == "ip any any" || term == "any any";
+}
+
+/// Fills `f.reachable` and `f.shadowed` from `f.terms`.
+void classify_terms(StanzaFacts& f) {
+  const auto catch_all = std::find_if(f.terms.begin(), f.terms.end(),
+                                      [](const OptionView& t) { return is_catch_all(t.value); });
+  f.reachable = catch_all == f.terms.end() ? f.terms.size()
+                                           : static_cast<std::size_t>(catch_all - f.terms.begin()) + 1;
+  if (f.reachable < 2) return;
+  // Equal terms sort together, each run in term order: all but the
+  // first of a run repeat an earlier term.
+  std::vector<std::size_t> order(f.reachable);
+  std::iota(order.begin(), order.end(), std::size_t{0});
+  std::sort(order.begin(), order.end(), [&](std::size_t a, std::size_t b) {
+    return std::tie(f.terms[a], a) < std::tie(f.terms[b], b);
+  });
+  for (std::size_t k = 1; k < order.size(); ++k)
+    if (f.terms[order[k]] == f.terms[order[k - 1]]) f.shadowed.push_back(order[k]);
+  std::sort(f.shadowed.begin(), f.shadowed.end());
+}
+
+}  // namespace
 
 void Stanza::set(std::string key, std::string value) {
   options.push_back(Option{std::move(key), std::move(value)});
@@ -67,6 +104,64 @@ std::vector<const Stanza*> handles_of(const DeviceConfig& config) {
   out.reserve(config.stanzas().size());
   for (const auto& s : config.stanzas()) out.push_back(&s);
   return out;
+}
+
+StanzaFacts facts_of(const Stanza& s) {
+  StanzaFacts f;
+  f.stanza = &s;
+  f.type = normalize_type(s.type);
+  f.construct = constructs_of(s.type);
+  f.key_hash = key_hash_of(s);
+  f.options.reserve(s.options.size());
+  for (const Option& o : s.options) {
+    const std::string_view key = o.key;
+    const std::string_view value = o.value;
+    f.options.push_back(OptionView{key, value});
+    if (key == "ip address" || key == "ip-address") {
+      if (const auto p = parse_prefix(value)) f.addrs.push_back(*p);
+      f.in_use = true;
+    } else if (key == "ip access-group" || key == "filter") {
+      if (const std::string_view acl = leading_tokens(value)[0]; !acl.empty()) f.acls.push_back(acl);
+      f.in_use = true;
+    } else if (key == "switchport access vlan" || key == "vlan-members") {
+      f.vlans.push_back(VlanRef{value, key == "switchport access vlan"});
+      f.in_use = true;
+    } else if (key == "spanning-tree vlan") {
+      f.vlans.push_back(VlanRef{value, false});
+    } else if (key == "interface") {
+      f.interfaces.push_back(value);
+    } else if (key == "member") {
+      f.members.push_back(value);
+    } else if (key == "pool") {
+      f.pools.push_back(value);
+    } else if (key == "neighbor") {
+      const auto t = leading_tokens(value);
+      if (!t[0].empty())
+        f.neighbors.push_back(
+            BgpNeighbor{t[0], parse_ipv4(t[0]), t[1] == "remote-as" ? t[2] : std::string_view{}});
+    } else if (key == "network") {
+      const auto t = leading_tokens(value);
+      if (!t[0].empty())
+        f.networks.push_back(
+            NetworkStatement{t[0], parse_prefix(t[0]), t[1] == "area" ? t[2] : std::string_view{}});
+    } else if (key == "permit" || key == "deny") {
+      f.terms.push_back(OptionView{key, value});
+    } else if (key == "mtu") {
+      if (!f.mtu) f.mtu = value;
+    } else if (key == "region") {
+      if (!f.region) f.region = value;
+    } else if (key == "shutdown" || key == "disable") {
+      f.shut = true;
+    }
+  }
+  std::sort(f.options.begin(), f.options.end());
+  classify_terms(f);
+  return f;
+}
+
+std::size_t key_hash_of(const Stanza& s) {
+  const std::hash<std::string_view> hash;
+  return hash(s.name) * 31 + hash(s.type);
 }
 
 HandleIndex::HandleIndex(std::span<const Stanza* const> stanzas) {

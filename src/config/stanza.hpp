@@ -13,9 +13,11 @@
 #include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
+#include "config/addr.hpp"
 #include "util/error.hpp"
 
 namespace mpa {
@@ -32,17 +34,13 @@ struct Option {
 /// A configuration stanza: a typed, named block of options.
 /// `type` is the vendor-native type string (e.g. "ip access-list" on an
 /// IOS-like device, "firewall-filter" on a JunOS-like one); types.hpp
-/// maps it to the vendor-agnostic identifier, and DeviceView resolves
+/// maps it to the vendor-agnostic identifier, and facts_of() resolves
 /// that once per stanza.
 struct Stanza {
   std::string type;
   std::string name;
   std::vector<Option> options;
 
-  /// First value for `key`, if present.
-  std::optional<std::string> get(std::string_view key) const;
-  /// All values for `key` (options may repeat, e.g. "neighbor").
-  std::vector<std::string> get_all(std::string_view key) const;
   /// Append an option.
   void set(std::string key, std::string value);
   /// Replace the first option with `key` (appends if absent).
@@ -82,10 +80,89 @@ class DeviceConfig {
   std::vector<Stanza> stanzas_;
 };
 
-/// The stanzas of `config`, in order, as handles: the form the diff
-/// core and DeviceView take, which a device timeline hands them without
-/// building a DeviceConfig (dialect.hpp: StanzaInterner).
+/// The stanzas of `config`, in order, as handles.
 std::vector<const Stanza*> handles_of(const DeviceConfig& config);
+
+/// One option of a stanza, viewed in place.
+struct OptionView {
+  std::string_view key;
+  std::string_view value;
+
+  friend auto operator<=>(const OptionView&, const OptionView&) = default;
+};
+
+/// A VLAN id that an option references.
+struct VlanRef {
+  std::string_view id;
+  /// Set by "switchport access vlan", the one form reference counting
+  /// reads; "spanning-tree vlan" and "vlan-members" leave it unset.
+  bool access = false;
+
+  friend bool operator==(const VlanRef&, const VlanRef&) = default;
+};
+
+/// A "neighbor <address> [remote-as <asn>]" option.
+struct BgpNeighbor {
+  std::string_view address;         ///< The first token.
+  std::optional<std::uint32_t> ip;  ///< `address` parsed; nullopt when malformed.
+  std::string_view remote_as;       ///< <asn> when the second token is "remote-as".
+
+  friend bool operator==(const BgpNeighbor&, const BgpNeighbor&) = default;
+};
+
+/// A "network <prefix> [area <id>]" option.
+struct NetworkStatement {
+  std::string_view prefix;           ///< The first token.
+  std::optional<Ipv4Prefix> parsed;  ///< `prefix` parsed; nullopt when malformed.
+  std::string_view area;             ///< <id> when the second token is "area".
+
+  friend bool operator==(const NetworkStatement&, const NetworkStatement&) = default;
+};
+
+/// What the config analyses read of one stanza, derived once by
+/// facts_of(): lint rules, refs, routing, the design metrics and diff
+/// read these fields instead of resolving the type or re-parsing the
+/// options on every visit. The views point into the stanza, which must
+/// outlive the facts unchanged. List fields keep option order; a value
+/// option without a first token (all blanks) is left out of the lists
+/// that read tokens (acls, neighbors, networks).
+struct StanzaFacts {
+  const Stanza* stanza = nullptr;
+  std::string_view type;       ///< The agnostic type (types.hpp: normalize_type).
+  std::string_view construct;  ///< The protocol construct (constructs_of); empty if none.
+  std::size_t key_hash = 0;    ///< Hash of the (native type, name) key diff joins on.
+  std::vector<OptionView> options;  ///< Every option, sorted by (key, value).
+
+  std::vector<Ipv4Prefix> addrs;  ///< "ip address" / "ip-address" values that parse.
+  std::vector<std::string_view> acls;  ///< First token of "ip access-group" / "filter".
+  std::vector<VlanRef> vlans;  ///< "switchport access vlan", "spanning-tree vlan", "vlan-members".
+  std::vector<std::string_view> interfaces;  ///< "interface" values (VLAN members).
+  std::vector<std::string_view> members;     ///< "member" values (LAG members).
+  std::vector<std::string_view> pools;       ///< "pool" values.
+  std::vector<BgpNeighbor> neighbors;        ///< "neighbor" values.
+  std::vector<NetworkStatement> networks;    ///< "network" values.
+  std::vector<OptionView> terms;             ///< "permit" / "deny" options (ACL terms).
+  /// Positions in `terms` of a term equal to an earlier one, both before
+  /// `reachable`.
+  std::vector<std::size_t> shadowed;
+  /// Terms from this position on follow a catch-all term ("any",
+  /// "any any", "ip any any"); terms.size() when none is one.
+  std::size_t reachable = 0;
+  std::optional<std::string_view> mtu;     ///< The first "mtu" value.
+  std::optional<std::string_view> region;  ///< The first "region" value.
+  /// An address, ACL or VLAN-membership option puts an interface in use;
+  /// "shutdown" / "disable" shuts it.
+  bool in_use = false;
+  bool shut = false;
+
+  friend bool operator==(const StanzaFacts&, const StanzaFacts&) = default;
+};
+
+/// The facts of `s`, which must outlive them unchanged.
+StanzaFacts facts_of(const Stanza& s);
+
+/// The hash of `s`'s (native type, name) key: StanzaFacts::key_hash.
+std::size_t key_hash_of(const Stanza& s);
 
 /// Positions in a list of stanza handles, found by handle in O(1)
 /// expected: open addressing over a table at most half full.

@@ -1,5 +1,7 @@
 #include "metrics/design_metrics.hpp"
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <map>
 #include <set>
@@ -37,30 +39,34 @@ double firmware_entropy(const std::vector<const DeviceRecord*>& devices) {
 }
 
 ProtocolUsage count_protocols(const std::vector<DeviceView>& network) {
-  std::set<std::string_view> l2, l3;
+  // The distinct constructs seen; there are only seven with a layer.
+  std::array<std::string_view, 8> seen;
+  std::size_t n = 0;
+  ProtocolUsage usage;
   for (const auto& dev : network) {
-    for (const auto& s : dev.stanzas()) {
-      const std::string_view construct = dev.construct_of(s);
-      switch (layer_of(construct)) {
-        case PlaneLayer::kL2: l2.insert(construct); break;
-        case PlaneLayer::kL3: l3.insert(construct); break;
-        case PlaneLayer::kNeither: break;
-      }
+    for (std::size_t i = 0; i < dev.size(); ++i) {
+      const std::string_view construct = dev.facts(i).construct;
+      const PlaneLayer layer = layer_of(construct);
+      if (layer == PlaneLayer::kNeither ||
+          std::find(seen.begin(), seen.begin() + n, construct) != seen.begin() + n)
+        continue;
+      seen[n++] = construct;
+      ++(layer == PlaneLayer::kL2 ? usage.l2 : usage.l3);
     }
   }
-  return ProtocolUsage{static_cast<int>(l2.size()), static_cast<int>(l3.size())};
+  return usage;
 }
 
 int count_vlans(const std::vector<DeviceView>& network) {
-  std::set<std::string_view> vlans;
+  std::vector<std::string_view> vlans;
   for (const auto& dev : network)
-    for (const auto& name : dev.names_of("vlan")) vlans.insert(name);
-  return static_cast<int>(vlans.size());
+    for (const std::string_view name : dev.names_of("vlan")) vlans.push_back(name);
+  std::sort(vlans.begin(), vlans.end());
+  return static_cast<int>(std::unique(vlans.begin(), vlans.end()) - vlans.begin());
 }
 
-void compute_design_metrics(const NetworkRecord& net,
-                            const std::vector<const DeviceRecord*>& devices,
-                            const std::vector<DeviceView>& network, Case& out) {
+void compute_inventory_metrics(const NetworkRecord& net,
+                               const std::vector<const DeviceRecord*>& devices, Case& out) {
   out[Practice::kNumWorkloads] = static_cast<double>(net.workloads.size());
   out[Practice::kNumDevices] = static_cast<double>(devices.size());
 
@@ -79,7 +85,9 @@ void compute_design_metrics(const NetworkRecord& net,
   out[Practice::kNumFirmwareVersions] = static_cast<double>(firmwares.size());
   out[Practice::kHardwareEntropy] = hardware_entropy(devices);
   out[Practice::kFirmwareEntropy] = firmware_entropy(devices);
+}
 
+void compute_config_metrics(const std::vector<DeviceView>& network, Case& out) {
   const ProtocolUsage protos = count_protocols(network);
   out[Practice::kNumL2Protocols] = protos.l2;
   out[Practice::kNumL3Protocols] = protos.l3;
@@ -97,6 +105,13 @@ void compute_design_metrics(const NetworkRecord& net,
   const NetworkComplexity cx = referential_complexity(network);
   out[Practice::kIntraDeviceComplexity] = cx.mean_intra;
   out[Practice::kInterDeviceComplexity] = cx.mean_inter;
+}
+
+void compute_design_metrics(const NetworkRecord& net,
+                            const std::vector<const DeviceRecord*>& devices,
+                            const std::vector<DeviceView>& network, Case& out) {
+  compute_inventory_metrics(net, devices, out);
+  compute_config_metrics(network, out);
 }
 
 void compute_design_metrics(const NetworkRecord& net,

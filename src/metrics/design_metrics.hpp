@@ -35,8 +35,19 @@ ProtocolUsage count_protocols(const std::vector<DeviceView>& network);
 /// Number of distinct VLANs configured network-wide (D4 instance count).
 int count_vlans(const std::vector<DeviceView>& network);
 
-/// Fill the design-practice fields of `out` from inventory + configs.
-/// Operational fields and tickets are left untouched.
+/// Fill the design-practice fields that depend on the inventory alone
+/// (D1-D3: workloads, device, vendor, model, role and firmware counts,
+/// and both entropies), which hold for every month of a network.
+void compute_inventory_metrics(const NetworkRecord& net,
+                               const std::vector<const DeviceRecord*>& devices, Case& out);
+
+/// Fill the design-practice fields read from the configs (D4-D6:
+/// protocols, VLANs, routing instances, referential complexity).
+void compute_config_metrics(const std::vector<DeviceView>& network, Case& out);
+
+/// Fill the design-practice fields of `out` from inventory + configs:
+/// compute_inventory_metrics() and compute_config_metrics(). Operational
+/// fields and tickets are left untouched.
 void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceView>& network, Case& out);

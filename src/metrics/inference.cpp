@@ -14,15 +14,17 @@ namespace mpa {
 namespace {
 
 /// Parsed snapshot timeline of one device: each distinct stanza block
-/// parsed once and owned by the interner, and per snapshot its time and
-/// stanza handles. Only a snapshot that some month of the window ends on
-/// is read with its source, so only those carry one.
+/// parsed, and its facts derived, once and owned by the interner, and
+/// per snapshot its time and the handles of its stanzas' facts. Only a
+/// snapshot that some month of the window ends on is read with its
+/// source, so only those carry one, and only those keep their handles
+/// (and the interner their blocks) once the timeline is diffed.
 struct DeviceTimeline {
   explicit DeviceTimeline(Dialect d) : interner(d) {}
 
   StanzaInterner interner;
   std::vector<Timestamp> times;
-  std::vector<std::vector<const Stanza*>> stanzas;
+  std::vector<std::vector<const StanzaFacts*>> stanzas;
   /// Per month of the window, the last snapshot before its end, or -1.
   std::vector<int> month_end;
   std::vector<LintSource> sources;  ///< Spans + pragmas; empty where no month ends.
@@ -118,10 +120,10 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     for (std::size_t i = 0; i < tl.times.size(); ++i) {
       const std::string_view text = snaps[begin + i].text;
       if (!ends_month[i]) {
-        tl.stanzas.push_back(tl.interner.parse(text));
+        tl.stanzas.push_back(tl.interner.read(text));
         continue;
       }
-      tl.stanzas.push_back(tl.interner.parse(text, map));
+      tl.stanzas.push_back(tl.interner.read(text, map));
       tl.sources[i] = LintSource(map);
     }
     blocks += tl.interner.blocks();
@@ -140,6 +142,17 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       changes.push_back(std::move(cr));
     }
     clock.lap(LayerClock::kDiff);
+    // Only the month-end snapshots are read from here on: free the
+    // blocks no other snapshot needs any more.
+    std::vector<const StanzaFacts*> keep;
+    for (std::size_t i = 0; i < tl.stanzas.size(); ++i) {
+      if (ends_month[i])
+        keep.insert(keep.end(), tl.stanzas[i].begin(), tl.stanzas[i].end());
+      else
+        tl.stanzas[i] = std::vector<const StanzaFacts*>();
+    }
+    tl.interner.retain(std::move(keep));
+    clock.lap(LayerClock::kIntern);
   }
   // stable_sort, not sort: records tied on (time, device_id) keep their
   // generation order, so sorting a per-device suffix of the change
@@ -152,12 +165,15 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
   clock.lap(LayerClock::kDiff);
 
   // The configuration state at month end: one view per device over its
-  // timeline's stanza handles and source, read by both the design
-  // metrics and the hygiene lint. A view, with the names it memoized,
-  // lasts while its device's month-end snapshot does. A device that has
-  // a month-end snapshot has one in every later month, so a change in
-  // how many do is a device joining, and then every view is rebuilt in
-  // device order.
+  // timeline's stanza facts and source, read by both the design metrics
+  // and the hygiene lint. A view, with the names it indexed, lasts while
+  // its device's month-end snapshot does. A device that has a month-end
+  // snapshot has one in every later month, so a change in how many do
+  // is a device joining, and then every view is rebuilt in device order.
+  // The inventory-only design terms hold for every month.
+  Case inventory_terms;
+  compute_inventory_metrics(net, devices, inventory_terms);
+  clock.lap(LayerClock::kDesign);
   std::vector<DeviceView> state;
   std::vector<int> shown(timelines.size(), -1);  ///< Per timeline, the snapshot viewed.
   std::vector<Case> rows;
@@ -167,7 +183,7 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     const Timestamp m_end = month_start(m + 1);
     const auto w = static_cast<std::size_t>(m - first_month);
 
-    Case row;
+    Case row = inventory_terms;
     row.network_id = net.network_id;
     row.month = m;
 
@@ -188,7 +204,7 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       shown[t++] = i;
     }
     clock.lap(LayerClock::kState);
-    compute_design_metrics(net, devices, state, row);
+    compute_config_metrics(state, row);
     clock.lap(LayerClock::kDesign);
     apply_lint_metrics(count_lint(state, opts.lint), row);
     clock.lap(LayerClock::kLint);

@@ -1,5 +1,5 @@
 // Tests for DeviceView, the one per-device input of every config
-// analysis: stanza types resolved once and in order, the pairing with a
+// analysis: each stanza's facts read by position, the pairing with a
 // LintSource, and the equality of the kept DeviceConfig / LintInput
 // wrappers with the view path.
 #include <gtest/gtest.h>
@@ -43,31 +43,33 @@ TEST(DeviceView, ResolvesEachStanzaTypeOnceInOrder) {
     SCOPED_TRACE(config.device_id());
     const DeviceView view(config);
     const auto& stanzas = config.stanzas();
+    ASSERT_EQ(view.size(), stanzas.size());
     for (std::size_t i = 0; i < stanzas.size(); ++i) {
       const Stanza& s = stanzas[i];
-      EXPECT_EQ(view.index_of(s), i);
-      EXPECT_EQ(view.type_of(s), normalize_type(s.type)) << s.type;
-      EXPECT_EQ(view.construct_of(s), constructs_of(s.type)) << s.type;
+      EXPECT_EQ(&view.stanza(i), &s);
+      EXPECT_EQ(view.facts(i).stanza, &s);
+      EXPECT_EQ(view.facts(i).type, normalize_type(s.type)) << s.type;
+      EXPECT_EQ(view.facts(i).construct, constructs_of(s.type)) << s.type;
     }
     // Both dialects resolve to the same agnostic sequence.
-    EXPECT_EQ(view.type_of(stanzas[1]), "acl");
-    EXPECT_EQ(view.construct_of(stanzas[2]), "bgp");
-    EXPECT_EQ(view.construct_of(stanzas[3]), "ospf");
-    EXPECT_EQ(view.type_of(stanzas[5]), "link-aggregation");
-    EXPECT_TRUE(view.construct_of(stanzas[6]).empty());
+    EXPECT_EQ(view.facts(1).type, "acl");
+    EXPECT_EQ(view.facts(2).construct, "bgp");
+    EXPECT_EQ(view.facts(3).construct, "ospf");
+    EXPECT_EQ(view.facts(5).type, "link-aggregation");
+    EXPECT_TRUE(view.facts(6).construct.empty());
     // An unknown type resolves to its native name.
-    EXPECT_EQ(view.type_of(stanzas.back()), "frobnicator");
-    EXPECT_TRUE(view.construct_of(stanzas.back()).empty());
+    EXPECT_EQ(view.facts(7).type, "frobnicator");
+    EXPECT_TRUE(view.facts(7).construct.empty());
   }
 }
 
-TEST(DeviceView, RejectsStanzaFromAnotherConfig) {
+TEST(DeviceView, RejectsPositionPastTheLastStanza) {
   const DeviceConfig config = config_of("a", {"interface"});
-  const DeviceConfig other = config_of("b", {"interface"});
   const DeviceView view(config);
-  EXPECT_THROW(view.index_of(other.stanzas()[0]), PreconditionError);
-  EXPECT_THROW(DeviceView(DeviceConfig("empty")).index_of(config.stanzas()[0]),
-               PreconditionError);
+  EXPECT_EQ(view.stanza(0).type, "interface");
+  EXPECT_THROW(view.facts(1), PreconditionError);
+  EXPECT_THROW(view.stanza(1), PreconditionError);
+  EXPECT_THROW(DeviceView(DeviceConfig("empty")).facts(0), PreconditionError);
 }
 
 TEST(DeviceView, PairsOnlyWithSourceOfTheSameStanzaCount) {

@@ -3,6 +3,7 @@
 // snapshot text.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -14,6 +15,7 @@
 #include "config/dialect.hpp"
 #include "config/diff.hpp"
 #include "config/lint.hpp"
+#include "metrics/design_metrics.hpp"
 #include "simulation/osp_generator.hpp"
 
 namespace mpa {
@@ -110,7 +112,7 @@ TEST(Dialect, IosParsesMultiwordTypesAndKeys) {
   ASSERT_NE(c.find("router bgp", "65001"), nullptr);
   const Stanza* iface = c.find("interface", "Eth3");
   ASSERT_NE(iface, nullptr);
-  EXPECT_EQ(iface->get("switchport access vlan"), "42");
+  EXPECT_EQ(iface->options, (std::vector<Option>{{"switchport access vlan", "42"}}));
 }
 
 TEST(Dialect, IosIgnoresComments) {
@@ -136,14 +138,14 @@ TEST(Dialect, UnknownTypesSurvive) {
   const DeviceConfig c = parse(text, Dialect::kIosLike, "d");
   const Stanza* s = c.find("frobnicator", "gadget-1");
   ASSERT_NE(s, nullptr);
-  EXPECT_EQ(s->get("knob"), "11");
+  EXPECT_EQ(s->options, (std::vector<Option>{{"knob", "11"}}));
 }
 
 TEST(Dialect, NamelessStanza) {
   const DeviceConfig c = parse("udld\n  enable\n!\n", Dialect::kIosLike, "d");
   const Stanza* s = c.find("udld", "");
   ASSERT_NE(s, nullptr);
-  EXPECT_TRUE(s->get("enable").has_value());
+  EXPECT_EQ(s->options, (std::vector<Option>{{"enable", ""}}));
 }
 
 // Round-trip property over a parameterized family of option counts.
@@ -341,6 +343,34 @@ TEST(StanzaInterner, SkipsOnlyAKnownBlockThatEndsInANewline) {
   EXPECT_EQ(interner.reused(), 1u);
 }
 
+// retain() keeps the blocks of the listed handles and of the last
+// snapshot read, so their facts still read back, and the next read
+// still reuses the last snapshot's blocks.
+TEST(StanzaInterner, RetainKeepsTheListedAndTheLastSnapshot) {
+  const std::string a = "interface A\n  ip address 10.0.0.1/24\n!\nvlan 10\n!\n";
+  const std::string b = "interface A\n  ip address 10.0.0.2/24\n!\nvlan 10\n!\n";
+  const std::string c = "interface A\n  ip address 10.0.0.3/24\n!\nvlan 20\n!\n";
+  StanzaInterner interner(Dialect::kIosLike);
+  const auto first = interner.read(a);
+  interner.read(b);
+  const auto last = interner.read(c);
+  interner.retain(first);
+  for (const auto& [text, facts] : {std::pair{&a, &first}, std::pair{&c, &last}}) {
+    const DeviceConfig want = parse(*text, Dialect::kIosLike, "dev");
+    ASSERT_EQ(facts->size(), want.stanzas().size());
+    for (std::size_t k = 0; k < facts->size(); ++k) {
+      const StanzaFacts& got = *(*facts)[k];
+      EXPECT_EQ(*got.stanza, want.stanzas()[k]);
+      StanzaFacts expect = facts_of(want.stanzas()[k]);
+      expect.stanza = got.stanza;
+      EXPECT_TRUE(got == expect) << k;
+    }
+  }
+  const std::size_t reused = interner.reused();
+  EXPECT_EQ(interner.read(c), last);
+  EXPECT_EQ(interner.reused(), reused + 2);
+}
+
 // A mutant of one snapshot of a real timeline: the interned timeline
 // agrees with per-snapshot parse() at every snapshot, through the
 // mutant and after it, whether the mutant parses or not.
@@ -402,6 +432,105 @@ TEST(DialectMutation, SourcelessTimelineAgreesWithParse) {
     EXPECT_GT(rejected, 0);
     EXPECT_LT(rejected, kMutantsPerDialect);
   }
+}
+
+// Mutant network timelines, read through one interner per device: at
+// every snapshot the facts the interner built once per distinct block
+// equal the facts facts_of() builds from parse()'s config, and at every
+// month end the lint counts and design metrics read from the interned
+// views equal those read from views over the parsed configs. A fact the
+// interner kept from another block (a stale cache) fails both.
+TEST(DialectMutation, InternedFactsAgreeWithParsedConfigs) {
+  constexpr int kMutantNetworks = 24;
+  OspOptions gen;
+  gen.num_networks = 8;
+  gen.num_months = 4;
+  gen.seed = 3;
+  const OspDataset data = generate_osp(gen);
+  const auto& networks = data.inventory.networks();
+  Rng rng(fuzz_seed(18));
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  /// One snapshot read both ways; `facts` is empty when it did not parse.
+  struct Read {
+    Timestamp time = 0;
+    std::vector<const StanzaFacts*> facts;
+    std::optional<DeviceConfig> config;
+    std::optional<LintSource> source;  ///< Set when read with a source map.
+  };
+  std::size_t snapshots = 0, rejected = 0, month_ends = 0;
+  for (int n = 0; n < kMutantNetworks; ++n) {
+    const NetworkRecord& net = networks[pick(networks.size())];
+    const auto devices = data.inventory.devices_in(net.network_id);
+    SCOPED_TRACE("mutant network " + std::to_string(n) + " (" + net.network_id + ")");
+    std::vector<std::unique_ptr<StanzaInterner>> interners;
+    std::vector<std::vector<Read>> reads(devices.size());
+    for (std::size_t d = 0; d < devices.size(); ++d) {
+      const Dialect dialect = dialect_of(devices[d]->vendor);
+      const auto& snaps = data.snapshots.for_device(devices[d]->device_id);
+      std::vector<std::string> texts;
+      for (const auto& snap : snaps) texts.emplace_back(snap.text);
+      if (!texts.empty() && rng.uniform_int(0, 1) == 0) {
+        const std::size_t at = pick(texts.size());
+        texts[at] = mutate(texts[at], texts[pick(texts.size())], rng);
+      }
+      auto& interner = *interners.emplace_back(std::make_unique<StanzaInterner>(dialect));
+      for (std::size_t i = 0; i < texts.size(); ++i) {
+        SCOPED_TRACE(devices[d]->device_id + " snapshot " + std::to_string(i));
+        Read& r = reads[d].emplace_back();
+        r.time = snaps[i].time;
+        const bool with_source = rng.uniform_int(0, 1) == 0;
+        const Parsed want = parse_one(texts[i], dialect);
+        SourceMap map;
+        try {
+          r.facts = with_source ? interner.read(texts[i], map) : interner.read(texts[i]);
+        } catch (const DataError&) {
+          ++rejected;
+          continue;
+        }
+        ASSERT_TRUE(want.config.has_value()) << want.error;
+        ++snapshots;
+        r.config = want.config;
+        r.config->set_device_id(devices[d]->device_id);
+        if (with_source) r.source.emplace(map);
+        const auto& stanzas = r.config->stanzas();
+        ASSERT_EQ(r.facts.size(), stanzas.size());
+        for (std::size_t k = 0; k < stanzas.size(); ++k) {
+          StanzaFacts expect = facts_of(stanzas[k]);
+          EXPECT_EQ(*r.facts[k]->stanza, stanzas[k]) << k;
+          expect.stanza = r.facts[k]->stanza;
+          EXPECT_TRUE(*r.facts[k] == expect) << "stanza " << k << ": " << stanzas[k].type << " "
+                                             << stanzas[k].name;
+        }
+      }
+    }
+    for (int m = 0; m < gen.num_months; ++m) {
+      // Each device's last snapshot before the month ends that parsed.
+      std::vector<DeviceView> interned, parsed;
+      for (std::size_t d = 0; d < devices.size(); ++d) {
+        const Read* last = nullptr;
+        for (const Read& r : reads[d])
+          if (r.time < month_start(m + 1) && r.config) last = &r;
+        if (last == nullptr) continue;
+        const LintSource* source = last->source ? &*last->source : nullptr;
+        interned.emplace_back(devices[d]->device_id, last->facts, source);
+        parsed.emplace_back(*last->config, source);
+      }
+      SCOPED_TRACE("month " + std::to_string(m));
+      EXPECT_EQ(count_lint(interned), count_lint(parsed));
+      Case by_interned, by_parsed;
+      compute_design_metrics(net, devices, interned, by_interned);
+      compute_design_metrics(net, devices, parsed, by_parsed);
+      EXPECT_EQ(std::memcmp(by_interned.practice.data(), by_parsed.practice.data(),
+                            sizeof by_parsed.practice),
+                0);
+      ++month_ends;
+    }
+  }
+  EXPECT_GT(snapshots, 100u);
+  EXPECT_GT(rejected, 0u);
+  EXPECT_EQ(month_ends, static_cast<std::size_t>(kMutantNetworks * gen.num_months));
 }
 
 }  // namespace

@@ -19,26 +19,16 @@ Stanza iface() {
   return s;
 }
 
-TEST(Stanza, GetReturnsFirst) {
-  const Stanza s = iface();
-  EXPECT_EQ(s.get("description"), "uplink");
-  EXPECT_EQ(s.get("neighbor"), "a");
-  EXPECT_FALSE(s.get("missing").has_value());
-}
-
-TEST(Stanza, GetAll) {
-  const Stanza s = iface();
-  EXPECT_EQ(s.get_all("neighbor"), (std::vector<std::string>{"a", "b"}));
-  EXPECT_TRUE(s.get_all("missing").empty());
-}
-
 TEST(Stanza, ReplaceFirstOrAppend) {
   Stanza s = iface();
   s.replace("description", "downlink");
-  EXPECT_EQ(s.get("description"), "downlink");
+  EXPECT_EQ(s.options[1], (Option{"description", "downlink"}));
   EXPECT_EQ(s.options.size(), 4u);
+  s.replace("neighbor", "c");
+  EXPECT_EQ(s.options[2], (Option{"neighbor", "c"}));
+  EXPECT_EQ(s.options[3], (Option{"neighbor", "b"}));
   s.replace("new-key", "v");
-  EXPECT_EQ(s.get("new-key"), "v");
+  EXPECT_EQ(s.options.back(), (Option{"new-key", "v"}));
   EXPECT_EQ(s.options.size(), 5u);
 }
 
