@@ -342,17 +342,6 @@ std::vector<const StanzaFacts*> StanzaInterner::read(std::string_view text) {
   return intern(text, nullptr);
 }
 
-namespace {
-
-std::vector<const Stanza*> stanzas_of(const std::vector<const StanzaFacts*>& facts) {
-  std::vector<const Stanza*> out;
-  out.reserve(facts.size());
-  for (const StanzaFacts* f : facts) out.push_back(f->stanza);
-  return out;
-}
-
-}  // namespace
-
 void StanzaInterner::retain(std::vector<const StanzaFacts*> keep) {
   std::sort(keep.begin(), keep.end(), std::less<>());
   std::vector<const Block*> last = previous_;
@@ -365,14 +354,6 @@ void StanzaInterner::retain(std::vector<const StanzaFacts*> keep) {
   for (const auto& b : blocks_)
     if (!std::binary_search(last.begin(), last.end(), b.get(), std::less<>()))
       b->bytes = std::string();
-}
-
-std::vector<const Stanza*> StanzaInterner::parse(std::string_view text, SourceMap& source) {
-  return stanzas_of(read(text, source));
-}
-
-std::vector<const Stanza*> StanzaInterner::parse(std::string_view text) {
-  return stanzas_of(read(text));
 }
 
 std::vector<const StanzaFacts*> StanzaInterner::intern(std::string_view text, SourceMap* source) {

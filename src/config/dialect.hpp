@@ -106,9 +106,6 @@ class StanzaInterner {
   std::vector<const StanzaFacts*> read(std::string_view text, SourceMap& source);
   /// read() without a source map, skipping known blocks (above).
   std::vector<const StanzaFacts*> read(std::string_view text);
-  /// read(), as the stanzas' own handles.
-  std::vector<const Stanza*> parse(std::string_view text, SourceMap& source);
-  std::vector<const Stanza*> parse(std::string_view text);
 
   /// Frees every block that neither a handle in `keep` nor the last
   /// snapshot read holds, and the bytes of the kept blocks that the next

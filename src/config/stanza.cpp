@@ -164,20 +164,4 @@ std::size_t key_hash_of(const Stanza& s) {
   return hash(s.name) * 31 + hash(s.type);
 }
 
-HandleIndex::HandleIndex(std::span<const Stanza* const> stanzas) {
-  unsigned bits = 4;
-  while ((std::size_t{1} << bits) < 2 * stanzas.size()) ++bits;
-  slots_.resize(std::size_t{1} << bits);
-  mask_ = slots_.size() - 1;
-  shift_ = 64 - bits;
-  for (std::size_t p = 0; p < stanzas.size(); ++p) {
-    const Stanza* s = stanzas[p];
-    require(s != nullptr, "HandleIndex: null stanza handle");
-    std::size_t i = slot_of(s);
-    for (; slots_[i].handle != nullptr; i = (i + 1) & mask_)
-      require(slots_[i].handle != s, "HandleIndex: a stanza handle is listed twice");
-    slots_[i] = Slot{s, p};
-  }
-}
-
 }  // namespace mpa

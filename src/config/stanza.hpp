@@ -11,7 +11,6 @@
 
 #include <cstdint>
 #include <optional>
-#include <span>
 #include <string>
 #include <string_view>
 #include <utility>
@@ -163,38 +162,5 @@ StanzaFacts facts_of(const Stanza& s);
 
 /// The hash of `s`'s (native type, name) key: StanzaFacts::key_hash.
 std::size_t key_hash_of(const Stanza& s);
-
-/// Positions in a list of stanza handles, found by handle in O(1)
-/// expected: open addressing over a table at most half full.
-class HandleIndex {
- public:
-  /// `stanzas` must hold no null and no repeated handle
-  /// (PreconditionError).
-  explicit HandleIndex(std::span<const Stanza* const> stanzas);
-
-  /// Position of `s` in the list, or npos.
-  std::size_t find(const Stanza* s) const {
-    for (std::size_t i = slot_of(s);; i = (i + 1) & mask_) {
-      if (slots_[i].handle == nullptr) return npos;
-      if (slots_[i].handle == s) return slots_[i].position;
-    }
-  }
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
- private:
-  struct Slot {
-    const Stanza* handle = nullptr;
-    std::size_t position = 0;
-  };
-  /// Fibonacci hashing of the address onto the table.
-  std::size_t slot_of(const Stanza* s) const {
-    return static_cast<std::size_t>(
-        (reinterpret_cast<std::uintptr_t>(s) * std::uint64_t{0x9E3779B97F4A7C15}) >> shift_);
-  }
-
-  std::vector<Slot> slots_;  ///< Power-of-two size.
-  std::size_t mask_ = 0;
-  unsigned shift_ = 64;
-};
 
 }  // namespace mpa

@@ -16,13 +16,12 @@ AdaBoostClassifier AdaBoostClassifier::fit(const Dataset& data, const BoostOptio
   model.num_classes_ = data.num_classes;
   Dataset working = data;
   const double k = working.num_classes;
-  std::vector<bool> wrong(working.size());
+  std::vector<int> fitted;  // each training row's leaf label
   for (int t = 0; t < opts.iterations; ++t) {
-    DecisionTree tree = DecisionTree::fit(working, opts.tree);
+    DecisionTree tree = DecisionTree::fit(working, opts.tree, &fitted);
     double err = 0, total = 0;
     for (std::size_t i = 0; i < working.size(); ++i) {
-      wrong[i] = tree.predict(working.x[i]) != working.y[i];
-      if (wrong[i]) err += working.w[i];
+      if (fitted[i] != working.y[i]) err += working.w[i];
       total += working.w[i];
     }
     err /= total;
@@ -34,7 +33,7 @@ AdaBoostClassifier AdaBoostClassifier::fit(const Dataset& data, const BoostOptio
     if (err >= 1.0 - 1.0 / k) break;  // worse than chance: stop
     const double alpha = std::log((1.0 - err) / err) + std::log(k - 1.0);
     for (std::size_t i = 0; i < working.size(); ++i)
-      if (wrong[i]) working.w[i] *= std::exp(alpha);
+      if (fitted[i] != working.y[i]) working.w[i] *= std::exp(alpha);
     // Normalize to keep weights in a sane range.
     double sum = 0;
     for (double w : working.w) sum += w;

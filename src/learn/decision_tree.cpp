@@ -32,9 +32,11 @@ struct DecisionTree::Scratch {
   std::vector<double> bin_w;           ///< [feature slot][bin] weight.
   std::vector<double> bin_class_w;     ///< [feature slot][bin][class] weight.
   std::vector<std::size_t> scattered;  ///< Partition output.
+  std::vector<int>* row_labels = nullptr;  ///< Leaf label per training row.
 };
 
-DecisionTree DecisionTree::fit(const Dataset& data, const TreeOptions& opts) {
+DecisionTree DecisionTree::fit(const Dataset& data, const TreeOptions& opts,
+                               std::vector<int>* row_labels) {
   require(!data.x.empty(), "DecisionTree::fit: empty dataset");
   require(data.x.size() == data.y.size() && data.x.size() == data.w.size(),
           "DecisionTree::fit: inconsistent dataset");
@@ -43,6 +45,8 @@ DecisionTree DecisionTree::fit(const Dataset& data, const TreeOptions& opts) {
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   std::vector<bool> used(data.num_features(), false);
   Scratch scratch;
+  scratch.row_labels = row_labels;
+  if (row_labels) row_labels->assign(data.size(), 0);
   tree.root_ = tree.build(data, rows, used, data.total_weight(), opts, 0, scratch);
   return tree;
 }
@@ -160,6 +164,8 @@ int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::v
   }
 
   // Leaf.
+  if (scratch.row_labels)
+    for (std::size_t i : rows) (*scratch.row_labels)[i] = node.label;
   nodes_.push_back(node);
   return static_cast<int>(nodes_.size()) - 1;
 }

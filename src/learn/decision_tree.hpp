@@ -30,7 +30,10 @@ struct TreeOptions {
 class DecisionTree {
  public:
   /// Learn a tree from weighted examples. Requires a non-empty dataset.
-  static DecisionTree fit(const Dataset& data, const TreeOptions& opts = {});
+  /// When `row_labels` is given, it receives each training row's leaf
+  /// label, which is predict(data.x[i]).
+  static DecisionTree fit(const Dataset& data, const TreeOptions& opts = {},
+                          std::vector<int>* row_labels = nullptr);
 
   /// Predict the class of one binned feature vector.
   int predict(std::span<const int> x) const;

@@ -27,8 +27,8 @@ constexpr double kHiPct = 95.0;
 /// comparison is "balanced" when the propensity score passes the
 /// classic thresholds, no confounder's |std. diff of means| exceeds
 /// kMaxAbsStdDiff, and at least kMinVrPassFrac of confounders have
-/// variance ratios within [0.5, 2]. (Our synthetic covariates are
-/// heavier-tailed than the OSP's; see EXPERIMENTS.md.)
+/// variance ratios in the open interval (0.5, 2). (Our synthetic
+/// covariates are heavier-tailed than the OSP's; see EXPERIMENTS.md.)
 constexpr double kMaxAbsStdDiff = 0.50;
 constexpr double kMinVrPassFrac = 0.70;
 

@@ -5,6 +5,7 @@
 #include <cstring>
 #include <span>
 
+#include "stats/logistic_kernels.hpp"
 #include "util/error.hpp"
 
 namespace mpa {
@@ -18,17 +19,6 @@ double sigmoid(double z) {
   const double e = std::exp(z);
   return e / (1.0 + e);
 }
-
-// Register tile of the Hessian kernel: kTileRows x kTileCols cells
-// whose sums stay in locals across every row of the design matrix.
-constexpr std::size_t kTileRows = 2;
-constexpr std::size_t kTileCols = 8;
-
-// Two doubles that GCC and Clang add and multiply lane by lane, as one
-// SSE2 instruction on baseline x86-64. Each lane is the same IEEE
-// double operation as the scalar expression.
-typedef double Pair __attribute__((vector_size(2 * sizeof(double))));
-constexpr std::size_t kPairsPerTile = kTileCols / 2;
 
 // Rows whose linear predictors are summed side by side. Each row's
 // sum is one chain of dependent additions; interleaving rows lets the
@@ -69,16 +59,24 @@ bool solve_linear_system(std::span<double> a, std::span<double> b, std::span<dou
   return true;
 }
 
+namespace irls {
 namespace {
 
-/// Upper triangle (k >= j) of the weighted Gram matrix
-/// sum_i (wgt_i * z_ij) * z_ik into the dim x dim row-major `hess`.
-/// `z` holds at least n rows of `stride` values, a multiple of
-/// kTileCols with zero padding past `dim`. Each cell adds its terms in
-/// row order starting from 0.0, exactly as a row-by-row accumulation
-/// would; a tile's cells only share the instructions that do it.
-void weighted_gram_upper(std::span<const double> z, std::size_t stride, std::size_t dim,
-                         std::span<const double> wgt, std::span<double> hess) {
+// Register tile of the baseline Gram kernel: kTileRows x kTileCols
+// cells whose sums stay in locals across every row of the design
+// matrix.
+constexpr std::size_t kTileRows = 2;
+constexpr std::size_t kTileCols = 8;
+
+// Two doubles that GCC and Clang add and multiply lane by lane, as one
+// SSE2 instruction on baseline x86-64. Each lane is the same IEEE
+// double operation as the scalar expression.
+typedef double Pair __attribute__((vector_size(2 * sizeof(double))));
+constexpr std::size_t kPairsPerTile = kTileCols / 2;
+
+void gram_pairs(std::span<const double> z, std::size_t dim, std::span<const double> wgt,
+                std::span<double> hess) {
+  const std::size_t stride = design_stride(dim);
   const std::size_t n = wgt.size();
   for (std::size_t j0 = 0; j0 < dim; j0 += kTileRows) {
     for (std::size_t k0 = j0 / kTileCols * kTileCols; k0 < dim; k0 += kTileCols) {
@@ -104,7 +102,104 @@ void weighted_gram_upper(std::span<const double> z, std::size_t stride, std::siz
   }
 }
 
+void gradient_rows(std::span<const double> z, std::size_t dim, std::span<const double> r,
+                   std::span<double> grad) {
+  const std::size_t stride = design_stride(dim);
+  std::fill(grad.begin(), grad.begin() + static_cast<std::ptrdiff_t>(dim), 0.0);
+  for (std::size_t i = 0; i < r.size(); ++i) {
+    const double* zi = z.data() + i * stride;
+    for (std::size_t j = 0; j < dim; ++j) grad[j] += r[i] * zi[j];
+  }
+}
+
+#if defined(__x86_64__)
+
+// Four doubles: one AVX2 register in the functions below, which are
+// compiled for AVX2 (and not FMA, so no multiply and add can fuse).
+typedef double Quad __attribute__((vector_size(4 * sizeof(double))));
+constexpr std::size_t kQuadRows = 4;      ///< Tile height of the wide Gram.
+constexpr std::size_t kQuadsPerTile = 3;  ///< Tile width, in registers.
+
+/// Cells [j0, j0 + R) x [k0, k0 + 4W) of sum_i (s_i * z_ij) * z_ik
+/// into the row-major `out` of row length dim; only the cells with
+/// j <= k < dim are stored.
+template <std::size_t R, std::size_t W>
+__attribute__((target("avx2"))) void quad_tile(const double* z, std::size_t dim,
+                                               std::span<const double> s, std::size_t j0,
+                                               std::size_t k0, double* out) {
+  const std::size_t stride = design_stride(dim);
+  Quad acc[R][W] = {};
+  for (std::size_t i = 0; i < s.size(); ++i) {
+    const double* zi = z + i * stride;
+    for (std::size_t t = 0; t < R; ++t) {
+      const double wz = s[i] * zi[j0 + t];
+      const Quad a = {wz, wz, wz, wz};
+      for (std::size_t c = 0; c < W; ++c) {
+        Quad zk;
+        std::memcpy(&zk, zi + k0 + 4 * c, sizeof zk);
+        acc[t][c] += a * zk;
+      }
+    }
+  }
+  for (std::size_t t = 0; t < R; ++t)
+    for (std::size_t c = 0; c < 4 * W; ++c) {
+      const std::size_t j = j0 + t, k = k0 + c;
+      if (j < dim && k < dim && k >= j) out[j * dim + k] = acc[t][c / 4][c % 4];
+    }
+}
+
+/// Rows [j0, j0 + R) of sum_i (s_i * z_ij) * z_ik from column j0 on,
+/// in tiles of up to kQuadsPerTile registers.
+template <std::size_t R>
+__attribute__((target("avx2"))) void quad_strip(const double* z, std::size_t dim,
+                                                std::span<const double> s, std::size_t j0,
+                                                double* out) {
+  for (std::size_t k0 = j0; k0 < dim; k0 += 4 * kQuadsPerTile) {
+    switch (std::min((dim - k0 + 3) / 4, kQuadsPerTile)) {
+      case 1: quad_tile<R, 1>(z, dim, s, j0, k0, out); break;
+      case 2: quad_tile<R, 2>(z, dim, s, j0, k0, out); break;
+      default: quad_tile<R, kQuadsPerTile>(z, dim, s, j0, k0, out); break;
+    }
+  }
+}
+
+// The intercept row alone, then the features' rows in blocks of
+// kQuadRows, each block's tiles starting at its own diagonal: 612 cells
+// per design row for the 561 of a 33 x 33 upper triangle.
+__attribute__((target("avx2"))) void gram_quads(std::span<const double> z, std::size_t dim,
+                                                std::span<const double> wgt,
+                                                std::span<double> hess) {
+  quad_strip<1>(z.data(), dim, wgt, 0, hess.data());
+  for (std::size_t j0 = 1; j0 < dim; j0 += kQuadRows)
+    quad_strip<kQuadRows>(z.data(), dim, wgt, j0, hess.data());
+}
+
+// The intercept row of the Gram matrix over weights r: z_i0 is 1.0, so
+// each term (r_i * z_i0) * z_ij is r_i * z_ij.
+__attribute__((target("avx2"))) void gradient_quads(std::span<const double> z, std::size_t dim,
+                                                    std::span<const double> r,
+                                                    std::span<double> grad) {
+  quad_strip<1>(z.data(), dim, r, 0, grad.data());
+}
+
+#endif
+
 }  // namespace
+
+const Kernels& baseline_kernels() {
+  static const Kernels kernels{gram_pairs, gradient_rows};
+  return kernels;
+}
+
+const Kernels* wide_kernels() {
+#if defined(__x86_64__)
+  static const Kernels kernels{gram_quads, gradient_quads};
+  if (__builtin_cpu_supports("avx2")) return &kernels;
+#endif
+  return nullptr;
+}
+
+}  // namespace irls
 
 LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<const int> labels) {
   const std::size_t n = features.size();
@@ -139,10 +234,10 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
   }
 
   // Standardized design matrix with leading intercept column, flat and
-  // row-major, each row zero-padded to a whole number of tile columns
-  // and whole blocks of kEtaRows rows padded with zero rows.
+  // row-major, each row zero-padded to the kernels' stride and whole
+  // blocks of kEtaRows rows padded with zero rows.
   const std::size_t dim = d + 1;
-  const std::size_t stride = (dim + kTileCols - 1) / kTileCols * kTileCols;
+  const std::size_t stride = irls::design_stride(dim);
   std::vector<double> z((n + kEtaRows - 1) / kEtaRows * kEtaRows * stride, 0.0);
   for (std::size_t i = 0; i < n; ++i) {
     double* zi = z.data() + i * stride;
@@ -151,10 +246,12 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
       zi[j + 1] = (features[i][j] - model.feat_mean_[j]) / model.feat_sd_[j];
   }
 
-  std::vector<double> w(dim, 0.0), grad(dim), hess(dim * dim), step(dim), wgt(n);
+  // The wide kernels where this CPU runs them, picked once per process.
+  static const irls::Kernels& kernels =
+      irls::wide_kernels() ? *irls::wide_kernels() : irls::baseline_kernels();
+  std::vector<double> w(dim, 0.0), grad(dim), hess(dim * dim), step(dim), wgt(n), r(n);
   for (int iter = 0; iter < kMaxIters; ++iter) {
     // Gradient and Hessian of the (penalized) negative log-likelihood.
-    std::fill(grad.begin(), grad.end(), 0.0);
     for (std::size_t i0 = 0; i0 < n; i0 += kEtaRows) {
       // Each row's predictor adds its terms in column order from 0.0.
       const double* block = z.data() + i0 * stride;
@@ -162,14 +259,13 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
       for (std::size_t j = 0; j < dim; ++j)
         for (std::size_t b = 0; b < kEtaRows; ++b) eta[b] += w[j] * block[b * stride + j];
       for (std::size_t b = 0; b < kEtaRows && i0 + b < n; ++b) {
-        const double* zi = block + b * stride;
         const double p = sigmoid(eta[b]);
-        const double r = p - static_cast<double>(labels[i0 + b]);
+        r[i0 + b] = p - static_cast<double>(labels[i0 + b]);
         wgt[i0 + b] = std::max(p * (1 - p), 1e-9);
-        for (std::size_t j = 0; j < dim; ++j) grad[j] += r * zi[j];
       }
     }
-    weighted_gram_upper(z, stride, dim, wgt, hess);
+    kernels.gradient(z, dim, r, grad);
+    kernels.gram(z, dim, wgt, hess);
     for (std::size_t j = 1; j < dim; ++j) {  // no penalty on the intercept
       grad[j] += kRidge * w[j];
       hess[j * dim + j] += kRidge;

@@ -9,7 +9,7 @@
 //
 // Balance verification follows Stuart: for each confounder the absolute
 // standardized difference of means should be < 0.25 and the variance
-// ratio within [0.5, 2].
+// ratio strictly between 0.5 and 2, the open interval (0.5, 2).
 #pragma once
 
 #include <cmath>
@@ -79,8 +79,9 @@ struct MatchResult {
   /// Largest |standardized difference of means| across confounders
   /// (infinity when any is degenerate-imbalanced; 0 when no pairs).
   double worst_abs_std_diff() const;
-  /// Fraction of confounders whose variance ratio lies in [var_lo,
-  /// var_hi] (1 when there are no confounders).
+  /// Fraction of confounders whose variance ratio lies strictly
+  /// between var_lo and var_hi, the open interval (var_lo, var_hi)
+  /// (1 when there are no confounders).
   double variance_ratio_pass_fraction(double var_lo = 0.5, double var_hi = 2.0) const;
 };
 

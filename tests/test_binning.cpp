@@ -1,8 +1,15 @@
 // Tests for the clamped equal-width binning strategy (§5.1.1).
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <cmath>
+#include <cstdint>
+
 #include "stats/binning.hpp"
+#include "stats/descriptive.hpp"
 #include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace mpa {
 namespace {
@@ -72,6 +79,42 @@ TEST(Binning, Rejects) {
   const Binner b(0, 10, 5);
   EXPECT_THROW(b.bin_lower(-1), PreconditionError);
   EXPECT_THROW(b.bin_lower(5), PreconditionError);
+}
+
+// Fit finds its bounds by selection; they are the bits of the sorted
+// column's percentiles, for every pair of the percentiles below.
+TEST(Binning, FitBoundsEqualSortedPercentiles) {
+  Rng rng(5);
+  std::vector<std::vector<double>> columns = {{4.5}, std::vector<double>(37, 2.0)};
+  std::vector<double> two_valued;
+  for (int i = 0; i < 41; ++i) two_valued.push_back(rng.bernoulli(0.3) ? 7.0 : -1.5);
+  columns.push_back(two_valued);
+  std::vector<std::size_t> sizes = {101, 1000, 3400};
+  for (std::size_t n = 2; n <= 64; ++n) sizes.push_back(n);
+  for (std::size_t n : sizes) {
+    std::vector<double> v;
+    for (std::size_t i = 0; i < n; ++i)
+      v.push_back(i % 3 == 0 ? std::floor(rng.uniform(0, 10)) : rng.normal() * 100);
+    columns.push_back(v);
+  }
+  const double pcts[] = {0, 5, 50, 95, 100};
+  const auto bits = [](double x) { return std::bit_cast<std::uint64_t>(x); };
+  for (const auto& column : columns) {
+    std::vector<double> sorted = column;
+    std::sort(sorted.begin(), sorted.end());
+    for (double lo_pct : pcts)
+      for (double hi_pct : pcts) {
+        if (lo_pct > hi_pct) continue;
+        SCOPED_TRACE(std::to_string(column.size()) + " values, " + std::to_string(lo_pct) +
+                     "-" + std::to_string(hi_pct));
+        const double lo = percentile_sorted(sorted, lo_pct);
+        const double hi = percentile_sorted(sorted, hi_pct);
+        const Binner b = Binner::fit(column, 10, lo_pct, hi_pct);
+        EXPECT_EQ(bits(b.lo()), bits(lo));
+        EXPECT_EQ(bits(b.hi()), bits(hi > lo ? hi : lo));
+        EXPECT_EQ(b.num_bins(), hi > lo ? 10 : 1);
+      }
+  }
 }
 
 // Property sweep: every value lands in a valid bin for various bin counts.

@@ -1,6 +1,8 @@
 // Tests for the C4.5-style decision tree.
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "util/error.hpp"
 
 #include "learn/decision_tree.hpp"
@@ -176,6 +178,41 @@ TEST(DecisionTree, RejectsEmptyAndUnfitted) {
   EXPECT_THROW(DecisionTree::fit(Dataset{}), PreconditionError);
   const DecisionTree t;
   EXPECT_THROW(t.predict(std::vector<int>{0}), PreconditionError);
+}
+
+// The leaf label fit reports for each training row is predict's, on
+// pruned, unpruned and depth-capped trees, 2 and 5 classes, and rows
+// reweighted as a boosting round leaves them.
+TEST(DecisionTree, FitReportsEachTrainingRowsLeaf) {
+  Rng rng(8);
+  for (int classes : {2, 5}) {
+    Dataset d;
+    d.num_classes = classes;
+    d.feature_bins = 5;
+    d.feature_names = {"f0", "f1", "f2", "f3", "f4", "f5"};
+    for (int i = 0; i < 600; ++i) {
+      std::vector<int> x;
+      for (int f = 0; f < 6; ++f) x.push_back(static_cast<int>(rng.uniform_int(0, 4)));
+      const int signal = (x[0] + x[1] * x[2]) % classes;
+      d.x.push_back(x);
+      d.y.push_back(rng.bernoulli(0.2) ? static_cast<int>(rng.uniform_int(0, classes - 1))
+                                       : signal);
+      d.w.push_back(rng.bernoulli(0.3) ? std::exp(rng.uniform(0, 3)) : 1.0);
+    }
+    for (const auto& [frac, depth] : {std::pair{0.0, 0}, std::pair{0.01, 0}, std::pair{0.1, 0},
+                                      std::pair{0.0, 2}}) {
+      SCOPED_TRACE(std::to_string(classes) + " classes, min weight " + std::to_string(frac) +
+                   ", depth " + std::to_string(depth));
+      TreeOptions opts;
+      opts.min_weight_frac = frac;
+      opts.max_depth = depth;
+      std::vector<int> labels;
+      const DecisionTree tree = DecisionTree::fit(d, opts, &labels);
+      EXPECT_GT(tree.leaf_count(), 1u);
+      ASSERT_EQ(labels.size(), d.size());
+      for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(labels[i], tree.predict(d.x[i])) << i;
+    }
+  }
 }
 
 TEST(DecisionTree, StrayBinsClampInPredict) {

@@ -3,7 +3,9 @@
 // snapshot text.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
+#include <functional>
 #include <optional>
 #include <string_view>
 #include <vector>
@@ -267,14 +269,14 @@ Parsed parse_one(const std::string& text, Dialect d) {
 }
 
 /// Runs `texts` through one interner and checks each snapshot against
-/// parse(): the same stanzas by value (no handle repeated), the same
-/// source map where one is asked for, and the same diff from the last
-/// snapshot that parsed; or a DataError with the same message. Snapshot
-/// i is parsed with a source map when `sourced` is empty or sourced[i]
-/// is set. Returns the snapshots parsed.
+/// parse(): the same stanzas by value (no facts handle repeated), the
+/// same source map where one is asked for, and the same diff from the
+/// last snapshot that parsed; or a DataError with the same message.
+/// Snapshot i is read with a source map when `sourced` is empty or
+/// sourced[i] is set. Returns the snapshots parsed.
 std::size_t expect_interned_matches_parse(const Timeline& tl, StanzaInterner& interner,
                                           const std::vector<bool>& sourced = {}) {
-  std::vector<const Stanza*> last_handles;
+  std::vector<const StanzaFacts*> last_facts;
   std::optional<DeviceConfig> last_config;
   std::size_t parsed = 0;
   for (std::size_t i = 0; i < tl.texts.size(); ++i) {
@@ -282,9 +284,9 @@ std::size_t expect_interned_matches_parse(const Timeline& tl, StanzaInterner& in
     const Parsed want = parse_one(tl.texts[i], tl.dialect);
     const bool with_source = sourced.empty() || sourced[i];
     SourceMap source;
-    std::vector<const Stanza*> handles;
+    std::vector<const StanzaFacts*> facts;
     try {
-      handles = with_source ? interner.parse(tl.texts[i], source) : interner.parse(tl.texts[i]);
+      facts = with_source ? interner.read(tl.texts[i], source) : interner.read(tl.texts[i]);
     } catch (const DataError& e) {
       EXPECT_EQ(e.what(), want.error);
       continue;
@@ -298,16 +300,18 @@ std::size_t expect_interned_matches_parse(const Timeline& tl, StanzaInterner& in
     if (with_source) {
       EXPECT_EQ(source, want.source);
     }
-    EXPECT_NO_THROW(HandleIndex{handles});
-    if (handles.size() != stanzas.size()) {
-      ADD_FAILURE() << handles.size() << " handles for " << stanzas.size() << " stanzas";
+    std::vector<const StanzaFacts*> sorted = facts;
+    std::sort(sorted.begin(), sorted.end(), std::less<>());
+    EXPECT_EQ(std::adjacent_find(sorted.begin(), sorted.end()), sorted.end());
+    if (facts.size() != stanzas.size()) {
+      ADD_FAILURE() << facts.size() << " handles for " << stanzas.size() << " stanzas";
       continue;
     }
-    for (std::size_t k = 0; k < stanzas.size(); ++k) EXPECT_EQ(*handles[k], stanzas[k]) << k;
+    for (std::size_t k = 0; k < stanzas.size(); ++k) EXPECT_EQ(*facts[k]->stanza, stanzas[k]) << k;
     if (last_config) {
-      EXPECT_EQ(describe(diff(last_handles, handles)), describe(diff(*last_config, *want.config)));
+      EXPECT_EQ(describe(diff(last_facts, facts)), describe(diff(*last_config, *want.config)));
     }
-    last_handles = std::move(handles);
+    last_facts = std::move(facts);
     last_config = want.config;
   }
   return parsed;

@@ -699,14 +699,14 @@ TEST(LintSpans, RepeatedBlockInTimelineKeepsItsOwnSpanAndPragmas) {
                                 std::pair{junos, Dialect::kJunosLike}}) {
     StanzaInterner timeline(d);
     SourceMap map;
-    timeline.parse(text, map);
-    const auto stanzas = timeline.parse(text, map);
-    ASSERT_EQ(stanzas.size(), 2u);
-    EXPECT_NE(stanzas[0], stanzas[1]);
-    EXPECT_EQ(*stanzas[0], *stanzas[1]);
+    timeline.read(text, map);
+    const auto facts = timeline.read(text, map);
+    ASSERT_EQ(facts.size(), 2u);
+    EXPECT_NE(facts[0]->stanza, facts[1]->stanza);
+    EXPECT_EQ(*facts[0]->stanza, *facts[1]->stanza);
     EXPECT_EQ(timeline.reused(), 2u);
     const LintSource source(map);
-    const std::vector<DeviceView> month_end = {DeviceView(dev, stanzas, &source)};
+    const std::vector<DeviceView> month_end = {DeviceView(dev, facts, &source)};
     LintOptions opts;
     opts.keep_suppressed = true;
     std::vector<const Diagnostic*> found;

@@ -1,14 +1,55 @@
 // Tests for logistic regression (propensity-score model).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include "stats/logistic.hpp"
+#include "stats/logistic_kernels.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
 namespace mpa {
 namespace {
+
+std::vector<std::uint64_t> bits_of(std::span<const double> v) {
+  std::vector<std::uint64_t> out;
+  for (double x : v) out.push_back(std::bit_cast<std::uint64_t>(x));
+  return out;
+}
+
+// The wide IRLS kernels return the baseline's bits: every width up to
+// 40 (33 is causal's, the intercept and 32 confounders), row counts no
+// tile height divides, weights over the whole range IRLS gives them.
+TEST(IrlsKernels, WideEqualsBaselineBitForBit) {
+  const irls::Kernels* wide = irls::wide_kernels();
+  if (wide == nullptr) GTEST_SKIP() << "this CPU runs the baseline kernels only";
+  const irls::Kernels& base = irls::baseline_kernels();
+  Rng rng(30);
+  for (std::size_t dim = 1; dim <= 40; ++dim)
+    for (std::size_t n : {1, 2, 3, 5, 8, 13, 67}) {
+      SCOPED_TRACE("dim " + std::to_string(dim) + ", rows " + std::to_string(n));
+      const std::size_t stride = irls::design_stride(dim);
+      std::vector<double> z(n * stride, 0.0), wgt(n), r(n);
+      for (std::size_t i = 0; i < n; ++i) {
+        z[i * stride] = 1.0;
+        for (std::size_t j = 1; j < dim; ++j) z[i * stride + j] = 3 * rng.normal();
+        // Log-uniform in [1e-9, 0.25], both ends included.
+        wgt[i] = std::exp(rng.uniform(std::log(1e-9), std::log(0.25)));
+        if (i < 2) wgt[i] = i == 0 ? 0.25 : 1e-9;
+        r[i] = rng.uniform(-1, 1);
+      }
+      std::vector<double> hess_base(dim * dim, -1.0), hess_wide(dim * dim, -1.0);
+      base.gram(z, dim, wgt, hess_base);
+      wide->gram(z, dim, wgt, hess_wide);
+      EXPECT_EQ(bits_of(hess_wide), bits_of(hess_base));
+      std::vector<double> grad_base(dim, -1.0), grad_wide(dim, -1.0);
+      base.gradient(z, dim, r, grad_base);
+      wide->gradient(z, dim, r, grad_wide);
+      EXPECT_EQ(bits_of(grad_wide), bits_of(grad_base));
+    }
+}
 
 TEST(LinearSolver, SolvesKnownSystem) {
   std::vector<double> a{2, 1, 1, 3}, b{5, 10}, x(2);
