@@ -1,21 +1,9 @@
 #include "config/device_view.hpp"
 
-#include "config/lint.hpp"
+#include "config/dialect.hpp"
 #include "util/error.hpp"
 
 namespace mpa {
-
-DeviceView::DeviceView(const std::string& device_id, std::span<const Stanza* const> stanzas,
-                       const LintSource* source)
-    : device_id_(&device_id), source_(source) {
-  auto owned = std::make_shared<Owned>();
-  owned->facts.reserve(stanzas.size());
-  for (const Stanza* s : stanzas) owned->facts.push_back(facts_of(*s));
-  for (const StanzaFacts& f : owned->facts) owned->handles.push_back(&f);
-  facts_ = owned->handles;
-  owned_ = std::move(owned);
-  index();
-}
 
 DeviceView::DeviceView(const std::string& device_id, std::span<const StanzaFacts* const> facts,
                        const LintSource* source)
@@ -24,7 +12,15 @@ DeviceView::DeviceView(const std::string& device_id, std::span<const StanzaFacts
 }
 
 DeviceView::DeviceView(const DeviceConfig& config, const LintSource* source)
-    : DeviceView(config.device_id(), handles_of(config), source) {}
+    : device_id_(&config.device_id()), source_(source) {
+  auto owned = std::make_shared<Owned>();
+  owned->facts = facts_of(config);
+  owned->handles.reserve(owned->facts.size());
+  for (const StanzaFacts& f : owned->facts) owned->handles.push_back(&f);
+  facts_ = owned->handles;
+  owned_ = std::move(owned);
+  index();
+}
 
 void DeviceView::index() {
   require(source_ == nullptr || source_->size() == facts_.size(),

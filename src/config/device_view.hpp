@@ -25,17 +25,13 @@ class LintSource;
 /// id and `source`, which must outlive it.
 class DeviceView {
  public:
-  /// A view of `stanzas`, in order, that builds each one's facts.
-  /// `source`, if any, must hold one span and pragma set per stanza
-  /// (PreconditionError otherwise).
-  DeviceView(const std::string& device_id, std::span<const Stanza* const> stanzas,
-             const LintSource* source = nullptr);
   /// A view of facts built already, in order: a device timeline's
   /// (StanzaInterner::read), viewed as they are. `facts` must outlive
-  /// the view.
+  /// the view. `source`, if any, must hold one span and pragma set per
+  /// stanza (PreconditionError otherwise).
   DeviceView(const std::string& device_id, std::span<const StanzaFacts* const> facts,
              const LintSource* source = nullptr);
-  /// A view of `config`'s stanzas.
+  /// A view of `config`'s stanzas that builds each one's facts.
   explicit DeviceView(const DeviceConfig& config, const LintSource* source = nullptr);
 
   /// Number of stanzas; positions run from 0 to size() - 1.

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <functional>
+#include <iterator>
 #include <span>
 #include <sstream>
 #include <utility>
@@ -11,6 +12,52 @@
 #include "util/strings.hpp"
 
 namespace mpa {
+
+/// Records stanza spans and pragma ids into a LintSource, when a caller
+/// asked for one, as a walker reads the text.
+class LintSource::Recorder {
+ public:
+  /// Starts `source` (when not null) afresh.
+  explicit Recorder(LintSource* source) : source_(source) {
+    if (source_ != nullptr) *source_ = LintSource{};
+  }
+  bool on() const { return source_ != nullptr; }
+
+  /// A comment, stripped of the dialect's comment markers: a pragma's
+  /// ids go to the next stanza or to the whole device.
+  void comment(std::string_view body) {
+    if (source_ == nullptr) return;
+    std::vector<std::string> tokens = split_ws(body);
+    if (tokens.empty()) return;
+    const auto take = [&](std::vector<std::string>& ids) {
+      ids.insert(ids.end(), std::make_move_iterator(tokens.begin() + 1),
+                 std::make_move_iterator(tokens.end()));
+    };
+    if (tokens[0] == "lint-disable")
+      take(pending_);
+    else if (tokens[0] == "lint-disable-file")
+      take(source_->device_disabled_);
+  }
+  void open(int line) {
+    if (source_ != nullptr)
+      source_->stanzas_.push_back({{line, line}, std::exchange(pending_, {})});
+  }
+  /// The open stanza, always the last recorded, extends to `line`.
+  void extend(int line) {
+    if (source_ != nullptr) source_->stanzas_.back().span.last_line = line;
+  }
+  /// Called once the whole text is read: the stanza list keeps its
+  /// exact size, since a month-end source lives as long as its
+  /// network's timelines.
+  void finish() {
+    if (source_ != nullptr) source_->stanzas_.shrink_to_fit();
+  }
+
+ private:
+  LintSource* source_;
+  std::vector<std::string> pending_;  ///< lint-disable ids since the last header.
+};
+
 namespace {
 
 // Multi-word constructs must be listed longest-first so the parser
@@ -59,27 +106,6 @@ std::string render_ios(const DeviceConfig& c) {
   }
   return os.str();
 }
-
-/// Records stanza spans and comments into a SourceMap, when a caller
-/// asked for one, as a parser walks the text.
-struct SourceRecorder {
-  SourceMap* map;
-  std::vector<std::string> pending;  ///< Comments since the last header.
-
-  void comment(std::string_view text) {
-    const std::string_view body = trim(text);
-    if (map == nullptr || body.empty()) return;
-    map->all_comments.emplace_back(body);
-    pending.emplace_back(body);
-  }
-  void open(int line) {
-    if (map != nullptr) map->stanzas.push_back({line, line, std::exchange(pending, {})});
-  }
-  /// The open stanza, always the last recorded, extends to `line`.
-  void extend(int line) {
-    if (map != nullptr) map->stanzas.back().last_line = line;
-  }
-};
 
 /// One stanza block as a walker reads it: its header and option lines,
 /// trimmed and stripped of the dialect's punctuation.
@@ -147,7 +173,7 @@ bool junos_header(std::string_view raw) {
 }
 
 /// Called at a header line that starts at `header`, once the block
-/// before it is closed, when no source map is recorded. If the block
+/// before it is closed, when no source is recorded. If the block
 /// `sink` knows next starts here, ends in a newline, and is followed
 /// by a header line or the end of the text, hands that block on, moves
 /// `pos` past it and returns true. Walking those bytes would give the
@@ -155,7 +181,7 @@ bool junos_header(std::string_view raw) {
 /// are the ones that parsed under that state before (the newline keeps
 /// the last one from being a prefix of a longer line), and the header
 /// or end that follows closes the block where they end. The walker's
-/// line count falls behind, which only a source map would read.
+/// line count falls behind, which only a source would read.
 template <typename Sink, typename IsHeader>
 bool skip_known(std::string_view text, const char* header, std::size_t& pos, Sink& sink,
                 IsHeader is_header) {
@@ -173,7 +199,7 @@ bool skip_known(std::string_view text, const char* header, std::size_t& pos, Sin
   return true;
 }
 
-// The two line walkers. Each records spans and comments into `source`
+// The two line walkers. Each records spans and pragmas into `source`
 // (when not null), throws DataError on malformed text, and hands every
 // stanza block to `sink.block(lines, bytes)` as it closes. A header
 // line resets the walker's state in both dialects, so the stanza of a
@@ -181,8 +207,8 @@ bool skip_known(std::string_view text, const char* header, std::size_t& pos, Sin
 // a block the sink already knows is skipped whole (skip_known).
 
 template <typename Sink>
-void parse_ios(std::string_view text, SourceMap* source, Sink& sink) {
-  SourceRecorder rec{source, {}};
+void parse_ios(std::string_view text, LintSource* source, Sink& sink) {
+  LintSource::Recorder rec(source);
   OpenBlock block;
   bool in_stanza = false;
   int line_no = 0;
@@ -202,7 +228,7 @@ void parse_ios(std::string_view text, SourceMap* source, Sink& sink) {
       // line above, even when that line is blank.
       if (in_stanza) rec.extend(line_no - 1);
       block.close(raw.data(), sink);
-      if (source == nullptr && skip_known(text, raw.data(), pos, sink, ios_header)) {
+      if (!rec.on() && skip_known(text, raw.data(), pos, sink, ios_header)) {
         in_stanza = false;
         continue;
       }
@@ -217,6 +243,7 @@ void parse_ios(std::string_view text, SourceMap* source, Sink& sink) {
     }
   }
   if (in_stanza) rec.extend(line_no);
+  rec.finish();
   block.close(text.data() + text.size(), sink);
 }
 
@@ -238,8 +265,8 @@ std::string render_junos(const DeviceConfig& c) {
 }
 
 template <typename Sink>
-void parse_junos(std::string_view text, SourceMap* source, Sink& sink) {
-  SourceRecorder rec{source, {}};
+void parse_junos(std::string_view text, LintSource* source, Sink& sink) {
+  LintSource::Recorder rec(source);
   OpenBlock block;
   bool in_stanza = false;
   int line_no = 0;
@@ -263,7 +290,7 @@ void parse_junos(std::string_view text, SourceMap* source, Sink& sink) {
     if (line.back() == '{') {
       if (in_stanza) throw DataError("JunOS parse: nested block in " + block.type());
       block.close(raw.data(), sink);
-      if (source == nullptr && skip_known(text, raw.data(), pos, sink, junos_header)) continue;
+      if (!rec.on() && skip_known(text, raw.data(), pos, sink, junos_header)) continue;
       block.open(raw, trim(line.substr(0, line.size() - 1)));
       rec.open(line_no);
       in_stanza = true;
@@ -275,11 +302,12 @@ void parse_junos(std::string_view text, SourceMap* source, Sink& sink) {
     rec.extend(line_no);
   }
   if (in_stanza) throw DataError("JunOS parse: unterminated block " + block.type());
+  rec.finish();
   block.close(text.data() + text.size(), sink);
 }
 
 template <typename Sink>
-void walk(std::string_view text, Dialect d, SourceMap* source, Sink& sink) {
+void walk(std::string_view text, Dialect d, LintSource* source, Sink& sink) {
   if (d == Dialect::kIosLike)
     parse_ios(text, source, sink);
   else
@@ -287,7 +315,7 @@ void walk(std::string_view text, Dialect d, SourceMap* source, Sink& sink) {
 }
 
 DeviceConfig parse_config(std::string_view text, Dialect d, std::string device_id,
-                          SourceMap* source) {
+                          LintSource* source) {
   // Builds every block; it knows none to skip.
   struct Sink {
     DeviceConfig& config;
@@ -328,13 +356,29 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id) {
   return parse_config(text, d, std::move(device_id), nullptr);
 }
 
-DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, SourceMap& source) {
-  source = SourceMap{};
+DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, LintSource& source) {
   return parse_config(text, d, std::move(device_id), &source);
 }
 
-std::vector<const StanzaFacts*> StanzaInterner::read(std::string_view text, SourceMap& source) {
-  source = SourceMap{};
+LintSource LintSource::scan(std::string_view text, Dialect d) {
+  LintSource source;
+  parse(text, d, "", source);
+  return source;
+}
+
+SourceSpan LintSource::span_of(std::size_t stanza) const {
+  return stanza < stanzas_.size() ? stanzas_[stanza].span : SourceSpan{};
+}
+
+bool LintSource::suppresses(std::string_view rule_id, std::size_t stanza) const {
+  const auto names = [&](const std::vector<std::string>& ids) {
+    return std::ranges::any_of(
+        ids, [&](const std::string& id) { return id == rule_id || id == "all"; });
+  };
+  return names(device_disabled_) || (stanza < stanzas_.size() && names(stanzas_[stanza].disabled));
+}
+
+std::vector<const StanzaFacts*> StanzaInterner::read(std::string_view text, LintSource& source) {
   return intern(text, &source);
 }
 
@@ -356,7 +400,7 @@ void StanzaInterner::retain(std::vector<const StanzaFacts*> keep) {
       b->bytes = std::string();
 }
 
-std::vector<const StanzaFacts*> StanzaInterner::intern(std::string_view text, SourceMap* source) {
+std::vector<const StanzaFacts*> StanzaInterner::intern(std::string_view text, LintSource* source) {
   // Blocks mostly keep their order, so the one after the last reuse is
   // tried first (and is the one a walker may skip to), then the rest.
   // No block is reused twice within a snapshot: each copy of a

@@ -37,31 +37,68 @@ Dialect dialect_of(Vendor v);
 /// (everything the simulator generates does).
 std::string render(const DeviceConfig& config, Dialect d);
 
-/// Where one parsed stanza sits in its text. SourceMap::stanzas runs
-/// parallel to DeviceConfig::stanzas(), which holds the type and name.
-/// This is what lets the lint engine point diagnostics at real lines of
-/// the rendered config and honor suppression pragmas.
-struct SourceStanza {
-  int first_line = 0;  ///< 1-based line of the stanza header.
-  /// 1-based line that ends the stanza: its "!" or "}" terminator; else
-  /// the line before the next header (blank or not); else, for a stanza
-  /// still open at the end of the text, the last line, counting the
-  /// empty line after a final newline.
+/// 1-based line range in the rendered dialect text; {0, 0} when the
+/// finding was produced without source text.
+struct SourceSpan {
+  int first_line = 0;
   int last_line = 0;
-  /// Comments since the previous header, stripped of the dialect's
-  /// comment markers and trimmed.
-  std::vector<std::string> leading_comments;
+  bool resolved() const { return first_line > 0; }
 
-  friend bool operator==(const SourceStanza&, const SourceStanza&) = default;
+  friend bool operator==(const SourceSpan&, const SourceSpan&) = default;
 };
 
-struct SourceMap {
-  std::vector<SourceStanza> stanzas;
-  /// Every comment in the file (stripped + trimmed), wherever it sits;
-  /// file-scope lint pragmas are fished out of these.
-  std::vector<std::string> all_comments;
+/// Per-device source info, filled by the line walker that parses the
+/// text: each stanza's span and the ids its suppression pragmas name,
+/// in stanza order (parallel to the stanzas() of the config parsed from
+/// the same text), plus the device-wide ids. No comment text is kept.
+/// The pragmas are comments, so they survive parse()/render() round
+/// trips untouched:
+///
+///   IOS-like    ! lint-disable <rule-id> [<rule-id>...]     (next stanza)
+///               ! lint-disable-file <rule-id> [...]         (whole device)
+///   JunOS-like  /* lint-disable <rule-id> [...] */          (next block)
+///               /* lint-disable-file <rule-id> [...] */     (whole device)
+///
+/// A stanza takes the lint-disable ids of every comment since the
+/// previous header; the rule id "all" suppresses every rule.
+class LintSource {
+ public:
+  /// Parse `text` and keep only its source info. Throws DataError on
+  /// text that parse() rejects; prefer parse(..., LintSource&) when the
+  /// config is wanted too, so the text is read once.
+  static LintSource scan(std::string_view text, Dialect d);
 
-  friend bool operator==(const SourceMap&, const SourceMap&) = default;
+  /// Number of stanzas described.
+  std::size_t size() const { return stanzas_.size(); }
+
+  /// Span of the stanza at this position of the parsed config; {} for a
+  /// position past the last stanza.
+  SourceSpan span_of(std::size_t stanza) const;
+
+  /// True if `rule_id` is suppressed device-wide, or by a pragma on the
+  /// stanza at this position. A position past the last stanza (npos by
+  /// default) asks about device scope only.
+  bool suppresses(std::string_view rule_id, std::size_t stanza = npos) const;
+  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
+
+  /// How a walker fills a source as it reads the text (dialect.cpp).
+  class Recorder;
+
+  friend bool operator==(const LintSource&, const LintSource&) = default;
+
+ private:
+  struct Entry {
+    /// From the header to the "!" or "}" terminator; else to the line
+    /// before the next header (blank or not); else, for a stanza still
+    /// open at the end of the text, to the last line, counting the
+    /// empty line after a final newline.
+    SourceSpan span;
+    std::vector<std::string> disabled;  ///< lint-disable ids since the previous header.
+
+    friend bool operator==(const Entry&, const Entry&) = default;
+  };
+  std::vector<Entry> stanzas_;  ///< Exactly one per stanza, no spare capacity.
+  std::vector<std::string> device_disabled_;  ///< lint-disable-file ids.
 };
 
 /// Parse dialect text into a DeviceConfig. Unknown stanza types and
@@ -70,8 +107,8 @@ struct SourceMap {
 DeviceConfig parse(std::string_view text, Dialect d, std::string device_id);
 
 /// parse() that also fills `source` (replacing its contents) with the
-/// stanza spans and comments, in the same pass over the text.
-DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, SourceMap& source);
+/// stanza spans and pragmas, in the same pass over the text.
+DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, LintSource& source);
 
 /// Parses the successive snapshots of one device, each distinct stanza
 /// block once. A block is the text from a stanza header line up to the
@@ -83,13 +120,13 @@ DeviceConfig parse(std::string_view text, Dialect d, std::string device_id, Sour
 ///
 /// Reuse is sound because a header line resets the walker's state in
 /// both dialects: the stanza a block yields depends on its bytes alone.
-/// With a SourceMap asked for, every line is still walked by the walker
-/// parse() uses, so the map and every DataError are exactly parse()'s.
+/// With a source asked for, every line is still walked by the walker
+/// parse() uses, so the source and every DataError are exactly parse()'s.
 /// Without one, the walker skips, unwalked, a block that starts at a
 /// header line when its bytes are the previous snapshot's next unreused
 /// block, end in a newline, and are followed by a header line or the
 /// end of the text: those lines parsed before under the same state, and
-/// line numbers, which the skip loses, feed only the source map.
+/// line numbers, which the skip loses, feed only the source.
 class StanzaInterner {
  public:
   explicit StanzaInterner(Dialect d) : dialect_(d) {}
@@ -103,8 +140,8 @@ class StanzaInterner {
   /// block; no handle repeats within a snapshot. Fills `source` as parse() does, and throws DataError
   /// where it does; the next call then reuses blocks of the last
   /// snapshot that parsed, and the counts below leave the failed one out.
-  std::vector<const StanzaFacts*> read(std::string_view text, SourceMap& source);
-  /// read() without a source map, skipping known blocks (above).
+  std::vector<const StanzaFacts*> read(std::string_view text, LintSource& source);
+  /// read() without a source, skipping known blocks (above).
   std::vector<const StanzaFacts*> read(std::string_view text);
 
   /// Frees every block that neither a handle in `keep` nor the last
@@ -125,7 +162,7 @@ class StanzaInterner {
     std::string bytes;
   };
 
-  std::vector<const StanzaFacts*> intern(std::string_view text, SourceMap* source);
+  std::vector<const StanzaFacts*> intern(std::string_view text, LintSource* source);
 
   Dialect dialect_;
   std::vector<std::unique_ptr<Block>> blocks_;  ///< Each distinct block once.

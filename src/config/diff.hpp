@@ -43,12 +43,8 @@ struct StanzaChange {
 std::vector<StanzaChange> diff(std::span<const StanzaFacts* const> before,
                                std::span<const StanzaFacts* const> after);
 
-/// diff() over stanza handles: the same core, which hashes each key once
-/// per call and builds facts only for an updated stanza.
-std::vector<StanzaChange> diff(std::span<const Stanza* const> before,
-                               std::span<const Stanza* const> after);
-
-/// diff() over two configs' stanzas.
+/// diff() over two configs: builds every stanza's facts, then runs the
+/// same core.
 std::vector<StanzaChange> diff(const DeviceConfig& before, const DeviceConfig& after);
 
 }  // namespace mpa

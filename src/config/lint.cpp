@@ -1,29 +1,14 @@
-// Lint engine core: source resolution, the sink, and the run driver.
+// Lint engine core: the network view, the sink, and the run driver.
 // The rules themselves live in lint_rules.cpp.
 #include "config/lint.hpp"
 
 #include <algorithm>
+#include <set>
 #include <utility>
 
 #include "util/error.hpp"
-#include "util/strings.hpp"
 
 namespace mpa {
-namespace {
-
-/// Rule ids named by a pragma comment ("lint-disable a b" -> {a, b}),
-/// or nothing when the comment is not a pragma of the given kind.
-std::vector<std::string> pragma_ids(std::string_view comment, std::string_view keyword) {
-  const auto tokens = split_ws(comment);
-  if (tokens.empty() || tokens[0] != keyword) return {};
-  return {tokens.begin() + 1, tokens.end()};
-}
-
-bool disabled_in(const std::set<std::string, std::less<>>& set, std::string_view rule_id) {
-  return set.count(rule_id) > 0 || set.count("all") > 0;
-}
-
-}  // namespace
 
 // ---------------------------------------------------------------- taxonomy
 
@@ -52,36 +37,6 @@ std::optional<LintSeverity> parse_severity(std::string_view s) {
   if (s == "warning") return LintSeverity::kWarning;
   if (s == "error") return LintSeverity::kError;
   return std::nullopt;
-}
-
-// ------------------------------------------------------- source resolution
-
-LintSource::LintSource(const SourceMap& map) {
-  for (const auto& comment : map.all_comments)
-    for (auto& id : pragma_ids(comment, "lint-disable-file"))
-      device_disabled_.insert(std::move(id));
-  stanzas_.reserve(map.stanzas.size());
-  for (const SourceStanza& src : map.stanzas) {
-    Entry& e = stanzas_.emplace_back();
-    e.span = SourceSpan{src.first_line, src.last_line};
-    for (const auto& comment : src.leading_comments)
-      for (auto& id : pragma_ids(comment, "lint-disable")) e.disabled.insert(std::move(id));
-  }
-}
-
-LintSource LintSource::scan(std::string_view text, Dialect d) {
-  SourceMap map;
-  parse(text, d, "", map);
-  return LintSource(map);
-}
-
-SourceSpan LintSource::span_of(std::size_t stanza) const {
-  return stanza < stanzas_.size() ? stanzas_[stanza].span : SourceSpan{};
-}
-
-bool LintSource::suppresses(std::string_view rule_id, std::size_t stanza) const {
-  return disabled_in(device_disabled_, rule_id) ||
-         (stanza < stanzas_.size() && disabled_in(stanzas_[stanza].disabled, rule_id));
 }
 
 // ------------------------------------------------------------------ rules
@@ -243,10 +198,8 @@ std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network
   std::vector<LintSource> sources(network.size());
   std::vector<DeviceView> views;
   views.reserve(network.size());
-  SourceMap map;
   for (std::size_t i = 0; i < network.size(); ++i) {
-    configs[i] = parse(network[i].text, network[i].dialect, network[i].device_id, map);
-    sources[i] = LintSource(map);
+    configs[i] = parse(network[i].text, network[i].dialect, network[i].device_id, sources[i]);
     views.emplace_back(configs[i], &sources[i]);
   }
   return run_lint(views, opts);

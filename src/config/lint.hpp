@@ -14,15 +14,8 @@
 //
 // Diagnostics carry source spans resolved against the rendered dialect
 // text (both IOS-like and JunOS-like flavours), and rules can be
-// suppressed per stanza or per device with comment pragmas:
-//
-//   IOS-like    ! lint-disable <rule-id> [<rule-id>...]     (next stanza)
-//               ! lint-disable-file <rule-id> [...]         (whole device)
-//   JunOS-like  /* lint-disable <rule-id> [...] */          (next block)
-//               /* lint-disable-file <rule-id> [...] */     (whole device)
-//
-// The rule id "all" suppresses every rule. Pragmas live in comments,
-// so they survive parse()/render() round trips untouched.
+// suppressed per stanza or per device with comment pragmas, which the
+// dialect walkers read into each device's LintSource (dialect.hpp).
 //
 // Downstream, findings become per-(network, month) hygiene metrics in
 // the case table (metrics/lint_metrics.hpp), a memoized session
@@ -33,7 +26,6 @@
 #include <array>
 #include <memory>
 #include <optional>
-#include <set>
 #include <string>
 #include <vector>
 
@@ -64,16 +56,6 @@ std::optional<LintSeverity> parse_severity(std::string_view s);
 
 // ------------------------------------------------------------- diagnostics
 
-/// 1-based line range in the rendered dialect text; {0, 0} when the
-/// finding was produced without source text.
-struct SourceSpan {
-  int first_line = 0;
-  int last_line = 0;
-  bool resolved() const { return first_line > 0; }
-
-  friend bool operator==(const SourceSpan&, const SourceSpan&) = default;
-};
-
 struct Diagnostic {
   std::string rule_id;
   LintSeverity severity{};
@@ -98,44 +80,6 @@ struct LintSummary {
   static LintSummary of(const std::vector<Diagnostic>& diags, std::size_t num_devices);
 
   friend bool operator==(const LintSummary&, const LintSummary&) = default;
-};
-
-// ------------------------------------------------------- source resolution
-
-/// Per-device source info extracted from dialect text: stanza spans and
-/// suppression pragmas, in stanza order — parallel to the stanzas() of
-/// the config parsed from the same text, as SourceMap is. Build once
-/// per snapshot and reuse across lint runs.
-class LintSource {
- public:
-  LintSource() = default;
-  /// Index the source map that parse() recorded.
-  explicit LintSource(const SourceMap& map);
-  /// Parse `text` and keep only its source info. Throws DataError on
-  /// text that parse() rejects; prefer the constructor when the config
-  /// is wanted too, so the text is read once.
-  static LintSource scan(std::string_view text, Dialect d);
-
-  /// Number of stanzas described.
-  std::size_t size() const { return stanzas_.size(); }
-
-  /// Span of the stanza at this position of the parsed config; {} for a
-  /// position past the last stanza.
-  SourceSpan span_of(std::size_t stanza) const;
-
-  /// True if `rule_id` is suppressed device-wide, or by a pragma on the
-  /// stanza at this position. A position past the last stanza (npos by
-  /// default) asks about device scope only.
-  bool suppresses(std::string_view rule_id, std::size_t stanza = npos) const;
-  static constexpr std::size_t npos = static_cast<std::size_t>(-1);
-
- private:
-  struct Entry {
-    SourceSpan span;
-    std::set<std::string, std::less<>> disabled;
-  };
-  std::vector<Entry> stanzas_;
-  std::set<std::string, std::less<>> device_disabled_;
 };
 
 // ------------------------------------------------------------------ rules

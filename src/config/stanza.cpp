@@ -99,19 +99,13 @@ bool DeviceConfig::remove(std::string_view type, std::string_view name) {
   return false;
 }
 
-std::vector<const Stanza*> handles_of(const DeviceConfig& config) {
-  std::vector<const Stanza*> out;
-  out.reserve(config.stanzas().size());
-  for (const auto& s : config.stanzas()) out.push_back(&s);
-  return out;
-}
-
 StanzaFacts facts_of(const Stanza& s) {
   StanzaFacts f;
   f.stanza = &s;
   f.type = normalize_type(s.type);
   f.construct = constructs_of(s.type);
-  f.key_hash = key_hash_of(s);
+  const std::hash<std::string_view> hash;
+  f.key_hash = hash(s.name) * 31 + hash(s.type);
   f.options.reserve(s.options.size());
   for (const Option& o : s.options) {
     const std::string_view key = o.key;
@@ -159,9 +153,11 @@ StanzaFacts facts_of(const Stanza& s) {
   return f;
 }
 
-std::size_t key_hash_of(const Stanza& s) {
-  const std::hash<std::string_view> hash;
-  return hash(s.name) * 31 + hash(s.type);
+std::vector<StanzaFacts> facts_of(const DeviceConfig& config) {
+  std::vector<StanzaFacts> out;
+  out.reserve(config.stanzas().size());
+  for (const Stanza& s : config.stanzas()) out.push_back(facts_of(s));
+  return out;
 }
 
 }  // namespace mpa

@@ -79,9 +79,6 @@ class DeviceConfig {
   std::vector<Stanza> stanzas_;
 };
 
-/// The stanzas of `config`, in order, as handles.
-std::vector<const Stanza*> handles_of(const DeviceConfig& config);
-
 /// One option of a stanza, viewed in place.
 struct OptionView {
   std::string_view key;
@@ -160,7 +157,8 @@ struct StanzaFacts {
 /// The facts of `s`, which must outlive them unchanged.
 StanzaFacts facts_of(const Stanza& s);
 
-/// The hash of `s`'s (native type, name) key: StanzaFacts::key_hash.
-std::size_t key_hash_of(const Stanza& s);
+/// The facts of `config`'s stanzas, in order; `config` must outlive
+/// them unchanged.
+std::vector<StanzaFacts> facts_of(const DeviceConfig& config);
 
 }  // namespace mpa

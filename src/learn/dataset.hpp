@@ -47,6 +47,8 @@ class FeatureMatrix {
 
   std::size_t size() const { return rows_; }
   bool empty() const { return rows_ == 0; }
+  /// Every row's values, one row after another.
+  std::span<const int> values() const { return row_major_; }
   /// Features per row (0 until the first push_back).
   std::size_t width() const { return width_; }
   void reserve(std::size_t rows) { row_major_.reserve(rows * width_); }

@@ -29,7 +29,9 @@ struct TreeOptions {
 
 class DecisionTree {
  public:
-  /// Learn a tree from weighted examples. Requires a non-empty dataset.
+  /// Learn a tree from weighted examples. Requires a non-empty dataset
+  /// with a bin per feature name in every row, bins in
+  /// [0, feature_bins) and labels in [0, num_classes).
   /// When `row_labels` is given, it receives each training row's leaf
   /// label, which is predict(data.x[i]).
   static DecisionTree fit(const Dataset& data, const TreeOptions& opts = {},

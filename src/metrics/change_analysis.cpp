@@ -17,33 +17,36 @@ bool ChangeRecord::touches_type(std::string_view agnostic_type) const {
   return false;
 }
 
+void append_changes(const DeviceRecord& device, std::span<const ConfigSnapshot> snaps,
+                    std::span<const std::vector<const StanzaFacts*>> stanzas,
+                    const AutomationClassifier& is_automated, std::vector<ChangeRecord>& out) {
+  for (std::size_t i = 1; i < stanzas.size(); ++i) {
+    auto stanza_changes = diff(stanzas[i - 1], stanzas[i]);
+    if (stanza_changes.empty()) continue;
+    ChangeRecord cr;
+    cr.device_id = device.device_id;
+    cr.network_id = device.network_id;
+    cr.time = snaps[i].time;
+    cr.login = snaps[i].login;
+    cr.automated = is_automated(snaps[i].login);
+    cr.stanza_changes = std::move(stanza_changes);
+    out.push_back(std::move(cr));
+  }
+}
+
 std::vector<ChangeRecord> extract_changes(const Inventory& inventory,
-                                          const SnapshotStore& snapshots,
-                                          const AutomationClassifier& is_automated) {
+                                          const SnapshotStore& snapshots) {
   std::vector<ChangeRecord> out;
+  std::vector<std::vector<const StanzaFacts*>> stanzas;
   for (const auto& device_id : snapshots.devices()) {
     const DeviceRecord* rec = inventory.find_device(device_id);
     if (rec == nullptr) continue;  // device absent from inventory: skip
-    const Dialect dialect = dialect_of(rec->vendor);
     const auto& snaps = snapshots.for_device(device_id);
     if (snaps.size() < 2) continue;
-
-    DeviceConfig prev = parse(snaps[0].text, dialect, device_id);
-    for (std::size_t i = 1; i < snaps.size(); ++i) {
-      DeviceConfig cur = parse(snaps[i].text, dialect, device_id);
-      auto changes = diff(prev, cur);
-      if (!changes.empty()) {
-        ChangeRecord cr;
-        cr.device_id = device_id;
-        cr.network_id = rec->network_id;
-        cr.time = snaps[i].time;
-        cr.login = snaps[i].login;
-        cr.automated = is_automated(snaps[i].login);
-        cr.stanza_changes = std::move(changes);
-        out.push_back(std::move(cr));
-      }
-      prev = std::move(cur);
-    }
+    StanzaInterner interner(dialect_of(rec->vendor));
+    stanzas.clear();
+    for (const auto& snap : snaps) stanzas.push_back(interner.read(snap.text));
+    append_changes(*rec, snaps, stanzas, default_automation_classifier, out);
   }
   std::sort(out.begin(), out.end(), [](const ChangeRecord& a, const ChangeRecord& b) {
     if (a.network_id != b.network_id) return a.network_id < b.network_id;

@@ -15,6 +15,7 @@
 #include <functional>
 #include <map>
 #include <set>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,13 +49,23 @@ struct ChangeRecord {
   bool touches_type(std::string_view agnostic_type) const;
 };
 
+/// Appends to `out` one ChangeRecord for each snapshot of `device` after
+/// the first whose stanzas differ from the snapshot before it, in
+/// snapshot order: `stanzas[i]` holds the facts of `snaps[i]`'s stanzas,
+/// as a StanzaInterner reads them, and `is_automated` classifies the
+/// login that made the change.
+void append_changes(const DeviceRecord& device, std::span<const ConfigSnapshot> snaps,
+                    std::span<const std::vector<const StanzaFacts*>> stanzas,
+                    const AutomationClassifier& is_automated, std::vector<ChangeRecord>& out);
+
 /// Recover all changes across the organization by diffing successive
-/// snapshots of every device. Devices missing from the inventory are
-/// skipped (inconsistent logging happens; the paper's data is "indirect
-/// and noisy"). Output is ordered by (network, time).
-std::vector<ChangeRecord> extract_changes(
-    const Inventory& inventory, const SnapshotStore& snapshots,
-    const AutomationClassifier& is_automated = default_automation_classifier);
+/// snapshots of every device, each read through a StanzaInterner; logins
+/// are classified by default_automation_classifier. Devices missing from
+/// the inventory are skipped (inconsistent logging happens; the paper's
+/// data is "indirect and noisy"). Output is ordered by (network, time).
+/// Throws DataError on a snapshot that parse() rejects.
+std::vector<ChangeRecord> extract_changes(const Inventory& inventory,
+                                          const SnapshotStore& snapshots);
 
 /// A grouped change event within one network.
 struct ChangeEvent {

@@ -116,31 +116,15 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
     }
     tl.stanzas.reserve(tl.times.size());
     tl.sources.resize(tl.times.size());
-    SourceMap map;
     for (std::size_t i = 0; i < tl.times.size(); ++i) {
       const std::string_view text = snaps[begin + i].text;
-      if (!ends_month[i]) {
-        tl.stanzas.push_back(tl.interner.read(text));
-        continue;
-      }
-      tl.stanzas.push_back(tl.interner.read(text, map));
-      tl.sources[i] = LintSource(map);
+      tl.stanzas.push_back(ends_month[i] ? tl.interner.read(text, tl.sources[i])
+                                         : tl.interner.read(text));
     }
     blocks += tl.interner.blocks();
     reused += tl.interner.reused();
     clock.lap(LayerClock::kIntern);
-    for (std::size_t i = 1; i < tl.stanzas.size(); ++i) {
-      auto stanza_changes = diff(tl.stanzas[i - 1], tl.stanzas[i]);
-      if (stanza_changes.empty()) continue;
-      ChangeRecord cr;
-      cr.device_id = d->device_id;
-      cr.network_id = net.network_id;
-      cr.time = snaps[begin + i].time;
-      cr.login = snaps[begin + i].login;
-      cr.automated = opts.automation(snaps[begin + i].login);
-      cr.stanza_changes = std::move(stanza_changes);
-      changes.push_back(std::move(cr));
-    }
+    append_changes(*d, std::span(snaps).subspan(begin), tl.stanzas, opts.automation, changes);
     clock.lap(LayerClock::kDiff);
     // Only the month-end snapshots are read from here on: free the
     // blocks no other snapshot needs any more.

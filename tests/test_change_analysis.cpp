@@ -1,8 +1,18 @@
 // Tests for change extraction, event grouping, and operational metrics.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <optional>
+#include <string>
+#include <string_view>
+#include <vector>
+
 #include "config/dialect.hpp"
 #include "metrics/change_analysis.hpp"
+#include "mutation.hpp"
+#include "simulation/osp_generator.hpp"
+#include "util/error.hpp"
+#include "util/rng.hpp"
 
 namespace mpa {
 namespace {
@@ -57,6 +67,128 @@ TEST(ExtractChanges, SkipsUnknownDevices) {
   store.add(ConfigSnapshot{"ghost", 0, "a", ios_config("a")});
   store.add(ConfigSnapshot{"ghost", 10, "a", ios_config("b")});
   EXPECT_TRUE(extract_changes(inv, store).empty());
+}
+
+/// The change stream as parse() and diff() over configs give it: each
+/// device's snapshots parsed in full and each consecutive pair of
+/// configs diffed, ordered by (network, time, device).
+std::vector<ChangeRecord> parsed_diff_changes(const Inventory& inventory,
+                                              const SnapshotStore& snapshots) {
+  std::vector<ChangeRecord> out;
+  for (const auto& device_id : snapshots.devices()) {
+    const DeviceRecord* rec = inventory.find_device(device_id);
+    if (rec == nullptr) continue;
+    const auto& snaps = snapshots.for_device(device_id);
+    if (snaps.size() < 2) continue;
+    const Dialect dialect = dialect_of(rec->vendor);
+    DeviceConfig prev = parse(snaps[0].text, dialect, device_id);
+    for (std::size_t i = 1; i < snaps.size(); ++i) {
+      DeviceConfig cur = parse(snaps[i].text, dialect, device_id);
+      auto changes = diff(prev, cur);
+      if (!changes.empty()) {
+        ChangeRecord& cr = out.emplace_back();
+        cr.device_id = device_id;
+        cr.network_id = rec->network_id;
+        cr.time = snaps[i].time;
+        cr.login = snaps[i].login;
+        cr.automated = default_automation_classifier(snaps[i].login);
+        cr.stanza_changes = std::move(changes);
+      }
+      prev = std::move(cur);
+    }
+  }
+  std::sort(out.begin(), out.end(), [](const ChangeRecord& a, const ChangeRecord& b) {
+    if (a.network_id != b.network_id) return a.network_id < b.network_id;
+    if (a.time != b.time) return a.time < b.time;
+    return a.device_id < b.device_id;
+  });
+  return out;
+}
+
+/// extract_changes() equals parsed_diff_changes() record by record and
+/// field by field, or both throw DataError with the same message.
+/// Returns the records compared, or nothing when both threw.
+std::optional<std::size_t> expect_stream_equals_parsed_diff(const Inventory& inventory,
+                                             const SnapshotStore& snapshots) {
+  std::vector<ChangeRecord> want;
+  std::string error;
+  try {
+    want = parsed_diff_changes(inventory, snapshots);
+  } catch (const DataError& e) {
+    error = e.what();
+  }
+  std::vector<ChangeRecord> got;
+  try {
+    got = extract_changes(inventory, snapshots);
+  } catch (const DataError& e) {
+    EXPECT_EQ(e.what(), error);
+    return std::nullopt;
+  }
+  EXPECT_EQ(error, "");
+  EXPECT_EQ(got.size(), want.size());
+  for (std::size_t i = 0; i < std::min(got.size(), want.size()); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    const ChangeRecord& g = got[i];
+    const ChangeRecord& w = want[i];
+    EXPECT_EQ(g.device_id, w.device_id);
+    EXPECT_EQ(g.network_id, w.network_id);
+    EXPECT_EQ(g.time, w.time);
+    EXPECT_EQ(g.login, w.login);
+    EXPECT_EQ(g.automated, w.automated);
+    EXPECT_EQ(g.stanza_changes.size(), w.stanza_changes.size());
+    for (std::size_t k = 0; k < std::min(g.stanza_changes.size(), w.stanza_changes.size()); ++k) {
+      SCOPED_TRACE("stanza change " + std::to_string(k));
+      const StanzaChange& gc = g.stanza_changes[k];
+      const StanzaChange& wc = w.stanza_changes[k];
+      EXPECT_EQ(gc.native_type, wc.native_type);
+      EXPECT_EQ(gc.agnostic_type, wc.agnostic_type);
+      EXPECT_EQ(gc.name, wc.name);
+      EXPECT_EQ(gc.kind, wc.kind);
+      EXPECT_EQ(gc.options_touched, wc.options_touched);
+    }
+  }
+  return got.size();
+}
+
+// The change stream read through an interner per device equals the one
+// parse() and diff() over configs give: on the pinned 8 x 4, seed-3
+// dataset, and on mutant copies of its network timelines, where a
+// snapshot parse() rejects must fail both with the same DataError.
+TEST(ExtractChanges, InternedStreamEqualsParsedDiff) {
+  constexpr int kMutantNetworks = 24;
+  OspOptions gen;
+  gen.num_networks = 8;
+  gen.num_months = 4;
+  gen.seed = 3;
+  const OspDataset data = generate_osp(gen);
+  EXPECT_GT(expect_stream_equals_parsed_diff(data.inventory, data.snapshots).value_or(0), 100u);
+
+  const auto& networks = data.inventory.networks();
+  Rng rng(fuzz_seed(25));
+  const auto pick = [&](std::size_t n) {
+    return static_cast<std::size_t>(rng.uniform_int(0, static_cast<std::int64_t>(n) - 1));
+  };
+  std::size_t compared = 0, rejected = 0;
+  for (int n = 0; n < kMutantNetworks; ++n) {
+    const NetworkRecord& net = networks[pick(networks.size())];
+    SCOPED_TRACE("mutant network " + std::to_string(n) + " (" + net.network_id + ")");
+    SnapshotStore store;
+    for (const auto* d : data.inventory.devices_in(net.network_id)) {
+      std::vector<ConfigSnapshot> snaps = data.snapshots.for_device(d->device_id);
+      if (!snaps.empty() && rng.uniform_int(0, 2) == 0) {
+        ConfigSnapshot& at = snaps[pick(snaps.size())];
+        at.text = mutate(std::string(std::string_view(at.text)),
+                         std::string(std::string_view(snaps[pick(snaps.size())].text)), rng);
+      }
+      for (auto& snap : snaps) store.add(std::move(snap));
+    }
+    if (const auto records = expect_stream_equals_parsed_diff(data.inventory, store))
+      compared += *records;
+    else
+      ++rejected;
+  }
+  EXPECT_GT(compared, 100u);
+  EXPECT_GT(rejected, 0u);
 }
 
 std::vector<ChangeRecord> records_at(const std::vector<Timestamp>& times) {

@@ -176,6 +176,27 @@ TEST(DecisionTree, FormatRuleReadable) {
 
 TEST(DecisionTree, RejectsEmptyAndUnfitted) {
   EXPECT_THROW(DecisionTree::fit(Dataset{}), PreconditionError);
+  // A stray bin or label, or a row without a bin for every feature
+  // name, would index past fit's buffers.
+  Dataset d;
+  d.feature_names = {"f0", "f1"};
+  d.x = {{0, 4}, {4, 0}, {1, 2}};
+  d.y = {0, 1, 1};
+  d.w = {1, 1, 1};
+  EXPECT_NO_THROW(DecisionTree::fit(d));
+  for (const int stray : {-1, d.feature_bins}) {
+    Dataset bad = d;
+    bad.x = {{0, 4}, {4, stray}, {1, 2}};
+    EXPECT_THROW(DecisionTree::fit(bad), PreconditionError) << "bin " << stray;
+  }
+  for (const int stray : {-1, d.num_classes}) {
+    Dataset bad = d;
+    bad.y[2] = stray;
+    EXPECT_THROW(DecisionTree::fit(bad), PreconditionError) << "label " << stray;
+  }
+  Dataset narrow = d;
+  narrow.feature_names.push_back("f2");
+  EXPECT_THROW(DecisionTree::fit(narrow), PreconditionError);
   const DecisionTree t;
   EXPECT_THROW(t.predict(std::vector<int>{0}), PreconditionError);
 }

@@ -79,9 +79,8 @@ TEST(DeviceView, PairsOnlyWithSourceOfTheSameStanzaCount) {
       "vlan 10\n"
       "!\n";
   const std::string three = two + "udld\n!\n";
-  SourceMap map;
-  const DeviceConfig config = parse(two, Dialect::kIosLike, "dev", map);
-  const LintSource same(map);
+  LintSource same;
+  const DeviceConfig config = parse(two, Dialect::kIosLike, "dev", same);
   const LintSource longer = LintSource::scan(three, Dialect::kIosLike);
   const LintSource none;
   EXPECT_NO_THROW({ const DeviceView paired(config, &same); });
@@ -121,9 +120,8 @@ TEST(DeviceView, KeptWrappersMatchTheViewPathOnPinnedDataset) {
           return s.time < month_start(m + 1);
         });
         if (end == snaps.begin()) continue;
-        SourceMap map;
-        configs.push_back(parse(std::prev(end)->text, dialect_of(d->vendor), d->device_id, map));
-        sources.emplace_back(map);
+        configs.push_back(parse(std::prev(end)->text, dialect_of(d->vendor), d->device_id,
+                                sources.emplace_back()));
       }
       std::vector<LintInput> inputs;
       std::vector<DeviceView> views;

@@ -250,11 +250,11 @@ std::string describe(const std::vector<StanzaChange>& changes) {
   return out;
 }
 
-/// What parse() makes of one snapshot: the config and source map, or
-/// the DataError message.
+/// What parse() makes of one snapshot: the config and source, or the
+/// DataError message.
 struct Parsed {
   std::optional<DeviceConfig> config;
-  SourceMap source;
+  LintSource source;
   std::string error;
 };
 
@@ -270,9 +270,9 @@ Parsed parse_one(const std::string& text, Dialect d) {
 
 /// Runs `texts` through one interner and checks each snapshot against
 /// parse(): the same stanzas by value (no facts handle repeated), the
-/// same source map where one is asked for, and the same diff from the
+/// same source where one is asked for, and the same diff from the
 /// last snapshot that parsed; or a DataError with the same message.
-/// Snapshot i is read with a source map when `sourced` is empty or
+/// Snapshot i is read with a source when `sourced` is empty or
 /// sourced[i] is set. Returns the snapshots parsed.
 std::size_t expect_interned_matches_parse(const Timeline& tl, StanzaInterner& interner,
                                           const std::vector<bool>& sourced = {}) {
@@ -283,7 +283,7 @@ std::size_t expect_interned_matches_parse(const Timeline& tl, StanzaInterner& in
     SCOPED_TRACE("snapshot " + std::to_string(i));
     const Parsed want = parse_one(tl.texts[i], tl.dialect);
     const bool with_source = sourced.empty() || sourced[i];
-    SourceMap source;
+    LintSource source;
     std::vector<const StanzaFacts*> facts;
     try {
       facts = with_source ? interner.read(tl.texts[i], source) : interner.read(tl.texts[i]);
@@ -334,7 +334,7 @@ TEST(StanzaInterner, MatchesParseOnPinnedDataset) {
   EXPECT_GT(reused, blocks / 2);
 }
 
-// Without a source map the interner skips a block it knows only when
+// Without a source the interner skips a block it knows only when
 // the block ends in a newline: a last block without one is a prefix of
 // a longer line here, and skipping it would read the rest of that line
 // ("ion2") as a header.
@@ -461,7 +461,7 @@ TEST(DialectMutation, InternedFactsAgreeWithParsedConfigs) {
     Timestamp time = 0;
     std::vector<const StanzaFacts*> facts;
     std::optional<DeviceConfig> config;
-    std::optional<LintSource> source;  ///< Set when read with a source map.
+    std::optional<LintSource> source;  ///< Set when read with a source.
   };
   std::size_t snapshots = 0, rejected = 0, month_ends = 0;
   for (int n = 0; n < kMutantNetworks; ++n) {
@@ -486,9 +486,9 @@ TEST(DialectMutation, InternedFactsAgreeWithParsedConfigs) {
         r.time = snaps[i].time;
         const bool with_source = rng.uniform_int(0, 1) == 0;
         const Parsed want = parse_one(texts[i], dialect);
-        SourceMap map;
+        LintSource source;
         try {
-          r.facts = with_source ? interner.read(texts[i], map) : interner.read(texts[i]);
+          r.facts = with_source ? interner.read(texts[i], source) : interner.read(texts[i]);
         } catch (const DataError&) {
           ++rejected;
           continue;
@@ -497,7 +497,7 @@ TEST(DialectMutation, InternedFactsAgreeWithParsedConfigs) {
         ++snapshots;
         r.config = want.config;
         r.config->set_device_id(devices[d]->device_id);
-        if (with_source) r.source.emplace(map);
+        if (with_source) r.source.emplace(std::move(source));
         const auto& stanzas = r.config->stanzas();
         ASSERT_EQ(r.facts.size(), stanzas.size());
         for (std::size_t k = 0; k < stanzas.size(); ++k) {

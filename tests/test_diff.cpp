@@ -1,6 +1,7 @@
 // Tests for stanza-level config diffing.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -116,7 +117,7 @@ TEST(Diff, SameNameDifferentTypeIsAddPlusRemove) {
 
 // ---------------------------------------------------------- handle core
 //
-// Each case diffs two stanza handle lists that share handles, as two
+// Each case diffs two facts handle lists that share handles, as two
 // snapshots of one interned device timeline do, and the configs holding
 // the same stanzas by value. Both must give the output pinned here,
 // which is what diff() gave before it had a handle core.
@@ -146,7 +147,16 @@ std::string describe(const std::vector<StanzaChange>& changes) {
 
 void expect_diff(const std::vector<const Stanza*>& before, const std::vector<const Stanza*>& after,
                  const std::string& want) {
-  EXPECT_EQ(describe(diff(before, after)), want);
+  // One facts record per stanza, so a stanza in both lists is one handle
+  // in both.
+  std::map<const Stanza*, StanzaFacts> facts;
+  const auto handles = [&](const std::vector<const Stanza*>& stanzas) {
+    std::vector<const StanzaFacts*> out;
+    for (const Stanza* s : stanzas)
+      out.push_back(&facts.try_emplace(s, facts_of(*s)).first->second);
+    return out;
+  };
+  EXPECT_EQ(describe(diff(handles(before), handles(after))), want);
   EXPECT_EQ(describe(diff(config_of(before), config_of(after))), want);
 }
 

@@ -698,14 +698,13 @@ TEST(LintSpans, RepeatedBlockInTimelineKeepsItsOwnSpanAndPragmas) {
   for (const auto& [text, d] : {std::pair{ios, Dialect::kIosLike},
                                 std::pair{junos, Dialect::kJunosLike}}) {
     StanzaInterner timeline(d);
-    SourceMap map;
-    timeline.read(text, map);
-    const auto facts = timeline.read(text, map);
+    LintSource source;
+    timeline.read(text, source);
+    const auto facts = timeline.read(text, source);
     ASSERT_EQ(facts.size(), 2u);
     EXPECT_NE(facts[0]->stanza, facts[1]->stanza);
     EXPECT_EQ(*facts[0]->stanza, *facts[1]->stanza);
     EXPECT_EQ(timeline.reused(), 2u);
-    const LintSource source(map);
     const std::vector<DeviceView> month_end = {DeviceView(dev, facts, &source)};
     LintOptions opts;
     opts.keep_suppressed = true;
@@ -748,9 +747,7 @@ struct MonthEnd {
   std::vector<LintSource> sources;
 
   void add(std::string_view text, Dialect d, std::string device_id) {
-    SourceMap map;
-    configs.push_back(parse(text, d, std::move(device_id), map));
-    sources.emplace_back(map);
+    configs.push_back(parse(text, d, std::move(device_id), sources.emplace_back()));
   }
   std::vector<DeviceView> views() const {
     std::vector<DeviceView> out;
