@@ -27,11 +27,10 @@ class LintSource::Recorder {
   /// ids go to the next stanza or to the whole device.
   void comment(std::string_view body) {
     if (source_ == nullptr) return;
-    std::vector<std::string> tokens = split_ws(body);
+    const std::vector<std::string_view> tokens = split_ws_views(body);
     if (tokens.empty()) return;
     const auto take = [&](std::vector<std::string>& ids) {
-      ids.insert(ids.end(), std::make_move_iterator(tokens.begin() + 1),
-                 std::make_move_iterator(tokens.end()));
+      ids.insert(ids.end(), tokens.begin() + 1, tokens.end());
     };
     if (tokens[0] == "lint-disable")
       take(pending_);
@@ -80,7 +79,7 @@ void split_lead(std::string_view line, std::string& lead, std::string& rest,
                 std::span<const std::string_view> multiword = {}) {
   std::size_t end = line.find(' ');
   for (std::string_view w : multiword) {
-    if (starts_with(line, w) && (line.size() == w.size() || line[w.size()] == ' ')) {
+    if (line.starts_with(w) && (line.size() == w.size() || line[w.size()] == ' ')) {
       end = w.size();
       break;
     }
@@ -169,7 +168,7 @@ bool ios_header(std::string_view raw) {
 /// while a block is open).
 bool junos_header(std::string_view raw) {
   const std::string_view line = trim(raw);
-  return !line.empty() && !starts_with(line, "/*") && line != "}" && line.back() == '{';
+  return !line.empty() && !line.starts_with("/*") && line != "}" && line.back() == '{';
 }
 
 /// Called at a header line that starts at `header`, once the block
@@ -275,7 +274,7 @@ void parse_junos(std::string_view text, LintSource* source, Sink& sink) {
     ++line_no;
     const std::string_view line = trim(raw);
     if (line.empty()) continue;
-    if (starts_with(line, "/*")) {
+    if (line.starts_with("/*")) {
       std::string_view body = line.substr(2);
       if (body.ends_with("*/")) body.remove_suffix(2);
       rec.comment(body);

@@ -13,7 +13,7 @@ namespace mpa {
 namespace {
 
 /// The first three whitespace-separated tokens of `value`, as
-/// split_ws() splits it; empty past the last token.
+/// split_ws_views() splits it; empty past the last token.
 std::array<std::string_view, 3> leading_tokens(std::string_view value) {
   const auto space = [](char c) { return std::isspace(static_cast<unsigned char>(c)) != 0; };
   std::array<std::string_view, 3> out;

@@ -30,7 +30,6 @@ class ArtifactStore {
   explicit ArtifactStore(std::string dir) : dir_(std::move(dir)) {}
 
   bool enabled() const { return !dir_.empty(); }
-  const std::string& dir() const { return dir_; }
 
   /// Where the artifact for `key` lives (key + ".csv" under dir).
   std::string path_for(const std::string& key) const;

@@ -1,5 +1,6 @@
 #include "engine/lint_report.hpp"
 
+#include <algorithm>
 #include <array>
 #include <climits>
 #include <map>
@@ -93,7 +94,7 @@ LintReport LintReport::from_csv(std::string_view csv) {
   CsvReader reader(csv);
   std::vector<std::string> cells;
   if (!reader.next(cells)) return out;
-  const bool header_ok = cells == split(kCsvHeader, ',');
+  const bool header_ok = std::ranges::equal(cells, split_views(kCsvHeader, ','));
   std::size_t row = 1;  // the header
   while (reader.next(cells)) {
     ++row;

@@ -433,9 +433,9 @@ ShardView::ShardView(std::span<const std::byte> bytes, std::string file,
                    dir_count <= (payload_end - dir_offset) / kDirEntryBytes,
                shard_err(file_, "truncated shard"));
 
-  fingerprint_ = read_u64(bytes_, payload_end);
+  const std::uint64_t trailer = read_u64(bytes_, payload_end);
   const std::uint64_t actual = fnv1a_words(bytes_.data(), payload_end);
-  require_data(actual == fingerprint_ && actual == expected_fingerprint,
+  require_data(actual == trailer && actual == expected_fingerprint,
                shard_err(file_, "fingerprint mismatch"));
 
   columns_.reserve(dir_count);

@@ -179,7 +179,6 @@ class MappedFile {
   MappedFile& operator=(const MappedFile&) = delete;
 
   std::span<const std::byte> bytes() const { return {data_, size_}; }
-  bool is_mapped() const { return mapped_; }
 
  private:
   const std::byte* data_ = nullptr;
@@ -226,7 +225,6 @@ class ShardView {
 
   const ColumnInfo* column(ColumnTag tag) const;
   std::span<const std::byte> bytes() const { return bytes_; }
-  std::uint64_t fingerprint() const { return fingerprint_; }
   const std::string& file() const { return file_; }
 
  private:
@@ -234,7 +232,6 @@ class ShardView {
 
   std::span<const std::byte> bytes_;
   std::string file_;
-  std::uint64_t fingerprint_ = 0;
   std::vector<ColumnInfo> columns_;  ///< Sorted by tag.
 };
 

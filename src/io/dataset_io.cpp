@@ -127,7 +127,10 @@ Ticket parse_ticket_row(std::string_view line) {
   t.resolved = parse_int(cells[3], "ticket resolved");
   t.origin = origin_from_string(cells[4]);
   t.symptom = std::string(cells[5]);
-  if (!cells[6].empty()) t.devices = split(cells[6], ';');
+  if (!cells[6].empty()) {
+    const auto devices = split_views(cells[6], ';');
+    t.devices.assign(devices.begin(), devices.end());
+  }
   return t;
 }
 

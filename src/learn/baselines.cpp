@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace mpa {
 namespace {
 
@@ -14,7 +12,7 @@ constexpr int kEpochs = 20;       ///< Passes over the data.
 }  // namespace
 
 MajorityClassifier MajorityClassifier::fit(const Dataset& data) {
-  require(!data.x.empty(), "MajorityClassifier::fit: empty dataset");
+  data.require_fit_input("MajorityClassifier::fit");
   MajorityClassifier m;
   m.majority_ = data.majority_class();
   return m;
@@ -23,7 +21,7 @@ MajorityClassifier MajorityClassifier::fit(const Dataset& data) {
 int MajorityClassifier::predict(std::span<const int>) const { return majority_; }
 
 LinearSvm LinearSvm::fit(const Dataset& data, Rng& rng) {
-  require(!data.x.empty(), "LinearSvm::fit: empty dataset");
+  data.require_fit_input("LinearSvm::fit");
   LinearSvm svm;
   svm.num_classes_ = data.num_classes;
   const std::size_t d = data.num_features();

@@ -21,7 +21,6 @@ class MajorityClassifier {
  public:
   static MajorityClassifier fit(const Dataset& data);
   int predict(std::span<const int> x) const;
-  int majority() const { return majority_; }
 
  private:
   int majority_ = 0;

@@ -5,6 +5,20 @@
 #include "util/error.hpp"
 
 namespace mpa {
+namespace {
+
+/// Whether every value lies in [0, n). One pass without an early exit,
+/// and one unsigned compare per value (a negative value wraps past n),
+/// so it vectorizes: a fit runs it over every training bin.
+bool all_in_range(std::span<const int> values, int n) {
+  if (n <= 0) return values.empty();
+  const auto end = static_cast<unsigned>(n);
+  unsigned outside = 0;
+  for (const int v : values) outside |= static_cast<unsigned>(v) >= end;
+  return outside == 0;
+}
+
+}  // namespace
 
 int health_class_2(double tickets) { return tickets <= 1 ? 0 : 1; }
 
@@ -27,6 +41,19 @@ void FeatureMatrix::push_back(std::span<const int> row) {
   require(row.size() == width_, "FeatureMatrix: inconsistent row width");
   row_major_.insert(row_major_.end(), row.begin(), row.end());
   ++rows_;
+}
+
+void Dataset::require_fit_input(std::string_view who) const {
+  const auto check = [who](bool ok, const char* what) {
+    require(ok, [&] { return std::string(who) + ": " + what; });
+  };
+  check(!x.empty(), "empty dataset");
+  check(x.size() == y.size() && x.size() == w.size(), "inconsistent dataset");
+  // The learners index rows by feature, and the tree's histograms by
+  // bin and class, unchecked.
+  check(x.width() >= num_features(), "rows narrower than feature_names");
+  check(all_in_range(x.values(), feature_bins), "a bin outside [0, feature_bins)");
+  check(all_in_range(y, num_classes), "a label outside [0, num_classes)");
 }
 
 double Dataset::total_weight() const {

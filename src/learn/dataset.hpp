@@ -9,9 +9,9 @@
 #pragma once
 
 #include <cstddef>
-#include <initializer_list>
 #include <span>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "metrics/case_table.hpp"
@@ -28,17 +28,8 @@ inline constexpr int kFeatureBins = 5;
 /// the first push_back.
 class FeatureMatrix {
  public:
-  FeatureMatrix() = default;
-  /// Brace construction/assignment: `x = {{0, 1}, {1, 0}};`.
-  FeatureMatrix(std::initializer_list<std::vector<int>> rows) {
-    for (const auto& r : rows) push_back(r);
-  }
-
   /// Append one sample (width must match previously pushed rows).
   void push_back(std::span<const int> row);
-  void push_back(std::initializer_list<int> row) {
-    push_back(std::span<const int>(row.begin(), row.size()));
-  }
 
   /// Row i as a contiguous span (valid until the next push_back).
   std::span<const int> operator[](std::size_t i) const {
@@ -52,29 +43,6 @@ class FeatureMatrix {
   /// Features per row (0 until the first push_back).
   std::size_t width() const { return width_; }
   void reserve(std::size_t rows) { row_major_.reserve(rows * width_); }
-
-  bool operator==(const FeatureMatrix& o) const {
-    return rows_ == o.rows_ && width_ == o.width_ && row_major_ == o.row_major_;
-  }
-
-  /// Row iteration (`for (auto row : x)` yields spans).
-  class const_iterator {
-   public:
-    const_iterator(const FeatureMatrix* m, std::size_t i) : m_(m), i_(i) {}
-    std::span<const int> operator*() const { return (*m_)[i_]; }
-    const_iterator& operator++() {
-      ++i_;
-      return *this;
-    }
-    bool operator==(const const_iterator& o) const { return i_ == o.i_; }
-    bool operator!=(const const_iterator& o) const { return i_ != o.i_; }
-
-   private:
-    const FeatureMatrix* m_;
-    std::size_t i_;
-  };
-  const_iterator begin() const { return {this, 0}; }
-  const_iterator end() const { return {this, rows_}; }
 
  private:
   std::size_t rows_ = 0;
@@ -103,6 +71,12 @@ struct Dataset {
 
   std::size_t size() const { return x.size(); }
   std::size_t num_features() const { return feature_names.size(); }
+  /// Throws PreconditionError, its message led by `who`, unless the
+  /// dataset is one every learner can fit without checking again: not
+  /// empty, `x`, `y` and `w` the same length, rows at least
+  /// num_features() wide, every bin in [0, feature_bins) and every
+  /// label in [0, num_classes).
+  void require_fit_input(std::string_view who) const;
   double total_weight() const;
   /// Per-class summed weight.
   std::vector<double> class_weights() const;

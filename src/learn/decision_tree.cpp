@@ -9,17 +9,6 @@
 namespace mpa {
 namespace {
 
-/// Whether every value lies in [0, n). One pass without an early exit,
-/// and one unsigned compare per value (a negative value wraps past n),
-/// so it vectorizes: a fit runs it over every training bin.
-bool all_in_range(std::span<const int> values, int n) {
-  if (n <= 0) return values.empty();
-  const auto end = static_cast<unsigned>(n);
-  unsigned outside = 0;
-  for (const int v : values) outside |= static_cast<unsigned>(v) >= end;
-  return outside == 0;
-}
-
 double entropy_from_weights(std::span<const double> class_w, double total) {
   if (total <= 0) return 0;
   double h = 0;
@@ -48,17 +37,7 @@ struct DecisionTree::Scratch {
 
 DecisionTree DecisionTree::fit(const Dataset& data, const TreeOptions& opts,
                                std::vector<int>* row_labels) {
-  require(!data.x.empty(), "DecisionTree::fit: empty dataset");
-  require(data.x.size() == data.y.size() && data.x.size() == data.w.size(),
-          "DecisionTree::fit: inconsistent dataset");
-  // build() indexes rows by feature, and its histograms by bin and
-  // class, unchecked.
-  require(data.x.width() >= data.num_features(),
-          "DecisionTree::fit: rows narrower than feature_names");
-  require(all_in_range(data.x.values(), data.feature_bins),
-          "DecisionTree::fit: a bin outside [0, feature_bins)");
-  require(all_in_range(data.y, data.num_classes),
-          "DecisionTree::fit: a label outside [0, num_classes)");
+  data.require_fit_input("DecisionTree::fit");
   DecisionTree tree;
   std::vector<std::size_t> rows(data.size());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;

@@ -29,9 +29,8 @@ struct TreeOptions {
 
 class DecisionTree {
  public:
-  /// Learn a tree from weighted examples. Requires a non-empty dataset
-  /// with a bin per feature name in every row, bins in
-  /// [0, feature_bins) and labels in [0, num_classes).
+  /// Learn a tree from weighted examples (Dataset::require_fit_input
+  /// states what `data` must hold).
   /// When `row_labels` is given, it receives each training row's leaf
   /// label, which is predict(data.x[i]).
   static DecisionTree fit(const Dataset& data, const TreeOptions& opts = {},

@@ -3,8 +3,6 @@
 #include <algorithm>
 #include <cmath>
 
-#include "util/error.hpp"
-
 namespace mpa {
 namespace {
 
@@ -41,7 +39,7 @@ std::vector<std::size_t> bootstrap_rows(const Dataset& data, ForestVariant varia
 }  // namespace
 
 RandomForest RandomForest::fit(const Dataset& data, Rng& rng, const ForestOptions& opts) {
-  require(!data.x.empty(), "RandomForest::fit: empty dataset");
+  data.require_fit_input("RandomForest::fit");
   RandomForest forest;
   forest.num_classes_ = data.num_classes;
 

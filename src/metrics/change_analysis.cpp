@@ -8,7 +8,7 @@
 namespace mpa {
 
 bool default_automation_classifier(const std::string& login) {
-  return starts_with(login, "svc-");
+  return login.starts_with("svc-");
 }
 
 bool ChangeRecord::touches_type(std::string_view agnostic_type) const {

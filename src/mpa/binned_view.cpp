@@ -16,7 +16,7 @@ constexpr double kHiPct = 95.0;
 
 BinnedCaseView::BinnedCaseView(const CaseTable& table) {
   require(!table.empty(), "BinnedCaseView: empty case table");
-  n_ = table.size();
+  const std::size_t n = table.size();
 
   practice_binners_.reserve(kNumPractices);
   for (Practice p : all_practices())
@@ -26,12 +26,11 @@ BinnedCaseView::BinnedCaseView(const CaseTable& table) {
   // Stable month-major permutation: months ascending, original order
   // preserved within each month.
   std::map<int, std::vector<std::size_t>> rows_by_month;
-  for (std::size_t i = 0; i < n_; ++i) rows_by_month[table[i].month].push_back(i);
+  for (std::size_t i = 0; i < n; ++i) rows_by_month[table[i].month].push_back(i);
   std::vector<std::size_t> perm;
-  perm.reserve(n_);
+  perm.reserve(n);
   month_begin_.push_back(0);
   for (const auto& [m, rows] : rows_by_month) {
-    month_ids_.push_back(m);
     perm.insert(perm.end(), rows.begin(), rows.end());
     month_begin_.push_back(perm.size());
   }
@@ -46,8 +45,8 @@ BinnedCaseView::BinnedCaseView(const CaseTable& table) {
                : practice_binners_[static_cast<std::size_t>(j)].bin_all(
                      table.column(static_cast<Practice>(j)));
     auto& col = cols_[static_cast<std::size_t>(j)];
-    col.resize(n_);
-    for (std::size_t r = 0; r < n_; ++r) col[r] = binned[perm[r]];
+    col.resize(n);
+    for (std::size_t r = 0; r < n; ++r) col[r] = binned[perm[r]];
   }
 }
 

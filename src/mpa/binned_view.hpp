@@ -29,13 +29,8 @@ class BinnedCaseView {
   /// table must be non-empty.
   explicit BinnedCaseView(const CaseTable& table);
 
-  /// Total cases.
-  std::size_t rows() const { return n_; }
-
   /// Distinct months, ascending.
-  std::size_t num_months() const { return month_ids_.size(); }
-  /// The calendar month value of month block `mi`.
-  int month_id(std::size_t mi) const { return month_ids_[mi]; }
+  std::size_t num_months() const { return month_begin_.size() - 1; }
   /// Cases in month block `mi`.
   std::size_t month_size(std::size_t mi) const {
     return month_begin_[mi + 1] - month_begin_[mi];
@@ -68,13 +63,11 @@ class BinnedCaseView {
 
   std::vector<Binner> practice_binners_;
   Binner health_binner_{0, 0, 1};
-  std::size_t n_ = 0;
-  /// kNumPractices + 1 binned columns (the last is health), each n_
-  /// rows permuted month-major, so one column's month block is one
-  /// contiguous span.
+  /// kNumPractices + 1 binned columns (the last is health), each with
+  /// every row, permuted month-major, so one column's month block is
+  /// one contiguous span.
   std::vector<std::vector<int>> cols_;
-  std::vector<int> month_ids_;             ///< Ascending distinct months.
-  std::vector<std::size_t> month_begin_;   ///< num_months + 1 offsets.
+  std::vector<std::size_t> month_begin_;  ///< num_months + 1 offsets.
 };
 
 }  // namespace mpa

@@ -73,9 +73,6 @@ class DependenceAnalysis {
                                                    double lo_pct = 2.5,
                                                    double hi_pct = 97.5) const;
 
-  /// The binned month-major view the analysis computes over.
-  const BinnedCaseView& view() const { return view_; }
-
   /// The fitted binner for a practice (bench code reuses it for plots).
   const Binner& binner(Practice p) const { return view_.binner(p); }
   const Binner& health_binner() const { return view_.health_binner(); }

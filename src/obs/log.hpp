@@ -148,9 +148,6 @@ class LogEvent {
   LogEvent& u64(std::string_view key, std::uint64_t value);
   LogEvent& boolean(std::string_view key, bool value);
 
-  /// True when the event passed the gate and will commit.
-  bool active() const { return active_; }
-
  private:
   bool active_ = false;
   LogRecord rec_;

@@ -169,21 +169,4 @@ class Registry {
   std::map<std::string, std::unique_ptr<Histogram>> histograms_ GUARDED_BY(mu_);
 };
 
-/// RAII wall-time sample into a histogram (seconds). A null histogram
-/// makes the timer inert — the idiom for disabled observability:
-///   obs::ScopedTimer t(obs::enabled() ? &h : nullptr);
-class ScopedTimer {
- public:
-  explicit ScopedTimer(Histogram* h) : h_(h), start_(h != nullptr ? now_ns() : 0) {}
-  ~ScopedTimer() {
-    if (h_ != nullptr) h_->observe(static_cast<double>(now_ns() - start_) * 1e-9);
-  }
-  ScopedTimer(const ScopedTimer&) = delete;
-  ScopedTimer& operator=(const ScopedTimer&) = delete;
-
- private:
-  Histogram* h_;
-  std::uint64_t start_;
-};
-
 }  // namespace mpa::obs

@@ -137,7 +137,7 @@ std::string trace_to_jsonl(const std::vector<Request>& trace) {
 std::vector<Request> trace_from_jsonl(std::string_view text) {
   std::vector<Request> trace;
   std::size_t line_no = 0;
-  for (const std::string& line : split_lines(text)) {
+  for (const std::string_view line : split_line_views(text)) {
     ++line_no;
     if (line.empty()) continue;
     try {

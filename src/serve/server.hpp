@@ -80,10 +80,6 @@ class AnalysisServer {
   Scheduler::Stats stats() const { return scheduler_.stats(); }
   const Scheduler& scheduler() const { return scheduler_; }
   const SlowLog& slow_log() const { return slow_log_; }
-  /// The windowed registry terminal responses are recorded into, or
-  /// nullptr when none is configured (observability disabled and no
-  /// injected instance).
-  const obs::WindowRegistry* window() const { return window_; }
 
  private:
   Response execute(const Request& req);

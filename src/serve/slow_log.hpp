@@ -49,8 +49,6 @@ class SlowLog {
   /// sorted by id.
   std::string canonical_json() const;
 
-  std::size_t capacity() const { return cap_; }
-
  private:
   const std::size_t cap_;
   mutable Mutex mu_;

@@ -77,8 +77,6 @@ class ContingencyTable {
   /// Bulk one-pass joint count (equal-length spans).
   void count(std::span<const int> x, std::span<const int> y);
 
-  std::size_t samples() const { return n_; }
-
   /// H(X) over the x marginal (ascending bin order).
   double entropy_x();
   /// H(Y) over the y marginal.
@@ -126,8 +124,6 @@ class CmiAccumulator {
 
   /// Bulk one-pass count (equal-length spans).
   void count(std::span<const int> x1, std::span<const int> x2, std::span<const int> y);
-
-  std::size_t samples() const { return n_; }
 
   /// I(X1;X2|Y) over everything added since reset().
   double value();

@@ -27,9 +27,6 @@ class LogisticRegression {
   /// Probabilities for every row.
   std::vector<double> predict_all(const Matrix& features) const;
 
-  /// Weights in standardized feature space; [0] is the intercept.
-  const std::vector<double>& weights() const { return w_; }
-
  private:
   std::vector<double> w_;         // intercept + d weights
   std::vector<double> feat_mean_; // standardization parameters

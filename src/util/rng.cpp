@@ -1,6 +1,7 @@
 #include "util/rng.hpp"
 
 #include <cmath>
+#include <limits>
 #include <numeric>
 
 namespace mpa {
@@ -50,7 +51,8 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   const std::uint64_t span = static_cast<std::uint64_t>(hi - lo) + 1;
   if (span == 0) return static_cast<std::int64_t>(next());  // full 64-bit range
   // Rejection sampling to avoid modulo bias.
-  const std::uint64_t limit = max() - max() % span;
+  constexpr std::uint64_t kMax = std::numeric_limits<std::uint64_t>::max();
+  const std::uint64_t limit = kMax - kMax % span;
   std::uint64_t r;
   do {
     r = next();

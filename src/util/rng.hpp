@@ -13,17 +13,10 @@
 
 namespace mpa {
 
-/// xoshiro256** engine with convenience samplers. Satisfies
-/// UniformRandomBitGenerator so it can also drive <random> adaptors.
+/// xoshiro256** engine with convenience samplers.
 class Rng {
  public:
-  using result_type = std::uint64_t;
-
   explicit Rng(std::uint64_t seed = 0x9e3779b97f4a7c15ULL);
-
-  static constexpr result_type min() { return 0; }
-  static constexpr result_type max() { return ~std::uint64_t{0}; }
-  result_type operator()() { return next(); }
 
   /// Raw 64 random bits.
   std::uint64_t next();

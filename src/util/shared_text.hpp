@@ -21,15 +21,14 @@ class SharedText {
  public:
   SharedText() = default;
 
-  /// Owns `s`. Implicit, so any std::string or literal can stand where
-  /// a text is expected. There is deliberately no constructor from
+  /// Owns `s`. Implicit, so any std::string can stand where a text is
+  /// expected. There is deliberately no constructor from
   /// std::string_view: it would alias whatever the view points into.
   SharedText(std::string s) {
     auto owned = std::make_shared<const std::string>(std::move(s));
     bytes_ = *owned;
     owner_ = std::move(owned);
   }
-  SharedText(const char* s) : SharedText(std::string(s)) {}
 
   /// Text that points at `bytes` and shares ownership of `owner`, which
   /// must hold them.
@@ -41,14 +40,8 @@ class SharedText {
   }
 
   operator std::string_view() const noexcept { return bytes_; }
-  const char* data() const noexcept { return bytes_.data(); }
   std::size_t size() const noexcept { return bytes_.size(); }
-  bool empty() const noexcept { return bytes_.empty(); }
 
-  /// Byte equality; also compares with a string or a literal.
-  friend bool operator==(const SharedText& a, std::string_view b) noexcept {
-    return a.bytes_ == b;
-  }
   friend std::ostream& operator<<(std::ostream& os, const SharedText& t) {
     return os << t.bytes_;
   }

@@ -10,39 +10,6 @@
 
 namespace mpa {
 
-std::vector<std::string> split(std::string_view s, char sep) {
-  std::vector<std::string> out;
-  std::size_t start = 0;
-  while (true) {
-    const std::size_t pos = s.find(sep, start);
-    if (pos == std::string_view::npos) {
-      out.emplace_back(s.substr(start));
-      return out;
-    }
-    out.emplace_back(s.substr(start, pos - start));
-    start = pos + 1;
-  }
-}
-
-std::vector<std::string> split_lines(std::string_view s) {
-  std::vector<std::string> lines = split(s, '\n');
-  for (auto& line : lines)
-    if (!line.empty() && line.back() == '\r') line.pop_back();
-  return lines;
-}
-
-std::vector<std::string> split_ws(std::string_view s) {
-  std::vector<std::string> out;
-  std::size_t i = 0;
-  while (i < s.size()) {
-    while (i < s.size() && std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    std::size_t start = i;
-    while (i < s.size() && !std::isspace(static_cast<unsigned char>(s[i]))) ++i;
-    if (i > start) out.emplace_back(s.substr(start, i - start));
-  }
-  return out;
-}
-
 std::vector<std::string_view> split_views(std::string_view s, char sep) {
   std::vector<std::string_view> out;
   out.reserve(static_cast<std::size_t>(std::count(s.begin(), s.end(), sep)) + 1);
@@ -98,10 +65,6 @@ std::size_t indent_of(std::string_view line) {
   std::size_t n = 0;
   while (n < line.size() && (line[n] == ' ' || line[n] == '\t')) ++n;
   return n;
-}
-
-bool starts_with(std::string_view s, std::string_view prefix) {
-  return s.size() >= prefix.size() && s.compare(0, prefix.size(), prefix) == 0;
 }
 
 std::string format_double(double v, int digits) {

@@ -8,23 +8,16 @@
 
 namespace mpa {
 
+/// Splitters. The returned views alias `s`, so the backing buffer must
+/// outlive them; copy a piece into a std::string only to keep it.
+///
 /// Split `s` on `sep`, keeping empty fields.
-std::vector<std::string> split(std::string_view s, char sep);
-
+std::vector<std::string_view> split_views(std::string_view s, char sep);
 /// Split `s` into lines, accepting both LF and CRLF endings: splits on
 /// '\n' and strips one trailing '\r' per line, so Windows-authored
 /// files parse identically to Unix ones.
-std::vector<std::string> split_lines(std::string_view s);
-
-/// Split `s` on runs of whitespace, dropping empty tokens.
-std::vector<std::string> split_ws(std::string_view s);
-
-/// Zero-copy variants for hot parse loops: the returned views alias
-/// `s`, so the backing buffer must outlive them. Semantics match the
-/// copying versions exactly (split_line_views strips one trailing '\r'
-/// per line, split_ws_views drops empty tokens).
-std::vector<std::string_view> split_views(std::string_view s, char sep);
 std::vector<std::string_view> split_line_views(std::string_view s);
+/// Split `s` on runs of whitespace, dropping empty tokens.
 std::vector<std::string_view> split_ws_views(std::string_view s);
 
 /// Strip leading and trailing whitespace.
@@ -35,9 +28,6 @@ std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Number of leading space characters (tabs count as one).
 std::size_t indent_of(std::string_view line);
-
-/// True if `s` starts with `prefix` (convenience for pre-C++20 call sites).
-bool starts_with(std::string_view s, std::string_view prefix);
 
 /// Format a double with `digits` significant decimal places, trimming
 /// trailing zeros ("1.25", "3", "0.0001").

@@ -61,7 +61,7 @@ TEST(AdaBoost, PerfectLearnerStopsEarly) {
   d.feature_bins = 2;
   d.feature_names = {"f"};
   for (int i = 0; i < 20; ++i) {
-    d.x.push_back({i % 2});
+    d.x.push_back(std::vector<int>{i % 2});
     d.y.push_back(i % 2);
     d.w.push_back(1);
   }
@@ -84,7 +84,7 @@ TEST(AdaBoost, MultiClassSamme) {
   Rng rng(2);
   for (int i = 0; i < 300; ++i) {
     const int b = static_cast<int>(rng.uniform_int(0, 2));
-    d.x.push_back({b});
+    d.x.push_back(std::vector<int>{b});
     d.y.push_back(b);
     d.w.push_back(1);
   }
@@ -100,7 +100,7 @@ TEST(AdaBoost, SingleClassFallsBackGracefully) {
   d.feature_bins = 2;
   d.feature_names = {"f"};
   for (int i = 0; i < 10; ++i) {
-    d.x.push_back({i % 2});
+    d.x.push_back(std::vector<int>{i % 2});
     d.y.push_back(0);
     d.w.push_back(1);
   }

@@ -1,6 +1,7 @@
 // Tests for the majority and SVM baselines.
 #include <gtest/gtest.h>
 
+#include "feature_rows.hpp"
 #include "util/error.hpp"
 
 #include "learn/baselines.hpp"
@@ -13,11 +14,10 @@ TEST(Majority, PredictsDominantClass) {
   d.num_classes = 2;
   d.feature_bins = 2;
   d.feature_names = {"f"};
-  d.x = {{0}, {1}, {0}};
+  d.x = feature_rows({{0}, {1}, {0}});
   d.y = {1, 1, 0};
   d.w = {1, 1, 1};
   const auto m = MajorityClassifier::fit(d);
-  EXPECT_EQ(m.majority(), 1);
   EXPECT_EQ(m.predict(std::vector<int>{0}), 1);
   EXPECT_EQ(m.predict(std::vector<int>{1}), 1);
 }
@@ -27,10 +27,10 @@ TEST(Majority, RespectsWeights) {
   d.num_classes = 2;
   d.feature_bins = 2;
   d.feature_names = {"f"};
-  d.x = {{0}, {1}};
+  d.x = feature_rows({{0}, {1}});
   d.y = {0, 1};
   d.w = {1, 9};
-  EXPECT_EQ(MajorityClassifier::fit(d).majority(), 1);
+  EXPECT_EQ(MajorityClassifier::fit(d).predict(std::vector<int>{0}), 1);
 }
 
 TEST(Majority, RejectsEmpty) {
@@ -45,7 +45,7 @@ Dataset linearly_separable(int n, Rng& rng) {
   for (int i = 0; i < n; ++i) {
     const int a = static_cast<int>(rng.uniform_int(0, 4));
     const int b = static_cast<int>(rng.uniform_int(0, 4));
-    d.x.push_back({a, b});
+    d.x.push_back(std::vector<int>{a, b});
     d.y.push_back(a + b >= 4 ? 1 : 0);
     d.w.push_back(1);
   }
@@ -70,7 +70,7 @@ TEST(Svm, MulticlassOneVsRest) {
   Rng rng(2);
   for (int i = 0; i < 300; ++i) {
     const int b = static_cast<int>(rng.uniform_int(0, 2));
-    d.x.push_back({b});
+    d.x.push_back(std::vector<int>{b});
     d.y.push_back(b);
     d.w.push_back(1);
   }

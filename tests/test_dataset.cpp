@@ -2,10 +2,18 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
+#include "feature_rows.hpp"
 #include "util/error.hpp"
 
+#include "learn/baselines.hpp"
 #include "learn/dataset.hpp"
+#include "learn/forest.hpp"
+#include "util/rng.hpp"
 
 namespace mpa {
 namespace {
@@ -56,11 +64,10 @@ TEST(Dataset, BuiltFromCaseTable) {
   EXPECT_EQ(d.size(), 20u);
   EXPECT_EQ(d.num_features(), static_cast<std::size_t>(kNumPractices));
   EXPECT_EQ(d.feature_bins, kFeatureBins);
-  for (const auto& row : d.x)
-    for (int b : row) {
-      EXPECT_GE(b, 0);
-      EXPECT_LT(b, kFeatureBins);
-    }
+  for (const int b : d.x.values()) {
+    EXPECT_GE(b, 0);
+    EXPECT_LT(b, kFeatureBins);
+  }
   for (std::size_t i = 0; i < d.size(); ++i)
     EXPECT_EQ(d.y[i], health_class_2(t[i].tickets));
   EXPECT_DOUBLE_EQ(d.total_weight(), 20.0);
@@ -78,7 +85,7 @@ TEST(Dataset, FiveClassLabels) {
 TEST(Dataset, ClassWeightsAndMajority) {
   Dataset d;
   d.num_classes = 2;
-  d.x = {{0}, {0}, {0}};
+  d.x = feature_rows({{0}, {0}, {0}});
   d.y = {0, 0, 1};
   d.w = {1, 1, 5};
   const auto cw = d.class_weights();
@@ -97,43 +104,70 @@ TEST(Dataset, Subset) {
   EXPECT_THROW(d.subset(std::vector<std::size_t>{99}), PreconditionError);
 }
 
+// Every learner's fit checks its input by one contract before it
+// indexes rows by feature or its buffers by label.
+TEST(Dataset, EveryLearnerRejectsAStrayLabelAndANarrowRow) {
+  Dataset good;
+  good.feature_names = {"f0", "f1"};
+  for (int i = 0; i < 8; ++i) {
+    good.x.push_back(std::vector<int>{i % 2, i / 2 % 2});
+    good.y.push_back(i % 2);
+    good.w.push_back(1);
+  }
+  Dataset stray_label = good;
+  stray_label.y[5] = 7;
+  Dataset narrow = good;
+  narrow.feature_names.push_back("f2");
+
+  Rng rng(1);
+  const std::vector<std::pair<std::string, std::function<void(const Dataset&)>>> learners = {
+      {"DecisionTree", [](const Dataset& d) { (void)DecisionTree::fit(d); }},
+      {"MajorityClassifier", [](const Dataset& d) { (void)MajorityClassifier::fit(d); }},
+      {"LinearSvm", [&](const Dataset& d) { (void)LinearSvm::fit(d, rng); }},
+      {"RandomForest (balanced)",
+       [&](const Dataset& d) { (void)RandomForest::fit(d, rng, {ForestVariant::kBalanced}); }},
+  };
+  for (const auto& [name, fit] : learners) {
+    EXPECT_NO_THROW(fit(good)) << name;
+    EXPECT_THROW(fit(stray_label), PreconditionError) << name << ": label 7 of 2 classes";
+    EXPECT_THROW(fit(narrow), PreconditionError) << name << ": rows narrower than feature_names";
+  }
+}
+
 TEST(FeatureMatrix, RowViewsAgree) {
   FeatureMatrix m;
-  m.push_back({1, 2, 3});
-  m.push_back({4, 5, 6});
-  m.push_back({7, 8, 9});
+  m.push_back(std::vector<int>{1, 2, 3});
+  m.push_back(std::vector<int>{4, 5, 6});
+  m.push_back(std::vector<int>{7, 8, 9});
   EXPECT_EQ(m.size(), 3u);
   EXPECT_EQ(m.width(), 3u);
   EXPECT_FALSE(m.empty());
   for (std::size_t i = 0; i < m.size(); ++i)
     for (std::size_t f = 0; f < m.width(); ++f)
       EXPECT_EQ(m[i][f], static_cast<int>(i * m.width() + f + 1));
-  // Row iteration yields the same spans as operator[].
-  std::size_t i = 0;
-  for (const auto& row : m) {
-    EXPECT_TRUE(std::ranges::equal(row, m[i]));
-    ++i;
-  }
-  EXPECT_EQ(i, 3u);
+  // values() holds the same rows as operator[], one after another.
+  EXPECT_EQ(m.values().size(), 9u);
+  for (std::size_t i = 0; i < m.size(); ++i)
+    EXPECT_TRUE(std::ranges::equal(m.values().subspan(i * m.width(), m.width()), m[i]));
 }
 
 TEST(FeatureMatrix, RejectsInconsistentWidth) {
   FeatureMatrix m;
-  m.push_back({1, 2});
-  EXPECT_THROW(m.push_back({1, 2, 3}), PreconditionError);
+  m.push_back(std::vector<int>{1, 2});
+  EXPECT_THROW(m.push_back(std::vector<int>{1, 2, 3}), PreconditionError);
 }
 
 TEST(FeatureMatrix, EqualityAndBraceConstruction) {
-  const FeatureMatrix a = {{0, 1}, {1, 0}};
+  const FeatureMatrix a = feature_rows({{0, 1}, {1, 0}});
   FeatureMatrix b;
-  b.push_back({0, 1});
-  b.push_back({1, 0});
-  EXPECT_TRUE(a == b);
-  b.push_back({1, 1});
-  EXPECT_FALSE(a == b);
+  b.push_back(std::vector<int>{0, 1});
+  b.push_back(std::vector<int>{1, 0});
+  EXPECT_TRUE(same_rows(a, b));
+  b.push_back(std::vector<int>{1, 1});
+  EXPECT_FALSE(same_rows(a, b));
   const FeatureMatrix empty;
   EXPECT_TRUE(empty.empty());
-  EXPECT_TRUE(empty == FeatureMatrix{});
+  EXPECT_TRUE(same_rows(empty, FeatureMatrix{}));
 }
 
 TEST(FeatureSpace, ConsistentDiscretization) {
@@ -146,7 +180,7 @@ TEST(FeatureSpace, ConsistentDiscretization) {
   EXPECT_EQ(b1, b2);
   const Dataset d1 = make_dataset(t, 2, &space);
   const Dataset d2 = make_dataset(t, 2);
-  EXPECT_EQ(d1.x, d2.x);  // same table -> same bins either way
+  EXPECT_TRUE(same_rows(d1.x, d2.x));  // same table -> same bins either way
 }
 
 TEST(FeatureSpace, TrainedBoundsClampNewData) {

@@ -93,7 +93,7 @@ TEST_F(DatasetIoTest, RoundTripPreservesEverything) {
   for (std::size_t i = 0; i < snaps0.size(); ++i) {
     EXPECT_EQ(snaps0[i].time, snaps1[i].time);
     EXPECT_EQ(snaps0[i].login, snaps1[i].login);
-    EXPECT_EQ(snaps0[i].text, snaps1[i].text);
+    EXPECT_EQ(std::string_view(snaps0[i].text), std::string_view(snaps1[i].text));
   }
 
   const Ticket& t0 = original.tickets.all().front();
@@ -135,7 +135,7 @@ TEST_F(DatasetIoTest, WhitespaceInSnapshotHeaderFieldsRejectedOnSave) {
     snap.device_id = device_id;
     snap.time = 10;
     snap.login = login;
-    snap.text = "hostname x\n";
+    snap.text = std::string("hostname x\n");
     data.snapshots.add(std::move(snap));
     fs::remove_all(dir_);
     EXPECT_THROW(save_dataset(data, dir_.string()), DataError)
@@ -400,7 +400,7 @@ TEST_F(DatasetIoTest, SplitIsContiguousAndReplayRebuildsEveryRecord) {
     for (std::size_t i = 0; i < want.size(); ++i) {
       EXPECT_EQ(got[i].time, want[i].time);
       EXPECT_EQ(got[i].login, want[i].login);
-      EXPECT_EQ(got[i].text, want[i].text);
+      EXPECT_EQ(std::string_view(got[i].text), std::string_view(want[i].text));
     }
   }
 
@@ -440,7 +440,7 @@ TEST_F(DatasetIoTest, DeltaHeaderTokensValidatedOnSaveWithDatasetErrorStrings) {
     snap.device_id = device_id;
     snap.time = month_start(delta.month);
     snap.login = login;
-    snap.text = "hostname x\n";
+    snap.text = std::string("hostname x\n");
     delta.snapshots.push_back(std::move(snap));
     fs::remove_all(dir_);
     try {

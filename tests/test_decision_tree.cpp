@@ -3,6 +3,7 @@
 
 #include <cmath>
 
+#include "feature_rows.hpp"
 #include "util/error.hpp"
 
 #include "learn/decision_tree.hpp"
@@ -23,7 +24,7 @@ Dataset xor_like() {
   for (int a = 0; a < 2; ++a)
     for (int b = 0; b < 2; ++b)
       for (int rep = 0; rep < reps[a][b]; ++rep) {
-        d.x.push_back({a, b});
+        d.x.push_back(std::vector<int>{a, b});
         d.y.push_back(a ^ b);
         d.w.push_back(1);
       }
@@ -39,7 +40,7 @@ Dataset single_feature(int n, int bins) {
   Rng rng(1);
   for (int i = 0; i < n; ++i) {
     const int b = static_cast<int>(rng.uniform_int(0, bins - 1));
-    d.x.push_back({b});
+    d.x.push_back(std::vector<int>{b});
     d.y.push_back(b >= bins / 2 ? 1 : 0);
     d.w.push_back(1);
   }
@@ -72,7 +73,7 @@ TEST(DecisionTree, PureNodeBecomesLeaf) {
   d.feature_bins = 3;
   d.feature_names = {"f0"};
   for (int i = 0; i < 10; ++i) {
-    d.x.push_back({i % 3});
+    d.x.push_back(std::vector<int>{i % 3});
     d.y.push_back(1);
     d.w.push_back(1);
   }
@@ -124,7 +125,7 @@ TEST(DecisionTree, WeightsShiftMajority) {
   d.feature_names = {"f"};
   // Three class-0 samples, one heavily-weighted class-1 sample, all
   // indistinguishable by features.
-  d.x = {{0}, {0}, {0}, {0}};
+  d.x = feature_rows({{0}, {0}, {0}, {0}});
   d.y = {0, 0, 0, 1};
   d.w = {1, 1, 1, 10};
   const DecisionTree tree = DecisionTree::fit(d);
@@ -180,13 +181,13 @@ TEST(DecisionTree, RejectsEmptyAndUnfitted) {
   // name, would index past fit's buffers.
   Dataset d;
   d.feature_names = {"f0", "f1"};
-  d.x = {{0, 4}, {4, 0}, {1, 2}};
+  d.x = feature_rows({{0, 4}, {4, 0}, {1, 2}});
   d.y = {0, 1, 1};
   d.w = {1, 1, 1};
   EXPECT_NO_THROW(DecisionTree::fit(d));
   for (const int stray : {-1, d.feature_bins}) {
     Dataset bad = d;
-    bad.x = {{0, 4}, {4, stray}, {1, 2}};
+    bad.x = feature_rows({{0, 4}, {4, stray}, {1, 2}});
     EXPECT_THROW(DecisionTree::fit(bad), PreconditionError) << "bin " << stray;
   }
   for (const int stray : {-1, d.num_classes}) {

@@ -395,8 +395,10 @@ AnalysisSession small_session(const std::string& dir = "", const std::string& ke
 /// `value`. The cells before `col` must hold no commas.
 std::string with_cell(const std::string& csv, std::size_t line, std::size_t col,
                       const std::string& value) {
-  std::vector<std::string> lines = split(csv, '\n');
-  std::vector<std::string> cells = split(lines.at(line), ',');
+  const std::vector<std::string_view> line_views = split_views(csv, '\n');
+  const std::vector<std::string_view> cell_views = split_views(line_views.at(line), ',');
+  std::vector<std::string> lines(line_views.begin(), line_views.end());
+  std::vector<std::string> cells(cell_views.begin(), cell_views.end());
   cells.at(col) = value;
   lines[line] = join(cells, ",");
   return join(lines, "\n");
@@ -412,7 +414,7 @@ struct Defect {
 /// first data row (row 2; the header is row 1).
 std::vector<Defect> case_table_defects(const std::string& csv) {
   const std::size_t tickets_col = 2 + kNumPractices;
-  const std::string practice = split(split(csv, '\n').at(0), ',').at(2);
+  const std::string practice(split_views(split_views(csv, '\n').at(0), ',').at(2));
   return {
       {"nan practice", with_cell(csv, 1, 2, "nan"), "row 2, column " + practice},
       {"inf tickets", with_cell(csv, 1, tickets_col, "inf"), "row 2, column tickets"},
@@ -426,7 +428,7 @@ std::vector<Defect> case_table_defects(const std::string& csv) {
 /// One stored lint report per defect: an integer cell too long for int.
 /// Line index of the first finding row of a lint report CSV.
 std::size_t first_finding_line(const std::string& csv) {
-  const std::vector<std::string> lines = split(csv, '\n');
+  const std::vector<std::string_view> lines = split_views(csv, '\n');
   std::size_t line = 0;
   while (!lines.at(line).starts_with("diag,")) ++line;
   return line;

@@ -15,7 +15,7 @@ Dataset labeled(const std::vector<int>& labels) {
   d.feature_bins = 2;
   d.feature_names = {"f"};
   for (std::size_t i = 0; i < labels.size(); ++i) {
-    d.x.push_back({static_cast<int>(i % 2)});
+    d.x.push_back(std::vector<int>{static_cast<int>(i % 2)});
     d.y.push_back(labels[i]);
     d.w.push_back(1);
   }

@@ -469,9 +469,9 @@ TEST(LintSpans, DiagnosticsCarryRenderedLineRanges) {
     ASSERT_NE(diag, nullptr);
     ASSERT_TRUE(diag->span.resolved());
     // The span's first line must be the ACL header in the text.
-    const auto lines = split(text, '\n');
+    const auto lines = split_views(text, '\n');
     ASSERT_LE(static_cast<std::size_t>(diag->span.first_line), lines.size());
-    const std::string& header = lines[static_cast<std::size_t>(diag->span.first_line - 1)];
+    const std::string_view header = lines[static_cast<std::size_t>(diag->span.first_line - 1)];
     EXPECT_NE(header.find("lonely"), std::string::npos) << header;
     EXPECT_GE(diag->span.last_line, diag->span.first_line);
   }

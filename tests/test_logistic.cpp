@@ -85,8 +85,9 @@ TEST(Logistic, SeparatesObviousClasses) {
 }
 
 TEST(Logistic, RecoversCoefficientSigns) {
-  // y ~ Bernoulli(sigmoid(2*x1 - 3*x2)); the fitted standardized
-  // weights must carry the right signs and rough magnitude ratio.
+  // y ~ Bernoulli(sigmoid(2*x1 - 3*x2)); the fitted log-odds slopes,
+  // read off the predictions, must carry the right signs and rough
+  // magnitude ratio.
   Rng rng(2);
   Matrix x;
   std::vector<int> y;
@@ -97,10 +98,15 @@ TEST(Logistic, RecoversCoefficientSigns) {
     y.push_back(rng.bernoulli(p) ? 1 : 0);
   }
   const auto model = LogisticRegression::fit(x, y);
-  const auto& w = model.weights();
-  EXPECT_GT(w[1], 0);
-  EXPECT_LT(w[2], 0);
-  EXPECT_NEAR(std::abs(w[2] / w[1]), 1.5, 0.3);
+  const auto log_odds = [&](double x1, double x2) {
+    const double p = model.predict_prob(std::vector<double>{x1, x2});
+    return std::log(p / (1 - p));
+  };
+  const double w1 = log_odds(1, 0) - log_odds(0, 0);
+  const double w2 = log_odds(0, 1) - log_odds(0, 0);
+  EXPECT_GT(w1, 0);
+  EXPECT_LT(w2, 0);
+  EXPECT_NEAR(std::abs(w2 / w1), 1.5, 0.3);
 }
 
 TEST(Logistic, CalibratedProbabilities) {

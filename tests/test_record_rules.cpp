@@ -303,10 +303,10 @@ TEST_F(RecordRules, FuzzCsvAndDeltaMutantsLoadOrRaiseDataError) {
   for (const auto& [path, loader] : targets) {
     std::ifstream in(path, std::ios::binary);
     const std::string original{std::istreambuf_iterator<char>(in), {}};
-    const std::vector<std::string> lines = split(original, '\n');
+    const std::vector<std::string_view> lines = split_views(original, '\n');
     for (int i = 0; i < 150; ++i) {
       const auto pick = rng.uniform_int(0, static_cast<std::int64_t>(lines.size()) - 1);
-      const std::string& donor = lines[static_cast<std::size_t>(pick)];
+      const std::string donor(lines[static_cast<std::size_t>(pick)]);
       const std::string mutant = mutate(original, donor + '\n', rng);
       std::ofstream(path, std::ios::binary) << mutant;
       if (!outcome(*loader, path.string() + " mutant " + std::to_string(i)).empty()) ++rejected;
@@ -445,7 +445,7 @@ TEST_F(RecordRules, FuzzMpacShardStructureBytesLoadOrRaiseDataError) {
     const std::uintptr_t hi = lo + data.shards().front().bytes().size();
     for (const auto& device_id : loaded.snapshots.devices())
       for (const auto& snap : loaded.snapshots.for_device(device_id)) {
-        const auto p = reinterpret_cast<std::uintptr_t>(snap.text.data());
+        const auto p = reinterpret_cast<std::uintptr_t>(std::string_view(snap.text).data());
         EXPECT_TRUE(lo <= p && p + snap.text.size() <= hi) << what << ": " << device_id;
       }
   }

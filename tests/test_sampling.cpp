@@ -3,6 +3,7 @@
 
 #include <algorithm>
 
+#include "feature_rows.hpp"
 #include "util/error.hpp"
 
 #include "learn/decision_tree.hpp"
@@ -19,7 +20,7 @@ Dataset tiny(int n0, int n1, int n2 = 0) {
   d.feature_names = {"f"};
   auto push = [&](int cls, int count) {
     for (int i = 0; i < count; ++i) {
-      d.x.push_back({i % 2});
+      d.x.push_back(std::vector<int>{i % 2});
       d.y.push_back(cls);
       d.w.push_back(1);
     }
@@ -43,7 +44,7 @@ TEST(Oversample, ReplicatesRequestedClasses) {
 TEST(Oversample, MultiplicityOneIsIdentity) {
   const Dataset d = tiny(5, 5);
   const Dataset o = oversample(d, {{0, 1}, {1, 1}});
-  EXPECT_EQ(o.x, d.x);
+  EXPECT_TRUE(same_rows(o.x, d.x));
   EXPECT_EQ(o.y, d.y);
 }
 
@@ -100,7 +101,7 @@ TEST(Oversample, EquivalentToSampleWeights) {
   for (int i = 0; i < 200; ++i) {
     const int a = static_cast<int>(rng.uniform_int(0, 2));
     const int b = static_cast<int>(rng.uniform_int(0, 2));
-    d.x.push_back({a, b});
+    d.x.push_back(std::vector<int>{a, b});
     d.y.push_back(rng.bernoulli(a == 2 ? 0.8 : 0.1) ? 1 : 0);
     d.w.push_back(1);
   }

@@ -20,9 +20,9 @@ TEST(Time, MonthBoundaries) {
 
 TEST(SnapshotStore, OrderedArchive) {
   SnapshotStore store;
-  store.add(ConfigSnapshot{"d1", 0, "svc-provision", "cfg-a"});
-  store.add(ConfigSnapshot{"d1", 10, "alice", "cfg-b"});
-  store.add(ConfigSnapshot{"d2", 5, "bob", "cfg-c"});
+  store.add(ConfigSnapshot{"d1", 0, "svc-provision", std::string("cfg-a")});
+  store.add(ConfigSnapshot{"d1", 10, "alice", std::string("cfg-b")});
+  store.add(ConfigSnapshot{"d2", 5, "bob", std::string("cfg-c")});
   EXPECT_EQ(store.total_snapshots(), 3u);
   EXPECT_EQ(store.total_bytes(), 15u);
   ASSERT_EQ(store.for_device("d1").size(), 2u);
@@ -33,10 +33,10 @@ TEST(SnapshotStore, OrderedArchive) {
 
 TEST(SnapshotStore, RejectsOutOfOrder) {
   SnapshotStore store;
-  store.add(ConfigSnapshot{"d1", 10, "a", "x"});
-  EXPECT_THROW(store.add(ConfigSnapshot{"d1", 5, "b", "y"}), PreconditionError);
+  store.add(ConfigSnapshot{"d1", 10, "a", std::string("x")});
+  EXPECT_THROW(store.add(ConfigSnapshot{"d1", 5, "b", std::string("y")}), PreconditionError);
   // Equal timestamps are allowed (RANCID can archive twice in a minute).
-  store.add(ConfigSnapshot{"d1", 10, "b", "y"});
+  store.add(ConfigSnapshot{"d1", 10, "b", std::string("y")});
   EXPECT_EQ(store.for_device("d1").size(), 2u);
 }
 

@@ -193,7 +193,7 @@ Args parse_args(int argc, char** argv) {
   }
   for (int i = first_flag; i < argc; ++i) {
     std::string key = argv[i];
-    if (!starts_with(key, "--"))
+    if (!key.starts_with("--"))
       throw UsageError{"unexpected argument '" + key + "'"};
     const std::string name = key.substr(2);
     if (bool_flags().count(name)) {
@@ -497,7 +497,7 @@ int cmd_ingest(const Args& args) {
   session.lint();
   serve::Request req;
   req.kind = serve::RequestKind::kIngest;
-  for (const std::string& dir : split(deltas, ',')) {
+  for (const std::string_view dir : split_views(deltas, ',')) {
     req.dir = dir;
     std::cout << serve::render_request(session, req);
   }
@@ -769,12 +769,13 @@ int cmd_replay(const Args& args) {
     // below 90% of it.
     if (slo_ms <= 0) throw UsageError{"replay: --loads requires --slo-ms"};
     std::vector<double> loads;
-    for (const std::string& tok : split(loads_flag, ',')) {
+    for (const std::string_view tok : split_views(loads_flag, ',')) {
       // Each load becomes a pause of 1000/rps ms, which must fit the
       // clock like --interval-ms.
       const std::optional<double> rps = parse_whole<double>(tok);
       if (!rps || *rps <= 0 || !scaled<std::int64_t>(1000.0 / *rps, 1e6))
-        throw UsageError{"--loads expects req/s values of at least 1.1e-10, got '" + tok + "'"};
+        throw UsageError{"--loads expects req/s values of at least 1.1e-10, got '" +
+                         std::string(tok) + "'"};
       loads.push_back(*rps);
     }
     std::ostringstream sweep;
