@@ -72,17 +72,19 @@ int main() {
             << "  IOS 'ip access-list'     -> " << normalize_type("ip access-list") << "\n"
             << "  JunOS 'firewall-filter'  -> " << normalize_type("firewall-filter") << "\n";
 
-  // One view per device: the index every config analysis reads.
+  // One view per device, and the network's index over them: what every
+  // config analysis reads.
   const std::vector<DeviceConfig> network{after, peer};
   const std::vector<DeviceView> views = views_of(network);
+  const NetworkView index(views);
   std::cout << "\n-- referential complexity --\n";
-  for (const auto& dev : views) {
-    std::cout << "  " << dev.device_id() << ": " << count_intra_refs(dev) << " intra-device, "
-              << count_inter_refs(dev, views) << " inter-device references\n";
+  for (std::size_t d = 0; d < views.size(); ++d) {
+    std::cout << "  " << views[d].device_id() << ": " << count_intra_refs(views[d])
+              << " intra-device, " << count_inter_refs(index, d) << " inter-device references\n";
   }
 
   std::cout << "\n-- routing instances --\n";
-  for (const auto& inst : extract_routing_instances(views)) {
+  for (const auto& inst : extract_routing_instances(index)) {
     std::cout << "  " << inst.protocol << " instance with " << inst.size() << " member(s):";
     for (const auto& m : inst.member_devices) std::cout << ' ' << m;
     std::cout << "\n";

@@ -36,17 +36,66 @@ void DeviceView::index() {
   names_.erase(std::unique(names_.begin(), names_.end()), names_.end());
 }
 
-bool DeviceView::owns(std::uint32_t ip) const {
-  for (const auto& a : iface_addrs_)
-    if (a.prefix.addr == ip) return true;
-  return false;
-}
-
 std::vector<DeviceView> views_of(const std::vector<DeviceConfig>& configs) {
   std::vector<DeviceView> views;
   views.reserve(configs.size());
   for (const auto& c : configs) views.emplace_back(c);
   return views;
+}
+
+NetworkView::NetworkView(const std::vector<DeviceView>& devices) : devices_(&devices) {
+  for (std::size_t d = 0; d < devices.size(); ++d) {
+    const DeviceView& dev = devices[d];
+    for (std::size_t k = 0; k < dev.iface_addrs().size(); ++k) {
+      const DeviceView::IfaceAddr& a = dev.iface_addrs()[k];
+      addrs_.push_back(Addr{a.prefix.addr, d, k});
+      subnets_.push_back(Subnet{a.prefix.subnet(), d, a.stanza});
+    }
+    for (const std::string_view name : dev.names_of("vlan")) vlans_.push_back(VlanDef{name, d});
+    for (std::size_t i = 0; i < dev.size(); ++i) {
+      const StanzaFacts& f = dev.facts(i);
+      if (f.construct == "bgp" || f.construct == "ospf")
+        processes_.push_back(Process{d, i, f.construct, {}});
+      else if (f.type == "spanning-tree")
+        processes_.push_back(Process{d, i, "mstp", f.region.value_or(f.stanza->name)});
+    }
+  }
+  // Each entry ends in its device and position, so sorting whole
+  // entries keeps the ties of a key in gathering order.
+  std::sort(addrs_.begin(), addrs_.end());
+  std::sort(subnets_.begin(), subnets_.end());
+  std::sort(vlans_.begin(), vlans_.end());
+}
+
+std::span<const NetworkView::Addr> NetworkView::carriers_of(std::uint32_t ip) const {
+  const auto run = std::ranges::equal_range(addrs_, ip, {}, &Addr::addr);
+  return {run.begin(), run.end()};
+}
+
+const NetworkView::Addr* NetworkView::owner_of(std::uint32_t ip) const {
+  const auto carriers = carriers_of(ip);
+  return carriers.empty() ? nullptr : &carriers.front();
+}
+
+std::span<const NetworkView::Subnet> NetworkView::carriers_of(const Ipv4Prefix& subnet) const {
+  const auto run = std::ranges::equal_range(subnets_, subnet, {}, &Subnet::prefix);
+  return {run.begin(), run.end()};
+}
+
+std::span<const NetworkView::VlanDef> NetworkView::definers_of(std::string_view name) const {
+  const auto run = std::ranges::equal_range(vlans_, name, {}, &VlanDef::name);
+  return {run.begin(), run.end()};
+}
+
+std::span<const NetworkView::Process> NetworkView::processes_of(std::size_t device) const {
+  const auto run = std::ranges::equal_range(processes_, device, {}, &Process::device);
+  return {run.begin(), run.end()};
+}
+
+const NetworkView::Process* NetworkView::bgp_process_of(std::size_t device) const {
+  for (const Process& p : processes_of(device))
+    if (p.protocol == "bgp") return &p;
+  return nullptr;
 }
 
 }  // namespace mpa

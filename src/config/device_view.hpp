@@ -1,7 +1,9 @@
-// The per-device index of config facts (§2.2): each stanza's facts
-// (stanza.hpp: StanzaFacts) by position, stanza names per agnostic type,
-// and interface addresses, read by every config analysis: lint
-// (lint.hpp), refs, routing and the design metrics.
+// The indexes of config facts (§2.2) that every config analysis reads:
+// lint (lint.hpp), refs, routing and the design metrics. DeviceView
+// holds one device's: each stanza's facts (stanza.hpp: StanzaFacts) by
+// position, stanza names per agnostic type, and interface addresses.
+// NetworkView holds a network's cross-device facts, gathered once from
+// its device views.
 #pragma once
 
 #include <algorithm>
@@ -70,8 +72,6 @@ class DeviceView {
   /// Every interface address ("ip address" / "ip-address"), in stanza
   /// and option order, duplicates kept.
   const std::vector<IfaceAddr>& iface_addrs() const { return iface_addrs_; }
-  /// True if `ip` is one of the device's interface addresses.
-  bool owns(std::uint32_t ip) const;
 
  private:
   struct TypedName {
@@ -98,5 +98,77 @@ class DeviceView {
 
 /// One view per config, in order, without source info.
 std::vector<DeviceView> views_of(const std::vector<DeviceConfig>& configs);
+
+/// One network's cross-device facts: which devices carry an interface
+/// address or subnet, which define a VLAN, and which routing processes
+/// run where. Each list is gathered from the views in device order and
+/// then position order and sorted by its key with ties kept in that
+/// order, so the first entry for a key is the one a walk over the
+/// devices meets first. A device is its position in devices(). The
+/// index borrows the views, which must outlive it.
+class NetworkView {
+ public:
+  explicit NetworkView(const std::vector<DeviceView>& devices);
+  explicit NetworkView(std::vector<DeviceView>&&) = delete;
+
+  const std::vector<DeviceView>& devices() const { return *devices_; }
+
+  /// An interface address and where it is configured.
+  struct Addr {
+    std::uint32_t addr = 0;
+    std::size_t device = 0;
+    std::size_t index = 0;  ///< Position in that device's iface_addrs().
+    friend auto operator<=>(const Addr&, const Addr&) = default;
+  };
+  /// Every interface that carries `ip`; its first is the address's owner.
+  std::span<const Addr> carriers_of(std::uint32_t ip) const;
+  /// The first interface that carries `ip`, or null when none does.
+  const Addr* owner_of(std::uint32_t ip) const;
+
+  /// The subnet of an interface address (`prefix.subnet()`).
+  struct Subnet {
+    Ipv4Prefix prefix;
+    std::size_t device = 0;
+    std::size_t stanza = 0;  ///< Position of the interface stanza.
+    friend auto operator<=>(const Subnet&, const Subnet&) = default;
+  };
+  /// Every interface subnet, one entry per address, sorted by subnet.
+  const std::vector<Subnet>& subnets() const { return subnets_; }
+  /// Every interface whose address lies in `subnet`, a canonical prefix.
+  std::span<const Subnet> carriers_of(const Ipv4Prefix& subnet) const;
+
+  /// A VLAN name and a device that defines it.
+  struct VlanDef {
+    std::string_view name;
+    std::size_t device = 0;
+    friend auto operator<=>(const VlanDef&, const VlanDef&) = default;
+  };
+  /// Every (VLAN, defining device) pair, sorted by name.
+  const std::vector<VlanDef>& vlans() const { return vlans_; }
+  /// The devices that define VLAN `name`.
+  std::span<const VlanDef> definers_of(std::string_view name) const;
+
+  /// A routing process: a stanza whose construct is bgp or ospf, or a
+  /// spanning-tree stanza, which runs mstp.
+  struct Process {
+    std::size_t device = 0;
+    std::size_t stanza = 0;
+    std::string_view protocol;  ///< "bgp", "ospf" or "mstp".
+    std::string_view region;    ///< mstp: the first "region" value, else the stanza name.
+  };
+  /// Every process, in device and then stanza order.
+  const std::vector<Process>& processes() const { return processes_; }
+  /// The processes of `device`, in stanza order.
+  std::span<const Process> processes_of(std::size_t device) const;
+  /// The first BGP process of `device`, or null when it runs none.
+  const Process* bgp_process_of(std::size_t device) const;
+
+ private:
+  const std::vector<DeviceView>* devices_;
+  std::vector<Addr> addrs_;
+  std::vector<Subnet> subnets_;
+  std::vector<VlanDef> vlans_;
+  std::vector<Process> processes_;
+};
 
 }  // namespace mpa

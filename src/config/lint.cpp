@@ -1,8 +1,7 @@
-// Lint engine core: the network view, the sink, and the run driver.
-// The rules themselves live in lint_rules.cpp.
+// Lint engine core: the sink and the run driver. The rules themselves
+// live in lint_rules.cpp.
 #include "config/lint.hpp"
 
-#include <algorithm>
 #include <set>
 #include <utility>
 
@@ -43,36 +42,6 @@ std::optional<LintSeverity> parse_severity(std::string_view s) {
 
 void LintRule::check_device(const DeviceView& /*dev*/, LintSink& /*sink*/) const {}
 void LintRule::check_network(const NetworkView& /*net*/, LintSink& /*sink*/) const {}
-
-// ----------------------------------------------------------------- views
-
-NetworkView::NetworkView(const std::vector<DeviceView>& devices) : devices_(&devices) {
-  for (std::size_t d = 0; d < devices.size(); ++d) {
-    const DeviceView& dev = devices[d];
-    for (std::size_t k = 0; k < dev.iface_addrs().size(); ++k)
-      owners_.push_back(AddrOwner{dev.iface_addrs()[k].prefix.addr, d, k});
-    for (std::size_t i = 0; i < dev.size(); ++i)
-      if (dev.facts(i).construct == "bgp") bgp_procs_.push_back(BgpProc{d, i});
-  }
-  // Stable: the first interface with each address stays first.
-  const auto by_addr = [](const AddrOwner& a, const AddrOwner& b) { return a.addr < b.addr; };
-  std::stable_sort(owners_.begin(), owners_.end(), by_addr);
-  owners_.erase(std::unique(owners_.begin(), owners_.end(),
-                            [](const AddrOwner& a, const AddrOwner& b) { return a.addr == b.addr; }),
-                owners_.end());
-}
-
-const NetworkView::AddrOwner* NetworkView::owner_of(std::uint32_t ip) const {
-  const auto it = std::lower_bound(owners_.begin(), owners_.end(), ip,
-                                   [](const AddrOwner& o, std::uint32_t v) { return o.addr < v; });
-  return it != owners_.end() && it->addr == ip ? &*it : nullptr;
-}
-
-const NetworkView::BgpProc* NetworkView::bgp_proc_of(std::size_t device) const {
-  const auto it = std::lower_bound(bgp_procs_.begin(), bgp_procs_.end(), device,
-                                   [](const BgpProc& p, std::size_t d) { return p.device < d; });
-  return it != bgp_procs_.end() && it->device == device ? &*it : nullptr;
-}
 
 // ------------------------------------------------------------------ sink
 
@@ -133,8 +102,7 @@ namespace {
 
 /// The one loop that runs the rules, for both sink modes: every rule in
 /// run order, each over every device, then the network.
-void drive(const std::vector<DeviceView>& network, LintSink& sink) {
-  const NetworkView net(network);
+void drive(const NetworkView& net, LintSink& sink) {
   for (const auto& rule : builtin_rules()) {
     sink.set_active(rule.get());
     for (const auto& dev : net.devices()) rule->check_device(dev, sink);
@@ -149,18 +117,18 @@ double per_device(int findings, std::size_t num_devices) {
 
 }  // namespace
 
-std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
+std::vector<Diagnostic> run_lint(const NetworkView& network, const LintOptions& opts) {
   std::vector<Diagnostic> out;
   LintSink sink(opts, out);
   drive(network, sink);
   return out;
 }
 
-LintSummary count_lint(const std::vector<DeviceView>& network, const LintOptions& opts) {
+LintSummary count_lint(const NetworkView& network, const LintOptions& opts) {
   LintSummary s;
   LintSink sink(opts, s);
   drive(network, sink);
-  s.density = per_device(s.total, network.size());
+  s.density = per_device(s.total, network.devices().size());
   return s;
 }
 
@@ -189,7 +157,7 @@ std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network, const Li
     require(in.config != nullptr, "run_lint: null config");
     views.emplace_back(*in.config, in.source);
   }
-  return run_lint(views, opts);
+  return run_lint(NetworkView(views), opts);
 }
 
 std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network,
@@ -202,7 +170,7 @@ std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network
     configs[i] = parse(network[i].text, network[i].dialect, network[i].device_id, sources[i]);
     views.emplace_back(configs[i], &sources[i]);
   }
-  return run_lint(views, opts);
+  return run_lint(NetworkView(views), opts);
 }
 
 }  // namespace mpa

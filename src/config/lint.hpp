@@ -91,12 +91,11 @@ struct RuleInfo {
   LintSeverity severity{};
 };
 
-class NetworkView;
 class LintSink;
 
 /// One check. Implementations override the scope(s) they need;
 /// device-scope rules see one device at a time, network-scope rules
-/// see the whole network with shared cross-device indexes.
+/// see the whole network through its index of cross-device facts.
 class LintRule {
  public:
   virtual ~LintRule() = default;
@@ -121,12 +120,11 @@ struct LintOptions {
 /// view per device; pragmas are honored and spans resolved for views
 /// with a source. Diagnostics come out grouped by rule (run order),
 /// then device, then stanza order — deterministic for identical inputs.
-std::vector<Diagnostic> run_lint(const std::vector<DeviceView>& network,
-                                 const LintOptions& opts = {});
+std::vector<Diagnostic> run_lint(const NetworkView& network, const LintOptions& opts = {});
 
-/// LintSummary::of(run_lint(network, opts), network.size()), counted as
-/// the rules report, with no diagnostic built.
-LintSummary count_lint(const std::vector<DeviceView>& network, const LintOptions& opts = {});
+/// LintSummary::of(run_lint(network, opts), network.devices().size()),
+/// counted as the rules report, with no diagnostic built.
+LintSummary count_lint(const NetworkView& network, const LintOptions& opts = {});
 
 /// One device of a network under analysis: the parsed config plus its
 /// optional source info (spans + pragmas).
@@ -135,7 +133,7 @@ struct LintInput {
   const LintSource* source = nullptr;  ///< May be null (no text available).
 };
 
-/// run_lint() over a view of each input.
+/// run_lint() over a view of each input and their index.
 std::vector<Diagnostic> run_lint(const std::vector<LintInput>& network,
                                  const LintOptions& opts = {});
 
@@ -153,44 +151,6 @@ std::vector<Diagnostic> lint_network_text(const std::vector<DeviceText>& network
                                           const LintOptions& opts = {});
 
 // ------------------------------------------------ rule execution contexts
-
-/// Whole network with cross-device indexes shared by network rules.
-/// Per-device facts (types, names, interface addresses) come from each
-/// DeviceView; this borrows the views and adds only the network-wide
-/// lookups.
-class NetworkView {
- public:
-  /// `devices` must outlive the view.
-  explicit NetworkView(const std::vector<DeviceView>& devices);
-  explicit NetworkView(std::vector<DeviceView>&&) = delete;
-
-  const std::vector<DeviceView>& devices() const { return *devices_; }
-
-  /// The first interface, in device order and then address order, that
-  /// carries an address.
-  struct AddrOwner {
-    std::uint32_t addr = 0;
-    std::size_t device = 0;
-    std::size_t index = 0;  ///< Position in that device's iface_addrs().
-  };
-  /// The owner of `ip`, or null when no interface carries it.
-  const AddrOwner* owner_of(std::uint32_t ip) const;
-
-  /// A BGP process: a device and the position of its process stanza.
-  struct BgpProc {
-    std::size_t device = 0;
-    std::size_t stanza = 0;
-  };
-  /// Every BGP process, in device and then stanza order.
-  const std::vector<BgpProc>& bgp_procs() const { return bgp_procs_; }
-  /// The first BGP process of `device`, or null when it runs none.
-  const BgpProc* bgp_proc_of(std::size_t device) const;
-
- private:
-  const std::vector<DeviceView>* devices_;
-  std::vector<AddrOwner> owners_;  ///< One per address, sorted by it.
-  std::vector<BgpProc> bgp_procs_;
-};
 
 /// Where rules deposit findings. Handles pragma suppression and span
 /// resolution so rules only say what is wrong and where. It keeps each

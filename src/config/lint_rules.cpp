@@ -4,8 +4,8 @@
 //
 // Rules walk each device's DeviceView (config/device_view.hpp) by
 // position and read each stanza's facts (stanza.hpp: StanzaFacts),
-// derived once from its options; network-scope rules add the
-// address-owner and BGP lookups of NetworkView. Rules report against
+// derived once from its options; network-scope rules read the
+// cross-device facts of the network's NetworkView. Rules report against
 // the vendor-agnostic model, so each fires identically on IOS-like and
 // JunOS-like configs.
 #include <algorithm>
@@ -53,15 +53,13 @@ std::string term_text(const OptionView& o) {
   return std::string(o.key) + " " + std::string(o.value);
 }
 
-/// Stable-sorts `items` by `key_of` and calls `group(first, last)` for
-/// each run of equal keys, in key order; a run keeps insertion order.
-template <typename T, typename KeyOf, typename Group>
-void each_group(std::vector<T>& items, KeyOf key_of, Group&& group) {
-  std::stable_sort(items.begin(), items.end(),
-                   [&](const T& a, const T& b) { return key_of(a) < key_of(b); });
+/// Calls `group(first, last)` for each run of equal keys in `items`,
+/// which are sorted by `key_of`.
+template <typename Items, typename KeyOf, typename Group>
+void each_run(const Items& items, KeyOf key_of, Group&& group) {
   for (auto first = items.begin(); first != items.end();) {
     const auto last = std::find_if(first, items.end(),
-                                   [&](const T& t) { return key_of(t) != key_of(*first); });
+                                   [&](const auto& t) { return key_of(t) != key_of(*first); });
     group(first, last);
     first = last;
   }
@@ -278,7 +276,7 @@ class DuplicateAddressRule final : public LintRule {
       const DeviceView& dev = net.devices()[d];
       for (std::size_t k = 0; k < dev.iface_addrs().size(); ++k) {
         const DeviceView::IfaceAddr& ia = dev.iface_addrs()[k];
-        const NetworkView::AddrOwner& first = *net.owner_of(ia.prefix.addr);
+        const NetworkView::Addr& first = *net.owner_of(ia.prefix.addr);
         if (first.device == d && first.index == k) continue;
         sink.report(dev, ia.stanza, [&] {
           const DeviceView& owner = net.devices()[first.device];
@@ -298,22 +296,13 @@ class SubnetOverlapRule final : public LintRule {
             LintCategory::kAddressing, LintSeverity::kWarning};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    // Distinct subnets in order, keeping the first interface seen on each.
-    struct Subnet {
-      Ipv4Prefix prefix;
-      const DeviceView* device;
-      std::size_t stanza;
+    // Each distinct subnet once, as the first interface that carries it.
+    const auto& subnets = net.subnets();
+    const auto repeat = [&](auto it) {
+      return it != subnets.begin() && std::prev(it)->prefix == it->prefix;
     };
-    std::vector<Subnet> subnets;
-    for (const DeviceView& dev : net.devices())
-      for (const auto& ia : dev.iface_addrs())
-        subnets.push_back(Subnet{ia.prefix.subnet(), &dev, ia.stanza});
-    const auto by_prefix = [](const Subnet& a, const Subnet& b) { return a.prefix < b.prefix; };
-    std::stable_sort(subnets.begin(), subnets.end(), by_prefix);
-    subnets.erase(std::unique(subnets.begin(), subnets.end(),
-                              [](const Subnet& a, const Subnet& b) { return a.prefix == b.prefix; }),
-                  subnets.end());
     for (auto a = subnets.begin(); a != subnets.end(); ++a) {
+      if (repeat(a)) continue;
       const Ipv4Prefix& pa = a->prefix;
       // Subnets sort by network address: once one starts past the end of
       // `pa`, it and every later one neither hold nor sit in `pa`.
@@ -321,12 +310,12 @@ class SubnetOverlapRule final : public LintRule {
           pa.len == 32 ? pa.network() : pa.network() | (~std::uint32_t{0} >> pa.len);
       for (auto b = std::next(a); b != subnets.end() && b->prefix.addr <= last; ++b) {
         const Ipv4Prefix& pb = b->prefix;
-        if (pa.len == pb.len) continue;  // identical handled above; equal-len disjoint or same
+        if (repeat(b) || pa.len == pb.len) continue;  // equal-len: disjoint or identical
         const Ipv4Prefix& wide = pa.len < pb.len ? pa : pb;
         const Ipv4Prefix& narrow = pa.len < pb.len ? pb : pa;
         if (!wide.contains(narrow.network())) continue;
-        const Subnet& owner = narrow == pa ? *a : *b;
-        sink.report(*owner.device, owner.stanza,
+        const NetworkView::Subnet& owner = narrow == pa ? *a : *b;
+        sink.report(net.devices()[owner.device], owner.stanza,
                     [&] { return format_prefix(narrow) + " overlaps " + format_prefix(wide); });
       }
     }
@@ -342,12 +331,13 @@ class OneSidedBgpRule final : public LintRule {
             LintCategory::kProtocol, LintSeverity::kWarning};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    for (const auto& proc : net.bgp_procs()) {
+    for (const auto& proc : net.processes()) {
+      if (proc.protocol != "bgp") continue;
       const DeviceView& dev = net.devices()[proc.device];
       for (const BgpNeighbor& n : dev.facts(proc.stanza).neighbors) {
         if (!n.ip) continue;
-        const NetworkView::AddrOwner* owner = net.owner_of(*n.ip);
-        if (owner == nullptr || net.bgp_proc_of(owner->device) != nullptr) continue;
+        const NetworkView::Addr* owner = net.owner_of(*n.ip);
+        if (owner == nullptr || net.bgp_process_of(owner->device) != nullptr) continue;
         sink.report(dev, proc.stanza, [&] {
           return "neighbor " + std::string(n.address) + " (" +
                  net.devices()[owner->device].device_id() + " runs no BGP process)";
@@ -366,14 +356,15 @@ class BgpAsMismatchRule final : public LintRule {
   void check_network(const NetworkView& net, LintSink& sink) const override {
     // The AS number of a BGP-speaking device is its first process
     // stanza's name.
-    for (const auto& proc : net.bgp_procs()) {
+    for (const auto& proc : net.processes()) {
+      if (proc.protocol != "bgp") continue;
       const DeviceView& dev = net.devices()[proc.device];
       for (const BgpNeighbor& n : dev.facts(proc.stanza).neighbors) {
         // "neighbor <ip> remote-as <asn>"
         if (n.remote_as.empty() || !n.ip) continue;
-        const NetworkView::AddrOwner* owner = net.owner_of(*n.ip);
+        const NetworkView::Addr* owner = net.owner_of(*n.ip);
         if (owner == nullptr) continue;
-        const NetworkView::BgpProc* peer = net.bgp_proc_of(owner->device);
+        const NetworkView::Process* peer = net.bgp_process_of(owner->device);
         if (peer == nullptr) continue;
         const DeviceView& peer_dev = net.devices()[owner->device];
         const std::string& peer_as = peer_dev.stanza(peer->stanza).name;
@@ -409,7 +400,10 @@ class OspfAreaMismatchRule final : public LintRule {
         for (const NetworkStatement& n : f.networks)
           if (!n.area.empty()) claims.push_back(Claim{n.prefix, n.area, &dev, i});
       }
-    each_group(claims, [](const Claim& c) { return c.prefix; }, [&](auto first, auto last) {
+    const auto prefix_of = [](const Claim& c) { return c.prefix; };
+    std::stable_sort(claims.begin(), claims.end(),
+                     [&](const Claim& a, const Claim& b) { return prefix_of(a) < prefix_of(b); });
+    each_run(claims, prefix_of, [&](auto first, auto last) {
       if (std::all_of(first, last, [&](const Claim& c) { return c.area == first->area; })) return;
       for (auto c = first; c != last; ++c) {
         sink.report(*c->device, c->stanza, [&] {
@@ -433,23 +427,21 @@ class MtuMismatchRule final : public LintRule {
   void check_network(const NetworkView& net, LintSink& sink) const override {
     // Interfaces sharing a subnet form an inferred link; explicit MTU
     // values on them must agree (absent = platform default, unknown).
-    struct End {
-      Ipv4Prefix subnet;
-      const DeviceView* device;
-      std::size_t stanza;
-      std::string_view mtu;
+    const auto mtu_of = [&](const NetworkView::Subnet& e) -> const auto& {
+      return net.devices()[e.device].facts(e.stanza).mtu;
     };
-    std::vector<End> ends;
-    for (const DeviceView& dev : net.devices())
-      for (const auto& ia : dev.iface_addrs())
-        if (const auto& mtu = dev.facts(ia.stanza).mtu)
-          ends.push_back(End{ia.prefix.subnet(), &dev, ia.stanza, *mtu});
-    each_group(ends, [](const End& e) { return e.subnet; }, [&](auto first, auto last) {
-      if (std::all_of(first, last, [&](const End& e) { return e.mtu == first->mtu; })) return;
-      for (auto e = first; e != last; ++e) {
-        sink.report(*e->device, e->stanza, [&] {
-          return e->device->stanza(e->stanza).name + " mtu " + std::string(e->mtu) + " on link " +
-                 format_prefix(e->subnet) + " (peers disagree)";
+    const auto has_mtu = [&](const NetworkView::Subnet& e) { return mtu_of(e).has_value(); };
+    const auto subnet_of = [](const NetworkView::Subnet& e) { return e.prefix; };
+    each_run(net.subnets(), subnet_of, [&](auto first, auto last) {
+      const auto set = std::find_if(first, last, has_mtu);
+      const auto agrees = [&](const auto& e) { return !has_mtu(e) || mtu_of(e) == mtu_of(*set); };
+      if (std::all_of(set, last, agrees)) return;
+      for (auto e = set; e != last; ++e) {
+        if (!has_mtu(*e)) continue;
+        const DeviceView& dev = net.devices()[e->device];
+        sink.report(dev, e->stanza, [&] {
+          return dev.stanza(e->stanza).name + " mtu " + std::string(*mtu_of(*e)) + " on link " +
+                 format_prefix(e->prefix) + " (peers disagree)";
         });
       }
     });
@@ -463,19 +455,16 @@ class VlanSpanGapRule final : public LintRule {
             LintCategory::kProtocol, LintSeverity::kWarning};
   }
   void check_network(const NetworkView& net, LintSink& sink) const override {
-    const auto& devices = net.devices();
-    for (const DeviceView& dev : devices) {
+    for (const DeviceView& dev : net.devices()) {
       each_of(dev, "interface", [&](std::size_t i, const StanzaFacts& f) {
         for (const VlanRef& vlan : f.vlans) {
           if (dev.defines("vlan", vlan.id)) continue;
           // The first device defining it; none is dangling-vlan-ref's case.
-          const auto home = std::find_if(devices.begin(), devices.end(), [&](const DeviceView& d) {
-            return d.defines("vlan", vlan.id);
-          });
-          if (home == devices.end()) continue;
+          const auto definers = net.definers_of(vlan.id);
+          if (definers.empty()) continue;
           sink.report(dev, i, [&] {
             return f.stanza->name + " uses vlan " + std::string(vlan.id) + " defined on " +
-                   home->device_id() + " but not here";
+                   net.devices()[definers.front().device].device_id() + " but not here";
           });
         }
       });

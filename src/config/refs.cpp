@@ -3,86 +3,8 @@
 #include <algorithm>
 #include <string_view>
 
-#include "config/addr.hpp"
-
 namespace mpa {
 namespace {
-
-/// For each value of one kind of fact, the id of the one device that
-/// holds it, or null once two different ids do. A device other than X
-/// holds the value unless its entry names X. Add every entry, then
-/// seal() once before the first lookup.
-template <typename Key>
-class Holders {
- public:
-  void add(const Key& key, const std::string& id) { entries_.push_back(Entry{key, &id}); }
-  void seal() {
-    std::stable_sort(entries_.begin(), entries_.end(),
-                     [](const Entry& a, const Entry& b) { return a.key < b.key; });
-    auto out = entries_.begin();
-    for (auto e = entries_.begin(); e != entries_.end(); ++e) {
-      if (out != entries_.begin() && std::prev(out)->key == e->key) {
-        const std::string*& id = std::prev(out)->id;
-        if (id != nullptr && *id != *e->id) id = nullptr;
-      } else {
-        *out++ = *e;
-      }
-    }
-    entries_.erase(out, entries_.end());
-  }
-  bool held_besides(const Key& key, const std::string& id) const {
-    const auto it = std::lower_bound(entries_.begin(), entries_.end(), key,
-                                     [](const Entry& e, const Key& k) { return e.key < k; });
-    return it != entries_.end() && it->key == key && (it->id == nullptr || *it->id != id);
-  }
-
- private:
-  struct Entry {
-    Key key;
-    const std::string* id;
-  };
-  std::vector<Entry> entries_;
-};
-
-/// The network-wide facts inter-device references resolve against.
-struct PeerFacts {
-  Holders<std::uint32_t> addrs;
-  Holders<Ipv4Prefix> subnets;
-  Holders<std::string_view> vlans;
-
-  explicit PeerFacts(const std::vector<DeviceView>& network) {
-    for (const auto& p : network) {
-      for (const auto& a : p.iface_addrs()) {
-        addrs.add(a.prefix.addr, p.device_id());
-        subnets.add(a.prefix.subnet(), p.device_id());
-      }
-      for (const std::string_view v : p.names_of("vlan")) vlans.add(v, p.device_id());
-    }
-    addrs.seal();
-    subnets.seal();
-    vlans.seal();
-  }
-};
-
-int inter_refs(const DeviceView& dev, const PeerFacts& peers) {
-  const std::string& self = dev.device_id();
-  int refs = 0;
-  for (std::size_t i = 0; i < dev.size(); ++i) {
-    const StanzaFacts& f = dev.facts(i);
-    if (f.type == "router") {
-      // BGP neighbor statements naming a peer device's address.
-      for (const BgpNeighbor& n : f.neighbors)
-        if (n.ip && peers.addrs.held_besides(*n.ip, self)) ++refs;
-      // OSPF/BGP network statements covering a subnet shared with a peer.
-      for (const NetworkStatement& n : f.networks)
-        if (n.parsed && peers.subnets.held_besides(n.parsed->subnet(), self)) ++refs;
-    } else if (f.type == "vlan") {
-      // A VLAN spanning devices: defined here and on at least one peer.
-      if (peers.vlans.held_besides(f.stanza->name, self)) ++refs;
-    }
-  }
-  return refs;
-}
 
 /// How many of `names` `dev` defines as stanzas of agnostic type `type`.
 template <typename Names>
@@ -124,19 +46,40 @@ int count_intra_refs(const DeviceView& dev) {
   return refs;
 }
 
-int count_inter_refs(const DeviceView& dev, const std::vector<DeviceView>& network) {
-  return inter_refs(dev, PeerFacts(network));
+int count_inter_refs(const NetworkView& network, std::size_t device) {
+  // True when an entry of `entries` sits on a device other than this one.
+  const auto elsewhere = [&](const auto& entries) {
+    return std::any_of(entries.begin(), entries.end(),
+                       [&](const auto& e) { return e.device != device; });
+  };
+  const DeviceView& dev = network.devices()[device];
+  int refs = 0;
+  for (std::size_t i = 0; i < dev.size(); ++i) {
+    const StanzaFacts& f = dev.facts(i);
+    if (f.type == "router") {
+      // BGP neighbor statements naming a peer device's address.
+      for (const BgpNeighbor& n : f.neighbors)
+        if (n.ip && elsewhere(network.carriers_of(*n.ip))) ++refs;
+      // OSPF/BGP network statements covering a subnet shared with a peer.
+      for (const NetworkStatement& n : f.networks)
+        if (n.parsed && elsewhere(network.carriers_of(n.parsed->subnet()))) ++refs;
+    } else if (f.type == "vlan") {
+      // A VLAN spanning devices: defined here and on at least one peer.
+      if (elsewhere(network.definers_of(f.stanza->name))) ++refs;
+    }
+  }
+  return refs;
 }
 
-NetworkComplexity referential_complexity(const std::vector<DeviceView>& network) {
-  if (network.empty()) return {};
-  const PeerFacts peers(network);
+NetworkComplexity referential_complexity(const NetworkView& network) {
+  const std::size_t devices = network.devices().size();
+  if (devices == 0) return {};
   double intra = 0, inter = 0;
-  for (const auto& dev : network) {
-    intra += count_intra_refs(dev);
-    inter += inter_refs(dev, peers);
+  for (std::size_t d = 0; d < devices; ++d) {
+    intra += count_intra_refs(network.devices()[d]);
+    inter += count_inter_refs(network, d);
   }
-  const double n = static_cast<double>(network.size());
+  const double n = static_cast<double>(devices);
   return NetworkComplexity{intra / n, inter / n};
 }
 

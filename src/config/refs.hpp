@@ -14,8 +14,6 @@
 // aggregate by all aspects of a network's design."
 #pragma once
 
-#include <vector>
-
 #include "config/device_view.hpp"
 
 namespace mpa {
@@ -23,10 +21,9 @@ namespace mpa {
 /// Count the intra-device references inside one device.
 int count_intra_refs(const DeviceView& dev);
 
-/// Count references from `dev` to entities configured on the other
-/// devices of its network (`network` may include `dev` itself — self is
-/// skipped by device id).
-int count_inter_refs(const DeviceView& dev, const std::vector<DeviceView>& network);
+/// Count references from device `device` of `network` (its position in
+/// devices()) to entities configured on the network's other devices.
+int count_inter_refs(const NetworkView& network, std::size_t device);
 
 /// Mean intra/inter reference counts over a network's devices —
 /// the D6 metrics ("we enumerate the *average* number of inter- and
@@ -36,6 +33,6 @@ struct NetworkComplexity {
   double mean_inter = 0;
 };
 
-NetworkComplexity referential_complexity(const std::vector<DeviceView>& network);
+NetworkComplexity referential_complexity(const NetworkView& network);
 
 }  // namespace mpa

@@ -5,13 +5,13 @@
 // OSPF processes) on different devices that are in the transitive
 // closure of the 'adjacent-to' relationship."
 //
-// Adjacency rules per protocol:
+// Adjacency rules per protocol, between processes on different devices:
 //  * BGP  — process A is adjacent to process B if A names one of B's
 //           device interface addresses in a `neighbor` statement (or
 //           vice versa);
 //  * OSPF — adjacent if their `network` statements cover a common
 //           subnet;
-//  * MSTP — spanning-tree processes sharing a region name.
+//  * MSTP — spanning-tree processes sharing a non-empty region name.
 #pragma once
 
 #include <string>
@@ -29,8 +29,10 @@ struct RoutingInstance {
   std::size_t size() const { return member_devices.size(); }
 };
 
-/// Group processes into instances via union-find over adjacency.
-std::vector<RoutingInstance> extract_routing_instances(const std::vector<DeviceView>& network);
+/// Group the processes of router and spanning-tree stanzas into
+/// instances, in the order of each instance's first process (device,
+/// then stanza order), members in process order.
+std::vector<RoutingInstance> extract_routing_instances(const NetworkView& network);
 
 /// Count and mean size of a protocol's instances (D5 metrics).
 struct InstanceStats {

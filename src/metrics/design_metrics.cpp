@@ -57,12 +57,12 @@ ProtocolUsage count_protocols(const std::vector<DeviceView>& network) {
   return usage;
 }
 
-int count_vlans(const std::vector<DeviceView>& network) {
-  std::vector<std::string_view> vlans;
-  for (const auto& dev : network)
-    for (const std::string_view name : dev.names_of("vlan")) vlans.push_back(name);
-  std::sort(vlans.begin(), vlans.end());
-  return static_cast<int>(std::unique(vlans.begin(), vlans.end()) - vlans.begin());
+int count_vlans(const NetworkView& network) {
+  const auto& vlans = network.vlans();
+  int distinct = 0;
+  for (std::size_t i = 0; i < vlans.size(); ++i)
+    if (i == 0 || vlans[i].name != vlans[i - 1].name) ++distinct;
+  return distinct;
 }
 
 void compute_inventory_metrics(const NetworkRecord& net,
@@ -87,8 +87,8 @@ void compute_inventory_metrics(const NetworkRecord& net,
   out[Practice::kFirmwareEntropy] = firmware_entropy(devices);
 }
 
-void compute_config_metrics(const std::vector<DeviceView>& network, Case& out) {
-  const ProtocolUsage protos = count_protocols(network);
+void compute_config_metrics(const NetworkView& network, Case& out) {
+  const ProtocolUsage protos = count_protocols(network.devices());
   out[Practice::kNumL2Protocols] = protos.l2;
   out[Practice::kNumL3Protocols] = protos.l3;
   out[Practice::kNumProtocols] = protos.total();
@@ -111,7 +111,7 @@ void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceView>& network, Case& out) {
   compute_inventory_metrics(net, devices, out);
-  compute_config_metrics(network, out);
+  compute_config_metrics(NetworkView(network), out);
 }
 
 void compute_design_metrics(const NetworkRecord& net,

@@ -33,7 +33,7 @@ struct ProtocolUsage {
 ProtocolUsage count_protocols(const std::vector<DeviceView>& network);
 
 /// Number of distinct VLANs configured network-wide (D4 instance count).
-int count_vlans(const std::vector<DeviceView>& network);
+int count_vlans(const NetworkView& network);
 
 /// Fill the design-practice fields that depend on the inventory alone
 /// (D1-D3: workloads, device, vendor, model, role and firmware counts,
@@ -43,11 +43,11 @@ void compute_inventory_metrics(const NetworkRecord& net,
 
 /// Fill the design-practice fields read from the configs (D4-D6:
 /// protocols, VLANs, routing instances, referential complexity).
-void compute_config_metrics(const std::vector<DeviceView>& network, Case& out);
+void compute_config_metrics(const NetworkView& network, Case& out);
 
 /// Fill the design-practice fields of `out` from inventory + configs:
-/// compute_inventory_metrics() and compute_config_metrics(). Operational
-/// fields and tickets are left untouched.
+/// compute_inventory_metrics() and compute_config_metrics() over the
+/// views' index. Operational fields and tickets are left untouched.
 void compute_design_metrics(const NetworkRecord& net,
                             const std::vector<const DeviceRecord*>& devices,
                             const std::vector<DeviceView>& network, Case& out);

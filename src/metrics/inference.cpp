@@ -149,12 +149,13 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
   clock.lap(LayerClock::kDiff);
 
   // The configuration state at month end: one view per device over its
-  // timeline's stanza facts and source, read by both the design metrics
-  // and the hygiene lint. A view, with the names it indexed, lasts while
-  // its device's month-end snapshot does. A device that has a month-end
-  // snapshot has one in every later month, so a change in how many do
-  // is a device joining, and then every view is rebuilt in device order.
-  // The inventory-only design terms hold for every month.
+  // timeline's stanza facts and source, and the network index over the
+  // views, read by both the design metrics and the hygiene lint. A view,
+  // with the names it indexed, lasts while its device's month-end
+  // snapshot does; the index is built anew each month. A device that has
+  // a month-end snapshot has one in every later month, so a change in
+  // how many do is a device joining, and then every view is rebuilt in
+  // device order. The inventory-only design terms hold for every month.
   Case inventory_terms;
   compute_inventory_metrics(net, devices, inventory_terms);
   clock.lap(LayerClock::kDesign);
@@ -187,10 +188,11 @@ std::vector<Case> infer_network_cases(const NetworkRecord& net, const Inventory&
       }
       shown[t++] = i;
     }
+    const NetworkView network(state);
     clock.lap(LayerClock::kState);
-    compute_config_metrics(state, row);
+    compute_config_metrics(network, row);
     clock.lap(LayerClock::kDesign);
-    apply_lint_metrics(count_lint(state, opts.lint), row);
+    apply_lint_metrics(count_lint(network, opts.lint), row);
     clock.lap(LayerClock::kLint);
 
     // Operational metrics from this month's changes.

@@ -89,6 +89,8 @@ class Histogram {
   const std::vector<double>& bounds() const { return bounds_; }
   /// Per-bucket (non-cumulative) counts; size() == bounds().size() + 1.
   std::vector<std::uint64_t> bucket_counts() const;
+  /// The smallest and largest sample since the last reset.
+  const SampleRange& range() const { return range_; }
   /// Estimated q-quantile (q in [0,1]) by bounded_quantile over the
   /// buckets and the samples' range. 0 when empty. Exports surface
   /// p50/p90/p99.

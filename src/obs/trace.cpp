@@ -27,9 +27,6 @@ RequestContext RequestContext::tag_only() const {
   RequestContext out;
   out.req_id = req_id;
   out.tenant = tenant;
-  out.kind = kind;
-  out.enqueue_ns = enqueue_ns;
-  out.dequeue_ns = dequeue_ns;
   return out;
 }
 

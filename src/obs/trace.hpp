@@ -52,10 +52,6 @@ struct SpanRecord {
 struct RequestContext {
   std::uint64_t req_id = 0;
   std::string tenant;
-  std::string kind;
-  std::uint64_t enqueue_ns = 0;
-  std::uint64_t dequeue_ns = 0;
-  std::uint64_t finish_ns = 0;
   /// Collect per-stage (path, dur_ns) samples from closing spans into
   /// stage_ns. Single-owner: only the installing worker thread may set
   /// it; pool fan-out task bodies adopt a tag_only() copy so the shared

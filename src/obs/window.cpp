@@ -19,19 +19,6 @@ std::size_t status_slot(std::string_view status) {
 
 }  // namespace
 
-void WindowRegistry::Hist::observe(double ms) {
-  const std::vector<double>& bounds = window_ms_bounds();
-  std::size_t b = 0;
-  while (b < bounds.size() && ms > bounds[b]) ++b;
-  counts[b].fetch_add(1, std::memory_order_relaxed);
-  range.observe(ms);
-}
-
-void WindowRegistry::Hist::reset() {
-  for (auto& c : counts) c.store(0, std::memory_order_relaxed);
-  range.reset();
-}
-
 const std::vector<double>& window_ms_bounds() {
   static const std::vector<double> bounds = {0.1, 0.5, 1.0,   5.0,   10.0,  25.0,
                                              50.0, 100.0, 250.0, 500.0, 1000.0, 5000.0};
@@ -107,15 +94,16 @@ WindowRegistry::Snapshot WindowRegistry::snapshot() const {
     w.kind = key.second;
     // One histogram combined over the live buckets.
     struct Merged {
-      std::vector<std::uint64_t> counts = std::vector<std::uint64_t>(kHistSlots, 0);
+      std::vector<std::uint64_t> counts =
+          std::vector<std::uint64_t>(window_ms_bounds().size() + 1, 0);
       double lo = std::numeric_limits<double>::infinity();
       double hi = -std::numeric_limits<double>::infinity();
 
-      void add(const Hist& h) {
-        for (std::size_t i = 0; i < kHistSlots; ++i)
-          counts[i] += h.counts[i].load(std::memory_order_relaxed);
-        lo = std::min(lo, h.range.lo());
-        hi = std::max(hi, h.range.hi());
+      void add(const Histogram& h) {
+        const std::vector<std::uint64_t> bucket = h.bucket_counts();
+        for (std::size_t i = 0; i < counts.size(); ++i) counts[i] += bucket[i];
+        lo = std::min(lo, h.range().lo());
+        hi = std::max(hi, h.range().hi());
       }
       double quantile(double q) const {
         return bounded_quantile(window_ms_bounds(), counts, lo, hi, q);

@@ -103,25 +103,16 @@ class WindowRegistry {
 
  private:
   static constexpr std::size_t kStatuses = 4;  ///< ok/rejected/deadline/error.
-  static constexpr std::size_t kHistSlots = 13;  ///< window_ms_bounds().size() + 1.
 
-  /// One bucket's histogram of a millisecond value over
-  /// window_ms_bounds(), with the smallest and largest sample.
-  struct Hist {
-    std::array<std::atomic<std::uint64_t>, kHistSlots> counts{};
-    SampleRange range;
-
-    void observe(double ms);
-    void reset();
-  };
   struct Bucket {
     /// Which bucket-width epoch this slot currently holds. kIdleEpoch
     /// marks a slot that has never been written.
     std::atomic<std::uint64_t> epoch{kIdleEpoch};
     std::array<std::atomic<std::uint64_t>, kStatuses> by_status{};
-    Hist queue;
-    Hist service;
-    Hist latency;
+    /// Milliseconds over window_ms_bounds().
+    Histogram queue{window_ms_bounds()};
+    Histogram service{window_ms_bounds()};
+    Histogram latency{window_ms_bounds()};
   };
   struct Series {
     explicit Series(std::size_t buckets) : ring(buckets) {}

@@ -238,9 +238,6 @@ void Scheduler::worker_loop() {
     obs::RequestContext ctx;
     ctx.req_id = item.req.id;
     ctx.tenant = item.req.tenant;
-    ctx.kind = std::string(to_string(item.req.kind));
-    ctx.enqueue_ns = item.enqueue_ns;
-    ctx.dequeue_ns = dequeue_ns;
     ctx.collect = true;
     obs::ScopedRequestContext scoped(&ctx);
 
@@ -263,8 +260,7 @@ void Scheduler::worker_loop() {
       resp.service_ms = ms_between(dequeue_ns, obs::now_ns());
       observe_seconds("mpa_serve_service_seconds", resp.service_ms * 1e-3);
     }
-    ctx.finish_ns = obs::now_ns();
-    resp.total_ms = ms_between(item.enqueue_ns, ctx.finish_ns);
+    resp.total_ms = ms_between(item.enqueue_ns, obs::now_ns());
     observe_seconds("mpa_serve_latency_seconds", resp.total_ms * 1e-3);
     finish(resp, Origin::kWorker);
     lk.lock();

@@ -83,8 +83,11 @@ TEST(Protocols, EmptyNetwork) {
 TEST(Vlans, DistinctAcrossDevicesAndDialects) {
   const DeviceConfig a = config_with({{"vlan", "100"}, {"vlan", "200"}}, "a");
   const DeviceConfig b = config_with({{"vlans", "200"}, {"vlans", "300"}}, "b");
-  EXPECT_EQ(count_vlans(views_of({a, b})), 3);
-  EXPECT_EQ(count_vlans(views_of({})), 0);
+  const std::vector<DeviceConfig> configs{a, b};
+  const auto views = views_of(configs);
+  EXPECT_EQ(count_vlans(NetworkView(views)), 3);
+  const std::vector<DeviceView> none;
+  EXPECT_EQ(count_vlans(NetworkView(none)), 0);
 }
 
 TEST(DesignMetrics, FillsCaseFields) {

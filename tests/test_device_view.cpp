@@ -138,7 +138,7 @@ TEST(DeviceView, KeptWrappersMatchTheViewPathOnPinnedDataset) {
                 0);
 
       const auto by_inputs = run_lint(inputs);
-      const auto by_view_list = run_lint(views);
+      const auto by_view_list = run_lint(NetworkView(views));
       ASSERT_EQ(by_inputs.size(), by_view_list.size());
       for (std::size_t i = 0; i < by_inputs.size(); ++i)
         EXPECT_EQ(describe(by_inputs[i]), describe(by_view_list[i]));

@@ -295,8 +295,14 @@ int count_rule(const std::vector<Diagnostic>& diags, std::string_view id) {
   return n;
 }
 
+/// run_lint() over a network given as configs.
+std::vector<Diagnostic> lint_configs(const std::vector<DeviceConfig>& configs) {
+  const auto views = views_of(configs);
+  return run_lint(NetworkView(views));
+}
+
 TEST(Lint, FindsDanglingReferences) {
-  const auto diags = run_lint(views_of({lint_subject()}));
+  const auto diags = lint_configs({lint_subject()});
   EXPECT_EQ(count_rule(diags, "dangling-acl-ref"), 1);
   EXPECT_EQ(count_rule(diags, "dangling-vlan-ref"), 1);
   EXPECT_EQ(count_rule(diags, "dangling-pool-ref"), 1);
@@ -316,7 +322,7 @@ TEST(Lint, CleanConfigHasNoIssues) {
   i.name = "Eth0";
   i.set("ip access-group", "edge");
   c.add(i);
-  EXPECT_TRUE(run_lint(views_of({c})).empty());
+  EXPECT_TRUE(lint_configs({c}).empty());
 }
 
 TEST(Lint, NetworkLevelDuplicateAddress) {
@@ -328,7 +334,7 @@ TEST(Lint, NetworkLevelDuplicateAddress) {
     i.set("ip address", "10.0.0.1/24");
     cfg->add(i);
   }
-  const auto diags = run_lint(views_of({a, b}));
+  const auto diags = lint_configs({a, b});
   ASSERT_EQ(diags.size(), 1u);
   EXPECT_EQ(diags[0].rule_id, "duplicate-address");
   EXPECT_EQ(diags[0].severity, LintSeverity::kError);
@@ -346,7 +352,7 @@ TEST(Lint, OneSidedBgpSession) {
   i.name = "Eth0";
   i.set("ip address", "10.0.0.2/24");
   sw.add(i);  // sw owns the address but runs no BGP
-  EXPECT_EQ(count_rule(run_lint(views_of({rt, sw})), "one-sided-bgp-session"), 1);
+  EXPECT_EQ(count_rule(lint_configs({rt, sw}), "one-sided-bgp-session"), 1);
 }
 
 TEST(Lint, GeneratedConfigsHaveNoBrokenReferences) {
@@ -360,7 +366,7 @@ TEST(Lint, GeneratedConfigsHaveNoBrokenReferences) {
   const GeneratedNetwork gen = generate_configs(std::move(design), rng);
   std::vector<DeviceConfig> configs;
   for (const auto& [id, cfg] : gen.configs) configs.push_back(cfg);
-  for (const auto& d : run_lint(views_of(configs))) {
+  for (const auto& d : lint_configs(configs)) {
     if (d.category == LintCategory::kReferential || d.severity == LintSeverity::kError)
       ADD_FAILURE() << d.device_id << ": " << d.rule_id << " " << d.message;
   }

@@ -709,7 +709,7 @@ TEST(LintSpans, RepeatedBlockInTimelineKeepsItsOwnSpanAndPragmas) {
     LintOptions opts;
     opts.keep_suppressed = true;
     std::vector<const Diagnostic*> found;
-    const auto diags = run_lint(month_end, opts);
+    const auto diags = run_lint(NetworkView(month_end), opts);
     for (const auto& diag : diags)
       if (diag.rule_id == "unused-interface-up") found.push_back(&diag);
     ASSERT_EQ(found.size(), 2u);
@@ -806,10 +806,11 @@ TEST(LintCounting, CountingSinkAgreesWithDiagnosticsSummary) {
   for (const MonthEnd& network : counting_networks()) {
     SCOPED_TRACE(network.label);
     const std::vector<DeviceView> views = network.views();
+    const NetworkView index(views);
     for (std::size_t k = 0; k < setups.size(); ++k) {
       SCOPED_TRACE(setups[k].first);
-      const LintSummary want = LintSummary::of(run_lint(views, setups[k].second), views.size());
-      const LintSummary got = count_lint(views, setups[k].second);
+      const LintSummary want = LintSummary::of(run_lint(index, setups[k].second), views.size());
+      const LintSummary got = count_lint(index, setups[k].second);
       EXPECT_EQ(got, want);
       sums[k].total += got.total;
       sums[k].suppressed += got.suppressed;

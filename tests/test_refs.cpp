@@ -116,10 +116,11 @@ TEST(Refs, InterBgpNeighbor) {
   b.add(i);
   const std::vector<DeviceConfig> net{a, b};
   const auto views = views_of(net);
+  const NetworkView network(views);
   // a's neighbor 10.0.0.2 is b's interface address (1), and a's network
   // statement covers the 10.0.0.0/24 subnet shared with b (1).
-  EXPECT_EQ(count_inter_refs(views[0], views), 2);
-  EXPECT_EQ(count_inter_refs(views[1], views), 0);  // b has no bgp/vlan stanzas
+  EXPECT_EQ(count_inter_refs(network, 0), 2);
+  EXPECT_EQ(count_inter_refs(network, 1), 0);  // b has no bgp/vlan stanzas
 }
 
 TEST(Refs, InterVlanSpanning) {
@@ -136,15 +137,16 @@ TEST(Refs, InterVlanSpanning) {
   c.add(v2);
   const std::vector<DeviceConfig> net{a, b, c};
   const auto views = views_of(net);
-  EXPECT_EQ(count_inter_refs(views[0], views), 1);  // vlan 100 also on b
-  EXPECT_EQ(count_inter_refs(views[2], views), 0);  // vlan 200 unique
+  const NetworkView network(views);
+  EXPECT_EQ(count_inter_refs(network, 0), 1);  // vlan 100 also on b
+  EXPECT_EQ(count_inter_refs(network, 2), 0);  // vlan 200 unique
 }
 
 TEST(Refs, SelfIsExcludedFromPeers) {
   const std::vector<DeviceConfig> net{router_with_refs()};
   const auto views = views_of(net);
   // Peer list containing only the device itself yields no inter refs.
-  EXPECT_EQ(count_inter_refs(views[0], views), 0);
+  EXPECT_EQ(count_inter_refs(NetworkView(views), 0), 0);
 }
 
 TEST(Refs, NetworkComplexityAverages) {
@@ -156,13 +158,15 @@ TEST(Refs, NetworkComplexityAverages) {
   i.set("ip address", "10.0.0.2/24");
   b.add(i);
   const std::vector<DeviceConfig> net{a, b};
-  const NetworkComplexity cx = referential_complexity(views_of(net));
+  const auto views = views_of(net);
+  const NetworkComplexity cx = referential_complexity(NetworkView(views));
   EXPECT_DOUBLE_EQ(cx.mean_intra, (2 + 0) / 2.0);
   EXPECT_DOUBLE_EQ(cx.mean_inter, (2 + 0) / 2.0);
 }
 
 TEST(Refs, EmptyNetwork) {
-  const NetworkComplexity cx = referential_complexity({});
+  const std::vector<DeviceView> none;
+  const NetworkComplexity cx = referential_complexity(NetworkView(none));
   EXPECT_EQ(cx.mean_intra, 0);
   EXPECT_EQ(cx.mean_inter, 0);
 }

@@ -22,6 +22,12 @@ DeviceConfig bgp_router(const std::string& id, const std::string& addr,
   return c;
 }
 
+/// The routing instances of a network given as configs.
+std::vector<RoutingInstance> instances_of(const std::vector<DeviceConfig>& configs) {
+  const std::vector<DeviceView> views = views_of(configs);
+  return extract_routing_instances(NetworkView(views));
+}
+
 DeviceConfig ospf_router(const std::string& id, const std::string& subnet, int pid) {
   DeviceConfig c(id);
   Stanza o;
@@ -35,9 +41,8 @@ DeviceConfig ospf_router(const std::string& id, const std::string& subnet, int p
 TEST(Routing, ExtractProcesses) {
   // Each protocol stanza is one process; with no adjacency, each is
   // its own instance, in device order.
-  const auto instances =
-      extract_routing_instances(views_of({bgp_router("a", "10.0.0.1", "10.0.0.2", "65001"),
-                                          ospf_router("b", "10.1.0.0/24", 1)}));
+  const auto instances = instances_of(
+      {bgp_router("a", "10.0.0.1", "10.0.0.2", "65001"), ospf_router("b", "10.1.0.0/24", 1)});
   ASSERT_EQ(instances.size(), 2u);
   EXPECT_EQ(instances[0].protocol, "bgp");
   EXPECT_EQ(instances[0].member_devices, std::vector<std::string>{"a"});
@@ -53,7 +58,7 @@ TEST(Routing, BgpChainFormsOneInstance) {
       bgp_router("b", "10.0.0.2", "10.0.0.3", "65001"),
       bgp_router("c", "10.0.0.3", "", "65001"),
   };
-  const auto instances = extract_routing_instances(views_of(net));
+  const auto instances = instances_of(net);
   ASSERT_EQ(instances.size(), 1u);
   EXPECT_EQ(instances[0].protocol, "bgp");
   EXPECT_EQ(instances[0].size(), 3u);
@@ -65,7 +70,7 @@ TEST(Routing, DisjointBgpGroups) {
       bgp_router("b", "10.0.0.2", "", "65001"),
       bgp_router("c", "10.0.1.1", "192.0.2.1", "65002"),  // external peer
   };
-  const auto instances = extract_routing_instances(views_of(net));
+  const auto instances = instances_of(net);
   const InstanceStats st = instance_stats(instances, "bgp");
   EXPECT_EQ(st.count, 2);
   EXPECT_DOUBLE_EQ(st.mean_size, (2 + 1) / 2.0);
@@ -77,7 +82,7 @@ TEST(Routing, OspfSharedSubnetAdjacency) {
       ospf_router("b", "10.5.0.0/24", 1),
       ospf_router("c", "10.6.0.0/24", 1),
   };
-  const auto instances = extract_routing_instances(views_of(net));
+  const auto instances = instances_of(net);
   const InstanceStats st = instance_stats(instances, "ospf");
   EXPECT_EQ(st.count, 2);
 }
@@ -88,7 +93,7 @@ TEST(Routing, OspfNonCanonicalSubnetsStillMatch) {
       ospf_router("a", "10.5.0.1/24", 1),
       ospf_router("b", "10.5.0.200/24", 1),
   };
-  const auto instances = extract_routing_instances(views_of(net));
+  const auto instances = instances_of(net);
   EXPECT_EQ(instance_stats(instances, "ospf").count, 1);
 }
 
@@ -98,7 +103,7 @@ TEST(Routing, ProtocolsNeverMix) {
   DeviceConfig a = bgp_router("a", "10.0.0.1", "", "65001");
   a.find("router bgp", "65001")->set("network", "10.5.0.0/24");
   const std::vector<DeviceConfig> net{a, ospf_router("b", "10.5.0.0/24", 1)};
-  const auto instances = extract_routing_instances(views_of(net));
+  const auto instances = instances_of(net);
   EXPECT_EQ(instances.size(), 2u);
 }
 
@@ -114,7 +119,7 @@ TEST(Routing, MstpRegionsGroup) {
   };
   const std::vector<DeviceConfig> net{make_switch("a", "r1"), make_switch("b", "r1"),
                                       make_switch("c", "r2")};
-  const auto instances = extract_routing_instances(views_of(net));
+  const auto instances = instances_of(net);
   const InstanceStats st = instance_stats(instances, "mstp");
   EXPECT_EQ(st.count, 2);
   EXPECT_DOUBLE_EQ(st.mean_size, 1.5);
@@ -134,12 +139,12 @@ TEST(Routing, SameDeviceProcessesNotAdjacent) {
   o2.name = "2";
   o2.set("network", "10.5.0.0/24 area 1");
   a.add(o2);
-  const auto instances = extract_routing_instances(views_of({a}));
+  const auto instances = instances_of({a});
   EXPECT_EQ(instance_stats(instances, "ospf").count, 2);
 }
 
 TEST(Routing, EmptyNetwork) {
-  EXPECT_TRUE(extract_routing_instances({}).empty());
+  EXPECT_TRUE(instances_of({}).empty());
   EXPECT_EQ(instance_stats({}, "bgp").count, 0);
   EXPECT_EQ(instance_stats({}, "bgp").mean_size, 0);
 }

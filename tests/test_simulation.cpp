@@ -97,7 +97,8 @@ TEST(ConfigGen, VlanCountMatchesDesign) {
   const GeneratedNetwork gen = generate_configs(std::move(design), rng);
   std::vector<DeviceConfig> configs;
   for (const auto& [id, cfg] : gen.configs) configs.push_back(cfg);
-  EXPECT_EQ(count_vlans(views_of(configs)), want);
+  const auto views = views_of(configs);
+  EXPECT_EQ(count_vlans(NetworkView(views)), want);
 }
 
 TEST(ChangeProcess, SnapshotsAreMonotoneAndParseable) {
