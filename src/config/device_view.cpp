@@ -22,18 +22,40 @@ DeviceView::DeviceView(const DeviceConfig& config, const LintSource* source)
   index();
 }
 
+namespace {
+
+template <typename T>
+void sort_distinct(std::vector<T>& items) {
+  std::sort(items.begin(), items.end());
+  items.erase(std::unique(items.begin(), items.end()), items.end());
+}
+
+}  // namespace
+
 void DeviceView::index() {
   require(source_ == nullptr || source_->size() == facts_.size(),
           "DeviceView: source describes a different number of stanzas than the config");
+  const auto refer = [this](std::string_view type, auto&& names) {
+    for (const std::string_view name : names) referenced_.push_back(TypedName{type, name});
+  };
   names_.reserve(facts_.size());
   for (std::size_t i = 0; i < facts_.size(); ++i) {
     const StanzaFacts& f = *facts_[i];
     names_.push_back(TypedName{f.type, f.stanza->name});
-    if (f.type != "interface") continue;
-    for (const Ipv4Prefix& p : f.addrs) iface_addrs_.push_back(IfaceAddr{i, p});
+    if (f.type == "interface") {
+      for (const Ipv4Prefix& p : f.addrs) iface_addrs_.push_back(IfaceAddr{i, p});
+      refer("acl", f.acls);
+      refer("vlan", f.vlans | std::views::transform(&VlanRef::id));
+    } else if (f.type == "vlan") {
+      refer("interface", f.interfaces);
+    } else if (f.type == "link-aggregation") {
+      refer("interface", f.members);
+    } else if (f.type == "virtual-server") {
+      refer("pool", f.pools);
+    }
   }
-  std::sort(names_.begin(), names_.end());
-  names_.erase(std::unique(names_.begin(), names_.end()), names_.end());
+  sort_distinct(names_);
+  sort_distinct(referenced_);
 }
 
 std::vector<DeviceView> views_of(const std::vector<DeviceConfig>& configs) {

@@ -1,9 +1,9 @@
 // The indexes of config facts (§2.2) that every config analysis reads:
 // lint (lint.hpp), refs, routing and the design metrics. DeviceView
 // holds one device's: each stanza's facts (stanza.hpp: StanzaFacts) by
-// position, stanza names per agnostic type, and interface addresses.
-// NetworkView holds a network's cross-device facts, gathered once from
-// its device views.
+// position, the names its stanzas define and reference per agnostic
+// type, and interface addresses. NetworkView holds a network's
+// cross-device facts, gathered once from its device views.
 #pragma once
 
 #include <algorithm>
@@ -64,6 +64,14 @@ class DeviceView {
   bool defines(std::string_view agnostic, std::string_view name) const {
     return std::binary_search(names_.begin(), names_.end(), TypedName{agnostic, name});
   }
+  /// Whether a stanza of this device names `name` as a stanza of agnostic
+  /// type `agnostic`: an interface its ACLs ("acl") and VLAN ids
+  /// ("vlan"), a VLAN its member interfaces and a link aggregation its
+  /// members ("interface"), a virtual server its pools ("pool"). The same
+  /// options on any other stanza type reference nothing.
+  bool referenced(std::string_view agnostic, std::string_view name) const {
+    return std::binary_search(referenced_.begin(), referenced_.end(), TypedName{agnostic, name});
+  }
 
   struct IfaceAddr {
     std::size_t stanza = 0;  ///< Position of the owning interface stanza.
@@ -92,7 +100,8 @@ class DeviceView {
   std::shared_ptr<const Owned> owned_;
   std::span<const StanzaFacts* const> facts_;
   const LintSource* source_;
-  std::vector<TypedName> names_;  ///< Sorted, distinct.
+  std::vector<TypedName> names_;       ///< Sorted, distinct.
+  std::vector<TypedName> referenced_;  ///< Sorted, distinct.
   std::vector<IfaceAddr> iface_addrs_;
 };
 

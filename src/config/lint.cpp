@@ -38,11 +38,6 @@ std::optional<LintSeverity> parse_severity(std::string_view s) {
   return std::nullopt;
 }
 
-// ------------------------------------------------------------------ rules
-
-void LintRule::check_device(const DeviceView& /*dev*/, LintSink& /*sink*/) const {}
-void LintRule::check_network(const NetworkView& /*net*/, LintSink& /*sink*/) const {}
-
 // ------------------------------------------------------------------ sink
 
 LintSink::LintSink(const LintOptions& opts, std::vector<Diagnostic>& out)
@@ -52,7 +47,6 @@ LintSink::LintSink(const LintOptions& opts, LintSummary& counts) : opts_(&opts),
 
 void LintSink::set_active(const LintRule* rule) {
   active_ = rule;
-  active_info_ = rule != nullptr ? rule->info() : RuleInfo{};
   active_hit_ = false;
 }
 
@@ -61,7 +55,7 @@ LintSink::Placement LintSink::place(const DeviceView& dev, std::size_t at) const
   Placement placed;
   if (const LintSource* src = dev.source()) {
     placed.span = src->span_of(at);
-    placed.suppressed = src->suppresses(active_info_.id, at);
+    placed.suppressed = src->suppresses(active_->info.id, at);
   }
   return placed;
 }
@@ -74,8 +68,8 @@ bool LintSink::keeps(const Placement& placed) {
     return false;
   }
   ++counts_->total;
-  ++counts_->by_category[static_cast<std::size_t>(active_info_.category)];
-  ++counts_->by_severity[static_cast<std::size_t>(active_info_.severity)];
+  ++counts_->by_category[static_cast<std::size_t>(active_->info.category)];
+  ++counts_->by_severity[static_cast<std::size_t>(active_->info.severity)];
   if (!std::exchange(active_hit_, true)) ++counts_->rules_hit;
   return false;
 }
@@ -83,9 +77,9 @@ bool LintSink::keeps(const Placement& placed) {
 void LintSink::add(const DeviceView& dev, std::size_t at, const Placement& placed,
                    std::string message) {
   Diagnostic& d = out_->emplace_back();
-  d.rule_id = std::string(active_info_.id);
-  d.category = active_info_.category;
-  d.severity = active_info_.severity;
+  d.rule_id = std::string(active_->info.id);
+  d.category = active_->info.category;
+  d.severity = active_->info.severity;
   d.device_id = dev.device_id();
   if (at != LintSource::npos) {
     const Stanza& anchor = dev.stanza(at);
@@ -101,12 +95,13 @@ void LintSink::add(const DeviceView& dev, std::size_t at, const Placement& place
 namespace {
 
 /// The one loop that runs the rules, for both sink modes: every rule in
-/// run order, each over every device, then the network.
+/// run order, over each device or over the network.
 void drive(const NetworkView& net, LintSink& sink) {
-  for (const auto& rule : builtin_rules()) {
-    sink.set_active(rule.get());
-    for (const auto& dev : net.devices()) rule->check_device(dev, sink);
-    rule->check_network(net, sink);
+  for (const LintRule& rule : builtin_rules()) {
+    sink.set_active(&rule);
+    if (rule.check_device != nullptr)
+      for (const DeviceView& dev : net.devices()) rule.check_device(dev, sink);
+    if (rule.check_network != nullptr) rule.check_network(net, sink);
   }
   sink.set_active(nullptr);
 }

@@ -3,8 +3,8 @@
 //
 // The paper's motivation is that error-prone manual management
 // introduces config inconsistencies that degrade network health. This
-// module detects those inconsistencies with a fixed set of LintRule
-// objects — referential integrity (dangling ACL/VLAN/pool/LAG
+// module detects those inconsistencies with one fixed table of LintRule
+// checks — referential integrity (dangling ACL/VLAN/pool/LAG
 // references), addressing (duplicate addresses, overlapping subnets),
 // filter hygiene (empty ACLs, shadowed and unreachable terms),
 // protocol coherence (one-sided or AS-mismatched BGP sessions, OSPF
@@ -24,8 +24,8 @@
 #pragma once
 
 #include <array>
-#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -93,20 +93,19 @@ struct RuleInfo {
 
 class LintSink;
 
-/// One check. Implementations override the scope(s) they need;
-/// device-scope rules see one device at a time, network-scope rules
-/// see the whole network through its index of cross-device facts.
-class LintRule {
- public:
-  virtual ~LintRule() = default;
-  virtual RuleInfo info() const = 0;
-  virtual void check_device(const DeviceView& dev, LintSink& sink) const;
-  virtual void check_network(const NetworkView& net, LintSink& sink) const;
+/// One check: its info and the one function that runs it. A
+/// device-scope rule sees one device at a time, a network-scope rule the
+/// whole network through its index of cross-device facts; exactly one of
+/// the two functions is set.
+struct LintRule {
+  RuleInfo info;
+  void (*check_device)(const DeviceView& dev, LintSink& sink) = nullptr;
+  void (*check_network)(const NetworkView& net, LintSink& sink) = nullptr;
 };
 
-/// Every rule in this module, in run order, constructed once. Ids are
-/// unique.
-const std::vector<std::unique_ptr<LintRule>>& builtin_rules();
+/// Every rule in this module, in run order, from one static table. Ids
+/// are unique.
+std::span<const LintRule> builtin_rules();
 
 // ------------------------------------------------------------ analysis API
 
@@ -189,7 +188,6 @@ class LintSink {
   std::vector<Diagnostic>* out_ = nullptr;
   LintSummary* counts_ = nullptr;
   const LintRule* active_ = nullptr;
-  RuleInfo active_info_{};
   bool active_hit_ = false;  ///< The active rule has an unsuppressed finding.
 };
 

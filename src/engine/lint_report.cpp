@@ -218,8 +218,8 @@ std::string LintReport::to_sarif() const {
      << "          \"informationUri\": \"https://example.invalid/mpa\",\n"
      << "          \"rules\": [";
   bool first = true;
-  for (const auto& rule : builtin_rules()) {
-    const RuleInfo info = rule->info();
+  for (const LintRule& rule : builtin_rules()) {
+    const RuleInfo& info = rule.info;
     rule_index.emplace(info.id, rule_index.size());
     os << (first ? "\n" : ",\n");
     first = false;

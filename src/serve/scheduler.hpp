@@ -122,6 +122,9 @@ class Scheduler {
   /// Ready (queued, not yet running) requests right now.
   std::size_t queue_depth() const EXCLUDES(mu_);
   int workers() const { return static_cast<int>(workers_.size()); }
+  /// The registry terminal responses are recorded into: the options'
+  /// window, else the global registry when obs is enabled, else null.
+  const obs::WindowRegistry* window() const { return window_; }
 
  private:
   struct Item {

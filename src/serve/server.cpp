@@ -145,11 +145,6 @@ AnalysisServer::AnalysisServer(ServerOptions opts, Scheduler::Sink tap)
     : opts_(std::move(opts)),
       tap_(std::move(tap)),
       slow_log_(opts_.slow_log_entries),
-      // The same resolution the scheduler applies, so introspection
-      // reports the registry terminal responses actually land in.
-      window_(opts_.scheduler.window != nullptr
-                  ? opts_.scheduler.window
-                  : (obs::enabled() ? &obs::WindowRegistry::global() : nullptr)),
       scheduler_(
           opts_.scheduler, [this](const Request& req) { return execute(req); },
           [this](const Response& resp) { record(resp); },
@@ -181,7 +176,9 @@ Response AnalysisServer::submit_and_wait(Request req) {
   return responses_.at(id);
 }
 
-void AnalysisServer::drain() { scheduler_.drain(); }
+void AnalysisServer::drain() {
+  scheduler_.drain();
+}
 
 Response AnalysisServer::execute(const Request& req) {
   Response resp;
@@ -246,7 +243,8 @@ Response AnalysisServer::introspect(const Request& req) {
     first = false;
     os << '"' << json_escape(key) << '"';
   }
-  os << "],\"window\":" << (window_ != nullptr ? window_->to_json() : std::string("null"))
+  const obs::WindowRegistry* window = scheduler_.window();
+  os << "],\"window\":" << (window != nullptr ? window->to_json() : std::string("null"))
      << ",\"slow\":" << slow_log_.to_json() << '}';
   resp.body = os.str();
   return resp;

@@ -93,7 +93,6 @@ class AnalysisServer {
   SessionManager sessions_;  ///< Declared before scheduler_: workers join first.
   Scheduler::Sink tap_;
   SlowLog slow_log_;  ///< Declared before scheduler_: workers feed it until drained.
-  obs::WindowRegistry* const window_;  ///< Same resolution the scheduler applies.
 
   /// Guards the response store and id counter; leaf lock — nothing
   /// else is acquired while it is held (lock ordering, DESIGN.md §12).

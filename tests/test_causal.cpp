@@ -112,7 +112,9 @@ TEST(Causal, StricterThresholdReducesCausalFindings) {
   strict.p_threshold = 1e-12;
   const CausalResult res = causal_analysis(t, Practice::kNumChangeEvents, strict);
   for (const auto& cmp : res.comparisons) {
-    if (cmp.outcome.p_value > 1e-12) EXPECT_FALSE(cmp.causal);
+    if (cmp.outcome.p_value > 1e-12) {
+      EXPECT_FALSE(cmp.causal);
+    }
   }
 }
 

@@ -16,6 +16,7 @@
 #include "metrics/lint_metrics.hpp"
 #include "simulation/osp_generator.hpp"
 #include "util/error.hpp"
+#include "util/hash.hpp"
 #include "util/strings.hpp"
 
 namespace mpa {
@@ -245,6 +246,52 @@ TEST(LintRules, UnusedInterfaceUp) {
     good.add(make(v.iface, "Eth7", {{"description", "lag member"}}));
     good.add(make(v.lag, "ae0", {{"member", "Eth7"}}));
     EXPECT_EQ(count_rule(lint_texts({good}, d), "unused-interface-up"), 0) << v.iface;
+  }
+}
+
+// A name counts as referenced only from the stanza kinds that refer to
+// it: an ACL from an interface, a pool from a virtual server, a VLAN
+// from an interface (through every VLAN key the dialect parses), and an
+// interface from a VLAN's member list or a LAG. The same option on any
+// other stanza kind references nothing.
+TEST(LintRules, ReferencesCountOnlyFromTheReferringStanzaKinds) {
+  for (Dialect d : kBothDialects) {
+    const Vocab v = vocab(d);
+    SCOPED_TRACE(v.iface);
+    const auto findings = [&](std::string_view rule, std::initializer_list<Stanza> stanzas) {
+      DeviceConfig config("dev");
+      for (const Stanza& s : stanzas) config.add(s);
+      return count_rule(lint_texts({config}, d), rule);
+    };
+
+    const Stanza spare = make(v.iface, "Eth1", {{"description", "spare"}});
+    const char* const unused = "unused-interface-up";
+    EXPECT_EQ(findings(unused, {spare, make(v.vlan, "40", {{"interface", "Eth1"}})}), 0);
+    EXPECT_EQ(findings(unused, {spare, make(v.lag, "ae0", {{"member", "Eth1"}})}), 0);
+    EXPECT_EQ(findings(unused, {spare, make(v.bgp, "65001", {{"interface", "Eth1"}})}), 1);
+    EXPECT_EQ(findings(unused, {spare, make("pool", "web", {{"member", "Eth1"}})}), 1);
+
+    const Stanza pool = make("pool", "web", {{"member", "10.0.0.5"}});
+    const char* const idle = "unreferenced-pool";
+    EXPECT_EQ(findings(idle, {pool, make("virtual-server", "vip", {{"pool", "web"}})}), 0);
+    EXPECT_EQ(findings(idle, {pool, make(v.iface, "Eth0", {{"pool", "web"}})}), 1);
+
+    const Stanza acl = make(v.acl, "edge", {{"permit", "tcp any any eq 443"}});
+    const char* const detached = "unreferenced-acl";
+    EXPECT_EQ(findings(detached, {acl, make(v.iface, "Eth0", {{v.attach_key, "edge"}})}), 0);
+    EXPECT_EQ(findings(detached, {acl, make(v.vlan, "30", {{v.attach_key, "edge"}})}), 1);
+
+    std::vector<const char*> vlan_keys = {"vlan-members"};
+    if (d == Dialect::kIosLike) {
+      vlan_keys.push_back("switchport access vlan");
+      vlan_keys.push_back("spanning-tree vlan");
+    }
+    const Stanza vlan = make(v.vlan, "30");
+    for (const char* key : vlan_keys) {
+      SCOPED_TRACE(key);
+      EXPECT_EQ(findings("unreferenced-vlan", {vlan, make(v.iface, "Eth0", {{key, "30"}})}), 0);
+      EXPECT_EQ(findings("unreferenced-vlan", {vlan, make(v.lag, "ae0", {{key, "30"}})}), 1);
+    }
   }
 }
 
@@ -728,7 +775,7 @@ TEST(LintRegistry, BuiltinHasUniqueIdsAndFullCoverage) {
   std::set<std::string_view> ids;
   std::set<LintCategory> categories;
   for (const auto& rule : rules) {
-    const RuleInfo info = rule->info();
+    const RuleInfo info = rule.info;
     EXPECT_FALSE(info.id.empty());
     EXPECT_TRUE(ids.insert(info.id).second) << "duplicate id " << info.id;
     EXPECT_FALSE(info.summary.empty()) << info.id;
@@ -736,6 +783,15 @@ TEST(LintRegistry, BuiltinHasUniqueIdsAndFullCoverage) {
   }
   EXPECT_EQ(static_cast<int>(categories.size()), kNumLintCategories);
   EXPECT_EQ(ids.count("dangling-acl-ref"), 1u);
+}
+
+// The SARIF driver lists every rule's id, summary, level and category in
+// run order, so its digest pins the whole table: a rule that moves, or
+// that swaps its severity or category, changes it.
+TEST(LintRegistry, RuleTableIsPinned) {
+  Fnv h;
+  h.str(LintReport{}.to_sarif());
+  EXPECT_EQ(h.value(), 0x9308e5da43c70bddULL);
 }
 
 // --------------------------------------------------------------- counting
@@ -926,9 +982,8 @@ TEST(LintReportTest, JsonAndSarifAreWellFormed) {
   EXPECT_NE(sarif.find("\"suppressions\""), std::string::npos);
   // The driver advertises the whole registry even for sparse findings.
   for (const auto& rule : builtin_rules())
-    EXPECT_NE(sarif.find("\"id\": \"" + std::string(rule->info().id) + "\""),
-              std::string::npos)
-        << rule->info().id;
+    EXPECT_NE(sarif.find("\"id\": \"" + std::string(rule.info.id) + "\""), std::string::npos)
+        << rule.info.id;
 }
 
 TEST(LintReportTest, SarifListsAtLeastFifteenRules) {

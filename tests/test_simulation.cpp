@@ -28,7 +28,9 @@ TEST(NetworkDesign, BasicInvariants) {
     EXPECT_GT(d.automation_propensity, 0);
     EXPECT_FALSE(d.change_type_mix.empty());
     // Routing design implies routers exist.
-    if (d.use_bgp || d.use_ospf) EXPECT_FALSE(d.devices_with_role(Role::kRouter).empty());
+    if (d.use_bgp || d.use_ospf) {
+      EXPECT_FALSE(d.devices_with_role(Role::kRouter).empty());
+    }
     // Device ids are unique.
     std::set<std::string> ids;
     for (const auto& dev : d.devices) EXPECT_TRUE(ids.insert(dev.device_id).second);

@@ -85,7 +85,7 @@ TEST(TicketLog, InterleavedNetworksKeepTheirOwnTicketsInOrder) {
   EXPECT_EQ(ids("net2"), (std::vector<std::string>{"t0", "t3"}));
   EXPECT_EQ(ids("net10"), (std::vector<std::string>{"t1"}));
   EXPECT_TRUE(ids("net").empty());
-  for (const std::string& net : {"net1", "net2", "net10", "net"}) {
+  for (const char* net : {"net1", "net2", "net10", "net"}) {
     for (int m = 0; m < 2; ++m) {
       int want = 0;
       for (const auto& t : log.all())
