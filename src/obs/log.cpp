@@ -1,6 +1,7 @@
 #include "obs/log.hpp"
 
 #include <algorithm>
+#include <atomic>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -41,7 +42,9 @@ bool parse_log_level(std::string_view name, LogLevel* out) {
   return false;
 }
 
-bool log_enabled() { return g_gate.load(std::memory_order_relaxed) != kGateOff; }
+bool log_enabled() {
+  return g_gate.load(std::memory_order_relaxed) != kGateOff;
+}
 
 void set_log_enabled(bool on) {
   g_gate.store(on ? g_min_level.load(std::memory_order_relaxed) : kGateOff,
@@ -54,13 +57,13 @@ void set_log_min_level(LogLevel level) {
 }
 
 std::string LogField::value_json() const {
-  switch (type) {
-    case Type::kString: return "\"" + json_escape(s) + "\"";
-    case Type::kInt: return std::to_string(i);
-    case Type::kUint: return std::to_string(u);
-    case Type::kBool: return b ? "true" : "false";
-  }
-  return "null";
+  struct Json {
+    std::string operator()(const std::string& s) const { return "\"" + json_escape(s) + "\""; }
+    std::string operator()(std::int64_t i) const { return std::to_string(i); }
+    std::string operator()(std::uint64_t u) const { return std::to_string(u); }
+    std::string operator()(bool b) const { return b ? "true" : "false"; }
+  };
+  return std::visit(Json{}, value);
 }
 
 std::string LogRecord::to_json(bool with_time) const {
@@ -87,51 +90,9 @@ Logger& Logger::global() {
   return logger;
 }
 
-void Logger::set_ring_capacity(std::size_t n) {
-  ring_capacity_.store(n, std::memory_order_relaxed);
-}
-
-std::uint64_t Logger::dropped() const { return dropped_.load(std::memory_order_relaxed); }
-
-Logger::Buffer& Logger::local_buffer() {
-  // The logger co-owns every buffer so records survive thread exit
-  // (pool teardown) until the next clear() — same lifetime rule as
-  // Tracer's span buffers.
-  thread_local std::shared_ptr<Buffer> buf;
-  if (buf == nullptr) {
-    buf = std::make_shared<Buffer>();
-    MutexLock lk(mu_);
-    buffers_.push_back(buf);
-  }
-  return *buf;
-}
-
-void Logger::commit(LogRecord&& rec) {
-  Buffer& buf = local_buffer();
-  const std::size_t cap = ring_capacity_.load(std::memory_order_relaxed);
-  MutexLock lk(buf.mu);
-  if (cap == 0 || buf.records.size() < cap) {
-    buf.records.push_back(std::move(rec));
-    return;
-  }
-  // Flight-recorder mode: overwrite the oldest retained event.
-  if (buf.ring_next >= buf.records.size()) buf.ring_next = 0;
-  buf.records[buf.ring_next] = std::move(rec);
-  ++buf.ring_next;
-  dropped_.fetch_add(1, std::memory_order_relaxed);
-}
-
 std::vector<LogRecord> Logger::snapshot() const {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
   std::vector<LogRecord> out;
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    out.insert(out.end(), b->records.begin(), b->records.end());
-  }
+  events_.for_each([&](std::uint32_t, const LogRecord& rec) { out.push_back(rec); });
   std::sort(out.begin(), out.end(), [](const LogRecord& a, const LogRecord& b) {
     if (a.t_ns != b.t_ns) return a.t_ns < b.t_ns;
     return a.to_json(false) < b.to_json(false);
@@ -154,20 +115,6 @@ std::string Logger::canonical_jsonl() const {
   return os.str();
 }
 
-void Logger::clear() {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    b->records.clear();
-    b->ring_next = 0;
-  }
-  dropped_.store(0, std::memory_order_relaxed);
-}
-
 LogEvent::LogEvent(LogLevel level, std::string_view name) {
   // The zero-overhead gate: one relaxed atomic load covering both the
   // on/off switch and the level filter. Nothing below touches a clock
@@ -185,46 +132,30 @@ LogEvent::LogEvent(LogLevel level, std::string_view name) {
 LogEvent::~LogEvent() {
   if (!active_) return;
   rec_.t_ns = now_ns();
-  Logger::global().commit(std::move(rec_));
+  Logger::global().events_.append(std::move(rec_));
+}
+
+void LogEvent::add(std::string_view key, LogField::Value value) {
+  rec_.fields.push_back(LogField{std::string(key), std::move(value)});
 }
 
 LogEvent& LogEvent::str(std::string_view key, std::string_view value) {
-  if (!active_) return *this;
-  LogField f;
-  f.key = std::string(key);
-  f.type = LogField::Type::kString;
-  f.s = std::string(value);
-  rec_.fields.push_back(std::move(f));
+  if (active_) add(key, std::string(value));
   return *this;
 }
 
 LogEvent& LogEvent::i64(std::string_view key, std::int64_t value) {
-  if (!active_) return *this;
-  LogField f;
-  f.key = std::string(key);
-  f.type = LogField::Type::kInt;
-  f.i = value;
-  rec_.fields.push_back(std::move(f));
+  if (active_) add(key, value);
   return *this;
 }
 
 LogEvent& LogEvent::u64(std::string_view key, std::uint64_t value) {
-  if (!active_) return *this;
-  LogField f;
-  f.key = std::string(key);
-  f.type = LogField::Type::kUint;
-  f.u = value;
-  rec_.fields.push_back(std::move(f));
+  if (active_) add(key, value);
   return *this;
 }
 
 LogEvent& LogEvent::boolean(std::string_view key, bool value) {
-  if (!active_) return *this;
-  LogField f;
-  f.key = std::string(key);
-  f.type = LogField::Type::kBool;
-  f.b = value;
-  rec_.fields.push_back(std::move(f));
+  if (active_) add(key, value);
   return *this;
 }
 

@@ -1,7 +1,7 @@
 // Structured event log for the MPA engine: leveled events with typed
-// key/value fields, recorded into per-thread buffers that are merged
-// only at snapshot time (the Tracer pattern — the hot path never takes
-// a shared lock), exported as JSONL.
+// key/value fields, recorded into the per-thread stream the Tracer uses
+// too (obs/thread_records.hpp — the hot path never takes a shared
+// lock), merged at snapshot time and exported as JSONL.
 //
 // Contracts (DESIGN.md §10):
 //  - Zero overhead when disabled: constructing a LogEvent while the
@@ -24,14 +24,13 @@
 //       .str("stage", "lint").u64("networks", n);
 #pragma once
 
-#include <atomic>
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
+#include <variant>
 #include <vector>
 
-#include "util/sync.hpp"
+#include "obs/thread_records.hpp"
 
 namespace mpa::obs {
 
@@ -52,14 +51,10 @@ void set_log_min_level(LogLevel level);
 
 /// One typed key/value field.
 struct LogField {
-  enum class Type : std::uint8_t { kString, kInt, kUint, kBool };
+  using Value = std::variant<std::string, std::int64_t, std::uint64_t, bool>;
 
   std::string key;
-  Type type = Type::kString;
-  std::string s;       ///< kString payload.
-  std::int64_t i = 0;  ///< kInt payload.
-  std::uint64_t u = 0; ///< kUint payload.
-  bool b = false;      ///< kBool payload.
+  Value value;
 
   /// The field's value serialized as a JSON token.
   std::string value_json() const;
@@ -85,7 +80,7 @@ struct LogRecord {
   std::string to_json(bool with_time = true) const;
 };
 
-/// Process-wide log buffer. Records land in per-thread ring buffers
+/// Process-wide event log. Records land in per-thread buffers
 /// (registered on first use, co-owned so they survive thread exit) and
 /// are merged + sorted only at snapshot/export time.
 class Logger {
@@ -95,13 +90,13 @@ class Logger {
   /// Flight-recorder bound per thread buffer (0 = unbounded, the
   /// default). Takes effect for subsequent commits; shrinking does not
   /// retroactively evict.
-  void set_ring_capacity(std::size_t n);
+  void set_ring_capacity(std::size_t n) { events_.set_capacity(n); }
   /// Events evicted by the ring since the last clear().
-  std::uint64_t dropped() const;
+  std::uint64_t dropped() const { return events_.dropped(); }
 
   /// Merge every thread's buffer, sorted by (t_ns, content) — a stable
   /// chronological order with deterministic ties.
-  std::vector<LogRecord> snapshot() const EXCLUDES(mu_);
+  std::vector<LogRecord> snapshot() const;
 
   /// One JSON object per line, chronological (the --log-out format).
   std::string to_jsonl() const;
@@ -111,24 +106,14 @@ class Logger {
   std::string canonical_jsonl() const;
 
   /// Drop every recorded event and zero dropped().
-  void clear() EXCLUDES(mu_);
+  void clear() { events_.clear(); }
 
  private:
   friend class LogEvent;
-  struct Buffer {
-    Mutex mu;  ///< Uncontended except at snapshot/clear time.
-    std::vector<LogRecord> records GUARDED_BY(mu);
-    std::size_t ring_next GUARDED_BY(mu) = 0;  ///< Overwrite cursor once bounded.
-  };
 
   Logger() = default;
-  Buffer& local_buffer() EXCLUDES(mu_);
-  void commit(LogRecord&& rec) EXCLUDES(mu_);
 
-  mutable Mutex mu_;  ///< Guards buffers_ (registration + export).
-  std::vector<std::shared_ptr<Buffer>> buffers_ GUARDED_BY(mu_);
-  std::atomic<std::size_t> ring_capacity_{0};
-  std::atomic<std::uint64_t> dropped_{0};
+  ThreadRecords<LogRecord> events_;
 };
 
 /// Builder for one event. Construction reads the gate (one relaxed
@@ -149,6 +134,9 @@ class LogEvent {
   LogEvent& boolean(std::string_view key, bool value);
 
  private:
+  /// Callers check active_ first, so a disabled event builds no value.
+  void add(std::string_view key, LogField::Value value);
+
   bool active_ = false;
   LogRecord rec_;
 };

@@ -30,46 +30,34 @@ RequestContext RequestContext::tag_only() const {
   return out;
 }
 
-RequestContext* current_request_context() { return thread_request_context(); }
+RequestContext* current_request_context() {
+  return thread_request_context();
+}
 
 ScopedRequestContext::ScopedRequestContext(RequestContext* ctx)
     : prev_(thread_request_context()) {
   thread_request_context() = ctx != nullptr ? ctx : prev_;
 }
 
-ScopedRequestContext::~ScopedRequestContext() { thread_request_context() = prev_; }
+ScopedRequestContext::~ScopedRequestContext() {
+  thread_request_context() = prev_;
+}
 
 Tracer& Tracer::global() {
   static Tracer tracer;
   return tracer;
 }
 
-std::string Tracer::current_path() { return thread_current_path(); }
-
-Tracer::Buffer& Tracer::local_buffer() {
-  // The tracer co-owns every buffer, so records survive thread exit
-  // (pool teardown) until the next clear().
-  thread_local std::shared_ptr<Buffer> buf;
-  if (buf == nullptr) {
-    buf = std::make_shared<Buffer>();
-    MutexLock lk(mu_);
-    buf->tid = static_cast<std::uint32_t>(buffers_.size()) + 1;
-    buffers_.push_back(buf);
-  }
-  return *buf;
+std::string Tracer::current_path() {
+  return thread_current_path();
 }
 
 std::vector<SpanRecord> Tracer::snapshot() const {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
   std::vector<SpanRecord> out;
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    out.insert(out.end(), b->records.begin(), b->records.end());
-  }
+  spans_.for_each([&](std::uint32_t tid, const SpanRecord& rec) {
+    out.push_back(rec);
+    out.back().tid = tid;
+  });
   std::sort(out.begin(), out.end(), [](const SpanRecord& a, const SpanRecord& b) {
     if (a.start_ns != b.start_ns) return a.start_ns < b.start_ns;
     return a.path < b.path;
@@ -84,7 +72,7 @@ std::string Tracer::to_json() const {
   for (std::size_t i = 0; i < spans.size(); ++i) {
     if (i != 0) os << ',';
     os << "{\"path\":\"" << json_escape(spans[i].path) << "\",\"start_ns\":" << spans[i].start_ns
-       << ",\"dur_ns\":" << spans[i].dur_ns;
+       << ",\"dur_ns\":" << spans[i].dur_ns << ",\"tid\":" << spans[i].tid;
     if (spans[i].req_id != 0) {
       os << ",\"req_id\":" << spans[i].req_id << ",\"tenant\":\"" << json_escape(spans[i].tenant)
          << '"';
@@ -122,18 +110,8 @@ std::string summarize_spans(const std::vector<SpanRecord>& spans) {
   return os.str();
 }
 
-std::string Tracer::summary() const { return summarize_spans(snapshot()); }
-
-void Tracer::clear() {
-  std::vector<std::shared_ptr<Buffer>> bufs;
-  {
-    MutexLock lk(mu_);
-    bufs = buffers_;
-  }
-  for (const auto& b : bufs) {
-    MutexLock lk(b->mu);
-    b->records.clear();
-  }
+std::string Tracer::summary() const {
+  return summarize_spans(snapshot());
 }
 
 Span::Span(std::string_view name) {
@@ -143,7 +121,9 @@ Span::Span(std::string_view name) {
   open();
 }
 
-Span Span::with_path(std::string path) { return Span(AbsolutePath{}, std::move(path)); }
+Span Span::with_path(std::string path) {
+  return Span(AbsolutePath{}, std::move(path));
+}
 
 Span::Span(AbsolutePath, std::string path) {
   if (!enabled()) return;
@@ -168,10 +148,7 @@ Span::~Span() {
     rec.tenant = ctx->tenant;
     if (ctx->collect) ctx->stage_ns.emplace_back(rec.path, rec.dur_ns);
   }
-  Tracer::Buffer& buf = Tracer::global().local_buffer();
-  MutexLock lk(buf.mu);
-  rec.tid = buf.tid;
-  buf.records.push_back(std::move(rec));
+  Tracer::global().spans_.append(std::move(rec));
 }
 
 }  // namespace mpa::obs

@@ -1,7 +1,7 @@
 // Scoped trace spans for the MPA engine: RAII wall-time timers with
-// parent/child nesting, recorded into per-thread buffers that are only
-// merged at export time — so the engine's fork-join thread pool never
-// contends on a shared trace lock.
+// parent/child nesting, recorded into the per-thread stream of
+// obs/thread_records.hpp — merged only at export time, so the engine's
+// fork-join thread pool never contends on a shared trace lock.
 //
 // Nesting is thread-local: a Span opened while another Span is live on
 // the same thread becomes its child ("parent/child" paths). Fan-out
@@ -16,13 +16,12 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
-#include "util/sync.hpp"
+#include "obs/thread_records.hpp"
 
 namespace mpa::obs {
 
@@ -98,9 +97,9 @@ class Tracer {
 
   /// Merge every thread's buffer, ordered by (start_ns, path) — stable
   /// content (paths and counts) across thread counts.
-  std::vector<SpanRecord> snapshot() const EXCLUDES(mu_);
+  std::vector<SpanRecord> snapshot() const;
 
-  /// {"spans":[{"path":...,"start_ns":...,"dur_ns":...},...]}
+  /// {"spans":[{"path":...,"start_ns":...,"dur_ns":...,"tid":...},...]}
   std::string to_json() const;
 
   /// Aggregated human-readable tree: per-path call count and total
@@ -108,21 +107,14 @@ class Tracer {
   std::string summary() const;
 
   /// Drop every recorded span (buffers stay registered).
-  void clear() EXCLUDES(mu_);
+  void clear() { spans_.clear(); }
 
  private:
   friend class Span;
-  struct Buffer {
-    Mutex mu;  ///< Uncontended except at snapshot/clear time.
-    std::vector<SpanRecord> records GUARDED_BY(mu);
-    std::uint32_t tid = 0;  ///< Registration-order thread id (1-based).
-  };
 
   Tracer() = default;
-  Buffer& local_buffer() EXCLUDES(mu_);
 
-  mutable Mutex mu_;  ///< Guards buffers_ (registration + export).
-  std::vector<std::shared_ptr<Buffer>> buffers_ GUARDED_BY(mu_);
+  ThreadRecords<SpanRecord> spans_;
 };
 
 /// RAII span on the global tracer. Records on destruction.

@@ -132,6 +132,30 @@ TEST_F(ObsTest, DisabledSpansRecordNothing) {
   EXPECT_TRUE(obs::Tracer::global().snapshot().empty());
 }
 
+TEST_F(ObsTest, EachThreadKeepsOneTidPastItsExitAndClear) {
+  { obs::Span s("main"); }
+  for (int t = 0; t < 3; ++t) {
+    std::thread worker([t] { obs::Span s("worker" + std::to_string(t)); });
+    worker.join();
+  }
+  // The exited workers' spans survive; every thread has its own tid.
+  std::map<std::string, std::uint32_t> tid_of;
+  for (const auto& s : obs::Tracer::global().snapshot()) tid_of[s.path] = s.tid;
+  ASSERT_EQ(tid_of.size(), 4u);
+  std::set<std::uint32_t> tids;
+  for (const auto& [path, tid] : tid_of) {
+    EXPECT_GE(tid, 1u) << path;
+    tids.insert(tid);
+  }
+  EXPECT_EQ(tids.size(), 4u);
+  // clear() empties the buffers but keeps their registrations.
+  obs::Tracer::global().clear();
+  { obs::Span s("main"); }
+  const auto after = obs::Tracer::global().snapshot();
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after[0].tid, tid_of.at("main"));
+}
+
 TEST_F(ObsTest, SummaryAggregatesByPath) {
   { obs::Span a("alpha"); }
   { obs::Span a("alpha"); }
@@ -429,8 +453,33 @@ TEST_F(LogTest, RingBufferKeepsMostRecentAndCountsDrops) {
   EXPECT_EQ(obs::Logger::global().dropped(), 6u);
   // The retained four are the most recent four (6..9), oldest evicted.
   std::multiset<std::int64_t> kept;
-  for (const auto& rec : records) kept.insert(rec.fields.at(0).i);
+  for (const auto& rec : records) kept.insert(std::get<std::int64_t>(rec.fields.at(0).value));
   EXPECT_EQ(kept, (std::multiset<std::int64_t>{6, 7, 8, 9}));
+}
+
+TEST_F(LogTest, RingBoundIsPerThread) {
+  // Each thread's buffer is bounded on its own: three threads of ten
+  // events each keep their own last four and drop their own first six.
+  obs::Logger::global().set_ring_capacity(4);
+  for (std::uint64_t t = 0; t < 3; ++t) {
+    std::thread worker([t] {
+      for (std::uint64_t seq = 0; seq < 10; ++seq) {
+        obs::LogEvent(obs::LogLevel::kInfo, "tick").u64("thread", t).u64("seq", seq);
+      }
+    });
+    worker.join();
+  }
+  const auto records = obs::Logger::global().snapshot();
+  EXPECT_EQ(records.size(), 12u);
+  EXPECT_EQ(obs::Logger::global().dropped(), 18u);
+  using Kept = std::map<std::uint64_t, std::multiset<std::uint64_t>>;
+  Kept kept;  // thread -> the sequence numbers its buffer kept
+  for (const auto& rec : records) {
+    const JsonValue fields = parse_json(rec.to_json()).at("fields");
+    kept[fields.at("thread").as_u64()].insert(fields.at("seq").as_u64());
+  }
+  const std::multiset<std::uint64_t> last_four{6, 7, 8, 9};
+  EXPECT_EQ(kept, (Kept{{0, last_four}, {1, last_four}, {2, last_four}}));
 }
 
 TEST_F(LogTest, JsonlIsOneObjectPerLine) {
@@ -523,12 +572,23 @@ TEST_F(ObsTest, ChromeTraceExportShape) {
   EXPECT_EQ(paths, (std::multiset<std::string>{"outer", "outer/inner"}));
 }
 
-TEST_F(ObsTest, ChromeTraceRoundTripPreservesSpans) {
+/// Spans on two threads, so the snapshot carries two distinct tids.
+std::vector<obs::SpanRecord> record_spans_on_two_threads() {
   {
     obs::Span a("alpha");
     obs::Span b("beta");
   }
+  std::thread worker([] { obs::Span c("gamma"); });
+  worker.join();
   const auto spans = obs::Tracer::global().snapshot();
+  std::set<std::uint32_t> tids;
+  for (const auto& s : spans) tids.insert(s.tid);
+  EXPECT_EQ(tids.size(), 2u);
+  return spans;
+}
+
+TEST_F(ObsTest, ChromeTraceRoundTripPreservesSpans) {
+  const auto spans = record_spans_on_two_threads();
   const auto parsed = obs::parse_trace_json(obs::chrome_trace_json(spans));
   ASSERT_EQ(parsed.size(), spans.size());
   // Microsecond decimals carry three fractional digits, so nanosecond
@@ -537,21 +597,22 @@ TEST_F(ObsTest, ChromeTraceRoundTripPreservesSpans) {
     EXPECT_EQ(parsed[i].path, spans[i].path);
     EXPECT_EQ(parsed[i].start_ns, spans[i].start_ns);
     EXPECT_EQ(parsed[i].dur_ns, spans[i].dur_ns);
+    EXPECT_EQ(parsed[i].tid, spans[i].tid);
   }
 }
 
 TEST_F(ObsTest, ParseTraceJsonAcceptsTracerFormat) {
-  {
-    obs::Span a("alpha");
-    obs::Span b("beta");
-  }
-  const auto spans = obs::Tracer::global().snapshot();
+  const auto spans = record_spans_on_two_threads();
   const auto parsed = obs::parse_trace_json(obs::Tracer::global().to_json());
   ASSERT_EQ(parsed.size(), spans.size());
-  std::multiset<std::string> want, got;
-  for (const auto& s : spans) want.insert(s.path);
-  for (const auto& s : parsed) got.insert(s.path);
-  EXPECT_EQ(got, want);
+  // The span JSON is written in snapshot order and keeps each span's
+  // thread lane, like the Chrome trace.
+  for (std::size_t i = 0; i < spans.size(); ++i) {
+    EXPECT_EQ(parsed[i].path, spans[i].path);
+    EXPECT_EQ(parsed[i].start_ns, spans[i].start_ns);
+    EXPECT_EQ(parsed[i].dur_ns, spans[i].dur_ns);
+    EXPECT_EQ(parsed[i].tid, spans[i].tid);
+  }
   EXPECT_THROW(obs::parse_trace_json("{\"neither\":1}"), DataError);
 }
 
@@ -635,7 +696,8 @@ struct LogicalWindow {
   std::uint64_t now_ns = 0;
   obs::WindowRegistry registry;
 
-  explicit LogicalWindow(std::size_t buckets, std::uint64_t width_ns) : registry(options(buckets, width_ns)) {}
+  explicit LogicalWindow(std::size_t buckets, std::uint64_t width_ns)
+      : registry(options(buckets, width_ns)) {}
   obs::WindowOptions options(std::size_t buckets, std::uint64_t width_ns) {
     obs::WindowOptions o;
     o.buckets = buckets;
