@@ -190,6 +190,7 @@ AnalysisSession::AnalysisSession(AnalysisSession&& other) noexcept
       lint_(std::move(other.lint_)),
       dependence_(std::move(other.dependence_)),
       causal_(std::move(other.causal_)),
+      causal_logs_(std::move(other.causal_logs_)),
       cv_(std::move(other.cv_)),
       stage_runs_(std::move(other.stage_runs_)),
       fingerprint_(other.fingerprint_) {}
@@ -369,7 +370,9 @@ const CausalResult& AnalysisSession::causal(Practice treatment) {
   StageScope computed(*this, "causal", StageSource::kComputed);
   CausalOptions copts = opts_.causal;
   copts.pool = pool_.get();
-  return causal_.emplace(treatment, causal_analysis(table, treatment, copts)).first->second;
+  if (!causal_logs_) causal_logs_.emplace(table);
+  return causal_.emplace(treatment, causal_analysis(table, *causal_logs_, treatment, copts))
+      .first->second;
 }
 
 const EvalResult& AnalysisSession::evaluate_cv(int num_classes, ModelKind kind) {
@@ -499,6 +502,7 @@ AnalysisSession::AppendResult AnalysisSession::append_month(const MonthDelta& de
   // additive form. ----
   dependence_.reset();
   causal_.clear();
+  causal_logs_.reset();
   cv_.clear();
 
   obs::LogEvent(obs::LogLevel::kInfo, "session_append")

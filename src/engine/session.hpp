@@ -225,6 +225,7 @@ class AnalysisSession {
   std::optional<LintReport> lint_;
   std::optional<DependenceAnalysis> dependence_;
   std::map<Practice, CausalResult> causal_;
+  std::optional<LogPractices> causal_logs_;  ///< Built with the first causal_ entry.
   std::map<std::pair<int, int>, EvalResult> cv_;  ///< (kind, classes).
   /// Guards stage_runs_ and fingerprint_ so stats() / manifest() are
   /// safe under concurrent readers while a stage runs. Taken a handful

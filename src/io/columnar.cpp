@@ -45,8 +45,12 @@ void append_raw(std::string& buf, const void* p, std::size_t n) {
   buf.append(static_cast<const char*>(p), n);
 }
 
-void append_u32(std::string& buf, std::uint32_t v) { append_raw(buf, &v, sizeof v); }
-void append_u64(std::string& buf, std::uint64_t v) { append_raw(buf, &v, sizeof v); }
+void append_u32(std::string& buf, std::uint32_t v) {
+  append_raw(buf, &v, sizeof v);
+}
+void append_u64(std::string& buf, std::uint64_t v) {
+  append_raw(buf, &v, sizeof v);
+}
 
 void pad8(std::string& buf) {
   while (buf.size() % 8 != 0) buf.push_back('\0');

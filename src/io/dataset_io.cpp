@@ -152,7 +152,9 @@ const char* header_token_defect(std::string_view s) {
 }
 
 // The time rule every snapshot and ticket time meets.
-bool in_time_range(Timestamp t) { return t >= 0 && t < month_start(kMaxMonths); }
+bool in_time_range(Timestamp t) {
+  return t >= 0 && t < month_start(kMaxMonths);
+}
 
 std::string time_range_defect(Timestamp t) {
   return std::to_string(t) + " is outside [0, " + std::to_string(month_start(kMaxMonths)) + ")";
@@ -205,7 +207,9 @@ RecordChecker::RecordChecker(const Inventory& inventory, std::string source,
                              const SnapshotStore* history)
     : inventory_(inventory), history_(history), source_(std::move(source)) {}
 
-void RecordChecker::fail(const std::string& what) const { throw DataError(source_ + ": " + what); }
+void RecordChecker::fail(const std::string& what) const {
+  throw DataError(source_ + ": " + what);
+}
 
 void RecordChecker::check_network(const NetworkRecord& net) const {
   if (inventory_.find_network(net.network_id) != nullptr)

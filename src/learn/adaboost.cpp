@@ -10,15 +10,17 @@ namespace mpa {
 // SAMME: each round fits a tree on the working weights, weighs its vote
 // by alpha from its weighted error, and raises the weight of the
 // examples it got wrong.
-AdaBoostClassifier AdaBoostClassifier::fit(const Dataset& data, const BoostOptions& opts) {
-  require(!data.x.empty(), "AdaBoostClassifier::fit: empty dataset");
+AdaBoostClassifier AdaBoostClassifier::fit(const Dataset& data, const BoostOptions& opts,
+                                           ThreadPool* pool) {
+  // The rounds change only the weights, which the check does not read.
+  data.require_fit_input("AdaBoostClassifier::fit");
   AdaBoostClassifier model;
   model.num_classes_ = data.num_classes;
   Dataset working = data;
   const double k = working.num_classes;
   std::vector<int> fitted;  // each training row's leaf label
   for (int t = 0; t < opts.iterations; ++t) {
-    DecisionTree tree = DecisionTree::fit(working, opts.tree, &fitted);
+    DecisionTree tree = DecisionTree::grow(working, opts.tree, &fitted, pool);
     double err = 0, total = 0;
     for (std::size_t i = 0; i < working.size(); ++i) {
       if (fitted[i] != working.y[i]) err += working.w[i];
@@ -44,7 +46,7 @@ AdaBoostClassifier AdaBoostClassifier::fit(const Dataset& data, const BoostOptio
   }
   if (model.trees_.empty()) {
     // Degenerate data (e.g. single class): fall back to one plain tree.
-    model.trees_.push_back(DecisionTree::fit(data, opts.tree));
+    model.trees_.push_back(DecisionTree::grow(data, opts.tree, nullptr, pool));
     model.alphas_.push_back(1.0);
   }
   return model;

@@ -27,7 +27,11 @@ struct BoostOptions {
 /// SAMME multi-class AdaBoost over decision-tree weak learners.
 class AdaBoostClassifier {
  public:
-  static AdaBoostClassifier fit(const Dataset& data, const BoostOptions& opts = {});
+  /// Checks `data` once (Dataset::require_fit_input); the rounds are
+  /// sequential, and each round's tree grows its subtrees on `pool`
+  /// (DecisionTree::fit).
+  static AdaBoostClassifier fit(const Dataset& data, const BoostOptions& opts = {},
+                                ThreadPool* pool = nullptr);
 
   int predict(std::span<const int> x) const;
 

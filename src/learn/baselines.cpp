@@ -18,7 +18,9 @@ MajorityClassifier MajorityClassifier::fit(const Dataset& data) {
   return m;
 }
 
-int MajorityClassifier::predict(std::span<const int>) const { return majority_; }
+int MajorityClassifier::predict(std::span<const int>) const {
+  return majority_;
+}
 
 LinearSvm LinearSvm::fit(const Dataset& data, Rng& rng) {
   data.require_fit_input("LinearSvm::fit");

@@ -20,7 +20,9 @@ bool all_in_range(std::span<const int> values, int n) {
 
 }  // namespace
 
-int health_class_2(double tickets) { return tickets <= 1 ? 0 : 1; }
+int health_class_2(double tickets) {
+  return tickets <= 1 ? 0 : 1;
+}
 
 int health_class_5(double tickets) {
   if (tickets <= 2) return 0;   // excellent

@@ -3,11 +3,21 @@
 #include <algorithm>
 #include <cmath>
 #include <sstream>
+#include <thread>
 
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace mpa {
 namespace {
+
+/// A split holding at least this share of the fit's rows, and at
+/// least kFanOutRows of them, grows its children as pool tasks.
+constexpr double kFanOutShare = 0.125;
+constexpr std::size_t kFanOutRows = 512;
+/// A branch of a fanned-out split with at least this many rows is a
+/// task of its own; the smaller ones share one task.
+constexpr std::size_t kTaskRows = 128;
 
 double entropy_from_weights(std::span<const double> class_w, double total) {
   if (total <= 0) return 0;
@@ -22,35 +32,62 @@ double entropy_from_weights(std::span<const double> class_w, double total) {
 
 }  // namespace
 
-/// Buffers one fit reuses at every node. The split-search histograms
-/// are live only while a node picks its split and the scatter buffer
-/// only while it partitions its rows, so nothing here is held across
-/// the recursion.
+/// What every node of one fit reads.
+struct DecisionTree::Grower {
+  const Dataset& data;
+  const TreeOptions& opts;
+  double total_weight = 0;
+  std::vector<int>* row_labels = nullptr;  ///< Leaf label per training row.
+  ThreadPool* pool = nullptr;
+  std::size_t fan_out_rows = 0;  ///< Rows from which a split's children are tasks.
+};
+
+/// Buffers one fit (or one of its subtree tasks) reuses at every node.
+/// The split-search histograms are live only while a node picks its
+/// split and the scatter buffer only while it partitions its rows, so
+/// nothing here is held across the recursion.
 struct DecisionTree::Scratch {
   std::vector<double> class_w;         ///< Node weight per class.
   std::vector<std::size_t> features;   ///< Unused features, ascending.
   std::vector<double> bin_w;           ///< [feature slot][bin] weight.
   std::vector<double> bin_class_w;     ///< [feature slot][bin][class] weight.
   std::vector<std::size_t> scattered;  ///< Partition output.
-  std::vector<int>* row_labels = nullptr;  ///< Leaf label per training row.
 };
 
 DecisionTree DecisionTree::fit(const Dataset& data, const TreeOptions& opts,
-                               std::vector<int>* row_labels) {
+                               std::vector<int>* row_labels, ThreadPool* pool) {
   data.require_fit_input("DecisionTree::fit");
+  return grow(data, opts, row_labels, pool);
+}
+
+DecisionTree DecisionTree::grow(const Dataset& data, const TreeOptions& opts,
+                                std::vector<int>* row_labels, ThreadPool* pool) {
+  const auto share =
+      static_cast<std::size_t>(std::ceil(kFanOutShare * static_cast<double>(data.size())));
+  const Grower g{data, opts, data.total_weight(), row_labels, pool, std::max(share, kFanOutRows)};
   DecisionTree tree;
   std::vector<std::size_t> rows(data.size());
   for (std::size_t i = 0; i < rows.size(); ++i) rows[i] = i;
   std::vector<bool> used(data.num_features(), false);
   Scratch scratch;
-  scratch.row_labels = row_labels;
   if (row_labels) row_labels->assign(data.size(), 0);
-  tree.root_ = tree.build(data, rows, used, data.total_weight(), opts, 0, scratch);
+  tree.root_ = tree.build(g, rows, used, 0, scratch);
   return tree;
 }
 
-int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::vector<bool>& used,
-                        double total_weight, const TreeOptions& opts, int depth, Scratch& scratch) {
+int DecisionTree::splice(DecisionTree&& subtree) {
+  const int root = static_cast<int>(nodes_.size());
+  for (Node& node : subtree.nodes_) {
+    for (int& child : node.children) child += root;
+    nodes_.push_back(std::move(node));
+  }
+  return root;
+}
+
+int DecisionTree::build(const Grower& g, std::span<std::size_t> rows, std::vector<bool>& used,
+                        int depth, Scratch& scratch) {
+  const Dataset& data = g.data;
+  const TreeOptions& opts = g.opts;
   const auto bins = static_cast<std::size_t>(data.feature_bins);
   const auto classes = static_cast<std::size_t>(data.num_classes);
 
@@ -69,7 +106,7 @@ int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::v
   node.label = majority;
 
   const bool pure = class_w[static_cast<std::size_t>(majority)] >= node_weight - 1e-12;
-  const bool too_small = node_weight < opts.min_weight_frac * total_weight;
+  const bool too_small = node_weight < opts.min_weight_frac * g.total_weight;
   const bool too_deep = opts.max_depth > 0 && depth >= opts.max_depth;
   std::vector<std::size_t>& features = scratch.features;
   features.clear();
@@ -141,18 +178,64 @@ int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::v
       std::copy(scattered.begin(), scattered.end(), rows.begin());
 
       used[static_cast<std::size_t>(best_feature)] = true;
+      const auto branch = [&](std::size_t b) {
+        const std::size_t begin = b == 0 ? 0 : bounds[b - 1];
+        return rows.subspan(begin, bounds[b] - begin);
+      };
+      // Large enough: the branches grow as tasks into trees of their
+      // own, one task per branch of at least kTaskRows rows and one for
+      // all the smaller ones. The subtrees are spliced in below in bin
+      // order, where the serial recursion would have put their nodes.
+      std::vector<std::size_t> large;  // branches with a task of their own
+      bool small = false;
+      if (g.pool != nullptr && rows.size() >= g.fan_out_rows) {
+        for (std::size_t b = 0; b < bins; ++b) {
+          if (branch(b).size() >= kTaskRows)
+            large.push_back(b);
+          else
+            small = small || !branch(b).empty();
+        }
+      }
+      std::vector<DecisionTree> subtrees;
+      if (!large.empty()) {
+        subtrees.resize(bins);
+        // A task on this thread runs while this node waits in
+        // parallel_for, when no node of this fit's serial recursion
+        // holds `scratch` or `used`, so it borrows them; a task on
+        // another thread gets its own scratch and copy of `used`.
+        const std::thread::id caller = std::this_thread::get_id();
+        const std::vector<bool> split_used = used;
+        parallel_for(g.pool, large.size() + (small ? 1 : 0), [&](std::size_t t) {
+          const bool borrow = std::this_thread::get_id() == caller;
+          std::vector<bool> own_used = borrow ? std::vector<bool>{} : split_used;
+          Scratch own_scratch;
+          std::vector<bool>& task_used = borrow ? used : own_used;
+          Scratch& task_scratch = borrow ? scratch : own_scratch;
+          const auto grow_branch = [&](std::size_t b) {
+            DecisionTree subtree;  // moved in once: the slots share cache lines
+            subtree.build(g, branch(b), task_used, depth + 1, task_scratch);
+            subtrees[b] = std::move(subtree);
+          };
+          if (t < large.size()) {
+            grow_branch(large[t]);
+            return;
+          }
+          for (std::size_t b = 0; b < bins; ++b)
+            if (!branch(b).empty() && branch(b).size() < kTaskRows) grow_branch(b);
+        });
+      }
       std::vector<int> children(bins, -1);
       for (std::size_t b = 0; b < bins; ++b) {
-        const std::size_t begin = b == 0 ? 0 : bounds[b - 1];
-        if (begin == bounds[b]) {
+        if (branch(b).empty()) {
           // Empty branch: leaf with the parent's majority class.
           Node leaf;
           leaf.label = majority;
           children[b] = static_cast<int>(nodes_.size());
           nodes_.push_back(leaf);
+        } else if (!subtrees.empty()) {
+          children[b] = splice(std::move(subtrees[b]));
         } else {
-          children[b] = build(data, rows.subspan(begin, bounds[b] - begin), used, total_weight,
-                              opts, depth + 1, scratch);
+          children[b] = build(g, branch(b), used, depth + 1, scratch);
         }
       }
       used[static_cast<std::size_t>(best_feature)] = false;
@@ -162,8 +245,8 @@ int DecisionTree::build(const Dataset& data, std::span<std::size_t> rows, std::v
   }
 
   // Leaf.
-  if (scratch.row_labels)
-    for (std::size_t i : rows) (*scratch.row_labels)[i] = node.label;
+  if (g.row_labels)
+    for (std::size_t i : rows) (*g.row_labels)[i] = node.label;
   nodes_.push_back(node);
   return static_cast<int>(nodes_.size()) - 1;
 }

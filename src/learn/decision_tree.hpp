@@ -20,6 +20,8 @@
 
 namespace mpa {
 
+class ThreadPool;
+
 struct TreeOptions {
   /// Pruning threshold as a fraction of the total training weight.
   double min_weight_frac = 0.01;
@@ -33,8 +35,12 @@ class DecisionTree {
   /// states what `data` must hold).
   /// When `row_labels` is given, it receives each training row's leaf
   /// label, which is predict(data.x[i]).
+  /// With a `pool`, the subtrees under a split that holds a large
+  /// enough share of the rows grow as tasks on it; the nodes are
+  /// spliced back in the serial pre-order, so the tree is the same
+  /// with or without a pool, at any thread count.
   static DecisionTree fit(const Dataset& data, const TreeOptions& opts = {},
-                          std::vector<int>* row_labels = nullptr);
+                          std::vector<int>* row_labels = nullptr, ThreadPool* pool = nullptr);
 
   /// Predict the class of one binned feature vector.
   int predict(std::span<const int> x) const;
@@ -81,12 +87,24 @@ class DecisionTree {
     std::vector<int> children;  ///< Child node index per bin value.
   };
 
+  struct Grower;
   struct Scratch;
 
+  // AdaBoost checks its data once and grows every round through grow.
+  friend class AdaBoostClassifier;
+
+  /// fit without the input check.
+  static DecisionTree grow(const Dataset& data, const TreeOptions& opts,
+                           std::vector<int>* row_labels, ThreadPool* pool);
+
   /// Grow the subtree over `rows`, which it reorders in place so that
-  /// each child's rows are contiguous.
-  int build(const Dataset& data, std::span<std::size_t> rows, std::vector<bool>& used,
-            double total_weight, const TreeOptions& opts, int depth, Scratch& scratch);
+  /// each child's rows are contiguous. `used` marks the features split
+  /// on above it.
+  int build(const Grower& g, std::span<std::size_t> rows, std::vector<bool>& used, int depth,
+            Scratch& scratch);
+
+  /// Append `subtree`'s nodes, its root first; returns the root's index.
+  int splice(DecisionTree&& subtree);
 
   std::vector<Node> nodes_;  ///< nodes_[0] is the root.
   int root_ = -1;

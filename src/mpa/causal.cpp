@@ -34,27 +34,28 @@ constexpr double kMinVrPassFrac = 0.70;
 
 /// One comparison point's rows: bin `untreated_bin` of the treatment
 /// against the bin above it, with `outcome[i]` as row i's outcome.
-ComparisonData comparison_rows(const CaseTable& table, Practice treatment,
+ComparisonData comparison_rows(const LogPractices& logs, Practice treatment,
                                std::span<const int> treat_bins, int untreated_bin,
                                std::span<const double> outcome) {
   ComparisonData data;
   // Confounders: every other analysis practice (§5.2.3: "we include all
   // of the practice metrics we infer, minus the treatment practice, as
   // confounding factors").
-  for (Practice p : analysis_practices())
-    if (p != treatment) data.confounders.push_back(p);
-
-  // Confounders enter on the log1p scale: most practice metrics are
-  // heavy-tailed (Appendix A), and matching and assessing balance on
-  // the log scale is the standard treatment for skewed covariates.
+  std::vector<std::size_t> columns;  // of `logs`
+  for (std::size_t j = 0; j < logs.practices().size(); ++j) {
+    if (logs.practices()[j] == treatment) continue;
+    columns.push_back(j);
+    data.confounders.push_back(logs.practices()[j]);
+  }
   auto confounder_row = [&](std::size_t i) {
+    const std::span<const double> all = logs.row(i);
     std::vector<double> row;
-    row.reserve(data.confounders.size());
-    for (Practice p : data.confounders) row.push_back(std::log1p(std::max(0.0, table[i][p])));
+    row.reserve(columns.size());
+    for (std::size_t j : columns) row.push_back(all[j]);
     return row;
   };
 
-  for (std::size_t i = 0; i < table.size(); ++i) {
+  for (std::size_t i = 0; i < logs.size(); ++i) {
     if (treat_bins[i] == untreated_bin) {
       data.untreated.push_back(confounder_row(i));
       data.untreated_tickets.push_back(outcome[i]);
@@ -66,27 +67,10 @@ ComparisonData comparison_rows(const CaseTable& table, Practice treatment,
   return data;
 }
 
-}  // namespace
-
-ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin) {
-  require(!table.empty(), "comparison_data: empty case table");
-  const auto treat_col = table.column(treatment);
-  const Binner binner = Binner::fit(treat_col, kTreatmentBins, kLoPct, kHiPct);
-  require(untreated_bin >= 0 && untreated_bin + 1 < binner.num_bins(),
-          "comparison_data: comparison point out of range");
-  return comparison_rows(table, treatment, binner.bin_all(treat_col), untreated_bin,
-                         table.tickets());
-}
-
-CausalResult causal_analysis(const CaseTable& table, Practice treatment,
-                             const CausalOptions& opts) {
-  return causal_analysis_outcome(table, treatment, table.tickets(), opts);
-}
-
-CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
-                                     std::span<const double> outcome,
-                                     const CausalOptions& opts) {
+CausalResult analyze(const CaseTable& table, const LogPractices& logs, Practice treatment,
+                     std::span<const double> outcome, const CausalOptions& opts) {
   require(!table.empty(), "causal_analysis: empty case table");
+  require(logs.size() == table.size(), "causal_analysis: log table of another case table");
   require(outcome.size() == table.size(),
           "causal_analysis_outcome: outcome length must match table size");
   CausalResult result;
@@ -103,7 +87,7 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
   std::vector<std::optional<ComparisonResult>> points(num_points);
   parallel_for(opts.pool, num_points, [&](std::size_t point) {
     const int b = static_cast<int>(point);
-    const ComparisonData data = comparison_rows(table, treatment, treat_bins, b, outcome);
+    const ComparisonData data = comparison_rows(logs, treatment, treat_bins, b, outcome);
     if (data.untreated.empty() || data.treated.empty()) return;
 
     ComparisonResult cmp;
@@ -111,7 +95,7 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
     cmp.untreated_cases = data.untreated.size();
     cmp.treated_cases = data.treated.size();
 
-    const MatchResult match = propensity_match(data.treated, data.untreated);
+    const MatchResult match = propensity_match(data.treated, data.untreated, {}, opts.pool);
     cmp.pairs = match.pairs.size();
     cmp.untreated_matched = match.untreated_matched_distinct;
     cmp.propensity_balance = match.propensity_balance;
@@ -134,6 +118,46 @@ CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
   for (auto& point : points)
     if (point.has_value()) result.comparisons.push_back(std::move(*point));
   return result;
+}
+
+}  // namespace
+
+// Confounders enter on the log1p scale: most practice metrics are
+// heavy-tailed (Appendix A), and matching and assessing balance on the
+// log scale is the standard treatment for skewed covariates.
+LogPractices::LogPractices(const CaseTable& table)
+    : rows_(table.size()),
+      practices_(analysis_practices()),
+      values_(rows_ * practices_.size()) {
+  double* out = values_.data();
+  for (std::size_t i = 0; i < table.size(); ++i)
+    for (Practice p : practices_) *out++ = std::log1p(std::max(0.0, table[i][p]));
+}
+
+ComparisonData comparison_data(const CaseTable& table, Practice treatment, int untreated_bin) {
+  require(!table.empty(), "comparison_data: empty case table");
+  const auto treat_col = table.column(treatment);
+  const Binner binner = Binner::fit(treat_col, kTreatmentBins, kLoPct, kHiPct);
+  require(untreated_bin >= 0 && untreated_bin + 1 < binner.num_bins(),
+          "comparison_data: comparison point out of range");
+  return comparison_rows(LogPractices(table), treatment, binner.bin_all(treat_col),
+                         untreated_bin, table.tickets());
+}
+
+CausalResult causal_analysis(const CaseTable& table, Practice treatment,
+                             const CausalOptions& opts) {
+  return analyze(table, LogPractices(table), treatment, table.tickets(), opts);
+}
+
+CausalResult causal_analysis(const CaseTable& table, const LogPractices& logs, Practice treatment,
+                             const CausalOptions& opts) {
+  return analyze(table, logs, treatment, table.tickets(), opts);
+}
+
+CausalResult causal_analysis_outcome(const CaseTable& table, Practice treatment,
+                                     std::span<const double> outcome,
+                                     const CausalOptions& opts) {
+  return analyze(table, LogPractices(table), treatment, outcome, opts);
 }
 
 }  // namespace mpa

@@ -24,9 +24,33 @@ class ThreadPool;
 struct CausalOptions {
   double p_threshold = 1e-3;  ///< "moderately conservative" §5.2.5.
   /// Fan the comparison points (1:2 .. 4:5) out on this pool (null =
-  /// serial). Matching is deterministic, so results are bit-identical
-  /// at any thread count.
+  /// serial), and each point's propensity-fit sums inside them.
+  /// Matching is deterministic, so results are bit-identical at any
+  /// thread count.
   ThreadPool* pool = nullptr;
+};
+
+/// Every case's analysis practices on the log1p scale, the scale the
+/// confounders enter matching on: log1p(max(0, x)), one row per case
+/// of the table it was built from, one column per analysis practice.
+/// A sweep over many treatments of one table builds it once.
+class LogPractices {
+ public:
+  explicit LogPractices(const CaseTable& table);
+
+  /// Cases (rows).
+  std::size_t size() const { return rows_; }
+  /// Column order: analysis_practices().
+  std::span<const Practice> practices() const { return practices_; }
+  /// Case `i`'s values, one per practices() entry.
+  std::span<const double> row(std::size_t i) const {
+    return {values_.data() + i * practices_.size(), practices_.size()};
+  }
+
+ private:
+  std::size_t rows_ = 0;
+  std::vector<Practice> practices_;
+  std::vector<double> values_;  ///< Row-major, cases x practices.
 };
 
 /// Result of one comparison point (e.g. bin 1 vs bin 2).
@@ -62,6 +86,11 @@ struct CausalResult {
 /// practices are confounders. Comparison points with an empty side are
 /// skipped.
 CausalResult causal_analysis(const CaseTable& table, Practice treatment,
+                             const CausalOptions& opts = {});
+
+/// As above, reading the confounders from `logs`, which must have been
+/// built from `table`.
+CausalResult causal_analysis(const CaseTable& table, const LogPractices& logs, Practice treatment,
                              const CausalOptions& opts = {});
 
 /// As above but with a custom outcome column aligned to `table`'s rows

@@ -51,16 +51,16 @@ Trainer make_trainer(ModelKind kind, Rng& rng, const ModelingOptions& opts) {
     }
     case ModelKind::kDecisionTree:
     case ModelKind::kDtOversample:
-      return [](const Dataset& train) -> Predictor {
-        auto model = std::make_shared<DecisionTree>(DecisionTree::fit(train));
+      return [pool = opts.pool](const Dataset& train) -> Predictor {
+        auto model = std::make_shared<DecisionTree>(DecisionTree::fit(train, {}, nullptr, pool));
         return [model](std::span<const int> x) { return model->predict(x); };
       };
     case ModelKind::kDtBoost:
     case ModelKind::kDtBoostOversample: {
       const BoostOptions boost_opts = opts.boost;
-      return [boost_opts](const Dataset& train) -> Predictor {
+      return [boost_opts, pool = opts.pool](const Dataset& train) -> Predictor {
         auto model = std::make_shared<AdaBoostClassifier>(
-            AdaBoostClassifier::fit(train, boost_opts));
+            AdaBoostClassifier::fit(train, boost_opts, pool));
         return [model](std::span<const int> x) { return model->predict(x); };
       };
     }

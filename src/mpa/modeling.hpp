@@ -28,10 +28,11 @@ std::string_view to_string(ModelKind kind);
 
 struct ModelingOptions {
   BoostOptions boost = {};
-  /// Fan CV folds / online months out on this pool (null = serial).
-  /// Every trainer consumes a private RNG stream forked on the calling
-  /// thread in task order, so results are bit-identical at any thread
-  /// count.
+  /// Fan CV folds / online months out on this pool (null = serial),
+  /// and grow the tree learners' subtrees on it inside them. Every
+  /// trainer consumes a private RNG stream forked on the calling
+  /// thread in task order, and a tree is the same at any thread count,
+  /// so results are bit-identical at any thread count.
   ThreadPool* pool = nullptr;
 };
 

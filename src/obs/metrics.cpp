@@ -48,9 +48,13 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 
 }  // namespace
 
-bool enabled() { return g_enabled.load(std::memory_order_relaxed); }
+bool enabled() {
+  return g_enabled.load(std::memory_order_relaxed);
+}
 
-void set_enabled(bool on) { g_enabled.store(on, std::memory_order_relaxed); }
+void set_enabled(bool on) {
+  g_enabled.store(on, std::memory_order_relaxed);
+}
 
 std::uint64_t now_ns() {
   static const auto t0 = std::chrono::steady_clock::now();
@@ -59,11 +63,17 @@ std::uint64_t now_ns() {
                                         .count());
 }
 
-void Gauge::set(double v) { bits_.store(double_to_bits(v), std::memory_order_relaxed); }
+void Gauge::set(double v) {
+  bits_.store(double_to_bits(v), std::memory_order_relaxed);
+}
 
-double Gauge::value() const { return bits_to_double(bits_.load(std::memory_order_relaxed)); }
+double Gauge::value() const {
+  return bits_to_double(bits_.load(std::memory_order_relaxed));
+}
 
-void Gauge::reset() { bits_.store(0, std::memory_order_relaxed); }
+void Gauge::reset() {
+  bits_.store(0, std::memory_order_relaxed);
+}
 
 SampleRange::SampleRange() : lo_bits_(double_to_bits(kInf)), hi_bits_(double_to_bits(-kInf)) {}
 
@@ -72,9 +82,13 @@ void SampleRange::observe(double v) {
   atomic_extend_double(hi_bits_, v, std::greater<>());
 }
 
-double SampleRange::lo() const { return bits_to_double(lo_bits_.load(std::memory_order_relaxed)); }
+double SampleRange::lo() const {
+  return bits_to_double(lo_bits_.load(std::memory_order_relaxed));
+}
 
-double SampleRange::hi() const { return bits_to_double(hi_bits_.load(std::memory_order_relaxed)); }
+double SampleRange::hi() const {
+  return bits_to_double(hi_bits_.load(std::memory_order_relaxed));
+}
 
 void SampleRange::reset() {
   lo_bits_.store(double_to_bits(kInf), std::memory_order_relaxed);
@@ -95,7 +109,9 @@ void Histogram::observe(double v) {
   atomic_add_double(sum_bits_, v);
 }
 
-double Histogram::sum() const { return bits_to_double(sum_bits_.load(std::memory_order_relaxed)); }
+double Histogram::sum() const {
+  return bits_to_double(sum_bits_.load(std::memory_order_relaxed));
+}
 
 std::vector<std::uint64_t> Histogram::bucket_counts() const {
   std::vector<std::uint64_t> out(bounds_.size() + 1);

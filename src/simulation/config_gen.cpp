@@ -48,7 +48,9 @@ std::string DialectVocab::iface_name(int k) const {
                                       : "xe-0/0/" + std::to_string(k);
 }
 
-DialectVocab vocab_for(Vendor v) { return DialectVocab{dialect_of(v)}; }
+DialectVocab vocab_for(Vendor v) {
+  return DialectVocab{dialect_of(v)};
+}
 
 DeviceConfig& GeneratedNetwork::config(const std::string& device_id) {
   const auto it = configs.find(device_id);
@@ -165,8 +167,8 @@ GeneratedNetwork generate_configs(NetworkDesign design, Rng& rng) {
   const auto& vlan_hosts = switches.empty() ? design.net.device_ids : switches;
   for (int v = 0; v < design.num_vlans; ++v) {
     const std::string vlan_id = std::to_string(100 + v);
-    const int spread = static_cast<int>(
-        rng.uniform_int(1, std::min<std::int64_t>(6, static_cast<std::int64_t>(vlan_hosts.size()))));
+    const int spread = static_cast<int>(rng.uniform_int(
+        1, std::min<std::int64_t>(6, static_cast<std::int64_t>(vlan_hosts.size()))));
     const auto chosen = rng.sample_indices(vlan_hosts.size(), static_cast<std::size_t>(spread));
     for (std::size_t idx : chosen) {
       const std::string& dev_id = vlan_hosts[idx];

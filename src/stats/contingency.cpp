@@ -57,11 +57,17 @@ double ContingencyTable::marginal_entropy(const std::vector<std::uint32_t>& marg
   return h;
 }
 
-double ContingencyTable::entropy_x() { return marginal_entropy(mx_); }
+double ContingencyTable::entropy_x() {
+  return marginal_entropy(mx_);
+}
 
-double ContingencyTable::entropy_y() { return marginal_entropy(my_); }
+double ContingencyTable::entropy_y() {
+  return marginal_entropy(my_);
+}
 
-double ContingencyTable::joint_entropy() { return marginal_entropy(cells_); }
+double ContingencyTable::joint_entropy() {
+  return marginal_entropy(cells_);
+}
 
 double ContingencyTable::mutual_information_mm() {
   const double mi = mutual_information();

@@ -22,7 +22,9 @@ double variance(std::span<const double> v) {
   return s / static_cast<double>(v.size());
 }
 
-double stddev(std::span<const double> v) { return std::sqrt(variance(v)); }
+double stddev(std::span<const double> v) {
+  return std::sqrt(variance(v));
+}
 
 double percentile(std::span<const double> v, double p) {
   require(!v.empty(), "percentile: empty input");
@@ -42,7 +44,9 @@ double percentile_sorted(std::span<const double> sorted, double p) {
   return sorted[lo] * (1 - frac) + sorted[hi] * frac;
 }
 
-double median(std::span<const double> v) { return percentile(v, 50); }
+double median(std::span<const double> v) {
+  return percentile(v, 50);
+}
 
 double pearson(std::span<const double> x, std::span<const double> y) {
   require(x.size() == y.size(), "pearson: length mismatch");

@@ -7,6 +7,7 @@
 
 #include "stats/logistic_kernels.hpp"
 #include "util/error.hpp"
+#include "util/parallel.hpp"
 
 namespace mpa {
 namespace {
@@ -24,6 +25,11 @@ double sigmoid(double z) {
 // sum is one chain of dependent additions; interleaving rows lets the
 // chains overlap.
 constexpr std::size_t kEtaRows = 4;
+
+// Rows from which an iteration's sums run as pool tasks: below this,
+// a column tile is a few microseconds, about what handing it to
+// another thread costs.
+constexpr std::size_t kPooledRows = 1024;
 
 constexpr int kMaxIters = 50;    ///< IRLS iterations.
 constexpr double kRidge = 1e-3;  ///< L2 penalty on (standardized) weights.
@@ -74,31 +80,35 @@ constexpr std::size_t kTileCols = 8;
 typedef double Pair __attribute__((vector_size(2 * sizeof(double))));
 constexpr std::size_t kPairsPerTile = kTileCols / 2;
 
+std::size_t pair_tiles(std::size_t dim) {
+  return (dim + kTileRows - 1) / kTileRows;
+}
+
+// Columns [j0, j0 + kTileRows) for j0 = tile * kTileRows.
 void gram_pairs(std::span<const double> z, std::size_t dim, std::span<const double> wgt,
-                std::span<double> hess) {
+                std::size_t tile, std::span<double> hess) {
   const std::size_t stride = design_stride(dim);
   const std::size_t n = wgt.size();
-  for (std::size_t j0 = 0; j0 < dim; j0 += kTileRows) {
-    for (std::size_t k0 = j0 / kTileCols * kTileCols; k0 < dim; k0 += kTileCols) {
-      Pair acc[kTileRows][kPairsPerTile] = {};
-      for (std::size_t i = 0; i < n; ++i) {
-        const double* zi = z.data() + i * stride;
-        for (std::size_t t = 0; t < kTileRows; ++t) {
-          const double wz = wgt[i] * zi[j0 + t];
-          const Pair a = {wz, wz};
-          for (std::size_t c = 0; c < kPairsPerTile; ++c) {
-            Pair zk{};
-            std::memcpy(&zk, zi + k0 + 2 * c, sizeof zk);
-            acc[t][c] += a * zk;
-          }
+  const std::size_t j0 = tile * kTileRows;
+  for (std::size_t k0 = j0 / kTileCols * kTileCols; k0 < dim; k0 += kTileCols) {
+    Pair acc[kTileRows][kPairsPerTile] = {};
+    for (std::size_t i = 0; i < n; ++i) {
+      const double* zi = z.data() + i * stride;
+      for (std::size_t t = 0; t < kTileRows; ++t) {
+        const double wz = wgt[i] * zi[j0 + t];
+        const Pair a = {wz, wz};
+        for (std::size_t c = 0; c < kPairsPerTile; ++c) {
+          Pair zk{};
+          std::memcpy(&zk, zi + k0 + 2 * c, sizeof zk);
+          acc[t][c] += a * zk;
         }
       }
-      for (std::size_t t = 0; t < kTileRows; ++t)
-        for (std::size_t c = 0; c < kTileCols; ++c) {
-          const std::size_t j = j0 + t, k = k0 + c;
-          if (j < dim && k < dim && k >= j) hess[j * dim + k] = acc[t][c / 2][c % 2];
-        }
     }
+    for (std::size_t t = 0; t < kTileRows; ++t)
+      for (std::size_t c = 0; c < kTileCols; ++c) {
+        const std::size_t j = j0 + t, k = k0 + c;
+        if (j < dim && k < dim && k >= j) hess[j * dim + k] = acc[t][c / 2][c % 2];
+      }
   }
 }
 
@@ -166,12 +176,17 @@ __attribute__((target("avx2"))) void quad_strip(const double* z, std::size_t dim
 // The intercept row alone, then the features' rows in blocks of
 // kQuadRows, each block's tiles starting at its own diagonal: 612 cells
 // per design row for the 561 of a 33 x 33 upper triangle.
+std::size_t quad_tiles(std::size_t dim) {
+  return 1 + (dim - 1 + kQuadRows - 1) / kQuadRows;
+}
+
 __attribute__((target("avx2"))) void gram_quads(std::span<const double> z, std::size_t dim,
-                                                std::span<const double> wgt,
+                                                std::span<const double> wgt, std::size_t tile,
                                                 std::span<double> hess) {
-  quad_strip<1>(z.data(), dim, wgt, 0, hess.data());
-  for (std::size_t j0 = 1; j0 < dim; j0 += kQuadRows)
-    quad_strip<kQuadRows>(z.data(), dim, wgt, j0, hess.data());
+  if (tile == 0)
+    quad_strip<1>(z.data(), dim, wgt, 0, hess.data());
+  else
+    quad_strip<kQuadRows>(z.data(), dim, wgt, 1 + (tile - 1) * kQuadRows, hess.data());
 }
 
 // The intercept row of the Gram matrix over weights r: z_i0 is 1.0, so
@@ -187,13 +202,13 @@ __attribute__((target("avx2"))) void gradient_quads(std::span<const double> z, s
 }  // namespace
 
 const Kernels& baseline_kernels() {
-  static const Kernels kernels{gram_pairs, gradient_rows};
+  static const Kernels kernels{pair_tiles, gram_pairs, gradient_rows};
   return kernels;
 }
 
 const Kernels* wide_kernels() {
 #if defined(__x86_64__)
-  static const Kernels kernels{gram_quads, gradient_quads};
+  static const Kernels kernels{quad_tiles, gram_quads, gradient_quads};
   if (__builtin_cpu_supports("avx2")) return &kernels;
 #endif
   return nullptr;
@@ -201,7 +216,8 @@ const Kernels* wide_kernels() {
 
 }  // namespace irls
 
-LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<const int> labels) {
+LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<const int> labels,
+                                           ThreadPool* pool) {
   const std::size_t n = features.size();
   require(n == labels.size(), "LogisticRegression::fit: shape mismatch");
   require(n >= 2, "LogisticRegression::fit: need at least two samples");
@@ -264,8 +280,15 @@ LogisticRegression LogisticRegression::fit(const Matrix& features, std::span<con
         wgt[i0 + b] = std::max(p * (1 - p), 1e-9);
       }
     }
-    kernels.gradient(z, dim, r, grad);
-    kernels.gram(z, dim, wgt, hess);
+    // The Gram's column tiles and the gradient write disjoint cells, so
+    // they are the tasks of one job, the largest tiles first.
+    const std::size_t tiles = kernels.gram_tiles(dim);
+    parallel_for(n >= kPooledRows ? pool : nullptr, tiles + 1, [&](std::size_t t) {
+      if (t < tiles)
+        kernels.gram(z, dim, wgt, t, hess);
+      else
+        kernels.gradient(z, dim, r, grad);
+    });
     for (std::size_t j = 1; j < dim; ++j) {  // no penalty on the intercept
       grad[j] += kRidge * w[j];
       hess[j * dim + j] += kRidge;

@@ -12,14 +12,20 @@
 
 namespace mpa {
 
+class ThreadPool;
+
 /// Dense row-major matrix of samples (n rows) x features (d columns).
 using Matrix = std::vector<std::vector<double>>;
 
 class LogisticRegression {
  public:
   /// Fit P(y=1 | x). `labels` must be 0/1 and contain both classes.
-  /// Rows of `features` must share one length d >= 1.
-  static LogisticRegression fit(const Matrix& features, std::span<const int> labels);
+  /// Rows of `features` must share one length d >= 1. With a `pool`,
+  /// each iteration's weighted Gram matrix and gradient are computed
+  /// as tasks on it, by column tiles; every cell is summed the same
+  /// way, so the fit is the same at any thread count.
+  static LogisticRegression fit(const Matrix& features, std::span<const int> labels,
+                                ThreadPool* pool = nullptr);
 
   /// Predicted probability P(y=1 | x); x.size() must equal d.
   double predict_prob(std::span<const double> x) const;

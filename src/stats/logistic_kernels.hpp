@@ -16,17 +16,24 @@ namespace mpa::irls {
 /// Doubles per row of the design matrix for `dim` columns: a multiple
 /// of 8 with at least three zeros past the last column, which the
 /// kernels may read as part of a tile.
-constexpr std::size_t design_stride(std::size_t dim) { return (dim + 3 + 7) / 8 * 8; }
+constexpr std::size_t design_stride(std::size_t dim) {
+  return (dim + 3 + 7) / 8 * 8;
+}
 
 /// Kernels over a design matrix `z`: rows of design_stride(dim)
 /// doubles, the first column 1.0 (the intercept), zeros past column
 /// dim - 1.
 struct Kernels {
-  /// Upper triangle (k >= j) of the weighted Gram matrix
-  /// sum_i (wgt_i * z_ij) * z_ik into the dim x dim row-major `hess`,
-  /// over the first wgt.size() rows.
+  /// How many column tiles the Gram matrix is computed in: tile t
+  /// holds the cells of a few consecutive columns j, so tiles write
+  /// disjoint cells and can run as separate tasks. Tiles are in
+  /// decreasing order of work, more or less.
+  std::size_t (*gram_tiles)(std::size_t dim);
+  /// Tile `tile` of the upper triangle (k >= j) of the weighted Gram
+  /// matrix sum_i (wgt_i * z_ij) * z_ik into the dim x dim row-major
+  /// `hess`, over the first wgt.size() rows.
   void (*gram)(std::span<const double> z, std::size_t dim, std::span<const double> wgt,
-               std::span<double> hess);
+               std::size_t tile, std::span<double> hess);
   /// grad_j = sum_i r_i * z_ij for j < dim, over the first r.size()
   /// rows.
   void (*gradient)(std::span<const double> z, std::size_t dim, std::span<const double> r,

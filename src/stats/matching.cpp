@@ -53,7 +53,7 @@ double MatchResult::variance_ratio_pass_fraction(double var_lo, double var_hi) c
 }
 
 MatchResult propensity_match(const Matrix& treated, const Matrix& untreated,
-                             const MatchOptions& opts) {
+                             const MatchOptions& opts, ThreadPool* fit_pool) {
   require(!treated.empty() && !untreated.empty(),
           "propensity_match: need cases on both sides");
   const std::size_t d = treated[0].size();
@@ -78,7 +78,7 @@ MatchResult propensity_match(const Matrix& treated, const Matrix& untreated,
     all.push_back(row);
     labels.push_back(0);
   }
-  const auto model = LogisticRegression::fit(all, labels);
+  const auto model = LogisticRegression::fit(all, labels, fit_pool);
   res.treated_scores = model.predict_all(treated);
   res.untreated_scores = model.predict_all(untreated);
 

@@ -88,9 +88,10 @@ struct MatchResult {
 /// Run the full pipeline: fit propensity model on treated-vs-untreated,
 /// trim to common support, k=1 nearest-neighbour match with
 /// replacement, and compute balance diagnostics. Requires at least one
-/// case on each side and rows of equal width (>= 1 confounder).
+/// case on each side and rows of equal width (>= 1 confounder). The
+/// propensity fit runs its sums on `fit_pool` (LogisticRegression::fit).
 MatchResult propensity_match(const Matrix& treated, const Matrix& untreated,
-                             const MatchOptions& opts = {});
+                             const MatchOptions& opts = {}, ThreadPool* fit_pool = nullptr);
 
 /// Balance of one variable given matched samples (exposed for tests
 /// and for figure benches that inspect individual confounders).

@@ -8,9 +8,17 @@
 namespace mpa {
 namespace {
 
+// lgamma(x) without std::lgamma's write to the global signgam, a data
+// race when comparison points run their sign tests on two threads.
+// glibc computes both through one function, so the values are equal.
+double log_gamma(double x) {
+  int sign = 0;
+  return lgamma_r(x, &sign);
+}
+
 // log(n choose k) via lgamma.
 double log_choose(int n, int k) {
-  return std::lgamma(n + 1.0) - std::lgamma(k + 1.0) - std::lgamma(n - k + 1.0);
+  return log_gamma(n + 1.0) - log_gamma(k + 1.0) - log_gamma(n - k + 1.0);
 }
 
 // P(Bin(n, 1/2) >= k), exact, in log space per term.
@@ -24,7 +32,9 @@ double binom_upper_tail(int n, int k) {
 }
 
 // Normal upper-tail Q(z) = P(Z >= z).
-double normal_upper(double z) { return 0.5 * std::erfc(z / std::sqrt(2.0)); }
+double normal_upper(double z) {
+  return 0.5 * std::erfc(z / std::sqrt(2.0));
+}
 
 }  // namespace
 

@@ -30,6 +30,8 @@ inline int month_of(Timestamp t) {
 }
 
 /// First minute of month `m`.
-inline Timestamp month_start(int m) { return static_cast<Timestamp>(m) * kMinutesPerMonth; }
+inline Timestamp month_start(int m) {
+  return static_cast<Timestamp>(m) * kMinutesPerMonth;
+}
 
 }  // namespace mpa

@@ -281,7 +281,9 @@ class JsonParser {
   int depth_ = 0;  ///< Open arrays/objects around the current value.
 };
 
-JsonValue parse_json(std::string_view text) { return JsonParser(text).parse_document(); }
+JsonValue parse_json(std::string_view text) {
+  return JsonParser(text).parse_document();
+}
 
 std::string json_escape(std::string_view s) {
   std::string out;

@@ -1,6 +1,6 @@
 // Deterministic fork-join parallelism for the MPA engine.
 //
-// A ThreadPool runs index-based jobs (`parallel_for`): workers pull
+// A ThreadPool runs index-based jobs (`parallel_for`): threads pull
 // indices from a shared atomic counter, so scheduling is dynamic but
 // the work done for index i is exactly the same regardless of thread
 // count. Every parallel stage in the library is structured so that
@@ -8,20 +8,36 @@
 // stream it needs was forked on the calling thread in index order —
 // which makes results bit-identical between 1 thread and N threads.
 //
+// Jobs nest. The pool keeps a list of open jobs, each tagged with its
+// depth: 0 for a top-level call, and one more than the enclosing
+// task's job for a parallel_for issued from inside a task of the same
+// pool. A nested call publishes its job beside the running ones
+// instead of running inline. Every caller runs its own job's indices,
+// then helps only jobs deeper than its own until its job drains, so it
+// never waits behind shallower work and its stack grows by at most the
+// nesting depth. A worker out of work joins the shallowest open job
+// with indices left, the oldest at that depth: a top-level job's
+// remaining tasks before the nested jobs inside the running ones.
+// Before it sleeps, an idle worker or waiting caller polls for up to
+// kSpinNs, since nested jobs arrive tens of microseconds apart.
+//
 // The pool size defaults to the MPA_THREADS environment variable,
 // falling back to the hardware concurrency. A pool of size 1 spawns
-// no workers and runs everything inline, as does a nested
-// parallel_for issued from inside a worker.
+// no workers and runs everything inline, as does a job of one index
+// and a call made from inside a task of another pool.
 //
 // Locking (checked by clang thread-safety analysis, DESIGN.md §12):
-// mu_ guards the job slot and stop flag and backs both condition
-// variables; job_mu_ serializes concurrent parallel_for callers and is
-// the one place in the library where two locks nest — job_mu_ is
-// always acquired before mu_, never the reverse. Job progress counters
-// are atomics, read inside wait predicates under mu_ only to pair with
-// the notify protocol.
+// mu_ guards the open-job list, the stop flag and the counts of
+// sleeping threads, and backs both condition variables (wake_ for idle
+// workers, done_ for callers waiting on their job). job_mu_ serializes
+// top-level callers and is the one place in the library where two
+// locks nest — job_mu_ is always acquired before mu_, never the
+// reverse; a nested call takes mu_ alone. Job progress counters are
+// atomics; a thread joins or leaves a job only under mu_, which is what
+// lets a caller free its job once it has drained.
 #pragma once
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <cstdint>
@@ -78,9 +94,9 @@ class ThreadPool {
   struct Stats {
     std::uint64_t jobs = 0;           ///< parallel_for invocations (n > 0).
     std::uint64_t tasks = 0;          ///< Task bodies run (sum of n).
-    std::uint64_t inline_jobs = 0;    ///< Jobs run without pool dispatch.
-    std::uint64_t worker_joins = 0;   ///< Worker wakeups that joined a job.
-    std::uint64_t queue_wait_ns = 0;  ///< Total submit-to-join latency.
+    std::uint64_t inline_jobs = 0;    ///< Jobs run without publishing them.
+    std::uint64_t worker_joins = 0;   ///< Joins of a job by a thread other than its caller.
+    std::uint64_t queue_wait_ns = 0;  ///< Total publish-to-join latency.
   };
   Stats stats() const {
     Stats s;
@@ -94,36 +110,29 @@ class ThreadPool {
 
   /// Run fn(i) for every i in [0, n), blocking until all complete.
   /// The calling thread participates. The first exception thrown by
-  /// any task is rethrown here after the job drains. Nested calls
-  /// (from inside a task) run inline.
+  /// any task is rethrown here after the job drains. A call from
+  /// inside a task of this pool is a nested job that idle threads
+  /// help with (see the file comment).
   template <typename Fn>
   void parallel_for(std::size_t n, Fn&& fn) EXCLUDES(job_mu_, mu_) {
     if (n == 0) return;
     jobs_.fetch_add(1, std::memory_order_relaxed);
     tasks_.fetch_add(n, std::memory_order_relaxed);
-    if (threads_ <= 1 || n == 1 || in_region()) {
+    const Region region = this_region();
+    if (threads_ <= 1 || n == 1 || (region.pool != nullptr && region.pool != this)) {
       inline_jobs_.fetch_add(1, std::memory_order_relaxed);
       for (std::size_t i = 0; i < n; ++i) fn(i);
       return;
     }
-    MutexLock job_lock(job_mu_);  // one job at a time (job_mu_ -> mu_ order)
     Job job;
     job.body = [&fn](std::size_t i) { fn(i); };
     job.limit = n;
-    job.submit_ns = clock_ns();
-    {
-      MutexLock lk(mu_);
-      job_ = &job;
-    }
-    wake_.notify_all();
-    run_region(job);
-    {
-      // Wait for every body to finish AND every worker to step out of
-      // the job before destroying it: a worker that ran the last task
-      // still touches job.next once more on its way out of the loop.
-      MutexLock lk(mu_);
-      while (!(job.completed.load() == job.limit && job.participants.load() == 0)) done_.wait(mu_);
-      job_ = nullptr;
+    if (region.pool == this) {
+      job.depth = region.depth + 1;
+      run_job(job);
+    } else {
+      MutexLock job_lock(job_mu_);  // one top-level job at a time (job_mu_ -> mu_ order)
+      run_job(job);
     }
     std::exception_ptr error;
     {
@@ -139,12 +148,19 @@ class ThreadPool {
   struct Job {
     std::function<void(std::size_t)> body;
     std::size_t limit = 0;
+    int depth = 0;                // 0 for a top-level call
     std::uint64_t submit_ns = 0;  // for queue-wait accounting
     std::atomic<std::size_t> next{0};
     std::atomic<std::size_t> completed{0};
-    std::atomic<int> participants{0};  // workers currently inside run_region
+    std::atomic<int> participants{0};  // joined threads other than the caller
     Mutex error_mu;
     std::exception_ptr error GUARDED_BY(error_mu);
+  };
+
+  /// The pool and job depth of the task this thread is running, if any.
+  struct Region {
+    const ThreadPool* pool = nullptr;
+    int depth = 0;
   };
 
   static std::uint64_t clock_ns() {
@@ -154,13 +170,59 @@ class ThreadPool {
             .count());
   }
 
-  static bool& in_region() {
-    thread_local bool flag = false;
-    return flag;
+  static Region& this_region() {
+    thread_local Region region;
+    return region;
   }
 
-  void run_region(Job& job) EXCLUDES(mu_) {
-    in_region() = true;
+  /// Publish `job`, run its indices, then help deeper jobs until every
+  /// task has finished and every joined thread has stepped out of it.
+  void run_job(Job& job) EXCLUDES(mu_) {
+    job.submit_ns = clock_ns();
+    {
+      MutexLock lk(mu_);
+      open_.push_back(&job);
+      published_.fetch_add(1);
+      if (idle_workers_ > 0) wake_.notify_all();
+      if (waiting_callers_ > 0) done_.notify_all();  // they may help a deeper job
+    }
+    run_tasks(job);
+    const auto drained = [&job] {
+      return job.completed.load() == job.limit && job.participants.load() == 0;
+    };
+    MutexLock lk(mu_);
+    while (!drained()) {
+      if (Job* deeper = open_job(job.depth + 1)) {
+        join(*deeper);
+        continue;
+      }
+      const std::uint64_t seen = published_.load();
+      lk.unlock();
+      spin_until([&] { return drained() || published_.load() != seen; });
+      lk.lock();
+      if (drained() || open_job(job.depth + 1) != nullptr) continue;
+      ++waiting_callers_;
+      done_.wait(mu_);
+      --waiting_callers_;
+    }
+    open_.erase(std::find(open_.begin(), open_.end(), &job));
+  }
+
+  /// Poll `ready` for up to kSpinNs, yielding between polls. A thread
+  /// does this with mu_ released before it sleeps: nested jobs come
+  /// in bursts tens of microseconds apart, about what a sleeping
+  /// thread takes to wake.
+  template <typename Ready>
+  static void spin_until(Ready ready) {
+    const std::uint64_t until = clock_ns() + kSpinNs;
+    while (!ready() && clock_ns() < until) std::this_thread::yield();
+  }
+
+  /// Claim and run `job`'s indices until none are left.
+  void run_tasks(Job& job) EXCLUDES(mu_) {
+    Region& region = this_region();
+    const Region outer = region;
+    region = Region{this, job.depth};
     while (true) {
       const std::size_t i = job.next.fetch_add(1);
       if (i >= job.limit) break;
@@ -170,43 +232,75 @@ class ThreadPool {
         MutexLock lk(job.error_mu);
         if (!job.error) job.error = std::current_exception();
       }
-      if (job.completed.fetch_add(1) + 1 == job.limit) {
-        { MutexLock lk(mu_); }  // pair with waiter's check
-        done_.notify_all();
-      }
+      job.completed.fetch_add(1);
     }
-    in_region() = false;
+    region = outer;
+  }
+
+  /// The shallowest open job at least `min_depth` deep with indices
+  /// left, the oldest among equals; null when there is none.
+  Job* open_job(int min_depth) REQUIRES(mu_) {
+    Job* best = nullptr;
+    for (Job* job : open_)
+      if (job->depth >= min_depth && job->next.load() < job->limit &&
+          (best == nullptr || job->depth < best->depth))
+        best = job;
+    return best;
+  }
+
+  /// Run tasks of a job this thread did not publish. Joining and
+  /// leaving under mu_ is what the job's caller waits on before it
+  /// frees the job: a thread that ran the last task still touches
+  /// job.next once more on its way out.
+  void join(Job& job) REQUIRES(mu_) {
+    job.participants.fetch_add(1, std::memory_order_relaxed);
+    worker_joins_.fetch_add(1, std::memory_order_relaxed);
+    const std::uint64_t joined = clock_ns();
+    if (joined > job.submit_ns)
+      queue_wait_ns_.fetch_add(joined - job.submit_ns, std::memory_order_relaxed);
+    mu_.unlock();
+    run_tasks(job);
+    mu_.lock();
+    if (job.participants.fetch_sub(1, std::memory_order_relaxed) == 1 &&
+        job.completed.load() == job.limit && waiting_callers_ > 0)
+      done_.notify_all();
   }
 
   void worker_loop() EXCLUDES(mu_) {
     MutexLock lk(mu_);
     while (true) {
-      while (!(stop_ || (job_ != nullptr && job_->next.load() < job_->limit))) wake_.wait(mu_);
+      Job* job = open_job(0);
+      if (job == nullptr && !stop_) {
+        const std::uint64_t seen = published_.load();
+        lk.unlock();
+        spin_until([&] { return published_.load() != seen; });
+        lk.lock();
+        job = open_job(0);
+      }
+      while (!stop_ && job == nullptr) {
+        ++idle_workers_;
+        wake_.wait(mu_);
+        --idle_workers_;
+        job = open_job(0);
+      }
       if (stop_) return;  // lk releases on scope exit
-      Job* job = job_;
-      job->participants.fetch_add(1, std::memory_order_relaxed);
-      worker_joins_.fetch_add(1, std::memory_order_relaxed);
-      const std::uint64_t joined = clock_ns();
-      if (joined > job->submit_ns)
-        queue_wait_ns_.fetch_add(joined - job->submit_ns, std::memory_order_relaxed);
-      lk.unlock();
-      run_region(*job);
-      lk.lock();
-      // Ordered against the caller's predicate check by mu_; after
-      // this the worker never touches *job again.
-      job->participants.fetch_sub(1, std::memory_order_relaxed);
-      done_.notify_all();
+      join(*job);
     }
   }
 
+  static constexpr std::uint64_t kSpinNs = 50'000;
+
   const int threads_;
   std::vector<std::thread> workers_;
-  Mutex mu_;      // guards job_ / stop_ and the cv handshakes
-  Mutex job_mu_;  // serializes concurrent parallel_for callers; precedes mu_
-  CondVar wake_;
-  CondVar done_;
-  Job* job_ GUARDED_BY(mu_) = nullptr;
+  Mutex mu_;      // guards open_, stop_, the sleeper counts and the cv handshakes
+  Mutex job_mu_;  // serializes top-level parallel_for callers; precedes mu_
+  CondVar wake_;  // idle workers: a job was published, or stop_
+  CondVar done_;  // waiting callers: a job drained, or a deeper one was published
+  std::vector<Job*> open_ GUARDED_BY(mu_);  // publication order
+  int idle_workers_ GUARDED_BY(mu_) = 0;
+  int waiting_callers_ GUARDED_BY(mu_) = 0;
   bool stop_ GUARDED_BY(mu_) = false;
+  std::atomic<std::uint64_t> published_{0};  // jobs ever published; polled while spinning
 
   std::atomic<std::uint64_t> jobs_{0};
   std::atomic<std::uint64_t> tasks_{0};

@@ -14,7 +14,9 @@ std::uint64_t splitmix64(std::uint64_t& x) {
   return z ^ (z >> 31);
 }
 
-std::uint64_t rotl(std::uint64_t x, int k) { return (x << k) | (x >> (64 - k)); }
+std::uint64_t rotl(std::uint64_t x, int k) {
+  return (x << k) | (x >> (64 - k));
+}
 
 }  // namespace
 
@@ -37,14 +39,18 @@ std::uint64_t Rng::next() {
   return result;
 }
 
-Rng Rng::fork() { return Rng(next()); }
+Rng Rng::fork() {
+  return Rng(next());
+}
 
 double Rng::uniform() {
   // 53 random bits -> double in [0, 1).
   return static_cast<double>(next() >> 11) * 0x1.0p-53;
 }
 
-double Rng::uniform(double lo, double hi) { return lo + (hi - lo) * uniform(); }
+double Rng::uniform(double lo, double hi) {
+  return lo + (hi - lo) * uniform();
+}
 
 std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
   require(lo <= hi, "Rng::uniform_int: lo > hi");
@@ -79,7 +85,9 @@ double Rng::normal(double mean, double sd) {
   return mean + sd * normal();
 }
 
-double Rng::lognormal(double mu, double sigma) { return std::exp(normal(mu, sigma)); }
+double Rng::lognormal(double mu, double sigma) {
+  return std::exp(normal(mu, sigma));
+}
 
 int Rng::poisson(double mean) {
   require(mean >= 0, "Rng::poisson: negative mean");

@@ -42,7 +42,9 @@ std::string format_sci(double v, int digits = 2);
 struct CsvField {
   std::string_view text;
 };
-inline CsvField csv_field(std::string_view text) { return {text}; }
+inline CsvField csv_field(std::string_view text) {
+  return {text};
+}
 std::ostream& operator<<(std::ostream& os, CsvField field);
 
 /// Reads RFC 4180 CSV records one at a time. A quoted field may hold

@@ -25,10 +25,18 @@ TextTable& TextTable::add(std::string cell) {
   return *this;
 }
 
-TextTable& TextTable::add(const char* cell) { return add(std::string(cell)); }
-TextTable& TextTable::add(double v, int digits) { return add(format_double(v, digits)); }
-TextTable& TextTable::add(int v) { return add(std::to_string(v)); }
-TextTable& TextTable::add(std::size_t v) { return add(std::to_string(v)); }
+TextTable& TextTable::add(const char* cell) {
+  return add(std::string(cell));
+}
+TextTable& TextTable::add(double v, int digits) {
+  return add(format_double(v, digits));
+}
+TextTable& TextTable::add(int v) {
+  return add(std::to_string(v));
+}
+TextTable& TextTable::add(std::size_t v) {
+  return add(std::to_string(v));
+}
 
 std::string TextTable::str() const {
   std::vector<std::size_t> widths(headers_.size());
@@ -47,12 +55,15 @@ std::string TextTable::str() const {
   };
   emit(headers_);
   std::size_t total = 0;
-  for (std::size_t c = 0; c < widths.size(); ++c) total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
+  for (std::size_t c = 0; c < widths.size(); ++c)
+    total += widths[c] + (c + 1 < widths.size() ? 2 : 0);
   os << std::string(total, '-') << '\n';
   for (const auto& r : rows_) emit(r);
   return os.str();
 }
 
-void TextTable::print(std::ostream& os) const { os << str(); }
+void TextTable::print(std::ostream& os) const {
+  os << str();
+}
 
 }  // namespace mpa

@@ -4,6 +4,8 @@
 #include "util/error.hpp"
 
 #include "mpa/causal.hpp"
+#include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mpa {
@@ -90,6 +92,54 @@ TEST(Causal, ComparisonPointsCoverAdjacentBins) {
     EXPECT_GT(res.comparisons[i].untreated_cases, 0u);
     EXPECT_GT(res.comparisons[i].treated_cases, 0u);
     EXPECT_LE(res.comparisons[i].pairs, res.comparisons[i].treated_cases);
+  }
+}
+
+// Every analysis practice confounded with one common cause: the propensity
+// fits run over all 32 confounder columns, and the largest comparison
+// point holds most of the rows. No pool and 1-, 2- and 8-thread pools
+// give the same bits; the digest pins the serial answers.
+TEST(Causal, BitIdenticalWithAndWithoutPools) {
+  Rng rng(6);
+  CaseTable t;
+  for (int i = 0; i < 3000; ++i) {
+    const double z = rng.uniform(0, 10);
+    Case c;
+    c.network_id = "n" + std::to_string(i);
+    c.month = i % 5;
+    int k = 0;
+    for (Practice p : analysis_practices()) c[p] = rng.uniform(0, 4) + (k++ % 3) * z * z;
+    c.tickets = std::max(0.0, 0.3 * c[Practice::kNumChangeEvents] + z + rng.normal(0, 1.0));
+    t.add(c);
+  }
+  const auto causal_digest = [&](ThreadPool* pool) {
+    CausalOptions opts;
+    opts.pool = pool;
+    Fnv h;
+    for (Practice p : {Practice::kNumChangeEvents, Practice::kNumDevices}) {
+      const CausalResult r = causal_analysis(t, p, opts);
+      for (const ComparisonResult& c : r.comparisons) {
+        h.u64(static_cast<std::uint64_t>(c.untreated_bin));
+        h.u64(c.untreated_cases);
+        h.u64(c.treated_cases);
+        h.u64(c.pairs);
+        h.u64(c.untreated_matched);
+        for (const double v : {c.propensity_balance.std_diff_of_means,
+                               c.propensity_balance.variance_ratio, c.worst_abs_std_diff,
+                               c.vr_pass_fraction, c.outcome.p_value})
+          h.bytes(&v, sizeof v);
+        h.u64(static_cast<std::uint64_t>(c.outcome.n_pos));
+        h.u64(static_cast<std::uint64_t>(c.outcome.n_neg));
+        h.u64(c.causal ? 1 : 0);
+      }
+    }
+    return h.value();
+  };
+  const std::uint64_t want = causal_digest(nullptr);
+  EXPECT_EQ(want, 0x22df11909bcc5c8fULL);
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(causal_digest(&pool), want) << threads << " threads";
   }
 }
 

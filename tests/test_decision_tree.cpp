@@ -7,6 +7,8 @@
 #include "util/error.hpp"
 
 #include "learn/decision_tree.hpp"
+#include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mpa {
@@ -234,6 +236,59 @@ TEST(DecisionTree, FitReportsEachTrainingRowsLeaf) {
       ASSERT_EQ(labels.size(), d.size());
       for (std::size_t i = 0; i < d.size(); ++i) EXPECT_EQ(labels[i], tree.predict(d.x[i])) << i;
     }
+  }
+}
+
+// A fit large enough to build its subtrees as pool tasks keeps the
+// serial pre-order: the same rendering, predictions and leaf labels
+// with no pool and on 1-, 2- and 8-thread pools. The digest pins the
+// serial fit itself.
+TEST(DecisionTree, PooledFitKeepsSerialPreOrder) {
+  Rng rng(21);
+  Dataset d;
+  d.num_classes = 5;
+  d.feature_bins = 5;
+  for (int f = 0; f < 12; ++f) d.feature_names.push_back("f" + std::to_string(f));
+  for (int i = 0; i < 3000; ++i) {
+    std::vector<int> x;
+    for (int f = 0; f < 12; ++f) x.push_back(static_cast<int>(rng.uniform_int(0, 4)));
+    const int signal = (x[0] + x[1] * x[2] + x[3]) % 5;
+    d.x.push_back(x);
+    d.y.push_back(rng.bernoulli(0.25) ? static_cast<int>(rng.uniform_int(0, 4)) : signal);
+    d.w.push_back(rng.bernoulli(0.3) ? std::exp(rng.uniform(0, 2)) : 1.0);
+  }
+  TreeOptions opts;
+  opts.min_weight_frac = 0.002;
+  const std::vector<std::string> classes{"c0", "c1", "c2", "c3", "c4"};
+  const auto render = [&](const DecisionTree& t) {
+    return t.describe(d.feature_names, classes, 64);
+  };
+  const auto predictions = [&](const DecisionTree& t) {
+    std::vector<int> out;
+    for (std::size_t i = 0; i < d.size(); ++i) out.push_back(t.predict(d.x[i]));
+    return out;
+  };
+
+  std::vector<int> want_labels;
+  const DecisionTree want = DecisionTree::fit(d, opts, &want_labels);
+  const std::vector<int> want_predictions = predictions(want);
+  Fnv digest;
+  digest.str(render(want));
+  for (const int label : want_predictions) digest.u64(static_cast<std::uint64_t>(label));
+  for (const int label : want_labels) digest.u64(static_cast<std::uint64_t>(label));
+  EXPECT_GT(want.node_count(), 500u);
+  EXPECT_EQ(digest.value(), 0x0dd3b6965f2be3dbULL);
+
+  for (const int threads : {1, 2, 8}) {
+    SCOPED_TRACE(std::to_string(threads) + " threads");
+    ThreadPool pool(threads);
+    std::vector<int> labels;
+    const DecisionTree got = DecisionTree::fit(d, opts, &labels, &pool);
+    EXPECT_GT(pool.stats().jobs, 0u);  // the subtrees were pool tasks
+    EXPECT_EQ(got.node_count(), want.node_count());
+    EXPECT_EQ(render(got), render(want));
+    EXPECT_EQ(predictions(got), want_predictions);
+    EXPECT_EQ(labels, want_labels);
   }
 }
 

@@ -22,6 +22,7 @@ std::vector<std::uint64_t> bits_of(std::span<const double> v) {
 // The wide IRLS kernels return the baseline's bits: every width up to
 // 40 (33 is causal's, the intercept and 32 confounders), row counts no
 // tile height divides, weights over the whole range IRLS gives them.
+// Each set's column tiles together fill the whole upper triangle.
 TEST(IrlsKernels, WideEqualsBaselineBitForBit) {
   const irls::Kernels* wide = irls::wide_kernels();
   if (wide == nullptr) GTEST_SKIP() << "this CPU runs the baseline kernels only";
@@ -41,9 +42,12 @@ TEST(IrlsKernels, WideEqualsBaselineBitForBit) {
         r[i] = rng.uniform(-1, 1);
       }
       std::vector<double> hess_base(dim * dim, -1.0), hess_wide(dim * dim, -1.0);
-      base.gram(z, dim, wgt, hess_base);
-      wide->gram(z, dim, wgt, hess_wide);
+      for (std::size_t t = 0; t < base.gram_tiles(dim); ++t) base.gram(z, dim, wgt, t, hess_base);
+      for (std::size_t t = 0; t < wide->gram_tiles(dim); ++t) wide->gram(z, dim, wgt, t, hess_wide);
       EXPECT_EQ(bits_of(hess_wide), bits_of(hess_base));
+      for (std::size_t j = 0; j < dim; ++j)
+        for (std::size_t k = j; k < dim; ++k)
+          EXPECT_NE(hess_base[j * dim + k], -1.0) << "cell " << j << "," << k;
       std::vector<double> grad_base(dim, -1.0), grad_wide(dim, -1.0);
       base.gradient(z, dim, r, grad_base);
       wide->gradient(z, dim, r, grad_wide);

@@ -6,6 +6,8 @@
 #include <cmath>
 
 #include "mpa/modeling.hpp"
+#include "util/hash.hpp"
+#include "util/parallel.hpp"
 #include "util/rng.hpp"
 
 namespace mpa {
@@ -77,6 +79,34 @@ TEST(Modeling, FiveClassModelsRun) {
   const EvalResult r = evaluate_model_cv(t, 5, ModelKind::kDtBoostOversample, eval_rng);
   EXPECT_EQ(r.precision.size(), 5u);
   EXPECT_GT(r.accuracy, 0.4);
+}
+
+// Boosted-tree CV, whose tree fits nest inside the folds on a pool,
+// answers bit for bit the same with no pool and on 1-, 2- and 8-thread
+// pools; the digest pins the serial answers.
+TEST(Modeling, CvBitIdenticalWithAndWithoutPools) {
+  Rng rng(13);
+  const CaseTable t = learnable_table(150, 6, rng);
+  const auto cv_digest = [&](ThreadPool* pool) {
+    ModelingOptions opts;
+    opts.pool = pool;
+    Fnv h;
+    for (int classes : {2, 5}) {
+      Rng eval_rng(14);
+      const EvalResult r =
+          evaluate_model_cv(t, classes, ModelKind::kDtBoostOversample, eval_rng, opts);
+      h.bytes(&r.accuracy, sizeof r.accuracy);
+      for (const auto& row : r.confusion)
+        for (int n : row) h.u64(static_cast<std::uint64_t>(n));
+    }
+    return h.value();
+  };
+  const std::uint64_t want = cv_digest(nullptr);
+  EXPECT_EQ(want, 0x24a22f1630634790ULL);
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    EXPECT_EQ(cv_digest(&pool), want) << threads << " threads";
+  }
 }
 
 TEST(Modeling, FinalTreeRootIsInformative) {

@@ -2,9 +2,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdlib>
+#include <mutex>
+#include <set>
 #include <stdexcept>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "util/parallel.hpp"
@@ -93,13 +97,76 @@ TEST(ThreadPool, PropagatesFirstException) {
   EXPECT_EQ(ran.load(), 10);
 }
 
-TEST(ThreadPool, NestedCallsRunInline) {
+TEST(ThreadPool, NestedCallsRunEveryIndex) {
   ThreadPool pool(4);
   std::atomic<int> total{0};
   pool.parallel_for(8, [&](std::size_t) {
     pool.parallel_for(4, [&](std::size_t) { ++total; });
   });
   EXPECT_EQ(total.load(), 32);
+}
+
+// The outer job's first task returns at once; the second issues a
+// nested job whose tasks each wait until two distinct threads have
+// entered it. That happens only if a thread other than the nested
+// caller, idle once the first task is done, joins the nested job.
+TEST(ThreadPool, NestedJobRunsOnIdleWorkers) {
+  ThreadPool pool(4);
+  std::mutex mu;
+  std::set<std::thread::id> entered;
+  std::atomic<bool> met{false};
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  pool.parallel_for(2, [&](std::size_t outer) {
+    if (outer == 0) return;
+    pool.parallel_for(2, [&](std::size_t) {
+      {
+        std::lock_guard<std::mutex> lk(mu);
+        entered.insert(std::this_thread::get_id());
+        if (entered.size() >= 2) met = true;
+      }
+      while (!met && std::chrono::steady_clock::now() < deadline) std::this_thread::yield();
+    });
+  });
+  EXPECT_TRUE(met.load()) << "the nested job ran on one thread only";
+}
+
+TEST(ThreadPool, NestedExceptionReachesNestedCaller) {
+  ThreadPool pool(4);
+  std::atomic<int> caught{0};
+  std::atomic<int> ran{0};
+  pool.parallel_for(6, [&](std::size_t) {
+    try {
+      pool.parallel_for(10, [&](std::size_t j) {
+        if (j == 7) throw std::runtime_error("nested boom");
+        ++ran;
+      });
+    } catch (const std::runtime_error& e) {
+      if (std::string(e.what()) == "nested boom") ++caught;
+    }
+  });
+  EXPECT_EQ(caught.load(), 6);  // each nested caller saw its own job's error
+  EXPECT_EQ(ran.load(), 6 * 9);
+  // The pool survives failed nested jobs, nested and top level.
+  std::atomic<int> total{0};
+  pool.parallel_for(4, [&](std::size_t) {
+    pool.parallel_for(5, [&](std::size_t) { ++total; });
+  });
+  EXPECT_EQ(total.load(), 20);
+}
+
+TEST(ThreadPool, ThreeLevelsOfNestingComplete) {
+  for (const int threads : {1, 2, 8}) {
+    ThreadPool pool(threads);
+    std::vector<std::atomic<int>> counts(3 * 4 * 5);
+    pool.parallel_for(3, [&](std::size_t a) {
+      pool.parallel_for(4, [&](std::size_t b) {
+        pool.parallel_for(5, [&](std::size_t c) { counts[(a * 4 + b) * 5 + c].fetch_add(1); });
+      });
+    });
+    for (std::size_t i = 0; i < counts.size(); ++i)
+      EXPECT_EQ(counts[i].load(), 1) << threads << " threads, index " << i;
+    EXPECT_EQ(pool.stats().jobs, 1u + 3u + 12u) << threads << " threads";
+  }
 }
 
 TEST(ParallelForHelper, NullPoolRunsInline) {
